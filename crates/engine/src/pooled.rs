@@ -28,7 +28,8 @@
 
 use crate::pool::{DisjointChunks, DisjointSlice, WorkerPool};
 use crate::routing::{
-    capped_default_shards, deliveries_pending, flush_shard_sends, Routed, ShardLayout, StageOut,
+    capped_default_shards, deliveries_pending, flush_shard_sends, stamp_receivers, DistScratch,
+    Routed, ShardLayout, StageOut,
 };
 use powersparse_congest::engine::{
     Delivery, Message, Metrics, Outbox, RoundEngine, RoundPhase, SendRecord,
@@ -191,68 +192,6 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
             open,
             sim: self,
         }
-    }
-}
-
-/// Per-shard distribution scratch: the counting-sort workspace that
-/// turns the shard's arrival run into per-node inbox slices. All three
-/// vectors keep their capacity across rounds.
-#[derive(Debug)]
-struct DistScratch<M> {
-    /// Inbox start offset per local node (`len = local nodes + 1` after
-    /// a distribution).
-    starts: Vec<usize>,
-    /// Write cursors of the counting sort (reset from `starts`).
-    cursors: Vec<usize>,
-    /// The flat inbox buffer: node `l`'s inbox is
-    /// `buf[starts[l]..starts[l + 1]]`.
-    buf: Vec<Delivery<M>>,
-}
-
-impl<M> Default for DistScratch<M> {
-    fn default() -> Self {
-        Self {
-            starts: Vec::new(),
-            cursors: Vec::new(),
-            buf: Vec::new(),
-        }
-    }
-}
-
-impl<M> DistScratch<M> {
-    /// Groups the shard's arrival run (ascending global edge order,
-    /// consumed) into per-node inbox slices with a stable counting sort:
-    /// one counting pass, one placement pass, no per-node allocation.
-    fn distribute(&mut self, arrivals: &mut Vec<Routed<M>>, lo: usize, n_local: usize) {
-        let total = arrivals.len();
-        self.starts.clear();
-        self.starts.resize(n_local + 1, 0);
-        for (to, _, _) in arrivals.iter() {
-            self.starts[to.index() - lo + 1] += 1;
-        }
-        for l in 0..n_local {
-            self.starts[l + 1] += self.starts[l];
-        }
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.starts[..n_local]);
-        self.buf.clear();
-        self.buf.reserve(total);
-        let spare = self.buf.spare_capacity_mut();
-        for (to, from, msg) in arrivals.drain(..) {
-            let l = to.index() - lo;
-            let slot = self.cursors[l];
-            self.cursors[l] += 1;
-            spare[slot].write((from, msg));
-        }
-        // SAFETY: the per-node counts sum to `total` and each cursor
-        // walks its own disjoint `starts[l]..starts[l + 1]` subrange, so
-        // every slot in `0..total` was initialized exactly once above.
-        unsafe { self.buf.set_len(total) };
-    }
-
-    /// Local node `l`'s inbox slice (valid after [`Self::distribute`]).
-    fn inbox(&self, l: usize) -> &[Delivery<M>] {
-        &self.buf[self.starts[l]..self.starts[l + 1]]
     }
 }
 
@@ -514,13 +453,7 @@ impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
             let stamp = self.round_stamp;
             let mut dirty_nodes = 0u64;
             for (&len, run) in self.pre_len.iter().zip(&self.arrivals) {
-                for (to, _, _) in &run[len..] {
-                    let slot = &mut self.dirty_stamp[to.index()];
-                    if *slot != stamp {
-                        *slot = stamp;
-                        dirty_nodes += 1;
-                    }
-                }
+                dirty_nodes += stamp_receivers(&run[len..], &mut self.dirty_stamp, stamp);
             }
             let active_edges: u64 = self.cores.iter().map(|c| c.active_edges() as u64).sum();
             let obs = RoundObs {

@@ -25,17 +25,27 @@
 //!
 //! * the **parent** steps every node (node programs capture non-`Send`
 //!   borrows and per-phase state slices, which cannot cross a process
-//!   boundary), buckets the round's sends per shard in one monotone
-//!   pass, and plays the stage-2 splicer: children are read in
-//!   ascending shard order, which — shards being CSR-aligned
-//!   contiguous edge ranges ([`ShardLayout`]) — *is* ascending global
-//!   edge order, the sequential reference delivery order;
-//! * each **child** owns its shard's `MsgCore<Vec<u8>>` over the
-//!   shard's local edge range and runs the bandwidth/fragmentation
-//!   semantics ([`MsgCore::transfer`]) on opaque payload bytes.  The
-//!   transfer is payload-agnostic, so every counter the child reports
-//!   (peak depth, arena share, active edges) is identical to what an
-//!   in-process core would have measured.
+//!   boundary), encodes the round's sends straight into each shard's
+//!   `Sends` frame in one monotone pass, and plays the stage-2
+//!   splicer: children are read in ascending shard order, which —
+//!   shards being CSR-aligned contiguous edge ranges ([`ShardLayout`])
+//!   — *is* ascending global edge order, the sequential reference
+//!   delivery order.  Delivered cells are decoded onto one arrival run
+//!   and grouped per node by the pooled engine's stable counting sort
+//!   when the next `step` or `settle` reads them;
+//! * each **child** owns its shard's message core over the shard's
+//!   local edge range and runs the bandwidth/fragmentation semantics
+//!   ([`MsgCore::transfer`]) on opaque payload bytes, stored inline in
+//!   the arena cell unless unusually long.  The transfer is
+//!   payload-agnostic, so every counter the child reports (peak depth,
+//!   arena share, active edges) is identical to what an in-process core
+//!   would have measured.
+//!
+//! A round allocates nothing per message on either side (a child boxes
+//! only payloads longer than 22 bytes): frames are built in place in
+//! per-shard buffers reused across rounds ([`FrameBuf`]) and read in
+//! place ([`FrameView`], [`CellReader`]), so each payload byte is
+//! copied once per hop.
 //!
 //! Children are forked once, at engine construction, and serve every
 //! phase until the engine drops (a `PhaseStart` frame rebuilds the
@@ -57,12 +67,12 @@
 //! identically to the in-process backends; `tests/faults.rs` and
 //! `tests/conformance/` pin all of this.
 
-use crate::routing::{capped_default_shards, ShardLayout};
+use crate::routing::{capped_default_shards, stamp_receivers, DistScratch, Routed, ShardLayout};
 use crate::wire::{
-    decode_cells, decode_payload, encode_cells, encode_payload, get_varint, put_varint,
-    EngineError, Fault, FaultKind, FaultPlan, FaultyTransport, Frame, FrameKind, NetworkSpec,
-    PayloadSlab, ShapedTransport, StreamTransport, TcpTransport, Transport, WireCell, WireError,
-    HEADER_LEN, PROTOCOL_VERSION,
+    decode_payload, encode_payload, get_varint, CellReader, EngineError, Fault, FaultKind,
+    FaultPlan, FaultyTransport, Frame, FrameBuf, FrameKind, FrameView, NetworkSpec, PayloadSlab,
+    ShapedTransport, StreamTransport, TcpTransport, Transport, WireError, HEADER_LEN,
+    PROTOCOL_VERSION,
 };
 use powersparse_congest::engine::{
     Delivery, Message, Metrics, Outbox, RoundEngine, RoundPhase, SendRecord,
@@ -77,6 +87,8 @@ use std::net::TcpListener;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 /// Raw syscall shims (no libc crate in the image; these are the stable
@@ -110,21 +122,81 @@ fn raise(shard: usize, error: WireError) -> ! {
 // Child side
 // ---------------------------------------------------------------------------
 
+/// Payload bytes as a shard child queues them. The child never
+/// interprets a payload — it stores it and hands it back — so a short
+/// one lives inline in the arena cell and only a long one is boxed.
+/// [`INLINE_PAYLOAD`] is chosen so the whole value is as large as the
+/// `Vec<u8>` it replaces.
+enum CellBytes {
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_PAYLOAD],
+    },
+    Boxed(Box<[u8]>),
+}
+
+/// Longest payload a child stores inline (the inline case's length and
+/// the enum tag take the remaining two of 24 bytes).
+const INLINE_PAYLOAD: usize = 22;
+
+impl CellBytes {
+    fn new(payload: &[u8]) -> Self {
+        if payload.len() <= INLINE_PAYLOAD {
+            let mut bytes = [0u8; INLINE_PAYLOAD];
+            bytes[..payload.len()].copy_from_slice(payload);
+            CellBytes::Inline {
+                len: payload.len() as u8,
+                bytes,
+            }
+        } else {
+            CellBytes::Boxed(payload.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            CellBytes::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            CellBytes::Boxed(bytes) => bytes,
+        }
+    }
+}
+
+/// Reads a cell run into `core`, rejecting edges outside its range.
+fn enqueue_cells(core: &mut MsgCore<CellBytes>, cells: CellReader<'_>) -> Result<(), WireError> {
+    for cell in cells {
+        let cell = cell?;
+        let edge = usize::try_from(cell.edge)
+            .ok()
+            .filter(|&e| e < core.edges())
+            .ok_or(WireError::Payload)?;
+        core.enqueue(
+            edge,
+            cell.bits,
+            NodeId(cell.from),
+            CellBytes::new(cell.payload),
+        );
+    }
+    Ok(())
+}
+
 /// The child's whole life: a payload-opaque core servant.  It needs no
 /// graph, no message type and no metrics — just its local edge count
 /// and the bandwidth, delivered by `PhaseStart`.  Generic over the
 /// transport so the Unix-socket and TCP children share one protocol
-/// body.
+/// body.  Every reply is built in place in one reused [`FrameBuf`]; a
+/// protocol error ends the child, so a `Sends` run is enqueued as it is
+/// read.
 fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
-    let mut hello = Frame::control(FrameKind::Hello, shard, 0);
-    put_varint(&mut hello.payload, PROTOCOL_VERSION);
-    t.send(&hello.encode())?;
-    let mut core: Option<MsgCore<Vec<u8>>> = None;
+    let mut out = FrameBuf::new();
+    out.begin();
+    out.put_varint(PROTOCOL_VERSION);
+    t.send(out.seal(FrameKind::Hello, shard, 0))?;
+    let mut core: Option<MsgCore<CellBytes>> = None;
     let mut bw: u64 = 0;
     let mut epoch: u32 = 0;
-    let mut out_cells: Vec<WireCell> = Vec::new();
     loop {
-        let frame = Frame::decode(&t.recv()?)?;
+        let bytes = t.recv()?;
+        let frame = FrameView::parse(&bytes)?;
         if frame.shard != shard {
             return Err(WireError::ShardMismatch {
                 want: shard,
@@ -133,7 +205,7 @@ fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
         }
         match frame.kind {
             FrameKind::PhaseStart => {
-                let mut p = frame.payload.as_slice();
+                let mut p = frame.payload;
                 let edges = get_varint(&mut p)? as usize;
                 bw = get_varint(&mut p)?;
                 core = Some(MsgCore::new(edges));
@@ -141,9 +213,7 @@ fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
             }
             FrameKind::Sends => {
                 let core = core.as_mut().ok_or(WireError::Payload)?;
-                for c in decode_cells(&frame.payload, frame.count as usize)? {
-                    core.enqueue(c.edge as usize, c.bits, NodeId(c.from), c.payload);
-                }
+                enqueue_cells(core, frame.cells())?;
                 epoch = frame.epoch;
             }
             FrameKind::Barrier => {
@@ -154,42 +224,23 @@ fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
                     });
                 }
                 let core = core.as_mut().ok_or(WireError::Payload)?;
+                // The transfer writes each delivered cell straight into
+                // the reply frame, so its time covers that encoding.
                 let t0 = Instant::now();
                 let queued = core.queued() as u64;
-                out_cells.clear();
+                out.begin();
                 let peak = core.transfer(bw, |e, from, payload| {
-                    out_cells.push(WireCell {
-                        edge: e as u64,
-                        bits: 0,
-                        from: from.0,
-                        payload,
-                    });
+                    out.push_cell(e as u64, 0, from.0, payload.as_slice());
                 });
                 let transfer_ns = t0.elapsed().as_nanos() as u64;
-                let mut payload = Vec::new();
-                encode_cells(&out_cells, &mut payload);
-                let deliveries = Frame {
-                    kind: FrameKind::Deliveries,
-                    shard,
-                    epoch: frame.epoch,
-                    count: out_cells.len() as u32,
-                    payload,
-                };
-                t.send(&deliveries.encode())?;
-                let mut sp = Vec::new();
-                put_varint(&mut sp, queued);
-                put_varint(&mut sp, peak);
-                put_varint(&mut sp, core.active_edges() as u64);
-                put_varint(&mut sp, core.queued() as u64);
-                put_varint(&mut sp, transfer_ns);
-                let stats = Frame {
-                    kind: FrameKind::RoundStats,
-                    shard,
-                    epoch: frame.epoch,
-                    count: 0,
-                    payload: sp,
-                };
-                t.send(&stats.encode())?;
+                t.send(out.seal(FrameKind::Deliveries, shard, frame.epoch))?;
+                out.begin();
+                out.put_varint(queued);
+                out.put_varint(peak);
+                out.put_varint(core.active_edges() as u64);
+                out.put_varint(core.queued() as u64);
+                out.put_varint(transfer_ns);
+                t.send(out.seal(FrameKind::RoundStats, shard, frame.epoch))?;
             }
             FrameKind::Checkpoint => {
                 if frame.payload.is_empty() {
@@ -197,48 +248,23 @@ fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
                     // reply is byte-for-byte the restore frame the
                     // parent will replay on a respawned child.
                     let core = core.as_ref().ok_or(WireError::Payload)?;
-                    let mut cells: Vec<WireCell> = Vec::new();
+                    out.begin();
+                    out.put_varint(core.edges() as u64);
+                    out.put_varint(bw);
+                    out.put_varint(u64::from(epoch));
                     core.for_each_queued(|e, bits, from, payload| {
-                        cells.push(WireCell {
-                            edge: e as u64,
-                            bits,
-                            from: from.0,
-                            payload: payload.clone(),
-                        });
+                        out.push_cell(e as u64, bits, from.0, payload.as_slice());
                     });
-                    let mut p = Vec::new();
-                    put_varint(&mut p, core.edges() as u64);
-                    put_varint(&mut p, bw);
-                    put_varint(&mut p, u64::from(epoch));
-                    encode_cells(&cells, &mut p);
-                    let reply = Frame {
-                        kind: FrameKind::Checkpoint,
-                        shard,
-                        epoch: frame.epoch,
-                        count: cells.len() as u32,
-                        payload: p,
-                    };
-                    t.send(&reply.encode())?;
+                    t.send(out.seal(FrameKind::Checkpoint, shard, frame.epoch))?;
                 } else {
                     // Restore: rebuild the core from a snapshot taken
                     // by a previous incarnation of this shard.
-                    let mut p = frame.payload.as_slice();
+                    let mut p = frame.payload;
                     let edges = get_varint(&mut p)? as usize;
                     bw = get_varint(&mut p)?;
                     epoch = u32::try_from(get_varint(&mut p)?).map_err(|_| WireError::Payload)?;
-                    let cells = decode_cells(p, frame.count as usize)?;
                     let mut c = MsgCore::new(edges);
-                    for cell in cells {
-                        if cell.edge as usize >= edges {
-                            return Err(WireError::Payload);
-                        }
-                        c.enqueue(
-                            cell.edge as usize,
-                            cell.bits,
-                            NodeId(cell.from),
-                            cell.payload,
-                        );
-                    }
+                    enqueue_cells(&mut c, CellReader::new(p, frame.count as usize))?;
                     core = Some(c);
                 }
             }
@@ -268,9 +294,30 @@ fn child_enter(keep: i32) {
             }
         }
     }
-    // Never unwind into the inherited test harness, and never write to
-    // the shared stderr.
-    std::panic::set_hook(Box::new(|_| {}));
+    // Never write to the shared stderr: silences the hook installed by
+    // `install_child_panic_hook` (a child never unwinds into the
+    // inherited test harness either — `child_finish` catches).
+    IN_SHARD_CHILD.store(true, Ordering::Relaxed);
+}
+
+/// Set in a shard child right after fork, and never in the parent.
+static IN_SHARD_CHILD: AtomicBool = AtomicBool::new(false);
+
+/// Installs, once and before the first fork, a panic hook that is
+/// silent in shard children and delegates to the previous hook in the
+/// parent.  Setting a hook after fork would take std's hook lock, which
+/// another parent thread may hold mid-panic at fork time — the child
+/// would then deadlock before its `Hello`.
+fn install_child_panic_hook() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_SHARD_CHILD.load(Ordering::Relaxed) {
+                previous(info);
+            }
+        }));
+    });
 }
 
 /// Common child tail: serve until shutdown or failure, report protocol
@@ -470,6 +517,9 @@ pub struct ProcessSimulator<'g, P: Probe = NoProbe> {
     /// Test hook: shards whose respawns are forced to fail, for pinning
     /// the retry-exhaustion error.
     respawn_broken: Vec<bool>,
+    /// Per-shard outbound frame buffer, reused by every frame the
+    /// parent builds for that shard, across rounds and phases.
+    frames: Vec<FrameBuf>,
 }
 
 /// Forks one shard child and returns its pid and (unshaped) parent-side
@@ -480,6 +530,7 @@ fn spawn_shard_child(
     tcp: bool,
     barrier_timeout: Duration,
 ) -> Result<(i32, Box<dyn Transport>), WireError> {
+    install_child_panic_hook();
     if tcp {
         // Bind before forking so the child can always reach the
         // listener; the accept (and its handshake) is bounded by the
@@ -522,16 +573,35 @@ fn spawn_shard_child(
     }
 }
 
+/// A frame received from a child and authenticated, kept as the bytes
+/// that crossed the wire (trimmed to its encoding, so the payload is
+/// everything past the header) instead of being copied apart.
+struct Received {
+    bytes: Vec<u8>,
+    count: u32,
+}
+
+impl Received {
+    fn payload(&self) -> &[u8] {
+        &self.bytes[HEADER_LEN..]
+    }
+
+    fn cells(&self) -> CellReader<'_> {
+        CellReader::new(self.payload(), self.count as usize)
+    }
+}
+
 /// Consumes and validates the child's `Hello` (protocol version check).
 fn consume_hello(t: &mut dyn Transport) -> Result<(), WireError> {
-    let hello = Frame::decode(&t.recv()?)?;
+    let bytes = t.recv()?;
+    let hello = FrameView::parse(&bytes)?;
     if hello.kind != FrameKind::Hello {
         return Err(WireError::UnexpectedKind {
             want: FrameKind::Hello,
             got: hello.kind,
         });
     }
-    let mut p = hello.payload.as_slice();
+    let mut p = hello.payload;
     let version = get_varint(&mut p)?;
     assert_eq!(
         version, PROTOCOL_VERSION,
@@ -653,6 +723,7 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
             chaos: None,
             recovery_log: Vec::new(),
             respawn_broken: vec![false; shards],
+            frames: (0..shards).map(|_| FrameBuf::new()).collect(),
         };
         for w in 0..shards {
             let (pid, transport) = sim.spawn_wrapped(w).unwrap_or_else(|e| raise(w, e));
@@ -801,16 +872,15 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
         self.supervision.is_some()
     }
 
-    /// Ships a protocol frame to shard `w`, appending it to the replay
-    /// log first under supervision — a frame in the log counts as
-    /// delivered even if this very send fails, because recovery replays
-    /// the whole log into the respawned child.
-    fn send_to(&mut self, w: usize, frame: &Frame) {
-        let bytes = frame.encode();
+    /// Ships an encoded protocol frame to shard `w`, appending it to the
+    /// replay log first under supervision — a frame in the log counts
+    /// as delivered even if this very send fails, because recovery
+    /// replays the whole log into the respawned child.
+    fn send_to(&mut self, w: usize, bytes: &[u8]) {
         if let Some(sup) = &mut self.supervision {
-            sup.logs[w].push(bytes.clone());
+            sup.logs[w].push(bytes.to_vec());
         }
-        if let Err(e) = self.children.0[w].transport().send(&bytes) {
+        if let Err(e) = self.children.0[w].transport().send(bytes) {
             if self.recovery_enabled() {
                 self.recover_shard(w, e);
             } else {
@@ -819,8 +889,11 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
         }
     }
 
-    fn try_recv_from(&mut self, w: usize) -> Result<Frame, WireError> {
-        Frame::decode(&self.children.0[w].transport().recv()?)
+    /// Seals the frame built in shard `w`'s buffer and ships it.
+    fn send_frame(&mut self, w: usize, kind: FrameKind, epoch: u32) {
+        let mut frame = std::mem::take(&mut self.frames[w]);
+        self.send_to(w, frame.seal(kind, w as u16, epoch));
+        self.frames[w] = frame;
     }
 
     /// Receives shard `w`'s next frame and holds it to the protocol
@@ -832,10 +905,11 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
         w: usize,
         want: FrameKind,
         epoch: u32,
-    ) -> Result<Frame, WireError> {
-        let f = self.try_recv_from(w)?;
+    ) -> Result<Received, WireError> {
+        let mut bytes = self.children.0[w].transport().recv()?;
+        let f = FrameView::parse(&bytes)?;
         if f.kind == FrameKind::Error {
-            let report = String::from_utf8_lossy(&f.payload).into_owned();
+            let report = String::from_utf8_lossy(f.payload).into_owned();
             return Err(WireError::ChildError(report));
         }
         if f.kind != want {
@@ -853,7 +927,9 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
                 got: f.shard,
             });
         }
-        Ok(f)
+        let (len, count) = (f.encoded_len(), f.count);
+        bytes.truncate(len);
+        Ok(Received { bytes, count })
     }
 
     /// Recovers shard `w` from `cause` or fails closed: under
@@ -927,9 +1003,10 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
             // (bounded socket buffers on both directions).
             if bytes[2] == FrameKind::Barrier as u8 && barriers_seen < consumed {
                 for want in [FrameKind::Deliveries, FrameKind::RoundStats] {
-                    let f = self.try_recv_from(w)?;
-                    if f.kind != want {
-                        return Err(WireError::UnexpectedKind { want, got: f.kind });
+                    let reply = self.children.0[w].transport().recv()?;
+                    let got = FrameView::parse(&reply)?.kind;
+                    if got != want {
+                        return Err(WireError::UnexpectedKind { want, got });
                     }
                 }
                 barriers_seen += 1;
@@ -940,29 +1017,28 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
 
     /// Receives and fully validates one shard's round replies
     /// (`Deliveries` + `RoundStats`) without touching any engine state,
-    /// so a failure anywhere in the pair is recoverable: the cells and
-    /// the five stats varints come back decoded, bounds-checked, and
+    /// so a failure anywhere in the pair is recoverable: every cell is
+    /// parsed and bounds-checked in place, and the reply comes back
     /// ready to apply.
     fn try_collect_round(
         &mut self,
         w: usize,
         epoch: u32,
-    ) -> Result<(Vec<WireCell>, [u64; 5]), WireError> {
+    ) -> Result<(Received, [u64; 5]), WireError> {
         let deliveries = self.try_expect_frame(w, FrameKind::Deliveries, epoch)?;
-        let cells = decode_cells(&deliveries.payload, deliveries.count as usize)?;
-        let edge_range = self.layout.edge_ranges[w].clone();
-        for cell in &cells {
-            if edge_range.start + cell.edge as usize >= edge_range.end {
+        let edges = self.layout.edge_ranges[w].len() as u64;
+        for cell in deliveries.cells() {
+            if cell?.edge >= edges {
                 return Err(WireError::Payload);
             }
         }
         let stats = self.try_expect_frame(w, FrameKind::RoundStats, epoch)?;
-        let mut p = stats.payload.as_slice();
+        let mut p = stats.payload();
         let mut st = [0u64; 5];
         for s in &mut st {
             *s = get_varint(&mut p)?;
         }
-        Ok((cells, st))
+        Ok((deliveries, st))
     }
 
     /// Marks one more of shard `w`'s barriers fully consumed (both
@@ -993,7 +1069,7 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
                         .supervision
                         .as_mut()
                         .expect("checkpoint without supervision");
-                    sup.logs[w] = vec![reply.encode()];
+                    sup.logs[w] = vec![reply.bytes];
                     sup.consumed[w] = 0;
                     return;
                 }
@@ -1103,19 +1179,21 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
             sup.rounds_in_phase = 0;
         }
         for w in 0..shards {
-            let mut frame = Frame::control(FrameKind::PhaseStart, w as u16, epoch);
-            put_varint(&mut frame.payload, self.layout.edge_ranges[w].len() as u64);
-            put_varint(&mut frame.payload, bw);
-            self.send_to(w, &frame);
+            let frame = &mut self.frames[w];
+            frame.begin();
+            frame.put_varint(self.layout.edge_ranges[w].len() as u64);
+            frame.put_varint(bw);
+            self.send_frame(w, FrameKind::PhaseStart, epoch);
         }
         ProcessPhase {
             slab: PayloadSlab::new(),
-            inboxes: vec![Vec::new(); n],
-            dirty: Vec::new(),
+            arrivals: Vec::new(),
+            scratch: DistScratch::default(),
             sends: Vec::new(),
-            wire_cells: (0..shards).map(|_| Vec::new()).collect(),
             cell_size: MsgCore::<M>::new(0).cell_size() as u64,
             live: vec![false; shards],
+            dirty_stamp: if P::ENABLED { vec![0; n] } else { Vec::new() },
+            round_stamp: 0,
             ordinal,
             open,
             sim: self,
@@ -1125,21 +1203,22 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
 
 /// One typed communication phase on the process engine.  Structured
 /// like the sequential [`powersparse_congest::sim::Phase`] (the parent
-/// steps nodes in ID order and owns the inboxes), with the enqueue +
-/// transfer tail replaced by one wire round-trip per shard per round.
+/// steps nodes in ID order), with the enqueue + transfer tail replaced
+/// by one wire round-trip per shard per round, and the pooled engine's
+/// inbox layout: deliveries accumulate on one arrival run and are
+/// grouped per node by a stable counting sort when they are read.
 pub struct ProcessPhase<'s, 'g, M, P: Probe = NoProbe> {
     sim: &'s mut ProcessSimulator<'g, P>,
     /// Parking lot for payloads without an inline wire codec.
     slab: PayloadSlab<M>,
-    /// Messages available to each node in the next round.
-    inboxes: Vec<Vec<Delivery<M>>>,
-    /// Nodes whose inbox went empty→nonempty this round (drain
-    /// worklist, exactly like the sequential engine's).
-    dirty: Vec<u32>,
+    /// Messages delivered but not yet read, in ascending global edge
+    /// order (children are read in ascending shard order).
+    arrivals: Vec<Routed<M>>,
+    /// Counting-sort workspace grouping `arrivals` into per-node inbox
+    /// slices over the whole graph.
+    scratch: DistScratch<M>,
     /// Reused send-record scratch (drained every round).
     sends: Vec<SendRecord<M>>,
-    /// Per-shard outbound cell scratch (capacity reused across rounds).
-    wire_cells: Vec<Vec<WireCell>>,
     /// The parent-side `MsgCore::<M>` cell size: children queue encoded
     /// bytes, so the engine-invariant `arena_bytes_peak` must be scaled
     /// by the *typed* cell size, not the child's.
@@ -1147,6 +1226,12 @@ pub struct ProcessPhase<'s, 'g, M, P: Probe = NoProbe> {
     /// Per-shard in-flight flag (child cores nonempty after the last
     /// transfer, from `RoundStats`).
     live: Vec<bool>,
+    /// Per-node last-receiving round stamp, for the probe's distinct
+    /// receiver count. Allocated only when a probe is attached.
+    dirty_stamp: Vec<u64>,
+    /// The stamp of the current round (round + 1, so the zeroed vector
+    /// never matches).
+    round_stamp: u64,
     /// Phase ordinal on the owning engine (0-based, in open order).
     ordinal: u64,
     /// `(rounds, messages, bits)` at phase open, for the [`PhaseObs`]
@@ -1204,17 +1289,18 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
     /// engine's `run_step`; panics from misbehaving node programs fire
     /// here, before any frame is written, leaving the protocol clean.
     fn run_step(&mut self, mut g: impl FnMut(usize, &[Delivery<M>], &mut Outbox<'_, M>)) {
-        self.dirty.clear();
         let mut sends = std::mem::take(&mut self.sends);
         let shards = self.sim.layout.shards();
         let mut step_ns = probe_vec::<u64, P>(shards);
         let round_start = now_if(P::ENABLED);
+        // Every node reads its inbox below, so the whole run is consumed.
+        self.scratch
+            .distribute(&mut self.arrivals, 0, self.sim.graph.n());
         for w in 0..shards {
             let t0 = now_if(P::ENABLED);
             for i in self.sim.layout.node_ranges[w].clone() {
-                let inbox = std::mem::take(&mut self.inboxes[i]);
                 let mut out = Outbox::new(self.sim.graph, NodeId::from(i), &mut sends);
-                g(i, &inbox, &mut out);
+                g(i, self.scratch.inbox(i), &mut out);
             }
             if P::ENABLED {
                 step_ns[w] = ns_between(t0, now_if(true));
@@ -1224,11 +1310,12 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         self.sends = sends;
     }
 
-    /// The wire tail of one round: bucket the sends per shard, ship
-    /// `Sends` + `Barrier` to every child (all writes before any read —
-    /// children read until their barrier, so the two directions never
-    /// deadlock), then collect `Deliveries` + `RoundStats` per shard in
-    /// ascending order and close the round's accounting.
+    /// The wire tail of one round: encode the sends straight into each
+    /// shard's `Sends` frame, ship it and a `Barrier` to every child
+    /// (all writes before any read — children read until their barrier,
+    /// so the two directions never deadlock), then collect each shard's
+    /// `Deliveries` and `RoundStats` in ascending shard order onto the
+    /// arrival run and close the round's accounting.
     fn finish_round(
         &mut self,
         sends: &mut Vec<SendRecord<M>>,
@@ -1243,54 +1330,40 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         // tail touches the children.
         self.sim.apply_due_faults();
 
-        // Bucket the round's sends per shard in one pass: nodes are
-        // stepped in ID order and a node's out-edges all lie in its
-        // shard's CSR range, so edge indices never cross back over a
-        // shard boundary.
+        // Encode and ship the round shard by shard, so a child starts
+        // its transfer while the parent encodes the next shard. Nodes
+        // are stepped in ID order and a node's out-edges all lie in its
+        // shard's CSR range, so each shard's sends are one contiguous
+        // stretch of `sends`. Every child gets a Sends frame (even
+        // empty: it advances the child's epoch) and its barrier.
         let mut bits_total = 0u64;
-        {
-            let mut w = 0usize;
-            for rec in sends.drain(..) {
-                while rec.edge >= self.sim.layout.edge_ranges[w].end {
-                    w += 1;
-                }
+        let mut records = sends.drain(..).peekable();
+        for w in 0..shards {
+            let sim = &mut *self.sim;
+            let edges = sim.layout.edge_ranges[w].clone();
+            let frame = &mut sim.frames[w];
+            frame.begin();
+            while let Some(rec) = records.next_if(|r| r.edge < edges.end) {
                 bits_total += rec.bits;
                 if per_edge {
-                    self.sim.metrics.edge_bits[rec.edge] += rec.bits;
+                    sim.metrics.edge_bits[rec.edge] += rec.bits;
                 }
-                let mut payload = Vec::new();
-                encode_payload(rec.msg, &mut self.slab, &mut payload);
-                self.wire_cells[w].push(WireCell {
-                    edge: (rec.edge - self.sim.layout.edge_ranges[w].start) as u64,
-                    bits: rec.bits,
-                    from: rec.from.0,
-                    payload,
+                let local = (rec.edge - edges.start) as u64;
+                let slab = &mut self.slab;
+                frame.push_cell_with(local, rec.bits, rec.from.0, |out| {
+                    encode_payload(rec.msg, slab, out);
                 });
             }
+            sim.send_frame(w, FrameKind::Sends, epoch);
+            sim.frames[w].begin();
+            sim.send_frame(w, FrameKind::Barrier, epoch);
         }
+        assert!(records.next().is_none(), "a send escaped every shard");
         self.sim.metrics.bits += bits_total;
-
-        // Ship the round. Every child gets a Sends frame (even empty:
-        // it advances the child's epoch) and its barrier.
-        for w in 0..shards {
-            let mut payload = Vec::new();
-            encode_cells(&self.wire_cells[w], &mut payload);
-            let count = self.wire_cells[w].len() as u32;
-            self.wire_cells[w].clear();
-            let frame = Frame {
-                kind: FrameKind::Sends,
-                shard: w as u16,
-                epoch,
-                count,
-                payload,
-            };
-            self.sim.send_to(w, &frame);
-            self.sim
-                .send_to(w, &Frame::control(FrameKind::Barrier, w as u16, epoch));
-        }
 
         // Collect. Ascending shard order = ascending global edge order,
         // the reference delivery order.
+        debug_assert!(self.arrivals.is_empty(), "the step consumed every inbox");
         let mut queued_total = 0u64;
         let mut active_total = 0u64;
         let mut transfer_ns = probe_vec::<u64, P>(shards);
@@ -1298,35 +1371,33 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         let mut shard_splice = probe_vec::<u64, P>(shards);
         let mut msgs_total = 0u64;
         for w in 0..shards {
-            // Parse before mutating: both reply frames are received,
-            // validated and decoded before any parent-side state is
-            // touched, so a recovery retry never observes a
-            // half-applied round.
-            let (cells, st) = loop {
+            // Parse before mutating: both reply frames are received and
+            // validated (every cell parsed and bounds-checked in place)
+            // before any parent-side state is touched, so a recovery
+            // retry never observes a half-applied round.
+            let (deliveries, st) = loop {
                 match self.sim.try_collect_round(w, epoch) {
                     Ok(x) => break x,
                     Err(e) => self.sim.recover_shard(w, e),
                 }
             };
             self.sim.note_barrier_consumed(w);
-            let splice_count = cells.len() as u64;
-            let edge_range = self.sim.layout.edge_ranges[w].clone();
-            for cell in cells {
-                let edge = edge_range.start + cell.edge as usize;
+            let splice_count = u64::from(deliveries.count);
+            let edge_start = self.sim.layout.edge_ranges[w].start;
+            self.arrivals.reserve(deliveries.count as usize);
+            for cell in deliveries.cells() {
+                let cell = cell.unwrap_or_else(|e| raise(w, e));
+                let edge = edge_start + cell.edge as usize;
                 let msg =
-                    decode_payload(&cell.payload, &mut self.slab).unwrap_or_else(|e| raise(w, e));
-                self.sim.metrics.messages += 1;
-                msgs_total += 1;
+                    decode_payload(cell.payload, &mut self.slab).unwrap_or_else(|e| raise(w, e));
                 if per_edge {
                     self.sim.metrics.edge_messages[edge] += 1;
                 }
                 let to = self.sim.graph.edge_target(edge);
-                let inbox = &mut self.inboxes[to.index()];
-                if inbox.is_empty() {
-                    self.dirty.push(to.0);
-                }
-                inbox.push((NodeId(cell.from), msg));
+                self.arrivals.push((to, NodeId(cell.from), msg));
             }
+            self.sim.metrics.messages += splice_count;
+            msgs_total += splice_count;
             let [queued, peak, active_after, queued_after, child_transfer_ns] = st;
             self.sim.metrics.peak_queue_depth = self.sim.metrics.peak_queue_depth.max(peak);
             queued_total += queued;
@@ -1350,10 +1421,13 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         self.sim.metrics.rounds += 1;
         if P::ENABLED {
             let round = self.sim.metrics.rounds - 1;
+            self.round_stamp += 1;
+            let dirty_nodes =
+                stamp_receivers(&self.arrivals, &mut self.dirty_stamp, self.round_stamp);
             self.sim.probe.on_round_end(RoundObs {
                 round,
                 active_edges: active_total,
-                dirty_nodes: self.dirty.len() as u64,
+                dirty_nodes,
                 messages: msgs_total,
                 bits: bits_total,
                 shard_splice,
@@ -1390,19 +1464,22 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
     }
 
     /// The quiescence loop, mirroring the sequential engine's
-    /// `run_drain` (dirty worklist in ID order, silent rounds while
-    /// anything is in flight).
+    /// `run_drain`: every nonempty inbox in ID order, consuming the
+    /// arrival run it reads, then silent rounds while anything is in
+    /// flight.
     fn run_drain(&mut self, max_rounds: u64, mut g: impl FnMut(usize, &[Delivery<M>])) {
+        let n = self.sim.graph.n();
         let mut spent = 0u64;
         loop {
-            let mut dirty = std::mem::take(&mut self.dirty);
-            dirty.sort_unstable();
-            for &i in &dirty {
-                let inbox = std::mem::take(&mut self.inboxes[i as usize]);
-                g(i as usize, &inbox);
+            if !self.arrivals.is_empty() {
+                self.scratch.distribute(&mut self.arrivals, 0, n);
+                for i in 0..n {
+                    let inbox = self.scratch.inbox(i);
+                    if !inbox.is_empty() {
+                        g(i, inbox);
+                    }
+                }
             }
-            dirty.clear();
-            self.dirty = dirty;
             if !RoundPhase::in_flight(self) {
                 break;
             }
@@ -1435,7 +1512,7 @@ impl<M: Message, P: Probe> RoundPhase<M> for ProcessPhase<'_, '_, M, P> {
     {
         assert_eq!(
             state.len(),
-            self.inboxes.len(),
+            self.sim.graph.n(),
             "state slice must have one entry per node"
         );
         self.run_drain(max_rounds, |i, inbox| {
@@ -1448,7 +1525,7 @@ impl<M: Message, P: Probe> RoundPhase<M> for ProcessPhase<'_, '_, M, P> {
     }
 
     fn idle(&self) -> bool {
-        !RoundPhase::in_flight(self) && self.dirty.is_empty()
+        !RoundPhase::in_flight(self) && self.arrivals.is_empty()
     }
 }
 
@@ -1571,6 +1648,32 @@ mod tests {
             phase.settle(64, &mut unit, |_, _, _| {});
         }
         assert_eq!(seq.metrics(), RoundEngine::metrics(&pr));
+    }
+
+    #[test]
+    fn child_payloads_are_stored_inline_up_to_the_limit() {
+        // As large as the `Vec<u8>` it replaced, so the child's arena
+        // cells do not grow.
+        assert_eq!(
+            std::mem::size_of::<Option<CellBytes>>(),
+            std::mem::size_of::<Option<Vec<u8>>>()
+        );
+        for len in [
+            0,
+            1,
+            INLINE_PAYLOAD - 1,
+            INLINE_PAYLOAD,
+            INLINE_PAYLOAD + 1,
+            300,
+        ] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5A).collect();
+            let stored = CellBytes::new(&payload);
+            assert_eq!(stored.as_slice(), payload.as_slice());
+            assert_eq!(
+                matches!(stored, CellBytes::Inline { .. }),
+                len <= INLINE_PAYLOAD
+            );
+        }
     }
 
     #[test]

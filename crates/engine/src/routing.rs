@@ -16,7 +16,10 @@
 //!   engine routes per message into per-node mailboxes ([`route_stage`]);
 //!   the pooled engine splices whole buffers onto a contiguous arrival
 //!   run (one `Vec::append` per shard pair, in its own stage 2) and
-//!   defers the per-node grouping to the owning worker's next step.
+//!   defers the per-node grouping to the owning worker's next step
+//!   (`DistScratch`). The process engine ([`crate::ProcessSimulator`])
+//!   uses the same layout and the same counting sort, over one arrival
+//!   run it assembles from its children's `Deliveries` frames.
 //!
 //! Keeping this in one module is what makes the two backends impossible
 //! to desynchronize: they differ only in *scheduling* (scoped thread
@@ -244,6 +247,88 @@ pub fn route_stage<M>(
         }
     }
     dirty
+}
+
+/// Counting-sort workspace that turns an arrival run into per-node
+/// inbox slices; all three vectors keep their capacity across rounds.
+/// The pooled engine keeps one per shard, the process engine one over
+/// the whole graph.
+#[derive(Debug)]
+pub(crate) struct DistScratch<M> {
+    /// Inbox start offset per local node (`len = local nodes + 1` after
+    /// a distribution).
+    starts: Vec<usize>,
+    /// Write cursors of the counting sort (reset from `starts`).
+    cursors: Vec<usize>,
+    /// The flat inbox buffer: node `l`'s inbox is
+    /// `buf[starts[l]..starts[l + 1]]`.
+    buf: Vec<Delivery<M>>,
+}
+
+impl<M> Default for DistScratch<M> {
+    fn default() -> Self {
+        Self {
+            starts: Vec::new(),
+            cursors: Vec::new(),
+            buf: Vec::new(),
+        }
+    }
+}
+
+impl<M> DistScratch<M> {
+    /// Groups an arrival run for nodes `lo..lo + n_local` (ascending
+    /// global edge order, consumed) into per-node inbox slices with a
+    /// stable counting sort: one counting pass, one placement pass, no
+    /// per-node allocation. Stability keeps each inbox in ascending edge
+    /// order — the sequential reference delivery order.
+    pub(crate) fn distribute(&mut self, arrivals: &mut Vec<Routed<M>>, lo: usize, n_local: usize) {
+        let total = arrivals.len();
+        self.starts.clear();
+        self.starts.resize(n_local + 1, 0);
+        for (to, _, _) in arrivals.iter() {
+            self.starts[to.index() - lo + 1] += 1;
+        }
+        for l in 0..n_local {
+            self.starts[l + 1] += self.starts[l];
+        }
+        self.cursors.clear();
+        self.cursors.extend_from_slice(&self.starts[..n_local]);
+        self.buf.clear();
+        self.buf.reserve(total);
+        let spare = self.buf.spare_capacity_mut();
+        for (to, from, msg) in arrivals.drain(..) {
+            let l = to.index() - lo;
+            let slot = self.cursors[l];
+            self.cursors[l] += 1;
+            spare[slot].write((from, msg));
+        }
+        // SAFETY: the per-node counts sum to `total` and each cursor
+        // walks its own disjoint `starts[l]..starts[l + 1]` subrange, so
+        // every slot in `0..total` was initialized exactly once above.
+        unsafe { self.buf.set_len(total) };
+    }
+
+    /// Local node `l`'s inbox slice (valid after [`Self::distribute`]).
+    #[inline]
+    pub(crate) fn inbox(&self, l: usize) -> &[Delivery<M>] {
+        &self.buf[self.starts[l]..self.starts[l + 1]]
+    }
+}
+
+/// The probe's distinct-receiver count for one arrival run: stamps each
+/// receiver's slot in `stamps` (one per node) with `stamp` and counts
+/// the slots that did not carry it yet. A fresh stamp per round counts
+/// distinct receivers without clearing an n-sized set every round.
+pub(crate) fn stamp_receivers<M>(run: &[Routed<M>], stamps: &mut [u64], stamp: u64) -> u64 {
+    let mut fresh = 0u64;
+    for (to, _, _) in run {
+        let slot = &mut stamps[to.index()];
+        if *slot != stamp {
+            *slot = stamp;
+            fresh += 1;
+        }
+    }
+    fresh
 }
 
 /// Splits `slice` into disjoint mutable chunks along contiguous `ranges`

@@ -20,12 +20,21 @@
 //!
 //! The header is fixed at [`HEADER_LEN`] bytes so a transport can frame
 //! the stream without interpreting the payload; all validation beyond
-//! the magic and the length bound happens in [`Frame::decode`], which
-//! rejects torn frames ([`WireError::Truncated`]), bit rot
+//! the magic and the length bound happens in [`FrameView::parse`],
+//! which rejects torn frames ([`WireError::Truncated`]), bit rot
 //! ([`WireError::ChecksumMismatch`]) and unknown kinds.  Cells ride as
-//! LEB128 varints ([`encode_cells`]/[`decode_cells`]) in the same
-//! ascending-edge order the splice buffers already guarantee, so a
-//! `Sends` payload is byte-deterministic for a given round.
+//! LEB128 varints in the same ascending-edge order the splice buffers
+//! already guarantee, so a `Sends` payload is byte-deterministic for a
+//! given round.
+//!
+//! The codec has one borrowed core and thin owned wrappers around it.
+//! The engine's round path builds each frame in place in a reused
+//! [`FrameBuf`] and reads received frames through [`FrameView`] and
+//! [`CellReader`], which borrow their payloads: no allocation and one
+//! copy per payload byte on either side.  [`Frame`], [`WireCell`],
+//! [`Frame::encode`]/[`Frame::decode`] and
+//! [`encode_cells`]/[`decode_cells`] produce the same bytes and apply
+//! the same checks on owned values, for tests and tools.
 //!
 //! # Failure semantics
 //!
@@ -54,7 +63,7 @@
 //! The frame layout is pinned by golden-byte tests
 //! (`tests/wire_codec.rs`); bump [`PROTOCOL_VERSION`] on any change.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -84,8 +93,12 @@ pub const PROTOCOL_VERSION: u64 = 2;
 // CRC-32 (IEEE, reflected, polynomial 0xEDB88320)
 // ---------------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// and `CRC_TABLES[k][b]` is the CRC register after byte `b` followed by
+/// `k` zero bytes, so eight input bytes fold into the register with
+/// eight independent lookups instead of eight dependent ones.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -98,23 +111,51 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut s = 1;
+    while s < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// Folds `bytes` into the (pre-inverted) CRC register `c`.
+fn crc_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ u32::from(b)) & 0xFF) as usize];
+    }
+    c
+}
 
 /// CRC-32/IEEE over the concatenation of `parts`.
 pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for part in parts {
-        for &b in *part {
-            c = (c >> 8) ^ CRC_TABLE[((c ^ b as u32) & 0xFF) as usize];
-        }
-    }
-    !c
+    !parts
+        .iter()
+        .fold(0xFFFF_FFFFu32, |c, part| crc_update(c, part))
 }
 
 // ---------------------------------------------------------------------------
@@ -122,6 +163,7 @@ pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
 // ---------------------------------------------------------------------------
 
 /// Appends `v` to `out` as an unsigned LEB128 varint (1–10 bytes).
+#[inline]
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
@@ -142,16 +184,19 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// decode∘encode injective — distinct frame bytes cannot decode to
 /// identical cells — which the checksum alone does not guarantee for
 /// payloads assembled outside [`put_varint`].
+#[inline]
 pub fn get_varint(bytes: &mut &[u8]) -> Result<u64, WireError> {
+    let b = *bytes;
     let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let (&byte, rest) = bytes.split_first().ok_or(WireError::Varint)?;
-        *bytes = rest;
+    let mut i = 0usize;
+    while let Some(&byte) = b.get(i) {
+        // At most 10 bytes are read, so `i` fits a u32.
+        let shift = 7 * i as u32;
         if shift >= 64 || (shift == 63 && byte > 1) {
             return Err(WireError::Varint);
         }
         v |= u64::from(byte & 0x7F) << shift;
+        i += 1;
         if byte & 0x80 == 0 {
             // A terminal 0x00 after at least one continuation byte is
             // the non-canonical padding form; `put_varint` never emits
@@ -159,10 +204,11 @@ pub fn get_varint(bytes: &mut &[u8]) -> Result<u64, WireError> {
             if byte == 0 && shift > 0 {
                 return Err(WireError::Varint);
             }
+            *bytes = &b[i..];
             return Ok(v);
         }
-        shift += 7;
     }
+    Err(WireError::Varint)
 }
 
 // ---------------------------------------------------------------------------
@@ -295,8 +341,10 @@ pub enum FrameKind {
     /// Child → parent: `count` delivered cells in ascending local-edge
     /// order.
     Deliveries = 5,
-    /// Child → parent: per-round gauges (queued, peak, active-after,
-    /// queued-after, delivered, transfer-ns) as varints.
+    /// Child → parent: five per-round gauges as varints — messages
+    /// queued at transfer start, peak single-edge queue depth, active
+    /// edges after the transfer, messages still queued after it, and
+    /// the child's transfer time in nanoseconds.
     RoundStats = 6,
     /// Parent → child: exit cleanly.
     Shutdown = 7,
@@ -357,22 +405,63 @@ impl Frame {
     /// Serializes the frame; the inverse of [`Frame::decode`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(self.kind as u8);
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let crc = crc32_parts(&[&out[2..17], &self.payload]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        out.resize(HEADER_LEN, 0);
         out.extend_from_slice(&self.payload);
+        seal_header(&mut out, self.kind, self.shard, self.epoch, self.count);
         out
     }
 
+    /// Parses and authenticates one encoded frame into an owned copy;
+    /// see [`FrameView::parse`] for the checks.
+    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
+        FrameView::parse(bytes).map(Frame::from)
+    }
+}
+
+impl From<FrameView<'_>> for Frame {
+    fn from(f: FrameView<'_>) -> Self {
+        Frame {
+            kind: f.kind,
+            shard: f.shard,
+            epoch: f.epoch,
+            count: f.count,
+            payload: f.payload.to_vec(),
+        }
+    }
+}
+
+/// Writes the header of `frame` (`HEADER_LEN` placeholder bytes followed
+/// by the payload): every field, the payload length, and the checksum
+/// over both.
+fn seal_header(frame: &mut [u8], kind: FrameKind, shard: u16, epoch: u32, count: u32) {
+    let len = (frame.len() - HEADER_LEN) as u32;
+    frame[0..2].copy_from_slice(&MAGIC);
+    frame[2] = kind as u8;
+    frame[3..5].copy_from_slice(&shard.to_le_bytes());
+    frame[5..9].copy_from_slice(&epoch.to_le_bytes());
+    frame[9..13].copy_from_slice(&count.to_le_bytes());
+    frame[13..17].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32_parts(&[&frame[2..17], &frame[HEADER_LEN..]]);
+    frame[17..21].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One authenticated frame, borrowed from the bytes it was parsed from:
+/// the header fields plus the payload slice, with nothing copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameView<'a> {
+    pub kind: FrameKind,
+    pub shard: u16,
+    pub epoch: u32,
+    pub count: u32,
+    pub payload: &'a [u8],
+}
+
+impl<'a> FrameView<'a> {
     /// Parses and authenticates one encoded frame.  Rejects bad magic,
     /// unknown kinds, oversize or short buffers and checksum failures —
     /// a torn or corrupted frame can never decode to the wrong message.
-    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
+    /// Bytes past the declared payload length are ignored.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
         if bytes.len() < HEADER_LEN {
             if bytes.len() >= 2 && bytes[0..2] != MAGIC {
                 return Err(WireError::BadMagic);
@@ -398,13 +487,84 @@ impl Frame {
         if crc32_parts(&[&bytes[2..17], payload]) != want_crc {
             return Err(WireError::ChecksumMismatch);
         }
-        Ok(Frame {
+        Ok(FrameView {
             kind,
             shard,
             epoch,
             count,
-            payload: payload.to_vec(),
+            payload,
         })
+    }
+
+    /// The payload read as a run of exactly `count` cells.
+    pub fn cells(&self) -> CellReader<'a> {
+        CellReader::new(self.payload, self.count as usize)
+    }
+
+    /// Length of the frame's encoding: header plus payload.
+    pub fn encoded_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+}
+
+/// A frame assembled in place in a reusable buffer.
+/// [`FrameBuf::begin`] reserves the header, varints and cells are
+/// appended behind it, and [`FrameBuf::seal`] fills in the header and
+/// checksum.  The sealed bytes equal [`Frame::encode`] of the same
+/// header and payload, with `count` the number of cells pushed; each
+/// payload byte is written once, and the buffer keeps its capacity from
+/// frame to frame.
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    bytes: Vec<u8>,
+    cells: u32,
+}
+
+impl FrameBuf {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a new, empty frame (reusing the buffer).
+    pub fn begin(&mut self) {
+        self.bytes.clear();
+        self.bytes.resize(HEADER_LEN, 0);
+        self.cells = 0;
+    }
+
+    /// Appends one varint to the payload (not counted as a cell).
+    pub fn put_varint(&mut self, v: u64) {
+        put_varint(&mut self.bytes, v);
+    }
+
+    /// Appends one cell carrying `payload`.
+    pub fn push_cell(&mut self, edge: u64, bits: u64, from: u32, payload: &[u8]) {
+        put_cell(&mut self.bytes, edge, bits, from, payload);
+        self.cells += 1;
+    }
+
+    /// Appends one cell whose payload `write` appends to the buffer in
+    /// place; the bytes equal [`FrameBuf::push_cell`] of the same
+    /// payload.
+    pub fn push_cell_with(
+        &mut self,
+        edge: u64,
+        bits: u64,
+        from: u32,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) {
+        put_cell_with(&mut self.bytes, edge, bits, from, write);
+        self.cells += 1;
+    }
+
+    /// Finishes the frame and returns its encoded bytes.
+    pub fn seal(&mut self, kind: FrameKind, shard: u16, epoch: u32) -> &[u8] {
+        assert!(
+            self.bytes.len() >= HEADER_LEN,
+            "FrameBuf::seal before begin"
+        );
+        seal_header(&mut self.bytes, kind, shard, epoch, self.cells);
+        &self.bytes
     }
 }
 
@@ -994,40 +1154,131 @@ pub struct WireCell {
     pub payload: Vec<u8>,
 }
 
-/// Serializes a cell run; the inverse of [`decode_cells`].
-pub fn encode_cells(cells: &[WireCell], out: &mut Vec<u8>) {
-    for cell in cells {
-        put_varint(out, cell.edge);
-        put_varint(out, cell.bits);
-        put_varint(out, u64::from(cell.from));
-        put_varint(out, cell.payload.len() as u64);
-        out.extend_from_slice(&cell.payload);
+impl From<CellView<'_>> for WireCell {
+    fn from(c: CellView<'_>) -> Self {
+        WireCell {
+            edge: c.edge,
+            bits: c.bits,
+            from: c.from,
+            payload: c.payload.to_vec(),
+        }
     }
 }
 
-/// Parses exactly `count` cells, requiring the payload to be fully
-/// consumed (trailing garbage is a [`WireError::Payload`]).
-pub fn decode_cells(mut bytes: &[u8], count: usize) -> Result<Vec<WireCell>, WireError> {
-    let mut cells = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let edge = get_varint(&mut bytes)?;
-        let bits = get_varint(&mut bytes)?;
-        let from = u32::try_from(get_varint(&mut bytes)?).map_err(|_| WireError::Payload)?;
-        let len = get_varint(&mut bytes)? as usize;
-        if bytes.len() < len {
+/// One cell borrowed from a frame payload (see [`CellReader`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellView<'a> {
+    pub edge: u64,
+    pub bits: u64,
+    pub from: u32,
+    pub payload: &'a [u8],
+}
+
+/// Reads a run of exactly `count` cells in place: each item borrows its
+/// payload from the input.  The run must consume the input exactly —
+/// trailing bytes after the last cell are a [`WireError::Payload`],
+/// reported as one final item.  The reader stops after its first error.
+#[derive(Debug, Clone)]
+pub struct CellReader<'a> {
+    bytes: &'a [u8],
+    left: usize,
+}
+
+impl<'a> CellReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8], count: usize) -> Self {
+        CellReader { bytes, left: count }
+    }
+
+    fn read(&mut self) -> Result<CellView<'a>, WireError> {
+        let edge = get_varint(&mut self.bytes)?;
+        let bits = get_varint(&mut self.bytes)?;
+        let from = u32::try_from(get_varint(&mut self.bytes)?).map_err(|_| WireError::Payload)?;
+        let len = get_varint(&mut self.bytes)? as usize;
+        if self.bytes.len() < len {
             return Err(WireError::Payload);
         }
-        let (payload, rest) = bytes.split_at(len);
-        bytes = rest;
-        cells.push(WireCell {
+        let (payload, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        Ok(CellView {
             edge,
             bits,
             from,
-            payload: payload.to_vec(),
-        });
+            payload,
+        })
     }
-    if !bytes.is_empty() {
-        return Err(WireError::Payload);
+}
+
+impl<'a> Iterator for CellReader<'a> {
+    type Item = Result<CellView<'a>, WireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            if self.bytes.is_empty() {
+                return None;
+            }
+            self.bytes = &[];
+            return Some(Err(WireError::Payload));
+        }
+        self.left -= 1;
+        let cell = self.read();
+        if cell.is_err() {
+            self.left = 0;
+            self.bytes = &[];
+        }
+        Some(cell)
+    }
+}
+
+/// Appends one cell: varint edge, bits, sender and payload length, then
+/// the payload bytes.
+fn put_cell(out: &mut Vec<u8>, edge: u64, bits: u64, from: u32, payload: &[u8]) {
+    put_varint(out, edge);
+    put_varint(out, bits);
+    put_varint(out, u64::from(from));
+    put_varint(out, payload.len() as u64);
+    out.extend_from_slice(payload);
+}
+
+/// Appends one cell whose payload `write` appends to `out` in place,
+/// behind a one-byte length slot.  A payload of 128 bytes or more needs
+/// a longer length varint, so the slot is widened by shifting the
+/// payload; either way the bytes equal [`put_cell`]'s.
+fn put_cell_with(
+    out: &mut Vec<u8>,
+    edge: u64,
+    bits: u64,
+    from: u32,
+    write: impl FnOnce(&mut Vec<u8>),
+) {
+    put_varint(out, edge);
+    put_varint(out, bits);
+    put_varint(out, u64::from(from));
+    let slot = out.len();
+    out.push(0);
+    write(out);
+    let len = out.len() - slot - 1;
+    if len < 0x80 {
+        out[slot] = len as u8;
+    } else {
+        let mut prefix = Vec::with_capacity(10);
+        put_varint(&mut prefix, len as u64);
+        out.splice(slot..slot + 1, prefix);
+    }
+}
+
+/// Serializes a cell run; the inverse of [`decode_cells`].
+pub fn encode_cells(cells: &[WireCell], out: &mut Vec<u8>) {
+    for cell in cells {
+        put_cell(out, cell.edge, cell.bits, cell.from, &cell.payload);
+    }
+}
+
+/// Parses exactly `count` cells into owned copies, requiring the
+/// payload to be fully consumed; see [`CellReader`].
+pub fn decode_cells(bytes: &[u8], count: usize) -> Result<Vec<WireCell>, WireError> {
+    let mut cells = Vec::with_capacity(count.min(1 << 20));
+    for cell in CellReader::new(bytes, count) {
+        cells.push(WireCell::from(cell?));
     }
     Ok(cells)
 }
@@ -1198,29 +1449,37 @@ impl<M> PayloadSlab<M> {
     }
 }
 
+// Both dispatchers test `M`'s `TypeId`, a constant of each
+// instantiation, so the chain folds at compile time: a registry type
+// compiles to its codec alone, any other `M` to the slab fallback.
 macro_rules! inline_dispatch {
     ($($t:ty),* $(,)?) => {
-        fn try_encode_inline(msg: &dyn Any, out: &mut Vec<u8>) -> bool {
+        /// Appends `msg` as a tagged inline value if `M` is a registry
+        /// type; returns false otherwise.
+        fn try_encode_inline<M: Any>(msg: &M, out: &mut Vec<u8>) -> bool {
             $(
-                if let Some(v) = msg.downcast_ref::<$t>() {
-                    out.push(TAG_INLINE);
-                    InlineCodec::put(v, out);
-                    return true;
+                if TypeId::of::<M>() == TypeId::of::<$t>() {
+                    if let Some(v) = (msg as &dyn Any).downcast_ref::<$t>() {
+                        out.push(TAG_INLINE);
+                        InlineCodec::put(v, out);
+                        return true;
+                    }
                 }
             )*
             false
         }
 
-        /// Decodes an inline payload into `slot: &mut Option<M>` if `M`
-        /// is one of the inline-codec types; returns false otherwise.
-        fn try_decode_inline(slot: &mut dyn Any, bytes: &mut &[u8]) -> Result<bool, WireError> {
+        /// Decodes an inline value if `M` is a registry type; `None`
+        /// otherwise.
+        fn try_decode_inline<M: Any>(bytes: &mut &[u8]) -> Result<Option<M>, WireError> {
             $(
-                if let Some(out) = slot.downcast_mut::<Option<$t>>() {
-                    *out = Some(<$t as InlineCodec>::get(bytes)?);
-                    return Ok(true);
+                if TypeId::of::<M>() == TypeId::of::<$t>() {
+                    let mut value = Some(<$t as InlineCodec>::get(bytes)?);
+                    let slot = (&mut value as &mut dyn Any).downcast_mut::<Option<M>>();
+                    return Ok(slot.and_then(Option::take));
                 }
             )*
-            Ok(false)
+            Ok(None)
         }
     };
 }
@@ -1261,13 +1520,7 @@ pub fn decode_payload<M: Any>(mut bytes: &[u8], slab: &mut PayloadSlab<M>) -> Re
             let slot = u32::try_from(get_varint(&mut bytes)?).map_err(|_| WireError::Payload)?;
             slab.take(slot)?
         }
-        TAG_INLINE => {
-            let mut slot: Option<M> = None;
-            if !try_decode_inline(&mut slot, &mut bytes)? {
-                return Err(WireError::Payload);
-            }
-            slot.ok_or(WireError::Payload)?
-        }
+        TAG_INLINE => try_decode_inline(&mut bytes)?.ok_or(WireError::Payload)?,
         _ => return Err(WireError::Payload),
     };
     if !bytes.is_empty() {

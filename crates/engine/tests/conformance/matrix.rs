@@ -128,6 +128,63 @@ fn peak_queue_depth_agrees_on_multi_edge_burst() {
     }
 }
 
+/// One phase running `step` → `settle` → `step` → `step`: deliveries
+/// `settle` consumed must not reappear in the next step's inboxes, and
+/// `idle` must report unread arrivals identically on every backend.
+/// Messages of up to 40 bits over 16-bit edges make `settle` consume
+/// deliveries over several silent rounds.
+#[test]
+fn settle_consumes_deliveries_identically_on_every_backend() {
+    /// Per node: `(stage, sender, payload)` of every delivery read.
+    type Log = Vec<Vec<(u8, u32, u32)>>;
+    fn run<E: RoundEngine>(eng: &mut E) -> (Log, Vec<bool>, Metrics) {
+        let g = eng.graph().clone();
+        let mut log: Log = vec![Vec::new(); g.n()];
+        let mut idle = Vec::new();
+        let mut phase = eng.phase::<u32>();
+        idle.push(phase.idle());
+        phase.step(&mut log, |_, v, _in, out| {
+            out.broadcast(v, v.0, 8 + 16 * (v.0 as usize % 3));
+        });
+        idle.push(phase.idle());
+        phase.settle(64, &mut log, |mine, _, inbox| {
+            mine.extend(inbox.iter().map(|&(f, m)| (1, f.0, m)));
+        });
+        idle.push(phase.idle());
+        phase.step(&mut log, |mine, v, inbox, out| {
+            mine.extend(inbox.iter().map(|&(f, m)| (2, f.0, m)));
+            if v == NodeId(0) {
+                out.send(v, g.neighbors(v)[0], 7, 8);
+            }
+        });
+        idle.push(phase.idle());
+        phase.step(&mut log, |mine, _, inbox, _| {
+            mine.extend(inbox.iter().map(|&(f, m)| (3, f.0, m)));
+        });
+        idle.push(phase.idle());
+        drop(phase);
+        (log, idle, RoundEngine::metrics(eng).clone())
+    }
+
+    let g = generators::connected_gnp(40, 0.15, 3);
+    let config = SimConfig::with_bandwidth(16);
+    let want = run(&mut Simulator::new(&g, config));
+    assert!(
+        want.0.iter().flatten().all(|&(stage, _, _)| stage != 2),
+        "settle left deliveries behind on the reference"
+    );
+    assert_eq!(want.0.iter().flatten().filter(|e| e.0 == 3).count(), 1);
+    assert_eq!(want.1, [true, false, true, false, true]);
+    for shards in [1usize, 2, 4] {
+        let got = run(&mut ShardedSimulator::with_shards(&g, config, shards));
+        assert_eq!(got, want, "sharded diverged at {shards} shards");
+        let got = run(&mut PooledSimulator::with_shards(&g, config, shards));
+        assert_eq!(got, want, "pooled diverged at {shards} shards");
+        let got = run(&mut ProcessSimulator::with_shards(&g, config, shards));
+        assert_eq!(got, want, "process diverged at {shards} shards");
+    }
+}
+
 /// The delay-based MPX clustering path of the network decomposition (the
 /// diameter regime where the trivial single-cluster shortcut is barred)
 /// exercises `delayed_bfs` and `safe_nodes` with real token traffic. A

@@ -463,6 +463,44 @@ fn recovered_respawns_leave_no_zombies() {
     );
 }
 
+/// Forking shard children while other threads of the same process
+/// panic must never wedge a child: a panicking thread holds std's panic
+/// hook lock, and a child that touched that lock after fork would hang
+/// before its `Hello` until the construction timeout fired.
+#[test]
+fn forking_while_other_threads_panic_never_wedges_a_child() {
+    let g = generators::path(8);
+    let config = SimConfig::for_graph(&g);
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let start = Instant::now();
+    let wedged = std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let _ = catch_unwind(|| panic!("deliberate panic beside a fork"));
+                }
+            });
+        }
+        let forkers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        drive(&mut ProcessSimulator::with_shards(&g, config, 2));
+                    }
+                })
+            })
+            .collect();
+        let wedged = forkers.into_iter().filter_map(|f| f.join().err()).count();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        wedged
+    });
+    assert_eq!(
+        wedged, 0,
+        "a shard child wedged while another thread panicked"
+    );
+    assert!(start.elapsed() < Duration::from_secs(10));
+}
+
 /// Positive control: a pass-through `FaultyTransport` that never
 /// reaches its injection point changes nothing — outputs and metrics
 /// stay bit-identical to the sequential reference.  This pins that the

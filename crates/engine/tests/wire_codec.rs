@@ -5,16 +5,35 @@
 //!   frames and arbitrary cell runs, including the zero-bit/-payload
 //!   edge cases and max-size payload cells, and every single-byte
 //!   corruption of an encoded frame is rejected (never mis-decoded).
+//!   Frames built in place (`FrameBuf`) equal the owned encoding, and
+//!   the table-driven CRC equals a bitwise reference.
 //! * **Golden bytes** — exact encodings are pinned so the frame layout
 //!   (magic, field order, endianness, varint packing, checksum) cannot
 //!   drift silently.  A deliberate format change must update these
 //!   bytes *and* bump `PROTOCOL_VERSION`.
 
 use powersparse_engine::wire::{
-    self, crc32_parts, decode_cells, encode_cells, Frame, FrameKind, WireCell, WireError,
-    HEADER_LEN, MAGIC, PROTOCOL_VERSION,
+    self, crc32_parts, decode_cells, encode_cells, Frame, FrameBuf, FrameKind, FrameView, WireCell,
+    WireError, HEADER_LEN, MAGIC, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
+
+/// CRC-32/IEEE straight from its definition, one bit at a time: the
+/// reference the table-driven `crc32_parts` is checked against.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
 
 fn arb_kind() -> impl Strategy<Value = FrameKind> {
     prop_oneof![
@@ -129,6 +148,68 @@ proptest! {
         encode_cells(&cells, &mut out);
         out.extend(std::iter::repeat_n(0u8, junk));
         prop_assert!(decode_cells(&out, cells.len()).is_err());
+    }
+
+    /// The table-driven CRC equals the bitwise definition of CRC-32/IEEE
+    /// on random inputs of 0 to 300 bytes (short inputs, full 8-byte
+    /// strides and every tail length), however the input is split into
+    /// parts.
+    #[test]
+    fn crc_matches_a_bitwise_reference(
+        bytes in proptest::collection::vec(any::<u8>(), 0..301),
+        cut_a in 0usize..=300,
+        cut_b in 0usize..=300,
+    ) {
+        let mut cuts = [cut_a.min(bytes.len()), cut_b.min(bytes.len())];
+        cuts.sort_unstable();
+        let [a, b] = cuts;
+        let want = reference_crc32(&bytes);
+        prop_assert_eq!(crc32_parts(&[&bytes]), want);
+        prop_assert_eq!(crc32_parts(&[&bytes[..a], &bytes[a..b], &bytes[b..]]), want);
+    }
+
+    /// A frame built in place is byte-identical to `Frame::encode` of the
+    /// same header and cells, for every kind, empty payloads included,
+    /// and parses back to the same cells through the borrowed reader.
+    #[test]
+    fn frames_built_in_place_match_frame_encode(
+        kind in arb_kind(),
+        shard in any::<u16>(),
+        epoch in any::<u32>(),
+        cells in arb_cells(),
+        wide in proptest::collection::vec(any::<u8>(), 120..300),
+    ) {
+        let mut built = FrameBuf::new();
+        // A stale frame first: `begin` must reset the reused buffer.
+        built.begin();
+        built.push_cell(1, 1, 1, &[0xEE; 40]);
+        built.seal(FrameKind::Error, 0, 0);
+        built.begin();
+        for (i, cell) in cells.iter().enumerate() {
+            if i % 2 == 0 {
+                built.push_cell(cell.edge, cell.bits, cell.from, &cell.payload);
+            } else {
+                // Alternate cells write their payload in place, and one
+                // grows past the one-byte length slot.
+                let payload = if i == 1 { &wide } else { &cell.payload };
+                built.push_cell_with(cell.edge, cell.bits, cell.from, |out| {
+                    out.extend_from_slice(payload);
+                });
+            }
+        }
+        let mut want_cells = cells.clone();
+        if let Some(c) = want_cells.get_mut(1) {
+            c.payload = wide.clone();
+        }
+        let mut payload = Vec::new();
+        encode_cells(&want_cells, &mut payload);
+        let want = Frame { kind, shard, epoch, count: want_cells.len() as u32, payload }.encode();
+        let got = built.seal(kind, shard, epoch).to_vec();
+        prop_assert_eq!(&got, &want);
+        let view = FrameView::parse(&got).unwrap();
+        prop_assert_eq!(view.encoded_len(), got.len());
+        let back: Vec<WireCell> = view.cells().map(|c| c.map(WireCell::from)).collect::<Result<_, _>>().unwrap();
+        prop_assert_eq!(back, want_cells);
     }
 
     /// Varint decode∘encode is injective: any byte string that decodes
