@@ -1,16 +1,13 @@
 //! Engine comparison: Luby MIS on `G` through the sequential reference
-//! `Simulator` versus both parallel `powersparse-engine` backends (the
-//! scoped-scatter `ShardedSimulator` and the persistent worker-pool
-//! `PooledSimulator`), across graph sizes and worker counts. The
-//! `experiments` binary prints the same comparison as a table
-//! (`experiments engines`). The pooled/sharded gap at small `n` is the
-//! per-round coordination cost: two thread spawn/join scatters versus
-//! two epoch-barrier waits.
+//! `Simulator` versus the persistent worker-pool `PooledSimulator`,
+//! across graph sizes and worker counts. The `experiments` binary prints
+//! the same comparison as a table, with the multi-process backend
+//! added (`experiments engines`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use powersparse::mis::luby_mis;
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_engine::{PooledSimulator, ShardedSimulator};
+use powersparse_engine::PooledSimulator;
 use powersparse_graphs::generators;
 
 fn bench(c: &mut Criterion) {
@@ -26,16 +23,6 @@ fn bench(c: &mut Criterion) {
             })
         });
         for shards in [2usize, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("sharded{shards}"), n),
-                &g,
-                |b, g| {
-                    b.iter(|| {
-                        let mut sim = ShardedSimulator::with_shards(g, config, shards);
-                        luby_mis(&mut sim, 1, 3)
-                    })
-                },
-            );
             group.bench_with_input(
                 BenchmarkId::new(format!("pooled{shards}"), n),
                 &g,

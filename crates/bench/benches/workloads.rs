@@ -16,11 +16,11 @@ fn bench(c: &mut Criterion) {
             avg_deg: 8.0,
         })
         .seed(42)
-        .sharded(4),
+        .pooled(4),
         Scenario::new(GraphFamily::PowerLaw { n: 512, attach: 3 })
             .k(2)
             .seed(7)
-            .sharded(4),
+            .pooled(4),
         Scenario::new(GraphFamily::ClusterGrid {
             rows: 4,
             cols: 4,

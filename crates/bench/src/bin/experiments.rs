@@ -630,10 +630,10 @@ fn engines_cmd(args: &[String]) {
     engines_exp(out.as_deref(), &nets);
 }
 
-/// E9 — Engine comparison: sequential `Simulator` vs the sharded,
-/// pooled, and multi-process `powersparse-engine` backends running Luby
-/// MIS on `G`, with the bit-for-bit parity of outputs and `Metrics`
-/// re-verified on every row. Each `--net` shaping profile adds a
+/// E9 — Engine comparison: sequential `Simulator` vs the pooled and
+/// multi-process `powersparse-engine` backends running Luby MIS on `G`,
+/// with the bit-for-bit parity of outputs and `Metrics` re-verified on
+/// every row. Each `--net` shaping profile adds a
 /// latency-scaling block: the process engine re-runs under that shaped
 /// wire with repeat statistics (mean ± 95% CI over 3 invocations), and
 /// its counters are asserted identical to the unshaped run — shaping
@@ -643,9 +643,18 @@ fn engines_cmd(args: &[String]) {
 /// committed instance.
 fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
     use powersparse_congest::engine::{Metrics, RoundEngine};
-    use powersparse_engine::{PooledSimulator, ProcessSimulator, ShardedSimulator};
+    use powersparse_engine::{PooledSimulator, ProcessSimulator};
     use powersparse_workloads::{PhaseWall, RunRecord, SuiteManifest, Validation, WallStats};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
+
+    /// Builds an engine and runs Luby MIS on it, timing both.
+    fn timed_luby<E: RoundEngine>(build: impl FnOnce() -> E) -> (Vec<bool>, Metrics, Duration) {
+        let start = Instant::now();
+        let mut eng = build();
+        let mis = luby_mis(&mut eng, 1, 3);
+        let wall = start.elapsed();
+        (mis, RoundEngine::metrics(&eng).clone(), wall)
+    }
 
     println!("\n## E9: Round-engine comparison — Luby MIS on G, wall clock\n");
     println!(
@@ -656,13 +665,12 @@ fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
             "engine",
             "wall",
             "speedup",
-            "vs sharded",
             "rounds",
             "identical to sequential"
         ]
         .map(String::from))
     );
-    println!("{}", row(&["---"; 8].map(String::from)));
+    println!("{}", row(&["---"; 7].map(String::from)));
     let mut runs: Vec<RunRecord> = Vec::new();
     let mut record = |g: &powersparse_graphs::Graph,
                       n: usize,
@@ -746,124 +754,53 @@ fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
                 "sequential".into(),
                 format!("{seq_wall:.2?}"),
                 "1.00x".into(),
-                "-".into(),
                 seq.metrics().rounds.to_string(),
                 "-".into(),
             ])
         );
         for shards in [2usize, 4, 8] {
-            let start = Instant::now();
-            let mut sharded = ShardedSimulator::with_shards(&g, config, shards);
-            let got = luby_mis(&mut sharded, 1, 3);
-            let sharded_wall = start.elapsed();
-            assert!(
-                got == want && RoundEngine::metrics(&sharded) == seq.metrics(),
-                "sharded engine diverged at {shards} shards on n={n}"
-            );
-            record(
-                &g,
-                n,
-                "sharded",
-                shards,
-                RoundEngine::metrics(&sharded),
-                mis_size,
-                build_us,
-                sharded_wall.as_micros() as u64,
-            );
-            println!(
-                "{}",
-                row(&[
-                    n.to_string(),
-                    g.m().to_string(),
-                    format!("sharded({shards})"),
-                    format!("{sharded_wall:.2?}"),
-                    format!(
-                        "{:.2}x",
-                        seq_wall.as_secs_f64() / sharded_wall.as_secs_f64()
-                    ),
-                    "1.00x".into(),
-                    RoundEngine::metrics(&sharded).rounds.to_string(),
-                    "yes".into(),
-                ])
-            );
-            let start = Instant::now();
-            let mut pooled = PooledSimulator::with_shards(&g, config, shards);
-            let got = luby_mis(&mut pooled, 1, 3);
-            let pooled_wall = start.elapsed();
-            assert!(
-                got == want && RoundEngine::metrics(&pooled) == seq.metrics(),
-                "pooled engine diverged at {shards} shards on n={n}"
-            );
-            record(
-                &g,
-                n,
-                "pooled",
-                shards,
-                RoundEngine::metrics(&pooled),
-                mis_size,
-                build_us,
-                pooled_wall.as_micros() as u64,
-            );
-            println!(
-                "{}",
-                row(&[
-                    n.to_string(),
-                    g.m().to_string(),
-                    format!("pooled({shards})"),
-                    format!("{pooled_wall:.2?}"),
-                    format!("{:.2}x", seq_wall.as_secs_f64() / pooled_wall.as_secs_f64()),
-                    format!(
-                        "{:.2}x",
-                        sharded_wall.as_secs_f64() / pooled_wall.as_secs_f64()
-                    ),
-                    RoundEngine::metrics(&pooled).rounds.to_string(),
-                    "yes".into(),
-                ])
-            );
-            let start = Instant::now();
-            let mut process = ProcessSimulator::with_shards(&g, config, shards);
-            let got = luby_mis(&mut process, 1, 3);
-            let process_wall = start.elapsed();
-            assert!(
-                got == want && RoundEngine::metrics(&process) == seq.metrics(),
-                "process engine diverged at {shards} shards on n={n}"
-            );
-            record(
-                &g,
-                n,
-                "process",
-                shards,
-                RoundEngine::metrics(&process),
-                mis_size,
-                build_us,
-                process_wall.as_micros() as u64,
-            );
-            println!(
-                "{}",
-                row(&[
-                    n.to_string(),
-                    g.m().to_string(),
-                    format!("process({shards})"),
-                    format!("{process_wall:.2?}"),
-                    format!(
-                        "{:.2}x",
-                        seq_wall.as_secs_f64() / process_wall.as_secs_f64()
-                    ),
-                    format!(
-                        "{:.2}x",
-                        sharded_wall.as_secs_f64() / process_wall.as_secs_f64()
-                    ),
-                    RoundEngine::metrics(&process).rounds.to_string(),
-                    "yes".into(),
-                ])
-            );
+            for (engine, (got, metrics, wall)) in [
+                (
+                    "pooled",
+                    timed_luby(|| PooledSimulator::with_shards(&g, config, shards)),
+                ),
+                (
+                    "process",
+                    timed_luby(|| ProcessSimulator::with_shards(&g, config, shards)),
+                ),
+            ] {
+                assert!(
+                    got == want && &metrics == seq.metrics(),
+                    "{engine} engine diverged at {shards} shards on n={n}"
+                );
+                record(
+                    &g,
+                    n,
+                    engine,
+                    shards,
+                    &metrics,
+                    mis_size,
+                    build_us,
+                    wall.as_micros() as u64,
+                );
+                println!(
+                    "{}",
+                    row(&[
+                        n.to_string(),
+                        g.m().to_string(),
+                        format!("{engine}({shards})"),
+                        format!("{wall:.2?}"),
+                        format!("{:.2}x", seq_wall.as_secs_f64() / wall.as_secs_f64()),
+                        metrics.rounds.to_string(),
+                        "yes".into(),
+                    ])
+                );
+            }
         }
     }
     println!(
         "\nIdentical = same MIS mask, same Metrics (rounds, messages, bits, peak queue depth).\n\
-         `vs sharded` = sharded wall / this engine's wall at the same shard count \
-         (> 1.00x means the pool or process backend wins; the process rows pay the \
-         wire codec + socket splice tax on every round)."
+         The process rows pay the wire codec + socket splice tax on every round."
     );
     if !nets.is_empty() {
         use powersparse_workloads::{
@@ -1668,7 +1605,7 @@ fn suite_cmd(args: &[String]) {
                 eprintln!(
                     "unknown suite argument '{other}' \
                      (usage: experiments suite [--smoke] [--spec FILE.toml] [--out MANIFEST.json] \
-                     [--force-engine sequential|sharded|pooled|process] [--net SPEC] \
+                     [--force-engine sequential|pooled|process] [--net SPEC] \
                      [--chaos] [--chaos-seed S] [--chaos-kills N] [--chaos-corruptions N] \
                      [--repeats R] [--warmup W] \
                      | suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine])"
@@ -1719,13 +1656,10 @@ fn suite_cmd(args: &[String]) {
             let shards = sc.engine.shards();
             sc.engine = match engine.as_str() {
                 "sequential" => EngineSpec::Sequential,
-                "sharded" => EngineSpec::Sharded { shards },
                 "pooled" => EngineSpec::Pooled { shards },
                 "process" => EngineSpec::Process { shards },
                 other => {
-                    eprintln!(
-                        "unknown engine '{other}' (expected sequential|sharded|pooled|process)"
-                    );
+                    eprintln!("unknown engine '{other}' (expected sequential|pooled|process)");
                     std::process::exit(2);
                 }
             };

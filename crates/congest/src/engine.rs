@@ -3,9 +3,9 @@
 //!
 //! The reference implementation is the sequential [`crate::sim::Simulator`]
 //! (one thread, nodes stepped in ID order). The parallel backends live
-//! in the `powersparse-engine` crate: the scoped-scatter
-//! `ShardedSimulator` and the persistent worker-pool `PooledSimulator`.
-//! All must be **observationally identical**: same per-node outputs,
+//! in the `powersparse-engine` crate: the persistent worker-pool
+//! `PooledSimulator` and the multi-process `ProcessSimulator`. All must
+//! be **observationally identical**: same per-node outputs,
 //! same [`Metrics`] totals, same per-edge traffic — the engine contract
 //! below pins down the delivery order that makes this possible.
 //!
@@ -14,7 +14,7 @@
 //! 1. **Step order is unobservable.** A node-step function receives only
 //!    its own per-node state `&mut S`, its inbox, and an [`Outbox`]; it
 //!    may read shared captured data but can mutate nothing outside its
-//!    state. Any schedule (sequential, sharded, parallel) therefore
+//!    state. Any schedule (sequential, pooled, multi-process) therefore
 //!    produces the same result.
 //! 2. **Deterministic delivery order.** Messages completing in the same
 //!    round are appended to the receiver's inbox ordered by the sender's
@@ -29,8 +29,8 @@
 //!    regardless of backend; so do the per-edge counters whenever
 //!    per-edge accounting is enabled (see below).
 //! 4. **Scheduling is a backend detail.** How a backend maps node steps
-//!    to threads — fresh scoped scatters, a persistent pool behind an
-//!    epoch barrier, or a single loop — is invisible to node programs;
+//!    to threads — a persistent pool behind an epoch barrier, forked
+//!    shard processes, or a single loop — is invisible to node programs;
 //!    no trait surface exposes it. The conformance suite in
 //!    `crates/engine/tests/conformance/` holds every backend to the
 //!    three rules above across the full algorithm matrix, under both
@@ -76,9 +76,11 @@
 //!
 //! * the sequential `Simulator` emits at the end of its round step,
 //!   after the transfer delivered;
-//! * the sharded and pooled backends gather shard-local counts during
+//! * the pooled and process backends gather shard-local counts during
 //!   the round stages and emit **on the caller thread** after the
-//!   stage-2 barrier, merged exactly where the shard counters merge;
+//!   stage-2 barrier (the process backend's parent has read every
+//!   child's `Deliveries` and `RoundStats` frames), merged exactly where
+//!   the shard counters merge;
 //! * [`RoundEngine::charge_rounds`] emits one zeroed observation per
 //!   charged round, in order.
 //!
@@ -112,7 +114,7 @@
 //! rejected statically: a step function receives `&mut S` for its own
 //! node only, and the `F: Sync` bound keeps captured context read-only
 //! across worker threads. `tests/conformance/negative.rs` in
-//! `powersparse-engine` pins the runtime rejections down on all four
+//! `powersparse-engine` pins the runtime rejections down on all three
 //! engines (the multi-process backend steps nodes on the parent side,
 //! so contract panics fire before any wire traffic).
 //!

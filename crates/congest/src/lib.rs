@@ -15,7 +15,7 @@
 //! * [`engine::RoundEngine`] abstracts round execution: step scheduling,
 //!   message delivery and metrics access. [`sim::Simulator`] is the
 //!   sequential reference implementation; the `powersparse-engine` crate
-//!   provides the sharded data-parallel backend. Engine-generic
+//!   provides the pooled and multi-process parallel backends. Engine-generic
 //!   algorithms drive typed phases with per-node state slices
 //!   ([`engine::RoundPhase::step`]); the engine contract in [`engine`]
 //!   pins down delivery order so every backend is bit-for-bit

@@ -12,14 +12,14 @@
 //! length always equals `Metrics::rounds` (charged rounds emit zeroed
 //! observations so the invariant survives analytical charging). The
 //! per-shard splice volumes are the only backend-shaped field: their sum
-//! equals `messages` everywhere, and two sharded backends at the *same*
-//! shard count agree on the whole vector.
+//! equals `messages` everywhere, and the two parallel backends at the
+//! *same* shard count agree on the whole vector.
 //!
 //! Emission points (one per `Metrics::rounds` increment):
 //!
 //! * sequential `Simulator` — at the end of `finish_round`, after the
 //!   transfer delivered;
-//! * `ShardedSimulator` / `PooledSimulator` — on the caller thread after
+//! * `PooledSimulator` / `ProcessSimulator` — on the caller thread after
 //!   the stage-2 barrier, from shard observations merged exactly where
 //!   the shard-local counters merge;
 //! * `charge_rounds(r)` — `r` zeroed observations, in order.
@@ -41,15 +41,18 @@
 //!   `run_step`, `transfer` brackets the whole of `finish_round`
 //!   (enqueue + transfer + accounting); `barrier` is empty (there is no
 //!   barrier to wait on).
-//! * `ShardedSimulator` — each scoped worker timestamps its own stage-1
-//!   step loop and `flush_shard_sends` tail, and its stage-2
-//!   `route_stage` body, **on its own thread**; the caller measures each
-//!   stage's wall clock around the scatter and attributes
-//!   `barrier = Σ stage walls − the shard's busy time` per shard.
-//! * `PooledSimulator` — identical attribution, with the worker-side
-//!   timestamps written into probe-only per-shard slots through the
-//!   same disjoint views the counters use, merged on the caller at the
+//! * `PooledSimulator` — each pool worker timestamps its own stage-1
+//!   step loop and `flush_shard_sends` tail, and its stage-2 splice,
+//!   **on its own thread**, writing them into probe-only per-shard slots
+//!   through the same disjoint views the counters use; the caller
+//!   measures each stage's wall clock around the scatter and attributes
+//!   `barrier = Σ stage walls − the shard's busy time` per shard, at the
 //!   stage-2 barrier exactly where the counters merge.
+//! * `ProcessSimulator` — the parent times each shard's step loop, each
+//!   shard child times its own transfer and reports it in the round's
+//!   `RoundStats` frame, and the parent attributes
+//!   `barrier = round wall − step − the child's transfer` per shard (so
+//!   every wire cost lands in the barrier span).
 //!
 //! **Timing values are backend-shaped and never conformance-gated** —
 //! two runs of the same binary disagree on them. What *is*
@@ -157,7 +160,7 @@ impl RoundSpans {
     /// The engine-invariant span structure: `(step shards, transfer
     /// shards, barrier shards)` — the vector lengths, with the timing
     /// values stripped. Identical across runs; equal between the
-    /// sharded and pooled backends at the same shard count.
+    /// pooled and process backends at the same shard count.
     pub fn structure(&self) -> (usize, usize, usize) {
         (
             self.step_ns.len(),

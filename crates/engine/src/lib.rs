@@ -1,35 +1,31 @@
 //! `powersparse-engine` — the parallel CONGEST round executors behind
 //! the [`RoundEngine`](powersparse_congest::RoundEngine) trait of
-//! `powersparse-congest`: the scoped-scatter [`ShardedSimulator`], the
-//! persistent worker-pool [`PooledSimulator`], and the multi-process
-//! [`ProcessSimulator`], whose shards live in forked child processes
-//! and exchange splice buffers over a Unix-socket wire protocol
-//! ([`wire`]).
+//! `powersparse-congest`: the persistent worker-pool
+//! [`PooledSimulator`] and the multi-process [`ProcessSimulator`], whose
+//! shards live in forked child processes and exchange splice buffers
+//! over a Unix-socket wire protocol ([`wire`]).
 //!
-//! # Architecture: shards, mailboxes, barriers
+//! # Architecture: shards, arrival runs, barriers
 //!
-//! Nodes are partitioned into contiguous **shards** (one per worker
-//! thread) by [`powersparse_graphs::partition::shard_ranges`], weighted
-//! by `1 + deg(v)` so that dense regions do not pile onto one worker.
+//! Nodes are partitioned into contiguous **shards** by
+//! [`powersparse_graphs::partition::shard_ranges`], weighted by
+//! `1 + deg(v)` so that dense regions do not pile onto one worker.
 //! Because the graph is CSR-ordered, each shard also owns a contiguous
 //! range of *directed edge indices* — every per-edge structure (FIFO
 //! queue, bit/message counters) is a flat array sliced per shard, with
 //! no locks and no sharing inside a round.
 //!
-//! A round executes in two barrier-separated parallel stages:
+//! A round executes in two barrier-separated stages:
 //!
-//! 1. **Step + transfer (sender side).** Each worker steps its own
-//!    nodes (double-buffered mailboxes: the worker consumes its nodes'
-//!    inboxes and collects sends into a shard-local buffer), enqueues
-//!    the sends on the shard-owned edge queues, then moves up to
-//!    `bandwidth` bits on each owned edge. Completed messages are routed
-//!    into per-`(sender shard, receiver shard)` delivery buffers;
-//!    bit/message totals accumulate in shard-local counters.
-//! 2. **Routing (receiver side).** After the barrier, the delivery
-//!    buffers are transposed and each worker appends the messages bound
-//!    for its own nodes into their mailboxes — reading the sender-shard
-//!    buffers in shard order, which is exactly ascending directed-edge
-//!    order.
+//! 1. **Step + transfer (sender side).** Each shard's nodes are stepped
+//!    against their inboxes, their sends are enqueued on the shard-owned
+//!    edge queues, and up to `bandwidth` bits move on each owned edge.
+//!    Completed messages are bucketed by receiver shard; bit/message
+//!    totals accumulate in shard-local counters.
+//! 2. **Splice (receiver side).** After the barrier, each receiver
+//!    shard's buckets are appended onto its arrival run in sender-shard
+//!    order, which is exactly ascending directed-edge order; the next
+//!    read groups the run per node with a stable counting sort.
 //!
 //! Shard-local counters are merged into the shared
 //! [`Metrics`](powersparse_congest::Metrics) at the barrier, so totals
@@ -37,28 +33,18 @@
 //! [`Simulator`](powersparse_congest::Simulator), and the delivery-order
 //! rule of the engine contract (`powersparse_congest::engine` module
 //! docs) holds bit-for-bit: results do not depend on the shard count.
+//! The layout and the counting sort both backends share live in
+//! [`routing`].
 //!
-//! # Threading: scoped scatters vs. the persistent pool
+//! # Threading: the persistent pool
 //!
-//! [`ShardedSimulator`]'s workers are `std::thread::scope` threads (the
-//! toolchain is vendored offline, so no rayon; the scoped-scatter
-//! pattern below is what rayon would do for this fixed-shape workload
-//! anyway). That costs two full spawn/join scatters per round — the
-//! dominant overhead below ~10⁴ nodes, where per-round work no longer
-//! hides it. [`PooledSimulator`] removes it: worker threads are spawned
-//! once, when the engine is built, and parked on an epoch barrier
-//! (condvar + generation counter), so each round costs two barrier
-//! waits instead; its receiver stage also splices whole shard-to-shard
-//! delivery buffers (one memcpy-style `Vec::append` per shard pair)
-//! instead of pushing per message, deferring per-node grouping to a
-//! counting sort in the owning worker's next step (see
-//! [`pooled`]). The shared layout/routing invariants both backends obey
-//! live in [`routing`].
-//!
-//! The worker count honors, in order: an explicit `with_shards`,
-//! `POWERSPARSE_THREADS`, `RAYON_NUM_THREADS` (kept for compatibility
-//! with rayon-based tooling), then the machine's available parallelism.
-//! With one shard either engine runs inline with no thread overhead.
+//! [`PooledSimulator`] spawns its worker threads once, when the engine
+//! is built, and parks them on an epoch barrier (condvar + generation
+//! counter), so each round costs two barrier waits and no thread spawns
+//! (see [`pooled`]). The worker count honors, in order: an explicit
+//! `with_shards`, `POWERSPARSE_THREADS`, then the machine's available
+//! parallelism. With one shard the engine runs inline with no thread
+//! overhead.
 //!
 //! # Crossing the process boundary
 //!
@@ -86,13 +72,13 @@
 //! ```
 //! use powersparse_congest::engine::RoundEngine;
 //! use powersparse_congest::sim::{SimConfig, Simulator};
-//! use powersparse_engine::ShardedSimulator;
+//! use powersparse_engine::PooledSimulator;
 //! use powersparse_graphs::generators;
 //!
 //! let g = generators::connected_gnp(200, 0.05, 1);
 //! let config = SimConfig::for_graph(&g);
 //! let mut seq = Simulator::new(&g, config);
-//! let mut par = ShardedSimulator::with_shards(&g, config, 4);
+//! let mut par = PooledSimulator::with_shards(&g, config, 4);
 //! let a = powersparse::mis::luby_mis(&mut seq, 1, 7);
 //! let b = powersparse::mis::luby_mis(&mut par, 1, 7);
 //! assert_eq!(a, b);
@@ -103,11 +89,9 @@ mod pool;
 pub mod pooled;
 pub mod process;
 pub mod routing;
-pub mod sharded;
 pub mod wire;
 
 pub use pooled::{PooledPhase, PooledSimulator};
 pub use process::{ProcessOptions, ProcessPhase, ProcessSimulator, RecoveryPolicy};
 pub use routing::default_shards;
-pub use sharded::{ShardedPhase, ShardedSimulator};
 pub use wire::{FaultEvent, FaultKind, FaultPlan, NetworkSpec};

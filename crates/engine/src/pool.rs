@@ -19,8 +19,8 @@
 //! the calling thread after **all** workers have finished the stage
 //! (matching `std::thread::scope`'s behavior, and required for safety:
 //! the job borrows the caller's stack frame). Misbehaving node programs
-//! therefore panic identically on this backend and on the scoped one —
-//! see the engine-contract docs in `powersparse_congest::engine`.
+//! therefore panic identically on this backend and on the sequential
+//! one — see the engine-contract docs in `powersparse_congest::engine`.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -239,8 +239,8 @@ impl<'a, T> DisjointSlice<'a, T> {
 }
 
 /// A shared view of a mutable slice split along caller-provided
-/// non-overlapping ranges, one chunk per worker — the zero-allocation
-/// counterpart of `routing::split_by_ranges` for scatter bodies.
+/// non-overlapping ranges, one chunk per worker, without allocating a
+/// vector of sub-slices per scatter.
 pub(crate) struct DisjointChunks<'a, T> {
     ptr: *mut T,
     len: usize,

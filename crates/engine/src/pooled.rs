@@ -1,36 +1,35 @@
 //! The persistent-pool executor: [`PooledSimulator`] and its phase type.
 //!
-//! Same shard layout, same two-stage round structure and same engine
-//! contract as [`crate::ShardedSimulator`] (the shared pieces live in
-//! [`crate::routing`]), with two scheduling differences that matter
-//! below ~10⁴ nodes, where per-round work no longer hides the
-//! coordination cost:
+//! Nodes are split into contiguous, CSR-aligned shards
+//! ([`crate::routing`]), one per worker, and a round runs in two
+//! barrier-separated stages:
 //!
-//! 1. **Persistent workers.** Worker threads are spawned once, when the
-//!    engine is built, and parked on an epoch barrier
-//!    ([`crate::pool::WorkerPool`]). Each round costs two barrier waits
-//!    instead of two full `std::thread::scope` spawn/join scatters.
-//! 2. **Batched transfer.** The receiver side of a round splices each
-//!    shard-to-shard delivery buffer onto the receiver shard's
-//!    contiguous *arrival run* — one `Vec::append` (a memcpy-style move)
-//!    per shard pair instead of a push per message. The per-node
-//!    grouping the step handler needs is deferred to the next stage 1,
-//!    where the worker that owns those nodes materializes it with a
-//!    stable counting sort into a flat, reused buffer (two linear
-//!    passes, no per-node allocation). Splicing in sender-shard order
-//!    keeps the run in ascending global edge order, and the counting
-//!    sort is stable, so delivery order is bit-for-bit the sequential
-//!    reference order.
+//! 1. **Step + transfer (sender side).** Each worker groups its shard's
+//!    arrival run into per-node inboxes, steps its own nodes (collecting
+//!    sends into a shard-local buffer), enqueues the sends on the
+//!    shard's message core ([`MsgCore`]) and moves up to `bandwidth`
+//!    bits on each owned edge. Completed messages land in
+//!    per-`(sender shard, receiver shard)` delivery cells; bit/message
+//!    totals accumulate in shard-local counters, merged on the caller at
+//!    the barrier.
+//! 2. **Splice (receiver side).** Each worker appends the cells bound for
+//!    its nodes onto its shard's contiguous *arrival run* — one
+//!    `Vec::append` (a memcpy-style move) per shard pair, in sender-shard
+//!    order, which is ascending global edge order.
+//!
+//! Worker threads are spawned once, when the engine is built, and parked
+//! on an epoch barrier (`pool::WorkerPool`), so a round costs two
+//! barrier waits and no thread spawns. The per-node grouping of stage 1
+//! is a stable counting sort into a flat, reused buffer (two linear
+//! passes, no per-node allocation), so each inbox keeps ascending edge
+//! order: delivery order is bit-for-bit the sequential reference order.
 //!
 //! Outputs and [`Metrics`] (totals, `peak_queue_depth`, per-edge
-//! traffic) are identical to both other backends at every shard count —
+//! traffic) are identical to the other backends at every shard count —
 //! the conformance suite in `tests/conformance/` pins this down.
 
 use crate::pool::{DisjointChunks, DisjointSlice, WorkerPool};
-use crate::routing::{
-    capped_default_shards, deliveries_pending, flush_shard_sends, stamp_receivers, DistScratch,
-    Routed, ShardLayout, StageOut,
-};
+use crate::routing::{capped_default_shards, stamp_receivers, DistScratch, Routed, ShardLayout};
 use powersparse_congest::engine::{
     Delivery, Message, Metrics, Outbox, RoundEngine, RoundPhase, SendRecord,
 };
@@ -195,10 +194,102 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
     }
 }
 
+/// One shard's stage-1 result: the counters returned by
+/// [`flush_shard_sends`] plus the shard's worker-side span timestamps
+/// (zero when the engine runs un-probed — see
+/// `powersparse_congest::probe`'s "Span emission points"). Workers write
+/// these into per-shard slots through their disjoint views, and the
+/// caller merges them at the stage-2 barrier, exactly where the counters
+/// merge.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct StageOut {
+    /// Bits the shard enqueued this round.
+    bits: u64,
+    /// Messages the shard's transfer delivered this round.
+    msgs: u64,
+    /// Peak single-edge queue depth observed on the shard's core.
+    peak: u64,
+    /// Messages queued on the shard's core at transfer start (arena
+    /// footprint share; sums to the sequential engine's global value).
+    queued: u64,
+    /// Nanoseconds the shard spent stepping its nodes (probe only).
+    step_ns: u64,
+    /// Nanoseconds the shard spent in the enqueue + transfer tail
+    /// (probe only).
+    transfer_ns: u64,
+}
+
+/// The `settle` fast-path pre-check: whether any arrival run still holds
+/// an unread message. On quiet rounds (fragmented messages still
+/// crossing, nothing delivered yet) every run is empty and fanning out a
+/// parallel consume stage would be pure overhead.
+fn deliveries_pending<T>(buffers: &[Vec<T>]) -> bool {
+    buffers.iter().any(|b| !b.is_empty())
+}
+
+/// The sender-side tail of one round for one shard: enqueue the shard's
+/// collected sends on its arena core ([`MsgCore`], covering the shard's
+/// CSR-aligned edge range), then transfer up to `bw` bits per **active**
+/// owned edge in ascending edge order, bucketing completed messages by
+/// receiver shard into `row` (this shard's row of the phase's cell
+/// matrix). Returns the shard's bit/message totals, its peak single-edge
+/// queue depth, and the number of messages queued on its core at
+/// transfer start (the shard's share of the round's arena footprint —
+/// summed across shards at the barrier it equals the sequential engine's
+/// global value).
+///
+/// `edge_bits`/`edge_messages` are the shard's slices of the per-edge
+/// counters — **empty slices when per-edge accounting is disabled**
+/// (the opt-in `MetricsConfig::per_edge` mode), in which case no
+/// per-edge accumulation happens at all.
+///
+/// A node's out-edges all lie in the shard's edge range (CSR alignment),
+/// so this writes only shard-owned queues and counters.
+#[allow(clippy::too_many_arguments)]
+fn flush_shard_sends<M: Message>(
+    graph: &Graph,
+    shard_of: &[u32],
+    bw: u64,
+    edges: Range<usize>,
+    core: &mut MsgCore<M>,
+    edge_bits: &mut [u64],
+    edge_messages: &mut [u64],
+    sends: &mut Vec<SendRecord<M>>,
+    row: &mut [Vec<Routed<M>>],
+) -> (u64, u64, u64, u64) {
+    let per_edge = !edge_bits.is_empty();
+    let mut bits_total = 0u64;
+    for SendRecord {
+        edge,
+        bits,
+        from,
+        msg,
+    } in sends.drain(..)
+    {
+        debug_assert!(edges.contains(&edge), "send escaped its shard's edge range");
+        let e = edge - edges.start;
+        bits_total += bits;
+        if per_edge {
+            edge_bits[e] += bits;
+        }
+        core.enqueue(e, bits, from, msg);
+    }
+    let queued = core.queued() as u64;
+    let mut msgs_total = 0u64;
+    let peak = core.transfer(bw, |e, from, msg| {
+        msgs_total += 1;
+        if per_edge {
+            edge_messages[e] += 1;
+        }
+        let to = graph.edge_target(edges.start + e);
+        row[shard_of[to.index()] as usize].push((to, from, msg));
+    });
+    (bits_total, msgs_total, peak, queued)
+}
+
 /// Stage 1 body for one shard: distribute the shard's arrival run into
 /// per-node inbox slices, step the owned nodes, then enqueue + transfer
-/// the owned edges (the [`flush_shard_sends`] tail shared with the
-/// sharded engine). Returns the shard's counters and — when `timed`
+/// the owned edges ([`flush_shard_sends`]). Returns the shard's counters and — when `timed`
 /// (call sites pass `P::ENABLED`, so the clock reads const-fold away
 /// un-probed) — its span nanoseconds, timestamped on the worker's own
 /// thread. The distribution pass is deferred receiver-side grouping, so
@@ -281,9 +372,8 @@ pub struct PooledPhase<'s, 'g, M, P: Probe = NoProbe> {
     scratch: Vec<DistScratch<M>>,
     /// Per-shard reusable send buffer (drained while enqueueing).
     send_bufs: Vec<Vec<SendRecord<M>>>,
-    /// Shard-to-shard delivery cells, rows-major like the sharded
-    /// engine's: sender shard `w` × receiver shard `r` is
-    /// `cells[w * shards + r]`.
+    /// Shard-to-shard delivery cells, rows-major: sender shard `w` ×
+    /// receiver shard `r` is `cells[w * shards + r]`.
     cells: Vec<Vec<Routed<M>>>,
     /// Per-shard stage-1 result slots (counters plus worker-side span
     /// timestamps — see [`StageOut`]), written by workers through a
@@ -521,8 +611,7 @@ impl<M: Message, P: Probe> RoundPhase<M> for PooledPhase<'_, '_, M, P> {
         let mut spent = 0u64;
         loop {
             // Hand every nonempty inbox to `f`, worker-parallel — unless
-            // the shared fast-path pre-check says nothing was delivered
-            // (see `routing::deliveries_pending`).
+            // nothing was delivered (see `deliveries_pending`).
             if deliveries_pending(&self.arrivals) {
                 let layout = &self.sim.layout;
                 let pool = &self.sim.pool;
@@ -568,8 +657,9 @@ mod tests {
     use powersparse_congest::sim::Simulator;
     use powersparse_graphs::generators;
 
-    /// The same nontrivial echo program as the sharded engine's unit
-    /// tests: fragmentation, FIFO order and per-node state.
+    /// A nontrivial node program exercising fragmentation, FIFO order
+    /// and per-node state: every node repeatedly broadcasts a mix of
+    /// small and large messages derived from what it heard.
     fn echo_program<E: RoundEngine>(eng: &mut E, rounds: usize) -> (Vec<u64>, Metrics) {
         let n = eng.graph().n();
         let mut acc: Vec<u64> = vec![0; n];
@@ -784,5 +874,13 @@ mod tests {
         assert!(!RoundPhase::idle(&phase));
         phase.step(&mut unit, |_, _, _, _| {});
         assert!(RoundPhase::idle(&phase));
+    }
+
+    #[test]
+    fn deliveries_pending_matches_emptiness() {
+        let empty: Vec<Vec<u8>> = vec![Vec::new(), Vec::new()];
+        assert!(!deliveries_pending(&empty));
+        assert!(deliveries_pending(&[vec![], vec![1u8]]));
+        assert!(!deliveries_pending::<u8>(&[]));
     }
 }

@@ -1,6 +1,6 @@
 //! The multi-process executor: [`ProcessSimulator`] and its phase type.
 //!
-//! The fourth [`RoundEngine`] backend moves the shard-to-shard transfer
+//! The third [`RoundEngine`] backend moves the shard-to-shard transfer
 //! across a real I/O boundary: each shard's arena core
 //! ([`MsgCore`]) lives in a **forked child process**, and everything
 //! that crosses shards rides the length-prefixed frame protocol of
@@ -104,7 +104,7 @@ mod sys {
         pub fn waitpid(pid: i32, status: *mut i32, options: i32) -> i32;
         pub fn kill(pid: i32, sig: i32) -> i32;
         pub fn _exit(code: i32) -> !;
-        pub fn close(fd: i32) -> i32;
+        pub fn close_range(first: u32, last: u32, flags: i32) -> i32;
         pub fn prctl(option: i32, arg2: u64, arg3: u64, arg4: u64, arg5: u64) -> i32;
     }
 }
@@ -280,18 +280,30 @@ fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
 }
 
 /// Common post-fork setup: die with the parent even if it crashes
-/// before Drop runs, and drop every inherited descriptor except `keep`
-/// — other engines' sockets (including other tests' in the same
-/// binary) must see EOF the moment *their* parent or child goes away,
-/// not be held open by an unrelated fork.  Pass `keep = -1` to close
-/// everything (the TCP child dials its own socket afterwards).
+/// before Drop runs, and drop every inherited descriptor above stderr
+/// except `keep` — other engines' sockets (including other tests' in
+/// the same binary) must see EOF the moment *their* parent or child
+/// goes away, not be held open by an unrelated fork.  Pass `keep = -1`
+/// to close everything (the TCP child dials its own socket afterwards).
+/// `close_range` (Linux 5.9, glibc 2.34) covers the whole descriptor
+/// space in two calls; a child that cannot close its inherited
+/// descriptors exits at once instead of serving.
 fn child_enter(keep: i32) {
+    // SAFETY: plain syscalls on integer arguments. The objects in the
+    // inherited memory image that wrap the closed descriptors are never
+    // used or dropped by the child, which leaves only through `_exit`;
+    // its own socket, `keep`, stays open.
     unsafe {
         sys::prctl(sys::PR_SET_PDEATHSIG, sys::SIGKILL as u64, 0, 0, 0);
-        for fd in 3..4096 {
-            if fd != keep {
-                sys::close(fd);
+        let closed = match u32::try_from(keep) {
+            Ok(k) if k >= 3 => {
+                (k == 3 || sys::close_range(3, k - 1, 0) == 0)
+                    && sys::close_range(k + 1, u32::MAX, 0) == 0
             }
+            _ => sys::close_range(3, u32::MAX, 0) == 0,
+        };
+        if !closed {
+            sys::_exit(1);
         }
     }
     // Never write to the shared stderr: silences the hook installed by

@@ -28,11 +28,11 @@ use powersparse::sparsify::{sparsify_power, SamplingStrategy};
 use powersparse::TheoryParams;
 use powersparse_congest::engine::{Metrics, RoundEngine};
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_engine::{PooledSimulator, ProcessSimulator, ShardedSimulator};
+use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::{check, generators, Graph};
 
 /// The shard counts every backend is checked at (1 shard is the
-/// `RAYON_NUM_THREADS=1` configuration, 8 exceeds this CI machine's
+/// `POWERSPARSE_THREADS=1` configuration, 8 exceeds a CI machine's
 /// core count).
 pub const SHARD_GRID: [usize; 4] = [1, 2, 4, 8];
 
@@ -48,21 +48,6 @@ pub trait EngineFactory {
 
     /// Builds the engine with an explicit shard/worker count.
     fn build<'g>(&self, g: &'g Graph, config: SimConfig, shards: usize) -> Self::Engine<'g>;
-}
-
-/// Factory for the scoped-scatter [`ShardedSimulator`].
-pub struct ShardedFactory;
-
-impl EngineFactory for ShardedFactory {
-    type Engine<'g> = ShardedSimulator<'g>;
-
-    fn label(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn build<'g>(&self, g: &'g Graph, config: SimConfig, shards: usize) -> ShardedSimulator<'g> {
-        ShardedSimulator::with_shards(g, config, shards)
-    }
 }
 
 /// Factory for the persistent worker-pool [`PooledSimulator`].

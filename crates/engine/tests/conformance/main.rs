@@ -14,7 +14,7 @@
 //!   plus the scale and delayed-BFS path checks.
 //! * [`random`] — randomized parity properties (proptest) per backend.
 //! * [`negative`] — the misbehaving-phase contract: illegal node
-//!   programs panic identically on all four engines (the multi-process
+//!   programs panic identically on all three engines (the multi-process
 //!   backend included — contract panics fire before any wire traffic).
 //! * [`probe`] — round-level probe traces: identical engine-invariant
 //!   observations (and trace length = `rounds`) on every backend.

@@ -1,21 +1,16 @@
-//! The deterministic conformance matrix, instantiated for every
-//! parallel backend at every [`harness::SHARD_GRID`] count, plus the
+//! The deterministic conformance matrix, instantiated for both parallel
+//! backends at every [`harness::SHARD_GRID`] count, plus the
 //! acceptance-scale and deep-pipeline checks.
 
 use crate::harness::{
     self, assert_case_conformance, assert_case_conformance_with, Algorithm, Case, EngineFactory,
-    PooledFactory, ProcessFactory, ShardedFactory,
+    PooledFactory, ProcessFactory,
 };
 use powersparse::mis::luby_mis;
 use powersparse_congest::engine::{Metrics, RoundEngine, RoundPhase};
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_engine::{PooledSimulator, ProcessSimulator, ShardedSimulator};
+use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::{check, generators, Graph, NodeId};
-
-#[test]
-fn sharded_passes_the_full_matrix() {
-    harness::run_full_matrix(&ShardedFactory);
-}
 
 #[test]
 fn pooled_passes_the_full_matrix() {
@@ -46,7 +41,6 @@ fn aggregate_only_mode_conforms_and_allocates_nothing() {
         "per-edge accounting must default off"
     );
     // Conformance of the whole run under aggregate-only accounting.
-    assert_case_conformance_with(&ShardedFactory, &case, &[1, 2, 4], off);
     assert_case_conformance_with(&PooledFactory, &case, &[1, 2, 4], off);
     assert_case_conformance_with(&ProcessFactory, &case, &[2], off);
     // And the mode changes no always-on counter: compare against the
@@ -119,8 +113,6 @@ fn peak_queue_depth_agrees_on_multi_edge_burst() {
         want.messages
     );
     for shards in [1usize, 2, 4] {
-        let got = burst(&mut ShardedSimulator::with_shards(&g, config, shards));
-        assert_eq!(got, want, "sharded burst metrics diverged at {shards}");
         let got = burst(&mut PooledSimulator::with_shards(&g, config, shards));
         assert_eq!(got, want, "pooled burst metrics diverged at {shards}");
         let got = burst(&mut ProcessSimulator::with_shards(&g, config, shards));
@@ -176,8 +168,6 @@ fn settle_consumes_deliveries_identically_on_every_backend() {
     assert_eq!(want.0.iter().flatten().filter(|e| e.0 == 3).count(), 1);
     assert_eq!(want.1, [true, false, true, false, true]);
     for shards in [1usize, 2, 4] {
-        let got = run(&mut ShardedSimulator::with_shards(&g, config, shards));
-        assert_eq!(got, want, "sharded diverged at {shards} shards");
         let got = run(&mut PooledSimulator::with_shards(&g, config, shards));
         assert_eq!(got, want, "pooled diverged at {shards} shards");
         let got = run(&mut ProcessSimulator::with_shards(&g, config, shards));
@@ -188,8 +178,8 @@ fn settle_consumes_deliveries_identically_on_every_backend() {
 /// The delay-based MPX clustering path of the network decomposition (the
 /// diameter regime where the trivial single-cluster shortcut is barred)
 /// exercises `delayed_bfs` and `safe_nodes` with real token traffic. A
-/// long cycle forces it; checked on both backends at an inline and a
-/// parallel shard count.
+/// long cycle forces it; checked on both parallel backends, the pool at
+/// an inline and a parallel shard count.
 #[test]
 fn delayed_bfs_path_conforms_on_both_backends() {
     let case = Case::new(
@@ -204,33 +194,24 @@ fn delayed_bfs_path_conforms_on_both_backends() {
         powersparse_congest::sim::Simulator::new(&case.graph, SimConfig::for_graph(&case.graph));
     let nd = powersparse::nd::power_nd(&mut seq, 1, &powersparse::TheoryParams::scaled()).unwrap();
     assert!(nd.color.len() > 1, "must have formed several clusters");
-    assert_case_conformance(&ShardedFactory, &case, &[1, 4]);
     assert_case_conformance(&PooledFactory, &case, &[1, 4]);
     assert_case_conformance(&ProcessFactory, &case, &[2]);
 }
 
 /// One shard versus the machine-default worker count: same bits, same
-/// results, on both backends. This is the `RAYON_NUM_THREADS=1` vs
-/// default determinism claim, checked without mutating the test
-/// process's environment.
+/// results, on both parallel backends. This is the
+/// `POWERSPARSE_THREADS=1` vs default determinism claim, checked without
+/// mutating the test process's environment.
 #[test]
 fn one_shard_matches_default_shards() {
     let g: Graph = generators::connected_gnp(400, 0.02, 31);
     let config = SimConfig::for_graph(&g);
-    let mut one = ShardedSimulator::with_shards(&g, config, 1);
-    let mut dflt = ShardedSimulator::new(&g, config);
-    let a = luby_mis(&mut one, 2, 13);
-    let b = luby_mis(&mut dflt, 2, 13);
-    assert_eq!(a, b, "sharded default ({}) diverged", dflt.shards());
-    assert_eq!(RoundEngine::metrics(&one), RoundEngine::metrics(&dflt));
-
     let mut one = PooledSimulator::with_shards(&g, config, 1);
     let mut dflt = PooledSimulator::new(&g, config);
-    let c = luby_mis(&mut one, 2, 13);
-    let d = luby_mis(&mut dflt, 2, 13);
-    assert_eq!(c, d, "pooled default ({}) diverged", dflt.shards());
+    let a = luby_mis(&mut one, 2, 13);
+    let b = luby_mis(&mut dflt, 2, 13);
+    assert_eq!(a, b, "pooled default ({}) diverged", dflt.shards());
     assert_eq!(RoundEngine::metrics(&one), RoundEngine::metrics(&dflt));
-    assert_eq!(a, c, "backends diverged from each other");
 
     let mut one = ProcessSimulator::with_shards(&g, config, 1);
     let mut dflt = ProcessSimulator::new(&g, config);
@@ -238,12 +219,12 @@ fn one_shard_matches_default_shards() {
     let f = luby_mis(&mut dflt, 2, 13);
     assert_eq!(e, f, "process default ({}) diverged", dflt.shards());
     assert_eq!(RoundEngine::metrics(&one), RoundEngine::metrics(&dflt));
-    assert_eq!(a, e, "process backend diverged from the others");
+    assert_eq!(a, e, "process backend diverged from the pooled one");
 }
 
 /// The full acceptance-scale check at a size where sharding matters:
 /// Luby MIS on a 20k-node random graph at 8 shards, bit-for-bit against
-/// the reference, on both backends.
+/// the reference, on both parallel backends.
 #[test]
 fn large_graph_luby_conformance() {
     let n = 20_000;
@@ -253,7 +234,6 @@ fn large_graph_luby_conformance() {
         5,
         Algorithm::LubyMis { k: 1 },
     );
-    assert_case_conformance(&ShardedFactory, &case, &[8]);
     assert_case_conformance(&PooledFactory, &case, &[8]);
     assert_case_conformance(&ProcessFactory, &case, &[8]);
     // And the reference output is a valid MIS of G (not just equal).

@@ -1,5 +1,5 @@
 //! The negative side of the engine contract: a deliberately misbehaving
-//! `RoundPhase` program must be rejected **identically on all four
+//! `RoundPhase` program must be rejected **identically on all three
 //! engines** — same panic, same message — so no backend silently
 //! tolerates an illegal node program another backend would reject. The
 //! multi-process backend steps nodes in the parent, so every contract
@@ -22,7 +22,7 @@
 
 use powersparse_congest::engine::{RoundEngine, RoundPhase};
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_engine::{PooledSimulator, ProcessSimulator, ShardedSimulator};
+use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::{generators, NodeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -65,9 +65,9 @@ fn misbehavior_message<E: RoundEngine>(eng: &mut E, mis: Misbehavior) -> String 
 }
 
 /// Asserts that the misbehavior panics with the same message on the
-/// sequential, sharded, pooled and process engines (several shard
-/// counts, so the offending node lands both on the coordinator's shard
-/// and on helper threads / forked children).
+/// sequential, pooled and process engines (several shard counts, so the
+/// offending node lands both on the coordinator's shard and on helper
+/// threads / forked children).
 fn assert_identical_rejection(mis: Misbehavior, expected_fragment: &str) {
     let g = generators::path(4);
     let config = SimConfig::for_graph(&g);
@@ -77,10 +77,6 @@ fn assert_identical_rejection(mis: Misbehavior, expected_fragment: &str) {
         misbehavior_message(&mut Simulator::new(&g, config), mis),
     ));
     for shards in [1usize, 2, 4] {
-        messages.push((
-            format!("sharded{shards}"),
-            misbehavior_message(&mut ShardedSimulator::with_shards(&g, config, shards), mis),
-        ));
         messages.push((
             format!("pooled{shards}"),
             misbehavior_message(&mut PooledSimulator::with_shards(&g, config, shards), mis),
@@ -129,7 +125,7 @@ fn wrong_state_length_rejected_identically() {
 /// Querying per-edge traffic on an engine built without
 /// `MetricsConfig::per_edge` (the default) is rejected with the
 /// documented "per-edge accounting is disabled" panic — identically on
-/// all four engines, for both accessors, even after traffic flowed.
+/// all three engines, for both accessors, even after traffic flowed.
 #[test]
 fn per_edge_query_without_accounting_rejected_identically() {
     fn query_panic<E: RoundEngine>(eng: &mut E, bits: bool) -> String {
@@ -166,7 +162,6 @@ fn per_edge_query_without_accounting_rejected_identically() {
     for bits in [false, true] {
         let msgs = [
             query_panic(&mut Simulator::new(&g, config), bits),
-            query_panic(&mut ShardedSimulator::with_shards(&g, config, 2), bits),
             query_panic(&mut PooledSimulator::with_shards(&g, config, 2), bits),
             query_panic(&mut ProcessSimulator::with_shards(&g, config, 2), bits),
         ];
@@ -175,13 +170,12 @@ fn per_edge_query_without_accounting_rejected_identically() {
             "unexpected panic message `{}`",
             msgs[0]
         );
-        assert_eq!(msgs[0], msgs[1], "sharded rejected differently");
-        assert_eq!(msgs[0], msgs[2], "pooled rejected differently");
-        assert_eq!(msgs[0], msgs[3], "process rejected differently");
+        assert_eq!(msgs[0], msgs[1], "pooled rejected differently");
+        assert_eq!(msgs[0], msgs[2], "process rejected differently");
     }
 }
 
-/// With accounting enabled, the same query succeeds on all four
+/// With accounting enabled, the same query succeeds on all three
 /// engines and agrees — the positive control for the rejection above.
 #[test]
 fn per_edge_query_with_accounting_succeeds() {
@@ -204,10 +198,6 @@ fn per_edge_query_with_accounting_succeeds() {
     }
     let want = traffic(&mut Simulator::new(&g, config));
     assert_eq!(want, (1, 4));
-    assert_eq!(
-        want,
-        traffic(&mut ShardedSimulator::with_shards(&g, config, 2))
-    );
     assert_eq!(
         want,
         traffic(&mut PooledSimulator::with_shards(&g, config, 2))
@@ -237,12 +227,10 @@ fn settle_rejects_wrong_state_length_identically() {
     let config = SimConfig::for_graph(&g);
     let msgs = [
         settle_panic(&mut Simulator::new(&g, config)),
-        settle_panic(&mut ShardedSimulator::with_shards(&g, config, 2)),
         settle_panic(&mut PooledSimulator::with_shards(&g, config, 2)),
         settle_panic(&mut ProcessSimulator::with_shards(&g, config, 2)),
     ];
     assert!(msgs[0].contains("state slice"), "{}", msgs[0]);
     assert_eq!(msgs[0], msgs[1]);
     assert_eq!(msgs[0], msgs[2]);
-    assert_eq!(msgs[0], msgs[3]);
 }

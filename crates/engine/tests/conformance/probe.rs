@@ -8,16 +8,16 @@
 //!   `(round, active_edges, dirty_nodes, messages, bits)`,
 //! * identical [`PhaseObs`] sequences, and
 //! * per-shard splice volumes that sum to the round's message count —
-//!   with the *whole* splice vector equal between the sharded, pooled
-//!   and process backends at the same shard count (they shard
-//!   identically; the process backend reports splice volumes from its
-//!   children's `Deliveries` frame counts).
+//!   with the *whole* splice vector equal between the pooled and
+//!   process backends at the same shard count (they shard identically;
+//!   the process backend reports splice volumes from its children's
+//!   `Deliveries` frame counts).
 
 use crate::harness::{case_config, full_matrix, Case, SHARD_GRID};
 use powersparse_congest::engine::RoundEngine;
 use powersparse_congest::probe::{PhaseObs, TraceProbe};
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_engine::{PooledSimulator, ProcessSimulator, ShardedSimulator};
+use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::generators;
 use proptest::prelude::*;
 
@@ -70,17 +70,6 @@ fn traces_agree_across_engines_at_all_shard_counts() {
         let (want_out, want, rounds) = traced_reference(case, config);
         assert_trace_well_formed(&want, rounds, case.name);
         for &shards in &SHARD_GRID {
-            let mut sh =
-                ShardedSimulator::with_probe(&case.graph, config, shards, TraceProbe::new());
-            let sh_out = case.algorithm.run(&case.graph, &mut sh, case.seed);
-            assert_eq!(
-                sh_out, want_out,
-                "{}: sharded output at {shards}",
-                case.name
-            );
-            assert_eq!(sh.metrics().rounds, rounds);
-            let sh_trace = sh.into_probe();
-
             let mut po =
                 PooledSimulator::with_probe(&case.graph, config, shards, TraceProbe::new());
             let po_out = case.algorithm.run(&case.graph, &mut po, case.seed);
@@ -99,11 +88,7 @@ fn traces_agree_across_engines_at_all_shard_counts() {
             assert_eq!(RoundEngine::metrics(&pr).rounds, rounds);
             let pr_trace = pr.into_probe();
 
-            for (label, trace) in [
-                ("sharded", &sh_trace),
-                ("pooled", &po_trace),
-                ("process", &pr_trace),
-            ] {
+            for (label, trace) in [("pooled", &po_trace), ("process", &pr_trace)] {
                 assert_trace_well_formed(trace, rounds, label);
                 assert_eq!(
                     trace.cores(),
@@ -117,17 +102,12 @@ fn traces_agree_across_engines_at_all_shard_counts() {
                     case.name
                 );
             }
-            // All parallel backends shard identically, so even the
+            // Both parallel backends shard identically, so even the
             // backend-shaped splice vectors must agree whole — the
             // process backend's come back over the wire.
             assert_eq!(
-                sh_trace, po_trace,
+                po_trace, pr_trace,
                 "{}: full traces (incl. splice volumes) diverged at {shards} shards",
-                case.name
-            );
-            assert_eq!(
-                sh_trace, pr_trace,
-                "{}: process trace (incl. splice volumes) diverged at {shards} shards",
                 case.name
             );
         }
@@ -148,9 +128,6 @@ fn quiet_rounds_fire_zeroed_observations_in_order() {
         traces.push(seq.into_probe());
     }
     for shards in [1usize, 2] {
-        let mut sh = ShardedSimulator::with_probe(&g, config, shards, TraceProbe::new());
-        drive(&mut sh);
-        traces.push(sh.into_probe());
         let mut po = PooledSimulator::with_probe(&g, config, shards, TraceProbe::new());
         drive(&mut po);
         traces.push(po.into_probe());
@@ -209,11 +186,6 @@ proptest! {
         let (_, want, rounds) = traced_reference(&case, config);
         assert_trace_well_formed(&want, rounds, "sequential");
         for shards in [2usize, 5] {
-            let mut sh = ShardedSimulator::with_probe(&case.graph, config, shards, TraceProbe::new());
-            case.algorithm.run(&case.graph, &mut sh, case.seed);
-            let r = sh.metrics().rounds;
-            prop_assert_eq!(r, rounds);
-            assert_trace_well_formed(&sh.into_probe(), r, "sharded");
             let mut po = PooledSimulator::with_probe(&case.graph, config, shards, TraceProbe::new());
             case.algorithm.run(&case.graph, &mut po, case.seed);
             let r = RoundEngine::metrics(&po).rounds;

@@ -4,19 +4,16 @@
 //! the direct descendants of the PR 1–3 parity property tests, now
 //! phrased once and instantiated per backend.
 
-use crate::harness::{
-    assert_case_conformance, Algorithm, Case, PooledFactory, ProcessFactory, ShardedFactory,
-};
+use crate::harness::{assert_case_conformance, Algorithm, Case, PooledFactory, ProcessFactory};
 use powersparse_graphs::generators;
 use proptest::prelude::*;
 
-/// Every backend: the thread engines at an inline and a non-divisor
-/// shard count each, the process engine at one parallel count (forking
-/// is the expensive part; the deterministic matrix already sweeps its
-/// full 1/2/4/8 grid).
+/// Every backend: the pooled engine inline and at 2, 3 and 5 shards,
+/// the process engine at one parallel count (forking is the expensive
+/// part; the deterministic matrix already sweeps its full 1/2/4/8
+/// grid).
 fn all_backends(case: &Case) {
-    assert_case_conformance(&ShardedFactory, case, &[1, 3]);
-    assert_case_conformance(&PooledFactory, case, &[2, 5]);
+    assert_case_conformance(&PooledFactory, case, &[1, 2, 3, 5]);
     assert_case_conformance(&ProcessFactory, case, &[2]);
 }
 

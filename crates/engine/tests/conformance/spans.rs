@@ -8,9 +8,9 @@
 //! * `step`/`transfer` vectors of length = shard count (the sequential
 //!   engine is its own single shard), `barrier` present exactly on the
 //!   parallel backends, and all vectors empty on charged rounds —
-//!   identical between the sharded, pooled and process backends at the
-//!   same shard count (the process backend's transfer timings come from
-//!   its children's `RoundStats` frames);
+//!   identical between the pooled and process backends at the same
+//!   shard count (the process backend's transfer timings come from its
+//!   children's `RoundStats` frames);
 //! * the per-shard `arena_cells` gauge sums to the same engine-invariant
 //!   transfer-start footprint on every backend at every shard count.
 
@@ -18,7 +18,7 @@ use crate::harness::{case_config, full_matrix, Case, SHARD_GRID};
 use powersparse_congest::engine::RoundEngine;
 use powersparse_congest::probe::{probe_vec, NoProbe, Probe, RoundSpans, SpanProbe};
 use powersparse_congest::sim::Simulator;
-use powersparse_engine::{PooledSimulator, ProcessSimulator, ShardedSimulator};
+use powersparse_engine::{PooledSimulator, ProcessSimulator};
 
 /// The matrix slice the span sweep runs (one case per algorithm family
 /// with nontrivial round structure — quiet transfer rounds, charged
@@ -93,17 +93,6 @@ fn span_structure_is_engine_invariant_at_all_shard_counts() {
         );
         let skeleton = span_skeleton(&want);
         for &shards in &SHARD_GRID {
-            let mut sh =
-                ShardedSimulator::with_probe(&case.graph, config, shards, SpanProbe::new());
-            let sh_out = case.algorithm.run(&case.graph, &mut sh, case.seed);
-            assert_eq!(
-                sh_out, want_out,
-                "{}: sharded output at {shards}",
-                case.name
-            );
-            assert_eq!(sh.metrics().rounds, rounds);
-            let sh_probe = sh.into_probe();
-
             let mut po = PooledSimulator::with_probe(&case.graph, config, shards, SpanProbe::new());
             let po_out = case.algorithm.run(&case.graph, &mut po, case.seed);
             assert_eq!(po_out, want_out, "{}: pooled output at {shards}", case.name);
@@ -121,11 +110,7 @@ fn span_structure_is_engine_invariant_at_all_shard_counts() {
             assert_eq!(RoundEngine::metrics(&pr).rounds, rounds);
             let pr_probe = pr.into_probe();
 
-            for (label, probe) in [
-                ("sharded", &sh_probe),
-                ("pooled", &po_probe),
-                ("process", &pr_probe),
-            ] {
+            for (label, probe) in [("pooled", &po_probe), ("process", &pr_probe)] {
                 assert_spans_well_formed(probe, rounds, shards, label);
                 // Parallel engines report a barrier span per shard on
                 // every executed round.
@@ -147,20 +132,14 @@ fn span_structure_is_engine_invariant_at_all_shard_counts() {
                     case.name
                 );
             }
-            // All parallel backends shard identically, so the whole
+            // Both parallel backends shard identically, so the whole
             // span structure must agree at the same shard count —
             // thread barriers and wire barriers included.
-            let sh_structure: Vec<_> = sh_probe.spans.iter().map(RoundSpans::structure).collect();
             let po_structure: Vec<_> = po_probe.spans.iter().map(RoundSpans::structure).collect();
             let pr_structure: Vec<_> = pr_probe.spans.iter().map(RoundSpans::structure).collect();
             assert_eq!(
-                sh_structure, po_structure,
+                po_structure, pr_structure,
                 "{}: span structures diverged at {shards} shards",
-                case.name
-            );
-            assert_eq!(
-                sh_structure, pr_structure,
-                "{}: process span structure diverged at {shards} shards",
                 case.name
             );
         }

@@ -25,6 +25,7 @@ use powersparse_engine::{
 };
 use powersparse_graphs::{generators, NodeId};
 use std::io::{Read, Write};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -499,6 +500,46 @@ fn forking_while_other_threads_panic_never_wedges_a_child() {
         "a shard child wedged while another thread panicked"
     );
     assert!(start.elapsed() < Duration::from_secs(10));
+}
+
+/// A shard child closes every inherited descriptor above stderr except
+/// its own socket, however high it is numbered: a socket end the parent
+/// parked at fd ≥ 5000 must not be open in a freshly forked child, or
+/// its peer would not see EOF for as long as that child lives.
+#[test]
+fn shard_children_close_high_numbered_inherited_descriptors() {
+    const HIGH_FD: i32 = 5000;
+    const F_DUPFD: i32 = 0;
+    extern "C" {
+        fn fcntl(fd: i32, cmd: i32, ...) -> i32;
+        fn close(fd: i32) -> i32;
+    }
+    // `F_DUPFD` needs a soft open-file limit above the target number.
+    let soft_limit = std::fs::read_to_string("/proc/self/limits")
+        .ok()
+        .and_then(|limits| {
+            let line = limits.lines().find(|l| l.starts_with("Max open files"))?;
+            line.split_whitespace().nth(3)?.parse::<u64>().ok()
+        });
+    if matches!(soft_limit, Some(limit) if limit <= HIGH_FD as u64) {
+        eprintln!("skipped: open-file limit {soft_limit:?} is at most {HIGH_FD}");
+        return;
+    }
+    let (a, _b) = UnixStream::pair().unwrap();
+    // The lowest free descriptor at or above HIGH_FD.
+    // SAFETY: duplicates a descriptor `a` owns; the copy is closed below.
+    let high = unsafe { fcntl(a.as_raw_fd(), F_DUPFD, HIGH_FD) };
+    assert!(high >= HIGH_FD, "F_DUPFD failed: {high}");
+    assert!(std::path::Path::new(&format!("/proc/self/fd/{high}")).exists());
+    let g = generators::path(8);
+    let eng = ProcessSimulator::with_shards(&g, SimConfig::for_graph(&g), 2);
+    // Construction waits for every child's `Hello`, which each child
+    // sends only after closing its inherited descriptors.
+    let leaked = std::path::Path::new(&format!("/proc/{}/fd/{high}", eng.child_pid(0))).exists();
+    drop(eng);
+    // SAFETY: `high` is the duplicate made above, owned by no object.
+    unsafe { close(high) };
+    assert!(!leaked, "shard child inherited the parent's fd {high}");
 }
 
 /// Positive control: a pass-through `FaultyTransport` that never

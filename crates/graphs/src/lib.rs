@@ -19,7 +19,7 @@
 //! * [`subgraph`] — induced subgraphs, connected components, and
 //!   `k`-connected components (components of `G^k[X]`).
 //! * [`partition`] — contiguous, load-balanced node-range partitions of
-//!   CSR graphs for the sharded round engine (`powersparse-engine`).
+//!   CSR graphs for the parallel round engines (`powersparse-engine`).
 //! * [`check`] — validity checkers for independence, domination,
 //!   `(α, β)`-ruling sets, MIS of `G^k`, colorings, and network
 //!   decompositions. Tests and benches *never* trust an algorithm's output

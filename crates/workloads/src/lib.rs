@@ -49,7 +49,7 @@
 //! let sc = Scenario::new(GraphFamily::Torus { rows: 6, cols: 6 })
 //!     .k(2)
 //!     .seed(7)
-//!     .sharded(2);
+//!     .pooled(2);
 //! let record = run_scenario(&sc).unwrap();
 //! assert!(record.validation.passed, "{}", record.validation.detail);
 //!

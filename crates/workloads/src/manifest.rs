@@ -340,7 +340,8 @@ pub struct RunRecord {
     pub seed: u64,
     /// Algorithm identifier.
     pub algorithm: String,
-    /// Engine identifier (`sequential` / `sharded`).
+    /// Engine identifier (`sequential`, `pooled` or `process`; archived
+    /// manifests may carry a retired one such as `sharded`).
     pub engine: String,
     /// Worker count (1 for sequential).
     pub shards: u64,

@@ -20,7 +20,7 @@ use powersparse_congest::engine::{Metrics, RoundEngine};
 use powersparse_congest::probe::{NoProbe, RecoveryObs, SpanProbe, TraceProbe};
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{
-    FaultPlan, PooledSimulator, ProcessOptions, ProcessSimulator, RecoveryPolicy, ShardedSimulator,
+    FaultPlan, PooledSimulator, ProcessOptions, ProcessSimulator, RecoveryPolicy,
 };
 use powersparse_graphs::{check, generators, power, Graph, NodeId};
 use std::time::{Duration, Instant};
@@ -207,12 +207,6 @@ fn execute(
             let m = sim.metrics().clone();
             Ok((out, m))
         }
-        EngineSpec::Sharded { shards } => {
-            let mut sim = ShardedSimulator::with_shards(g, config, shards);
-            let out = run_generic(&mut sim, sc)?;
-            let m = RoundEngine::metrics(&sim).clone();
-            Ok((out, m))
-        }
         EngineSpec::Pooled { shards } => {
             let mut sim = PooledSimulator::with_shards(g, config, shards);
             let out = run_generic(&mut sim, sc)?;
@@ -245,11 +239,6 @@ fn execute_traced(
     let trace = match sc.engine {
         EngineSpec::Sequential => {
             let mut sim = Simulator::with_probe(g, config, TraceProbe::new());
-            run_generic(&mut sim, sc)?;
-            sim.into_probe()
-        }
-        EngineSpec::Sharded { shards } => {
-            let mut sim = ShardedSimulator::with_probe(g, config, shards, TraceProbe::new());
             run_generic(&mut sim, sc)?;
             sim.into_probe()
         }
@@ -291,11 +280,6 @@ pub fn execute_spanned(g: &Graph, config: SimConfig, sc: &Scenario) -> Result<Sp
     match sc.engine {
         EngineSpec::Sequential => {
             let mut sim = Simulator::with_probe(g, config, SpanProbe::new());
-            run_generic(&mut sim, sc)?;
-            Ok(sim.into_probe())
-        }
-        EngineSpec::Sharded { shards } => {
-            let mut sim = ShardedSimulator::with_probe(g, config, shards, SpanProbe::new());
             run_generic(&mut sim, sc)?;
             Ok(sim.into_probe())
         }
@@ -770,38 +754,38 @@ mod tests {
     }
 
     #[test]
-    fn formerly_rejected_combinations_now_run_sharded() {
+    fn formerly_rejected_combinations_now_run_pooled() {
         // Before the PR-3 port these scenario × engine pairs were spec
-        // errors; now they execute on the sharded engine and validate.
+        // errors; now they execute on the pooled engine and validate.
         for sc in [
             Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
                 .algorithm(AlgorithmSpec::DetRulingK2)
-                .sharded(2),
+                .pooled(2),
             Scenario::new(GraphFamily::Gnp {
                 n: 72,
                 avg_deg: 6.0,
             })
             .seed(9)
             .algorithm(AlgorithmSpec::BetaRulingSet { beta: 2 })
-            .sharded(3),
+            .pooled(3),
             Scenario::new(GraphFamily::Gnp {
                 n: 64,
                 avg_deg: 5.0,
             })
             .seed(4)
             .algorithm(AlgorithmSpec::BeepingMis)
-            .sharded(4),
+            .pooled(4),
             Scenario::new(GraphFamily::Gnp {
                 n: 64,
                 avg_deg: 5.0,
             })
             .seed(8)
             .algorithm(AlgorithmSpec::ShatterMis { two_phase: false })
-            .sharded(2),
+            .pooled(2),
             Scenario::new(GraphFamily::Torus { rows: 6, cols: 6 })
                 .k(2)
                 .algorithm(AlgorithmSpec::PowerNd)
-                .sharded(2),
+                .pooled(2),
         ] {
             let rec = run_scenario(&sc).unwrap();
             assert!(
@@ -809,7 +793,7 @@ mod tests {
                 "{}: {}",
                 rec.name, rec.validation.detail
             );
-            assert_eq!(rec.engine, "sharded");
+            assert_eq!(rec.engine, "pooled");
         }
     }
 
@@ -826,7 +810,7 @@ mod tests {
 
     #[test]
     fn spec_errors_are_reported() {
-        let sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 }).sharded(0);
+        let sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 }).pooled(0);
         assert!(run_scenario(&sc).is_err());
         let mut sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 });
         sc.k = 0;
@@ -844,8 +828,8 @@ mod tests {
         .seed(9);
         let seq = run_scenario(&base.clone().sequential()).unwrap();
         for par in [
-            run_scenario(&base.clone().sharded(3)).unwrap(),
-            run_scenario(&base.pooled(3)).unwrap(),
+            run_scenario(&base.clone().pooled(3)).unwrap(),
+            run_scenario(&base.process(3)).unwrap(),
         ] {
             assert!(seq.validation.passed && par.validation.passed);
             assert_eq!(seq.rounds, par.rounds, "{}", par.name);

@@ -266,12 +266,6 @@ impl Default for RecoverySpec {
 pub enum EngineSpec {
     /// The sequential reference `Simulator`.
     Sequential,
-    /// The sharded data-parallel `ShardedSimulator` (scoped thread
-    /// scatters per round).
-    Sharded {
-        /// Worker/shard count.
-        shards: usize,
-    },
     /// The persistent worker-pool `PooledSimulator` (epoch barrier,
     /// batched transfer).
     Pooled {
@@ -291,7 +285,6 @@ impl EngineSpec {
     pub fn id(&self) -> &'static str {
         match self {
             Self::Sequential => "sequential",
-            Self::Sharded { .. } => "sharded",
             Self::Pooled { .. } => "pooled",
             Self::Process { .. } => "process",
         }
@@ -301,9 +294,7 @@ impl EngineSpec {
     pub fn shards(&self) -> usize {
         match self {
             Self::Sequential => 1,
-            Self::Sharded { shards } | Self::Pooled { shards } | Self::Process { shards } => {
-                *shards
-            }
+            Self::Pooled { shards } | Self::Process { shards } => *shards,
         }
     }
 }
@@ -371,12 +362,6 @@ impl Scenario {
         self
     }
 
-    /// Runs on the sharded engine with `shards` workers.
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.engine = EngineSpec::Sharded { shards };
-        self
-    }
-
     /// Runs on the persistent-pool engine with `shards` workers.
     pub fn pooled(mut self, shards: usize) -> Self {
         self.engine = EngineSpec::Pooled { shards };
@@ -418,7 +403,7 @@ impl Scenario {
     }
 
     /// Canonical run name, e.g.
-    /// `power_law(n=300,attach=3)/k2/luby_mis/sharded4`; a shaped or
+    /// `power_law(n=300,attach=3)/k2/luby_mis/pooled4`; a shaped or
     /// TCP wire is part of the identity, e.g.
     /// `.../process2+tcp+net(lat=200us,bw=0,jit=0)`. A [`RecoverySpec`]
     /// is deliberately **not** — recovery cannot move any compared
@@ -433,9 +418,8 @@ impl Scenario {
             self.engine.id(),
             match self.engine {
                 EngineSpec::Sequential => String::new(),
-                EngineSpec::Sharded { shards }
-                | EngineSpec::Pooled { shards }
-                | EngineSpec::Process { shards } => shards.to_string(),
+                EngineSpec::Pooled { shards } | EngineSpec::Process { shards } =>
+                    shards.to_string(),
             }
         );
         if self.tcp {
@@ -495,7 +479,7 @@ pub enum SuiteProfile {
     Full,
 }
 
-/// The curated built-in scenario suite: every graph family, all four
+/// The curated built-in scenario suite: every graph family, all three
 /// engines, all four algorithm classes. The smoke profile is the one CI
 /// runs on every PR; the full profile scales sizes up for the
 /// `BENCH_*.json` trajectory.
@@ -505,7 +489,7 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
         SuiteProfile::Smoke => 1,
         SuiteProfile::Full => 8,
     };
-    let sharded = match profile {
+    let shards = match profile {
         SuiteProfile::Smoke => 4,
         SuiteProfile::Full => 8,
     };
@@ -562,20 +546,20 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
     };
     vec![
         // MIS across every family, alternating/pairing engines so each
-        // family and all four engine backends appear.
+        // family and all three engine backends appear.
         Scenario::new(gnp.clone()).seed(42),
-        Scenario::new(gnp.clone()).seed(42).sharded(sharded),
+        Scenario::new(gnp.clone()).seed(42).pooled(shards),
         Scenario::new(gnp.clone()).seed(42).process(2),
         Scenario::new(power_law.clone()).k(2).seed(7),
-        Scenario::new(power_law).k(2).seed(7).pooled(sharded),
+        Scenario::new(power_law).k(2).seed(7).pooled(shards),
         Scenario::new(geometric.clone()).seed(3),
         Scenario::new(geometric).seed(3).pooled(2),
-        Scenario::new(hyperbolic).seed(17).pooled(sharded),
-        Scenario::new(grid.clone()).k(2).sharded(sharded),
+        Scenario::new(hyperbolic).seed(17).pooled(shards),
+        Scenario::new(grid.clone()).k(2).pooled(shards),
         Scenario::new(caterpillar).k(2),
-        Scenario::new(broom).sharded(2),
-        Scenario::new(cluster.clone()).k(2).sharded(sharded),
-        Scenario::new(planted).seed(23).sharded(sharded),
+        Scenario::new(broom).pooled(2),
+        Scenario::new(cluster.clone()).k(2).pooled(shards),
+        Scenario::new(planted).seed(23).pooled(shards),
         // Sparsification (Lemma 3.1) on structured topologies, both
         // engines.
         Scenario::new(torus.clone()).algorithm(Sparsify {
@@ -585,7 +569,7 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
             .algorithm(Sparsify {
                 derandomized: false,
             })
-            .pooled(sharded),
+            .pooled(shards),
         Scenario::new(torus.clone())
             .algorithm(Sparsify {
                 derandomized: false,
@@ -606,16 +590,16 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
             .k(2)
             .seed(11)
             .algorithm(BeepingMis)
-            .pooled(sharded),
+            .pooled(shards),
         // The shattering MIS pipeline (Theorems 1.2/1.4), both
-        // post-shattering variants, sharded.
+        // post-shattering variants.
         Scenario::new(GraphFamily::Gnp {
             n: 96 * s,
             avg_deg: 6.0,
         })
         .seed(13)
         .algorithm(ShatterMis { two_phase: false })
-        .sharded(sharded),
+        .pooled(shards),
         Scenario::new(cluster)
             .k(2)
             .seed(13)
@@ -633,7 +617,7 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
         })
         .seed(5)
         .algorithm(BetaRulingSet { beta: 3 })
-        .pooled(sharded),
+        .pooled(shards),
         Scenario::new(GraphFamily::Grid {
             rows: 10,
             cols: 10 * s,
@@ -654,7 +638,7 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
             legs: 3,
         })
         .algorithm(PowerNd)
-        .sharded(sharded),
+        .pooled(shards),
     ]
 }
 
@@ -713,7 +697,7 @@ impl std::error::Error for SpecError {}
 ///                        # shatter_mis_two_phase | sparsify |
 ///                        # sparsify_derandomized | beta_ruling |
 ///                        # det_ruling_k2 | power_nd
-/// engine = "sharded"     # sequential | sharded | pooled | process
+/// engine = "pooled"      # sequential | pooled | process
 /// shards = 4
 ///
 /// [[scenario]]
@@ -1128,9 +1112,6 @@ fn scenario_from_kv(
     };
     let engine = match b.str_or("engine", "sequential")?.as_str() {
         "sequential" => EngineSpec::Sequential,
-        "sharded" => EngineSpec::Sharded {
-            shards: b.usize_or("shards", 4)?,
-        },
         "pooled" => EngineSpec::Pooled {
             shards: b.usize_or("shards", 4)?,
         },
@@ -1140,7 +1121,7 @@ fn scenario_from_kv(
         other => {
             return Err(SpecError {
                 line,
-                message: format!("unknown engine `{other}`"),
+                message: format!("unknown engine `{other}` (expected sequential|pooled|process)"),
             })
         }
     };
@@ -1170,8 +1151,8 @@ mod tests {
         let sc = Scenario::new(GraphFamily::PowerLaw { n: 300, attach: 3 })
             .k(2)
             .seed(7)
-            .sharded(4);
-        assert_eq!(sc.name(), "power_law(n=300,attach=3)/k2/luby_mis/sharded4");
+            .pooled(4);
+        assert_eq!(sc.name(), "power_law(n=300,attach=3)/k2/luby_mis/pooled4");
         assert!(sc.validate_spec().is_ok());
         let sc = sc.sequential().algorithm(AlgorithmSpec::DetRulingK2);
         assert_eq!(
@@ -1199,7 +1180,7 @@ mod tests {
                 Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 }).algorithm(algorithm.clone()),
                 Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 })
                     .algorithm(algorithm.clone())
-                    .sharded(2),
+                    .pooled(2),
             ] {
                 assert!(sc.validate_spec().is_ok(), "{} rejected", sc.name());
             }
@@ -1217,7 +1198,7 @@ attach = 3
 k = 2
 seed = 7
 algorithm = "luby_mis"
-engine = "sharded"
+engine = "pooled"
 shards = 4
 
 [[scenario]]
@@ -1233,7 +1214,7 @@ algorithm = "sparsify"   # randomized
             Scenario::new(GraphFamily::PowerLaw { n: 300, attach: 3 })
                 .k(2)
                 .seed(7)
-                .sharded(4)
+                .pooled(4)
         );
         assert_eq!(
             suite[1],
@@ -1286,16 +1267,31 @@ algorithm = "sparsify"   # randomized
     }
 
     #[test]
-    fn formerly_sequential_only_specs_now_parse_sharded() {
+    fn unknown_engine_is_a_located_spec_error() {
+        // The retired `sharded` backend is an unknown engine like any
+        // other: reported at its block's line, with the valid names.
+        let err = parse_suite(
+            "[[scenario]]\nfamily = \"grid\"\nrows = 3\ncols = 3\n\n\
+             [[scenario]]\nfamily = \"grid\"\nrows = 3\ncols = 3\n\
+             engine = \"sharded\"\nshards = 4\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 6, "{err}");
+        assert!(err.message.contains("`sharded`"), "{err}");
+        assert!(err.message.contains("pooled"), "{err}");
+    }
+
+    #[test]
+    fn formerly_sequential_only_specs_now_parse_pooled() {
         // These spec files were rejected before the PR-3 port; they are
         // valid scenarios now.
         let suite = parse_suite(
             "[[scenario]]\nfamily = \"grid\"\nrows = 3\ncols = 3\n\
-             algorithm = \"det_ruling_k2\"\nengine = \"sharded\"\n\n\
+             algorithm = \"det_ruling_k2\"\nengine = \"pooled\"\n\n\
              [[scenario]]\nfamily = \"grid\"\nrows = 3\ncols = 3\n\
-             algorithm = \"shatter_mis\"\ntwo_phase = true\nengine = \"sharded\"\nshards = 8\n\n\
+             algorithm = \"shatter_mis\"\ntwo_phase = true\nengine = \"pooled\"\nshards = 8\n\n\
              [[scenario]]\nfamily = \"torus\"\nrows = 4\ncols = 4\n\
-             algorithm = \"power_nd\"\nengine = \"sharded\"\n",
+             algorithm = \"power_nd\"\nengine = \"pooled\"\n",
         )
         .unwrap();
         assert_eq!(suite.len(), 3);
@@ -1320,7 +1316,7 @@ algorithm = "sparsify"   # randomized
             suite[1].algorithm,
             AlgorithmSpec::ShatterMis { two_phase: true }
         );
-        assert_eq!(suite[1].engine, EngineSpec::Sharded { shards: 8 });
+        assert_eq!(suite[1].engine, EngineSpec::Pooled { shards: 8 });
         assert_eq!(suite[2].algorithm, AlgorithmSpec::PowerNd);
     }
 
@@ -1378,9 +1374,6 @@ algorithm = "sparsify"   # randomized
             assert!(suite.iter().any(|s| s.engine == EngineSpec::Sequential));
             assert!(suite
                 .iter()
-                .any(|s| matches!(s.engine, EngineSpec::Sharded { .. })));
-            assert!(suite
-                .iter()
                 .any(|s| matches!(s.engine, EngineSpec::Pooled { .. })));
             assert!(suite
                 .iter()
@@ -1432,7 +1425,7 @@ algorithm = "sparsify"   # randomized
     fn wire_options_are_process_engine_only() {
         let shaped = parse_suite(
             "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"sharded\"\nnet = { latency_us = 10 }\n",
+             engine = \"pooled\"\nnet = { latency_us = 10 }\n",
         )
         .unwrap_err();
         assert!(shaped.message.contains("process engine"), "{shaped}");
@@ -1480,7 +1473,7 @@ algorithm = "sparsify"   # randomized
     fn recovery_spec_is_process_engine_only_and_validated() {
         let err = parse_suite(
             "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"sharded\"\nrecovery = {}\n",
+             engine = \"pooled\"\nrecovery = {}\n",
         )
         .unwrap_err();
         assert!(err.message.contains("process engine"), "{err}");
@@ -1542,7 +1535,7 @@ algorithm = "sparsify"   # randomized
         .unwrap();
         assert_eq!(suite[0].engine, EngineSpec::Pooled { shards: 3 });
         assert_eq!(suite[0].name(), "grid(4x4)/k1/luby_mis/pooled3");
-        // `shards` defaults like the sharded engine's.
+        // `shards` defaults like the process engine's.
         assert_eq!(suite[1].engine, EngineSpec::Pooled { shards: 4 });
         let sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 }).pooled(0);
         assert!(sc.validate_spec().is_err(), "zero shards must be rejected");

@@ -6,13 +6,13 @@
 //! * `peak_queue_depth` never exceeds the total delivered messages once
 //!   a phase has settled (every message counted in a queue snapshot is
 //!   eventually delivered on that edge).
-//! * On random scenarios (family × k × shards), the sharded, pooled
-//!   and multi-process backends produce **identical** `RunRecord`
-//!   counters — and all of them match the sequential reference.
+//! * On random scenarios (family × k × shards), the pooled and
+//!   multi-process backends produce **identical** `RunRecord` counters —
+//!   and both match the sequential reference.
 
 use powersparse_congest::engine::{RoundEngine, RoundPhase};
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_engine::{PooledSimulator, ProcessSimulator, ShardedSimulator};
+use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::generators;
 use powersparse_workloads::{run_scenario, AlgorithmSpec, GraphFamily, Scenario};
 use proptest::prelude::*;
@@ -58,7 +58,7 @@ fn pick_algorithm(pick: usize) -> AlgorithmSpec {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Random scenario, four backends: identical counters everywhere,
+    /// Random scenario, three backends: identical counters everywhere,
     /// and `peak_queue_depth ≤ messages` once settled.
     #[test]
     fn all_backend_metrics_identical_on_random_scenarios(
@@ -74,22 +74,19 @@ proptest! {
             .seed(seed)
             .algorithm(pick_algorithm(alg));
         let seq = run_scenario(&base.clone().sequential()).unwrap();
-        let sha = run_scenario(&base.clone().sharded(shards)).unwrap();
         let poo = run_scenario(&base.clone().pooled(shards)).unwrap();
         let pro = run_scenario(&base.clone().process(shards)).unwrap();
         prop_assert!(seq.validation.passed, "{}: {}", seq.name, seq.validation.detail);
         for (label, a, rest) in [
-            ("rounds", seq.rounds, [sha.rounds, poo.rounds, pro.rounds]),
-            ("charged_rounds", seq.charged_rounds,
-                [sha.charged_rounds, poo.charged_rounds, pro.charged_rounds]),
-            ("messages", seq.messages, [sha.messages, poo.messages, pro.messages]),
-            ("bits", seq.bits, [sha.bits, poo.bits, pro.bits]),
+            ("rounds", seq.rounds, [poo.rounds, pro.rounds]),
+            ("charged_rounds", seq.charged_rounds, [poo.charged_rounds, pro.charged_rounds]),
+            ("messages", seq.messages, [poo.messages, pro.messages]),
+            ("bits", seq.bits, [poo.bits, pro.bits]),
             ("peak_queue_depth", seq.peak_queue_depth,
-                [sha.peak_queue_depth, poo.peak_queue_depth, pro.peak_queue_depth]),
-            ("output_size", seq.output_size,
-                [sha.output_size, poo.output_size, pro.output_size]),
+                [poo.peak_queue_depth, pro.peak_queue_depth]),
+            ("output_size", seq.output_size, [poo.output_size, pro.output_size]),
         ] {
-            for (engine, b) in ["sharded", "pooled", "process"].iter().zip(rest) {
+            for (engine, b) in ["pooled", "process"].iter().zip(rest) {
                 prop_assert_eq!(
                     a, b,
                     "{}: {} diverged sequential vs {}", base.name(), label, engine
@@ -108,7 +105,7 @@ proptest! {
     /// re-runs (the engine contract makes an execution's prefix
     /// bit-reproducible): `messages`/`bits`/`peak_queue_depth` after
     /// `t + 1` rounds dominate those after `t` rounds, the whole trace
-    /// is identical across all four backends, and after the final
+    /// is identical across all three backends, and after the final
     /// settle the peak never exceeds the delivered-message total.
     #[test]
     fn per_round_counters_monotone_and_identical(
@@ -150,11 +147,9 @@ proptest! {
             }};
         }
         let seq_trace = prefix_trace!(Simulator::new(&g, config));
-        let sha_trace = prefix_trace!(ShardedSimulator::with_shards(&g, config, shards));
         let poo_trace = prefix_trace!(PooledSimulator::with_shards(&g, config, shards));
         let pro_trace = prefix_trace!(ProcessSimulator::with_shards(&g, config, shards));
 
-        prop_assert_eq!(&seq_trace, &sha_trace, "sharded per-round trace diverged");
         prop_assert_eq!(&seq_trace, &poo_trace, "pooled per-round trace diverged");
         prop_assert_eq!(&seq_trace, &pro_trace, "process per-round trace diverged");
         for w in seq_trace.windows(2) {

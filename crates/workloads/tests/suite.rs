@@ -75,8 +75,8 @@ fn smoke_suite_runs_validates_and_round_trips() {
     assert!(
         scenarios
             .iter()
-            .any(|s| matches!(s.engine, EngineSpec::Sharded { .. })),
-        "no sharded scenario"
+            .any(|s| matches!(s.engine, EngineSpec::Pooled { .. })),
+        "no pooled scenario"
     );
     // Scenario names are unique — a matrix with duplicates would
     // silently overwrite rows in downstream diff tooling.
@@ -138,7 +138,7 @@ fn every_family_is_engine_parity_clean() {
     ];
     for base in per_family {
         let seq = run_scenario(&base.clone().sequential()).unwrap();
-        let par = run_scenario(&base.clone().sharded(3)).unwrap();
+        let par = run_scenario(&base.clone().pooled(3)).unwrap();
         assert!(
             seq.validation.passed,
             "{}: {}",
@@ -171,7 +171,7 @@ fn same_seed_same_manifest_bytes_across_runs() {
     // identical scenario twice yields byte-identical manifest JSON (wall
     // clock aside — the only nondeterministic field).
     for sc in ported_algorithm_scenarios() {
-        for engined in [sc.clone().sequential(), sc.clone().sharded(4)] {
+        for engined in [sc.clone().sequential(), sc.clone().pooled(4)] {
             let a = run_scenario(&engined).unwrap();
             let b = run_scenario(&engined).unwrap();
             assert!(a.validation.passed, "{}: {}", a.name, a.validation.detail);
@@ -190,13 +190,13 @@ fn same_seed_same_manifest_bytes_across_runs() {
 #[test]
 fn same_seed_same_record_across_engines() {
     // The same seeded scenario on the sequential reference and on the
-    // sharded engine: once the engine coordinates (name/engine/shards)
+    // pooled engine: once the engine coordinates (name/engine/shards)
     // are aligned, the records serialize to identical JSON bytes —
     // outputs, validation detail (which embeds the output cardinality)
     // and every cost counter included.
     for sc in ported_algorithm_scenarios() {
         let seq = run_scenario(&sc.clone().sequential()).unwrap();
-        let par = run_scenario(&sc.clone().sharded(3)).unwrap();
+        let par = run_scenario(&sc.clone().pooled(3)).unwrap();
         assert!(
             seq.validation.passed,
             "{}: {}",
@@ -238,7 +238,7 @@ fn repeated_run_statistics_round_trip_exactly_through_json() {
     let sc = Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
         .k(2)
         .seed(3)
-        .sharded(2);
+        .pooled(2);
     let opts = RunOptions {
         repeat: Repeat {
             invocations: 3,
@@ -285,7 +285,7 @@ handle = 24
 bristles = 12
 k = 2
 seed = 5
-engine = "sharded"
+engine = "pooled"
 shards = 2
 
 [[scenario]]

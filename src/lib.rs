@@ -7,7 +7,7 @@
 //!   MIS, network decomposition),
 //! * [`powersparse_congest`] — the CONGEST model: the `RoundEngine` trait
 //!   and the sequential reference `Simulator`,
-//! * [`powersparse_engine`] — the sharded, data-parallel engine backend,
+//! * [`powersparse_engine`] — the pooled and multi-process engine backends,
 //! * [`powersparse_graphs`] — the graph substrate,
 //! * [`powersparse_kwise`] — k-wise independent hashing and derandomizers.
 
