@@ -1,12 +1,14 @@
-//! Regenerates every table and figure of the paper (experiment index:
-//! DESIGN.md §4) and runs the workload scenario suite. Usage:
+//! The paper's Figure 1 measurement and the front end of the workload
+//! scenario runner. The paper's tables are the `paper` suite profile
+//! (`builtin_suite(SuiteProfile::Paper)`, committed as
+//! `BENCH_paper.json`). Usage:
 //!
 //! ```text
-//! experiments [all|table1-det|table1-mis|table1-ruling|fig1|sparsify|shattering|nd|derand] [--scale S]
+//! experiments fig1
 //! experiments engines [--out MANIFEST.json] [--net SPEC]...
-//! experiments suite [--smoke] [--spec FILE.toml] [--out MANIFEST.json] [--force-engine ENGINE]
-//!                   [--net SPEC] [--chaos] [--chaos-seed S] [--chaos-kills N]
-//!                   [--chaos-corruptions N] [--repeats R] [--warmup W]
+//! experiments suite [--profile smoke|full|paper | --spec FILE.toml] --out MANIFEST.json
+//!                   [--force-engine ENGINE] [--net SPEC] [--chaos] [--chaos-seed S]
+//!                   [--chaos-kills N] [--chaos-corruptions N] [--repeats R] [--warmup W]
 //! experiments suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]
 //! experiments trend [DIR] [--out REPORT.json]
 //! experiments trace SCENARIO [--limit N] [--out FILE.json]
@@ -14,21 +16,22 @@
 //! experiments chaos SCENARIO [--seed S] [--kills N] [--corruptions N]
 //! ```
 //!
-//! Output is markdown; EXPERIMENTS.md archives a run. The `suite`
-//! subcommand additionally writes a structured JSON manifest (default
-//! `BENCH_suite.json`) for cross-run regression diffing, and exits
-//! nonzero if any run fails its validity checks; `--repeats R` times
-//! each scenario's run phase `R` times (plus `--warmup W` discarded
-//! invocations) and records mean/min/max/95%-CI wall statistics in the
-//! manifest. `engines --out` writes the engine-comparison table as a
-//! manifest too (`BENCH_engine.json` is the committed instance), and
-//! each `engines --net latency_us=N[,bandwidth_bytes_per_s=N]\
-//! [,jitter_seed=N]` adds shaped-process latency-scaling rows; `suite
-//! --net SPEC` shapes the wire of every process-engine scenario (pair
-//! it with `--force-engine process` for the shaped conformance gate).
-//! `trend` renders the cost trajectory across every `BENCH_*.json` in a
-//! directory, and `trace` runs one named builtin scenario with a round
-//! probe attached and prints the per-round activity table
+//! Output is markdown. `fig1` prints the per-edge load on Figure 1's
+//! bottleneck edge. The `suite` subcommand runs a builtin profile (full
+//! by default) or a spec file, writes a structured JSON manifest to
+//! `--out` for cross-run regression diffing, and exits nonzero if any
+//! run fails its validity checks; `--repeats R` times each scenario's
+//! run phase `R` times (plus `--warmup W` discarded invocations) and
+//! records mean/min/max/95%-CI wall statistics in the manifest.
+//! `engines --out` writes the engine-comparison table as a manifest too
+//! (`BENCH_engine.json` is the committed instance), and each `engines
+//! --net latency_us=N[,bandwidth_bytes_per_s=N][,jitter_seed=N]` adds
+//! shaped-process latency-scaling rows; `suite --net SPEC` shapes the
+//! wire of every process-engine scenario (pair it with `--force-engine
+//! process` for the shaped conformance gate). `trend` renders the cost
+//! trajectory across every `BENCH_*.json` in a directory, and `trace`
+//! runs one named builtin scenario (smoke, full or paper profile) with
+//! a round probe attached and prints the per-round activity table
 //! (round, active edges, dirty nodes, messages, bits) — `--out` exports
 //! the same rows as JSON. `profile` runs one scenario with the span
 //! probe attached and prints the per-stage × per-shard wall breakdown
@@ -44,13 +47,8 @@
 //! exits nonzero if the recovered counters drift from a clean reference
 //! run of the same scenario.
 
-use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering};
-use powersparse::nd::{diameter_bound, power_nd};
-use powersparse::ruling::{
-    beta_ruling_set, det_ruling_set_k2, id_ruling_set, ruling_set_with_balls,
-};
-use powersparse::sparsify::{sparsify_power, SamplingStrategy};
-use powersparse_bench::{bench_params, measure, row, standard_workloads};
+use powersparse::mis::luby_mis;
+use powersparse_bench::row;
 use powersparse_congest::primitives::{
     exchange_with_neighbors, extend_trees, init_knowledge_and_trees, q_broadcast, q_message,
 };
@@ -58,214 +56,25 @@ use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_graphs::{check, generators, power};
 use std::collections::BTreeMap;
 
+const USAGE: &str = "usage: experiments fig1|engines|suite|trend|trace|profile|chaos [ARGS]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = args.first().map(String::as_str).unwrap_or("all");
-    let scale: usize = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    match which {
-        "table1-det" => table1_det(scale),
-        "table1-mis" => table1_mis(scale),
-        "table1-ruling" => table1_ruling(scale),
-        "fig1" => fig1(),
-        "sparsify" => sparsify_exp(scale),
-        "shattering" => shattering_exp(scale),
-        "nd" => nd_exp(scale),
-        "derand" => derand_exp(),
-        "engines" => engines_cmd(&args[1..]),
-        "suite" => suite_cmd(&args[1..]),
-        "trend" => trend_cmd(&args[1..]),
-        "trace" => trace_cmd(&args[1..]),
-        "profile" => profile_cmd(&args[1..]),
-        "chaos" => chaos_cmd(&args[1..]),
-        "all" => {
-            table1_det(scale);
-            table1_mis(scale);
-            table1_ruling(scale);
-            fig1();
-            sparsify_exp(scale);
-            shattering_exp(scale);
-            nd_exp(scale);
-            derand_exp();
-            engines_exp(None, &[]);
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
+    match args.first().map(String::as_str) {
+        Some("fig1") => fig1(),
+        Some("engines") => engines_cmd(&args[1..]),
+        Some("suite") => suite_cmd(&args[1..]),
+        Some("trend") => trend_cmd(&args[1..]),
+        Some("trace") => trace_cmd(&args[1..]),
+        Some("profile") => profile_cmd(&args[1..]),
+        Some("chaos") => chaos_cmd(&args[1..]),
+        Some(other) => {
+            eprintln!("unknown experiment '{other}' ({USAGE})");
             std::process::exit(2);
         }
-    }
-}
-
-/// E1 — Table 1, deterministic ruling-set rows.
-fn table1_det(scale: usize) {
-    println!("\n## E1: Table 1 — deterministic ruling sets of G^k\n");
-    println!(
-        "{}",
-        row(&[
-            "graph",
-            "k",
-            "algorithm",
-            "guarantee",
-            "rounds",
-            "measured domination",
-            "|S|"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 7].map(String::from)));
-    let params = bench_params();
-    for w in standard_workloads(scale) {
-        let g = &w.graph;
-        for k in [1usize, 2, 3] {
-            // Corollary 6.2 with c = 2 and c = 3: O(k·c·n^{1/c}) rounds.
-            for c in [2u32, 3] {
-                let (rep, out) = measure(g, |sim| id_ruling_set(sim, k, c));
-                let members = generators::members(&out.ruling_set);
-                assert!(check::is_ruling_set(g, &members, k + 1, c as usize * k));
-                println!(
-                    "{}",
-                    row(&[
-                        w.name.clone(),
-                        k.to_string(),
-                        format!("Cor 6.2 (c={c})"),
-                        format!("(k+1,{}k)", c),
-                        rep.rounds.to_string(),
-                        measured_domination(g, &members).to_string(),
-                        members.len().to_string(),
-                    ])
-                );
-            }
-            // AGLP with IDs, base 2: (k+1, k·log n) in O(2k·log n).
-            let (rep, out) = measure(g, |sim| {
-                ruling_set_with_balls(sim, k, &vec![true; g.n()], None)
-            });
-            let members = generators::members(&out.ruling_set);
-            assert!(check::is_ruling_set(
-                g,
-                &members,
-                k + 1,
-                out.domination_bound
-            ));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    "AGLP (B=2, IDs)".into(),
-                    "(k+1,k·log n)".into(),
-                    rep.rounds.to_string(),
-                    measured_domination(g, &members).to_string(),
-                    members.len().to_string(),
-                ])
-            );
-            // NEW — Theorem 1.1: (k+1, k²) in polylog rounds.
-            let (rep, out) = measure(g, |sim| det_ruling_set_k2(sim, k, &params, 0));
-            assert!(check::is_ruling_set(g, &out.ruling_set, k + 1, k * k));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    "NEW Thm 1.1".into(),
-                    "(k+1,k²)".into(),
-                    rep.rounds.to_string(),
-                    measured_domination(g, &out.ruling_set).to_string(),
-                    out.ruling_set.len().to_string(),
-                ])
-            );
-        }
-    }
-}
-
-/// E2 — Table 1, randomized MIS rows: Luby on G^k vs Theorem 1.2.
-fn table1_mis(scale: usize) {
-    println!("\n## E2: Table 1 — randomized MIS of G^k\n");
-    println!(
-        "{}",
-        row(&["graph", "k", "algorithm", "rounds", "|MIS|"].map(String::from))
-    );
-    println!("{}", row(&["---"; 5].map(String::from)));
-    let params = bench_params();
-    for w in standard_workloads(scale) {
-        let g = &w.graph;
-        for k in [1usize, 2, 3] {
-            let (rep, mis) = measure(g, |sim| luby_mis(sim, k, 7));
-            assert!(check::is_mis_of_power(g, &generators::members(&mis), k));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    "Luby (Sec 8.1)".into(),
-                    rep.rounds.to_string(),
-                    mis.iter().filter(|&&b| b).count().to_string(),
-                ])
-            );
-            let (rep, mis) = measure(g, |sim| beeping_mis(sim, k, 7));
-            assert!(check::is_mis_of_power(g, &generators::members(&mis), k));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    "BeepingMIS [Gha17]+L8.2".into(),
-                    rep.rounds.to_string(),
-                    mis.iter().filter(|&&b| b).count().to_string(),
-                ])
-            );
-            let (rep, out) = measure(g, |sim| {
-                mis_power(sim, k, &params, 7, PostShattering::OnePhase).expect("mis")
-            });
-            let (mis, report) = out;
-            assert!(check::is_mis_of_power(g, &generators::members(&mis), k));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    format!(
-                        "NEW Thm 1.2 (undecided after pre: {})",
-                        report.undecided_after_pre
-                    ),
-                    rep.rounds.to_string(),
-                    mis.iter().filter(|&&b| b).count().to_string(),
-                ])
-            );
-        }
-    }
-}
-
-/// E3 — Table 1, randomized ruling-set rows (Corollary 1.3).
-fn table1_ruling(scale: usize) {
-    println!("\n## E3: Table 1 — randomized (k+1, kβ)-ruling sets (Cor 1.3)\n");
-    println!(
-        "{}",
-        row(&["graph", "k", "β", "rounds", "measured domination", "|S|"].map(String::from))
-    );
-    println!("{}", row(&["---"; 6].map(String::from)));
-    let params = bench_params();
-    for w in standard_workloads(scale) {
-        let g = &w.graph;
-        for k in [1usize, 2] {
-            for beta in [2usize, 3, 4] {
-                let (rep, rs) = measure(g, |sim| beta_ruling_set(sim, k, beta, &params, 5));
-                assert!(check::is_ruling_set(g, &rs, k + 1, k * beta));
-                println!(
-                    "{}",
-                    row(&[
-                        w.name.clone(),
-                        k.to_string(),
-                        beta.to_string(),
-                        rep.rounds.to_string(),
-                        measured_domination(g, &rs).to_string(),
-                        rs.len().to_string(),
-                    ])
-                );
-            }
+        None => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
         }
     }
 }
@@ -343,213 +152,6 @@ fn fig1() {
     println!(
         "q-message bits grow quadratically (ratio ≈ 4 when Δ̂ doubles) — Figure 1's Δ̂ vs Δ̂²/4."
     );
-}
-
-/// E5 — Lemma 3.1/5.1: sparsification guarantees and scaling.
-fn sparsify_exp(scale: usize) {
-    println!("\n## E5: Sparsification (Lemma 3.1) — bounds and scaling\n");
-    println!(
-        "{}",
-        row(&[
-            "graph",
-            "k",
-            "strategy",
-            "rounds",
-            "max d_k(v,Q)",
-            "bound 6·log n",
-            "domination",
-            "bound k²+k",
-            "|Q|"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 9].map(String::from)));
-    let params = bench_params();
-    for w in standard_workloads(scale) {
-        let g = &w.graph;
-        let n = g.n();
-        for k in [1usize, 2, 3] {
-            for (label, strat) in [
-                ("randomized", SamplingStrategy::Randomized { seed: 11 }),
-                ("derandomized", SamplingStrategy::SeedSearch),
-            ] {
-                let (rep, out) = measure(g, |sim| {
-                    sparsify_power(sim, k, &vec![true; n], &params, strat).expect("sparsify")
-                });
-                let q_members = generators::members(&out.q);
-                let maxdeg = power::max_q_degree(g, k, &out.q);
-                let dom = measured_domination(g, &q_members);
-                println!(
-                    "{}",
-                    row(&[
-                        w.name.clone(),
-                        k.to_string(),
-                        label.into(),
-                        rep.rounds.to_string(),
-                        maxdeg.to_string(),
-                        params.degree_bound(n).to_string(),
-                        dom.to_string(),
-                        (k * k + k).to_string(),
-                        q_members.len().to_string(),
-                    ])
-                );
-            }
-        }
-    }
-}
-
-/// E6 — Theorem 1.4: shattering MIS of G vs Luby, across Δ; P2 stats.
-fn shattering_exp(scale: usize) {
-    println!("\n## E6: Theorem 1.4 — MIS of G via shattering vs Luby, Δ sweep\n");
-    println!(
-        "{}",
-        row(&[
-            "n",
-            "Δ",
-            "Luby rounds",
-            "Thm 1.4 rounds (1-phase)",
-            "Thm 1.4 rounds (2-phase)",
-            "undecided after pre",
-            "largest comp"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 7].map(String::from)));
-    let params = bench_params();
-    let n = 256 * scale;
-    for avg_deg in [4.0f64, 8.0, 16.0, 32.0] {
-        let g = generators::connected_gnp(n, avg_deg / n as f64, 77);
-        let (luby_rep, mis) = measure(&g, |sim| luby_mis(sim, 1, 3));
-        assert!(check::is_mis(&g, &generators::members(&mis)));
-        let (rep1, (m1, report)) = measure(&g, |sim| {
-            mis_power(sim, 1, &params, 3, PostShattering::OnePhase).expect("mis")
-        });
-        assert!(check::is_mis(&g, &generators::members(&m1)));
-        let (rep2, (m2, _)) = measure(&g, |sim| {
-            mis_power(sim, 1, &params, 3, PostShattering::TwoPhase).expect("mis")
-        });
-        assert!(check::is_mis(&g, &generators::members(&m2)));
-        println!(
-            "{}",
-            row(&[
-                n.to_string(),
-                g.max_degree().to_string(),
-                luby_rep.rounds.to_string(),
-                rep1.rounds.to_string(),
-                rep2.rounds.to_string(),
-                report.undecided_after_pre.to_string(),
-                report.largest_component.to_string(),
-            ])
-        );
-    }
-    // P2 check: component sizes after pre-shattering vs O(log n · Δ⁴).
-    println!("\nLemma 7.3 (P2) sanity: after Θ(log Δ) BeepingMIS steps the largest");
-    println!("undecided component stays far below the O(log_Δ n · Δ⁴) bound (see rows).");
-}
-
-/// E7 — Theorem A.1: network decomposition of G^k.
-fn nd_exp(scale: usize) {
-    println!("\n## E7: Network decomposition of G^k (Theorem A.1 interface)\n");
-    println!(
-        "{}",
-        row(&[
-            "graph",
-            "k",
-            "rounds",
-            "colors",
-            "clusters",
-            "diam bound",
-            "valid"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 7].map(String::from)));
-    let params = bench_params();
-    let mut loads: Vec<(String, usize, Graphish)> = Vec::new();
-    for w in standard_workloads(scale) {
-        loads.push((w.name.clone(), 0, Graphish(w.graph)));
-    }
-    // A long cycle exercises the delay-based clustering path.
-    loads.push(("cycle(900)".into(), 0, Graphish(generators::cycle(900))));
-    for (name, _, g) in &loads {
-        let g = &g.0;
-        for k in [1usize, 2] {
-            let (rep, nd) = measure(g, |sim| power_nd(sim, k, &params).expect("nd"));
-            let bound = diameter_bound(k, g.n());
-            let errors = check::check_decomposition(g, &nd.view(), bound, 2 * k as u32, true);
-            println!(
-                "{}",
-                row(&[
-                    name.clone(),
-                    k.to_string(),
-                    rep.rounds.to_string(),
-                    nd.num_colors.to_string(),
-                    nd.color.len().to_string(),
-                    bound.to_string(),
-                    if errors.is_empty() {
-                        "yes".into()
-                    } else {
-                        format!("NO: {errors:?}")
-                    },
-                ])
-            );
-        }
-    }
-}
-
-struct Graphish(powersparse_graphs::Graph);
-
-/// E8 — Ablation: sampling strategies of the sparsifier.
-fn derand_exp() {
-    println!("\n## E8: Ablation — sparsifier sampling strategies (k = 1)\n");
-    println!(
-        "{}",
-        row(&["graph", "strategy", "rounds", "seed attempts", "max d(v,Q)"].map(String::from))
-    );
-    println!("{}", row(&["---"; 5].map(String::from)));
-    let params = bench_params();
-    let g = generators::connected_gnp(192, 24.0 / 192.0, 9);
-    for (label, strat) in [
-        (
-            "Algorithm 1 (randomized)",
-            SamplingStrategy::Randomized { seed: 1 },
-        ),
-        ("Algorithm 2 (seed scan)", SamplingStrategy::SeedSearch),
-    ] {
-        let (rep, out) = measure(&g, |sim| {
-            sparsify_power(sim, 1, &[true; 192], &params, strat).expect("sparsify")
-        });
-        println!(
-            "{}",
-            row(&[
-                "gnp(192, d=24)".into(),
-                label.into(),
-                rep.rounds.to_string(),
-                out.iterations
-                    .iter()
-                    .map(|i| i.seed_attempts)
-                    .sum::<u64>()
-                    .to_string(),
-                power::max_q_degree(&g, 1, &out.q).to_string(),
-            ])
-        );
-    }
-    println!("\nThe deterministic scan pays one convergecast + broadcast per candidate");
-    println!("seed (Claim 5.6's accounting); the randomized variant skips them.");
-    // Beep fanout ablation (Lemma 8.2): correctness, not cost.
-    println!("\nBeep-fanout ablation (Lemma 8.2): on path P3 with beepers {{0,2}}, k=2:");
-    let g = generators::path(3);
-    let beepers = vec![true, false, true];
-    for fanout in [1usize, 2] {
-        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard =
-            powersparse_congest::primitives::khop_beep_with_fanout(&mut sim, &beepers, 2, fanout);
-        println!(
-            "  fanout {fanout}: node 0 hears a distance-2 beeper: {}",
-            heard[0]
-        );
-    }
-    println!("  (fanout 1 loses the beep — the 2-tuple rule of Lemma 8.2 is necessary)");
 }
 
 /// Strict parse of a `--net` shaping spec:
@@ -840,7 +442,6 @@ fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
         let opts = RunOptions {
             repeat: Repeat {
                 invocations: 3,
-                iterations: 1,
                 warmup: 1,
             },
             trace: None,
@@ -973,23 +574,17 @@ fn trend_cmd(args: &[String]) {
     }
 }
 
-/// E12 — `experiments trace SCENARIO [--limit N]`: run one builtin
-/// scenario with a round probe attached and print the per-round
-/// activity table (round, active edges, dirty nodes, messages, bits).
-/// The scenario is looked up by its canonical name in the builtin smoke
-/// and full suites; `--limit N` downsamples the table to at most `N`
-/// evenly strided rows (default: every round). The probe invariants
-/// (trace length = rounds on a full trace, per-round messages/bits
-/// summing to the run totals) are re-checked and a violation exits
-/// nonzero.
 /// Looks a scenario up by canonical name across the builtin suites —
-/// smoke first so the cheap instance of a name wins, then the full-suite
-/// scenarios smoke does not carry. Unknown names list the catalogue and
-/// exit nonzero.
+/// smoke first so the cheap instance of a name wins, then the full and
+/// paper scenarios smoke does not carry. Unknown names list the
+/// catalogue and exit nonzero.
 fn find_builtin_scenario(target: &str) -> powersparse_workloads::Scenario {
     use powersparse_workloads::{builtin_suite, SuiteProfile};
     let mut scenarios = builtin_suite(SuiteProfile::Smoke);
-    for sc in builtin_suite(SuiteProfile::Full) {
+    for sc in [SuiteProfile::Full, SuiteProfile::Paper]
+        .into_iter()
+        .flat_map(builtin_suite)
+    {
         if !scenarios.iter().any(|s| s.name() == sc.name()) {
             scenarios.push(sc);
         }
@@ -1004,6 +599,13 @@ fn find_builtin_scenario(target: &str) -> powersparse_workloads::Scenario {
     scenarios.swap_remove(i)
 }
 
+/// E12 — `experiments trace SCENARIO [--limit N]`: run one builtin
+/// scenario with a round probe attached and print the per-round
+/// activity table (round, active edges, dirty nodes, messages, bits).
+/// `--limit N` downsamples the table to at most `N` evenly strided rows
+/// (default: every round). The probe invariants (trace length = rounds
+/// on a full trace, per-round messages/bits summing to the run totals)
+/// are re-checked and a violation exits nonzero.
 fn trace_cmd(args: &[String]) {
     use powersparse_workloads::{run_scenario_with, Json, Repeat, RunOptions, Scenario, TraceRow};
 
@@ -1478,18 +1080,26 @@ fn chaos_cmd(args: &[String]) {
 }
 
 /// E10 — The workload scenario suite: the declarative graph-family ×
-/// algorithm × engine matrix of `powersparse-workloads`, validated run
-/// by run, with a JSON manifest for `BENCH_*.json` trajectory tracking.
+/// algorithm × engine matrix of `powersparse-workloads` (the smoke, full
+/// or paper profile, or a spec file), validated run by run, with a JSON
+/// manifest for `BENCH_*.json` trajectory tracking. Each row's `valid`
+/// column is its validation detail: the checked guarantee plus the
+/// measured quantities the paper's tables report.
 fn suite_cmd(args: &[String]) {
     use powersparse_workloads::{
         builtin_suite, parse_suite, run_scenario_with, run_suite_with, ChaosSpec, EngineSpec,
         Repeat, RunOptions, SuiteManifest, SuiteProfile,
     };
 
+    let usage = "usage: experiments suite [--profile smoke|full|paper | --spec FILE.toml] \
+                 --out MANIFEST.json [--force-engine sequential|pooled|process] [--net SPEC] \
+                 [--chaos] [--chaos-seed S] [--chaos-kills N] [--chaos-corruptions N] \
+                 [--repeats R] [--warmup W] \
+                 | suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]";
     // Strict argument parsing: a mistyped flag must not silently fall
     // back to the full builtin suite (the spec-file parser rejects
     // unknown keys for the same reason).
-    let mut smoke = false;
+    let mut profile: Option<(String, SuiteProfile)> = None;
     let mut out: Option<String> = None;
     let mut spec: Option<String> = None;
     let mut diff: Option<(String, String)> = None;
@@ -1505,7 +1115,6 @@ fn suite_cmd(args: &[String]) {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
             "--ignore-engine" => ignore_engine = true,
             "--chaos" => chaos = Some(chaos.unwrap_or_default()),
             "--chaos-seed" | "--chaos-kills" | "--chaos-corruptions" => {
@@ -1554,7 +1163,7 @@ fn suite_cmd(args: &[String]) {
                 }
                 saw_repeat_flags = true;
             }
-            "--out" | "--spec" | "--force-engine" => {
+            "--out" | "--spec" | "--force-engine" | "--profile" => {
                 let value = it.next().unwrap_or_else(|| {
                     eprintln!("{arg} requires a value");
                     std::process::exit(2);
@@ -1562,6 +1171,18 @@ fn suite_cmd(args: &[String]) {
                 match arg.as_str() {
                     "--out" => out = Some(value.clone()),
                     "--force-engine" => force_engine = Some(value.clone()),
+                    "--profile" => {
+                        let builtin = match value.as_str() {
+                            "smoke" => SuiteProfile::Smoke,
+                            "full" => SuiteProfile::Full,
+                            "paper" => SuiteProfile::Paper,
+                            other => {
+                                eprintln!("unknown profile '{other}' (expected smoke|full|paper)");
+                                std::process::exit(2);
+                            }
+                        };
+                        profile = Some((value.clone(), builtin));
+                    }
                     _ => spec = Some(value.clone()),
                 }
             }
@@ -1602,20 +1223,13 @@ fn suite_cmd(args: &[String]) {
                 saw_tolerance = true;
             }
             other => {
-                eprintln!(
-                    "unknown suite argument '{other}' \
-                     (usage: experiments suite [--smoke] [--spec FILE.toml] [--out MANIFEST.json] \
-                     [--force-engine sequential|pooled|process] [--net SPEC] \
-                     [--chaos] [--chaos-seed S] [--chaos-kills N] [--chaos-corruptions N] \
-                     [--repeats R] [--warmup W] \
-                     | suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine])"
-                );
+                eprintln!("unknown suite argument '{other}' ({usage})");
                 std::process::exit(2);
             }
         }
     }
     if let Some((old_path, new_path)) = diff {
-        if smoke
+        if profile.is_some()
             || out.is_some()
             || spec.is_some()
             || force_engine.is_some()
@@ -1623,7 +1237,7 @@ fn suite_cmd(args: &[String]) {
             || chaos.is_some()
             || saw_repeat_flags
         {
-            eprintln!("--diff compares two existing manifests; it cannot be combined with --smoke/--spec/--out/--force-engine/--net/--chaos/--repeats/--warmup");
+            eprintln!("--diff compares two existing manifests; it cannot be combined with --profile/--spec/--out/--force-engine/--net/--chaos/--repeats/--warmup");
             std::process::exit(2);
         }
         return diff_cmd(&old_path, &new_path, tolerance, ignore_engine);
@@ -1636,7 +1250,16 @@ fn suite_cmd(args: &[String]) {
         eprintln!("--ignore-engine only applies to --diff");
         std::process::exit(2);
     }
-    let out = out.unwrap_or_else(|| "BENCH_suite.json".into());
+    if profile.is_some() && spec.is_some() {
+        eprintln!("--profile and --spec both choose the scenarios; pass one ({usage})");
+        std::process::exit(2);
+    }
+    // No default manifest path: a run must never overwrite a committed
+    // baseline by accident.
+    let Some(out) = out else {
+        eprintln!("suite runs need --out MANIFEST.json ({usage})");
+        std::process::exit(2);
+    };
     let (mut name, mut scenarios) = match spec {
         Some(path) => {
             let text = std::fs::read_to_string(&path)
@@ -1644,8 +1267,10 @@ fn suite_cmd(args: &[String]) {
             let scenarios = parse_suite(&text).unwrap_or_else(|e| panic!("{e}"));
             (path, scenarios)
         }
-        None if smoke => ("smoke".to_string(), builtin_suite(SuiteProfile::Smoke)),
-        None => ("full".to_string(), builtin_suite(SuiteProfile::Full)),
+        None => {
+            let (name, profile) = profile.unwrap_or(("full".into(), SuiteProfile::Full));
+            (name, builtin_suite(profile))
+        }
     };
     // `--force-engine` reruns the whole matrix on one backend, keeping
     // each scenario's worker count. The engine contract promises the
@@ -1717,7 +1342,6 @@ fn suite_cmd(args: &[String]) {
     let opts = RunOptions {
         repeat: Repeat {
             invocations: repeats,
-            iterations: 1,
             warmup,
         },
         trace: None,
@@ -1792,7 +1416,7 @@ fn suite_cmd(args: &[String]) {
                 run.peak_queue_depth.to_string(),
                 wall,
                 if run.validation.passed {
-                    "yes".into()
+                    run.validation.detail.clone()
                 } else {
                     format!("NO: {}", run.validation.detail)
                 },
@@ -1850,13 +1474,4 @@ fn diff_cmd(old_path: &str, new_path: &str, tolerance: f64, ignore_engine: bool)
         eprintln!("regression diff failed — see the report above");
         std::process::exit(1);
     }
-}
-
-/// Worst-case distance to the set over all nodes.
-fn measured_domination(g: &powersparse_graphs::Graph, set: &[powersparse_graphs::NodeId]) -> u32 {
-    powersparse_graphs::bfs::distances_to_set(g, set)
-        .iter()
-        .map(|d| d.expect("connected"))
-        .max()
-        .unwrap_or(0)
 }

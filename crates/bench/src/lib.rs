@@ -1,85 +1,16 @@
-//! Shared workloads and measurement helpers for the `powersparse`
-//! benchmark harness.
+//! Helpers for the `powersparse` benchmark harness.
 //!
-//! The `experiments` binary (see `src/bin/experiments.rs`) regenerates
-//! every table and figure of the paper (the experiment index lives in
-//! DESIGN.md §4); the Criterion benches under `benches/` measure
-//! wall-clock cost of the same workloads.
-
-use powersparse::params::TheoryParams;
-use powersparse::RunReport;
-use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_graphs::{generators, Graph};
+//! The `experiments` binary (see `src/bin/experiments.rs`) is the front
+//! end of the workload scenario runner: the paper's tables are its
+//! `paper` suite profile (`builtin_suite(SuiteProfile::Paper)`, committed
+//! as `BENCH_paper.json`), and it also measures Figure 1 and the engine
+//! matrix. The Criterion benches under `benches/` measure the
+//! communication primitives, the derandomizers, the message core and the
+//! round engines.
 
 pub mod alloc_gauge;
-
-/// A named benchmark instance.
-pub struct Workload {
-    /// Display name (family + parameters).
-    pub name: String,
-    /// The communication graph.
-    pub graph: Graph,
-}
-
-/// The benchmark families used across experiments: a bounded-degree
-/// random graph, a grid (large diameter, constant degree), and a denser
-/// random graph.
-pub fn standard_workloads(scale: usize) -> Vec<Workload> {
-    let n = 64 * scale;
-    vec![
-        Workload {
-            name: format!("gnp(n={n}, d=8)"),
-            graph: generators::connected_gnp(n, 8.0 / n as f64, 42),
-        },
-        Workload {
-            name: format!("grid({}x8)", 8 * scale),
-            graph: generators::grid(8 * scale, 8),
-        },
-        Workload {
-            name: format!("gnp(n={n}, d=16)"),
-            graph: generators::connected_gnp(n, 16.0 / n as f64, 43),
-        },
-    ]
-}
-
-/// Runs `f` on a fresh simulator over `g` and returns the cost report
-/// together with `f`'s output.
-pub fn measure<T>(g: &Graph, f: impl FnOnce(&mut Simulator<'_>) -> T) -> (RunReport, T) {
-    let mut sim = Simulator::new(g, SimConfig::for_graph(g));
-    let before = sim.metrics().clone();
-    let out = f(&mut sim);
-    (RunReport::delta(&before, sim.metrics()), out)
-}
-
-/// Laptop-scale parameters used by all experiments (EXPERIMENTS.md
-/// records this choice; see DESIGN.md §3 substitution 4).
-pub fn bench_params() -> TheoryParams {
-    TheoryParams::scaled()
-}
 
 /// Formats a markdown-style table row.
 pub fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workloads_are_connected() {
-        for w in standard_workloads(1) {
-            let d = powersparse_graphs::bfs::distances(&w.graph, powersparse_graphs::NodeId(0));
-            assert!(d.iter().all(Option::is_some), "{} disconnected", w.name);
-        }
-    }
-
-    #[test]
-    fn measure_reports_rounds() {
-        let g = generators::cycle(10);
-        let (report, ()) = measure(&g, |sim| {
-            sim.charge_rounds(3);
-        });
-        assert_eq!(report.rounds, 3);
-    }
 }

@@ -10,9 +10,11 @@
 //!   power `k` × algorithm × engine × shard count. Built fluently
 //!   ([`Scenario::new`] + builder methods) or parsed from a TOML-subset
 //!   spec file ([`parse_suite`]).
-//! * [`builtin_suite`] — the curated matrix spanning every graph family
-//!   (random, power-law, unit-disk, grid/torus, caterpillar/broom trees,
-//!   bounded-growth cluster graphs) and both engine backends.
+//! * [`builtin_suite`] — the curated matrices: smoke and full span every
+//!   graph family (random, power-law, unit-disk, grid/torus,
+//!   caterpillar/broom trees, bounded-growth cluster graphs) and all
+//!   three engine backends; [`SuiteProfile::Paper`] reproduces the
+//!   paper's tables, one validated row per table cell.
 //! * [`run_suite`] / [`run_scenario`] — execute any scenario matrix on
 //!   the requested [`powersparse_congest::engine::RoundEngine`] backend,
 //!   re-verify every output with the `powersparse_graphs::check`
@@ -20,8 +22,8 @@
 //!   covering, sparsifier invariant I3 + domination) and collect rounds,
 //!   messages, bits, peak queue depth, arena footprint and per-phase
 //!   wall clock. The `_with` variants take [`RunOptions`]: a [`Repeat`]
-//!   scheme (warmup + timed invocations × iterations) that turns the
-//!   wall clock into [`WallStats`] (mean/min/max/95% CI), and an
+//!   scheme (warmup + timed invocations) that turns the wall clock into
+//!   [`WallStats`] (mean/min/max/95% CI), and an
 //!   optional untimed probe run capturing a bounded per-round
 //!   [`TraceRow`] activity trace.
 //! * [`SuiteManifest`] — the structured JSON result
@@ -39,7 +41,9 @@
 //!   against the per-scenario series median.
 //!
 //! The `experiments suite` subcommand of `powersparse-bench` is the CLI
-//! front end; CI runs `experiments suite --smoke` on every PR.
+//! front end; CI runs the smoke and paper profiles
+//! (`experiments suite --profile smoke|paper`) on every PR and diffs
+//! them against the committed `BENCH_suite.json` and `BENCH_paper.json`.
 //!
 //! # Example
 //!

@@ -11,10 +11,12 @@ use crate::manifest::{
     NetRecord, PhaseWall, RecoveryRecord, RunRecord, SuiteManifest, TraceRow, Validation, WallStats,
 };
 use crate::scenario::{AlgorithmSpec, EngineSpec, RecoverySpec, Scenario};
-use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering};
+use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering, ShatterReport};
 use powersparse::nd::{diameter_bound, power_nd, NetworkDecomposition};
 use powersparse::params::TheoryParams;
-use powersparse::ruling::{beta_ruling_set, det_ruling_set_k2};
+use powersparse::ruling::{
+    beta_ruling_set, det_ruling_set_k2, id_ruling_set, ruling_set_with_balls,
+};
 use powersparse::sparsify::{sparsify_power, SamplingStrategy, SparsifyOutcome};
 use powersparse_congest::engine::{Metrics, RoundEngine};
 use powersparse_congest::probe::{NoProbe, RecoveryObs, SpanProbe, TraceProbe};
@@ -22,42 +24,35 @@ use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{
     FaultPlan, PooledSimulator, ProcessOptions, ProcessSimulator, RecoveryPolicy,
 };
-use powersparse_graphs::{check, generators, power, Graph, NodeId};
+use powersparse_graphs::{bfs, check, generators, power, Graph, NodeId};
 use std::time::{Duration, Instant};
 
-/// The laptop-scale theory constants every suite run uses (the same
-/// choice as the `experiments` tables; see DESIGN.md §3 substitution 4).
+/// The laptop-scale theory constants every suite run uses, the paper
+/// profile included (see DESIGN.md §3 substitution 4).
 pub fn suite_params() -> TheoryParams {
     TheoryParams::scaled()
 }
 
 /// How often a scenario's run phase is executed for wall-clock
-/// statistics, following the measured-benchmarking discipline of
-/// invocation/iteration separation: `warmup` whole invocations are
-/// discarded, then each of `invocations` timed blocks runs the
-/// algorithm `iterations` times on a fresh engine and contributes one
-/// sample (elapsed / iterations). Counters are taken from the first
-/// measured run and asserted identical across invocations — only wall
-/// clock may vary.
+/// statistics: `warmup` discarded invocations, then `invocations` timed
+/// ones, each running the algorithm once on a fresh engine and
+/// contributing one sample. Counters are taken from the first measured
+/// run and asserted identical across invocations — only wall clock may
+/// vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Repeat {
     /// Timed invocations (one wall sample each). Must be ≥ 1.
     pub invocations: usize,
-    /// Algorithm runs per invocation (each on a fresh engine). Must be
-    /// ≥ 1.
-    pub iterations: usize,
     /// Discarded warmup invocations before measurement starts.
     pub warmup: usize,
 }
 
 impl Repeat {
-    /// The default non-repeated measurement: one invocation, one
-    /// iteration, no warmup — exactly the pre-statistics runner
-    /// behavior.
+    /// The default non-repeated measurement: one invocation, no
+    /// warmup — exactly the pre-statistics runner behavior.
     pub fn once() -> Self {
         Self {
             invocations: 1,
-            iterations: 1,
             warmup: 0,
         }
     }
@@ -142,8 +137,9 @@ pub struct RunOptions {
 
 /// What an algorithm produced, in the shape its checker wants.
 enum AlgOutput {
-    /// A membership mask (MIS of `G^k`).
-    Mask(Vec<bool>),
+    /// A membership mask (MIS of `G^k`), with the shattering pipeline's
+    /// diagnostics when it produced the mask.
+    Mask(Vec<bool>, Option<ShatterReport>),
     /// An explicit node set with its `(α, β)` ruling-set targets.
     RulingSet {
         set: Vec<NodeId>,
@@ -336,14 +332,14 @@ fn downsample(rows: Vec<TraceRow>, limit: usize) -> Vec<TraceRow> {
 /// # Errors
 ///
 /// As [`run_scenario`]; additionally rejects a [`Repeat`] with zero
-/// invocations or iterations, and reports counters that drift between
-/// invocations of the same scenario (which would mean the run is not
-/// deterministic and its statistics meaningless).
+/// invocations, and reports counters that drift between invocations of
+/// the same scenario (which would mean the run is not deterministic and
+/// its statistics meaningless).
 pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, String> {
     sc.validate_spec()?;
     let rep = opts.repeat;
-    if rep.invocations == 0 || rep.iterations == 0 {
-        return Err("repeat needs at least one invocation and one iteration".into());
+    if rep.invocations == 0 {
+        return Err("repeat needs at least one invocation".into());
     }
     // Chaos forces supervision: a process scenario without an explicit
     // recovery policy is upgraded to the default one (fail-fast would
@@ -374,12 +370,8 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
     let mut first: Option<(AlgOutput, Metrics)> = None;
     for _ in 0..rep.invocations {
         let t = Instant::now();
-        let mut last = None;
-        for _ in 0..rep.iterations {
-            last = Some(execute(&g, config, sc, chaos_plan)?);
-        }
-        samples.push(t.elapsed().as_micros() as f64 / rep.iterations as f64);
-        let (out, metrics) = last.expect("iterations >= 1");
+        let (out, metrics) = execute(&g, config, sc, chaos_plan)?;
+        samples.push(t.elapsed().as_micros() as f64);
         match &first {
             None => first = Some((out, metrics)),
             Some((_, m0)) => {
@@ -527,17 +519,17 @@ pub fn run_suite_with(
 fn run_generic<E: RoundEngine>(eng: &mut E, sc: &Scenario) -> Result<AlgOutput, String> {
     let n = eng.graph().n();
     match sc.algorithm {
-        AlgorithmSpec::LubyMis => Ok(AlgOutput::Mask(luby_mis(eng, sc.k, sc.seed))),
-        AlgorithmSpec::BeepingMis => Ok(AlgOutput::Mask(beeping_mis(eng, sc.k, sc.seed))),
+        AlgorithmSpec::LubyMis => Ok(AlgOutput::Mask(luby_mis(eng, sc.k, sc.seed), None)),
+        AlgorithmSpec::BeepingMis => Ok(AlgOutput::Mask(beeping_mis(eng, sc.k, sc.seed), None)),
         AlgorithmSpec::ShatterMis { two_phase } => {
             let post = if two_phase {
                 PostShattering::TwoPhase
             } else {
                 PostShattering::OnePhase
             };
-            let (mask, _report) = mis_power(eng, sc.k, &suite_params(), sc.seed, post)
+            let (mask, report) = mis_power(eng, sc.k, &suite_params(), sc.seed, post)
                 .map_err(|e| format!("shattering MIS failed: {e}"))?;
-            Ok(AlgOutput::Mask(mask))
+            Ok(AlgOutput::Mask(mask, Some(report)))
         }
         AlgorithmSpec::Sparsify { derandomized } => {
             let strategy = if derandomized {
@@ -565,6 +557,22 @@ fn run_generic<E: RoundEngine>(eng: &mut E, sc: &Scenario) -> Result<AlgOutput, 
                 beta: sc.k * sc.k,
             })
         }
+        AlgorithmSpec::IdRuling { c } => {
+            let out = id_ruling_set(eng, sc.k, c);
+            Ok(AlgOutput::RulingSet {
+                set: generators::members(&out.ruling_set),
+                alpha: sc.k + 1,
+                beta: c as usize * sc.k,
+            })
+        }
+        AlgorithmSpec::AglpRuling => {
+            let out = ruling_set_with_balls(eng, sc.k, &vec![true; n], None);
+            Ok(AlgOutput::RulingSet {
+                set: generators::members(&out.ruling_set),
+                alpha: sc.k + 1,
+                beta: out.domination_bound,
+            })
+        }
         AlgorithmSpec::PowerNd => {
             let nd = power_nd(eng, sc.k, &suite_params())
                 .map_err(|e| format!("network decomposition failed: {e}"))?;
@@ -578,10 +586,10 @@ fn run_generic<E: RoundEngine>(eng: &mut E, sc: &Scenario) -> Result<AlgOutput, 
 fn validate(g: &Graph, sc: &Scenario, output: &AlgOutput) -> (Validation, u64) {
     let k = sc.k;
     match output {
-        AlgOutput::Mask(mask) => {
+        AlgOutput::Mask(mask, shatter) => {
             let members = generators::members(mask);
             let passed = check::is_mis_of_power(g, &members, k);
-            let detail = if passed {
+            let mut detail = if passed {
                 format!(
                     "MIS of G^{k}: independent + maximal, |S| = {}",
                     members.len()
@@ -589,18 +597,28 @@ fn validate(g: &Graph, sc: &Scenario, output: &AlgOutput) -> (Validation, u64) {
             } else {
                 format!("INVALID MIS of G^{k} (|S| = {})", members.len())
             };
+            if let Some(report) = shatter {
+                detail.push_str(&format!(
+                    "; undecided after pre-shattering = {}, largest component = {}",
+                    report.undecided_after_pre, report.largest_component
+                ));
+            }
             (Validation { passed, detail }, members.len() as u64)
         }
         AlgOutput::RulingSet { set, alpha, beta } => {
             let passed = check::is_ruling_set(g, set, *alpha, *beta);
-            let detail = if passed {
-                format!(
-                    "({alpha}, {beta})-ruling set: packing + covering hold, |S| = {}",
-                    set.len()
-                )
-            } else {
-                format!("INVALID ({alpha}, {beta})-ruling set (|S| = {})", set.len())
-            };
+            let max_dist = bfs::distances_to_set(g, set)
+                .into_iter()
+                .flatten()
+                .max()
+                .unwrap_or(0);
+            let detail = format!(
+                "{}({alpha}, {beta})-ruling set: packing + covering {}, |S| = {}, \
+                 max distance to S = {max_dist}",
+                if passed { "" } else { "INVALID " },
+                if passed { "hold" } else { "VIOLATED" },
+                set.len()
+            );
             (Validation { passed, detail }, set.len() as u64)
         }
         AlgOutput::Sparsifier(out) => {
@@ -614,9 +632,10 @@ fn validate(g: &Graph, sc: &Scenario, output: &AlgOutput) -> (Validation, u64) {
             let max_deg = power::max_q_degree(g, k, &out.q);
             let target = suite_params().degree_bound(g.n());
             let passed = i3 && dominating;
+            let seed_attempts: u64 = out.iterations.iter().map(|it| it.seed_attempts).sum();
             let detail = format!(
                 "{}I3 {}, (k²+k)-domination {}; |Q| = {}, max d_{k}(v, Q) = {max_deg} \
-                 (target ≤ {target})",
+                 (target ≤ {target}), seed attempts = {seed_attempts}",
                 if passed { "" } else { "INVALID: " },
                 if i3 { "holds" } else { "VIOLATED" },
                 if dominating { "holds" } else { "VIOLATED" },
@@ -745,12 +764,23 @@ mod tests {
         let rec = run_scenario(&sc).unwrap();
         assert!(rec.validation.passed, "{}", rec.validation.detail);
 
-        let sc = Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
-            .k(2)
-            .algorithm(AlgorithmSpec::DetRulingK2);
-        let rec = run_scenario(&sc).unwrap();
-        assert!(rec.validation.passed, "{}", rec.validation.detail);
-        assert_eq!(rec.algorithm, "det_ruling_k2");
+        for (algorithm, id) in [
+            (AlgorithmSpec::DetRulingK2, "det_ruling_k2"),
+            (AlgorithmSpec::IdRuling { c: 3 }, "id_ruling(c=3)"),
+            (AlgorithmSpec::AglpRuling, "aglp_ruling"),
+        ] {
+            let sc = Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
+                .k(2)
+                .algorithm(algorithm);
+            let rec = run_scenario(&sc).unwrap();
+            assert!(rec.validation.passed, "{}", rec.validation.detail);
+            assert_eq!(rec.algorithm, id);
+            assert!(
+                rec.validation.detail.contains("max distance to S"),
+                "{}",
+                rec.validation.detail
+            );
+        }
     }
 
     #[test]
@@ -846,7 +876,6 @@ mod tests {
         let opts = RunOptions {
             repeat: Repeat {
                 invocations: 3,
-                iterations: 2,
                 warmup: 1,
             },
             trace: None,
@@ -929,26 +958,16 @@ mod tests {
     #[test]
     fn zero_repeat_counts_are_spec_errors() {
         let sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 });
-        for repeat in [
-            Repeat {
+        let opts = RunOptions {
+            repeat: Repeat {
                 invocations: 0,
-                iterations: 1,
                 warmup: 0,
             },
-            Repeat {
-                invocations: 1,
-                iterations: 0,
-                warmup: 0,
-            },
-        ] {
-            let opts = RunOptions {
-                repeat,
-                trace: None,
-                profile: false,
-                chaos: None,
-            };
-            assert!(run_scenario_with(&sc, &opts).is_err());
-        }
+            trace: None,
+            profile: false,
+            chaos: None,
+        };
+        assert!(run_scenario_with(&sc, &opts).is_err());
     }
 
     #[test]

@@ -204,6 +204,16 @@ pub enum AlgorithmSpec {
     /// Deterministic `(k+1, k²)`-ruling set (Theorem 1.1). Requires a
     /// connected graph.
     DetRulingK2,
+    /// Deterministic `(k+1, c·k)`-ruling set from the ID digits in base
+    /// `⌈n^{1/c}⌉` (Corollary 6.2, Table 1's `O(k·c·n^{1/c})` baseline).
+    IdRuling {
+        /// Digit count exponent `c ≥ 1`.
+        c: u32,
+    },
+    /// Deterministic ruling set from the ID bits in base 2 (Theorem 6.1
+    /// with IDs, Table 1's AGLP baseline). Validated against the
+    /// `(k+1, k·⌈log₂ n⌉)` domination bound the run reports.
+    AglpRuling,
     /// Network decomposition of `G^k` with separation `2k+1`
     /// (Theorem A.1). Requires a connected graph.
     PowerNd,
@@ -223,6 +233,8 @@ impl AlgorithmSpec {
             Self::Sparsify { derandomized: true } => "sparsify_derandomized".into(),
             Self::BetaRulingSet { beta } => format!("beta_ruling(beta={beta})"),
             Self::DetRulingK2 => "det_ruling_k2".into(),
+            Self::IdRuling { c } => format!("id_ruling(c={c})"),
+            Self::AglpRuling => "aglp_ruling".into(),
             Self::PowerNd => "power_nd".into(),
         }
     }
@@ -449,6 +461,9 @@ impl Scenario {
         if self.k == 0 {
             return Err("k must be >= 1".into());
         }
+        if matches!(self.algorithm, AlgorithmSpec::IdRuling { c: 0 }) {
+            return Err("`id_ruling` needs c >= 1".into());
+        }
         if !matches!(self.engine, EngineSpec::Process { .. }) {
             if self.net.is_some() {
                 return Err("`net` shaping requires the process engine".into());
@@ -477,21 +492,24 @@ pub enum SuiteProfile {
     Smoke,
     /// Larger sizes for real measurements; still laptop-scale.
     Full,
+    /// The paper's evaluation on the sequential reference engine:
+    /// Table 1's rows at `k ∈ {1,2,3}`, Theorem 1.4's degree sweep, the
+    /// sparsifier ablation and Theorem A.1 on a long path.
+    /// `BENCH_paper.json` is the committed run.
+    Paper,
 }
 
-/// The curated built-in scenario suite: every graph family, all three
-/// engines, all four algorithm classes. The smoke profile is the one CI
-/// runs on every PR; the full profile scales sizes up for the
-/// `BENCH_*.json` trajectory.
+/// The curated built-in scenario suite. The smoke and full profiles
+/// cover every graph family, all three engines and all four algorithm
+/// classes: smoke is the one CI runs on every PR, full scales sizes up
+/// for the `BENCH_*.json` trajectory. The paper profile reproduces the
+/// paper's tables, one validated row per table cell.
 pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
     use AlgorithmSpec::*;
-    let s = match profile {
-        SuiteProfile::Smoke => 1,
-        SuiteProfile::Full => 8,
-    };
-    let shards = match profile {
-        SuiteProfile::Smoke => 4,
-        SuiteProfile::Full => 8,
+    let (s, shards) = match profile {
+        SuiteProfile::Smoke => (1, 4),
+        SuiteProfile::Full => (8, 8),
+        SuiteProfile::Paper => return paper_suite(),
     };
     let gnp = GraphFamily::Gnp {
         n: 192 * s,
@@ -642,6 +660,80 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
     ]
 }
 
+/// The paper's evaluation as one scenario matrix on the sequential
+/// reference engine (arXiv:2302.06878; every row validates the
+/// guarantee it reproduces, and `suite --force-engine` reruns it on any
+/// backend):
+///
+/// * Table 1 on `gnp(n=128,d=8)`, `grid(16x8)` and `gnp(n=128,d=16)` at
+///   `k ∈ {1,2,3}`: the deterministic ruling sets (Corollary 6.2 with
+///   `c ∈ {2,3}`, AGLP with IDs, Theorem 1.1), the randomized MIS of
+///   `G^k` (Luby, BeepingMIS, Theorem 1.2) and both sparsifier
+///   strategies (Lemma 3.1); Corollary 1.3 with `β ∈ {2,3,4}` and the
+///   network decomposition of Theorem A.1 at `k ∈ {1,2}`.
+/// * Theorem 1.4: Luby against both shattering variants on
+///   `gnp(n=512)` across average degrees 4–32.
+/// * The sparsifier sampling ablation on the dense `gnp(n=192,d=24)`.
+/// * Theorem A.1 on a 900-node path (the long-diameter clustering
+///   path).
+fn paper_suite() -> Vec<Scenario> {
+    use AlgorithmSpec::*;
+    let gnp = |n, avg_deg| GraphFamily::Gnp { n, avg_deg };
+    let tables = [
+        (gnp(128, 8.0), 42),
+        (GraphFamily::Grid { rows: 16, cols: 8 }, 42),
+        (gnp(128, 16.0), 43),
+    ];
+    let randomized = Sparsify {
+        derandomized: false,
+    };
+    let derandomized = Sparsify { derandomized: true };
+    let shatter = |two_phase| ShatterMis { two_phase };
+    let mut suite = Vec::new();
+    let mut add = |family: &GraphFamily, seed, ks, algorithms: &[AlgorithmSpec]| {
+        for k in ks {
+            for algorithm in algorithms {
+                let sc = Scenario::new(family.clone()).k(k).seed(seed);
+                suite.push(sc.algorithm(algorithm.clone()));
+            }
+        }
+    };
+    for (family, seed) in &tables {
+        let table1 = [
+            IdRuling { c: 2 },
+            IdRuling { c: 3 },
+            AglpRuling,
+            DetRulingK2,
+            LubyMis,
+            BeepingMis,
+            shatter(false),
+            randomized.clone(),
+            derandomized.clone(),
+        ];
+        add(family, *seed, 1..=3, &table1);
+    }
+    for (family, seed) in &tables {
+        let rulings_and_nd = [
+            BetaRulingSet { beta: 2 },
+            BetaRulingSet { beta: 3 },
+            BetaRulingSet { beta: 4 },
+            PowerNd,
+        ];
+        add(family, *seed, 1..=2, &rulings_and_nd);
+    }
+    for avg_deg in [4.0, 8.0, 16.0, 32.0] {
+        let mis = [LubyMis, shatter(false), shatter(true)];
+        add(&gnp(512, avg_deg), 77, 1..=1, &mis);
+    }
+    add(&gnp(192, 24.0), 9, 1..=1, &[randomized, derandomized]);
+    let path = GraphFamily::Caterpillar {
+        spine: 900,
+        legs: 0,
+    };
+    add(&path, 1, 1..=2, &[PowerNd]);
+    suite
+}
+
 /// A value in a spec file: integer, float, string, bool or a flat
 /// inline table (`{ key = value, ... }` with scalar values only).
 #[derive(Debug, Clone, PartialEq)]
@@ -688,7 +780,7 @@ impl std::error::Error for SpecError {}
 /// [[scenario]]
 /// family = "power_law"   # gnp | power_law | geometric | hyperbolic |
 ///                        # grid | torus | caterpillar | broom |
-///                        # cluster_grid
+///                        # cluster_grid | planted
 /// n = 300
 /// attach = 3
 /// k = 2
@@ -696,9 +788,19 @@ impl std::error::Error for SpecError {}
 /// algorithm = "luby_mis" # luby_mis | beeping_mis | shatter_mis |
 ///                        # shatter_mis_two_phase | sparsify |
 ///                        # sparsify_derandomized | beta_ruling |
-///                        # det_ruling_k2 | power_nd
+///                        # det_ruling_k2 | id_ruling | aglp_ruling |
+///                        # power_nd
 /// engine = "pooled"      # sequential | pooled | process
 /// shards = 4
+///
+/// [[scenario]]
+/// family = "gnp"
+/// n = 128
+/// avg_deg = 8.0
+/// algorithm = "beta_ruling"
+/// beta = 3               # beta_ruling only (default 2); id_ruling
+///                        # takes `c` (default 2), shatter_mis takes
+///                        # `two_phase` (default false)
 ///
 /// [[scenario]]
 /// family = "grid"
@@ -1102,6 +1204,10 @@ fn scenario_from_kv(
             beta: b.usize_or("beta", 2)?,
         },
         "det_ruling_k2" => AlgorithmSpec::DetRulingK2,
+        "id_ruling" => AlgorithmSpec::IdRuling {
+            c: b.usize_or("c", 2)? as u32,
+        },
+        "aglp_ruling" => AlgorithmSpec::AglpRuling,
         "power_nd" => AlgorithmSpec::PowerNd,
         other => {
             return Err(SpecError {
@@ -1173,6 +1279,8 @@ mod tests {
             AlgorithmSpec::Sparsify { derandomized: true },
             AlgorithmSpec::BetaRulingSet { beta: 3 },
             AlgorithmSpec::DetRulingK2,
+            AlgorithmSpec::IdRuling { c: 3 },
+            AlgorithmSpec::AglpRuling,
             AlgorithmSpec::PowerNd,
         ];
         for algorithm in algorithms {
@@ -1224,6 +1332,93 @@ algorithm = "sparsify"   # randomized
                 }
             )
         );
+    }
+
+    #[test]
+    fn table1_baselines_parse() {
+        let suite = parse_suite(
+            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\nk = 2\n\
+             algorithm = \"id_ruling\"\nc = 3\n\n\
+             [[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
+             algorithm = \"aglp_ruling\"\n",
+        )
+        .unwrap();
+        assert_eq!(suite[0].algorithm, AlgorithmSpec::IdRuling { c: 3 });
+        assert_eq!(suite[0].name(), "grid(4x4)/k2/id_ruling(c=3)/sequential");
+        assert_eq!(suite[1].algorithm, AlgorithmSpec::AglpRuling);
+        assert_eq!(suite[1].name(), "grid(4x4)/k1/aglp_ruling/sequential");
+        let zero = parse_suite(
+            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
+             algorithm = \"id_ruling\"\nc = 0\n",
+        )
+        .unwrap_err();
+        assert!(zero.message.contains("c >= 1"), "{zero}");
+    }
+
+    #[test]
+    fn paper_profile_pins_every_table_row() {
+        let suite = builtin_suite(SuiteProfile::Paper);
+        assert_eq!(suite.len(), 121);
+        let mut seen = std::collections::BTreeSet::new();
+        for sc in &suite {
+            assert_eq!(sc.engine, EngineSpec::Sequential, "{}", sc.name());
+            sc.validate_spec().unwrap();
+            assert!(seen.insert((sc.name(), sc.seed)), "duplicate {}", sc.name());
+        }
+        let expect = |graph: &str, k: usize, algorithm: &str, seed: u64| {
+            let name = format!("{graph}/k{k}/{algorithm}/sequential");
+            assert!(
+                suite.iter().any(|sc| sc.name() == name && sc.seed == seed),
+                "missing {name} (seed {seed})"
+            );
+        };
+        // Table 1 (E1–E3), Lemma 3.1 (E5) and Theorem A.1 (E7).
+        for (graph, seed) in [
+            ("gnp(n=128,d=8)", 42),
+            ("grid(16x8)", 42),
+            ("gnp(n=128,d=16)", 43),
+        ] {
+            for k in 1..=3 {
+                for algorithm in [
+                    "id_ruling(c=2)",
+                    "id_ruling(c=3)",
+                    "aglp_ruling",
+                    "det_ruling_k2",
+                    "luby_mis",
+                    "beeping_mis",
+                    "shatter_mis",
+                    "sparsify",
+                    "sparsify_derandomized",
+                ] {
+                    expect(graph, k, algorithm, seed);
+                }
+            }
+            for k in 1..=2 {
+                for algorithm in [
+                    "beta_ruling(beta=2)",
+                    "beta_ruling(beta=3)",
+                    "beta_ruling(beta=4)",
+                    "power_nd",
+                ] {
+                    expect(graph, k, algorithm, seed);
+                }
+            }
+        }
+        // Theorem 1.4's degree sweep (E6).
+        for d in [4, 8, 16, 32] {
+            for algorithm in ["luby_mis", "shatter_mis", "shatter_mis_two_phase"] {
+                expect(&format!("gnp(n=512,d={d})"), 1, algorithm, 77);
+            }
+        }
+        // The sampling-strategy ablation (E8).
+        for algorithm in ["sparsify", "sparsify_derandomized"] {
+            expect("gnp(n=192,d=24)", 1, algorithm, 9);
+        }
+        // Theorem A.1 on a 900-node path (E7's long-diameter case).
+        for k in 1..=2 {
+            let name = format!("caterpillar(spine=900,legs=0)/k{k}/power_nd/sequential");
+            assert!(suite.iter().any(|sc| sc.name() == name), "missing {name}");
+        }
     }
 
     #[test]

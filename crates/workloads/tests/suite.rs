@@ -242,7 +242,6 @@ fn repeated_run_statistics_round_trip_exactly_through_json() {
     let opts = RunOptions {
         repeat: Repeat {
             invocations: 3,
-            iterations: 1,
             warmup: 1,
         },
         trace: Some(16),
