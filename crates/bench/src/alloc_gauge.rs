@@ -1,10 +1,10 @@
 //! Optional allocation gauges for the benchmark harness.
 //!
 //! With the `alloc-gauge` feature enabled, this module installs a
-//! counting [`GlobalAlloc`] wrapper around the system allocator: every
-//! allocation bumps a global counter and a live-bytes gauge whose
-//! high-water mark survives until the next [`reset`]. The
-//! `experiments profile` subcommand stamps the resulting
+//! counting [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper around the
+//! system allocator: every allocation bumps a global counter and a
+//! live-bytes gauge whose high-water mark survives until the next
+//! [`reset`]. The `experiments profile` subcommand stamps the resulting
 //! [`Snapshot`] into the manifest's `alloc_count` / `alloc_bytes_peak`
 //! gauges.
 //!

@@ -10,7 +10,7 @@
 //! layout handles worst. [`MsgCore`] replaces it with:
 //!
 //! * **One arena.** Queued messages live in a single flat `Vec` of
-//!   [`Cell`]s — `(bits_remaining, sender, payload)` plus an intrusive
+//!   `Cell`s — `(bits_remaining, sender, payload)` plus an intrusive
 //!   `next` link. Enqueue is a bump-append (or a free-list pop);
 //!   delivery returns the cell to the free list. No per-edge heap
 //!   allocation, ever.

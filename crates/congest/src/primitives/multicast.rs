@@ -20,6 +20,9 @@ use std::collections::BTreeMap;
 /// distance-`s` neighborhood). Returns, per node, the received
 /// `(root, message)` pairs (the root itself does not receive its own).
 ///
+/// Every node forwards what it received in arrival order, to its children
+/// in ascending node ID ([`QTrees::children`]).
+///
 /// Measured cost: `O(s + m·Δ̂ / bandwidth)` rounds.
 pub fn q_broadcast<E: RoundEngine, M: Message>(
     sim: &mut E,
@@ -30,8 +33,8 @@ pub fn q_broadcast<E: RoundEngine, M: Message>(
     /// Per-node state: received pairs, pending forwards, sent-this-round.
     struct NodeState<M> {
         received: Vec<(u32, M)>,
-        /// Pending forwards: (root, msg, bits).
-        pending: Vec<(u32, M, usize)>,
+        /// Pending forwards: (root, msg).
+        pending: Vec<(u32, M)>,
         sent: bool,
     }
     let mut state: Vec<NodeState<M>> = (0..n)
@@ -41,13 +44,13 @@ pub fn q_broadcast<E: RoundEngine, M: Message>(
             sent: false,
         })
         .collect();
+    // Every message keeps its root's original bit size down the tree.
+    let mut bits_of = vec![0usize; n];
     for (&root, (m, bits)) in msgs {
         let r = NodeId(root);
-        assert!(
-            trees.parent[r.index()].get(&root) == Some(&None),
-            "message root v{root} is not a tree root"
-        );
-        state[r.index()].pending.push((root, m.clone(), *bits));
+        assert!(trees.is_root(r), "message root v{root} is not a tree root");
+        bits_of[r.index()] = *bits;
+        state[r.index()].pending.push((root, m.clone()));
     }
     let mut phase = sim.phase::<(u32, M)>();
     let budget = 1_000_000u64;
@@ -57,16 +60,12 @@ pub fn q_broadcast<E: RoundEngine, M: Message>(
             s.sent = false;
             for (_, (root, m)) in inbox {
                 s.received.push((*root, m.clone()));
-                // Forward down this tree, with the original bit size.
-                let bits = msgs.get(root).expect("known root").1;
-                s.pending.push((*root, m.clone(), bits));
+                s.pending.push((*root, m.clone()));
             }
-            for (root, m, bits) in s.pending.drain(..) {
-                if let Some(children) = trees.children[v.index()].get(&root) {
-                    for &c in children {
-                        s.sent = true;
-                        out.send(v, c, (root, m.clone()), bits);
-                    }
+            for (root, m) in s.pending.drain(..) {
+                for c in trees.children(v, root) {
+                    s.sent = true;
+                    out.send(v, c, (root, m.clone()), bits_of[root as usize]);
                 }
             }
         });
@@ -84,8 +83,8 @@ pub fn q_broadcast<E: RoundEngine, M: Message>(
 ///
 /// Inputs follow the lemma's knowledge assumptions:
 /// * `trees`: depth-`s` BFS trees rooted at `Q`;
-/// * `neighbor_sets[v]`: for each neighbor `w` of `v`, the set
-///   `N^{s-1}(w, Q)` (as obtained from
+/// * `neighbor_sets[v][i]`: for the `i`-th neighbor `w` of `v` in CSR
+///   order, the sorted set `N^{s-1}(w, Q)` (as obtained from
 ///   [`crate::primitives::exchange_with_neighbors`]);
 /// * `msgs[x]`: the list of `(target ID, message)` pairs from root `x`.
 ///
@@ -100,7 +99,7 @@ pub fn q_broadcast<E: RoundEngine, M: Message>(
 pub fn q_message<E: RoundEngine, M: Message>(
     sim: &mut E,
     trees: &QTrees,
-    neighbor_sets: &[BTreeMap<u32, std::collections::BTreeSet<u32>>],
+    neighbor_sets: &[Vec<Vec<u32>>],
     msgs: &BTreeMap<u32, Vec<(u32, M)>>,
     m_bits: usize,
 ) -> Vec<Vec<(u32, M)>> {
@@ -139,10 +138,8 @@ pub fn q_message<E: RoundEngine, M: Message>(
             // `N^{s-1}(w, Q)` is non-inclusive; a neighbor w ∈ Q that is
             // itself a target must still get its tuple, so the package
             // for w is keyed on `N^{s-1}(w, Q) ∪ {w}`.
-            let wset = neighbor_sets[v.index()].get(&w.0);
-            let mut tuples: Vec<(u32, M)> = wset
-                .into_iter()
-                .flatten()
+            let mut tuples: Vec<(u32, M)> = neighbor_sets[v.index()][i]
+                .iter()
                 .filter_map(|y| by_id.get(y).map(|m| (*y, (*m).clone())))
                 .collect();
             if let Some(m) = by_id.get(&w.0) {
@@ -173,11 +170,9 @@ pub fn q_message<E: RoundEngine, M: Message>(
                 s.pending.push(((*root, tuples.clone()), bits));
             }
             for ((root, tuples), bits) in s.pending.drain(..) {
-                if let Some(children) = trees.children[v.index()].get(&root) {
-                    for &c in children {
-                        s.sent = true;
-                        out.send(v, c, (root, tuples.clone()), bits);
-                    }
+                for c in trees.children(v, root) {
+                    s.sent = true;
+                    out.send(v, c, (root, tuples.clone()), bits);
                 }
             }
         });
@@ -201,10 +196,9 @@ mod tests {
     };
     use crate::sim::{SimConfig, Simulator};
     use powersparse_graphs::{generators, power, Graph};
-    use std::collections::BTreeSet;
 
     /// Builds depth-`s` trees + knowledge with the Lemma 4.1 machinery.
-    fn build(sim: &mut Simulator<'_>, q: &[bool], s: usize) -> (Vec<BTreeSet<u32>>, QTrees) {
+    fn build(sim: &mut Simulator<'_>, q: &[bool], s: usize) -> (Vec<Vec<u32>>, QTrees) {
         let (mut sets, mut trees) = init_knowledge_and_trees(sim, q);
         for _ in 1..s {
             sets = extend_trees(sim, &sets, &mut trees);

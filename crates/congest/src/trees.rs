@@ -4,7 +4,6 @@
 //! its ancestor and descendants per tree plus the root's ID).
 
 use powersparse_graphs::NodeId;
-use std::collections::BTreeMap;
 
 /// A spanning BFS tree rooted at `root`, known distributedly.
 #[derive(Debug, Clone)]
@@ -61,82 +60,156 @@ impl GlobalTree {
     }
 }
 
+/// One tree a node belongs to, as that node knows it: the root's ID, the
+/// node's ancestor in the tree (the node itself when it is the root) and
+/// its distance from the root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link {
+    root: u32,
+    parent: NodeId,
+    level: u32,
+}
+
 /// Depth-`s` BFS trees rooted at every node of a set `Q`, represented by
 /// per-node links as the paper requires for invariant **I3** (each node
 /// knows, for each tree it belongs to, the root's ID, its ancestor and its
 /// descendants).
+///
+/// # Layout
+///
+/// Each node holds two flat lists, both sorted by root ID:
+///
+/// * its *links*: one `(root, parent, level)` entry per tree it belongs
+///   to (a root's entry for its own tree has level 0 and no parent);
+/// * its *descendants*: one `(root, child)` entry per child it has in any
+///   tree, sorted by `(root, child)`, so the children of one tree form a
+///   single run in **ascending node ID**.
+///
+/// The multicasts of Lemma 4.2 send down the trees in that child order,
+/// and the message counters of every committed manifest depend on it.
+/// Lookups binary-search a node's list; the accessors below are the only
+/// view of the layout.
 #[derive(Debug, Clone, Default)]
 pub struct QTrees {
-    /// Current tree depth.
-    pub depth: usize,
-    /// `parent[v]`: map root-ID → `v`'s ancestor in that tree (`None` when
-    /// `v` *is* the root).
-    pub parent: Vec<BTreeMap<u32, Option<NodeId>>>,
-    /// `children[v]`: map root-ID → `v`'s descendants in that tree.
-    pub children: Vec<BTreeMap<u32, Vec<NodeId>>>,
-    /// `level[v]`: map root-ID → `dist(root, v)`.
-    pub level: Vec<BTreeMap<u32, u32>>,
+    depth: usize,
+    links: Vec<Vec<Link>>,
+    descendants: Vec<Vec<(u32, NodeId)>>,
 }
 
 impl QTrees {
     /// Depth-0 trees: each root is alone in its tree.
     pub fn new_roots(n: usize, roots: &[NodeId]) -> Self {
-        let mut t = Self {
-            depth: 0,
-            parent: vec![BTreeMap::new(); n],
-            children: vec![BTreeMap::new(); n],
-            level: vec![BTreeMap::new(); n],
-        };
+        let mut links = vec![Vec::new(); n];
         for &r in roots {
-            t.parent[r.index()].insert(r.0, None);
-            t.level[r.index()].insert(r.0, 0);
+            links[r.index()].push(Link {
+                root: r.0,
+                parent: r,
+                level: 0,
+            });
         }
-        t
+        Self {
+            depth: 0,
+            links,
+            descendants: vec![Vec::new(); n],
+        }
+    }
+
+    /// Current tree depth.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// `v`'s link in the tree rooted at `root`, if `v` belongs to it.
+    fn link(&self, v: NodeId, root: u32) -> Option<&Link> {
+        let links = &self.links[v.index()];
+        links
+            .binary_search_by_key(&root, |l| l.root)
+            .ok()
+            .map(|i| &links[i])
+    }
+
+    /// Whether `v` roots a tree.
+    pub fn is_root(&self, v: NodeId) -> bool {
+        self.link(v, v.0).is_some()
     }
 
     /// IDs of the tree roots.
     pub fn roots(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for (i, p) in self.parent.iter().enumerate() {
-            let v = NodeId::from(i);
-            if p.get(&v.0) == Some(&None) {
-                out.push(v);
-            }
-        }
-        out
+        (0..self.links.len())
+            .map(NodeId::from)
+            .filter(|&v| self.is_root(v))
+            .collect()
     }
 
-    /// Trees that `v` belongs to, by root ID.
+    /// Trees that `v` belongs to, by ascending root ID.
     pub fn trees_of(&self, v: NodeId) -> Vec<u32> {
-        self.parent[v.index()].keys().copied().collect()
+        self.links[v.index()].iter().map(|l| l.root).collect()
     }
 
-    /// Adds `v` as a child of `w` in the tree rooted at `root`, at level
-    /// `lvl`.
+    /// `v`'s ancestor in the tree rooted at `root`; `None` when `v` is
+    /// that root or not in the tree.
+    pub fn parent(&self, v: NodeId, root: u32) -> Option<NodeId> {
+        self.link(v, root).filter(|l| l.level > 0).map(|l| l.parent)
+    }
+
+    /// `dist(root, v)` if `v` is in the tree rooted at `root`.
+    pub fn level(&self, v: NodeId, root: u32) -> Option<u32> {
+        self.link(v, root).map(|l| l.level)
+    }
+
+    /// `v`'s descendants in the tree rooted at `root`, in ascending node
+    /// ID.
+    pub fn children(&self, v: NodeId, root: u32) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let list = &self.descendants[v.index()];
+        let lo = list.partition_point(|&(r, _)| r < root);
+        let len = list[lo..].partition_point(|&(r, _)| r == root);
+        list[lo..lo + len].iter().map(|&(_, c)| c)
+    }
+
+    /// Grows every tree by one level (Lemma 4.1's second claim).
+    /// `joins[v]` lists the trees `v` joins at the new level as
+    /// `(root, parent)` pairs in ascending root order; `confirmations[w]`
+    /// lists the `(root, child)` confirmations `w` received, in any order
+    /// (they may arrive over several rounds).
     ///
     /// # Panics
     ///
-    /// Panics if `v` is already in that tree.
-    pub fn attach(&mut self, root: u32, v: NodeId, w: NodeId, lvl: u32) {
-        let prev = self.parent[v.index()].insert(root, Some(w));
-        assert!(prev.is_none(), "{v} already in tree of root {root}");
-        self.level[v.index()].insert(root, lvl);
-        self.children[w.index()].entry(root).or_default().push(v);
+    /// Panics if a node joins a tree it already belongs to.
+    pub(crate) fn grow(
+        &mut self,
+        joins: &[Vec<(u32, NodeId)>],
+        confirmations: Vec<Vec<(u32, NodeId)>>,
+    ) {
+        self.depth += 1;
+        let level = self.depth as u32;
+        for (links, joined) in self.links.iter_mut().zip(joins) {
+            links.extend(joined.iter().map(|&(root, parent)| Link {
+                root,
+                parent,
+                level,
+            }));
+            // Two sorted runs: the stable sort merges them in one pass.
+            links.sort_by_key(|l| l.root);
+            assert!(
+                links.windows(2).all(|p| p[0].root < p[1].root),
+                "a node joined a tree it already belongs to"
+            );
+        }
+        for (list, got) in self.descendants.iter_mut().zip(confirmations) {
+            list.extend(got);
+            list.sort_unstable();
+        }
     }
 
     /// Drops every tree whose root is not in `keep` (mask over node IDs).
     /// Used when a sparsification iteration discards `Q_{s-1} \ Q_s`
     /// ("the trees of nodes in `Q_{s-1} \ Q_s` are not used anymore").
     pub fn retain_roots(&mut self, keep: &[bool]) {
-        let keep_root = |root: &u32| keep[*root as usize];
-        for map in &mut self.parent {
-            map.retain(|r, _| keep_root(r));
+        for links in &mut self.links {
+            links.retain(|l| keep[l.root as usize]);
         }
-        for map in &mut self.children {
-            map.retain(|r, _| keep_root(r));
-        }
-        for map in &mut self.level {
-            map.retain(|r, _| keep_root(r));
+        for list in &mut self.descendants {
+            list.retain(|&(root, _)| keep[root as usize]);
         }
     }
 
@@ -144,15 +217,13 @@ impl QTrees {
     /// (i.e. `v` is a child of `w` or vice versa), summed over roots.
     /// Used to verify the `P = 2Δ̂` tree-congestion bound of Lemma 4.2.
     pub fn trees_using_edge(&self, v: NodeId, w: NodeId) -> usize {
-        let a = self.parent[v.index()]
-            .values()
-            .filter(|p| **p == Some(w))
-            .count();
-        let b = self.parent[w.index()]
-            .values()
-            .filter(|p| **p == Some(v))
-            .count();
-        a + b
+        let under = |a: NodeId, b: NodeId| {
+            self.links[a.index()]
+                .iter()
+                .filter(|l| l.level > 0 && l.parent == b)
+                .count()
+        };
+        under(v, w) + under(w, v)
     }
 }
 
@@ -179,37 +250,79 @@ mod tests {
         GlobalTree::from_parents(NodeId(0), vec![None, Some(NodeId(0))], vec![0, 2]);
     }
 
+    /// Grows `t` by one level in which every `(root, child, parent)`
+    /// edge joins `child` to the tree of `root` under `parent`.
+    fn grow(t: &mut QTrees, edges: &[(u32, u32, u32)]) {
+        let n = t.links.len();
+        let mut joins = vec![Vec::new(); n];
+        let mut confirmations = vec![Vec::new(); n];
+        for &(root, child, parent) in edges {
+            joins[child as usize].push((root, NodeId(parent)));
+            confirmations[parent as usize].push((root, NodeId(child)));
+        }
+        t.grow(&joins, confirmations);
+    }
+
     #[test]
     fn qtrees_roots_and_attach() {
         let mut t = QTrees::new_roots(5, &[NodeId(0), NodeId(4)]);
         assert_eq!(t.roots(), vec![NodeId(0), NodeId(4)]);
-        t.attach(0, NodeId(1), NodeId(0), 1);
-        t.attach(4, NodeId(3), NodeId(4), 1);
-        t.attach(0, NodeId(2), NodeId(1), 2);
+        grow(&mut t, &[(0, 1, 0), (4, 3, 4)]);
+        grow(&mut t, &[(0, 2, 1)]);
+        assert_eq!(t.depth(), 2);
         assert_eq!(t.trees_of(NodeId(1)), vec![0]);
-        assert_eq!(t.children[0].get(&0).unwrap(), &vec![NodeId(1)]);
-        assert_eq!(t.level[2].get(&0), Some(&2));
+        assert_eq!(
+            t.children(NodeId(0), 0).collect::<Vec<_>>(),
+            vec![NodeId(1)]
+        );
+        assert_eq!(t.level(NodeId(2), 0), Some(2));
+        assert_eq!(t.parent(NodeId(2), 0), Some(NodeId(1)));
+        assert_eq!(t.parent(NodeId(0), 0), None);
+        assert_eq!(t.level(NodeId(0), 0), Some(0));
+        assert_eq!(t.level(NodeId(2), 4), None);
         assert_eq!(t.trees_using_edge(NodeId(1), NodeId(0)), 1);
         assert_eq!(t.trees_using_edge(NodeId(2), NodeId(3)), 0);
     }
 
     #[test]
+    fn children_ascend_whatever_the_confirmation_order() {
+        let mut t = QTrees::new_roots(6, &[NodeId(2), NodeId(5)]);
+        grow(
+            &mut t,
+            &[(5, 4, 5), (2, 3, 2), (2, 0, 2), (5, 1, 5), (2, 1, 2)],
+        );
+        let kids = |v: u32, root| t.children(NodeId(v), root).collect::<Vec<_>>();
+        assert_eq!(kids(2, 2), vec![NodeId(0), NodeId(1), NodeId(3)]);
+        assert_eq!(kids(5, 5), vec![NodeId(1), NodeId(4)]);
+        assert_eq!(kids(2, 5), vec![]);
+        assert_eq!(t.trees_of(NodeId(1)), vec![2, 5]);
+    }
+
+    #[test]
     fn retain_roots_drops_trees() {
         let mut t = QTrees::new_roots(4, &[NodeId(0), NodeId(3)]);
-        t.attach(0, NodeId(1), NodeId(0), 1);
-        t.attach(3, NodeId(1), NodeId(3), 1);
+        grow(&mut t, &[(0, 1, 0), (3, 1, 3)]);
         let mut keep = vec![false; 4];
         keep[3] = true;
         t.retain_roots(&keep);
         assert_eq!(t.roots(), vec![NodeId(3)]);
         assert_eq!(t.trees_of(NodeId(1)), vec![3]);
+        assert_eq!(t.children(NodeId(0), 0).len(), 0);
+        assert_eq!(t.children(NodeId(3), 3).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "already belongs to")]
+    fn joining_a_tree_twice_panics() {
+        let mut t = QTrees::new_roots(2, &[NodeId(0)]);
+        grow(&mut t, &[(0, 1, 0)]);
+        grow(&mut t, &[(0, 1, 0)]);
     }
 
     #[test]
     fn node_in_multiple_trees() {
         let mut t = QTrees::new_roots(3, &[NodeId(0), NodeId(2)]);
-        t.attach(0, NodeId(1), NodeId(0), 1);
-        t.attach(2, NodeId(1), NodeId(2), 1);
+        grow(&mut t, &[(0, 1, 0), (2, 1, 2)]);
         assert_eq!(t.trees_of(NodeId(1)), vec![0, 2]);
         assert_eq!(t.trees_using_edge(NodeId(1), NodeId(0)), 1);
         assert_eq!(t.trees_using_edge(NodeId(1), NodeId(2)), 1);

@@ -8,7 +8,7 @@
 //! `(k+1)`-independent and dominates `Q` within `k`, so the result is a
 //! `(k+1, k²)`-ruling set of `G`.
 //!
-//! MIS subroutine substitution (DESIGN.md §3, substitution 2): the paper
+//! MIS subroutine substitution (see [`mis_on_sparse_power`]): the paper
 //! plugs in the FGG+22 deterministic MIS; we use a deterministic
 //! local-ID-minimum greedy whose per-round communication is exactly the
 //! Lemma 4.2 broadcast pattern. Its worst-case round count is `Θ(n)` (ID
@@ -21,7 +21,7 @@ use crate::sparsify::{sparsify_power, SamplingStrategy, SparsifyError, SparsifyO
 use powersparse_congest::engine::RoundEngine;
 use powersparse_congest::primitives::q_broadcast;
 use powersparse_graphs::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Result of [`det_ruling_set_k2`].
 #[derive(Debug, Clone)]
@@ -103,19 +103,26 @@ pub fn mis_on_sparse_power<E: RoundEngine>(sim: &mut E, sparse: &SparsifyOutcome
         .map(|i| if sparse.q[i] { St::Undecided } else { St::Out })
         .collect();
     // Member views: each member tracks the status of its G^k[Q]
-    // neighbors (from its I3 knowledge).
-    let mut view: Vec<BTreeMap<u32, St>> = (0..n)
+    // neighbors (from its I3 knowledge, which is already `N^k(v, Q)`;
+    // the filter is defensive), sorted by ID.
+    let mut view: Vec<Vec<(u32, St)>> = (0..n)
         .map(|i| {
             if sparse.q[i] {
-                neighbor_ids(&sparse.knowledge[i], &sparse.q)
-                    .into_iter()
-                    .map(|x| (x, St::Undecided))
+                sparse.knowledge[i]
+                    .iter()
+                    .filter(|&&x| sparse.q[x as usize])
+                    .map(|&x| (x, St::Undecided))
                     .collect()
             } else {
-                BTreeMap::new()
+                Vec::new()
             }
         })
         .collect();
+    let record = |view: &mut Vec<(u32, St)>, root: u32, code: u8| {
+        if let Ok(j) = view.binary_search_by_key(&root, |&(x, _)| x) {
+            view[j].1 = if code == 1 { St::In } else { St::Out };
+        }
+    };
 
     let budget = 4 * n as u64 + 16;
     let mut steps = 0u64;
@@ -130,7 +137,8 @@ pub fn mis_on_sparse_power<E: RoundEngine>(sim: &mut E, sparse: &SparsifyOutcome
             }
             let has_smaller_undecided = view[i]
                 .iter()
-                .any(|(&x, &s)| s == St::Undecided && (x as usize) < i);
+                .take_while(|&&(x, _)| (x as usize) < i)
+                .any(|&(_, s)| s == St::Undecided);
             if !has_smaller_undecided {
                 st[i] = St::In;
                 changed.insert(i as u32, (1u8, 1));
@@ -142,9 +150,7 @@ pub fn mis_on_sparse_power<E: RoundEngine>(sim: &mut E, sparse: &SparsifyOutcome
         for i in 0..n {
             let mut dominated = false;
             for &(root, code) in &got[i] {
-                if let Some(s) = view[i].get_mut(&root) {
-                    *s = if code == 1 { St::In } else { St::Out };
-                }
+                record(&mut view[i], root, code);
                 if code == 1 && st[i] == St::Undecided {
                     dominated = true;
                 }
@@ -157,25 +163,13 @@ pub fn mis_on_sparse_power<E: RoundEngine>(sim: &mut E, sparse: &SparsifyOutcome
         let got = q_broadcast(sim, &sparse.trees, &outs);
         for i in 0..n {
             for &(root, code) in &got[i] {
-                if let Some(s) = view[i].get_mut(&root) {
-                    *s = if code == 1 { St::In } else { St::Out };
-                }
+                record(&mut view[i], root, code);
             }
         }
     }
     (0..n)
         .filter(|&i| st[i] == St::In)
         .map(NodeId::from)
-        .collect()
-}
-
-/// Q-member IDs from a knowledge set (the knowledge is already
-/// `N^k(v, Q)`; this just filters defensively and converts).
-fn neighbor_ids(knowledge: &BTreeSet<u32>, q: &[bool]) -> Vec<u32> {
-    knowledge
-        .iter()
-        .copied()
-        .filter(|&x| q[x as usize])
         .collect()
 }
 

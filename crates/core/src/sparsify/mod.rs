@@ -11,8 +11,9 @@
 //!
 //! The per-stage sampling is controlled by a [`SamplingStrategy`]:
 //! Algorithm 1's randomized sampling, or Algorithm 2's derandomization
-//! with one of the two strategies of DESIGN.md §3 (deterministic seed
-//! scan, or exact bit-by-bit conditional expectations).
+//! with one of the two strategies of [`powersparse_kwise::derand`]
+//! (deterministic seed scan, or exact bit-by-bit conditional
+//! expectations).
 
 mod nd;
 mod power;
@@ -29,9 +30,10 @@ pub enum SamplingStrategy {
         /// RNG seed.
         seed: u64,
     },
-    /// Algorithm 2 with the deterministic seed scan of DESIGN.md §3:
-    /// candidates are evaluated with a real convergecast per candidate
-    /// and the first seed with zero bad events wins.
+    /// Algorithm 2 with the deterministic seed scan of
+    /// [`powersparse_kwise::derand::seed_search`]: candidates are
+    /// evaluated with a real convergecast per candidate and the first
+    /// seed with zero bad events wins.
     SeedSearch,
     /// Algorithm 2 with the paper's bit-by-bit method of conditional
     /// expectations, computed exactly by exhaustive enumeration (only

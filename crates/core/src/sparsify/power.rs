@@ -13,7 +13,7 @@ use powersparse_kwise::family::KWiseFamily;
 use powersparse_kwise::seed::{PartialSeed, Seed};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Failure of the derandomization step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,12 +57,16 @@ impl std::error::Error for SparsifyError {}
 /// guaranteed by invariant I3 (knowledge of `N^{k+1}(v, Q)` and BFS trees
 /// of depth `k+1`), which downstream algorithms (Lemma 4.6 simulation,
 /// Theorem 1.1) consume directly.
+///
+/// The I3 state is flat: `knowledge[v]` is one ID list per node, sorted
+/// ascending without duplicates, and `trees` keeps per-node lists sorted
+/// by root ID whose child runs ascend by node ID (see [`QTrees`]).
 #[derive(Debug, Clone)]
 pub struct SparsifyOutcome {
     /// Membership mask of `Q_k`.
     pub q: Vec<bool>,
-    /// `N^{k+1}(v, Q_k)` for every node (I3).
-    pub knowledge: Vec<BTreeSet<u32>>,
+    /// `N^{k+1}(v, Q_k)` for every node as a sorted ID list (I3).
+    pub knowledge: Vec<Vec<u32>>,
     /// Depth-`(k+1)` BFS trees rooted at `Q_k` (I3).
     pub trees: QTrees,
     /// Per-iteration statistics.
@@ -135,8 +139,7 @@ pub fn sparsify_power<E: RoundEngine>(
 
     // I3 for s = 0 → 1: knowledge of N^1(v, Q_0) and depth-1 trees.
     let mut q: Vec<bool> = q0.to_vec();
-    let (sets, mut trees) = init_knowledge_and_trees(sim, &q);
-    let mut knowledge: Vec<BTreeSet<u32>> = sets;
+    let (mut knowledge, mut trees) = init_knowledge_and_trees(sim, &q);
     let mut iterations = Vec::new();
 
     for s in 1..=k {
@@ -163,9 +166,6 @@ pub fn sparsify_power<E: RoundEngine>(
         trees.retain_roots(&q);
         knowledge = extend_trees(sim, &knowledge, &mut trees);
     }
-    if k == 0 {
-        // Degenerate case: Q = Q_0; knowledge is N^1, trees depth 1.
-    }
     Ok(SparsifyOutcome {
         q,
         knowledge,
@@ -187,7 +187,7 @@ fn sparsify_iteration<E: RoundEngine>(
     s: usize,
     delta_a: usize,
     q: &mut [bool],
-    knowledge: &mut [BTreeSet<u32>],
+    knowledge: &mut [Vec<u32>],
     trees: &QTrees,
     global: Option<&GlobalTree>,
     params: &TheoryParams,
@@ -198,8 +198,8 @@ fn sparsify_iteration<E: RoundEngine>(
     let degree_bound = params.degree_bound(n);
     let family = KWiseFamily::for_graph(n, params.kwise_factor);
 
-    // Per-node member status over N^s(v, Q_{s-1}).
-    let mut members: Vec<BTreeMap<u32, MemberStatus>> = knowledge
+    // Per-node member status over N^s(v, Q_{s-1}), sorted by ID.
+    let mut members: Vec<Vec<(u32, MemberStatus)>> = knowledge
         .iter()
         .map(|set| set.iter().map(|&x| (x, MemberStatus::Active)).collect())
         .collect();
@@ -284,8 +284,10 @@ fn sparsify_iteration<E: RoundEngine>(
         }
         let received = q_broadcast(sim, trees, &msgs);
         for (i, inbox) in received.iter().enumerate() {
+            let observed = &mut members[i];
             for &(root, code) in inbox {
-                if let Some(st) = members[i].get_mut(&root) {
+                if let Ok(j) = observed.binary_search_by_key(&root, |&(x, _)| x) {
+                    let st = &mut observed[j].1;
                     if *st == MemberStatus::Active {
                         *st = if code == 1 {
                             MemberStatus::Sampled
@@ -307,7 +309,7 @@ fn sparsify_iteration<E: RoundEngine>(
         knowledge[i] = members[i]
             .iter()
             .filter(|(_, st)| matches!(st, MemberStatus::Sampled | MemberStatus::Active))
-            .map(|(&x, _)| x)
+            .map(|&(x, _)| x)
             .collect();
     }
     Ok(IterationStats {
@@ -328,25 +330,24 @@ fn node_bad_events(
     threshold: u64,
     high: f64,
     degree_bound: usize,
-    members: &[BTreeMap<u32, MemberStatus>],
+    members: &[Vec<(u32, MemberStatus)>],
     own: &[MemberStatus],
     v: usize,
 ) -> u64 {
-    let active: Vec<u32> = members[v]
-        .iter()
-        .filter(|(_, st)| **st == MemberStatus::Active)
-        .map(|(&x, _)| x)
-        .collect();
-    let sampled_neighbors = active
-        .iter()
-        .filter(|&&x| family.indicator(seed, x as u64, threshold))
-        .count();
+    let mut active = 0usize;
+    let mut sampled_neighbors = 0usize;
+    for &(x, st) in &members[v] {
+        if st == MemberStatus::Active {
+            active += 1;
+            sampled_neighbors += usize::from(family.indicator(seed, x as u64, threshold));
+        }
+    }
     // Ψ_v: more than `degree_bound` sampled distance-s neighbors.
     let psi = u64::from(sampled_neighbors > degree_bound);
     // Φ_v: high active degree but neither v nor any neighbor sampled.
     let self_sampled =
         own[v] == MemberStatus::Active && family.indicator(seed, v as u64, threshold);
-    let phi = u64::from(active.len() as f64 >= high && sampled_neighbors == 0 && !self_sampled);
+    let phi = u64::from(active as f64 >= high && sampled_neighbors == 0 && !self_sampled);
     psi + phi
 }
 
@@ -366,7 +367,7 @@ fn derandomize_stage<E: RoundEngine>(
     threshold: u64,
     high: f64,
     degree_bound: usize,
-    members: &[BTreeMap<u32, MemberStatus>],
+    members: &[Vec<(u32, MemberStatus)>],
     own: &[MemberStatus],
     params: &TheoryParams,
     strategy: SamplingStrategy,
@@ -497,13 +498,13 @@ mod tests {
                 );
             }
         }
-        // I3: knowledge = N^{k+1}(v, Q).
+        // I3: knowledge = N^{k+1}(v, Q), sorted.
         for v in g.nodes() {
-            let expect: std::collections::BTreeSet<u32> =
-                power::q_neighborhood(g, v, k + 1, &out.q)
-                    .into_iter()
-                    .map(|w| w.0)
-                    .collect();
+            let mut expect: Vec<u32> = power::q_neighborhood(g, v, k + 1, &out.q)
+                .into_iter()
+                .map(|w| w.0)
+                .collect();
+            expect.sort_unstable();
             assert_eq!(out.knowledge[v.index()], expect, "knowledge at {v}");
         }
     }

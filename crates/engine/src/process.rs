@@ -51,7 +51,7 @@
 //! phase until the engine drops (a `PhaseStart` frame rebuilds the
 //! core).  Payloads cross the wire by value when the message type has
 //! an inline codec, and park in a parent-side
-//! [`PayloadSlab`](crate::wire::PayloadSlab) otherwise — the wire then
+//! [`PayloadSlab`] otherwise — the wire then
 //! carries only a slot id, round-tripped through the child untouched.
 //!
 //! # Failure semantics

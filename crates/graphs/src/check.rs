@@ -78,24 +78,21 @@ pub fn is_mis_of_power_restricted(
 /// Whether the iterated power-graph sparsifier's **invariant I3** holds
 /// (Algorithm 3 / Lemma 3.1 of the paper): every node's knowledge set is
 /// exactly its non-inclusive distance-`(k+1)` `Q`-neighborhood
-/// `N^{k+1}(v, Q)`, given as sorted node indices.
+/// `N^{k+1}(v, Q)`, given as sorted node indices. A list out of order or
+/// with a repeated index fails.
 ///
 /// # Panics
 ///
 /// Panics if `q` or `knowledge` has the wrong length.
-pub fn satisfies_sparsifier_i3(
-    g: &Graph,
-    k: usize,
-    q: &[bool],
-    knowledge: &[std::collections::BTreeSet<u32>],
-) -> bool {
+pub fn satisfies_sparsifier_i3(g: &Graph, k: usize, q: &[bool], knowledge: &[Vec<u32>]) -> bool {
     assert_eq!(q.len(), g.n(), "q mask has wrong length");
     assert_eq!(knowledge.len(), g.n(), "knowledge has wrong length");
     g.nodes().all(|v| {
-        let want: std::collections::BTreeSet<u32> = power::q_neighborhood(g, v, k + 1, q)
+        let mut want: Vec<u32> = power::q_neighborhood(g, v, k + 1, q)
             .into_iter()
             .map(|w| w.0)
             .collect();
+        want.sort_unstable();
         knowledge[v.index()] == want
     })
 }
@@ -326,25 +323,24 @@ mod tests {
 
     #[test]
     fn sparsifier_i3_check() {
-        use std::collections::BTreeSet;
         let g = generators::path(5);
         let q = vec![true, false, false, true, false];
         let k = 1; // knowledge must be N²(v, Q), excluding v itself
-        let knowledge: Vec<BTreeSet<u32>> = vec![
-            BTreeSet::new(),        // v0: only Q member within 2 is itself
-            BTreeSet::from([0, 3]), // v1
-            BTreeSet::from([0, 3]), // v2
-            BTreeSet::new(),        // v3
-            BTreeSet::from([3]),    // v4
+        let knowledge: Vec<Vec<u32>> = vec![
+            vec![],     // v0: only Q member within 2 is itself
+            vec![0, 3], // v1
+            vec![0, 3], // v2
+            vec![],     // v3
+            vec![3],    // v4
         ];
         assert!(satisfies_sparsifier_i3(&g, k, &q, &knowledge));
         // A node missing a Q-neighbor violates I3.
         let mut bad = knowledge.clone();
-        bad[1].remove(&3);
+        bad[1].retain(|&x| x != 3);
         assert!(!satisfies_sparsifier_i3(&g, k, &q, &bad));
         // A node claiming an extra member violates I3.
         let mut bad = knowledge;
-        bad[0].insert(4);
+        bad[0].push(4);
         assert!(!satisfies_sparsifier_i3(&g, k, &q, &bad));
     }
 

@@ -101,9 +101,10 @@ fn non_maximal_mis_rejected() {
     }
 }
 
-/// Sparsifier outputs whose knowledge sets drift from the true
-/// `N^{k+1}(v, Q)` — an element dropped, an element invented, or a `Q`
-/// flip not reflected in the knowledge — all violate invariant I3.
+/// Sparsifier outputs whose knowledge lists drift from the true sorted
+/// `N^{k+1}(v, Q)` — an element dropped, an element invented, an element
+/// repeated, two entries swapped, or a `Q` flip not reflected in the
+/// knowledge — all violate invariant I3.
 #[test]
 fn i3_violating_sparsifier_rejected() {
     let g = generators::torus(8, 8);
@@ -125,15 +126,14 @@ fn i3_violating_sparsifier_rejected() {
         &out.knowledge
     ));
 
-    // Drop one element from a nonempty knowledge set.
+    // Drop one element from a nonempty knowledge list.
     let donor = out
         .knowledge
         .iter()
         .position(|s| !s.is_empty())
         .expect("some node knows a Q-neighbor");
     let mut dropped = out.knowledge.clone();
-    let x = *dropped[donor].iter().next().unwrap();
-    dropped[donor].remove(&x);
+    let x = dropped[donor].remove(0);
     assert!(
         !check::satisfies_sparsifier_i3(&g, k, &out.q, &dropped),
         "missing knowledge element not caught"
@@ -141,14 +141,36 @@ fn i3_violating_sparsifier_rejected() {
 
     // Invent an element that is not a Q-member within k+1 hops.
     let mut invented = out.knowledge.clone();
-    invented[donor].insert(donor as u32); // own ID is never in N^{k+1}(v, Q)
+    invented[donor].push(donor as u32); // own ID is never in N^{k+1}(v, Q)
+    invented[donor].sort_unstable();
     assert!(
         !check::satisfies_sparsifier_i3(&g, k, &out.q, &invented),
         "invented knowledge element not caught"
     );
 
+    // Repeat an element: the right members, but not a set.
+    let mut repeated = out.knowledge.clone();
+    repeated[donor].insert(0, x);
+    assert!(
+        !check::satisfies_sparsifier_i3(&g, k, &out.q, &repeated),
+        "duplicated knowledge element not caught"
+    );
+
+    // Swap two entries: the right members, out of order.
+    let pair = out
+        .knowledge
+        .iter()
+        .position(|s| s.len() >= 2)
+        .expect("some node knows two Q-neighbors");
+    let mut swapped = out.knowledge.clone();
+    swapped[pair].swap(0, 1);
+    assert!(
+        !check::satisfies_sparsifier_i3(&g, k, &out.q, &swapped),
+        "unsorted knowledge list not caught"
+    );
+
     // Flip a Q-bit without updating anyone's knowledge: the stale
-    // knowledge sets no longer match the claimed Q.
+    // knowledge lists no longer match the claimed Q.
     let mut stale_q = out.q.clone();
     stale_q[x as usize] = !stale_q[x as usize];
     assert!(

@@ -50,8 +50,9 @@ proptest! {
         prop_assert!(check::is_beta_dominating(&g, &members, k * k + k));
         // I3: knowledge matches ground truth.
         for v in g.nodes() {
-            let expect: std::collections::BTreeSet<u32> =
+            let mut expect: Vec<u32> =
                 power::q_neighborhood(&g, v, k + 1, &out.q).into_iter().map(|w| w.0).collect();
+            expect.sort_unstable();
             prop_assert_eq!(&out.knowledge[v.index()], &expect);
         }
     }
