@@ -5,15 +5,13 @@
 //!
 //! ```text
 //! experiments fig1
-//! experiments engines [--out MANIFEST.json] [--net SPEC]...
+//! experiments engines [--out MANIFEST.json]
 //! experiments suite [--profile smoke|full|paper | --spec FILE.toml] --out MANIFEST.json
-//!                   [--force-engine ENGINE] [--net SPEC] [--chaos] [--chaos-seed S]
-//!                   [--chaos-kills N] [--chaos-corruptions N] [--repeats R] [--warmup W]
+//!                   [--force-engine ENGINE] [--repeats R] [--warmup W]
 //! experiments suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]
 //! experiments trend [DIR] [--out REPORT.json]
 //! experiments trace SCENARIO [--limit N] [--out FILE.json]
 //! experiments profile SCENARIO [--repeats R] [--chrome-trace OUT.json]
-//! experiments chaos SCENARIO [--seed S] [--kills N] [--corruptions N]
 //! ```
 //!
 //! Output is markdown. `fig1` prints the per-edge load on Figure 1's
@@ -24,12 +22,8 @@
 //! run phase `R` times (plus `--warmup W` discarded invocations) and
 //! records mean/min/max/95%-CI wall statistics in the manifest.
 //! `engines --out` writes the engine-comparison table as a manifest too
-//! (`BENCH_engine.json` is the committed instance), and each `engines
-//! --net latency_us=N[,bandwidth_bytes_per_s=N][,jitter_seed=N]` adds
-//! shaped-process latency-scaling rows; `suite --net SPEC` shapes the
-//! wire of every process-engine scenario (pair it with `--force-engine
-//! process` for the shaped conformance gate). `trend` renders the cost
-//! trajectory across every `BENCH_*.json` in a directory, and `trace`
+//! (`BENCH_engine.json` is the committed instance). `trend` renders the
+//! cost trajectory across every `BENCH_*.json` in a directory, and `trace`
 //! runs one named builtin scenario (smoke, full or paper profile) with
 //! a round probe attached and prints the per-round activity table
 //! (round, active edges, dirty nodes, messages, bits) — `--out` exports
@@ -37,15 +31,6 @@
 //! probe attached and prints the per-stage × per-shard wall breakdown
 //! (step/transfer/barrier, imbalance, barrier-overhead share);
 //! `--chrome-trace` exports a Perfetto-loadable trace-event file.
-//! `suite --chaos` installs a seeded `FaultPlan` on every process-engine
-//! scenario (kills + corruptions, upgrading fail-fast scenarios to the
-//! default recovery policy) — recovery is operational, not semantic, so
-//! a chaos-disturbed suite still diffs bit-for-bit against the
-//! committed baseline with `--ignore-engine`: the recovery CI gate.
-//! `chaos` runs one named builtin scenario under a seeded fault plan on
-//! the supervised process engine, prints the recovery event log, and
-//! exits nonzero if the recovered counters drift from a clean reference
-//! run of the same scenario.
 
 use powersparse::mis::luby_mis;
 use powersparse_bench::row;
@@ -56,7 +41,7 @@ use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_graphs::{check, generators, power};
 use std::collections::BTreeMap;
 
-const USAGE: &str = "usage: experiments fig1|engines|suite|trend|trace|profile|chaos [ARGS]";
+const USAGE: &str = "usage: experiments fig1|engines|suite|trend|trace|profile [ARGS]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,7 +52,6 @@ fn main() {
         Some("trend") => trend_cmd(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
         Some("profile") => profile_cmd(&args[1..]),
-        Some("chaos") => chaos_cmd(&args[1..]),
         Some(other) => {
             eprintln!("unknown experiment '{other}' ({USAGE})");
             std::process::exit(2);
@@ -154,49 +138,9 @@ fn fig1() {
     );
 }
 
-/// Strict parse of a `--net` shaping spec:
-/// `latency_us=N[,bandwidth_bytes_per_s=N][,jitter_seed=N]`.
-/// `latency_us` is required so a typo cannot silently request an
-/// unshaped wire; the other knobs default to 0 (infinite bandwidth, no
-/// jitter).
-fn parse_net_spec(text: &str) -> Result<powersparse_engine::NetworkSpec, String> {
-    let mut spec = powersparse_engine::NetworkSpec::default();
-    let mut saw_latency = false;
-    for part in text.split(',') {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| format!("expected `key=value`, got `{part}`"))?;
-        let value: u64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("cannot parse `{}` as an integer", value.trim()))?;
-        match key.trim() {
-            "latency_us" => {
-                spec.latency_us = value;
-                saw_latency = true;
-            }
-            "bandwidth_bytes_per_s" => spec.bandwidth_bytes_per_s = value,
-            "jitter_seed" => spec.jitter_seed = value,
-            other => {
-                return Err(format!(
-                    "unknown net key `{other}` (expected latency_us, \
-                     bandwidth_bytes_per_s, jitter_seed)"
-                ))
-            }
-        }
-    }
-    if !saw_latency {
-        return Err("a net spec needs `latency_us=N`".into());
-    }
-    Ok(spec)
-}
-
-/// Strict `engines` argument parsing: `--out MANIFEST.json` plus a
-/// repeatable `--net SPEC` adding one shaped-wire profile per flag to
-/// the latency-scaling rows.
+/// Strict `engines` argument parsing: `--out MANIFEST.json` only.
 fn engines_cmd(args: &[String]) {
     let mut out: Option<String> = None;
-    let mut nets: Vec<powersparse_engine::NetworkSpec> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -210,40 +154,23 @@ fn engines_cmd(args: &[String]) {
                         .clone(),
                 );
             }
-            "--net" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!(
-                        "--net requires a spec like \
-                         latency_us=200,bandwidth_bytes_per_s=16777216,jitter_seed=7"
-                    );
-                    std::process::exit(2);
-                });
-                nets.push(parse_net_spec(value).unwrap_or_else(|e| {
-                    eprintln!("cannot parse --net '{value}': {e}");
-                    std::process::exit(2);
-                }));
-            }
             other => {
-                eprintln!("unknown engines argument '{other}' (usage: experiments engines [--out MANIFEST.json] [--net SPEC]...)");
+                eprintln!("unknown engines argument '{other}' (usage: experiments engines [--out MANIFEST.json])");
                 std::process::exit(2);
             }
         }
     }
-    engines_exp(out.as_deref(), &nets);
+    engines_exp(out.as_deref());
 }
 
 /// E9 — Engine comparison: sequential `Simulator` vs the pooled and
 /// multi-process `powersparse-engine` backends running Luby MIS on `G`,
 /// with the bit-for-bit parity of outputs and `Metrics` re-verified on
-/// every row. Each `--net` shaping profile adds a
-/// latency-scaling block: the process engine re-runs under that shaped
-/// wire with repeat statistics (mean ± 95% CI over 3 invocations), and
-/// its counters are asserted identical to the unshaped run — shaping
-/// may move wall clock only. With `--out`, the table is also written as a `SuiteManifest`
-/// (suite `engines`) so `experiments trend` can track the engine
-/// trajectory alongside the scenario suite — `BENCH_engine.json` is the
-/// committed instance.
-fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
+/// every row. With `--out`, the table is also written as a
+/// `SuiteManifest` (suite `engines`) so `experiments trend` can track
+/// the engine trajectory alongside the scenario suite —
+/// `BENCH_engine.json` is the committed instance.
+fn engines_exp(out: Option<&str>) {
     use powersparse_congest::engine::{Metrics, RoundEngine};
     use powersparse_engine::{PooledSimulator, ProcessSimulator};
     use powersparse_workloads::{PhaseWall, RunRecord, SuiteManifest, Validation, WallStats};
@@ -301,8 +228,6 @@ fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
             algorithm: "luby_mis".into(),
             engine: engine.into(),
             shards: shards as u64,
-            net: None,
-            recovery: None,
             rounds: metrics.rounds,
             charged_rounds: metrics.charged_rounds,
             messages: metrics.messages,
@@ -404,93 +329,6 @@ fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
         "\nIdentical = same MIS mask, same Metrics (rounds, messages, bits, peak queue depth).\n\
          The process rows pay the wire codec + socket splice tax on every round."
     );
-    if !nets.is_empty() {
-        use powersparse_workloads::{
-            run_scenario, run_scenario_with, GraphFamily, Repeat, RunOptions, Scenario,
-        };
-        println!("\n### Latency scaling — shaped process wire, Luby MIS on gnp(n=1000,d=8)\n");
-        println!(
-            "{}",
-            row(&[
-                "latency",
-                "bandwidth B/s",
-                "jitter",
-                "shards",
-                "wall (mean±ci95)",
-                "rounds",
-                "counters = unshaped"
-            ]
-            .map(String::from))
-        );
-        println!("{}", row(&["---"; 7].map(String::from)));
-        let scaling_shards = [2usize, 4];
-        let base = |shards: usize| {
-            Scenario::new(GraphFamily::Gnp {
-                n: 1_000,
-                avg_deg: 8.0,
-            })
-            .seed(42)
-            .process(shards)
-        };
-        // Unshaped reference counters per shard count, for the parity
-        // column (not recorded: the main table already carries the
-        // unshaped process rows).
-        let reference: Vec<_> = scaling_shards
-            .iter()
-            .map(|&shards| run_scenario(&base(shards)).expect("unshaped reference run"))
-            .collect();
-        let opts = RunOptions {
-            repeat: Repeat {
-                invocations: 3,
-                warmup: 1,
-            },
-            trace: None,
-            profile: false,
-            chaos: None,
-        };
-        for &net in nets {
-            for (i, &shards) in scaling_shards.iter().enumerate() {
-                let sc = base(shards).network(net);
-                let rec = run_scenario_with(&sc, &opts)
-                    .unwrap_or_else(|e| panic!("shaped run failed: {}: {e}", sc.name()));
-                let want = &reference[i];
-                assert!(
-                    rec.rounds == want.rounds
-                        && rec.messages == want.messages
-                        && rec.bits == want.bits
-                        && rec.peak_queue_depth == want.peak_queue_depth
-                        && rec.output_size == want.output_size,
-                    "shaped wire changed a gated counter on {}",
-                    sc.name()
-                );
-                println!(
-                    "{}",
-                    row(&[
-                        format!("{}us", net.latency_us),
-                        if net.bandwidth_bytes_per_s == 0 {
-                            "inf".into()
-                        } else {
-                            net.bandwidth_bytes_per_s.to_string()
-                        },
-                        net.jitter_seed.to_string(),
-                        shards.to_string(),
-                        format!(
-                            "{:.1}±{:.1}ms",
-                            rec.wall_stats.mean_us / 1000.0,
-                            rec.wall_stats.ci95_us / 1000.0
-                        ),
-                        rec.rounds.to_string(),
-                        "yes".into(),
-                    ])
-                );
-                runs.push(rec);
-            }
-        }
-        println!(
-            "\nEvery shaped row re-validated its MIS and matched the unshaped process \
-             counters exactly; only wall clock moves with the modeled wire."
-        );
-    }
     if let Some(path) = out {
         let manifest = SuiteManifest {
             suite: "engines".into(),
@@ -659,7 +497,6 @@ fn trace_cmd(args: &[String]) {
         repeat: Repeat::once(),
         trace: Some(limit),
         profile: false,
-        chaos: None,
     };
     let rec = run_scenario_with(sc, &opts).unwrap_or_else(|e| panic!("trace run failed: {e}"));
     let trace = rec.trace.as_ref().expect("trace was requested");
@@ -915,170 +752,6 @@ fn profile_cmd(args: &[String]) {
     }
 }
 
-/// E14 — `chaos`: one builtin scenario under a seeded fault plan on the
-/// supervised process engine. Runs a clean reference first, then the
-/// same scenario with the plan installed (kills, corruptions), prints
-/// the recovery event log the supervisor recorded (one row per respawn
-/// attempt), and exits nonzero if any recovered counter drifts from the
-/// clean reference — the single-scenario version of the suite-level
-/// recovery gate. Non-process scenarios are remapped onto the process
-/// engine (there is no wire to disturb otherwise).
-fn chaos_cmd(args: &[String]) {
-    use powersparse_workloads::{
-        run_chaos_scenario, run_scenario, ChaosSpec, EngineSpec, Scenario,
-    };
-
-    let mut target: Option<String> = None;
-    let mut chaos = ChaosSpec::default();
-    let usage = "usage: experiments chaos SCENARIO [--seed S] [--kills N] [--corruptions N]";
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" | "--kills" | "--corruptions" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("{arg} requires a value ({usage})");
-                    std::process::exit(2);
-                });
-                match arg.as_str() {
-                    "--seed" => {
-                        chaos.seed = value.parse::<u64>().unwrap_or_else(|_| {
-                            eprintln!("cannot parse seed '{value}' (a u64)");
-                            std::process::exit(2);
-                        });
-                    }
-                    _ => {
-                        let parsed = value.parse::<usize>().unwrap_or_else(|_| {
-                            eprintln!("cannot parse {arg} '{value}' (an event count)");
-                            std::process::exit(2);
-                        });
-                        if arg == "--kills" {
-                            chaos.kills = parsed;
-                        } else {
-                            chaos.corruptions = parsed;
-                        }
-                    }
-                }
-            }
-            other if target.is_none() && !other.starts_with('-') => {
-                target = Some(other.to_string());
-            }
-            other => {
-                eprintln!("unknown chaos argument '{other}' ({usage})");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(target) = target else {
-        eprintln!("chaos requires a scenario name ({usage})");
-        std::process::exit(2);
-    };
-    let mut sc = find_builtin_scenario(&target);
-    if !matches!(sc.engine, EngineSpec::Process { .. }) {
-        let shards = sc.engine.shards().max(2);
-        println!("note: remapping `{target}` onto the process engine ({shards} shards) — chaos needs a wire to disturb");
-        sc.engine = EngineSpec::Process { shards };
-    }
-    let clean = run_scenario(&sc).unwrap_or_else(|e| panic!("clean reference failed: {e}"));
-    let (disturbed, events, fired) =
-        run_chaos_scenario(&sc, &chaos).unwrap_or_else(|e| panic!("chaos run failed: {e}"));
-    println!(
-        "\n## E14: Chaos — `{}` (seed {}, {} kills, {} corruptions planned; {fired} fired)\n",
-        Scenario::name(&sc),
-        chaos.seed,
-        chaos.kills,
-        chaos.corruptions
-    );
-    println!(
-        "{}",
-        row(&["round", "shard", "attempt", "backoff", "cause"].map(String::from))
-    );
-    println!("{}", row(&["---"; 5].map(String::from)));
-    for ev in &events {
-        println!(
-            "{}",
-            row(&[
-                ev.round.to_string(),
-                ev.shard.to_string(),
-                ev.attempt.to_string(),
-                format!("{}ns", ev.backoff_ns),
-                ev.cause.clone(),
-            ])
-        );
-    }
-    let recovery = disturbed
-        .recovery
-        .expect("a chaos run always records a recovery section");
-    println!(
-        "\n{} recovery events; policy: max_retries={} backoff={}ms checkpoint_every={}; \
-         validation: {}",
-        events.len(),
-        recovery.max_retries,
-        recovery.backoff_ms,
-        recovery.checkpoint_every,
-        disturbed.validation.detail
-    );
-    let mut bad = false;
-    if fired == 0 {
-        eprintln!(
-            "CHAOS VIOLATION: no planned fault fired — the run finished before any event round \
-             (raise --kills/--corruptions or pick a longer scenario)"
-        );
-        bad = true;
-    }
-    // Recovery must be invisible in every semantic counter: the replayed
-    // run has to land exactly where the clean reference did.
-    let counters = [
-        ("rounds", clean.rounds, disturbed.rounds),
-        (
-            "charged_rounds",
-            clean.charged_rounds,
-            disturbed.charged_rounds,
-        ),
-        ("messages", clean.messages, disturbed.messages),
-        ("bits", clean.bits, disturbed.bits),
-        (
-            "peak_queue_depth",
-            clean.peak_queue_depth,
-            disturbed.peak_queue_depth,
-        ),
-        (
-            "arena_cells_peak",
-            clean.arena_cells_peak,
-            disturbed.arena_cells_peak,
-        ),
-        (
-            "arena_bytes_peak",
-            clean.arena_bytes_peak,
-            disturbed.arena_bytes_peak,
-        ),
-        ("output_size", clean.output_size, disturbed.output_size),
-    ];
-    for (field, want, got) in counters {
-        if want != got {
-            eprintln!(
-                "CHAOS VIOLATION: {field} drifted under recovery — clean {want}, recovered {got}"
-            );
-            bad = true;
-        }
-    }
-    if !disturbed.validation.passed {
-        eprintln!(
-            "CHAOS VIOLATION: recovered run failed validation: {}",
-            disturbed.validation.detail
-        );
-        bad = true;
-    }
-    if bad {
-        eprintln!("chaos probe failed — see above");
-        std::process::exit(1);
-    }
-    println!(
-        "recovered run matches the clean reference on every counter \
-         ({} rounds, {} messages, {} bits)",
-        disturbed.rounds, disturbed.messages, disturbed.bits
-    );
-}
-
 /// E10 — The workload scenario suite: the declarative graph-family ×
 /// algorithm × engine matrix of `powersparse-workloads` (the smoke, full
 /// or paper profile, or a spec file), validated run by run, with a JSON
@@ -1087,13 +760,12 @@ fn chaos_cmd(args: &[String]) {
 /// measured quantities the paper's tables report.
 fn suite_cmd(args: &[String]) {
     use powersparse_workloads::{
-        builtin_suite, parse_suite, run_scenario_with, run_suite_with, ChaosSpec, EngineSpec,
-        Repeat, RunOptions, SuiteManifest, SuiteProfile,
+        builtin_suite, parse_suite, run_scenario_with, run_suite_with, EngineSpec, Repeat,
+        RunOptions, SuiteManifest, SuiteProfile,
     };
 
     let usage = "usage: experiments suite [--profile smoke|full|paper | --spec FILE.toml] \
-                 --out MANIFEST.json [--force-engine sequential|pooled|process] [--net SPEC] \
-                 [--chaos] [--chaos-seed S] [--chaos-kills N] [--chaos-corruptions N] \
+                 --out MANIFEST.json [--force-engine sequential|pooled|process] \
                  [--repeats R] [--warmup W] \
                  | suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]";
     // Strict argument parsing: a mistyped flag must not silently fall
@@ -1106,44 +778,14 @@ fn suite_cmd(args: &[String]) {
     let mut tolerance = 0.0f64;
     let mut saw_tolerance = false;
     let mut force_engine: Option<String> = None;
-    let mut net: Option<powersparse_engine::NetworkSpec> = None;
     let mut ignore_engine = false;
     let mut repeats = 1usize;
     let mut warmup = 0usize;
     let mut saw_repeat_flags = false;
-    let mut chaos: Option<ChaosSpec> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--ignore-engine" => ignore_engine = true,
-            "--chaos" => chaos = Some(chaos.unwrap_or_default()),
-            "--chaos-seed" | "--chaos-kills" | "--chaos-corruptions" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("{arg} requires a value");
-                    std::process::exit(2);
-                });
-                let mut spec = chaos.unwrap_or_default();
-                match arg.as_str() {
-                    "--chaos-seed" => {
-                        spec.seed = value.parse::<u64>().unwrap_or_else(|_| {
-                            eprintln!("cannot parse {arg} '{value}' (a u64 seed)");
-                            std::process::exit(2);
-                        });
-                    }
-                    _ => {
-                        let parsed = value.parse::<usize>().unwrap_or_else(|_| {
-                            eprintln!("cannot parse {arg} '{value}' (an event count)");
-                            std::process::exit(2);
-                        });
-                        if arg == "--chaos-kills" {
-                            spec.kills = parsed;
-                        } else {
-                            spec.corruptions = parsed;
-                        }
-                    }
-                }
-                chaos = Some(spec);
-            }
             "--repeats" | "--warmup" => {
                 let value = it.next().unwrap_or_else(|| {
                     eprintln!("{arg} requires a value");
@@ -1186,19 +828,6 @@ fn suite_cmd(args: &[String]) {
                     _ => spec = Some(value.clone()),
                 }
             }
-            "--net" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!(
-                        "--net requires a spec like \
-                         latency_us=200,bandwidth_bytes_per_s=16777216,jitter_seed=7"
-                    );
-                    std::process::exit(2);
-                });
-                net = Some(parse_net_spec(value).unwrap_or_else(|e| {
-                    eprintln!("cannot parse --net '{value}': {e}");
-                    std::process::exit(2);
-                }));
-            }
             "--diff" => {
                 let (Some(old), Some(new)) = (it.next(), it.next()) else {
                     eprintln!("--diff requires two manifest paths: OLD.json NEW.json");
@@ -1233,11 +862,9 @@ fn suite_cmd(args: &[String]) {
             || out.is_some()
             || spec.is_some()
             || force_engine.is_some()
-            || net.is_some()
-            || chaos.is_some()
             || saw_repeat_flags
         {
-            eprintln!("--diff compares two existing manifests; it cannot be combined with --profile/--spec/--out/--force-engine/--net/--chaos/--repeats/--warmup");
+            eprintln!("--diff compares two existing manifests; it cannot be combined with --profile/--spec/--out/--force-engine/--repeats/--warmup");
             std::process::exit(2);
         }
         return diff_cmd(&old_path, &new_path, tolerance, ignore_engine);
@@ -1291,54 +918,6 @@ fn suite_cmd(args: &[String]) {
         }
         name = format!("{name}+force-{engine}");
     }
-    // `--net` shapes the wire of every process-engine scenario (usually
-    // combined with `--force-engine process`). The engine contract
-    // promises shaping moves wall clock only, so a shaped suite still
-    // diffs cleanly against the mixed-engine baseline with
-    // `--ignore-engine` — the shaped-wire CI gate.
-    if let Some(spec) = net {
-        let mut shaped = 0usize;
-        for sc in &mut scenarios {
-            if matches!(sc.engine, EngineSpec::Process { .. }) {
-                sc.net = Some(spec);
-                shaped += 1;
-            }
-        }
-        if shaped == 0 {
-            eprintln!(
-                "--net shapes process-engine scenarios, but this suite has none \
-                 (combine with --force-engine process)"
-            );
-            std::process::exit(2);
-        }
-        name = format!(
-            "{name}+net(lat={}us,bw={},jit={})",
-            spec.latency_us, spec.bandwidth_bytes_per_s, spec.jitter_seed
-        );
-    }
-    // `--chaos` disturbs the wire of every process-engine scenario with a
-    // seeded fault plan and upgrades fail-fast scenarios to the default
-    // recovery policy (usually combined with `--force-engine process`).
-    // Recovery is operational, not semantic: the chaos-disturbed suite
-    // must still diff bit-for-bit against the committed baseline with
-    // `--ignore-engine` — the recovery CI gate.
-    if let Some(spec) = chaos {
-        if !scenarios
-            .iter()
-            .any(|sc| matches!(sc.engine, EngineSpec::Process { .. }))
-        {
-            eprintln!(
-                "--chaos disturbs process-engine scenarios, but this suite has none \
-                 (combine with --force-engine process)"
-            );
-            std::process::exit(2);
-        }
-        name = format!(
-            "{name}+chaos(seed={},kills={},corruptions={})",
-            spec.seed, spec.kills, spec.corruptions
-        );
-    }
-
     let opts = RunOptions {
         repeat: Repeat {
             invocations: repeats,
@@ -1346,7 +925,6 @@ fn suite_cmd(args: &[String]) {
         },
         trace: None,
         profile: false,
-        chaos,
     };
     println!(
         "\n## E10: Workload suite `{name}` — {} scenarios{}\n",

@@ -139,11 +139,10 @@
 //!   mid-round (socket closed)";
 //! * a child that stops responding → "barrier timeout waiting on
 //!   shard _s_", bounded by the engine's configured barrier timeout;
-//! * a TCP connection lost to a peer (clean close or reset) → the same
-//!   "child for shard _s_ died mid-round (socket closed)" as a killed
-//!   child — a remote close reads as end-of-stream, and the contract
-//!   does not distinguish *why* the stream ended, only that it ended
-//!   mid-protocol.
+//! * a child speaking another protocol version → "protocol version
+//!   skew (want …, got …)", raised at construction by its `Hello`
+//!   (pinned by the process module's own unit test, since the
+//!   handshake cannot be faulted from outside).
 //!
 //! Two rules sharpen "fail closed" beyond the vocabulary above:
 //!
@@ -160,46 +159,7 @@
 //!
 //! In-process backends have no transport and never raise these; the
 //! contract only requires that *if* a backend has a wire, its failures
-//! are loud, attributed, and bounded in time. Wire *shaping* (modeled
-//! latency/bandwidth on the link) is explicitly not a failure: a shaped
-//! backend must produce bit-identical outputs, metrics and probe
-//! traces — only wall clock may move.
-//!
-//! ## Recovery (supervision)
-//!
-//! Fail-closed is the *default*. A wire backend may additionally offer
-//! an opt-in **recovery policy** (the process engine's
-//! `RecoveryPolicy::Recover { max_retries, backoff }`) under which the
-//! faults above stop being fatal and become supervised restarts. The
-//! contract for a recovering backend:
-//!
-//! * **What replays.** The node programs are deterministic round
-//!   programs and the parent owns all node state, so a shard child is
-//!   pure replayable function of the frames it was sent. On failure the
-//!   supervisor reaps the child, respawns it (re-fork for socket pairs,
-//!   re-accept for TCP), restores the last shard checkpoint (the
-//!   child's queued-cell arena serialized over the wire as a
-//!   `Checkpoint` frame, taken at configurable round strides) and
-//!   replays the logged frames since — landing the child in the exact
-//!   pre-failure protocol state. Replayed rounds are *not* re-counted:
-//!   the parent applies each round's deliveries to node state and
-//!   counters exactly once, which is why **no gated counter, output or
-//!   probe-trace entry can shift** — the conformance chaos wall pins a
-//!   disturbed recovered run bit-for-bit equal to the undisturbed run.
-//! * **What still fails closed.** Recovery bounds its patience:
-//!   exhausting `max_retries` panics with a pinned, attempt-counted
-//!   error ("recovery exhausted after _n_ attempts"), within a wall
-//!   clock bounded by the barrier timeout and the configured backoff.
-//!   Contract-violation panics raised by node programs, and any fault
-//!   under the default `FailFast` policy, keep the exact pinned errors
-//!   above.
-//! * **Observability.** Recoveries are visible without being
-//!   contractual: a successful recovery increments
-//!   [`Metrics::recoveries`] (zero on clean runs; conformance
-//!   comparisons zero it out), and every attempt emits a
-//!   [`crate::probe::RecoveryObs`] through
-//!   [`crate::probe::Probe::on_recovery`] — which trace probes drop,
-//!   keeping disturbed and clean traces comparable.
+//! are loud, attributed, and bounded in time.
 //!
 //! # Writing engine-generic node programs
 //!
@@ -286,15 +246,6 @@ pub struct Metrics {
     /// links), maxed over rounds. Engine-invariant like
     /// [`Metrics::arena_cells_peak`].
     pub arena_bytes_peak: u64,
-    /// Successful shard recoveries performed by a supervised backend
-    /// (the process engine under a `Recover` policy): the number of
-    /// times a dead, wedged or poisoned shard child was respawned and
-    /// replayed back to the current round. Always 0 on in-process
-    /// backends, on `FailFast` runs, and on undisturbed runs —
-    /// **operational, not part of the engine-invariant counter set**
-    /// (conformance gates compare metrics with this field zeroed; a
-    /// recovery may never move any other counter).
-    pub recoveries: u64,
     /// Whether per-edge accounting is enabled ([`MetricsConfig`]).
     pub per_edge: bool,
     /// Per-directed-edge delivered message counts, indexed like the CSR

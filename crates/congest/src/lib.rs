@@ -80,6 +80,6 @@ pub use engine::{
     Delivery, Message, Metrics, MetricsConfig, Outbox, RoundEngine, RoundPhase, SendRecord,
 };
 pub use msgcore::MsgCore;
-pub use probe::{NoProbe, PhaseObs, Probe, RecoveryObs, RoundObs, TraceProbe};
+pub use probe::{NoProbe, PhaseObs, Probe, RoundObs, TraceProbe};
 pub use sim::{Phase, SimConfig, Simulator};
 pub use trees::{GlobalTree, QTrees};

@@ -252,32 +252,6 @@ impl<M> MsgCore<M> {
         self.active.truncate(write);
         peak
     }
-
-    /// Visits every queued cell in delivery order — ascending local edge
-    /// index, FIFO within the edge — yielding
-    /// `(local_edge, bits_remaining, sender, payload)`. This is the
-    /// checkpoint serialization order: a fresh [`MsgCore::new`] replayed
-    /// with [`MsgCore::enqueue`] in this order rebuilds identical
-    /// cursors, worklist order and queue depths (the free list may
-    /// differ, but it is a local diagnostic outside the engine
-    /// contract).
-    pub fn for_each_queued(&self, mut f: impl FnMut(usize, u64, NodeId, &M)) {
-        let mut edges: Vec<u32> = self.active.clone();
-        edges.sort_unstable();
-        for &e in &edges {
-            let mut idx = self.cursors[e as usize].head;
-            while idx != NIL {
-                let cell = &self.cells[idx as usize];
-                f(
-                    e as usize,
-                    cell.bits,
-                    cell.from,
-                    cell.msg.as_ref().expect("queued cell has a payload"),
-                );
-                idx = cell.next;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -402,55 +376,6 @@ mod tests {
         // Recycling never grew the idle pool past the first generation.
         assert_eq!(core.free_list_high_water(), 4);
         assert_eq!(core.queued(), 0);
-    }
-
-    #[test]
-    fn for_each_queued_snapshots_in_delivery_order() {
-        let mut core = MsgCore::new(8);
-        // Unsorted enqueue order, multiple cells per edge, one partially
-        // transferred front.
-        core.enqueue(5, 16, NodeId(50), 500u32);
-        core.enqueue(1, 8, NodeId(10), 100);
-        core.enqueue(5, 8, NodeId(51), 501);
-        core.enqueue(0, 8, NodeId(0), 0);
-        core.transfer(4, |_, _, _| {}); // nothing delivered, fronts shrink by 4 bits
-        let mut snap = Vec::new();
-        core.for_each_queued(|e, bits, from, msg| snap.push((e, bits, from.0, *msg)));
-        assert_eq!(
-            snap,
-            vec![
-                (0, 4, 0, 0),
-                (1, 4, 10, 100),
-                (5, 12, 50, 500),
-                (5, 8, 51, 501),
-            ],
-            "ascending edge order, FIFO within the edge, remaining bits"
-        );
-    }
-
-    #[test]
-    fn replaying_a_snapshot_rebuilds_an_equivalent_core() {
-        let mut core = MsgCore::new(6);
-        for &(e, bits, m) in &[(4usize, 20u64, 1u32), (2, 8, 2), (4, 8, 3), (0, 8, 4)] {
-            core.enqueue(e, bits, NodeId(m), m);
-        }
-        core.transfer(8, |_, _, _| {}); // deliver the short ones, fragment edge 4
-        let mut snap = Vec::new();
-        core.for_each_queued(|e, bits, from, msg| snap.push((e, bits, from, *msg)));
-        let mut rebuilt = MsgCore::new(core.edges());
-        for &(e, bits, from, msg) in &snap {
-            rebuilt.enqueue(e, bits, from, msg);
-        }
-        assert_eq!(rebuilt.queued(), core.queued());
-        assert_eq!(rebuilt.active_edges(), core.active_edges());
-        // Both cores must now deliver identically under the same bandwidth.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        while !core.is_empty() {
-            core.transfer(8, |e, f, m| a.push((e, f.0, m)));
-            rebuilt.transfer(8, |e, f, m| b.push((e, f.0, m)));
-        }
-        assert!(rebuilt.is_empty());
-        assert_eq!(a, b, "replayed core must deliver bit-for-bit identically");
     }
 
     #[test]

@@ -212,31 +212,6 @@ pub fn probe_vec<T: Default + Clone, P: Probe>(len: usize) -> Vec<T> {
     }
 }
 
-/// One shard-recovery attempt on a supervised engine backend (the
-/// process engine under a `Recover` policy). Emitted once per attempt —
-/// a shard that takes three tries to come back yields three
-/// observations with ascending `attempt` — at the moment the attempt
-/// starts, before its backoff sleep.
-///
-/// Recovery is **not** part of the engine-invariant trace: a clean run
-/// emits none, and [`TraceProbe`] deliberately drops these (like it
-/// drops spans) so a chaos-disturbed recovered run's trace still
-/// compares bit-for-bit equal to the undisturbed run's.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryObs {
-    /// Global round counter when the failure was observed.
-    pub round: u64,
-    /// Shard being recovered.
-    pub shard: u64,
-    /// Human-readable cause — the wire error display that triggered
-    /// this recovery.
-    pub cause: String,
-    /// Attempt number, 1-based, per failure.
-    pub attempt: u32,
-    /// Backoff this attempt slept before respawning, in nanoseconds.
-    pub backoff_ns: u64,
-}
-
 /// What one closed phase consumed, observed when the phase drops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseObs {
@@ -274,15 +249,6 @@ pub trait Probe {
         let _ = spans;
     }
 
-    /// Called once per shard-recovery *attempt* on a supervised backend
-    /// (see [`RecoveryObs`]). The default implementation drops the
-    /// observation — recovery is an operational event, not part of the
-    /// engine-invariant trace, so [`TraceProbe`] must stay blind to it
-    /// for disturbed-vs-clean trace comparisons to hold.
-    fn on_recovery(&mut self, obs: RecoveryObs) {
-        let _ = obs;
-    }
-
     /// Called once per phase, when the phase is dropped.
     fn on_phase_end(&mut self, obs: PhaseObs);
 }
@@ -299,9 +265,6 @@ impl Probe for NoProbe {
 
     #[inline(always)]
     fn on_round_spans(&mut self, _spans: RoundSpans) {}
-
-    #[inline(always)]
-    fn on_recovery(&mut self, _obs: RecoveryObs) {}
 
     #[inline(always)]
     fn on_phase_end(&mut self, _obs: PhaseObs) {}
@@ -428,21 +391,6 @@ mod tests {
             transfer_ns: vec![20],
             barrier_ns: Vec::new(),
             arena_cells: vec![1],
-        });
-        assert_eq!(p, TraceProbe::new());
-    }
-
-    #[test]
-    fn trace_probe_drops_recovery_events() {
-        // Recovery is operational, not science: a disturbed-but-
-        // recovered run's TraceProbe must equal the clean run's.
-        let mut p = TraceProbe::new();
-        p.on_recovery(RecoveryObs {
-            round: 3,
-            shard: 1,
-            cause: "socket closed".into(),
-            attempt: 1,
-            backoff_ns: 1_000_000,
         });
         assert_eq!(p, TraceProbe::new());
     }

@@ -51,21 +51,13 @@
 //! [`ProcessSimulator`] takes the same shard layout out-of-process:
 //! each shard's message core runs in a forked child and every
 //! cross-shard byte rides the length-prefixed, checksummed frame codec
-//! in [`wire`]. The parent steps nodes (CONGEST computation is free;
+//! in [`wire`] over one Unix socket pair per child. The parent steps nodes (CONGEST computation is free;
 //! only bandwidth is charged) and plays the stage-2 splicer by reading
 //! children in ascending shard order — ascending global edge order, the
 //! reference delivery order. Transport faults fail closed with a
 //! deterministic [`wire::EngineError`] ("died mid-round", "barrier
 //! timeout", "checksum mismatch", …) instead of hanging or corrupting
 //! results; `tests/faults.rs` injects each fault and pins the error.
-//!
-//! The wire itself is configurable through
-//! [`process::ProcessOptions`]: child links can run over loopback TCP
-//! ([`wire::TcpTransport`], the multi-machine deployment shape) and/or
-//! be shaped by a [`wire::NetworkSpec`] ([`wire::ShapedTransport`]),
-//! charging every frame modeled latency + serialization delay so
-//! latency-scaling curves can be measured while every counter stays
-//! bit-for-bit identical.
 //!
 //! # Example
 //!
@@ -92,6 +84,5 @@ pub mod routing;
 pub mod wire;
 
 pub use pooled::{PooledPhase, PooledSimulator};
-pub use process::{ProcessOptions, ProcessPhase, ProcessSimulator, RecoveryPolicy};
+pub use process::{ProcessPhase, ProcessSimulator};
 pub use routing::default_shards;
-pub use wire::{FaultEvent, FaultKind, FaultPlan, NetworkSpec};

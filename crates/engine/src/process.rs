@@ -10,14 +10,6 @@
 //! (identical outputs, identical [`Metrics`], identical probe traces)
 //! stays bit-for-bit intact.
 //!
-//! [`ProcessOptions`] extends the wire two ways without touching the
-//! contract: links can run over loopback TCP
-//! ([`ProcessSimulator::with_tcp_loopback`]) instead of socket pairs,
-//! and can be shaped by a [`NetworkSpec`]
-//! ([`ProcessSimulator::with_network`]) charging every frame modeled
-//! latency + serialization delay — the measurement surface for
-//! latency-scaling experiments, where only wall clock may move.
-//!
 //! # Division of labour
 //!
 //! CONGEST charges rounds and per-edge bandwidth; local computation is
@@ -60,8 +52,10 @@
 //! [`EngineError`] (panicking with its stable display — the
 //! engine trait has no fallible surface): a dead child is an EOF on its
 //! socket ("died mid-round"), a wedged child trips the barrier timeout
-//! ([`ProcessSimulator::set_barrier_timeout`]), and torn or corrupted
-//! frames are rejected by checksum before any state is touched.  A
+//! ([`ProcessSimulator::set_barrier_timeout`]), torn or corrupted
+//! frames are rejected by checksum before any state is touched, and a
+//! child speaking another [`PROTOCOL_VERSION`] is rejected at its
+//! `Hello`, before construction returns.  A
 //! misbehaving node program panics in the parent during the step loop,
 //! *before* any frame is written, so the four contract panics surface
 //! identically to the in-process backends; `tests/faults.rs` and
@@ -69,9 +63,8 @@
 
 use crate::routing::{capped_default_shards, stamp_receivers, DistScratch, Routed, ShardLayout};
 use crate::wire::{
-    decode_payload, encode_payload, get_varint, CellReader, EngineError, Fault, FaultKind,
-    FaultPlan, FaultyTransport, Frame, FrameBuf, FrameKind, FrameView, NetworkSpec, PayloadSlab,
-    ShapedTransport, StreamTransport, TcpTransport, Transport, WireError, HEADER_LEN,
+    decode_payload, encode_payload, get_varint, CellReader, EngineError, Frame, FrameBuf,
+    FrameKind, FrameView, PayloadSlab, StreamTransport, Transport, WireError, HEADER_LEN,
     PROTOCOL_VERSION,
 };
 use powersparse_congest::engine::{
@@ -79,11 +72,10 @@ use powersparse_congest::engine::{
 };
 use powersparse_congest::msgcore::MsgCore;
 use powersparse_congest::probe::{
-    now_if, ns_between, probe_vec, NoProbe, PhaseObs, Probe, RecoveryObs, RoundObs, RoundSpans,
+    now_if, ns_between, probe_vec, NoProbe, PhaseObs, Probe, RoundObs, RoundSpans,
 };
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
-use std::net::TcpListener;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
@@ -161,32 +153,12 @@ impl CellBytes {
     }
 }
 
-/// Reads a cell run into `core`, rejecting edges outside its range.
-fn enqueue_cells(core: &mut MsgCore<CellBytes>, cells: CellReader<'_>) -> Result<(), WireError> {
-    for cell in cells {
-        let cell = cell?;
-        let edge = usize::try_from(cell.edge)
-            .ok()
-            .filter(|&e| e < core.edges())
-            .ok_or(WireError::Payload)?;
-        core.enqueue(
-            edge,
-            cell.bits,
-            NodeId(cell.from),
-            CellBytes::new(cell.payload),
-        );
-    }
-    Ok(())
-}
-
 /// The child's whole life: a payload-opaque core servant.  It needs no
 /// graph, no message type and no metrics — just its local edge count
-/// and the bandwidth, delivered by `PhaseStart`.  Generic over the
-/// transport so the Unix-socket and TCP children share one protocol
-/// body.  Every reply is built in place in one reused [`FrameBuf`]; a
-/// protocol error ends the child, so a `Sends` run is enqueued as it is
-/// read.
-fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
+/// and the bandwidth, delivered by `PhaseStart`.  Every reply is built
+/// in place in one reused [`FrameBuf`]; a protocol error ends the
+/// child, so a `Sends` run is enqueued as it is read.
+fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
     let mut out = FrameBuf::new();
     out.begin();
     out.put_varint(PROTOCOL_VERSION);
@@ -213,7 +185,20 @@ fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
             }
             FrameKind::Sends => {
                 let core = core.as_mut().ok_or(WireError::Payload)?;
-                enqueue_cells(core, frame.cells())?;
+                // Edges outside the shard's range are a protocol error.
+                for cell in frame.cells() {
+                    let cell = cell?;
+                    let edge = usize::try_from(cell.edge)
+                        .ok()
+                        .filter(|&e| e < core.edges())
+                        .ok_or(WireError::Payload)?;
+                    core.enqueue(
+                        edge,
+                        cell.bits,
+                        NodeId(cell.from),
+                        CellBytes::new(cell.payload),
+                    );
+                }
                 epoch = frame.epoch;
             }
             FrameKind::Barrier => {
@@ -242,32 +227,6 @@ fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
                 out.put_varint(transfer_ns);
                 t.send(out.seal(FrameKind::RoundStats, shard, frame.epoch))?;
             }
-            FrameKind::Checkpoint => {
-                if frame.payload.is_empty() {
-                    // Take: snapshot the core in delivery order. The
-                    // reply is byte-for-byte the restore frame the
-                    // parent will replay on a respawned child.
-                    let core = core.as_ref().ok_or(WireError::Payload)?;
-                    out.begin();
-                    out.put_varint(core.edges() as u64);
-                    out.put_varint(bw);
-                    out.put_varint(u64::from(epoch));
-                    core.for_each_queued(|e, bits, from, payload| {
-                        out.push_cell(e as u64, bits, from.0, payload.as_slice());
-                    });
-                    t.send(out.seal(FrameKind::Checkpoint, shard, frame.epoch))?;
-                } else {
-                    // Restore: rebuild the core from a snapshot taken
-                    // by a previous incarnation of this shard.
-                    let mut p = frame.payload;
-                    let edges = get_varint(&mut p)? as usize;
-                    bw = get_varint(&mut p)?;
-                    epoch = u32::try_from(get_varint(&mut p)?).map_err(|_| WireError::Payload)?;
-                    let mut c = MsgCore::new(edges);
-                    enqueue_cells(&mut c, CellReader::new(p, frame.count as usize))?;
-                    core = Some(c);
-                }
-            }
             FrameKind::Shutdown => return Ok(()),
             other => {
                 return Err(WireError::UnexpectedKind {
@@ -283,25 +242,22 @@ fn child_serve<T: Transport>(shard: u16, t: &mut T) -> Result<(), WireError> {
 /// before Drop runs, and drop every inherited descriptor above stderr
 /// except `keep` — other engines' sockets (including other tests' in
 /// the same binary) must see EOF the moment *their* parent or child
-/// goes away, not be held open by an unrelated fork.  Pass `keep = -1`
-/// to close everything (the TCP child dials its own socket afterwards).
-/// `close_range` (Linux 5.9, glibc 2.34) covers the whole descriptor
-/// space in two calls; a child that cannot close its inherited
-/// descriptors exits at once instead of serving.
+/// goes away, not be held open by an unrelated fork.  `close_range`
+/// (Linux 5.9, glibc 2.34) covers the whole descriptor space in two
+/// calls; a child that cannot close its inherited descriptors exits at
+/// once instead of serving.
 fn child_enter(keep: i32) {
+    // Descriptors 0–2 are stdio and never closed, so a `keep` among
+    // them leaves no range below it to close.
+    let k = keep.max(2) as u32;
     // SAFETY: plain syscalls on integer arguments. The objects in the
     // inherited memory image that wrap the closed descriptors are never
     // used or dropped by the child, which leaves only through `_exit`;
     // its own socket, `keep`, stays open.
     unsafe {
         sys::prctl(sys::PR_SET_PDEATHSIG, sys::SIGKILL as u64, 0, 0, 0);
-        let closed = match u32::try_from(keep) {
-            Ok(k) if k >= 3 => {
-                (k == 3 || sys::close_range(3, k - 1, 0) == 0)
-                    && sys::close_range(k + 1, u32::MAX, 0) == 0
-            }
-            _ => sys::close_range(3, u32::MAX, 0) == 0,
-        };
+        let closed = (k <= 3 || sys::close_range(3, k - 1, 0) == 0)
+            && sys::close_range(k + 1, u32::MAX, 0) == 0;
         if !closed {
             sys::_exit(1);
         }
@@ -332,10 +288,13 @@ fn install_child_panic_hook() {
     });
 }
 
-/// Common child tail: serve until shutdown or failure, report protocol
-/// errors on the wire, exit without unwinding.
-fn child_finish<T: Transport>(shard: u16, t: &mut T) -> ! {
-    let code = match std::panic::catch_unwind(AssertUnwindSafe(|| child_serve(shard, t))) {
+/// Post-fork entry point.  Runs in the child and never returns: serves
+/// until shutdown or failure, reports protocol errors on the wire, and
+/// exits without unwinding.
+fn child_main(shard: u16, stream: UnixStream) -> ! {
+    child_enter(stream.as_raw_fd());
+    let mut t = StreamTransport::new(stream);
+    let code = match std::panic::catch_unwind(AssertUnwindSafe(|| child_serve(shard, &mut t))) {
         Ok(Ok(())) => 0,
         Ok(Err(e)) => {
             let mut f = Frame::control(FrameKind::Error, shard, 0);
@@ -346,25 +305,6 @@ fn child_finish<T: Transport>(shard: u16, t: &mut T) -> ! {
         Err(_) => 101,
     };
     unsafe { sys::_exit(code) }
-}
-
-/// Post-fork entry point.  Runs in the child, never returns.
-fn child_main(shard: u16, stream: UnixStream) -> ! {
-    child_enter(stream.as_raw_fd());
-    let mut t = StreamTransport::new(stream);
-    child_finish(shard, &mut t)
-}
-
-/// Post-fork entry point for the TCP backend.  The child keeps no
-/// inherited socket: it closes everything and dials the parent's
-/// loopback listener, running the transport-level `Hello` handshake
-/// before the protocol one.
-fn child_main_tcp(shard: u16, port: u16) -> ! {
-    child_enter(-1);
-    match TcpTransport::connect(("127.0.0.1", port), shard) {
-        Ok(mut t) => child_finish(shard, &mut t),
-        Err(_) => unsafe { sys::_exit(1) },
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -429,84 +369,6 @@ impl Drop for Children {
     }
 }
 
-/// What the parent does when a shard child dies, wedges, or corrupts
-/// its stream mid-run.
-///
-/// Under [`RecoveryPolicy::Recover`] the parent reaps the dead child,
-/// forks a fresh one on a fresh link, and deterministically
-/// re-synchronizes it from the last per-round checkpoint plus a replay
-/// of every frame sent since — the child is a pure function of the
-/// frames it receives, so the resurrected shard is bit-for-bit the one
-/// that died.  Replayed rounds are not re-counted: no gated counter,
-/// output, or probe-trace entry can shift (the chaos conformance wall
-/// pins this).  Recovery is visible only through
-/// [`Metrics::recoveries`], [`RecoveryObs`] probe events, and wall
-/// clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Fail closed: any transport fault panics with its stable
-    /// [`EngineError`] display, exactly as before supervision existed.
-    #[default]
-    FailFast,
-    /// Supervise: respawn + replay up to `max_retries` times per
-    /// failure, sleeping `attempt * backoff` before each attempt.
-    /// Exhausting the budget fails closed with the pinned
-    /// "recovery exhausted after N attempts" error.
-    Recover {
-        /// Respawn attempts per failure before failing closed. Must be
-        /// at least 1.
-        max_retries: u32,
-        /// Base backoff; attempt `k` (1-based) sleeps `k * backoff`.
-        backoff: Duration,
-    },
-}
-
-/// Construction knobs for the process backend beyond
-/// graph/config/shards.  The defaults reproduce the classic engine:
-/// Unix socket pairs, unshaped, fail-fast.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProcessOptions {
-    /// Latency/bandwidth shaping applied to every parent-side child
-    /// link (a [`ShapedTransport`] around the real socket); `None`
-    /// leaves the wire unshaped.  Shaping changes wall clock only —
-    /// outputs, metrics, probe traces and span structure stay
-    /// bit-for-bit identical (pinned by the conformance suite).
-    pub net: Option<NetworkSpec>,
-    /// Run each parent↔child link over loopback TCP
-    /// ([`TcpTransport`]) instead of a Unix socket pair.
-    pub tcp: bool,
-    /// Shard supervision policy. The default (`FailFast`) preserves the
-    /// classic pinned-panic failure semantics.
-    pub recovery: RecoveryPolicy,
-    /// Under [`RecoveryPolicy::Recover`], take a per-shard core
-    /// checkpoint every this many rounds, truncating the replay log.
-    /// `0` (the default) keeps no checkpoints: recovery replays from
-    /// the phase start. Ignored under `FailFast`.
-    pub checkpoint_every: u32,
-}
-
-/// Per-shard supervision state, present only under
-/// [`RecoveryPolicy::Recover`].
-struct Supervision {
-    /// Per-shard replay log: every frame (encoded bytes) sent to the
-    /// shard since its last checkpoint (or phase start). Entry 0 is the
-    /// `PhaseStart` frame or a `Checkpoint` restore frame.
-    logs: Vec<Vec<Vec<u8>>>,
-    /// Per-shard count of `Barrier` frames in the log whose two reply
-    /// frames were fully received — replays discard exactly that many
-    /// reply pairs.
-    consumed: Vec<u32>,
-    /// Rounds completed since phase start, for the checkpoint stride.
-    rounds_in_phase: u64,
-}
-
-/// Events fired so far from an installed [`FaultPlan`].
-struct ChaosState {
-    plan: FaultPlan,
-    cursor: usize,
-    fired: u64,
-}
-
 /// The multi-process round engine: one forked child per shard, wire
 /// frames for every cross-shard byte.  See the module docs for the
 /// architecture and `crate::wire` for the protocol.
@@ -516,73 +378,28 @@ pub struct ProcessSimulator<'g, P: Probe = NoProbe> {
     metrics: Metrics,
     layout: ShardLayout,
     children: Children,
-    barrier_timeout: Duration,
     probe: P,
     phases_opened: u64,
-    options: ProcessOptions,
-    supervision: Option<Supervision>,
-    chaos: Option<ChaosState>,
-    /// Every [`RecoveryObs`] emitted, in order — the engine's own copy
-    /// (the probe gets them too), so callers without a probe (the
-    /// `experiments chaos` event log) can still read the history.
-    recovery_log: Vec<RecoveryObs>,
-    /// Test hook: shards whose respawns are forced to fail, for pinning
-    /// the retry-exhaustion error.
-    respawn_broken: Vec<bool>,
     /// Per-shard outbound frame buffer, reused by every frame the
     /// parent builds for that shard, across rounds and phases.
     frames: Vec<FrameBuf>,
 }
 
-/// Forks one shard child and returns its pid and (unshaped) parent-side
-/// transport.  Fallible so respawns under [`RecoveryPolicy::Recover`]
-/// can count a failed fork/accept as one attempt instead of panicking.
-fn spawn_shard_child(
-    w: usize,
-    tcp: bool,
-    barrier_timeout: Duration,
-) -> Result<(i32, Box<dyn Transport>), WireError> {
+/// Forks shard `w`'s child and returns its pid and the parent-side
+/// transport, with reads bounded by the default barrier timeout.
+fn spawn_shard_child(w: usize) -> Result<(i32, Box<dyn Transport>), WireError> {
     install_child_panic_hook();
-    if tcp {
-        // Bind before forking so the child can always reach the
-        // listener; the accept (and its handshake) is bounded by the
-        // barrier timeout, so a child that dies before connecting fails
-        // closed instead of hanging.
-        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(crate::wire::io_err)?;
-        let port = listener.local_addr().map_err(crate::wire::io_err)?.port();
-        let pid = unsafe { sys::fork() };
-        assert!(pid >= 0, "process engine: fork failed");
-        if pid == 0 {
-            child_main_tcp(w as u16, port);
-        }
-        match TcpTransport::accept(&listener, w as u16, Some(barrier_timeout)) {
-            Ok(t) => Ok((pid, Box::new(t) as Box<dyn Transport>)),
-            Err(e) => {
-                // The forked child is dialing a listener we are about
-                // to drop; reap it so a failed attempt leaves nothing
-                // behind.
-                unsafe {
-                    sys::kill(pid, sys::SIGKILL);
-                    let mut status = 0i32;
-                    sys::waitpid(pid, &mut status, 0);
-                }
-                Err(e)
-            }
-        }
-    } else {
-        let (parent_end, child_end) = UnixStream::pair().map_err(crate::wire::io_err)?;
-        let pid = unsafe { sys::fork() };
-        assert!(pid >= 0, "process engine: fork failed");
-        if pid == 0 {
-            drop(parent_end);
-            child_main(w as u16, child_end);
-        }
-        drop(child_end);
-        Ok((
-            pid,
-            Box::new(StreamTransport::new(parent_end)) as Box<dyn Transport>,
-        ))
+    let (parent_end, child_end) = UnixStream::pair().map_err(crate::wire::io_err)?;
+    let pid = unsafe { sys::fork() };
+    assert!(pid >= 0, "process engine: fork failed");
+    if pid == 0 {
+        drop(parent_end);
+        child_main(w as u16, child_end);
     }
+    drop(child_end);
+    let mut transport = StreamTransport::new(parent_end);
+    transport.set_timeout(Some(DEFAULT_BARRIER_TIMEOUT));
+    Ok((pid, Box::new(transport)))
 }
 
 /// A frame received from a child and authenticated, kept as the bytes
@@ -603,7 +420,8 @@ impl Received {
     }
 }
 
-/// Consumes and validates the child's `Hello` (protocol version check).
+/// Consumes and validates the child's `Hello`: a child speaking another
+/// [`PROTOCOL_VERSION`] is a [`WireError::VersionSkew`].
 fn consume_hello(t: &mut dyn Transport) -> Result<(), WireError> {
     let bytes = t.recv()?;
     let hello = FrameView::parse(&bytes)?;
@@ -614,11 +432,13 @@ fn consume_hello(t: &mut dyn Transport) -> Result<(), WireError> {
         });
     }
     let mut p = hello.payload;
-    let version = get_varint(&mut p)?;
-    assert_eq!(
-        version, PROTOCOL_VERSION,
-        "process engine: protocol version skew"
-    );
+    let got = get_varint(&mut p)?;
+    if got != PROTOCOL_VERSION {
+        return Err(WireError::VersionSkew {
+            want: PROTOCOL_VERSION,
+            got,
+        });
+    }
     Ok(())
 }
 
@@ -640,43 +460,6 @@ impl<'g> ProcessSimulator<'g> {
     pub fn with_shards(graph: &'g Graph, config: SimConfig, shards: usize) -> Self {
         Self::with_probe(graph, config, shards, NoProbe)
     }
-
-    /// Creates a process engine whose child links are shaped by `net`
-    /// (a [`ShapedTransport`] per shard).  Counters are unchanged;
-    /// only wall clock moves.
-    pub fn with_network(
-        graph: &'g Graph,
-        config: SimConfig,
-        shards: usize,
-        net: NetworkSpec,
-    ) -> Self {
-        Self::with_options(
-            graph,
-            config,
-            shards,
-            NoProbe,
-            ProcessOptions {
-                net: Some(net),
-                ..ProcessOptions::default()
-            },
-        )
-    }
-
-    /// Creates a process engine whose children connect over loopback
-    /// TCP instead of Unix socket pairs — the multi-machine deployment
-    /// shape, exercised end to end on one host.
-    pub fn with_tcp_loopback(graph: &'g Graph, config: SimConfig, shards: usize) -> Self {
-        Self::with_options(
-            graph,
-            config,
-            shards,
-            NoProbe,
-            ProcessOptions {
-                tcp: true,
-                ..ProcessOptions::default()
-            },
-        )
-    }
 }
 
 impl<'g, P: Probe> ProcessSimulator<'g, P> {
@@ -689,56 +472,20 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
     ///
     /// As for [`ProcessSimulator::with_shards`].
     pub fn with_probe(graph: &'g Graph, config: SimConfig, shards: usize, probe: P) -> Self {
-        Self::with_options(graph, config, shards, probe, ProcessOptions::default())
-    }
-
-    /// The fully-general constructor: [`ProcessSimulator::with_probe`]
-    /// plus [`ProcessOptions`] selecting the transport (Unix socket
-    /// pair or loopback TCP) and optional link shaping.
-    ///
-    /// # Panics
-    ///
-    /// As for [`ProcessSimulator::with_shards`]; additionally with an
-    /// [`EngineError`] if a TCP child fails to connect or handshake
-    /// within the barrier timeout.
-    pub fn with_options(
-        graph: &'g Graph,
-        config: SimConfig,
-        shards: usize,
-        probe: P,
-        options: ProcessOptions,
-    ) -> Self {
-        if let RecoveryPolicy::Recover { max_retries, .. } = options.recovery {
-            assert!(max_retries >= 1, "Recover needs max_retries >= 1");
-        }
         let layout = ShardLayout::new(graph, shards);
         let shards = layout.shards();
-        let supervision = match options.recovery {
-            RecoveryPolicy::FailFast => None,
-            RecoveryPolicy::Recover { .. } => Some(Supervision {
-                logs: vec![Vec::new(); shards],
-                consumed: vec![0; shards],
-                rounds_in_phase: 0,
-            }),
-        };
         let mut sim = Self {
             graph,
             config,
             metrics: Metrics::for_graph(graph, config.metrics),
             layout,
             children: Children::default(),
-            barrier_timeout: DEFAULT_BARRIER_TIMEOUT,
             probe,
             phases_opened: 0,
-            options,
-            supervision,
-            chaos: None,
-            recovery_log: Vec::new(),
-            respawn_broken: vec![false; shards],
             frames: (0..shards).map(|_| FrameBuf::new()).collect(),
         };
         for w in 0..shards {
-            let (pid, transport) = sim.spawn_wrapped(w).unwrap_or_else(|e| raise(w, e));
+            let (pid, transport) = spawn_shard_child(w).unwrap_or_else(|e| raise(w, e));
             // Push before the handshake so the drop glue reaps the
             // child even if its `Hello` fails.
             sim.children.0.push(ChildHandle {
@@ -749,21 +496,6 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
             consume_hello(sim.children.0[w].transport()).unwrap_or_else(|e| raise(w, e));
         }
         sim
-    }
-
-    /// Forks shard `w`'s child, applies the configured shaping wrapper
-    /// and barrier timeout. Shared by construction and respawn.
-    fn spawn_wrapped(&self, w: usize) -> Result<(i32, Box<dyn Transport>), WireError> {
-        if self.respawn_broken[w] {
-            return Err(WireError::Eof);
-        }
-        let (pid, transport) = spawn_shard_child(w, self.options.tcp, self.barrier_timeout)?;
-        let mut transport = match self.options.net {
-            Some(spec) => Box::new(ShapedTransport::new(transport, spec)) as Box<dyn Transport>,
-            None => transport,
-        };
-        transport.set_timeout(Some(self.barrier_timeout));
-        Ok((pid, transport))
     }
 
     /// Number of shards (= child processes).
@@ -787,7 +519,6 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
     /// frames within `timeout`, the round panics with the stable
     /// "barrier timeout waiting on shard …" error instead of hanging.
     pub fn set_barrier_timeout(&mut self, timeout: Duration) {
-        self.barrier_timeout = timeout;
         for child in &mut self.children.0 {
             child.transport().set_timeout(Some(timeout));
         }
@@ -844,68 +575,17 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
     }
 
     /// Test hook: shard `w`'s child pid, for asserting (in tests) that
-    /// replaced children do not linger as zombies.
+    /// reaped children do not linger as zombies.
     pub fn child_pid(&self, shard: usize) -> i32 {
         self.children.0[shard].pid
     }
 
-    /// Test hook: makes every future respawn of shard `w` fail, for
-    /// pinning the retry-exhaustion error.
-    pub fn break_respawn(&mut self, shard: usize) {
-        self.respawn_broken[shard] = true;
-    }
-
-    /// Installs a seeded chaos plan: at the start of each round's wire
-    /// tail, every due [`FaultEvent`](crate::wire::FaultEvent) is
-    /// injected through the engine's own fault hooks (kill / corrupt /
-    /// stall). Pair with [`RecoveryPolicy::Recover`] — under `FailFast`
-    /// the first fired fault fails the run closed.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.chaos = Some(ChaosState {
-            plan,
-            cursor: 0,
-            fired: 0,
-        });
-    }
-
-    /// Number of chaos-plan events injected so far.
-    pub fn faults_fired(&self) -> u64 {
-        self.chaos.as_ref().map_or(0, |c| c.fired)
-    }
-
-    /// Every recovery attempt so far, in order (one entry per attempt,
-    /// successful or not) — the same events the probe sees through
-    /// [`Probe::on_recovery`].
-    pub fn recovery_log(&self) -> &[RecoveryObs] {
-        &self.recovery_log
-    }
-
-    fn recovery_enabled(&self) -> bool {
-        self.supervision.is_some()
-    }
-
-    /// Ships an encoded protocol frame to shard `w`, appending it to the
-    /// replay log first under supervision — a frame in the log counts
-    /// as delivered even if this very send fails, because recovery
-    /// replays the whole log into the respawned child.
-    fn send_to(&mut self, w: usize, bytes: &[u8]) {
-        if let Some(sup) = &mut self.supervision {
-            sup.logs[w].push(bytes.to_vec());
-        }
-        if let Err(e) = self.children.0[w].transport().send(bytes) {
-            if self.recovery_enabled() {
-                self.recover_shard(w, e);
-            } else {
-                raise(w, e);
-            }
-        }
-    }
-
     /// Seals the frame built in shard `w`'s buffer and ships it.
     fn send_frame(&mut self, w: usize, kind: FrameKind, epoch: u32) {
-        let mut frame = std::mem::take(&mut self.frames[w]);
-        self.send_to(w, frame.seal(kind, w as u16, epoch));
-        self.frames[w] = frame;
+        let bytes = self.frames[w].seal(kind, w as u16, epoch);
+        if let Err(e) = self.children.0[w].transport().send(bytes) {
+            raise(w, e);
+        }
     }
 
     /// Receives shard `w`'s next frame and holds it to the protocol
@@ -944,94 +624,11 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
         Ok(Received { bytes, count })
     }
 
-    /// Recovers shard `w` from `cause` or fails closed: under
-    /// `FailFast` this raises immediately with the classic pinned
-    /// error; under `Recover` it retries kill → respawn → replay up to
-    /// `max_retries` times, then panics with the pinned
-    /// "recovery exhausted" error.
-    fn recover_shard(&mut self, w: usize, cause: WireError) {
-        let (max_retries, backoff) = match self.options.recovery {
-            RecoveryPolicy::FailFast => raise(w, cause),
-            RecoveryPolicy::Recover {
-                max_retries,
-                backoff,
-            } => (max_retries, backoff),
-        };
-        let mut last = cause;
-        for attempt in 1..=max_retries {
-            let backoff_ns = backoff.as_nanos() as u64 * u64::from(attempt);
-            let obs = RecoveryObs {
-                round: self.metrics.rounds,
-                shard: w as u64,
-                cause: last.to_string(),
-                attempt,
-                backoff_ns,
-            };
-            self.recovery_log.push(obs.clone());
-            if P::ENABLED {
-                self.probe.on_recovery(obs);
-            }
-            if backoff_ns > 0 {
-                std::thread::sleep(Duration::from_nanos(backoff_ns));
-            }
-            match self.try_respawn(w) {
-                Ok(()) => {
-                    self.metrics.recoveries += 1;
-                    return;
-                }
-                Err(e) => last = e,
-            }
-        }
-        panic!(
-            "process engine: shard {w}: recovery exhausted after {max_retries} attempts \
-             (last error: {last})"
-        );
-    }
-
-    /// One respawn attempt: reap the failed child, fork a replacement
-    /// on a fresh link (re-accept for TCP), handshake, and replay the
-    /// shard's frame log — discarding the reply pairs of barriers whose
-    /// replies the parent already consumed, so the socket ends up
-    /// positioned exactly where the dead child's was.
-    fn try_respawn(&mut self, w: usize) -> Result<(), WireError> {
-        self.kill_child(w);
-        let (pid, transport) = self.spawn_wrapped(w)?;
-        let child = &mut self.children.0[w];
-        child.pid = pid;
-        child.transport = Some(transport);
-        child.reaped = false;
-        consume_hello(child.transport())?;
-        let sup = self
-            .supervision
-            .as_ref()
-            .expect("recovery without supervision");
-        let log: Vec<Vec<u8>> = sup.logs[w].clone();
-        let consumed = sup.consumed[w];
-        let mut barriers_seen = 0u32;
-        for bytes in &log {
-            self.children.0[w].transport().send(bytes)?;
-            // Drain each replayed barrier's reply pair immediately so
-            // unread child output never accumulates past one round
-            // (bounded socket buffers on both directions).
-            if bytes[2] == FrameKind::Barrier as u8 && barriers_seen < consumed {
-                for want in [FrameKind::Deliveries, FrameKind::RoundStats] {
-                    let reply = self.children.0[w].transport().recv()?;
-                    let got = FrameView::parse(&reply)?.kind;
-                    if got != want {
-                        return Err(WireError::UnexpectedKind { want, got });
-                    }
-                }
-                barriers_seen += 1;
-            }
-        }
-        Ok(())
-    }
-
     /// Receives and fully validates one shard's round replies
     /// (`Deliveries` + `RoundStats`) without touching any engine state,
-    /// so a failure anywhere in the pair is recoverable: every cell is
-    /// parsed and bounds-checked in place, and the reply comes back
-    /// ready to apply.
+    /// so a failure anywhere in the pair leaves the round unapplied:
+    /// every cell is parsed and bounds-checked in place, and the reply
+    /// comes back ready to apply.
     fn try_collect_round(
         &mut self,
         w: usize,
@@ -1051,80 +648,6 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
             *s = get_varint(&mut p)?;
         }
         Ok((deliveries, st))
-    }
-
-    /// Marks one more of shard `w`'s barriers fully consumed (both
-    /// reply frames received), for replay accounting.
-    fn note_barrier_consumed(&mut self, w: usize) {
-        if let Some(sup) = &mut self.supervision {
-            sup.consumed[w] += 1;
-        }
-    }
-
-    /// Takes a core checkpoint of shard `w` and truncates its replay
-    /// log to the returned restore frame. Retries through recovery on
-    /// any transport failure, so a fault during checkpointing costs a
-    /// respawn, never the run.
-    fn take_checkpoint(&mut self, w: usize) {
-        let epoch = self.metrics.rounds as u32;
-        loop {
-            let req = Frame::control(FrameKind::Checkpoint, w as u16, epoch);
-            // Not logged: a replayed request would elicit a reply the
-            // replay accounting does not expect.
-            if let Err(e) = self.children.0[w].transport().send(&req.encode()) {
-                self.recover_shard(w, e);
-                continue;
-            }
-            match self.try_expect_frame(w, FrameKind::Checkpoint, epoch) {
-                Ok(reply) => {
-                    let sup = self
-                        .supervision
-                        .as_mut()
-                        .expect("checkpoint without supervision");
-                    sup.logs[w] = vec![reply.bytes];
-                    sup.consumed[w] = 0;
-                    return;
-                }
-                Err(e) => self.recover_shard(w, e),
-            }
-        }
-    }
-
-    /// Fires every chaos-plan event due at the current round through
-    /// the engine's own fault hooks. Events are sorted by round, so a
-    /// cursor suffices; events for rounds the run never reaches simply
-    /// do not fire.
-    fn apply_due_faults(&mut self) {
-        let round = self.metrics.rounds;
-        let shards = self.layout.shards();
-        loop {
-            let (shard, kind) = {
-                let Some(chaos) = &mut self.chaos else { return };
-                let Some(ev) = chaos.plan.events.get(chaos.cursor) else {
-                    return;
-                };
-                if ev.round > round {
-                    return;
-                }
-                chaos.cursor += 1;
-                if ev.shard as usize >= shards {
-                    continue;
-                }
-                chaos.fired += 1;
-                (ev.shard as usize, ev.kind)
-            };
-            match kind {
-                FaultKind::Kill => self.kill_child(shard),
-                FaultKind::Corrupt => self.wrap_transport(shard, |t| {
-                    Box::new(FaultyTransport::new(
-                        t,
-                        0,
-                        Fault::FlipByte { offset: HEADER_LEN },
-                    ))
-                }),
-                FaultKind::Stall => self.stop_child(shard),
-            }
-        }
     }
 }
 
@@ -1178,18 +701,6 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
         );
         let epoch = self.metrics.rounds as u32;
         let bw = self.config.bandwidth as u64;
-        if let Some(sup) = &mut self.supervision {
-            // A new phase rebuilds every child core, so the previous
-            // phase's frames are dead weight: restart every replay log
-            // at this phase's `PhaseStart`.
-            for log in &mut sup.logs {
-                log.clear();
-            }
-            for c in &mut sup.consumed {
-                *c = 0;
-            }
-            sup.rounds_in_phase = 0;
-        }
         for w in 0..shards {
             let frame = &mut self.frames[w];
             frame.begin();
@@ -1273,28 +784,6 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         self.sim.kill_child(shard);
     }
 
-    /// Test hook: [`ProcessSimulator::stop_child`] through an open
-    /// phase.
-    pub fn stop_child(&mut self, shard: usize) {
-        self.sim.stop_child(shard);
-    }
-
-    /// Test hook: [`ProcessSimulator::wrap_transport`] through an open
-    /// phase.
-    pub fn wrap_transport(
-        &mut self,
-        shard: usize,
-        f: impl FnOnce(Box<dyn Transport>) -> Box<dyn Transport>,
-    ) {
-        self.sim.wrap_transport(shard, f);
-    }
-
-    /// Test hook: the current pid of shard `shard`'s child (changes
-    /// across respawns).
-    pub fn child_pid(&self, shard: usize) -> i32 {
-        self.sim.child_pid(shard)
-    }
-
     /// One round: step every node in ID order (timed per shard — node
     /// ranges are contiguous and ascending, so ID order visits shards
     /// in order), then run the wire tail.  Mirrors the sequential
@@ -1337,10 +826,6 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         let shards = self.sim.layout.shards();
         let per_edge = self.sim.metrics.per_edge;
         let epoch = self.sim.metrics.rounds as u32;
-
-        // Inject any chaos-plan faults due this round before the wire
-        // tail touches the children.
-        self.sim.apply_due_faults();
 
         // Encode and ship the round shard by shard, so a child starts
         // its transfer while the parent encodes the next shard. Nodes
@@ -1385,15 +870,12 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         for w in 0..shards {
             // Parse before mutating: both reply frames are received and
             // validated (every cell parsed and bounds-checked in place)
-            // before any parent-side state is touched, so a recovery
-            // retry never observes a half-applied round.
-            let (deliveries, st) = loop {
-                match self.sim.try_collect_round(w, epoch) {
-                    Ok(x) => break x,
-                    Err(e) => self.sim.recover_shard(w, e),
-                }
-            };
-            self.sim.note_barrier_consumed(w);
+            // before any parent-side state is touched, so a fault never
+            // leaves a half-applied round behind.
+            let (deliveries, st) = self
+                .sim
+                .try_collect_round(w, epoch)
+                .unwrap_or_else(|e| raise(w, e));
             let splice_count = u64::from(deliveries.count);
             let edge_start = self.sim.layout.edge_ranges[w].start;
             self.arrivals.reserve(deliveries.count as usize);
@@ -1458,20 +940,6 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
                 barrier_ns,
                 arena_cells,
             });
-        }
-        // Checkpoint stride: snapshot every child core and truncate the
-        // replay logs, bounding both replay time and log memory.
-        let stride = u64::from(self.sim.options.checkpoint_every);
-        let due = if let Some(sup) = &mut self.sim.supervision {
-            sup.rounds_in_phase += 1;
-            stride > 0 && sup.rounds_in_phase % stride == 0
-        } else {
-            false
-        };
-        if due {
-            for w in 0..shards {
-                self.sim.take_checkpoint(w);
-            }
         }
     }
 
@@ -1546,6 +1014,7 @@ mod tests {
     use super::*;
     use powersparse_congest::sim::Simulator;
     use powersparse_graphs::generators;
+    use std::collections::VecDeque;
 
     /// The same nontrivial echo program as the other backends' unit
     /// tests: fragmentation, FIFO order and per-node state.
@@ -1584,27 +1053,6 @@ mod tests {
             assert_eq!(got, want, "outputs diverged at {shards} shards");
             assert_eq!(got_m, want_m, "metrics diverged at {shards} shards");
         }
-    }
-
-    #[test]
-    fn shaped_and_tcp_links_preserve_parity() {
-        let g = generators::connected_gnp(60, 0.08, 4);
-        let config = SimConfig::with_bandwidth(16).with_per_edge_accounting();
-        let mut seq = Simulator::new(&g, config);
-        let (want, want_m) = echo_program(&mut seq, 3);
-        let net = NetworkSpec {
-            latency_us: 30,
-            bandwidth_bytes_per_s: 16 << 20,
-            jitter_seed: 7,
-        };
-        let mut shaped = ProcessSimulator::with_network(&g, config, 2, net);
-        let (got, got_m) = echo_program(&mut shaped, 3);
-        assert_eq!(got, want, "shaped outputs diverged");
-        assert_eq!(got_m, want_m, "shaped metrics diverged");
-        let mut tcp = ProcessSimulator::with_tcp_loopback(&g, config, 2);
-        let (got, got_m) = echo_program(&mut tcp, 3);
-        assert_eq!(got, want, "tcp outputs diverged");
-        assert_eq!(got_m, want_m, "tcp metrics diverged");
     }
 
     #[test]
@@ -1721,101 +1169,40 @@ mod tests {
         assert!(RoundPhase::idle(&phase));
     }
 
-    /// Scrubs the operational recovery counter so a disturbed run can
-    /// be compared bit-for-bit against an undisturbed reference.
-    fn scrub(m: Metrics) -> Metrics {
-        Metrics { recoveries: 0, ..m }
-    }
+    /// A scripted transport, like the `Feed` of `wire.rs`'s tests: hands
+    /// back queued frames, then reports a closed socket.
+    struct Feed(VecDeque<Vec<u8>>);
 
-    #[test]
-    fn seeded_kills_and_corruptions_recover_bit_for_bit() {
-        let g = generators::connected_gnp(80, 0.06, 5);
-        let config = SimConfig::with_bandwidth(16).with_per_edge_accounting();
-        let mut seq = Simulator::new(&g, config);
-        let (want, want_m) = echo_program(&mut seq, 4);
-        for shards in [2usize, 4] {
-            let opts = ProcessOptions {
-                recovery: RecoveryPolicy::Recover {
-                    max_retries: 3,
-                    backoff: Duration::ZERO,
-                },
-                checkpoint_every: 2,
-                ..ProcessOptions::default()
-            };
-            let mut pr = ProcessSimulator::with_options(&g, config, shards, NoProbe, opts);
-            pr.set_fault_plan(FaultPlan::seeded(42, shards as u16, 6, 2, 1, 0));
-            let (got, got_m) = echo_program(&mut pr, 4);
-            assert!(pr.faults_fired() > 0, "the chaos plan never fired");
-            assert!(
-                RoundEngine::metrics(&pr).recoveries > 0,
-                "no recovery actually happened at {shards} shards"
-            );
-            assert_eq!(
-                RoundEngine::metrics(&pr).recoveries,
-                pr.recovery_log().len() as u64,
-                "every attempt succeeded first try, so log length = recoveries"
-            );
-            assert_eq!(got, want, "outputs diverged under chaos at {shards} shards");
-            assert_eq!(
-                scrub(got_m),
-                want_m,
-                "metrics diverged under chaos at {shards} shards"
-            );
+    impl Transport for Feed {
+        fn send(&mut self, _bytes: &[u8]) -> Result<(), WireError> {
+            Ok(())
+        }
+        fn recv(&mut self) -> Result<Vec<u8>, WireError> {
+            self.0.pop_front().ok_or(WireError::Eof)
         }
     }
 
-    #[test]
-    fn tcp_children_respawn_and_recover() {
-        let g = generators::connected_gnp(50, 0.08, 3);
-        let config = SimConfig::with_bandwidth(12).with_per_edge_accounting();
-        let mut seq = Simulator::new(&g, config);
-        let (want, want_m) = echo_program(&mut seq, 3);
-        let opts = ProcessOptions {
-            tcp: true,
-            recovery: RecoveryPolicy::Recover {
-                max_retries: 3,
-                backoff: Duration::ZERO,
-            },
-            checkpoint_every: 3,
-            ..ProcessOptions::default()
-        };
-        let mut pr = ProcessSimulator::with_options(&g, config, 2, NoProbe, opts);
-        pr.set_fault_plan(FaultPlan::seeded(7, 2, 4, 2, 0, 0));
-        let (got, got_m) = echo_program(&mut pr, 3);
-        assert!(RoundEngine::metrics(&pr).recoveries > 0);
-        assert_eq!(got, want, "tcp outputs diverged under chaos");
-        assert_eq!(scrub(got_m), want_m, "tcp metrics diverged under chaos");
+    fn hello(version: u64) -> Feed {
+        let mut frame = Frame::control(FrameKind::Hello, 0, 0);
+        crate::wire::put_varint(&mut frame.payload, version);
+        Feed(VecDeque::from([frame.encode()]))
     }
 
     #[test]
-    fn recovery_emits_probe_events_and_replaces_pids() {
-        let g = generators::cycle(12);
-        let config = SimConfig::with_bandwidth(8);
-        let opts = ProcessOptions {
-            recovery: RecoveryPolicy::Recover {
-                max_retries: 2,
-                backoff: Duration::ZERO,
-            },
-            ..ProcessOptions::default()
-        };
-        let mut pr = ProcessSimulator::with_options(&g, config, 2, NoProbe, opts);
-        let old_pid = pr.child_pid(1);
-        let mut unit = vec![(); 12];
-        let mut phase = pr.phase::<u8>();
-        phase.step(&mut unit, |_, v, _in, out| {
-            out.broadcast(v, v.0 as u8, 4);
-        });
-        phase.kill_child(1);
-        phase.step(&mut unit, |_, _, _, _| {});
-        phase.settle(64, &mut unit, |_, _, _| {});
-        drop(phase);
-        assert_ne!(pr.child_pid(1), old_pid, "child was not respawned");
-        assert_eq!(RoundEngine::metrics(&pr).recoveries, 1);
-        let log = pr.recovery_log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].shard, 1);
-        assert_eq!(log[0].attempt, 1);
-        assert_eq!(log[0].cause, "socket closed");
+    fn consume_hello_rejects_a_version_skewed_child() {
+        assert_eq!(consume_hello(&mut hello(PROTOCOL_VERSION)), Ok(()));
+        let error = consume_hello(&mut hello(99)).unwrap_err();
+        assert_eq!(
+            error,
+            WireError::VersionSkew {
+                want: PROTOCOL_VERSION,
+                got: 99
+            }
+        );
+        assert_eq!(
+            EngineError { shard: 1, error }.to_string(),
+            "process engine: shard 1: protocol version skew (want 3, got 99)"
+        );
     }
 
     #[test]

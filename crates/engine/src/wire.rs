@@ -51,14 +51,10 @@
 //!
 //! # Transports
 //!
-//! Three production transports share the codec: [`StreamTransport`]
-//! (Unix socket pair, the process backend's default),
-//! [`TcpTransport`] (same frames over loopback/remote TCP, with a
-//! version-checked `Hello` handshake at connect), and
-//! [`ShapedTransport`], a decorator charging every frame
-//! `latency + len/bandwidth` on a deterministic virtual clock
-//! ([`NetworkSpec`]) — the measurement shim for latency-scaling
-//! experiments.
+//! One production transport carries the codec: [`StreamTransport`], a
+//! Unix socket pair.  The child's first frame is a `Hello` carrying
+//! [`PROTOCOL_VERSION`], so a version-skewed child is rejected before
+//! any protocol traffic flows.
 //!
 //! The frame layout is pinned by golden-byte tests
 //! (`tests/wire_codec.rs`); bump [`PROTOCOL_VERSION`] on any change.
@@ -67,9 +63,8 @@ use std::any::{Any, TypeId};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Leading two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"PS";
@@ -85,9 +80,10 @@ pub const MAX_PAYLOAD: usize = 256 << 20;
 /// quarter-GiB allocation up front; memory tracks bytes actually
 /// received.
 pub const RECV_CHUNK: usize = 64 << 10;
-/// Version negotiated in the `Hello` frame payload.  Bumped to 2 when
-/// the `Checkpoint` frame kind (shard supervision) joined the protocol.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// Version negotiated in the `Hello` frame payload.  Version 3 retired
+/// kind byte 9, version 2's shard-supervision snapshot frame, so a
+/// frame of kind 9 is [`WireError::UnknownKind`].
+pub const PROTOCOL_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected, polynomial 0xEDB88320)
@@ -351,16 +347,6 @@ pub enum FrameKind {
     /// Child → parent: the child hit a protocol error; payload is a
     /// UTF-8 description.  The child exits after sending it.
     Error = 8,
-    /// Bidirectional checkpoint traffic for shard supervision.  Parent
-    /// → child with an **empty** payload: take a checkpoint — the child
-    /// replies with its own `Checkpoint` frame whose payload is varint
-    /// local edge count + varint bandwidth + varint epoch +
-    /// [`encode_cells`] of every queued cell in delivery order (`count`
-    /// = cell count).  Parent → child with a **non-empty** payload (a
-    /// previously captured reply, at least 3 bytes): restore — the
-    /// child rebuilds its core from the snapshot.  Only spoken when a
-    /// recovery policy is active; `FailFast` runs never emit it.
-    Checkpoint = 9,
 }
 
 impl FrameKind {
@@ -374,7 +360,6 @@ impl FrameKind {
             6 => FrameKind::RoundStats,
             7 => FrameKind::Shutdown,
             8 => FrameKind::Error,
-            9 => FrameKind::Checkpoint,
             other => return Err(WireError::UnknownKind(other)),
         })
     }
@@ -598,7 +583,7 @@ pub(crate) fn io_err(e: std::io::Error) -> WireError {
 /// Reads one frame (header + payload) off `r`, growing the buffer in
 /// [`RECV_CHUNK`]-byte steps so the untrusted length field never
 /// triggers an allocation larger than the bytes actually on the wire.
-/// Shared by every stream-backed transport; no single `read` call is
+/// The framing under [`StreamTransport`]; no single `read` call is
 /// handed a buffer longer than `RECV_CHUNK`.
 pub fn read_frame_bytes<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
     let mut header = [0u8; HEADER_LEN];
@@ -671,280 +656,6 @@ impl Transport for StreamTransport {
 
     fn set_timeout(&mut self, timeout: Option<Duration>) {
         let _ = self.stream.set_read_timeout(clamp_timeout(timeout));
-    }
-}
-
-/// The second production transport: the same frame codec over a TCP
-/// stream (loopback today, remote hosts tomorrow), with the same
-/// fail-closed semantics as [`StreamTransport`] — bounded reads,
-/// chunked payload assembly, and error latching after a torn frame.
-///
-/// Connection establishment performs a transport-level `Hello`
-/// handshake (the connector speaks first) carrying
-/// [`PROTOCOL_VERSION`] and the link's shard index, so a version-skewed
-/// or misrouted peer is rejected before any protocol traffic flows.
-pub struct TcpTransport {
-    stream: TcpStream,
-    poisoned: Option<WireError>,
-}
-
-impl TcpTransport {
-    /// Connects to `addr` and runs the handshake: send our `Hello`,
-    /// then require the peer's.  Nagle is disabled — barrier frames
-    /// are latency-critical and tiny.
-    pub fn connect<A: ToSocketAddrs>(addr: A, shard: u16) -> Result<Self, WireError> {
-        let stream = TcpStream::connect(addr).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        let mut t = TcpTransport {
-            stream,
-            poisoned: None,
-        };
-        t.send(&Self::hello(shard).encode())?;
-        t.expect_hello(shard)?;
-        Ok(t)
-    }
-
-    /// Accepts one connection from `listener` and runs the mirror
-    /// handshake: require the connector's `Hello`, then reply with
-    /// ours.  With `timeout` set the accept poll and the handshake
-    /// reads are both bounded, so a child that never connects (or
-    /// connects and stalls) surfaces as [`WireError::Timeout`] instead
-    /// of a hang.
-    pub fn accept(
-        listener: &TcpListener,
-        shard: u16,
-        timeout: Option<Duration>,
-    ) -> Result<Self, WireError> {
-        let stream = match timeout {
-            None => listener.accept().map_err(io_err)?.0,
-            Some(limit) => {
-                listener.set_nonblocking(true).map_err(io_err)?;
-                let deadline = Instant::now() + limit;
-                let accepted = loop {
-                    match listener.accept() {
-                        Ok((s, _)) => break Ok(s),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            if Instant::now() >= deadline {
-                                break Err(WireError::Timeout);
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(e) => break Err(io_err(e)),
-                    }
-                };
-                let _ = listener.set_nonblocking(false);
-                let stream = accepted?;
-                stream.set_nonblocking(false).map_err(io_err)?;
-                stream
-            }
-        };
-        stream.set_nodelay(true).map_err(io_err)?;
-        let mut t = TcpTransport {
-            stream,
-            poisoned: None,
-        };
-        t.set_timeout(timeout);
-        t.expect_hello(shard)?;
-        t.send(&Self::hello(shard).encode())?;
-        Ok(t)
-    }
-
-    fn hello(shard: u16) -> Frame {
-        let mut hello = Frame::control(FrameKind::Hello, shard, 0);
-        put_varint(&mut hello.payload, PROTOCOL_VERSION);
-        hello
-    }
-
-    fn expect_hello(&mut self, shard: u16) -> Result<(), WireError> {
-        let frame = Frame::decode(&self.recv()?)?;
-        if frame.kind != FrameKind::Hello {
-            return Err(WireError::UnexpectedKind {
-                want: FrameKind::Hello,
-                got: frame.kind,
-            });
-        }
-        if frame.shard != shard {
-            return Err(WireError::ShardMismatch {
-                want: shard,
-                got: frame.shard,
-            });
-        }
-        let mut payload = frame.payload.as_slice();
-        let got = get_varint(&mut payload)?;
-        if got != PROTOCOL_VERSION {
-            return Err(WireError::VersionSkew {
-                want: PROTOCOL_VERSION,
-                got,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Transport for TcpTransport {
-    fn send(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        self.stream.write_all(bytes).map_err(io_err)
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, WireError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        match read_frame_bytes(&mut self.stream) {
-            Ok(frame) => Ok(frame),
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    fn set_timeout(&mut self, timeout: Option<Duration>) {
-        let _ = self.stream.set_read_timeout(clamp_timeout(timeout));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Latency/bandwidth shaping
-// ---------------------------------------------------------------------------
-
-/// A modeled network profile for [`ShapedTransport`]: fixed per-frame
-/// latency plus byte throughput, with optional seeded jitter.  The
-/// charge for one `len`-byte frame is
-/// `latency_us·1000 + len·10⁹/bandwidth_bytes_per_s` nanoseconds
-/// (plus jitter), accumulated on a deterministic virtual clock — the
-/// same frame sequence always pays the same total, so shaped runs are
-/// reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NetworkSpec {
-    /// Fixed one-way per-frame latency in microseconds.
-    pub latency_us: u64,
-    /// Link throughput in bytes per second; `0` models an
-    /// infinite-bandwidth link (no serialization delay).
-    pub bandwidth_bytes_per_s: u64,
-    /// Seed for the jitter RNG; `0` disables jitter.  Jitter is drawn
-    /// per frame, uniform in `[0, latency_us/4]` microseconds, from a
-    /// splitmix64 stream — deterministic for a given seed and frame
-    /// sequence.
-    pub jitter_seed: u64,
-}
-
-impl NetworkSpec {
-    /// A pure-latency profile: `latency_us` per frame, infinite
-    /// bandwidth, no jitter.
-    pub fn latency(latency_us: u64) -> Self {
-        NetworkSpec {
-            latency_us,
-            ..NetworkSpec::default()
-        }
-    }
-
-    /// Deterministic pre-jitter charge for one `len`-byte frame, in
-    /// nanoseconds.
-    pub fn charge_ns(&self, len: usize) -> u64 {
-        let mut ns = self.latency_us.saturating_mul(1_000);
-        if self.bandwidth_bytes_per_s > 0 {
-            let ser = len as u128 * 1_000_000_000 / self.bandwidth_bytes_per_s as u128;
-            ns = ns.saturating_add(u64::try_from(ser).unwrap_or(u64::MAX));
-        }
-        ns
-    }
-}
-
-/// One step of the splitmix64 generator — the standard seed-expansion
-/// PRNG; tiny, stateless beyond one word, and plenty for jitter.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One direction of a shaped link: accumulates the virtual-clock
-/// charge and realizes it by sleeping.
-struct Shaper {
-    spec: NetworkSpec,
-    rng: u64,
-    charged_ns: u64,
-}
-
-impl Shaper {
-    fn new(spec: NetworkSpec) -> Self {
-        Shaper {
-            spec,
-            rng: spec.jitter_seed,
-            charged_ns: 0,
-        }
-    }
-
-    fn charge(&mut self, len: usize) {
-        let mut ns = self.spec.charge_ns(len);
-        if self.spec.jitter_seed != 0 {
-            let span = self.spec.latency_us.saturating_mul(1_000) / 4;
-            if span > 0 {
-                ns = ns.saturating_add(splitmix64(&mut self.rng) % (span + 1));
-            }
-        }
-        self.charged_ns = self.charged_ns.saturating_add(ns);
-        if ns > 0 {
-            std::thread::sleep(Duration::from_nanos(ns));
-        }
-    }
-}
-
-/// A [`Transport`] decorator modeling link latency and throughput:
-/// every frame crossing it is charged `latency + len/bandwidth`
-/// (plus optional seeded jitter) on a per-direction virtual clock,
-/// realized as a sleep.  Shaping touches *time only* — bytes pass
-/// through untouched, so outputs, metrics, probe traces and span
-/// structure stay bit-for-bit identical to the unshaped link (the
-/// conformance suite pins this).  The added wall clock lands in the
-/// engine's barrier span, exactly where real wire latency would.
-pub struct ShapedTransport {
-    inner: Box<dyn Transport>,
-    tx: Shaper,
-    rx: Shaper,
-}
-
-impl ShapedTransport {
-    /// Shapes both directions with the same profile.
-    pub fn new(inner: Box<dyn Transport>, spec: NetworkSpec) -> Self {
-        Self::with_directions(inner, spec, spec)
-    }
-
-    /// Shapes send and receive with independent profiles (asymmetric
-    /// links).
-    pub fn with_directions(inner: Box<dyn Transport>, tx: NetworkSpec, rx: NetworkSpec) -> Self {
-        ShapedTransport {
-            inner,
-            tx: Shaper::new(tx),
-            rx: Shaper::new(rx),
-        }
-    }
-
-    /// Total virtual-clock charge so far, in nanoseconds, as
-    /// `(sent, received)`.
-    pub fn charged_ns(&self) -> (u64, u64) {
-        (self.tx.charged_ns, self.rx.charged_ns)
-    }
-}
-
-impl Transport for ShapedTransport {
-    fn send(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        self.inner.send(bytes)?;
-        self.tx.charge(bytes.len());
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, WireError> {
-        let frame = self.inner.recv()?;
-        self.rx.charge(frame.len());
-        Ok(frame)
-    }
-
-    fn set_timeout(&mut self, timeout: Option<Duration>) {
-        self.inner.set_timeout(timeout);
     }
 }
 
@@ -1025,111 +736,6 @@ impl Transport for FaultyTransport {
 
     fn set_timeout(&mut self, timeout: Option<Duration>) {
         self.inner.set_timeout(timeout);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Seeded chaos plans
-// ---------------------------------------------------------------------------
-
-/// One chaos action a [`FaultPlan`] schedules against a running
-/// process engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// SIGKILL the shard child just before the round's sends go out;
-    /// the barrier read observes [`WireError::Eof`].
-    Kill,
-    /// Wrap the shard's transport so the next received frame has one
-    /// byte XOR-flipped; the barrier read observes
-    /// [`WireError::ChecksumMismatch`].
-    Corrupt,
-    /// SIGSTOP the shard child so it wedges past the barrier timeout;
-    /// the barrier read observes [`WireError::Timeout`].  Every stall
-    /// costs one full barrier timeout of wall clock, so chaos runs
-    /// that schedule stalls should shorten the timeout first.
-    Stall,
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultKind::Kill => write!(f, "kill"),
-            FaultKind::Corrupt => write!(f, "corrupt"),
-            FaultKind::Stall => write!(f, "stall"),
-        }
-    }
-}
-
-/// One scheduled fault: `kind` strikes `shard` at the start of global
-/// round `round` (the engine's cumulative round counter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Global round index (`Metrics::rounds` at the moment the round's
-    /// sends are about to ship).
-    pub round: u64,
-    /// Victim shard.
-    pub shard: u16,
-    /// What happens to it.
-    pub kind: FaultKind,
-}
-
-/// A deterministic script of chaos events for the process backend's
-/// supervision layer: the same `(seed, shards, horizon, counts)` always
-/// yields the same schedule, so a chaos-disturbed run is exactly
-/// reproducible.  Events are sorted by round and deduplicated per
-/// `(round, shard)` slot — at most one fault strikes a given shard in a
-/// given round, which keeps cause attribution in the recovery log
-/// unambiguous.  Rounds the run never reaches simply leave their
-/// events unfired; the engine reports how many fired.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// The schedule, sorted by `(round, shard)`.
-    pub events: Vec<FaultEvent>,
-}
-
-impl FaultPlan {
-    /// Draws `kills + corruptions + stalls` events from a splitmix64
-    /// stream over rounds `[1, horizon]` and shards `[0, shards)`.
-    /// Collisions on a `(round, shard)` slot are resolved by redrawing,
-    /// so the requested counts are exact whenever `horizon × shards`
-    /// has room for them (it is capped to the available slots
-    /// otherwise).
-    pub fn seeded(
-        seed: u64,
-        shards: u16,
-        horizon: u64,
-        kills: usize,
-        corruptions: usize,
-        stalls: usize,
-    ) -> Self {
-        assert!(shards > 0, "fault plan needs at least one shard");
-        assert!(horizon > 0, "fault plan needs at least one round");
-        let slots = (horizon as u128 * shards as u128).min(usize::MAX as u128) as usize;
-        let want = (kills + corruptions + stalls).min(slots);
-        let mut rng = seed;
-        let mut events: Vec<FaultEvent> = Vec::with_capacity(want);
-        let kinds = [
-            (kills, FaultKind::Kill),
-            (corruptions, FaultKind::Corrupt),
-            (stalls, FaultKind::Stall),
-        ];
-        'outer: for (count, kind) in kinds {
-            for _ in 0..count {
-                if events.len() == want {
-                    break 'outer;
-                }
-                loop {
-                    let round = 1 + splitmix64(&mut rng) % horizon;
-                    let shard = (splitmix64(&mut rng) % u64::from(shards)) as u16;
-                    if !events.iter().any(|e| e.round == round && e.shard == shard) {
-                        events.push(FaultEvent { round, shard, kind });
-                        break;
-                    }
-                }
-            }
-        }
-        events.sort_by_key(|e| (e.round, e.shard));
-        FaultPlan { events }
     }
 }
 
@@ -1734,173 +1340,6 @@ mod tests {
         let mut t = FaultyTransport::new(Box::new(feed), 0, Fault::Truncate { drop: 2 });
         assert_eq!(Frame::decode(&t.recv().unwrap()), Err(WireError::Truncated));
         assert!(Frame::decode(&t.recv().unwrap()).is_ok());
-    }
-
-    #[test]
-    fn fault_plans_are_deterministic_exact_and_collision_free() {
-        let plan = FaultPlan::seeded(0xC0FFEE, 4, 10, 3, 2, 1);
-        assert_eq!(plan, FaultPlan::seeded(0xC0FFEE, 4, 10, 3, 2, 1));
-        assert_ne!(plan, FaultPlan::seeded(0xC0FFED, 4, 10, 3, 2, 1));
-        assert_eq!(plan.events.len(), 6);
-        let kills = plan
-            .events
-            .iter()
-            .filter(|e| e.kind == FaultKind::Kill)
-            .count();
-        let corruptions = plan
-            .events
-            .iter()
-            .filter(|e| e.kind == FaultKind::Corrupt)
-            .count();
-        assert_eq!((kills, corruptions), (3, 2));
-        for e in &plan.events {
-            assert!((1..=10).contains(&e.round), "{e:?}");
-            assert!(e.shard < 4, "{e:?}");
-        }
-        // Sorted, and no (round, shard) slot struck twice.
-        for pair in plan.events.windows(2) {
-            assert!((pair[0].round, pair[0].shard) < (pair[1].round, pair[1].shard));
-        }
-        // Requests beyond the slot grid are capped, not an infinite loop.
-        let capped = FaultPlan::seeded(1, 1, 2, 5, 5, 5);
-        assert_eq!(capped.events.len(), 2);
-    }
-
-    #[test]
-    fn shaped_charges_are_deterministic_per_seed() {
-        let spec = NetworkSpec {
-            latency_us: 10,
-            bandwidth_bytes_per_s: 1 << 20,
-            jitter_seed: 42,
-        };
-        // Pre-jitter charge: 10us latency + 1024B at 1 MiB/s.
-        assert_eq!(spec.charge_ns(0), 10_000);
-        assert_eq!(
-            spec.charge_ns(1024),
-            10_000 + 1024 * 1_000_000_000 / (1 << 20)
-        );
-        // Infinite bandwidth drops the serialization term.
-        assert_eq!(NetworkSpec::latency(7).charge_ns(1 << 20), 7_000);
-        // Two shapers with the same seed charge identically over the
-        // same frame sequence; a different seed diverges.
-        let (mut a, mut b, mut c) = (
-            Shaper::new(spec),
-            Shaper::new(spec),
-            Shaper::new(NetworkSpec {
-                jitter_seed: 43,
-                ..spec
-            }),
-        );
-        for len in [0usize, 21, 1024, 77] {
-            a.charge(len);
-            b.charge(len);
-            c.charge(len);
-        }
-        assert_eq!(a.charged_ns, b.charged_ns);
-        assert_ne!(a.charged_ns, c.charged_ns);
-        // Jitter stays within the documented bound.
-        let base: u64 = [0usize, 21, 1024, 77]
-            .iter()
-            .map(|&l| spec.charge_ns(l))
-            .sum();
-        assert!(a.charged_ns >= base);
-        assert!(a.charged_ns <= base + 4 * (10_000 / 4));
-    }
-
-    #[test]
-    fn shaped_transport_passes_bytes_through_unchanged() {
-        struct Feed(VecDeque<Vec<u8>>, Vec<Vec<u8>>);
-        impl Transport for Feed {
-            fn send(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-                self.1.push(bytes.to_vec());
-                Ok(())
-            }
-            fn recv(&mut self) -> Result<Vec<u8>, WireError> {
-                self.0.pop_front().ok_or(WireError::Eof)
-            }
-        }
-        let frame = Frame::control(FrameKind::Barrier, 1, 3).encode();
-        let feed = Feed(VecDeque::from([frame.clone()]), Vec::new());
-        let mut shaped = ShapedTransport::new(
-            Box::new(feed),
-            NetworkSpec {
-                latency_us: 1,
-                bandwidth_bytes_per_s: 0,
-                jitter_seed: 9,
-            },
-        );
-        shaped.send(&frame).unwrap();
-        assert_eq!(shaped.recv().unwrap(), frame);
-        assert_eq!(shaped.recv(), Err(WireError::Eof));
-        let (tx, rx) = shaped.charged_ns();
-        assert!(tx >= 1_000 && rx >= 1_000);
-    }
-
-    #[test]
-    fn tcp_transport_handshakes_and_round_trips() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = std::thread::spawn(move || {
-            let mut t = TcpTransport::connect(addr, 5).unwrap();
-            let echo = t.recv().unwrap();
-            t.send(&echo).unwrap();
-        });
-        let mut t = TcpTransport::accept(&listener, 5, Some(Duration::from_secs(10))).unwrap();
-        let frame = Frame {
-            kind: FrameKind::Sends,
-            shard: 5,
-            epoch: 1,
-            count: 1,
-            payload: vec![0xAB; 3 * RECV_CHUNK + 17],
-        }
-        .encode();
-        t.send(&frame).unwrap();
-        assert_eq!(t.recv().unwrap(), frame);
-        peer.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_handshake_rejects_version_skew_and_wrong_shard() {
-        // Version skew: a raw peer speaks Hello with version 99.
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let mut hello = Frame::control(FrameKind::Hello, 0, 0);
-            put_varint(&mut hello.payload, 99);
-            stream.write_all(&hello.encode()).unwrap();
-            // Hold the socket open until the accept side has judged.
-            let _ = read_frame_bytes(&mut stream);
-        });
-        let got = TcpTransport::accept(&listener, 0, Some(Duration::from_secs(10)));
-        assert!(matches!(
-            got,
-            Err(WireError::VersionSkew {
-                want: PROTOCOL_VERSION,
-                got: 99
-            })
-        ));
-        peer.join().unwrap();
-
-        // Shard mismatch: both sides well-versioned but misrouted.
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = std::thread::spawn(move || TcpTransport::connect(addr, 3));
-        let got = TcpTransport::accept(&listener, 4, Some(Duration::from_secs(10)));
-        assert_eq!(
-            got.err(),
-            Some(WireError::ShardMismatch { want: 4, got: 3 })
-        );
-        let _ = peer.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_accept_timeout_is_bounded() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let start = Instant::now();
-        let got = TcpTransport::accept(&listener, 0, Some(Duration::from_millis(50)));
-        assert_eq!(got.err(), Some(WireError::Timeout));
-        assert!(start.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

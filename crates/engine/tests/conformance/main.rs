@@ -21,20 +21,10 @@
 //! * [`spans`] — span-structure invariance: per-round per-shard stage
 //!   spans have engine-invariant structure (timings stay backend-shaped
 //!   and are never compared).
-//! * [`shaped`] — the shaped-wire and TCP transports: shaping changes
-//!   wall clock only (counters, traces and span structure bit-for-bit
-//!   equal to the unshaped process backend), and loopback TCP passes
-//!   the full matrix.
-//! * [`chaos`] — the supervised process backend under seeded fault
-//!   plans: killed, corrupted and stalled shard children are respawned
-//!   and replayed, and the recovered run stays bit-for-bit equal to an
-//!   undisturbed one (only `Metrics::recoveries` may move).
 
-mod chaos;
 pub mod harness;
 mod matrix;
 mod negative;
 mod probe;
 mod random;
-mod shaped;
 mod spans;

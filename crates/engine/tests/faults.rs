@@ -14,15 +14,12 @@
 //! at index 0 always hits round 0's reply.
 
 use powersparse_congest::engine::{RoundEngine, RoundPhase};
-use powersparse_congest::probe::NoProbe;
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::wire::{
-    read_frame_bytes, EngineError, Fault, FaultyTransport, Frame, FrameKind, NetworkSpec,
-    ShapedTransport, StreamTransport, Transport, WireError, HEADER_LEN, MAX_PAYLOAD, RECV_CHUNK,
+    read_frame_bytes, EngineError, Fault, FaultyTransport, Frame, FrameKind, StreamTransport,
+    Transport, WireError, HEADER_LEN, MAX_PAYLOAD, RECV_CHUNK,
 };
-use powersparse_engine::{
-    FaultEvent, FaultKind, FaultPlan, ProcessOptions, ProcessSimulator, RecoveryPolicy,
-};
+use powersparse_engine::ProcessSimulator;
 use powersparse_graphs::{generators, NodeId};
 use std::io::{Read, Write};
 use std::os::unix::io::AsRawFd;
@@ -286,163 +283,28 @@ fn mid_frame_timeout_poisons_the_transport() {
     assert_eq!(msg, "process engine: barrier timeout waiting on shard 1");
 }
 
-/// TCP connection loss maps to the same stable "died mid-round" error
-/// as a Unix-socket child death: the fail-closed contract holds across
-/// transports.
+/// The drop path reaps every child, whatever state it is in: one child
+/// killed (already dead, so the `Shutdown` send fails) and one SIGSTOPped
+/// (alive but deaf, so only the SIGKILL escalation ends it).  After the
+/// engine drops, a poll over `/proc/<pid>/stat` proves neither lingers,
+/// as a zombie or still stopped.  (The test harness runs tests as
+/// threads of one process, so a blanket `waitpid(-1)` is off the table —
+/// `/proc` is the only safe scan.)
 #[test]
-fn tcp_child_connection_loss_fails_closed() {
+fn dropped_engine_reaps_dead_and_wedged_children() {
     let g = generators::path(8);
     let config = SimConfig::for_graph(&g);
-    let mut eng = ProcessSimulator::with_tcp_loopback(&g, config, 2)
-        .with_barrier_timeout(Duration::from_millis(300));
-    eng.kill_child(1);
-    let start = Instant::now();
-    let err = catch_unwind(AssertUnwindSafe(|| drive(&mut eng)))
-        .expect_err("a dead tcp child must abort the round");
-    assert!(start.elapsed() < Duration::from_secs(10));
+    let mut eng = ProcessSimulator::with_shards(&g, config, 2);
+    let pids = vec![eng.child_pid(0), eng.child_pid(1)];
+    eng.kill_child(0);
+    eng.stop_child(1);
     drop(eng);
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert_eq!(
-        msg,
-        "process engine: child for shard 1 died mid-round (socket closed)"
-    );
-}
-
-/// The wrapper half of the poisoning pin: a `ShapedTransport` around a
-/// poisoned inner transport must replay the inner latch verbatim.  The
-/// shaper has no latch of its own — `StreamTransport` and
-/// `TcpTransport` latch below it — so a resynchronising shaper would
-/// reintroduce exactly the "bad frame magic" bug the inner latch fixed.
-#[test]
-fn shaped_transport_replays_a_poisoned_inner_error() {
-    let (a, mut b) = UnixStream::pair().unwrap();
-    let net = NetworkSpec {
-        latency_us: 5,
-        bandwidth_bytes_per_s: 64 << 20,
-        jitter_seed: 3,
-    };
-    let mut t = ShapedTransport::new(Box::new(StreamTransport::new(a)), net);
-    t.set_timeout(Some(Duration::from_millis(50)));
-    let frame = Frame {
-        kind: FrameKind::Deliveries,
-        shard: 0,
-        epoch: 0,
-        count: 0,
-        payload: vec![7u8; 100],
-    }
-    .encode();
-    // The peer delivers the header and half the payload, then stalls:
-    // the inner transport latches the timeout mid-frame.
-    b.write_all(&frame[..HEADER_LEN + 50]).unwrap();
-    assert_eq!(t.recv(), Err(WireError::Timeout));
-    // Late bytes that a resynchronising recv would misparse as a header
-    // with bad magic.
-    b.write_all(&[0x55u8; 200]).unwrap();
-    assert_eq!(
-        t.recv(),
-        Err(WireError::Timeout),
-        "shaped wrapper must replay the inner transport's first error"
-    );
-}
-
-/// A chaos-plan event firing under the default `FailFast` policy is
-/// indistinguishable from the hand-injected fault: the same pinned
-/// error, no recovery attempted.
-#[test]
-fn chaos_plan_under_failfast_fails_closed() {
-    let msg = fault_panic(|eng| {
-        eng.set_fault_plan(FaultPlan {
-            events: vec![FaultEvent {
-                round: 0,
-                shard: 1,
-                kind: FaultKind::Kill,
-            }],
-        });
-    });
-    assert_eq!(
-        msg,
-        "process engine: child for shard 1 died mid-round (socket closed)"
-    );
-}
-
-/// Retry exhaustion fails closed, in bounded wall clock, with the
-/// pinned error naming the attempt count and the root cause.
-#[test]
-fn exhausted_retries_fail_closed_with_the_attempt_count() {
-    let g = generators::path(8);
-    let config = SimConfig::for_graph(&g);
-    let opts = ProcessOptions {
-        recovery: RecoveryPolicy::Recover {
-            max_retries: 2,
-            backoff: Duration::ZERO,
-        },
-        ..ProcessOptions::default()
-    };
-    let mut eng = ProcessSimulator::with_options(&g, config, 2, NoProbe, opts)
-        .with_barrier_timeout(Duration::from_millis(300));
-    eng.break_respawn(1);
-    eng.kill_child(1);
-    let start = Instant::now();
-    let err = catch_unwind(AssertUnwindSafe(|| drive(&mut eng)))
-        .expect_err("exhausted retries must fail closed, not produce an answer");
-    assert!(
-        start.elapsed() < Duration::from_secs(10),
-        "exhaustion took {:?} to surface — the wall must not hang",
-        start.elapsed()
-    );
-    // Both attempts were observed before the run failed closed.
-    assert_eq!(eng.recovery_log().len(), 2);
-    assert_eq!(eng.recovery_log()[1].attempt, 2);
-    drop(eng);
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert_eq!(
-        msg,
-        "process engine: shard 1: recovery exhausted after 2 attempts \
-         (last error: socket closed)"
-    );
-}
-
-/// Satellite: repeated kill→respawn cycles must reap every replaced
-/// child.  Every pid the engine ever forked is recorded across four
-/// recoveries; after the engine drops, a WNOHANG-style poll over
-/// `/proc/<pid>/stat` proves none of them lingers as a zombie.  (The
-/// test harness runs tests as threads of one process, so a blanket
-/// `waitpid(-1)` is off the table — `/proc` is the only safe scan.)
-#[test]
-fn recovered_respawns_leave_no_zombies() {
-    let g = generators::path(8);
-    let config = SimConfig::for_graph(&g);
-    let opts = ProcessOptions {
-        recovery: RecoveryPolicy::Recover {
-            max_retries: 3,
-            backoff: Duration::ZERO,
-        },
-        ..ProcessOptions::default()
-    };
-    let mut eng = ProcessSimulator::with_options(&g, config, 2, NoProbe, opts);
-    let mut pids = vec![eng.child_pid(0), eng.child_pid(1)];
-    {
-        let mut unit = vec![(); 8];
-        let mut phase = eng.phase::<u32>();
-        for k in 0..4usize {
-            phase.kill_child(k % 2);
-            phase.step(&mut unit, |_, v, _in, out| {
-                if v.0 > 0 {
-                    out.send(v, NodeId(v.0 - 1), v.0, 8);
-                }
-            });
-            pids.push(phase.child_pid(k % 2));
-        }
-        phase.settle(64, &mut unit, |_, _, _| {});
-    }
-    assert_eq!(RoundEngine::metrics(&eng).recoveries, 4);
-    drop(eng);
-    // Every recorded pid must leave the process table (or at least not
-    // be a zombie child of this process) within the bounded window.
+    // Every recorded pid must leave the process table (or at least be
+    // neither a zombie nor stopped) within the bounded window.
     let deadline = Instant::now() + Duration::from_secs(5);
-    let mut zombies: Vec<i32> = pids;
-    while !zombies.is_empty() && Instant::now() < deadline {
-        zombies.retain(|&pid| {
+    let mut lingering: Vec<i32> = pids;
+    while !lingering.is_empty() && Instant::now() < deadline {
+        lingering.retain(|&pid| {
             match std::fs::read_to_string(format!("/proc/{pid}/stat")) {
                 Err(_) => false, // gone entirely
                 Ok(s) => {
@@ -450,17 +312,17 @@ fn recovered_respawns_leave_no_zombies() {
                     // comm (which may itself contain spaces).
                     let state = s.rsplit(')').next();
                     let state = state.and_then(|t| t.trim_start().chars().next());
-                    state == Some('Z')
+                    matches!(state, Some('Z' | 'T'))
                 }
             }
         });
-        if !zombies.is_empty() {
+        if !lingering.is_empty() {
             std::thread::sleep(Duration::from_millis(10));
         }
     }
     assert!(
-        zombies.is_empty(),
-        "zombie children left behind: {zombies:?}"
+        lingering.is_empty(),
+        "children left behind as zombies or stopped: {lingering:?}"
     );
 }
 

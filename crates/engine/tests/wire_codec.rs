@@ -45,7 +45,6 @@ fn arb_kind() -> impl Strategy<Value = FrameKind> {
         Just(FrameKind::RoundStats),
         Just(FrameKind::Shutdown),
         Just(FrameKind::Error),
-        Just(FrameKind::Checkpoint),
     ]
 }
 
@@ -360,98 +359,12 @@ fn golden_sends_frame_bytes() {
     );
 }
 
-/// The `Checkpoint` frame kind (protocol v2, shard supervision) in
-/// both directions: the parent's empty-payload take request, and the
-/// child's snapshot reply whose bytes double as the restore frame —
-/// pinned exactly, then swept with the same truncation and
-/// single-byte-flip rejection wall the other frame kinds get.
-#[test]
-fn golden_checkpoint_frame_bytes() {
-    // Take request: Checkpoint, shard 2, epoch 7, empty payload.
-    let request = Frame::control(FrameKind::Checkpoint, 2, 7).encode();
-    assert_eq!(request.len(), HEADER_LEN);
-    let want: Vec<u8> = [
-        b'P', b'S', // magic
-        9,    // kind = Checkpoint
-        2, 0, // shard (LE u16)
-        7, 0, 0, 0, // epoch (LE u32)
-        0, 0, 0, 0, // count
-        0, 0, 0, 0, // payload len
-    ]
-    .into_iter()
-    .chain([0xAA, 0x39, 0x57, 0x34]) // crc
-    .collect();
-    assert_eq!(request, want);
-
-    // Snapshot reply / restore frame: 3 local edges, bandwidth 16,
-    // epoch 7, one queued cell (edge 1, 12 bits remaining, from node
-    // 4, payload [0x5A]).
-    let mut payload = vec![0x03, 0x10, 0x07]; // varints: edges, bw, epoch
-    encode_cells(
-        &[WireCell {
-            edge: 1,
-            bits: 12,
-            from: 4,
-            payload: vec![0x5A],
-        }],
-        &mut payload,
-    );
-    assert_eq!(
-        payload,
-        vec![0x03, 0x10, 0x07, 0x01, 0x0C, 0x04, 0x01, 0x5A]
-    );
-    let snapshot = Frame {
-        kind: FrameKind::Checkpoint,
-        shard: 2,
-        epoch: 7,
-        count: 1,
-        payload,
-    };
-    let bytes = snapshot.encode();
-    let want_head: &[u8] = &[
-        b'P', b'S', // magic
-        9,    // kind = Checkpoint
-        2, 0, // shard
-        7, 0, 0, 0, // epoch
-        1, 0, 0, 0, // count
-        8, 0, 0, 0, // payload len
-    ];
-    assert_eq!(&bytes[..17], want_head);
-    assert_eq!(&bytes[17..21], &[0x20, 0x19, 0x54, 0x98]);
-    assert_eq!(
-        &bytes[HEADER_LEN..],
-        &[0x03, 0x10, 0x07, 0x01, 0x0C, 0x04, 0x01, 0x5A]
-    );
-    assert_eq!(Frame::decode(&bytes).unwrap(), snapshot);
-
-    // The same corruption wall the frame proptests enforce, applied
-    // exhaustively to both golden images: every truncation and every
-    // single-byte XOR flip is rejected, never mis-decoded.
-    for image in [&request, &bytes] {
-        for cut in 0..image.len() {
-            assert_eq!(
-                Frame::decode(&image[..cut]),
-                Err(WireError::Truncated),
-                "truncation at {cut} was not rejected"
-            );
-        }
-        for pos in 0..image.len() {
-            let mut flipped = image.to_vec();
-            flipped[pos] ^= 0xFF;
-            assert!(
-                Frame::decode(&flipped).is_err(),
-                "flip at {pos} still decoded"
-            );
-        }
-    }
-}
-
 #[test]
 fn golden_layout_constants() {
     // The constants the layout is built from are part of the format.
     assert_eq!(MAGIC, *b"PS");
     assert_eq!(HEADER_LEN, 21);
-    assert_eq!(PROTOCOL_VERSION, 2);
+    assert_eq!(PROTOCOL_VERSION, 3);
     // Frame-kind discriminants are wire values; reordering the enum is
     // a format change.
     assert_eq!(FrameKind::Hello as u8, 1);
@@ -462,7 +375,13 @@ fn golden_layout_constants() {
     assert_eq!(FrameKind::RoundStats as u8, 6);
     assert_eq!(FrameKind::Shutdown as u8, 7);
     assert_eq!(FrameKind::Error as u8, 8);
-    assert_eq!(FrameKind::Checkpoint as u8, 9);
+    // Kind 9 was protocol 2's shard-supervision snapshot frame; from
+    // protocol 3 on, a frame carrying it authenticates but is unknown.
+    let mut retired = Frame::control(FrameKind::Barrier, 2, 7).encode();
+    retired[2] = 9;
+    let crc = crc32_parts(&[&retired[2..17]]);
+    retired[17..21].copy_from_slice(&crc.to_le_bytes());
+    assert_eq!(Frame::decode(&retired), Err(WireError::UnknownKind(9)));
     // CRC-32/IEEE check value: the checksum algorithm is pinned too.
     assert_eq!(crc32_parts(&[b"123456789"]), 0xCBF4_3926);
 }

@@ -385,8 +385,6 @@ mod tests {
             algorithm: "luby_mis".into(),
             engine: "sequential".into(),
             shards: 1,
-            net: None,
-            recovery: None,
             rounds,
             charged_rounds: 0,
             messages,

@@ -76,16 +76,15 @@ pub use diff::{
 };
 pub use json::{Json, JsonError};
 pub use manifest::{
-    NetRecord, PhaseWall, ProfileStats, RecoveryRecord, RunRecord, SuiteManifest, TraceRow,
-    Validation, WallStats,
+    PhaseWall, ProfileStats, RunRecord, SuiteManifest, TraceRow, Validation, WallStats,
 };
 pub use profile::{breakdown, chrome_trace, profile_stats, ProfileBreakdown, ShardProfile};
 pub use runner::{
-    profile_scenario, run_chaos_scenario, run_scenario, run_scenario_with, run_suite,
-    run_suite_with, suite_params, ChaosSpec, Repeat, RunOptions,
+    profile_scenario, run_scenario, run_scenario_with, run_suite, run_suite_with, suite_params,
+    Repeat, RunOptions,
 };
 pub use scenario::{
-    builtin_suite, parse_suite, AlgorithmSpec, EngineSpec, GraphFamily, RecoverySpec, Scenario,
-    SpecError, SuiteProfile,
+    builtin_suite, parse_suite, AlgorithmSpec, EngineSpec, GraphFamily, Scenario, SpecError,
+    SuiteProfile,
 };
 pub use trend::{TrendPoint, TrendReport, TrendSeries};

@@ -212,104 +212,6 @@ impl ProfileStats {
     }
 }
 
-/// The optional wire section of a run: present only when the process
-/// engine ran with a non-default transport (loopback TCP and/or a
-/// shaped wire), so plain manifests stay byte-stable against older
-/// diff tooling. The shaping knobs mirror
-/// `powersparse_engine::NetworkSpec`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetRecord {
-    /// Child links ran over loopback TCP instead of Unix sockets.
-    pub tcp: bool,
-    /// Modeled one-way latency charged per frame, microseconds
-    /// (0 = no latency term).
-    pub latency_us: u64,
-    /// Modeled throughput in bytes per second (0 = infinite).
-    pub bandwidth_bytes_per_s: u64,
-    /// Seed of the deterministic jitter stream (0 = no jitter).
-    pub jitter_seed: u64,
-}
-
-impl NetRecord {
-    /// The section as a [`Json`] object.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("tcp".into(), Json::Bool(self.tcp)),
-            ("latency_us".into(), Json::num(self.latency_us)),
-            (
-                "bandwidth_bytes_per_s".into(),
-                Json::num(self.bandwidth_bytes_per_s),
-            ),
-            ("jitter_seed".into(), Json::num(self.jitter_seed)),
-        ])
-    }
-
-    /// Parses the section back from its JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
-    pub fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            tcp: doc
-                .get("tcp")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| missing("net.tcp"))?,
-            latency_us: req_u64(doc, "latency_us")?,
-            bandwidth_bytes_per_s: req_u64(doc, "bandwidth_bytes_per_s")?,
-            jitter_seed: req_u64(doc, "jitter_seed")?,
-        })
-    }
-}
-
-/// The optional recovery section of a run: present only when the
-/// process engine ran under shard supervision
-/// (`crate::scenario::RecoverySpec`), so plain manifests stay
-/// byte-stable against older diff tooling. Carries the supervision
-/// policy plus the one measured outcome — how many recoveries actually
-/// ran. `recoveries` is operational (it moves with injected chaos, not
-/// with the algorithm) and is never regression-gated; everything the
-/// diff gate compares must stay identical whether or not this section
-/// is present.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryRecord {
-    /// Respawn attempts per failure before failing closed.
-    pub max_retries: u64,
-    /// Backoff between attempts, milliseconds.
-    pub backoff_ms: u64,
-    /// Checkpoint cadence in rounds (0 = phase-start replay only).
-    pub checkpoint_every: u64,
-    /// Successful shard recoveries during the run (first invocation
-    /// when repeated).
-    pub recoveries: u64,
-}
-
-impl RecoveryRecord {
-    /// The section as a [`Json`] object.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("max_retries".into(), Json::num(self.max_retries)),
-            ("backoff_ms".into(), Json::num(self.backoff_ms)),
-            ("checkpoint_every".into(), Json::num(self.checkpoint_every)),
-            ("recoveries".into(), Json::num(self.recoveries)),
-        ])
-    }
-
-    /// Parses the section back from its JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
-    pub fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            max_retries: req_u64(doc, "max_retries")?,
-            backoff_ms: req_u64(doc, "backoff_ms")?,
-            checkpoint_every: req_u64(doc, "checkpoint_every")?,
-            recoveries: req_u64(doc, "recoveries")?,
-        })
-    }
-}
-
 /// The validation verdict of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Validation {
@@ -345,12 +247,6 @@ pub struct RunRecord {
     pub engine: String,
     /// Worker count (1 for sequential).
     pub shards: u64,
-    /// Optional wire configuration (absent unless the process engine
-    /// ran over TCP and/or a shaped wire).
-    pub net: Option<NetRecord>,
-    /// Optional shard-supervision configuration and outcome (absent
-    /// unless the process engine ran under a recovery policy).
-    pub recovery: Option<RecoveryRecord>,
     /// CONGEST rounds executed (including charged rounds).
     pub rounds: u64,
     /// Of which charged analytically.
@@ -448,8 +344,8 @@ impl SuiteManifest {
 }
 
 impl RunRecord {
-    /// The record as a [`Json`] object. The optional keys (`net`,
-    /// `alloc_*` gauges, `profile`, `trace`) are emitted only when
+    /// The record as a [`Json`] object. The optional keys (`alloc_*`
+    /// gauges, `profile`, `trace`) are emitted only when
     /// captured, so plain manifests stay compact and byte-stable
     /// against older builds' diff tooling.
     pub fn to_json(&self) -> Json {
@@ -466,12 +362,6 @@ impl RunRecord {
             ("engine".into(), Json::str(&self.engine)),
             ("shards".into(), Json::num(self.shards)),
         ];
-        if let Some(net) = &self.net {
-            fields.push(("net".into(), net.to_json()));
-        }
-        if let Some(recovery) = &self.recovery {
-            fields.push(("recovery".into(), recovery.to_json()));
-        }
         fields.extend([
             ("rounds".into(), Json::num(self.rounds)),
             ("charged_rounds".into(), Json::num(self.charged_rounds)),
@@ -527,11 +417,11 @@ impl RunRecord {
 
     /// Parses one record from its JSON object. The observability fields
     /// introduced with the probe layer (`arena_*_peak`, `wall_stats`,
-    /// `trace`) and the wire section (`net`) are optional, so manifests
-    /// written by older builds still parse: missing arena gauges read
-    /// as zero, missing statistics derive from the plain `wall_us.run`
-    /// sample, and a missing trace or `net` reads as "not captured" /
-    /// "default wire".
+    /// `trace`) are optional, so manifests written by older builds still
+    /// parse: missing arena gauges read as zero, missing statistics
+    /// derive from the plain `wall_us.run` sample, and a missing trace
+    /// reads as "not captured". Keys this build does not read — such as
+    /// the retired `net` and `recovery` sections — are skipped.
     ///
     /// # Errors
     ///
@@ -549,14 +439,6 @@ impl RunRecord {
                 ci95_us: req_f64(stats, "ci95_us")?,
                 samples: req_u64(stats, "samples")?,
             },
-        };
-        let net = match doc.get("net") {
-            None => None,
-            Some(section) => Some(NetRecord::from_json(section)?),
-        };
-        let recovery = match doc.get("recovery") {
-            None => None,
-            Some(section) => Some(RecoveryRecord::from_json(section)?),
         };
         let profile = match doc.get("profile") {
             None => None,
@@ -584,8 +466,6 @@ impl RunRecord {
             algorithm: req_str(doc, "algorithm")?,
             engine: req_str(doc, "engine")?,
             shards: req_u64(doc, "shards")?,
-            net,
-            recovery,
             rounds: req_u64(doc, "rounds")?,
             charged_rounds: req_u64(doc, "charged_rounds")?,
             messages: req_u64(doc, "messages")?,
@@ -669,8 +549,6 @@ mod tests {
                 algorithm: "luby_mis".into(),
                 engine: "sharded".into(),
                 shards: 4,
-                net: None,
-                recovery: None,
                 rounds: 77,
                 charged_rounds: 0,
                 messages: 12345,
@@ -831,47 +709,85 @@ mod tests {
         assert_eq!(back.to_json_string(), text);
     }
 
-    #[test]
-    fn net_section_round_trips_and_stays_optional() {
-        let mut m = sample();
-        // Plain record: no net key, so pre-PR-9 diff tooling sees
-        // byte-identical manifests.
-        let text = m.to_json_string();
-        assert!(!text.contains("\"net\""));
-        m.runs[0].net = Some(NetRecord {
-            tcp: true,
-            latency_us: 200,
-            bandwidth_bytes_per_s: 16 << 20,
-            jitter_seed: 7,
-        });
-        let text = m.to_json_string();
-        assert!(text.contains("\"net\""));
-        let back = SuiteManifest::parse(&text).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.to_json_string(), text);
-    }
+    /// A `+net(...)` row of the engine manifest as the wire-shaping
+    /// build wrote it, verbatim, plus the `recovery` object that a
+    /// supervised run appended after `net`.
+    const ARCHIVED_WIRE_ROW: &str = r#"{
+      "name": "gnp(n=1000,d=8)/k1/luby_mis/process2+net(lat=50us,bw=0,jit=0)",
+      "family": "gnp",
+      "graph": "gnp(n=1000,d=8)",
+      "n": 1000,
+      "m": 3973,
+      "max_degree": 17,
+      "k": 1,
+      "seed": 42,
+      "algorithm": "luby_mis",
+      "engine": "process",
+      "shards": 2,
+      "net": {
+        "tcp": false,
+        "latency_us": 50,
+        "bandwidth_bytes_per_s": 0,
+        "jitter_seed": 0
+      },
+      "recovery": {
+        "max_retries": 3,
+        "backoff_ms": 0,
+        "checkpoint_every": 4,
+        "recoveries": 2
+      },
+      "rounds": 8,
+      "charged_rounds": 0,
+      "messages": 12898,
+      "bits": 440884,
+      "peak_queue_depth": 1,
+      "arena_cells_peak": 7946,
+      "arena_bytes_peak": 317840,
+      "output_size": 265,
+      "wall_us": {
+        "build": 544,
+        "run": 28895,
+        "validate": 185
+      },
+      "wall_stats": {
+        "mean_us": 28449.666666666668,
+        "min_us": 27876,
+        "max_us": 28895,
+        "ci95_us": 1295.5349349482801,
+        "samples": 3
+      },
+      "validation": {
+        "passed": true,
+        "detail": "MIS of G^1: independent + maximal, |S| = 265"
+      }
+    }"#;
 
     #[test]
-    fn recovery_section_round_trips_and_stays_optional() {
-        let mut m = sample();
-        // Plain record: no recovery key, so pre-supervision diff
-        // tooling sees byte-identical manifests.
-        let text = m.to_json_string();
-        assert!(!text.contains("\"recovery\""));
-        m.runs[0].recovery = Some(RecoveryRecord {
-            max_retries: 3,
-            backoff_ms: 5,
-            checkpoint_every: 4,
-            recoveries: 2,
-        });
-        let text = m.to_json_string();
-        assert!(text.contains("\"recovery\""));
-        let back = SuiteManifest::parse(&text).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.to_json_string(), text);
-        // A present-but-mistyped section is an error, not a silent skip.
-        let broken = text.replace("\"max_retries\": 3", "\"max_retries\": \"three\"");
-        assert!(SuiteManifest::parse(&broken).is_err());
+    fn archived_wire_and_recovery_sections_still_parse() {
+        let text = format!("{{\"suite\": \"engines\", \"runs\": [{ARCHIVED_WIRE_ROW}]}}");
+        let m = SuiteManifest::parse(&text).unwrap();
+        let r = &m.runs[0];
+        assert_eq!(
+            r.name,
+            "gnp(n=1000,d=8)/k1/luby_mis/process2+net(lat=50us,bw=0,jit=0)"
+        );
+        assert_eq!((r.engine.as_str(), r.shards), ("process", 2));
+        assert_eq!(
+            (r.rounds, r.charged_rounds, r.messages, r.bits),
+            (8, 0, 12898, 440884)
+        );
+        assert_eq!(
+            (r.peak_queue_depth, r.arena_cells_peak, r.arena_bytes_peak),
+            (1, 7946, 317840)
+        );
+        assert_eq!(r.output_size, 265);
+        assert_eq!(r.wall.run_us, 28895);
+        assert_eq!(r.wall_stats.samples, 3);
+        assert!(r.validation.passed);
+        // Re-serializing drops the retired sections and nothing else.
+        let again = m.to_json_string();
+        assert!(!again.contains("\"net\"") && !again.contains("\"recovery\""));
+        assert_eq!(SuiteManifest::parse(&again).unwrap().runs, m.runs);
     }
 
     #[test]

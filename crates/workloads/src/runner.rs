@@ -7,10 +7,8 @@
 //! slow, obviously-correct checkers agree (MIS independence + maximality,
 //! ruling-set packing + covering, sparsifier invariant I3 + domination).
 
-use crate::manifest::{
-    NetRecord, PhaseWall, RecoveryRecord, RunRecord, SuiteManifest, TraceRow, Validation, WallStats,
-};
-use crate::scenario::{AlgorithmSpec, EngineSpec, RecoverySpec, Scenario};
+use crate::manifest::{PhaseWall, RunRecord, SuiteManifest, TraceRow, Validation, WallStats};
+use crate::scenario::{AlgorithmSpec, EngineSpec, Scenario};
 use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering, ShatterReport};
 use powersparse::nd::{diameter_bound, power_nd, NetworkDecomposition};
 use powersparse::params::TheoryParams;
@@ -19,13 +17,11 @@ use powersparse::ruling::{
 };
 use powersparse::sparsify::{sparsify_power, SamplingStrategy, SparsifyOutcome};
 use powersparse_congest::engine::{Metrics, RoundEngine};
-use powersparse_congest::probe::{NoProbe, RecoveryObs, SpanProbe, TraceProbe};
+use powersparse_congest::probe::{SpanProbe, TraceProbe};
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_engine::{
-    FaultPlan, PooledSimulator, ProcessOptions, ProcessSimulator, RecoveryPolicy,
-};
+use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::{bfs, check, generators, power, Graph, NodeId};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The laptop-scale theory constants every suite run uses, the paper
 /// profile included (see DESIGN.md §3 substitution 4).
@@ -64,57 +60,6 @@ impl Default for Repeat {
     }
 }
 
-/// Seeded chaos injection for process-engine runs: every process
-/// scenario gets a deterministic [`FaultPlan`] (kills + frame
-/// corruptions scheduled by a splitmix64 stream over the scenario's
-/// seed) and runs under shard supervision — a scenario without an
-/// explicit [`RecoverySpec`] is upgraded to [`RecoverySpec::default`].
-/// Non-process engines have no wire to disturb and ignore the spec.
-///
-/// Chaos is the *point* of the recovery contract: the disturbed run
-/// must produce bit-for-bit the counters of an undisturbed one, so a
-/// chaos-injected manifest still diffs clean against the committed
-/// baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosSpec {
-    /// Base seed of the fault schedule (combined with each scenario's
-    /// own seed, so every run draws a distinct plan).
-    pub seed: u64,
-    /// Child kills (SIGKILL mid-round) per process run.
-    pub kills: usize,
-    /// Frame corruptions (poisoned transport) per process run.
-    pub corruptions: usize,
-}
-
-impl Default for ChaosSpec {
-    fn default() -> Self {
-        Self {
-            seed: 0xC4A0_5BA5,
-            kills: 2,
-            corruptions: 1,
-        }
-    }
-}
-
-/// The round horizon chaos events are scheduled inside. Kept small so
-/// the faults land within even the shortest smoke-suite run.
-const CHAOS_HORIZON: u64 = 4;
-
-impl ChaosSpec {
-    /// The fault plan this spec draws for one process scenario.
-    pub fn plan_for(&self, sc: &Scenario, shards: usize) -> FaultPlan {
-        let seed = self.seed ^ sc.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        FaultPlan::seeded(
-            seed,
-            shards as u16,
-            CHAOS_HORIZON,
-            self.kills,
-            self.corruptions,
-            0,
-        )
-    }
-}
-
 /// Per-run options of [`run_scenario_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOptions {
@@ -130,9 +75,6 @@ pub struct RunOptions {
     /// [`SpanProbe`], aggregated into the record's optional `profile`
     /// manifest section (see [`crate::profile`]).
     pub profile: bool,
-    /// Inject seeded faults into process-engine runs (under forced
-    /// supervision); `None` leaves the wire undisturbed.
-    pub chaos: Option<ChaosSpec>,
 }
 
 /// What an algorithm produced, in the shape its checker wants.
@@ -164,38 +106,9 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunRecord, String> {
     run_scenario_with(sc, &RunOptions::default())
 }
 
-/// The wire and supervision options a scenario's process engine runs
-/// under (Unix socket vs loopback TCP, optional shaping, optional
-/// recovery policy).
-fn process_options(sc: &Scenario) -> ProcessOptions {
-    let (recovery, checkpoint_every) = match sc.recovery {
-        None => (RecoveryPolicy::FailFast, 0),
-        Some(r) => (
-            RecoveryPolicy::Recover {
-                max_retries: r.max_retries,
-                backoff: Duration::from_millis(r.backoff_ms),
-            },
-            r.checkpoint_every,
-        ),
-    };
-    ProcessOptions {
-        net: sc.net,
-        tcp: sc.tcp,
-        recovery,
-        checkpoint_every,
-    }
-}
-
 /// One run-phase execution: builds a fresh engine for the scenario's
-/// backend, runs the algorithm, returns output + final metrics. A
-/// `chaos` plan (process engine only) is installed on the fresh engine
-/// before the run, so every invocation is disturbed identically.
-fn execute(
-    g: &Graph,
-    config: SimConfig,
-    sc: &Scenario,
-    chaos: Option<&FaultPlan>,
-) -> Result<(AlgOutput, Metrics), String> {
+/// backend, runs the algorithm, returns output + final metrics.
+fn execute(g: &Graph, config: SimConfig, sc: &Scenario) -> Result<(AlgOutput, Metrics), String> {
     match sc.engine {
         EngineSpec::Sequential => {
             let mut sim = Simulator::new(g, config);
@@ -210,11 +123,7 @@ fn execute(
             Ok((out, m))
         }
         EngineSpec::Process { shards } => {
-            let mut sim =
-                ProcessSimulator::with_options(g, config, shards, NoProbe, process_options(sc));
-            if let Some(plan) = chaos {
-                sim.set_fault_plan(plan.clone());
-            }
+            let mut sim = ProcessSimulator::with_shards(g, config, shards);
             let out = run_generic(&mut sim, sc)?;
             let m = RoundEngine::metrics(&sim).clone();
             Ok((out, m))
@@ -244,13 +153,7 @@ fn execute_traced(
             sim.into_probe()
         }
         EngineSpec::Process { shards } => {
-            let mut sim = ProcessSimulator::with_options(
-                g,
-                config,
-                shards,
-                TraceProbe::new(),
-                process_options(sc),
-            );
+            let mut sim = ProcessSimulator::with_probe(g, config, shards, TraceProbe::new());
             run_generic(&mut sim, sc)?;
             sim.into_probe()
         }
@@ -285,13 +188,7 @@ pub fn execute_spanned(g: &Graph, config: SimConfig, sc: &Scenario) -> Result<Sp
             Ok(sim.into_probe())
         }
         EngineSpec::Process { shards } => {
-            let mut sim = ProcessSimulator::with_options(
-                g,
-                config,
-                shards,
-                SpanProbe::new(),
-                process_options(sc),
-            );
+            let mut sim = ProcessSimulator::with_probe(g, config, shards, SpanProbe::new());
             run_generic(&mut sim, sc)?;
             Ok(sim.into_probe())
         }
@@ -341,36 +238,20 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
     if rep.invocations == 0 {
         return Err("repeat needs at least one invocation".into());
     }
-    // Chaos forces supervision: a process scenario without an explicit
-    // recovery policy is upgraded to the default one (fail-fast would
-    // turn the first injected fault into an abort). The upgrade is
-    // reflected in the record's `recovery` section but not in the run
-    // name — recovery is operational, not semantic.
-    let mut sc = sc.clone();
-    let is_process = matches!(sc.engine, EngineSpec::Process { .. });
-    if opts.chaos.is_some() && is_process && sc.recovery.is_none() {
-        sc.recovery = Some(RecoverySpec::default());
-    }
-    let sc = &sc;
-    let chaos_plan = match (opts.chaos, sc.engine) {
-        (Some(chaos), EngineSpec::Process { shards }) => Some(chaos.plan_for(sc, shards)),
-        _ => None,
-    };
-    let chaos_plan = chaos_plan.as_ref();
     let t = Instant::now();
     let g = sc.family.build(sc.seed);
     let build_us = t.elapsed().as_micros() as u64;
     let config = SimConfig::for_graph(&g);
 
     for _ in 0..rep.warmup {
-        execute(&g, config, sc, chaos_plan)?;
+        execute(&g, config, sc)?;
     }
 
     let mut samples: Vec<f64> = Vec::with_capacity(rep.invocations);
     let mut first: Option<(AlgOutput, Metrics)> = None;
     for _ in 0..rep.invocations {
         let t = Instant::now();
-        let (out, metrics) = execute(&g, config, sc, chaos_plan)?;
+        let (out, metrics) = execute(&g, config, sc)?;
         samples.push(t.elapsed().as_micros() as f64);
         match &first {
             None => first = Some((out, metrics)),
@@ -424,63 +305,6 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
     );
     rec.profile = profile;
     Ok(rec)
-}
-
-/// One seeded chaos probe (`experiments chaos`): runs the scenario once
-/// on the supervised process engine with the chaos plan installed, and
-/// returns the run record plus what the supervisor saw — the recovery
-/// event log (one entry per respawn attempt, in order) and how many
-/// planned faults actually fired. A scenario without an explicit
-/// [`RecoverySpec`] runs under [`RecoverySpec::default`].
-///
-/// # Errors
-///
-/// As [`run_scenario`]; additionally rejects non-process engines (there
-/// is no wire to disturb).
-pub fn run_chaos_scenario(
-    sc: &Scenario,
-    chaos: &ChaosSpec,
-) -> Result<(RunRecord, Vec<RecoveryObs>, u64), String> {
-    sc.validate_spec()?;
-    let EngineSpec::Process { shards } = sc.engine else {
-        return Err("chaos injection requires a process-engine scenario".into());
-    };
-    let mut sc = sc.clone();
-    if sc.recovery.is_none() {
-        sc.recovery = Some(RecoverySpec::default());
-    }
-    let sc = &sc;
-    let t = Instant::now();
-    let g = sc.family.build(sc.seed);
-    let build_us = t.elapsed().as_micros() as u64;
-    let config = SimConfig::for_graph(&g);
-    let mut sim = ProcessSimulator::with_options(&g, config, shards, NoProbe, process_options(sc));
-    sim.set_fault_plan(chaos.plan_for(sc, shards));
-    let t = Instant::now();
-    let output = run_generic(&mut sim, sc)?;
-    let run_us = t.elapsed().as_micros() as u64;
-    let metrics = RoundEngine::metrics(&sim).clone();
-    let events = sim.recovery_log().to_vec();
-    let fired = sim.faults_fired();
-    drop(sim);
-    let t = Instant::now();
-    let (validation, output_size) = validate(&g, sc, &output);
-    let validate_us = t.elapsed().as_micros() as u64;
-    let rec = record(
-        sc,
-        &g,
-        &metrics,
-        PhaseWall {
-            build_us,
-            run_us,
-            validate_us,
-        },
-        WallStats::single(run_us),
-        None,
-        validation,
-        output_size,
-    );
-    Ok((rec, events, fired))
 }
 
 /// Executes a whole scenario matrix, in order.
@@ -686,23 +510,6 @@ fn record(
         algorithm: sc.algorithm.id(),
         engine: sc.engine.id().to_string(),
         shards: sc.engine.shards() as u64,
-        net: if sc.tcp || sc.net.is_some() {
-            let spec = sc.net.unwrap_or_default();
-            Some(NetRecord {
-                tcp: sc.tcp,
-                latency_us: spec.latency_us,
-                bandwidth_bytes_per_s: spec.bandwidth_bytes_per_s,
-                jitter_seed: spec.jitter_seed,
-            })
-        } else {
-            None
-        },
-        recovery: sc.recovery.map(|r| RecoveryRecord {
-            max_retries: u64::from(r.max_retries),
-            backoff_ms: r.backoff_ms,
-            checkpoint_every: u64::from(r.checkpoint_every),
-            recoveries: metrics.recoveries,
-        }),
         rounds: metrics.rounds,
         charged_rounds: metrics.charged_rounds,
         messages: metrics.messages,
@@ -880,7 +687,6 @@ mod tests {
             },
             trace: None,
             profile: false,
-            chaos: None,
         };
         let rec = run_scenario_with(&sc, &opts).unwrap();
         assert_eq!(rec.wall_stats.samples, 3);
@@ -906,7 +712,6 @@ mod tests {
             repeat: Repeat::once(),
             trace: Some(0), // keep every round
             profile: false,
-            chaos: None,
         };
         let rec = run_scenario_with(&sc, &opts).unwrap();
         let trace = rec.trace.as_ref().unwrap();
@@ -929,7 +734,6 @@ mod tests {
                 repeat: Repeat::once(),
                 trace: Some(0),
                 profile: false,
-                chaos: None,
             },
         )
         .unwrap();
@@ -942,7 +746,6 @@ mod tests {
                 repeat: Repeat::once(),
                 trace: Some(limit),
                 profile: false,
-                chaos: None,
             },
         )
         .unwrap();
@@ -965,112 +768,8 @@ mod tests {
             },
             trace: None,
             profile: false,
-            chaos: None,
         };
         assert!(run_scenario_with(&sc, &opts).is_err());
-    }
-
-    #[test]
-    fn shaped_and_tcp_process_scenarios_run_and_record_the_wire() {
-        use powersparse_engine::NetworkSpec;
-        let base = Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
-            .seed(3)
-            .process(2);
-        let plain = run_scenario(&base.clone()).unwrap();
-        assert!(
-            plain.net.is_none(),
-            "default wire must not emit a net section"
-        );
-        let net = NetworkSpec {
-            latency_us: 15,
-            bandwidth_bytes_per_s: 32 << 20,
-            jitter_seed: 11,
-        };
-        let shaped = run_scenario(&base.clone().network(net)).unwrap();
-        let tcp = run_scenario(&base.tcp()).unwrap();
-        for rec in [&shaped, &tcp] {
-            assert!(
-                rec.validation.passed,
-                "{}: {}",
-                rec.name, rec.validation.detail
-            );
-            // The wire never touches a gated counter.
-            assert_eq!(rec.rounds, plain.rounds, "{}", rec.name);
-            assert_eq!(rec.messages, plain.messages, "{}", rec.name);
-            assert_eq!(rec.bits, plain.bits, "{}", rec.name);
-            assert_eq!(rec.peak_queue_depth, plain.peak_queue_depth, "{}", rec.name);
-            assert_eq!(rec.output_size, plain.output_size, "{}", rec.name);
-        }
-        let section = shaped.net.expect("shaped run must record its wire");
-        assert!(!section.tcp);
-        assert_eq!(section.latency_us, 15);
-        assert_eq!(section.bandwidth_bytes_per_s, 32 << 20);
-        assert_eq!(section.jitter_seed, 11);
-        assert!(shaped
-            .name
-            .ends_with("process2+net(lat=15us,bw=33554432,jit=11)"));
-        let section = tcp.net.expect("tcp run must record its wire");
-        assert!(section.tcp);
-        assert_eq!(section.latency_us, 0);
-        assert!(tcp.name.ends_with("process2+tcp"));
-    }
-
-    #[test]
-    fn chaos_injected_process_runs_match_the_clean_baseline() {
-        let sc = Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
-            .seed(3)
-            .process(2);
-        let clean = run_scenario(&sc).unwrap();
-        assert!(
-            clean.recovery.is_none(),
-            "unsupervised run must not emit a recovery section"
-        );
-        let opts = RunOptions {
-            chaos: Some(ChaosSpec::default()),
-            ..RunOptions::default()
-        };
-        let chaotic = run_scenario_with(&sc, &opts).unwrap();
-        assert!(
-            chaotic.validation.passed,
-            "{}: {}",
-            chaotic.name, chaotic.validation.detail
-        );
-        // Recovery is operational: same name, same gated counters.
-        assert_eq!(chaotic.name, clean.name);
-        assert_eq!(chaotic.rounds, clean.rounds);
-        assert_eq!(chaotic.messages, clean.messages);
-        assert_eq!(chaotic.bits, clean.bits);
-        assert_eq!(chaotic.peak_queue_depth, clean.peak_queue_depth);
-        assert_eq!(chaotic.output_size, clean.output_size);
-        // Chaos forced the default supervision and actually recovered.
-        let section = chaotic.recovery.expect("chaos run records its policy");
-        assert_eq!(
-            section.max_retries,
-            u64::from(RecoverySpec::default().max_retries)
-        );
-        assert!(
-            section.recoveries > 0,
-            "the seeded plan must fire inside the run"
-        );
-    }
-
-    #[test]
-    fn supervised_but_undisturbed_runs_record_zero_recoveries() {
-        let sc = Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
-            .seed(3)
-            .process(2)
-            .recovery(RecoverySpec {
-                max_retries: 2,
-                backoff_ms: 1,
-                checkpoint_every: 3,
-            });
-        let rec = run_scenario(&sc).unwrap();
-        assert!(rec.validation.passed, "{}", rec.validation.detail);
-        let section = rec.recovery.expect("supervised run records its policy");
-        assert_eq!(section.max_retries, 2);
-        assert_eq!(section.backoff_ms, 1);
-        assert_eq!(section.checkpoint_every, 3);
-        assert_eq!(section.recoveries, 0);
     }
 
     #[test]

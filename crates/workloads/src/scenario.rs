@@ -5,7 +5,6 @@
 //! A scenario is pure data — [`crate::runner`] turns it into a graph, an
 //! engine, a run and a validated [`crate::manifest::RunRecord`].
 
-use powersparse_engine::NetworkSpec;
 use powersparse_graphs::{generators, Graph};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -240,38 +239,6 @@ impl AlgorithmSpec {
     }
 }
 
-/// Supervision policy for the process engine's shard children: how many
-/// respawn attempts a failed shard gets, how long to back off between
-/// attempts, and how often the parent checkpoints child state so replay
-/// suffixes stay short.
-///
-/// Recovery is **operational, not semantic**: a recovered run produces
-/// bit-for-bit the outputs, counters and probe traces of an undisturbed
-/// one (only `Metrics::recoveries` moves), so a `RecoverySpec` is *not*
-/// part of the scenario identity ([`Scenario::name`]) and recovered
-/// manifests stay diffable against clean baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoverySpec {
-    /// Respawn attempts per failure before failing closed (>= 1).
-    pub max_retries: u32,
-    /// Sleep between attempts, in milliseconds (scaled linearly by the
-    /// attempt number).
-    pub backoff_ms: u64,
-    /// Checkpoint the children every this many rounds (0 = never:
-    /// recovery replays from the start of the current phase).
-    pub checkpoint_every: u32,
-}
-
-impl Default for RecoverySpec {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_ms: 0,
-            checkpoint_every: 4,
-        }
-    }
-}
-
 /// Which [`powersparse_congest::engine::RoundEngine`] backend executes
 /// the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,19 +292,6 @@ pub struct Scenario {
     pub algorithm: AlgorithmSpec,
     /// The engine backend.
     pub engine: EngineSpec,
-    /// Optional wire shaping (latency/bandwidth/jitter) for the
-    /// process engine's child links; `None` leaves the wire unshaped.
-    /// Shaping moves wall clock only — every counter stays bit-for-bit
-    /// identical (the engine contract).
-    pub net: Option<NetworkSpec>,
-    /// Run the process engine's child links over loopback TCP instead
-    /// of Unix sockets (the multi-machine deployment shape).
-    pub tcp: bool,
-    /// Optional shard supervision for the process engine: `None` is
-    /// fail-fast (a dead child aborts the run with the pinned error),
-    /// `Some` respawns and replays failed children. Operational only —
-    /// not part of the scenario identity.
-    pub recovery: Option<RecoverySpec>,
 }
 
 impl Scenario {
@@ -350,9 +304,6 @@ impl Scenario {
             seed: 1,
             algorithm: AlgorithmSpec::LubyMis,
             engine: EngineSpec::Sequential,
-            net: None,
-            tcp: false,
-            recovery: None,
         }
     }
 
@@ -392,37 +343,10 @@ impl Scenario {
         self
     }
 
-    /// Shapes the process engine's wire with `net` (latency, finite
-    /// bandwidth, seeded jitter). Only valid on the process engine.
-    pub fn network(mut self, net: NetworkSpec) -> Self {
-        self.net = Some(net);
-        self
-    }
-
-    /// Runs the process engine's child links over loopback TCP. Only
-    /// valid on the process engine.
-    pub fn tcp(mut self) -> Self {
-        self.tcp = true;
-        self
-    }
-
-    /// Supervises the process engine's shard children with `recovery`
-    /// (respawn + checkpoint/replay instead of fail-fast). Only valid
-    /// on the process engine.
-    pub fn recovery(mut self, recovery: RecoverySpec) -> Self {
-        self.recovery = Some(recovery);
-        self
-    }
-
     /// Canonical run name, e.g.
-    /// `power_law(n=300,attach=3)/k2/luby_mis/pooled4`; a shaped or
-    /// TCP wire is part of the identity, e.g.
-    /// `.../process2+tcp+net(lat=200us,bw=0,jit=0)`. A [`RecoverySpec`]
-    /// is deliberately **not** — recovery cannot move any compared
-    /// counter, so recovered runs keep matching their clean baselines
-    /// under `suite --diff`.
+    /// `power_law(n=300,attach=3)/k2/luby_mis/pooled4`.
     pub fn name(&self) -> String {
-        let mut name = format!(
+        format!(
             "{}/k{}/{}/{}{}",
             self.family.label(),
             self.k,
@@ -433,27 +357,16 @@ impl Scenario {
                 EngineSpec::Pooled { shards } | EngineSpec::Process { shards } =>
                     shards.to_string(),
             }
-        );
-        if self.tcp {
-            name.push_str("+tcp");
-        }
-        if let Some(net) = self.net {
-            name.push_str(&format!(
-                "+net(lat={}us,bw={},jit={})",
-                net.latency_us, net.bandwidth_bytes_per_s, net.jitter_seed
-            ));
-        }
-        name
+        )
     }
 
     /// Checks that the scenario is executable as specified.
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem (e.g. zero shards, or wire
-    /// options on an in-process engine). Every algorithm runs on every
-    /// engine since the PR-3 step-API port, so algorithm × engine
-    /// combinations are no longer restricted.
+    /// Returns a description of the problem (e.g. zero shards). Every
+    /// algorithm runs on every engine, so algorithm × engine
+    /// combinations are not restricted.
     pub fn validate_spec(&self) -> Result<(), String> {
         if self.engine.shards() == 0 {
             return Err("shards must be >= 1".into());
@@ -463,22 +376,6 @@ impl Scenario {
         }
         if matches!(self.algorithm, AlgorithmSpec::IdRuling { c: 0 }) {
             return Err("`id_ruling` needs c >= 1".into());
-        }
-        if !matches!(self.engine, EngineSpec::Process { .. }) {
-            if self.net.is_some() {
-                return Err("`net` shaping requires the process engine".into());
-            }
-            if self.tcp {
-                return Err("`tcp` requires the process engine".into());
-            }
-            if self.recovery.is_some() {
-                return Err("`recovery` supervision requires the process engine".into());
-            }
-        }
-        if let Some(r) = self.recovery {
-            if r.max_retries == 0 {
-                return Err("`recovery.max_retries` must be >= 1".into());
-            }
         }
         Ok(())
     }
@@ -734,15 +631,13 @@ fn paper_suite() -> Vec<Scenario> {
     suite
 }
 
-/// A value in a spec file: integer, float, string, bool or a flat
-/// inline table (`{ key = value, ... }` with scalar values only).
+/// A value in a spec file: integer, float, string or bool.
 #[derive(Debug, Clone, PartialEq)]
 enum SpecValue {
     Int(i64),
     Float(f64),
     Str(String),
     Bool(bool),
-    Table(BTreeMap<String, SpecValue>),
 }
 
 impl SpecValue {
@@ -752,7 +647,6 @@ impl SpecValue {
             Self::Float(_) => "float",
             Self::Str(_) => "string",
             Self::Bool(_) => "bool",
-            Self::Table(_) => "inline table",
         }
     }
 }
@@ -801,22 +695,12 @@ impl std::error::Error for SpecError {}
 /// beta = 3               # beta_ruling only (default 2); id_ruling
 ///                        # takes `c` (default 2), shatter_mis takes
 ///                        # `two_phase` (default false)
-///
-/// [[scenario]]
-/// family = "grid"
-/// rows = 12
-/// cols = 12
-/// engine = "process"     # wire options are process-engine-only:
-/// tcp = true             # child links over loopback TCP
-/// net = { latency_us = 200, bandwidth_bytes_per_s = 16777216, jitter_seed = 7 }
-/// recovery = { max_retries = 3, backoff_ms = 0, checkpoint_every = 4 }
 /// ```
 ///
 /// Supported: `[[scenario]]` table headers, `key = value` with integer,
-/// float, `"string"`, `true`/`false` and flat inline-table values
-/// (scalars only — `net = { ... }` is the one consumer), `#` comments,
-/// blank lines. Unknown keys are errors (typos must not silently change
-/// an experiment).
+/// float, `"string"` and `true`/`false` values, `#` comments, blank
+/// lines. Unknown keys are errors (typos must not silently change an
+/// experiment).
 ///
 /// # Errors
 ///
@@ -866,38 +750,6 @@ pub fn parse_suite(text: &str) -> Result<Vec<Scenario>, SpecError> {
 }
 
 fn parse_value(text: &str, line: usize) -> Result<SpecValue, SpecError> {
-    if let Some(stripped) = text.strip_prefix('{') {
-        let inner = stripped.strip_suffix('}').ok_or(SpecError {
-            line,
-            message: format!("unterminated inline table `{text}`"),
-        })?;
-        let mut kv = BTreeMap::new();
-        for entry in inner.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry.split_once('=').ok_or(SpecError {
-                line,
-                message: format!("expected `key = value` in inline table, got `{entry}`"),
-            })?;
-            let key = key.trim().to_string();
-            let value = parse_value(value.trim(), line)?;
-            if matches!(value, SpecValue::Table(_)) {
-                return Err(SpecError {
-                    line,
-                    message: "nested inline tables are not supported".into(),
-                });
-            }
-            if kv.insert(key.clone(), value).is_some() {
-                return Err(SpecError {
-                    line,
-                    message: format!("duplicate key `{key}` in inline table"),
-                });
-            }
-        }
-        return Ok(SpecValue::Table(kv));
-    }
     if let Some(stripped) = text.strip_prefix('"') {
         let inner = stripped.strip_suffix('"').ok_or(SpecError {
             line,
@@ -1002,82 +854,6 @@ impl Block {
             }),
             None => Ok(default),
         }
-    }
-
-    /// The optional `net = { latency_us = N, ... }` inline table,
-    /// decoded into a [`NetworkSpec`]. `latency_us` is required;
-    /// `bandwidth_bytes_per_s` (0 = infinite) and `jitter_seed`
-    /// (0 = no jitter) default to 0; unknown keys are errors.
-    fn net_or(&mut self) -> Result<Option<NetworkSpec>, SpecError> {
-        let Some((line, value)) = self.take("net") else {
-            return Ok(None);
-        };
-        let SpecValue::Table(kv) = value else {
-            return Err(SpecError {
-                line,
-                message: format!(
-                    "`net` must be an inline table like \
-                     `{{ latency_us = 200 }}`, got {}",
-                    value.type_name()
-                ),
-            });
-        };
-        let mut inner = Block {
-            line,
-            kv: kv.into_iter().map(|(k, v)| (k, (line, v))).collect(),
-        };
-        let spec = NetworkSpec {
-            latency_us: inner.usize("latency_us")? as u64,
-            bandwidth_bytes_per_s: inner.usize_or("bandwidth_bytes_per_s", 0)? as u64,
-            jitter_seed: inner.usize_or("jitter_seed", 0)? as u64,
-        };
-        if let Some((key, (line, _))) = inner.kv.into_iter().next() {
-            return Err(SpecError {
-                line,
-                message: format!("unknown key `{key}` in `net` table"),
-            });
-        }
-        Ok(Some(spec))
-    }
-
-    /// The optional `recovery = { max_retries = N, ... }` inline table,
-    /// decoded into a [`RecoverySpec`]. Every key is optional (the
-    /// [`RecoverySpec::default`] supervision applies), so
-    /// `recovery = {}` is the shortest way to turn supervision on;
-    /// unknown keys are errors.
-    fn recovery_or(&mut self) -> Result<Option<RecoverySpec>, SpecError> {
-        let Some((line, value)) = self.take("recovery") else {
-            return Ok(None);
-        };
-        let SpecValue::Table(kv) = value else {
-            return Err(SpecError {
-                line,
-                message: format!(
-                    "`recovery` must be an inline table like \
-                     `{{ max_retries = 3 }}`, got {}",
-                    value.type_name()
-                ),
-            });
-        };
-        let mut inner = Block {
-            line,
-            kv: kv.into_iter().map(|(k, v)| (k, (line, v))).collect(),
-        };
-        let default = RecoverySpec::default();
-        let spec = RecoverySpec {
-            max_retries: inner.usize_or("max_retries", default.max_retries as usize)? as u32,
-            backoff_ms: inner.usize_or("backoff_ms", default.backoff_ms as usize)? as u64,
-            checkpoint_every: inner
-                .usize_or("checkpoint_every", default.checkpoint_every as usize)?
-                as u32,
-        };
-        if let Some((key, (line, _))) = inner.kv.into_iter().next() {
-            return Err(SpecError {
-                line,
-                message: format!("unknown key `{key}` in `recovery` table"),
-            });
-        }
-        Ok(Some(spec))
     }
 
     fn str_or(&mut self, key: &str, default: &str) -> Result<String, SpecError> {
@@ -1237,9 +1013,6 @@ fn scenario_from_kv(
         seed: b.usize_or("seed", 1)? as u64,
         algorithm,
         engine,
-        net: b.net_or()?,
-        tcp: b.bool_or("tcp", false)?,
-        recovery: b.recovery_or()?,
     };
     b.finish()?;
     scenario
@@ -1459,6 +1232,18 @@ algorithm = "sparsify"   # randomized
         assert!(stray.message.contains("outside"), "{stray}");
         let badval = parse_suite("[[scenario]]\nfamily = \"gnp\"\nn = oops\n").unwrap_err();
         assert!(badval.message.contains("oops"), "{badval}");
+        // The retired wire keys: `tcp` is an unknown key, and the inline
+        // tables `net` and `recovery` used are no longer values at all.
+        let grid = "[[scenario]]\nfamily = \"grid\"\nrows = 3\ncols = 3\nengine = \"process\"\n";
+        for (retired, needle) in [
+            ("tcp = true", "`tcp`"),
+            ("net = { latency_us = 200 }", "latency_us"),
+            ("recovery = {}", "{}"),
+        ] {
+            let err = parse_suite(&format!("{grid}{retired}\n")).unwrap_err();
+            assert_eq!(err.line, 6, "{retired}: {err}");
+            assert!(err.message.contains(needle), "{retired}: {err}");
+        }
     }
 
     #[test]
@@ -1573,138 +1358,6 @@ algorithm = "sparsify"   # randomized
             assert!(suite
                 .iter()
                 .any(|s| matches!(s.engine, EngineSpec::Process { .. })));
-        }
-    }
-
-    #[test]
-    fn wire_options_parse_build_and_name() {
-        let suite = parse_suite(
-            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"process\"\nshards = 2\ntcp = true\n\
-             net = { latency_us = 200, bandwidth_bytes_per_s = 16777216, jitter_seed = 7 }\n\n\
-             [[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"process\"\nnet = { latency_us = 50 } # defaults: bw inf, no jitter\n",
-        )
-        .unwrap();
-        assert_eq!(
-            suite[0],
-            Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 })
-                .process(2)
-                .tcp()
-                .network(NetworkSpec {
-                    latency_us: 200,
-                    bandwidth_bytes_per_s: 16 << 20,
-                    jitter_seed: 7,
-                })
-        );
-        assert_eq!(
-            suite[0].name(),
-            "grid(4x4)/k1/luby_mis/process2+tcp+net(lat=200us,bw=16777216,jit=7)"
-        );
-        assert_eq!(
-            suite[1].net,
-            Some(NetworkSpec {
-                latency_us: 50,
-                bandwidth_bytes_per_s: 0,
-                jitter_seed: 0,
-            })
-        );
-        assert!(!suite[1].tcp);
-        assert_eq!(
-            suite[1].name(),
-            "grid(4x4)/k1/luby_mis/process4+net(lat=50us,bw=0,jit=0)"
-        );
-    }
-
-    #[test]
-    fn wire_options_are_process_engine_only() {
-        let shaped = parse_suite(
-            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"pooled\"\nnet = { latency_us = 10 }\n",
-        )
-        .unwrap_err();
-        assert!(shaped.message.contains("process engine"), "{shaped}");
-        let tcp = parse_suite("[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\ntcp = true\n")
-            .unwrap_err();
-        assert!(tcp.message.contains("process engine"), "{tcp}");
-        // And through the builder path too.
-        let sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 }).network(NetworkSpec {
-            latency_us: 10,
-            bandwidth_bytes_per_s: 0,
-            jitter_seed: 0,
-        });
-        assert!(sc.validate_spec().is_err());
-    }
-
-    #[test]
-    fn recovery_spec_parses_defaults_and_stays_out_of_the_name() {
-        let suite = parse_suite(
-            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"process\"\nshards = 2\n\
-             recovery = { max_retries = 5, backoff_ms = 10, checkpoint_every = 2 }\n\n\
-             [[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"process\"\nrecovery = {}\n",
-        )
-        .unwrap();
-        assert_eq!(
-            suite[0],
-            Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 })
-                .process(2)
-                .recovery(RecoverySpec {
-                    max_retries: 5,
-                    backoff_ms: 10,
-                    checkpoint_every: 2,
-                })
-        );
-        // Recovery is operational, not semantic: the run name (and so
-        // the manifest diff identity) is the plain process run's.
-        assert_eq!(suite[0].name(), "grid(4x4)/k1/luby_mis/process2");
-        // `recovery = {}` turns supervision on with the defaults.
-        assert_eq!(suite[1].recovery, Some(RecoverySpec::default()));
-        assert_eq!(suite[1].recovery.unwrap().max_retries, 3);
-    }
-
-    #[test]
-    fn recovery_spec_is_process_engine_only_and_validated() {
-        let err = parse_suite(
-            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"pooled\"\nrecovery = {}\n",
-        )
-        .unwrap_err();
-        assert!(err.message.contains("process engine"), "{err}");
-        let err = parse_suite(
-            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"process\"\nrecovery = { max_retries = 0 }\n",
-        )
-        .unwrap_err();
-        assert!(err.message.contains("max_retries"), "{err}");
-        let err = parse_suite(
-            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"process\"\nrecovery = { bogus = 1 }\n",
-        )
-        .unwrap_err();
-        assert!(err.message.contains("bogus"), "{err}");
-        let err = parse_suite(
-            "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\n\
-             engine = \"process\"\nrecovery = 3\n",
-        )
-        .unwrap_err();
-        assert!(err.message.contains("inline table"), "{err}");
-    }
-
-    #[test]
-    fn net_table_rejects_malformed_specs() {
-        let base = "[[scenario]]\nfamily = \"grid\"\nrows = 4\ncols = 4\nengine = \"process\"\n";
-        for (bad, needle) in [
-            ("net = { latency_us = 10, bogus = 1 }\n", "bogus"),
-            ("net = { bandwidth_bytes_per_s = 8 }\n", "latency_us"),
-            ("net = { latency_us = 10\n", "unterminated"),
-            ("net = 10\n", "inline table"),
-            ("net = { latency_us = 10, latency_us = 20 }\n", "duplicate"),
-            ("net = { latency_us }\n", "key = value"),
-        ] {
-            let err = parse_suite(&format!("{base}{bad}")).unwrap_err();
-            assert!(err.message.contains(needle), "{bad:?}: {err}");
         }
     }
 

@@ -246,7 +246,6 @@ fn repeated_run_statistics_round_trip_exactly_through_json() {
         },
         trace: Some(16),
         profile: false,
-        chaos: None,
     };
     let rec = run_scenario_with(&sc, &opts).unwrap();
     assert!(rec.validation.passed, "{}", rec.validation.detail);
