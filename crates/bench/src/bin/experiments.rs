@@ -1,12 +1,10 @@
-//! The paper's Figure 1 measurement and the front end of the workload
-//! scenario runner. The paper's tables are the `paper` suite profile
-//! (`builtin_suite(SuiteProfile::Paper)`, committed as
-//! `BENCH_paper.json`). Usage:
+//! The front end of the workload scenario runner. The paper's tables
+//! are the `paper` suite profile (committed as `BENCH_paper.json`) and
+//! the engine matrix is the `engines` profile (`BENCH_engine.json`).
+//! Usage:
 //!
 //! ```text
-//! experiments fig1
-//! experiments engines [--out MANIFEST.json]
-//! experiments suite [--profile smoke|full|paper | --spec FILE.toml] --out MANIFEST.json
+//! experiments suite [--profile smoke|full|paper|engines | --spec FILE.toml] --out MANIFEST.json
 //!                   [--force-engine ENGINE] [--repeats R] [--warmup W]
 //! experiments suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]
 //! experiments trend [DIR] [--out REPORT.json]
@@ -14,40 +12,27 @@
 //! experiments profile SCENARIO [--repeats R] [--chrome-trace OUT.json]
 //! ```
 //!
-//! Output is markdown. `fig1` prints the per-edge load on Figure 1's
-//! bottleneck edge. The `suite` subcommand runs a builtin profile (full
-//! by default) or a spec file, writes a structured JSON manifest to
-//! `--out` for cross-run regression diffing, and exits nonzero if any
+//! Output is markdown. The `suite` subcommand runs a builtin profile
+//! (full by default) or a spec file, writes a structured JSON manifest
+//! to `--out` for cross-run regression diffing, and exits nonzero if any
 //! run fails its validity checks; `--repeats R` times each scenario's
 //! run phase `R` times (plus `--warmup W` discarded invocations) and
-//! records mean/min/max/95%-CI wall statistics in the manifest.
-//! `engines --out` writes the engine-comparison table as a manifest too
-//! (`BENCH_engine.json` is the committed instance). `trend` renders the
-//! cost trajectory across every `BENCH_*.json` in a directory, and `trace`
-//! runs one named builtin scenario (smoke, full or paper profile) with
-//! a round probe attached and prints the per-round activity table
-//! (round, active edges, dirty nodes, messages, bits) — `--out` exports
-//! the same rows as JSON. `profile` runs one scenario with the span
-//! probe attached and prints the per-stage × per-shard wall breakdown
-//! (step/transfer/barrier, imbalance, barrier-overhead share);
-//! `--chrome-trace` exports a Perfetto-loadable trace-event file.
+//! records mean/min/max/95%-CI wall statistics in the manifest. `trend`
+//! renders the cost trajectory across every `BENCH_*.json` in a
+//! directory, and `trace` runs one named builtin scenario (from any
+//! profile) with a round probe attached and prints the per-round
+//! activity table (round, active edges, dirty nodes, messages, bits) —
+//! `--out` exports the same rows as JSON. `profile` runs one scenario
+//! with the span probe attached and prints the per-stage × per-shard
+//! wall breakdown (step/transfer/barrier, imbalance, barrier-overhead
+//! share); `--chrome-trace` exports a Perfetto-loadable trace-event
+//! file.
 
-use powersparse::mis::luby_mis;
-use powersparse_bench::row;
-use powersparse_congest::primitives::{
-    exchange_with_neighbors, extend_trees, init_knowledge_and_trees, q_broadcast, q_message,
-};
-use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_graphs::{check, generators, power};
-use std::collections::BTreeMap;
-
-const USAGE: &str = "usage: experiments fig1|engines|suite|trend|trace|profile [ARGS]";
+const USAGE: &str = "usage: experiments suite|trend|trace|profile [ARGS]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("fig1") => fig1(),
-        Some("engines") => engines_cmd(&args[1..]),
         Some("suite") => suite_cmd(&args[1..]),
         Some("trend") => trend_cmd(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
@@ -63,281 +48,9 @@ fn main() {
     }
 }
 
-/// E4 — Figure 1: tightness of Lemma 4.2 (load across the bottleneck).
-fn fig1() {
-    println!("\n## E4: Figure 1 — Lemma 4.2 tightness on the bottleneck edge {{v,w}}\n");
-    println!(
-        "{}",
-        row(&[
-            "Δ̂",
-            "broadcast msgs across",
-            "q-message bits across",
-            "bits ratio vs prev"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 4].map(String::from)));
-    let s = 3;
-    let mut prev_bits = None;
-    for hatd in [4usize, 8, 16, 32] {
-        let (g, q, v, w) = generators::figure1(hatd, s);
-        // This experiment measures per-edge traffic on the bottleneck
-        // edge, so it opts in to per-edge accounting.
-        let config = SimConfig::for_graph(&g).with_per_edge_accounting();
-        let mut sim = Simulator::new(&g, config);
-        let (mut sets, mut trees) = init_knowledge_and_trees(&mut sim, &q);
-        for _ in 1..s {
-            sets = extend_trees(&mut sim, &sets, &mut trees);
-        }
-        // Broadcast load.
-        let msgs: BTreeMap<u32, (u64, usize)> = q
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| (i as u32, (i as u64, 8)))
-            .collect();
-        let before = sim.messages_across(v, w) + sim.messages_across(w, v);
-        let _ = q_broadcast(&mut sim, &trees, &msgs);
-        let bcast = sim.messages_across(v, w) + sim.messages_across(w, v) - before;
-        // Q-message load (bits).
-        let mut sim2 = Simulator::new(&g, config);
-        let (mut s2, mut t2) = init_knowledge_and_trees(&mut sim2, &q);
-        for _ in 1..(s - 1) {
-            s2 = extend_trees(&mut sim2, &s2, &mut t2);
-        }
-        let _ = extend_trees(&mut sim2, &s2, &mut t2);
-        let neighbor_sets = exchange_with_neighbors(&mut sim2, &s2);
-        let mut qmsgs: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
-        for x in g.nodes().filter(|x| q[x.index()]) {
-            let targets: Vec<(u32, u64)> = power::q_neighborhood(&g, x, s, &q)
-                .into_iter()
-                .map(|y| (y.0, 1))
-                .collect();
-            qmsgs.insert(x.0, targets);
-        }
-        let before = sim2.bits_across(v, w) + sim2.bits_across(w, v);
-        let _ = q_message(&mut sim2, &t2, &neighbor_sets, &qmsgs, 8);
-        let qbits = sim2.bits_across(v, w) + sim2.bits_across(w, v) - before;
-        let ratio = prev_bits
-            .map(|p: u64| format!("{:.2}", qbits as f64 / p as f64))
-            .unwrap_or_else(|| "-".into());
-        prev_bits = Some(qbits);
-        println!(
-            "{}",
-            row(&[
-                hatd.to_string(),
-                bcast.to_string(),
-                qbits.to_string(),
-                ratio
-            ])
-        );
-    }
-    println!("\nExpected shape: broadcast grows linearly in Δ̂ (exactly Δ̂ messages);");
-    println!(
-        "q-message bits grow quadratically (ratio ≈ 4 when Δ̂ doubles) — Figure 1's Δ̂ vs Δ̂²/4."
-    );
-}
-
-/// Strict `engines` argument parsing: `--out MANIFEST.json` only.
-fn engines_cmd(args: &[String]) {
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--out requires a value");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            other => {
-                eprintln!("unknown engines argument '{other}' (usage: experiments engines [--out MANIFEST.json])");
-                std::process::exit(2);
-            }
-        }
-    }
-    engines_exp(out.as_deref());
-}
-
-/// E9 — Engine comparison: sequential `Simulator` vs the pooled and
-/// multi-process `powersparse-engine` backends running Luby MIS on `G`,
-/// with the bit-for-bit parity of outputs and `Metrics` re-verified on
-/// every row. With `--out`, the table is also written as a
-/// `SuiteManifest` (suite `engines`) so `experiments trend` can track
-/// the engine trajectory alongside the scenario suite —
-/// `BENCH_engine.json` is the committed instance.
-fn engines_exp(out: Option<&str>) {
-    use powersparse_congest::engine::{Metrics, RoundEngine};
-    use powersparse_engine::{PooledSimulator, ProcessSimulator};
-    use powersparse_workloads::{PhaseWall, RunRecord, SuiteManifest, Validation, WallStats};
-    use std::time::{Duration, Instant};
-
-    /// Builds an engine and runs Luby MIS on it, timing both.
-    fn timed_luby<E: RoundEngine>(build: impl FnOnce() -> E) -> (Vec<bool>, Metrics, Duration) {
-        let start = Instant::now();
-        let mut eng = build();
-        let mis = luby_mis(&mut eng, 1, 3);
-        let wall = start.elapsed();
-        (mis, RoundEngine::metrics(&eng).clone(), wall)
-    }
-
-    println!("\n## E9: Round-engine comparison — Luby MIS on G, wall clock\n");
-    println!(
-        "{}",
-        row(&[
-            "n",
-            "m",
-            "engine",
-            "wall",
-            "speedup",
-            "rounds",
-            "identical to sequential"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 7].map(String::from)));
-    let mut runs: Vec<RunRecord> = Vec::new();
-    let mut record = |g: &powersparse_graphs::Graph,
-                      n: usize,
-                      engine: &str,
-                      shards: usize,
-                      metrics: &Metrics,
-                      mis_size: u64,
-                      build_us: u64,
-                      run_us: u64| {
-        runs.push(RunRecord {
-            name: format!(
-                "gnp(n={n},d=8)/k1/luby_mis/{engine}{}",
-                if engine == "sequential" {
-                    String::new()
-                } else {
-                    shards.to_string()
-                }
-            ),
-            family: "gnp".into(),
-            graph: format!("gnp(n={n},d=8)"),
-            n: n as u64,
-            m: g.m() as u64,
-            max_degree: g.max_degree() as u64,
-            k: 1,
-            seed: 42,
-            algorithm: "luby_mis".into(),
-            engine: engine.into(),
-            shards: shards as u64,
-            rounds: metrics.rounds,
-            charged_rounds: metrics.charged_rounds,
-            messages: metrics.messages,
-            bits: metrics.bits,
-            peak_queue_depth: metrics.peak_queue_depth,
-            arena_cells_peak: metrics.arena_cells_peak,
-            arena_bytes_peak: metrics.arena_bytes_peak,
-            alloc_count: 0,
-            alloc_bytes_peak: 0,
-            output_size: mis_size,
-            wall: PhaseWall {
-                build_us,
-                run_us,
-                validate_us: 0,
-            },
-            wall_stats: WallStats::single(run_us),
-            profile: None,
-            trace: None,
-            validation: Validation {
-                passed: true,
-                detail: "outputs + Metrics bit-for-bit vs the sequential reference".into(),
-            },
-        });
-    };
-    for n in [1_000usize, 10_000, 100_000] {
-        let t = Instant::now();
-        let g = generators::connected_sparse_gnp(n, 8.0, 42);
-        let build_us = t.elapsed().as_micros() as u64;
-        let config = SimConfig::for_graph(&g);
-        let start = Instant::now();
-        let mut seq = Simulator::new(&g, config);
-        let want = luby_mis(&mut seq, 1, 3);
-        let seq_wall = start.elapsed();
-        assert!(check::is_mis(&g, &generators::members(&want)));
-        let mis_size = want.iter().filter(|&&b| b).count() as u64;
-        record(
-            &g,
-            n,
-            "sequential",
-            1,
-            seq.metrics(),
-            mis_size,
-            build_us,
-            seq_wall.as_micros() as u64,
-        );
-        println!(
-            "{}",
-            row(&[
-                n.to_string(),
-                g.m().to_string(),
-                "sequential".into(),
-                format!("{seq_wall:.2?}"),
-                "1.00x".into(),
-                seq.metrics().rounds.to_string(),
-                "-".into(),
-            ])
-        );
-        for shards in [2usize, 4, 8] {
-            for (engine, (got, metrics, wall)) in [
-                (
-                    "pooled",
-                    timed_luby(|| PooledSimulator::with_shards(&g, config, shards)),
-                ),
-                (
-                    "process",
-                    timed_luby(|| ProcessSimulator::with_shards(&g, config, shards)),
-                ),
-            ] {
-                assert!(
-                    got == want && &metrics == seq.metrics(),
-                    "{engine} engine diverged at {shards} shards on n={n}"
-                );
-                record(
-                    &g,
-                    n,
-                    engine,
-                    shards,
-                    &metrics,
-                    mis_size,
-                    build_us,
-                    wall.as_micros() as u64,
-                );
-                println!(
-                    "{}",
-                    row(&[
-                        n.to_string(),
-                        g.m().to_string(),
-                        format!("{engine}({shards})"),
-                        format!("{wall:.2?}"),
-                        format!("{:.2}x", seq_wall.as_secs_f64() / wall.as_secs_f64()),
-                        metrics.rounds.to_string(),
-                        "yes".into(),
-                    ])
-                );
-            }
-        }
-    }
-    println!(
-        "\nIdentical = same MIS mask, same Metrics (rounds, messages, bits, peak queue depth).\n\
-         The process rows pay the wire codec + socket splice tax on every round."
-    );
-    if let Some(path) = out {
-        let manifest = SuiteManifest {
-            suite: "engines".into(),
-            runs,
-        };
-        std::fs::write(path, manifest.to_json_string())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("\nmanifest written to {path}");
-    }
+/// Formats a markdown-style table row.
+fn row(cells: &[String]) -> String {
+    format!("| {} |", cells.join(" | "))
 }
 
 /// E11 — `experiments trend [DIR] [--out REPORT.json]`: load every
@@ -413,15 +126,19 @@ fn trend_cmd(args: &[String]) {
 }
 
 /// Looks a scenario up by canonical name across the builtin suites —
-/// smoke first so the cheap instance of a name wins, then the full and
-/// paper scenarios smoke does not carry. Unknown names list the
-/// catalogue and exit nonzero.
+/// smoke first so the cheap instance of a name wins, then the full,
+/// paper and engines scenarios smoke does not carry. Unknown names list
+/// the catalogue and exit nonzero.
 fn find_builtin_scenario(target: &str) -> powersparse_workloads::Scenario {
     use powersparse_workloads::{builtin_suite, SuiteProfile};
     let mut scenarios = builtin_suite(SuiteProfile::Smoke);
-    for sc in [SuiteProfile::Full, SuiteProfile::Paper]
-        .into_iter()
-        .flat_map(builtin_suite)
+    for sc in [
+        SuiteProfile::Full,
+        SuiteProfile::Paper,
+        SuiteProfile::Engines,
+    ]
+    .into_iter()
+    .flat_map(builtin_suite)
     {
         if !scenarios.iter().any(|s| s.name() == sc.name()) {
             scenarios.push(sc);
@@ -496,7 +213,6 @@ fn trace_cmd(args: &[String]) {
     let opts = RunOptions {
         repeat: Repeat::once(),
         trace: Some(limit),
-        profile: false,
     };
     let rec = run_scenario_with(sc, &opts).unwrap_or_else(|e| panic!("trace run failed: {e}"));
     let trace = rec.trace.as_ref().expect("trace was requested");
@@ -619,7 +335,6 @@ fn trace_cmd(args: &[String]) {
 /// the written file back. Span timings are machine-shaped: nothing here
 /// is compared across runs or engines.
 fn profile_cmd(args: &[String]) {
-    use powersparse_bench::alloc_gauge;
     use powersparse_workloads::{breakdown, chrome_trace, profile_scenario, Json, Scenario};
 
     let mut target: Option<String> = None;
@@ -667,12 +382,10 @@ fn profile_cmd(args: &[String]) {
     };
     let sc = find_builtin_scenario(&target);
 
-    alloc_gauge::reset();
     let t = std::time::Instant::now();
     let probes =
         profile_scenario(&sc, repeats).unwrap_or_else(|e| panic!("profile run failed: {e}"));
     let wall_mean_us = t.elapsed().as_micros() as f64 / repeats as f64;
-    let gauge = alloc_gauge::snapshot();
     let b = breakdown(&probes);
 
     println!(
@@ -719,12 +432,6 @@ fn profile_cmd(args: &[String]) {
         100.0 * b.stats.barrier_share,
         wall_mean_us,
     );
-    if alloc_gauge::enabled() {
-        println!(
-            "allocation gauges: {} allocations, {} bytes peak live across the profiled runs",
-            gauge.count, gauge.bytes_peak
-        );
-    }
 
     if let Some(path) = &trace_out {
         let doc = chrome_trace(&probes[0], &Scenario::name(&sc));
@@ -753,18 +460,17 @@ fn profile_cmd(args: &[String]) {
 }
 
 /// E10 — The workload scenario suite: the declarative graph-family ×
-/// algorithm × engine matrix of `powersparse-workloads` (the smoke, full
-/// or paper profile, or a spec file), validated run by run, with a JSON
-/// manifest for `BENCH_*.json` trajectory tracking. Each row's `valid`
+/// algorithm × engine matrix of `powersparse-workloads` (the smoke, full,
+/// paper or engines profile, or a spec file), validated run by run, with
+/// a JSON manifest for `BENCH_*.json` trajectory tracking. Each row's `valid`
 /// column is its validation detail: the checked guarantee plus the
 /// measured quantities the paper's tables report.
 fn suite_cmd(args: &[String]) {
     use powersparse_workloads::{
-        builtin_suite, parse_suite, run_scenario_with, run_suite_with, EngineSpec, Repeat,
-        RunOptions, SuiteManifest, SuiteProfile,
+        builtin_suite, parse_suite, run_suite_with, EngineSpec, Repeat, RunOptions, SuiteProfile,
     };
 
-    let usage = "usage: experiments suite [--profile smoke|full|paper | --spec FILE.toml] \
+    let usage = "usage: experiments suite [--profile smoke|full|paper|engines | --spec FILE.toml] \
                  --out MANIFEST.json [--force-engine sequential|pooled|process] \
                  [--repeats R] [--warmup W] \
                  | suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]";
@@ -818,8 +524,11 @@ fn suite_cmd(args: &[String]) {
                             "smoke" => SuiteProfile::Smoke,
                             "full" => SuiteProfile::Full,
                             "paper" => SuiteProfile::Paper,
+                            "engines" => SuiteProfile::Engines,
                             other => {
-                                eprintln!("unknown profile '{other}' (expected smoke|full|paper)");
+                                eprintln!(
+                                    "unknown profile '{other}' (expected smoke|full|paper|engines)"
+                                );
                                 std::process::exit(2);
                             }
                         };
@@ -924,7 +633,6 @@ fn suite_cmd(args: &[String]) {
             warmup,
         },
         trace: None,
-        profile: false,
     };
     println!(
         "\n## E10: Workload suite `{name}` — {} scenarios{}\n",
@@ -950,29 +658,8 @@ fn suite_cmd(args: &[String]) {
         .map(String::from))
     );
     println!("{}", row(&["---"; 8].map(String::from)));
-    let manifest = if powersparse_bench::alloc_gauge::enabled() {
-        // With the counting allocator installed (`--features
-        // alloc-gauge`), run scenario by scenario so each manifest row
-        // carries its own allocation-count and peak-live gauges.
-        let runs = scenarios
-            .iter()
-            .map(|sc| {
-                powersparse_bench::alloc_gauge::reset();
-                let mut rec = run_scenario_with(sc, &opts)
-                    .unwrap_or_else(|e| panic!("suite failed: {}: {e}", sc.name()));
-                let gauge = powersparse_bench::alloc_gauge::snapshot();
-                rec.alloc_count = gauge.count;
-                rec.alloc_bytes_peak = gauge.bytes_peak;
-                rec
-            })
-            .collect();
-        SuiteManifest {
-            suite: name.clone(),
-            runs,
-        }
-    } else {
-        run_suite_with(&name, &scenarios, &opts).unwrap_or_else(|e| panic!("suite failed: {e}"))
-    };
+    let manifest =
+        run_suite_with(&name, &scenarios, &opts).unwrap_or_else(|e| panic!("suite failed: {e}"));
     for run in &manifest.runs {
         let wall = if run.wall_stats.samples > 1 {
             format!(

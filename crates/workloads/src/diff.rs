@@ -392,8 +392,6 @@ mod tests {
             peak_queue_depth: 3,
             arena_cells_peak: 140,
             arena_bytes_peak: 4480,
-            alloc_count: 0,
-            alloc_bytes_peak: 0,
             output_size: 30,
             wall: PhaseWall {
                 build_us: 10,
@@ -401,7 +399,6 @@ mod tests {
                 validate_us: 20,
             },
             wall_stats: WallStats::single(500),
-            profile: None,
             trace: None,
             validation: Validation {
                 passed: true,

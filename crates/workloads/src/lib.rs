@@ -14,7 +14,8 @@
 //!   graph family (random, power-law, unit-disk, grid/torus,
 //!   caterpillar/broom trees, bounded-growth cluster graphs) and all
 //!   three engine backends; [`SuiteProfile::Paper`] reproduces the
-//!   paper's tables, one validated row per table cell.
+//!   paper's tables, one validated row per table cell, and
+//!   [`SuiteProfile::Engines`] times Luby's MIS on every backend.
 //! * [`run_suite`] / [`run_scenario`] — execute any scenario matrix on
 //!   the requested [`powersparse_congest::engine::RoundEngine`] backend,
 //!   re-verify every output with the `powersparse_graphs::check`
@@ -41,9 +42,10 @@
 //!   against the per-scenario series median.
 //!
 //! The `experiments suite` subcommand of `powersparse-bench` is the CLI
-//! front end; CI runs the smoke and paper profiles
-//! (`experiments suite --profile smoke|paper`) on every PR and diffs
-//! them against the committed `BENCH_suite.json` and `BENCH_paper.json`.
+//! front end; CI runs the smoke, paper and engines profiles
+//! (`experiments suite --profile smoke|paper|engines`) on every PR and
+//! diffs them against the committed `BENCH_suite.json`,
+//! `BENCH_paper.json` and `BENCH_engine.json`.
 //!
 //! # Example
 //!
@@ -75,10 +77,8 @@ pub use diff::{
     diff_manifests, diff_manifests_with, DiffOptions, DiffReport, FieldChange, ShapeChange,
 };
 pub use json::{Json, JsonError};
-pub use manifest::{
-    PhaseWall, ProfileStats, RunRecord, SuiteManifest, TraceRow, Validation, WallStats,
-};
-pub use profile::{breakdown, chrome_trace, profile_stats, ProfileBreakdown, ShardProfile};
+pub use manifest::{PhaseWall, RunRecord, SuiteManifest, TraceRow, Validation, WallStats};
+pub use profile::{breakdown, chrome_trace, ProfileBreakdown, ProfileStats, ShardProfile};
 pub use runner::{
     profile_scenario, run_scenario, run_scenario_with, run_suite, run_suite_with, suite_params,
     Repeat, RunOptions,

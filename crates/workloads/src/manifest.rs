@@ -158,60 +158,6 @@ impl TraceRow {
     }
 }
 
-/// Aggregated stage-attribution statistics of a profiled run — the
-/// optional `profile` manifest section (absent unless the run was
-/// executed under the span profiler). All times are totals over the
-/// run's rounds, in microseconds, averaged over repeats; like the wall
-/// statistics they are machine-shaped and never regression-gated, but
-/// `barrier_share` is what `experiments trend` plots across PRs.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProfileStats {
-    /// Worker/shard count the profiled engine ran at.
-    pub shards: u64,
-    /// Total step time summed over shards and rounds, microseconds.
-    pub step_us: f64,
-    /// Total transfer/splice time summed over shards and rounds.
-    pub transfer_us: f64,
-    /// Total barrier-wait time summed over shards and rounds (zero on
-    /// the sequential engine, which has no barrier).
-    pub barrier_us: f64,
-    /// Shard imbalance: max over shards of total step time, divided by
-    /// the mean (1.0 = perfectly balanced; 0 with no step work).
-    pub imbalance: f64,
-    /// Barrier share of total attributed busy+wait time, in `[0, 1]`.
-    pub barrier_share: f64,
-}
-
-impl ProfileStats {
-    /// The section as a [`Json`] object.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("shards".into(), Json::num(self.shards)),
-            ("step_us".into(), Json::Num(self.step_us)),
-            ("transfer_us".into(), Json::Num(self.transfer_us)),
-            ("barrier_us".into(), Json::Num(self.barrier_us)),
-            ("imbalance".into(), Json::Num(self.imbalance)),
-            ("barrier_share".into(), Json::Num(self.barrier_share)),
-        ])
-    }
-
-    /// Parses the section back from its JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
-    pub fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            shards: req_u64(doc, "shards")?,
-            step_us: req_f64(doc, "step_us")?,
-            transfer_us: req_f64(doc, "transfer_us")?,
-            barrier_us: req_f64(doc, "barrier_us")?,
-            imbalance: req_f64(doc, "imbalance")?,
-            barrier_share: req_f64(doc, "barrier_share")?,
-        })
-    }
-}
-
 /// The validation verdict of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Validation {
@@ -262,21 +208,12 @@ pub struct RunRecord {
     pub arena_cells_peak: u64,
     /// Peak arena footprint in bytes (cells scaled by cell size).
     pub arena_bytes_peak: u64,
-    /// Heap allocations during the run phase (0 = not measured; only
-    /// the bench binary's opt-in `alloc-gauge` counting allocator fills
-    /// this in).
-    pub alloc_count: u64,
-    /// Peak live heap bytes during the run phase (0 = not measured).
-    pub alloc_bytes_peak: u64,
     /// Output cardinality (|MIS|, |ruling set|, |Q|).
     pub output_size: u64,
     /// Per-phase wall clock (first measured invocation).
     pub wall: PhaseWall,
     /// Wall-clock statistics over repeated invocations.
     pub wall_stats: WallStats,
-    /// Optional stage-attribution profile (absent unless the run was
-    /// profiled).
-    pub profile: Option<ProfileStats>,
     /// Optional per-round activity trace (possibly downsampled; absent
     /// unless the run was traced).
     pub trace: Option<Vec<TraceRow>>,
@@ -344,10 +281,9 @@ impl SuiteManifest {
 }
 
 impl RunRecord {
-    /// The record as a [`Json`] object. The optional keys (`alloc_*`
-    /// gauges, `profile`, `trace`) are emitted only when
-    /// captured, so plain manifests stay compact and byte-stable
-    /// against older builds' diff tooling.
+    /// The record as a [`Json`] object. The optional `trace` key is
+    /// emitted only when captured, so plain manifests stay compact and
+    /// byte-stable against older builds' diff tooling.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("name".into(), Json::str(&self.name)),
@@ -361,8 +297,6 @@ impl RunRecord {
             ("algorithm".into(), Json::str(&self.algorithm)),
             ("engine".into(), Json::str(&self.engine)),
             ("shards".into(), Json::num(self.shards)),
-        ];
-        fields.extend([
             ("rounds".into(), Json::num(self.rounds)),
             ("charged_rounds".into(), Json::num(self.charged_rounds)),
             ("messages".into(), Json::num(self.messages)),
@@ -370,12 +304,6 @@ impl RunRecord {
             ("peak_queue_depth".into(), Json::num(self.peak_queue_depth)),
             ("arena_cells_peak".into(), Json::num(self.arena_cells_peak)),
             ("arena_bytes_peak".into(), Json::num(self.arena_bytes_peak)),
-        ]);
-        if self.alloc_count != 0 || self.alloc_bytes_peak != 0 {
-            fields.push(("alloc_count".into(), Json::num(self.alloc_count)));
-            fields.push(("alloc_bytes_peak".into(), Json::num(self.alloc_bytes_peak)));
-        }
-        fields.extend([
             ("output_size".into(), Json::num(self.output_size)),
             (
                 "wall_us".into(),
@@ -395,10 +323,7 @@ impl RunRecord {
                     ("samples".into(), Json::num(self.wall_stats.samples)),
                 ]),
             ),
-        ]);
-        if let Some(profile) = &self.profile {
-            fields.push(("profile".into(), profile.to_json()));
-        }
+        ];
         if let Some(trace) = &self.trace {
             fields.push((
                 "trace".into(),
@@ -421,7 +346,8 @@ impl RunRecord {
     /// parse: missing arena gauges read as zero, missing statistics
     /// derive from the plain `wall_us.run` sample, and a missing trace
     /// reads as "not captured". Keys this build does not read — such as
-    /// the retired `net` and `recovery` sections — are skipped.
+    /// the retired `net`, `recovery` and `profile` sections and the
+    /// `alloc_count`/`alloc_bytes_peak` gauges — are skipped.
     ///
     /// # Errors
     ///
@@ -439,10 +365,6 @@ impl RunRecord {
                 ci95_us: req_f64(stats, "ci95_us")?,
                 samples: req_u64(stats, "samples")?,
             },
-        };
-        let profile = match doc.get("profile") {
-            None => None,
-            Some(section) => Some(ProfileStats::from_json(section)?),
         };
         let trace = match doc.get("trace") {
             None => None,
@@ -473,8 +395,6 @@ impl RunRecord {
             peak_queue_depth: req_u64(doc, "peak_queue_depth")?,
             arena_cells_peak: opt_u64(doc, "arena_cells_peak")?,
             arena_bytes_peak: opt_u64(doc, "arena_bytes_peak")?,
-            alloc_count: opt_u64(doc, "alloc_count")?,
-            alloc_bytes_peak: opt_u64(doc, "alloc_bytes_peak")?,
             output_size: req_u64(doc, "output_size")?,
             wall: PhaseWall {
                 build_us: req_u64(wall, "build")?,
@@ -482,7 +402,6 @@ impl RunRecord {
                 validate_us: req_u64(wall, "validate")?,
             },
             wall_stats,
-            profile,
             trace,
             validation: Validation {
                 passed: validation
@@ -562,8 +481,6 @@ mod tests {
                     run_us: 4800,
                     validate_us: 310,
                 },
-                alloc_count: 0,
-                alloc_bytes_peak: 0,
                 wall_stats: WallStats {
                     mean_us: 4730.25,
                     min_us: 4601.0,
@@ -571,7 +488,6 @@ mod tests {
                     ci95_us: 88.125,
                     samples: 4,
                 },
-                profile: None,
                 trace: Some(vec![
                     TraceRow {
                         round: 0,
@@ -687,31 +603,11 @@ mod tests {
         assert!((s29.ci95_us - 2.048 * sd29 / 29f64.sqrt()).abs() < 1e-9);
     }
 
-    #[test]
-    fn profile_and_alloc_sections_round_trip_and_stay_optional() {
-        let mut m = sample();
-        // Plain record: no alloc keys, no profile key.
-        let text = m.to_json_string();
-        assert!(!text.contains("alloc_count") && !text.contains("\"profile\""));
-        m.runs[0].alloc_count = 812;
-        m.runs[0].alloc_bytes_peak = 65536;
-        m.runs[0].profile = Some(ProfileStats {
-            shards: 4,
-            step_us: 1200.5,
-            transfer_us: 340.25,
-            barrier_us: 610.75,
-            imbalance: 1.37,
-            barrier_share: 0.284,
-        });
-        let text = m.to_json_string();
-        let back = SuiteManifest::parse(&text).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.to_json_string(), text);
-    }
-
     /// A `+net(...)` row of the engine manifest as the wire-shaping
-    /// build wrote it, verbatim, plus the `recovery` object that a
-    /// supervised run appended after `net`.
+    /// build wrote it, verbatim, plus the sections other retired
+    /// writers added: the `recovery` object a supervised run appended
+    /// after `net`, and the `alloc_*` gauges and `profile` object of a
+    /// gauged, profiled run.
     const ARCHIVED_WIRE_ROW: &str = r#"{
       "name": "gnp(n=1000,d=8)/k1/luby_mis/process2+net(lat=50us,bw=0,jit=0)",
       "family": "gnp",
@@ -743,6 +639,8 @@ mod tests {
       "peak_queue_depth": 1,
       "arena_cells_peak": 7946,
       "arena_bytes_peak": 317840,
+      "alloc_count": 812,
+      "alloc_bytes_peak": 65536,
       "output_size": 265,
       "wall_us": {
         "build": 544,
@@ -755,6 +653,14 @@ mod tests {
         "max_us": 28895,
         "ci95_us": 1295.5349349482801,
         "samples": 3
+      },
+      "profile": {
+        "shards": 2,
+        "step_us": 1200.5,
+        "transfer_us": 340.25,
+        "barrier_us": 610.75,
+        "imbalance": 1.37,
+        "barrier_share": 0.284
       },
       "validation": {
         "passed": true,
@@ -786,7 +692,9 @@ mod tests {
         assert!(r.validation.passed);
         // Re-serializing drops the retired sections and nothing else.
         let again = m.to_json_string();
-        assert!(!again.contains("\"net\"") && !again.contains("\"recovery\""));
+        for retired in ["\"net\"", "\"recovery\"", "\"alloc_", "\"profile\""] {
+            assert!(!again.contains(retired), "{retired} survived: {again}");
+        }
         assert_eq!(SuiteManifest::parse(&again).unwrap().runs, m.runs);
     }
 

@@ -1,20 +1,41 @@
 //! Stage-level time attribution: turns the raw per-round, per-shard
-//! spans a [`SpanProbe`] gathered into (a) the aggregated
-//! [`ProfileStats`] manifest section, (b) the per-stage × per-shard
-//! breakdown the `experiments profile` table renders, and (c) a Chrome
-//! trace-event document (one Perfetto track per shard, counter tracks
-//! for active edges and arena cells).
+//! spans a [`SpanProbe`] gathered into (a) the per-stage × per-shard
+//! [`breakdown`] with its aggregated [`ProfileStats`], which the
+//! `experiments profile` table renders, and (b) a Chrome trace-event
+//! document (one Perfetto track per shard, counter tracks for active
+//! edges and arena cells).
 //!
 //! Span *timings* are machine-shaped wall-clock measurements — nothing
-//! here is conformance-gated or diffed across runs (the span
-//! *structure* is; see `powersparse_congest::probe`). The numbers exist
-//! to answer the ROADMAP's scheduling questions: how much of a round is
-//! barrier wait, and how unbalanced the shards are, in the shattering
-//! regime where activity collapses onto tiny components.
+//! here is conformance-gated, diffed across runs or written to a
+//! manifest (the span *structure* is gated; see
+//! `powersparse_congest::probe`). The numbers answer two scheduling
+//! questions: how much of a round is barrier wait, and how unbalanced
+//! the shards are, in the shattering regime where activity collapses
+//! onto tiny components.
 
 use crate::json::Json;
-use crate::manifest::ProfileStats;
 use powersparse_congest::probe::SpanProbe;
+
+/// Aggregated stage-attribution statistics of one or more profiled
+/// runs. All times are totals over the run's rounds, in microseconds,
+/// averaged over repeats.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ProfileStats {
+    /// Worker/shard count the profiled engine ran at.
+    pub shards: u64,
+    /// Total step time summed over shards and rounds, microseconds.
+    pub step_us: f64,
+    /// Total transfer/splice time summed over shards and rounds.
+    pub transfer_us: f64,
+    /// Total barrier-wait time summed over shards and rounds (zero on
+    /// the sequential engine, which has no barrier).
+    pub barrier_us: f64,
+    /// Shard imbalance: max over shards of total step time, divided by
+    /// the mean (1.0 = perfectly balanced; 0 with no step work).
+    pub imbalance: f64,
+    /// Barrier share of total attributed busy+wait time, in `[0, 1]`.
+    pub barrier_share: f64,
+}
 
 /// One shard's totals across a profiled run, in microseconds (averaged
 /// over repeats).
@@ -47,7 +68,7 @@ pub struct ProfileBreakdown {
     /// Rounds observed (charged rounds included; they contribute no
     /// time).
     pub rounds: u64,
-    /// The aggregated manifest section.
+    /// The totals over all shards.
     pub stats: ProfileStats,
 }
 
@@ -113,12 +134,6 @@ pub fn breakdown(probes: &[SpanProbe]) -> ProfileBreakdown {
         rounds: probes[0].spans.len() as u64,
         stats,
     }
-}
-
-/// The aggregated manifest section of one or more profiled runs —
-/// [`breakdown`] with the per-shard table dropped.
-pub fn profile_stats(probes: &[SpanProbe]) -> ProfileStats {
-    breakdown(probes).stats
 }
 
 /// Renders one profiled run as a Chrome trace-event document (the JSON
@@ -342,31 +357,5 @@ mod tests {
             .unwrap();
         assert_eq!(barrier.get("ts").and_then(Json::as_f64), Some(1.5));
         assert_eq!(barrier.get("dur").and_then(Json::as_f64), Some(2.0));
-    }
-
-    #[test]
-    fn stats_match_runner_integration() {
-        use crate::runner::{run_scenario_with, RunOptions};
-        use crate::scenario::{GraphFamily, Scenario};
-        let sc = Scenario::new(GraphFamily::Grid { rows: 5, cols: 5 })
-            .seed(2)
-            .pooled(3);
-        let opts = RunOptions {
-            profile: true,
-            ..Default::default()
-        };
-        let rec = run_scenario_with(&sc, &opts).unwrap();
-        let p = rec.profile.expect("profiled run carries the section");
-        assert_eq!(p.shards, 3);
-        assert!(p.step_us >= 0.0 && p.transfer_us > 0.0);
-        assert!(p.barrier_share >= 0.0 && p.barrier_share <= 1.0);
-        assert!(
-            p.imbalance >= 1.0,
-            "max/mean is at least 1, got {}",
-            p.imbalance
-        );
-        // A plain run carries none.
-        let rec = run_scenario_with(&sc, &RunOptions::default()).unwrap();
-        assert!(rec.profile.is_none());
     }
 }

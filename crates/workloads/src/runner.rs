@@ -17,7 +17,7 @@ use powersparse::ruling::{
 };
 use powersparse::sparsify::{sparsify_power, SamplingStrategy, SparsifyOutcome};
 use powersparse_congest::engine::{Metrics, RoundEngine};
-use powersparse_congest::probe::{SpanProbe, TraceProbe};
+use powersparse_congest::probe::{NoProbe, Probe, SpanProbe, TraceProbe};
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::{bfs, check, generators, power, Graph, NodeId};
@@ -71,10 +71,6 @@ pub struct RunOptions {
     /// at most `limit` evenly strided rows (real round indices are
     /// preserved; `Some(0)` keeps every round).
     pub trace: Option<usize>,
-    /// Attach the span profiler: one extra untimed execution with a
-    /// [`SpanProbe`], aggregated into the record's optional `profile`
-    /// manifest section (see [`crate::profile`]).
-    pub profile: bool,
 }
 
 /// What an algorithm produced, in the shape its checker wants.
@@ -107,90 +103,31 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunRecord, String> {
 }
 
 /// One run-phase execution: builds a fresh engine for the scenario's
-/// backend, runs the algorithm, returns output + final metrics.
-fn execute(g: &Graph, config: SimConfig, sc: &Scenario) -> Result<(AlgOutput, Metrics), String> {
-    match sc.engine {
-        EngineSpec::Sequential => {
-            let mut sim = Simulator::new(g, config);
-            let out = run_generic(&mut sim, sc)?;
-            let m = sim.metrics().clone();
-            Ok((out, m))
-        }
-        EngineSpec::Pooled { shards } => {
-            let mut sim = PooledSimulator::with_shards(g, config, shards);
-            let out = run_generic(&mut sim, sc)?;
-            let m = RoundEngine::metrics(&sim).clone();
-            Ok((out, m))
-        }
-        EngineSpec::Process { shards } => {
-            let mut sim = ProcessSimulator::with_shards(g, config, shards);
-            let out = run_generic(&mut sim, sc)?;
-            let m = RoundEngine::metrics(&sim).clone();
-            Ok((out, m))
-        }
-    }
-}
-
-/// One untimed traced execution: the same run with a [`TraceProbe`]
-/// attached, reduced to manifest [`TraceRow`]s and downsampled to at
-/// most `limit` rows (`0` = keep all; real round indices survive
-/// downsampling).
-fn execute_traced(
+/// backend with `probe` attached, runs the algorithm, and returns the
+/// output, the final metrics and the probe. Timed runs pass [`NoProbe`],
+/// which is what every plain engine constructor attaches, so they
+/// compile to the un-probed engine.
+fn execute<P: Probe>(
     g: &Graph,
     config: SimConfig,
     sc: &Scenario,
-    limit: usize,
-) -> Result<Vec<TraceRow>, String> {
-    let trace = match sc.engine {
-        EngineSpec::Sequential => {
-            let mut sim = Simulator::with_probe(g, config, TraceProbe::new());
-            run_generic(&mut sim, sc)?;
-            sim.into_probe()
-        }
-        EngineSpec::Pooled { shards } => {
-            let mut sim = PooledSimulator::with_probe(g, config, shards, TraceProbe::new());
-            run_generic(&mut sim, sc)?;
-            sim.into_probe()
-        }
-        EngineSpec::Process { shards } => {
-            let mut sim = ProcessSimulator::with_probe(g, config, shards, TraceProbe::new());
-            run_generic(&mut sim, sc)?;
-            sim.into_probe()
-        }
-    };
-    let rows: Vec<TraceRow> = trace
-        .rounds
-        .iter()
-        .map(|obs| TraceRow {
-            round: obs.round,
-            active_edges: obs.active_edges,
-            dirty_nodes: obs.dirty_nodes,
-            messages: obs.messages,
-            bits: obs.bits,
-        })
-        .collect();
-    Ok(downsample(rows, limit))
-}
-
-/// One untimed profiled execution: the same run with a [`SpanProbe`]
-/// attached, returning the raw per-round observations and stage spans
-/// for aggregation (see [`crate::profile`]).
-pub fn execute_spanned(g: &Graph, config: SimConfig, sc: &Scenario) -> Result<SpanProbe, String> {
+    probe: P,
+) -> Result<(AlgOutput, Metrics, P), String> {
     match sc.engine {
         EngineSpec::Sequential => {
-            let mut sim = Simulator::with_probe(g, config, SpanProbe::new());
-            run_generic(&mut sim, sc)?;
-            Ok(sim.into_probe())
+            let mut sim = Simulator::with_probe(g, config, probe);
+            let out = run_generic(&mut sim, sc)?;
+            Ok((out, RoundEngine::metrics(&sim).clone(), sim.into_probe()))
         }
         EngineSpec::Pooled { shards } => {
-            let mut sim = PooledSimulator::with_probe(g, config, shards, SpanProbe::new());
-            run_generic(&mut sim, sc)?;
-            Ok(sim.into_probe())
+            let mut sim = PooledSimulator::with_probe(g, config, shards, probe);
+            let out = run_generic(&mut sim, sc)?;
+            Ok((out, RoundEngine::metrics(&sim).clone(), sim.into_probe()))
         }
         EngineSpec::Process { shards } => {
-            let mut sim = ProcessSimulator::with_probe(g, config, shards, SpanProbe::new());
-            run_generic(&mut sim, sc)?;
-            Ok(sim.into_probe())
+            let mut sim = ProcessSimulator::with_probe(g, config, shards, probe);
+            let out = run_generic(&mut sim, sc)?;
+            Ok((out, RoundEngine::metrics(&sim).clone(), sim.into_probe()))
         }
     }
 }
@@ -210,7 +147,7 @@ pub fn profile_scenario(sc: &Scenario, repeats: usize) -> Result<Vec<SpanProbe>,
     let g = sc.family.build(sc.seed);
     let config = SimConfig::for_graph(&g);
     (0..repeats)
-        .map(|_| execute_spanned(&g, config, sc))
+        .map(|_| execute(&g, config, sc, SpanProbe::new()).map(|(_, _, probe)| probe))
         .collect()
 }
 
@@ -244,14 +181,14 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
     let config = SimConfig::for_graph(&g);
 
     for _ in 0..rep.warmup {
-        execute(&g, config, sc)?;
+        execute(&g, config, sc, NoProbe)?;
     }
 
     let mut samples: Vec<f64> = Vec::with_capacity(rep.invocations);
     let mut first: Option<(AlgOutput, Metrics)> = None;
     for _ in 0..rep.invocations {
         let t = Instant::now();
-        let (out, metrics) = execute(&g, config, sc)?;
+        let (out, metrics, _) = execute(&g, config, sc, NoProbe)?;
         samples.push(t.elapsed().as_micros() as f64);
         match &first {
             None => first = Some((out, metrics)),
@@ -274,22 +211,32 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
     let wall_stats = WallStats::from_samples(&samples);
     let run_us = samples[0] as u64;
 
+    // One untimed traced execution, reduced to manifest rows and
+    // downsampled to at most `limit` rows.
     let trace = match opts.trace {
         None => None,
-        Some(limit) => Some(execute_traced(&g, config, sc, limit)?),
-    };
-    let profile = if opts.profile {
-        let probe = execute_spanned(&g, config, sc)?;
-        Some(crate::profile::profile_stats(std::slice::from_ref(&probe)))
-    } else {
-        None
+        Some(limit) => {
+            let (_, _, probe) = execute(&g, config, sc, TraceProbe::new())?;
+            let rows = probe
+                .rounds
+                .iter()
+                .map(|obs| TraceRow {
+                    round: obs.round,
+                    active_edges: obs.active_edges,
+                    dirty_nodes: obs.dirty_nodes,
+                    messages: obs.messages,
+                    bits: obs.bits,
+                })
+                .collect();
+            Some(downsample(rows, limit))
+        }
     };
 
     let t = Instant::now();
     let (validation, output_size) = validate(&g, sc, &output);
     let validate_us = t.elapsed().as_micros() as u64;
 
-    let mut rec = record(
+    Ok(record(
         sc,
         &g,
         &metrics,
@@ -302,9 +249,7 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
         trace,
         validation,
         output_size,
-    );
-    rec.profile = profile;
-    Ok(rec)
+    ))
 }
 
 /// Executes a whole scenario matrix, in order.
@@ -517,12 +462,9 @@ fn record(
         peak_queue_depth: metrics.peak_queue_depth,
         arena_cells_peak: metrics.arena_cells_peak,
         arena_bytes_peak: metrics.arena_bytes_peak,
-        alloc_count: 0,
-        alloc_bytes_peak: 0,
         output_size,
         wall,
         wall_stats,
-        profile: None,
         trace,
         validation,
     }
@@ -686,7 +628,6 @@ mod tests {
                 warmup: 1,
             },
             trace: None,
-            profile: false,
         };
         let rec = run_scenario_with(&sc, &opts).unwrap();
         assert_eq!(rec.wall_stats.samples, 3);
@@ -711,7 +652,6 @@ mod tests {
         let opts = RunOptions {
             repeat: Repeat::once(),
             trace: Some(0), // keep every round
-            profile: false,
         };
         let rec = run_scenario_with(&sc, &opts).unwrap();
         let trace = rec.trace.as_ref().unwrap();
@@ -733,7 +673,6 @@ mod tests {
             &RunOptions {
                 repeat: Repeat::once(),
                 trace: Some(0),
-                profile: false,
             },
         )
         .unwrap();
@@ -745,7 +684,6 @@ mod tests {
             &RunOptions {
                 repeat: Repeat::once(),
                 trace: Some(limit),
-                profile: false,
             },
         )
         .unwrap();
@@ -767,7 +705,6 @@ mod tests {
                 warmup: 0,
             },
             trace: None,
-            profile: false,
         };
         assert!(run_scenario_with(&sc, &opts).is_err());
     }

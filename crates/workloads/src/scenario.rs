@@ -394,19 +394,25 @@ pub enum SuiteProfile {
     /// sparsifier ablation and Theorem A.1 on a long path.
     /// `BENCH_paper.json` is the committed run.
     Paper,
+    /// The engine matrix: Luby's MIS of `gnp(n, d=8)` at
+    /// `n ∈ {10³, 10⁴, 10⁵}` on every backend, the parallel ones at 2,
+    /// 4 and 8 shards. `BENCH_engine.json` is the committed run.
+    Engines,
 }
 
 /// The curated built-in scenario suite. The smoke and full profiles
 /// cover every graph family, all three engines and all four algorithm
 /// classes: smoke is the one CI runs on every PR, full scales sizes up
 /// for the `BENCH_*.json` trajectory. The paper profile reproduces the
-/// paper's tables, one validated row per table cell.
+/// paper's tables, one validated row per table cell, and the engines
+/// profile times one algorithm on every backend.
 pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
     use AlgorithmSpec::*;
     let (s, shards) = match profile {
         SuiteProfile::Smoke => (1, 4),
         SuiteProfile::Full => (8, 8),
         SuiteProfile::Paper => return paper_suite(),
+        SuiteProfile::Engines => return engines_suite(),
     };
     let gnp = GraphFamily::Gnp {
         n: 192 * s,
@@ -628,6 +634,24 @@ fn paper_suite() -> Vec<Scenario> {
         legs: 0,
     };
     add(&path, 1, 1..=2, &[PowerNd]);
+    suite
+}
+
+/// The engine matrix: Luby's MIS of `G` on `gnp(n, d=8)` (seed 42) for
+/// `n ∈ {10³, 10⁴, 10⁵}`, first on the sequential reference, then on the
+/// pooled and process backends at 2, 4 and 8 shards. The engine
+/// contract makes the rows of one `n` agree on every counter, so only
+/// their wall clock differs.
+fn engines_suite() -> Vec<Scenario> {
+    let mut suite = Vec::new();
+    for n in [1_000, 10_000, 100_000] {
+        let sc = Scenario::new(GraphFamily::Gnp { n, avg_deg: 8.0 }).seed(42);
+        suite.push(sc.clone());
+        for shards in [2, 4, 8] {
+            suite.push(sc.clone().pooled(shards));
+            suite.push(sc.clone().process(shards));
+        }
+    }
     suite
 }
 

@@ -1,15 +1,14 @@
 //! Trend reports over `BENCH_*.json` manifest history.
 //!
-//! The repository commits one manifest per benchmark surface
-//! (`BENCH_suite.json` for the scenario smoke suite, `BENCH_engine.json`
-//! for the engine-comparison table); as PRs regenerate them, the set of
-//! manifests becomes the cost trajectory the ROADMAP asks for. A
-//! [`TrendReport`] groups every run by `(suite, scenario)` across all
-//! manifests it is fed, rendering the per-scenario series of
-//! rounds/messages/bits/wall-clock and flagging **drift** — any
-//! gated counter changing between sources, which `suite --diff` would
-//! also catch pairwise but is easier to see here across the whole
-//! history.
+//! The repository commits one manifest per builtin suite profile
+//! (`BENCH_suite.json` for smoke, `BENCH_paper.json` for paper,
+//! `BENCH_engine.json` for engines); as PRs regenerate them, the set of
+//! manifests becomes the cost trajectory. A [`TrendReport`] groups every
+//! run by `(suite, scenario)` across all manifests it is fed, rendering
+//! the per-scenario series of rounds/messages/bits and mean wall clock
+//! and flagging **drift** — any gated counter changing between sources,
+//! which `suite --diff` would also catch pairwise but is easier to see
+//! here across the whole history.
 //!
 //! The CLI front end is `experiments trend [DIR] [--out FILE.json]`: it
 //! loads every `BENCH_*.json` in the directory (a malformed manifest is
@@ -21,7 +20,7 @@ use crate::manifest::SuiteManifest;
 use std::collections::BTreeMap;
 
 /// One scenario's measurement in one manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrendPoint {
     /// Which manifest this point came from (file name / label).
     pub source: String,
@@ -33,14 +32,15 @@ pub struct TrendPoint {
     pub bits: u64,
     /// Peak single-edge queue depth.
     pub peak_queue_depth: u64,
-    /// Algorithm wall clock, microseconds (never gates; context only).
-    pub run_us: u64,
+    /// Mean run-phase wall clock over the row's samples, microseconds
+    /// (never gates; context only).
+    pub mean_us: f64,
     /// Whether the run's validation passed.
     pub passed: bool,
 }
 
 /// One scenario tracked across manifests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrendSeries {
     /// Suite the scenario belongs to.
     pub suite: String,
@@ -90,7 +90,7 @@ impl TrendSeries {
 }
 
 /// The cross-manifest trend report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrendReport {
     /// Every manifest source, in the order the series use.
     pub sources: Vec<String>,
@@ -101,8 +101,8 @@ pub struct TrendReport {
 impl TrendReport {
     /// Builds the report from `(source label, manifest)` pairs. Sources
     /// are ordered by label (file names sort chronologically once a
-    /// naming convention with dates/PR numbers exists; today's two
-    /// surfaces are simply alphabetical), series by suite then
+    /// naming convention with dates exists; today's per-profile
+    /// manifests are simply alphabetical), series by suite then
     /// scenario.
     pub fn from_manifests(manifests: &[(String, SuiteManifest)]) -> Self {
         let mut ordered: Vec<&(String, SuiteManifest)> = manifests.iter().collect();
@@ -120,7 +120,7 @@ impl TrendReport {
                         messages: run.messages,
                         bits: run.bits,
                         peak_queue_depth: run.peak_queue_depth,
-                        run_us: run.wall.run_us,
+                        mean_us: run.wall_stats.mean_us,
                         passed: run.validation.passed,
                     });
             }
@@ -175,7 +175,7 @@ impl TrendReport {
                                                         "peak_queue_depth".into(),
                                                         Json::num(p.peak_queue_depth),
                                                     ),
-                                                    ("run_us".into(), Json::num(p.run_us)),
+                                                    ("mean_us".into(), Json::Num(p.mean_us)),
                                                     ("passed".into(), Json::Bool(p.passed)),
                                                 ])
                                             })
@@ -223,7 +223,7 @@ impl TrendReport {
                     p.rounds,
                     p.messages,
                     p.bits,
-                    p.run_us as f64 / 1000.0,
+                    p.mean_us / 1000.0,
                     if p.passed { "yes" } else { "NO" },
                     marker,
                 ));
@@ -258,8 +258,6 @@ mod tests {
             peak_queue_depth: 2,
             arena_cells_peak: 12,
             arena_bytes_peak: 384,
-            alloc_count: 0,
-            alloc_bytes_peak: 0,
             output_size: 4,
             wall: PhaseWall {
                 build_us: 10,
@@ -267,7 +265,6 @@ mod tests {
                 validate_us: 5,
             },
             wall_stats: WallStats::single(100),
-            profile: None,
             trace: None,
             validation: Validation {
                 passed: true,
@@ -424,6 +421,7 @@ mod tests {
     fn wall_clock_changes_are_not_drift() {
         let mut fast = record("a", 5, 100);
         fast.wall.run_us = 1;
+        fast.wall_stats = WallStats::single(1);
         let report = TrendReport::from_manifests(&[
             (
                 "m1.json".into(),
@@ -432,6 +430,27 @@ mod tests {
             ("m2.json".into(), manifest("smoke", vec![fast])),
         ]);
         assert_eq!(report.drifting(), 0);
+    }
+
+    #[test]
+    fn wall_column_is_the_sample_mean_not_the_first_sample() {
+        // Two samples, 100 µs then 300 µs: the first invocation is the
+        // row's `wall_us.run`, but the trend reports the 200 µs mean,
+        // as the suite table and the diff's wall gate do.
+        let mut rec = record("a", 5, 100);
+        rec.wall_stats = WallStats::from_samples(&[100.0, 300.0]);
+        assert_eq!(rec.wall.run_us, 100);
+        let report =
+            TrendReport::from_manifests(&[("m1.json".into(), manifest("smoke", vec![rec]))]);
+        assert_eq!(report.series[0].points[0].mean_us, 200.0);
+        let md = report.render_markdown();
+        assert!(md.contains("| 0.2ms |"), "{md}");
+        let doc = report.to_json();
+        let points = doc.get("series").and_then(Json::as_arr).unwrap()[0]
+            .get("points")
+            .and_then(Json::as_arr)
+            .unwrap();
+        assert_eq!(points[0].get("mean_us").and_then(Json::as_f64), Some(200.0));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use powersparse_workloads::{
     GraphFamily, PhaseWall, Repeat, RunOptions, RunRecord, Scenario, SuiteManifest, SuiteProfile,
     WallStats,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Scenario coordinates for every algorithm ported to the step API in
 /// PR 3 — the seeded-determinism surface below runs each of them.
@@ -245,7 +245,6 @@ fn repeated_run_statistics_round_trip_exactly_through_json() {
             warmup: 1,
         },
         trace: Some(16),
-        profile: false,
     };
     let rec = run_scenario_with(&sc, &opts).unwrap();
     assert!(rec.validation.passed, "{}", rec.validation.detail);
@@ -299,4 +298,45 @@ algorithm = "sparsify"
     assert_eq!(manifest.runs[0].family, "broom");
     assert_eq!(manifest.runs[0].shards, 2);
     assert_eq!(manifest.runs[1].algorithm, "sparsify");
+}
+
+#[test]
+fn committed_engine_manifest_is_the_engines_profile() {
+    // BENCH_engine.json is a `suite --profile engines` run: the same
+    // rows in the same order with the same seeds, every one valid, and
+    // rows that differ only in their backend agree on every counter.
+    let text = include_str!("../../../BENCH_engine.json");
+    let manifest = SuiteManifest::parse(text).expect("BENCH_engine.json parses");
+    assert_eq!(manifest.to_json_string(), text, "not the writer's bytes");
+    assert_eq!(manifest.suite, "engines");
+    let want: Vec<(String, u64)> = builtin_suite(SuiteProfile::Engines)
+        .iter()
+        .map(|sc| (sc.name(), sc.seed))
+        .collect();
+    let got: Vec<(String, u64)> = manifest
+        .runs
+        .iter()
+        .map(|run| (run.name.clone(), run.seed))
+        .collect();
+    assert_eq!(got, want);
+    let mut counters = BTreeMap::new();
+    for run in &manifest.runs {
+        assert!(
+            run.validation.passed,
+            "{}: {}",
+            run.name, run.validation.detail
+        );
+        let key = (run.graph.clone(), run.k, run.algorithm.clone(), run.seed);
+        let row = (
+            run.rounds,
+            run.charged_rounds,
+            run.messages,
+            run.bits,
+            run.peak_queue_depth,
+            run.output_size,
+        );
+        let first = *counters.entry(key).or_insert(row);
+        assert_eq!(row, first, "{} diverged from its sequential row", run.name);
+    }
+    assert_eq!(counters.len(), 3, "one counter set per graph size");
 }
