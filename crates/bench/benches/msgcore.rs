@@ -1,14 +1,16 @@
 //! Wall-clock cost of the flat message core under the two traffic
 //! regimes it was built for:
 //!
-//! * **dense** — every node broadcasts every round, so every directed
-//!   edge is active and a round is dominated by arena enqueue + the
-//!   full transfer sweep (the regime the old per-edge `VecDeque` forest
-//!   was tuned for);
+//! * **dense** — every node broadcasts every round and every message
+//!   fits the bandwidth, so every directed edge sends and every message
+//!   is delivered directly in the round it is sent (the regime of the
+//!   shattering workloads);
 //! * **sparse** — a handful of nodes send large fragmented messages, so
-//!   almost every round is a *quiet* round: the active-edge worklist
-//!   keeps the transfer at O(active) while the old core paid a full
-//!   O(m) scan per round.
+//!   every message takes an arena cell and almost every round is a
+//!   *quiet* round: the active-edge worklist keeps the round at
+//!   O(active), and the cost is dominated by building the engine and
+//!   opening the phase (O(m) cursors). No perfbench workload stresses
+//!   this arena-bound regime.
 //!
 //! Absolute numbers (not old-vs-new deltas) — the committed
 //! `BENCH_*.json` manifests and `experiments trend` carry the

@@ -17,13 +17,14 @@
 //!    state. Any schedule (sequential, pooled, multi-process) therefore
 //!    produces the same result.
 //! 2. **Deterministic delivery order.** Messages completing in the same
-//!    round are appended to the receiver's inbox ordered by the sender's
-//!    *directed edge index* (sender ID ascending, then the sender's CSR
-//!    neighbor position), FIFO within an edge. This is exactly the order
-//!    the sequential simulator produces by transferring active edges in
-//!    ascending index order. Backends may batch, splice or regroup
-//!    deliveries internally as long as the per-node inbox sequences are
-//!    preserved.
+//!    round are appended to the receiver's inbox by ascending sender ID,
+//!    FIFO within an edge. The graph has no parallel edges, so this is
+//!    ascending *directed edge index* as one receiver sees it. The
+//!    message core produces it by handling a round's sends in sender
+//!    order and moving the backlog of every loaded edge `≤ e` before a
+//!    send on edge `e`. Deliveries to different receivers may interleave
+//!    in any order. Backends may batch, splice or regroup deliveries
+//!    internally as long as the per-node inbox sequences are preserved.
 //! 3. **Identical accounting.** `rounds` increments once per step,
 //!    `bits`/`messages` and `peak_queue_depth` accumulate identically
 //!    regardless of backend; so do the per-edge counters whenever
@@ -38,17 +39,19 @@
 //!
 //! # The flat message core
 //!
-//! All three backends queue in-flight messages in the shared arena core
-//! [`crate::msgcore::MsgCore`] (the sequential engine holds one over the
-//! whole graph; each shard of a parallel backend holds one over its
-//! CSR-aligned edge range): a single flat cell arena with intrusive
-//! per-edge FIFOs, 12-byte per-edge cursors and an **active-edge
-//! worklist**. Enqueue is a bump-append, a transfer step visits only
-//! edges that actually hold bits, and quiescence checks are O(1) — so a
-//! quiet round (fragments of large messages still crossing, the common
-//! case on sparsified subgraphs) costs `O(active edges)`, not `O(m)`.
-//! The bandwidth/fragmentation semantics live solely in
-//! [`crate::msgcore::MsgCore::transfer`], which is what keeps rule 3
+//! All three backends run a round's sends through the shared message
+//! core [`crate::msgcore::MsgCore`] (the sequential engine holds one over
+//! the whole graph; each shard of a parallel backend holds one over its
+//! CSR-aligned edge range) in one pass, [`crate::msgcore::MsgCore::round`].
+//! A send that completes in its round — it fits what its edge has left
+//! and nothing is queued ahead of it — is delivered at once. Only the
+//! rest take a cell in a flat arena with intrusive per-edge FIFOs,
+//! tracked by an **active-edge worklist**. A round visits only edges
+//! that send or hold bits, and quiescence checks are O(1) — so a quiet
+//! round (fragments of large messages still crossing, the common case on
+//! sparsified subgraphs) costs `O(active edges)`, not `O(m)`. The
+//! bandwidth/fragmentation semantics live solely in
+//! [`crate::msgcore::MsgCore::round`], which is what keeps rule 3
 //! impossible to desynchronize between backends.
 //!
 //! # Accounting modes
@@ -229,21 +232,24 @@ pub struct Metrics {
     pub messages: u64,
     /// Total bits sent.
     pub bits: u64,
-    /// Peak queue depth: the maximum number of messages queued on any
-    /// single directed edge at the start of a transfer step (i.e. after
-    /// the round's sends are enqueued, before the edge moves bits). A
-    /// congestion gauge for the benchmark manifests; part of the engine
-    /// contract — every backend must measure the identical value.
+    /// Peak queue depth: the maximum over rounds and directed edges of
+    /// the edge's queue in the per-edge FIFO model — its backlog at the
+    /// start of the round plus its sends of the round, whether or not a
+    /// send is delivered at once. A congestion gauge for the benchmark
+    /// manifests; part of the engine contract — every backend must
+    /// measure the identical value.
     pub peak_queue_depth: u64,
-    /// Peak arena footprint in cells: the maximum over rounds of the
-    /// *total* messages queued across all message cores at the start of
-    /// a transfer step (summed across shards at the round barrier, so
-    /// every backend measures the identical value regardless of how the
-    /// arena is partitioned).
+    /// Peak footprint of the queue model in cells: the maximum over
+    /// rounds of the *total* backlog plus all of the round's sends
+    /// across all message cores — what a core that queued every message
+    /// would hold at transfer start. Direct deliveries count although
+    /// they take no arena cell. Summed across shards at the round
+    /// barrier, so every backend measures the identical value regardless
+    /// of how the arena is partitioned.
     pub arena_cells_peak: u64,
-    /// Peak arena footprint in bytes: `arena_cells_peak` rounds scaled
-    /// by the per-message cell size (payload plus intrusive FIFO
-    /// links), maxed over rounds. Engine-invariant like
+    /// Peak footprint of the queue model in bytes: `arena_cells_peak`
+    /// rounds scaled by the per-message cell size (payload plus
+    /// intrusive FIFO links), maxed over rounds. Engine-invariant like
     /// [`Metrics::arena_cells_peak`].
     pub arena_bytes_peak: u64,
     /// Whether per-edge accounting is enabled ([`MetricsConfig`]).

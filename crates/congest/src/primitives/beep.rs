@@ -10,7 +10,51 @@
 //! failing exactly there.
 
 use crate::engine::{RoundEngine, RoundPhase};
-use std::collections::BTreeMap;
+
+/// Lemma 8.2's forwarding rule for one node: of the tuples heard since
+/// the last forward, keep the best `fanout ≤ 2` with distinct IDs, each
+/// with the maximum hops left heard for its ID, ordered by hops left
+/// (descending) then ID (ascending). Updated as the inbox streams, in
+/// place: an ID that falls out of the best `fanout` can only come back
+/// with a larger hops-left value, which is then its new maximum, so the
+/// result equals keeping every ID's maximum, sorting and truncating.
+#[derive(Debug, Clone, Copy, Default)]
+struct Relay {
+    /// `(id, hops left)`, best first; a slot with 0 hops left is empty.
+    slots: [(u32, u32); 2],
+}
+
+impl Relay {
+    /// Whether tuple `a` ranks before tuple `b` (an empty `b` ranks last).
+    fn better(a: (u32, u32), b: (u32, u32)) -> bool {
+        a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
+    }
+
+    /// Offers a heard tuple; tuples with no hops left are not forwarded.
+    fn offer(&mut self, fanout: usize, id: u32, left: u32) {
+        if left == 0 {
+            return;
+        }
+        let slots = &mut self.slots[..fanout];
+        let at = match slots.iter().position(|&(i, l)| l > 0 && i == id) {
+            Some(at) if left <= slots[at].1 => return,
+            Some(at) => at,
+            None if Self::better((id, left), slots[fanout - 1]) => fanout - 1,
+            None => return,
+        };
+        slots[at] = (id, left);
+        if at == 1 && Self::better(slots[1], slots[0]) {
+            slots.swap(0, 1);
+        }
+    }
+
+    /// The tuples to forward, best first; leaves the relay empty.
+    fn take(&mut self) -> impl Iterator<Item = (u32, u32)> {
+        std::mem::take(&mut self.slots)
+            .into_iter()
+            .filter(|&(_, left)| left > 0)
+    }
+}
 
 /// Runs one beep step of `G^k`: every node with `beepers[v]` beeps;
 /// returns for each node `v` whether it heard a beep from some **other**
@@ -32,10 +76,15 @@ pub fn khop_beep_with_fanout<E: RoundEngine>(
 /// [`khop_beep_with_fanout`] with an optional **relay mask**: when
 /// `relay = Some(mask)`, only masked nodes forward tuples, so beeps
 /// propagate within the induced subgraph `G[mask]` — distances are
-/// measured in `G[mask]`, not `G`. This is what lets the two-phase
-/// post-shattering (Section 7.2.1 of the paper) run the algorithm "on
-/// each connected component in parallel" by simply ignoring edges that
-/// leave the component.
+/// measured in `G[mask]`, not `G`. That runs the beep on `(G[mask])^k`,
+/// which differs from `G^k[mask]` whenever a shortest path leaves the
+/// mask; the shattering pipeline's two-phase post-shattering therefore
+/// runs full relays (see `powersparse::mis::shatter`).
+///
+/// # Panics
+///
+/// Panics unless `fanout` is 1 or 2 (the paper's rule and the ablation's
+/// naive variant), or if `beepers` or `relay` is not one entry per node.
 pub fn khop_beep_masked<E: RoundEngine>(
     sim: &mut E,
     beepers: &[bool],
@@ -45,7 +94,7 @@ pub fn khop_beep_masked<E: RoundEngine>(
 ) -> Vec<bool> {
     let n = sim.graph().n();
     assert_eq!(beepers.len(), n);
-    assert!(fanout >= 1);
+    assert!(fanout == 1 || fanout == 2, "fanout must be 1 or 2");
     if let Some(mask) = relay {
         assert_eq!(mask.len(), n);
     }
@@ -53,12 +102,11 @@ pub fn khop_beep_masked<E: RoundEngine>(
     let k_bits = (usize::BITS - k.leading_zeros()) as usize + 1;
     let msg_bits = id_bits + k_bits;
 
-    // Per node: (heard a foreign beep, tuples to forward next step as
-    // id -> max hops left).
-    let mut state: Vec<(bool, BTreeMap<u32, u32>)> = vec![(false, BTreeMap::new()); n];
+    // Per node: (heard a foreign beep, tuples to forward next step).
+    let mut state: Vec<(bool, Relay)> = vec![(false, Relay::default()); n];
     for v in 0..n {
         if beepers[v] {
-            state[v].1.insert(v as u32, k as u32);
+            state[v].1.offer(fanout, v as u32, k as u32);
         }
     }
     let mut phase = sim.phase::<(u32, u32)>();
@@ -67,24 +115,14 @@ pub fn khop_beep_masked<E: RoundEngine>(
             if id != v.0 {
                 s.0 = true;
             }
-            if left > 0 {
-                let e = s.1.entry(id).or_insert(0);
-                *e = (*e).max(left);
-            }
+            s.1.offer(fanout, id, left);
         }
-        // Select up to `fanout` tuples with distinct IDs, max hops
-        // left first (ties: smaller ID). Non-relay nodes forward
-        // nothing (their own initial beep, if any, is still in
-        // `pending` from initialization and beepers are expected to
-        // be inside the mask).
+        let tuples = s.1.take();
+        // Non-relay nodes forward nothing; beepers are expected to be
+        // inside the mask.
         if relay.is_some_and(|m| !m[v.index()]) {
-            s.1.clear();
             return;
         }
-        let mut tuples: Vec<(u32, u32)> = s.1.iter().map(|(&id, &l)| (id, l)).collect();
-        s.1.clear();
-        tuples.sort_by_key(|&(id, l)| (std::cmp::Reverse(l), id));
-        tuples.truncate(fanout);
         for (id, left) in tuples {
             out.broadcast(v, (id, left - 1), msg_bits);
         }
@@ -130,22 +168,22 @@ pub fn khop_beep_multi<E: RoundEngine>(
     let inst_bits = (usize::BITS - instances.leading_zeros()) as usize;
     let tuple_bits = short_id_bits + k_bits + inst_bits;
 
-    /// Per-node state: per instance, heard flag plus id -> max hops left.
+    /// Per-node state: per instance, the heard flag and the relay.
     struct NodeState {
         heard: Vec<bool>,
-        pending: Vec<BTreeMap<u32, u32>>,
+        pending: Vec<Relay>,
     }
     let mut state: Vec<NodeState> = (0..n)
         .map(|_| NodeState {
             heard: vec![false; instances],
-            pending: vec![BTreeMap::new(); instances],
+            pending: vec![Relay::default(); instances],
         })
         .collect();
     for (j, b) in beepers.iter().enumerate() {
         assert_eq!(b.len(), n);
         for v in 0..n {
             if b[v] {
-                state[v].pending[j].insert(short_id[v], k as u32);
+                state[v].pending[j].offer(2, short_id[v], k as u32);
             }
         }
     }
@@ -159,26 +197,16 @@ pub fn khop_beep_multi<E: RoundEngine>(
                 if id != short_id[i] {
                     s.heard[j] = true;
                 }
-                if left > 0 {
-                    let e = s.pending[j].entry(id).or_insert(0);
-                    *e = (*e).max(left);
-                }
+                s.pending[j].offer(2, id, left);
             }
         }
-        if relay.is_some_and(|m| !m[i]) {
-            for p in &mut s.pending {
-                p.clear();
-            }
-            return;
-        }
+        let forward = relay.is_none_or(|m| m[i]);
         let mut payload: Vec<(u16, u32, u32)> = Vec::new();
         for (j, p) in s.pending.iter_mut().enumerate() {
-            let mut tuples: Vec<(u32, u32)> = p.iter().map(|(&id, &l)| (id, l)).collect();
-            p.clear();
-            tuples.sort_by_key(|&(id, l)| (std::cmp::Reverse(l), id));
-            tuples.truncate(2);
-            for (id, left) in tuples {
-                payload.push((j as u16, id, left - 1));
+            for (id, left) in p.take() {
+                if forward {
+                    payload.push((j as u16, id, left - 1));
+                }
             }
         }
         if !payload.is_empty() {
@@ -215,6 +243,53 @@ mod tests {
     use super::*;
     use crate::sim::{SimConfig, Simulator};
     use powersparse_graphs::{generators, power};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+
+    /// The forwarding rule [`Relay`] streams, computed by sorting: keep
+    /// every ID's maximum hops left, sort by hops left (descending) then
+    /// ID (ascending), truncate to `fanout`.
+    fn forward_by_sort(tuples: &[(u32, u32)], fanout: usize) -> Vec<(u32, u32)> {
+        let mut best: Vec<(u32, u32)> = tuples.iter().copied().filter(|&(_, l)| l > 0).collect();
+        best.sort_by_key(|&(id, l)| (id, Reverse(l)));
+        best.dedup_by_key(|&mut (id, _)| id);
+        best.sort_by_key(|&(id, l)| (Reverse(l), id));
+        best.truncate(fanout);
+        best
+    }
+
+    #[test]
+    fn relay_selection_matches_the_sort() {
+        for fanout in [1usize, 2] {
+            for seed in 0..500u64 {
+                // Few IDs and few hop counts: repeated IDs and ties.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let len = rng.gen_range(0..14usize);
+                let tuples: Vec<(u32, u32)> = (0..len)
+                    .map(|_| (rng.gen_range(0..5u32), rng.gen_range(0..4u32)))
+                    .collect();
+                let mut relay = Relay::default();
+                for &(id, left) in &tuples {
+                    relay.offer(fanout, id, left);
+                }
+                assert_eq!(
+                    relay.take().collect::<Vec<_>>(),
+                    forward_by_sort(&tuples, fanout),
+                    "fanout {fanout}, stream {tuples:?}"
+                );
+                assert_eq!(relay.take().count(), 0, "take empties the relay");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fanout must be 1 or 2")]
+    fn fanout_beyond_two_is_rejected() {
+        let g = generators::path(3);
+        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+        khop_beep_with_fanout(&mut sim, &[true, false, false], 2, 3);
+    }
 
     fn ground_truth(g: &powersparse_graphs::Graph, beepers: &[bool], k: usize) -> Vec<bool> {
         g.nodes()

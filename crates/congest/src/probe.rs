@@ -39,8 +39,8 @@
 //!
 //! * sequential `Simulator` — `step` brackets the node-stepping loop of
 //!   `run_step`, `transfer` brackets the whole of `finish_round`
-//!   (enqueue + transfer + accounting); `barrier` is empty (there is no
-//!   barrier to wait on).
+//!   (the message core's round + accounting); `barrier` is empty (there
+//!   is no barrier to wait on).
 //! * `PooledSimulator` — each pool worker timestamps its own stage-1
 //!   step loop and `flush_shard_sends` tail, and its stage-2 splice,
 //!   **on its own thread**, writing them into probe-only per-shard slots
@@ -131,8 +131,8 @@ pub struct RoundSpans {
     /// Nanoseconds each shard spent stepping its nodes this round
     /// (empty for charged rounds).
     pub step_ns: Vec<u64>,
-    /// Nanoseconds each shard spent enqueueing + transferring its owned
-    /// edges (stage 1, as sender) plus routing/splicing deliveries
+    /// Nanoseconds each shard spent running its sends through its
+    /// message core (stage 1, as sender) plus routing/splicing deliveries
     /// (stage 2, as receiver). Empty for charged rounds.
     pub transfer_ns: Vec<u64>,
     /// Nanoseconds each shard's worker spent idle at the round's stage

@@ -223,8 +223,8 @@ impl<'g, P: Probe> RoundEngine for Simulator<'g, P> {
 #[derive(Debug)]
 pub struct Phase<'s, 'g, M, P: Probe = NoProbe> {
     sim: &'s mut Simulator<'g, P>,
-    /// The arena-backed per-edge queues ([`MsgCore`]): bump-append
-    /// enqueue, O(active)-edge transfer, O(1) quiescence.
+    /// The per-edge queues ([`MsgCore`]): direct delivery for what
+    /// completes in its round, the arena for the rest, O(1) quiescence.
     core: MsgCore<M>,
     /// Messages available to each node in the *next* `round` call.
     inboxes: Vec<Vec<Delivery<M>>>,
@@ -271,7 +271,7 @@ impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
     }
 
     /// The single definition of a sequential round: step every node in ID
-    /// order, then queue, transfer and account. Both the legacy
+    /// order, then run the message core's round and account. Both the legacy
     /// [`Phase::round`] closures and the engine-generic
     /// [`RoundPhase::step`] route through here so the reference
     /// semantics live in exactly one place.
@@ -353,41 +353,37 @@ impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
         !self.in_flight() && self.dirty.is_empty()
     }
 
-    /// Queues this round's sends, runs the transfer step and closes the
-    /// round's accounting. Only active edges are touched end to end.
-    /// `step_ns` is the caller-measured node-stepping time, forwarded
-    /// into the round's [`RoundSpans`] (0 when un-probed).
+    /// Hands this round's sends to the message core, which delivers
+    /// what completes this round, and closes the round's accounting.
+    /// Only edges that hold or receive bits are touched. `step_ns` is the
+    /// caller-measured node-stepping time, forwarded into the round's
+    /// [`RoundSpans`] (0 when un-probed).
     fn finish_round(&mut self, sends: &mut Vec<SendRecord<M>>, step_ns: u64) {
-        let per_edge = self.sim.metrics.per_edge;
         let transfer_start = now_if(P::ENABLED);
-        let (msgs_before, bits_before) = (self.sim.metrics.messages, self.sim.metrics.bits);
-        for SendRecord {
-            edge,
-            bits,
-            from,
-            msg,
-        } in sends.drain(..)
-        {
-            self.sim.metrics.bits += bits;
-            if per_edge {
-                self.sim.metrics.edge_bits[edge] += bits;
-            }
-            self.core.enqueue(edge, bits, from, msg);
-        }
-        // Arena footprint at transfer start: everything enqueued is in
-        // the arena right now (shard-partitioned cores sample the same
-        // instant per shard and sum at the barrier, so the gauge is
-        // engine-invariant — see the engine-contract docs).
-        let queued = self.core.queued() as u64;
         let bw = self.sim.config.bandwidth as u64;
         let graph = self.sim.graph;
-        let metrics = &mut self.sim.metrics;
+        let Metrics {
+            messages,
+            bits,
+            per_edge,
+            edge_messages,
+            edge_bits,
+            ..
+        } = &mut self.sim.metrics;
+        let per_edge = *per_edge;
+        let (msgs_before, bits_before) = (*messages, *bits);
         let inboxes = &mut self.inboxes;
         let dirty = &mut self.dirty;
-        let peak = self.core.transfer(bw, |edge, from, msg| {
-            metrics.messages += 1;
+        let sends = sends.drain(..).inspect(|s| {
+            *bits += s.bits;
             if per_edge {
-                metrics.edge_messages[edge] += 1;
+                edge_bits[s.edge] += s.bits;
+            }
+        });
+        let load = self.core.round(bw, sends, |edge, from, msg| {
+            *messages += 1;
+            if per_edge {
+                edge_messages[edge] += 1;
             }
             let to = graph.edge_target(edge);
             let inbox = &mut inboxes[to.index()];
@@ -396,11 +392,16 @@ impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
             }
             inbox.push((from, msg));
         });
-        metrics.peak_queue_depth = metrics.peak_queue_depth.max(peak);
-        metrics.arena_cells_peak = metrics.arena_cells_peak.max(queued);
+        // The queue model's footprint at transfer start: the backlog plus
+        // every send of the round (shard-partitioned cores measure the
+        // same per shard and sum at the barrier, so the gauge is
+        // engine-invariant — see the engine-contract docs).
+        let metrics = &mut self.sim.metrics;
+        metrics.peak_queue_depth = metrics.peak_queue_depth.max(load.peak_depth);
+        metrics.arena_cells_peak = metrics.arena_cells_peak.max(load.cells);
         metrics.arena_bytes_peak = metrics
             .arena_bytes_peak
-            .max(queued * self.core.cell_size() as u64);
+            .max(load.cells * self.core.cell_size() as u64);
         metrics.rounds += 1;
         if P::ENABLED {
             let transfer_ns = ns_between(transfer_start, now_if(true));
@@ -425,7 +426,7 @@ impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
                 step_ns: vec![step_ns],
                 transfer_ns: vec![transfer_ns],
                 barrier_ns: Vec::new(),
-                arena_cells: vec![queued],
+                arena_cells: vec![load.cells],
             });
         }
     }

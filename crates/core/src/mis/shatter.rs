@@ -7,9 +7,11 @@
 //!    (Lemma 8.2's ID-tagged beeps). W.h.p. the undecided remainder `B`
 //!    shatters into small `G^k`-components (Lemma 8.1).
 //! 2. Optionally (**Approach 1**, Section 7.2.1) a second pre-shattering
-//!    phase run on every component of `G^k[B]` *independently* — realized
-//!    by restricting beep relays to `B` — splitting them into tiny
-//!    components.
+//!    phase run on every component of `G^k[B]` *independently* —
+//!    realized by running BeepingMIS on `B` with full relays, since
+//!    distinct components are more than `k` apart in `G` (relays
+//!    restricted to `B` would measure distance in `G[B]`, not `G`) —
+//!    splitting them into tiny components.
 //! 3. A ruling set of `B` with a **ball partition** (Claim 7.6 via
 //!    knocker chains; in Approach 1 w.r.t. component distances, in
 //!    **Approach 2**, Section 7.2.2, w.r.t. distances in `G`).

@@ -18,14 +18,15 @@
 //! A round executes in two barrier-separated stages:
 //!
 //! 1. **Step + transfer (sender side).** Each shard's nodes are stepped
-//!    against their inboxes, their sends are enqueued on the shard-owned
-//!    edge queues, and up to `bandwidth` bits move on each owned edge.
+//!    against their inboxes, their sends run through the shard-owned
+//!    message core, and up to `bandwidth` bits move on each owned edge.
 //!    Completed messages are bucketed by receiver shard; bit/message
 //!    totals accumulate in shard-local counters.
 //! 2. **Splice (receiver side).** After the barrier, each receiver
 //!    shard's buckets are appended onto its arrival run in sender-shard
-//!    order, which is exactly ascending directed-edge order; the next
-//!    read groups the run per node with a stable counting sort.
+//!    order; the next read groups the run per node with a stable
+//!    counting sort, so each inbox is in ascending sender order, FIFO
+//!    per edge.
 //!
 //! Shard-local counters are merged into the shared
 //! [`Metrics`](powersparse_congest::Metrics) at the barrier, so totals
@@ -53,8 +54,9 @@
 //! cross-shard byte rides the length-prefixed, checksummed frame codec
 //! in [`wire`] over one Unix socket pair per child. The parent steps nodes (CONGEST computation is free;
 //! only bandwidth is charged) and plays the stage-2 splicer by reading
-//! children in ascending shard order — ascending global edge order, the
-//! reference delivery order. Transport faults fail closed with a
+//! children in ascending shard order — ascending sender order across
+//! shards, which the per-node counting sort turns into the reference
+//! delivery order. Transport faults fail closed with a
 //! deterministic [`wire::EngineError`] ("died mid-round", "barrier
 //! timeout", "checksum mismatch", …) instead of hanging or corrupting
 //! results; `tests/faults.rs` injects each fault and pins the error.

@@ -200,6 +200,31 @@ fn helper_loop(shared: &PoolShared, w: usize) {
     }
 }
 
+/// A value on cache lines of its own (128 bytes: x86 prefetches lines
+/// in pairs). Workers write their own shard's vector headers and core
+/// counters once per message; packed side by side in one vector, the
+/// headers of two shards can share a line, which then bounces between
+/// the workers' cores on every message. Whether they share one depends
+/// on where the allocator puts the vector, so the cost changes from
+/// one engine to the next.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(pub T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
 /// A shared view of a mutable slice whose elements are accessed at
 /// provably disjoint indices by different workers of one scatter.
 /// Wrapping an existing buffer costs nothing — no per-round allocation,
@@ -352,6 +377,18 @@ mod tests {
             }
         });
         assert_eq!(items, vec![1, 1, 3, 3, 3, 3, 3]);
+    }
+
+    #[test]
+    fn padded_neighbours_never_share_a_line_pair() {
+        // Two vector headers side by side: without the padding both fit
+        // in one 64-byte line.
+        let items: Vec<CachePadded<Vec<u8>>> = (0..3).map(|_| CachePadded::default()).collect();
+        for pair in items.windows(2) {
+            let (a, b) = (&pair[0] as *const _ as usize, &pair[1] as *const _ as usize);
+            assert_eq!(a % 128, 0, "each element starts a 128-byte block");
+            assert_eq!(b - a, 128, "and owns all of it");
+        }
     }
 
     #[test]

@@ -6,29 +6,34 @@
 //!
 //! 1. **Step + transfer (sender side).** Each worker groups its shard's
 //!    arrival run into per-node inboxes, steps its own nodes (collecting
-//!    sends into a shard-local buffer), enqueues the sends on the
-//!    shard's message core ([`MsgCore`]) and moves up to `bandwidth`
-//!    bits on each owned edge. Completed messages land in
+//!    sends into a shard-local buffer), and runs the sends through the
+//!    shard's message core ([`MsgCore::round`]), which moves up to
+//!    `bandwidth` bits on each owned edge. Completed messages land in
 //!    per-`(sender shard, receiver shard)` delivery cells; bit/message
 //!    totals accumulate in shard-local counters, merged on the caller at
 //!    the barrier.
-//! 2. **Splice (receiver side).** Each worker appends the cells bound for
-//!    its nodes onto its shard's contiguous *arrival run* — one
-//!    `Vec::append` (a memcpy-style move) per shard pair, in sender-shard
-//!    order, which is ascending global edge order.
+//! 2. **Splice (receiver side).** Each worker moves the cells bound for
+//!    its nodes onto its shard's contiguous *arrival run*, in
+//!    sender-shard order: the first nonempty cell is swapped in whole,
+//!    each later one is a `Vec::append` (a memcpy-style move). Within one
+//!    cell, each receiver's messages are in ascending sender order, FIFO
+//!    per edge; the run as a whole is not in global edge order.
 //!
 //! Worker threads are spawned once, when the engine is built, and parked
 //! on an epoch barrier (`pool::WorkerPool`), so a round costs two
 //! barrier waits and no thread spawns. The per-node grouping of stage 1
 //! is a stable counting sort into a flat, reused buffer (two linear
-//! passes, no per-node allocation), so each inbox keeps ascending edge
-//! order: delivery order is bit-for-bit the sequential reference order.
+//! passes, no per-node allocation), so each inbox keeps the run's order
+//! per receiver — ascending sender, FIFO per edge: delivery order is
+//! bit-for-bit the sequential reference order. A phase's per-shard
+//! buffers outlive it, and the next phase of the same message type
+//! reuses them.
 //!
 //! Outputs and [`Metrics`] (totals, `peak_queue_depth`, per-edge
 //! traffic) are identical to the other backends at every shard count —
 //! the conformance suite in `tests/conformance/` pins this down.
 
-use crate::pool::{DisjointChunks, DisjointSlice, WorkerPool};
+use crate::pool::{CachePadded, DisjointChunks, DisjointSlice, WorkerPool};
 use crate::routing::{capped_default_shards, stamp_receivers, DistScratch, Routed, ShardLayout};
 use powersparse_congest::engine::{
     Delivery, Message, Metrics, Outbox, RoundEngine, RoundPhase, SendRecord,
@@ -39,6 +44,7 @@ use powersparse_congest::probe::{
 };
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
+use std::any::Any;
 use std::ops::Range;
 
 /// The persistent worker-pool round engine.
@@ -53,6 +59,9 @@ pub struct PooledSimulator<'g, P: Probe = NoProbe> {
     probe: P,
     /// Phases opened so far (the ordinal assigned to the next phase).
     phases_opened: u64,
+    /// The last closed phase's cleared [`PhaseBufs`], type-erased; the
+    /// next phase takes them back if its message type matches.
+    spare: Option<Box<dyn Any + Send>>,
 }
 
 impl<'g> PooledSimulator<'g> {
@@ -95,6 +104,7 @@ impl<'g, P: Probe> PooledSimulator<'g, P> {
             pool,
             probe,
             phases_opened: 0,
+            spare: None,
         }
     }
 
@@ -162,17 +172,12 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
             self.metrics.messages,
             self.metrics.bits,
         );
+        let bufs = match self.spare.take().map(|b| b.downcast::<PhaseBufs<M>>()) {
+            Some(Ok(bufs)) => *bufs,
+            _ => PhaseBufs::new(&self.layout),
+        };
         PooledPhase {
-            cores: self
-                .layout
-                .edge_ranges
-                .iter()
-                .map(|r| MsgCore::new(r.len()))
-                .collect(),
-            arrivals: (0..shards).map(|_| Vec::new()).collect(),
-            scratch: (0..shards).map(|_| DistScratch::default()).collect(),
-            send_bufs: (0..shards).map(|_| Vec::new()).collect(),
-            cells: (0..shards * shards).map(|_| Vec::new()).collect(),
+            bufs,
             stage_out: vec![StageOut::default(); shards],
             row_ranges: (0..shards).map(|w| w * shards..(w + 1) * shards).collect(),
             pre_len: vec![0; shards],
@@ -194,6 +199,77 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
     }
 }
 
+/// The per-shard buffers of one phase. They outlive it: dropping a phase
+/// clears them (queued messages and unread deliveries are dropped,
+/// capacity is kept) and parks them on the engine, and the next phase of
+/// the same message type opens with them in O(shards) instead of
+/// building O(m) cursors and regrowing every buffer from empty.
+///
+/// What a worker touches per message — its core, sort scratch, send
+/// buffer and delivery cells — sits on cache lines of its own
+/// ([`CachePadded`]): the buffers live as long as the engine, so a line
+/// shared by two workers would slow every round of every phase. The
+/// arrival runs are touched once per round and stay packed.
+#[derive(Debug)]
+struct PhaseBufs<M> {
+    /// One message core per shard, covering the shard's CSR-aligned
+    /// directed-edge range ([`MsgCore`]).
+    cores: Vec<CachePadded<MsgCore<M>>>,
+    /// Per receiver shard: the contiguous arrival run of messages
+    /// delivered but not yet read, in sender-shard order.
+    arrivals: Vec<Vec<Routed<M>>>,
+    /// Per-shard counting-sort workspace.
+    scratch: Vec<CachePadded<DistScratch<M>>>,
+    /// Per-shard reusable send buffer (drained by the core's round).
+    send_bufs: Vec<CachePadded<Vec<SendRecord<M>>>>,
+    /// Shard-to-shard delivery cells, rows-major: sender shard `w` ×
+    /// receiver shard `r` is `cells[w * shards + r]`.
+    cells: Vec<CachePadded<Vec<Routed<M>>>>,
+}
+
+impl<M> PhaseBufs<M> {
+    /// Fresh, empty buffers for `layout`.
+    fn new(layout: &ShardLayout) -> Self {
+        let shards = layout.shards();
+        Self {
+            cores: layout
+                .edge_ranges
+                .iter()
+                .map(|r| CachePadded(MsgCore::new(r.len())))
+                .collect(),
+            arrivals: (0..shards).map(|_| Vec::new()).collect(),
+            scratch: (0..shards).map(|_| CachePadded::default()).collect(),
+            send_bufs: (0..shards).map(|_| CachePadded::default()).collect(),
+            cells: (0..shards * shards)
+                .map(|_| CachePadded::default())
+                .collect(),
+        }
+    }
+
+    /// Empties every buffer and core, keeping capacity.
+    fn clear(&mut self) {
+        self.cores.iter_mut().for_each(|c| c.clear());
+        self.arrivals.iter_mut().for_each(Vec::clear);
+        self.scratch.iter_mut().for_each(|s| s.clear());
+        self.send_bufs.iter_mut().for_each(|b| b.clear());
+        self.cells.iter_mut().for_each(|c| c.clear());
+    }
+}
+
+impl<M> Default for PhaseBufs<M> {
+    /// No buffers at all (allocates nothing): what a dropping phase
+    /// leaves behind when it hands its buffers to the engine.
+    fn default() -> Self {
+        Self {
+            cores: Vec::new(),
+            arrivals: Vec::new(),
+            scratch: Vec::new(),
+            send_bufs: Vec::new(),
+            cells: Vec::new(),
+        }
+    }
+}
+
 /// One shard's stage-1 result: the counters returned by
 /// [`flush_shard_sends`] plus the shard's worker-side span timestamps
 /// (zero when the engine runs un-probed — see
@@ -203,19 +279,19 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
 /// merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StageOut {
-    /// Bits the shard enqueued this round.
+    /// Bits the shard sent this round.
     bits: u64,
-    /// Messages the shard's transfer delivered this round.
+    /// Messages the shard's core delivered this round.
     msgs: u64,
     /// Peak single-edge queue depth observed on the shard's core.
     peak: u64,
-    /// Messages queued on the shard's core at transfer start (arena
-    /// footprint share; sums to the sequential engine's global value).
+    /// The shard's queue footprint: backlog plus this round's sends
+    /// (sums to the sequential engine's global value).
     queued: u64,
     /// Nanoseconds the shard spent stepping its nodes (probe only).
     step_ns: u64,
-    /// Nanoseconds the shard spent in the enqueue + transfer tail
-    /// (probe only).
+    /// Nanoseconds the shard spent in the message-core tail (probe
+    /// only).
     transfer_ns: u64,
 }
 
@@ -227,15 +303,14 @@ fn deliveries_pending<T>(buffers: &[Vec<T>]) -> bool {
     buffers.iter().any(|b| !b.is_empty())
 }
 
-/// The sender-side tail of one round for one shard: enqueue the shard's
-/// collected sends on its arena core ([`MsgCore`], covering the shard's
-/// CSR-aligned edge range), then transfer up to `bw` bits per **active**
-/// owned edge in ascending edge order, bucketing completed messages by
+/// The sender-side tail of one round for one shard: hand the shard's
+/// collected sends to its message core ([`MsgCore::round`], covering the
+/// shard's CSR-aligned edge range), which moves up to `bw` bits per
+/// loaded or sending edge, and bucket the messages that complete by
 /// receiver shard into `row` (this shard's row of the phase's cell
 /// matrix). Returns the shard's bit/message totals, its peak single-edge
-/// queue depth, and the number of messages queued on its core at
-/// transfer start (the shard's share of the round's arena footprint —
-/// summed across shards at the barrier it equals the sequential engine's
+/// queue depth, and its share of the round's queue footprint (summed
+/// across shards at the barrier it equals the sequential engine's
 /// global value).
 ///
 /// `edge_bits`/`edge_messages` are the shard's slices of the per-edge
@@ -255,28 +330,24 @@ fn flush_shard_sends<M: Message>(
     edge_bits: &mut [u64],
     edge_messages: &mut [u64],
     sends: &mut Vec<SendRecord<M>>,
-    row: &mut [Vec<Routed<M>>],
+    row: &mut [CachePadded<Vec<Routed<M>>>],
 ) -> (u64, u64, u64, u64) {
     let per_edge = !edge_bits.is_empty();
     let mut bits_total = 0u64;
-    for SendRecord {
-        edge,
-        bits,
-        from,
-        msg,
-    } in sends.drain(..)
-    {
-        debug_assert!(edges.contains(&edge), "send escaped its shard's edge range");
-        let e = edge - edges.start;
-        bits_total += bits;
-        if per_edge {
-            edge_bits[e] += bits;
-        }
-        core.enqueue(e, bits, from, msg);
-    }
-    let queued = core.queued() as u64;
     let mut msgs_total = 0u64;
-    let peak = core.transfer(bw, |e, from, msg| {
+    let local_sends = sends.drain(..).map(|mut s| {
+        debug_assert!(
+            edges.contains(&s.edge),
+            "send escaped its shard's edge range"
+        );
+        s.edge -= edges.start;
+        bits_total += s.bits;
+        if per_edge {
+            edge_bits[s.edge] += s.bits;
+        }
+        s
+    });
+    let load = core.round(bw, local_sends, |e, from, msg| {
         msgs_total += 1;
         if per_edge {
             edge_messages[e] += 1;
@@ -284,12 +355,12 @@ fn flush_shard_sends<M: Message>(
         let to = graph.edge_target(edges.start + e);
         row[shard_of[to.index()] as usize].push((to, from, msg));
     });
-    (bits_total, msgs_total, peak, queued)
+    (bits_total, msgs_total, load.peak_depth, load.cells)
 }
 
 /// Stage 1 body for one shard: distribute the shard's arrival run into
-/// per-node inbox slices, step the owned nodes, then enqueue + transfer
-/// the owned edges ([`flush_shard_sends`]). Returns the shard's counters and — when `timed`
+/// per-node inbox slices, step the owned nodes, then run their sends
+/// through the shard's core ([`flush_shard_sends`]). Returns the shard's counters and — when `timed`
 /// (call sites pass `P::ENABLED`, so the clock reads const-fold away
 /// un-probed) — its span nanoseconds, timestamped on the worker's own
 /// thread. The distribution pass is deferred receiver-side grouping, so
@@ -308,7 +379,7 @@ fn stage1_body<S, M, F>(
     edge_bits: &mut [u64],
     edge_messages: &mut [u64],
     sends: &mut Vec<SendRecord<M>>,
-    row: &mut [Vec<Routed<M>>],
+    row: &mut [CachePadded<Vec<Routed<M>>>],
     f: &F,
     timed: bool,
 ) -> StageOut
@@ -319,7 +390,7 @@ where
 {
     debug_assert!(sends.is_empty(), "send scratch not drained last round");
     debug_assert!(
-        row.iter().all(Vec::is_empty),
+        row.iter().all(|c| c.is_empty()),
         "cell scratch not drained last round"
     );
     let t0 = now_if(timed);
@@ -354,27 +425,20 @@ where
 
 /// One typed communication phase on the pooled engine.
 ///
-/// All buffers (the per-shard `cores`, `arrivals`, the distribution
-/// scratch, `send_bufs`, `cells`, `stage_out`) live for the whole phase and keep
-/// their capacity round after round; the scatter bodies reach them
-/// through zero-allocation disjoint views, so a round allocates nothing
-/// beyond what the node program itself sends.
+/// All buffers (the per-shard cores, arrival runs, distribution scratch,
+/// send buffers and delivery cells, and `stage_out`) live for the whole
+/// phase and keep their capacity round after round; the scatter bodies
+/// reach them through zero-allocation disjoint views, so a round
+/// allocates nothing beyond what the node program itself sends. The
+/// per-shard buffers also outlive the phase: dropping it clears them
+/// and hands them to the engine, and the next phase of the same message
+/// type opens with them.
 #[derive(Debug)]
-pub struct PooledPhase<'s, 'g, M, P: Probe = NoProbe> {
+pub struct PooledPhase<'s, 'g, M: Message, P: Probe = NoProbe> {
     sim: &'s mut PooledSimulator<'g, P>,
-    /// One arena message core per shard, covering the shard's
-    /// CSR-aligned directed-edge range ([`MsgCore`]).
-    cores: Vec<MsgCore<M>>,
-    /// Per receiver shard: the contiguous arrival run of messages
-    /// delivered but not yet read, in ascending global edge order.
-    arrivals: Vec<Vec<Routed<M>>>,
-    /// Per-shard counting-sort workspace.
-    scratch: Vec<DistScratch<M>>,
-    /// Per-shard reusable send buffer (drained while enqueueing).
-    send_bufs: Vec<Vec<SendRecord<M>>>,
-    /// Shard-to-shard delivery cells, rows-major: sender shard `w` ×
-    /// receiver shard `r` is `cells[w * shards + r]`.
-    cells: Vec<Vec<Routed<M>>>,
+    /// The per-shard cores and buffers, handed back to the engine on
+    /// drop.
+    bufs: PhaseBufs<M>,
     /// Per-shard stage-1 result slots (counters plus worker-side span
     /// timestamps — see [`StageOut`]), written by workers through a
     /// disjoint view and merged on the caller behind the barrier.
@@ -402,7 +466,7 @@ pub struct PooledPhase<'s, 'g, M, P: Probe = NoProbe> {
     open: (u64, u64, u64),
 }
 
-impl<M, P: Probe> Drop for PooledPhase<'_, '_, M, P> {
+impl<M: Message, P: Probe> Drop for PooledPhase<'_, '_, M, P> {
     fn drop(&mut self) {
         if P::ENABLED {
             let m = &self.sim.metrics;
@@ -414,6 +478,9 @@ impl<M, P: Probe> Drop for PooledPhase<'_, '_, M, P> {
             };
             self.sim.probe.on_phase_end(obs);
         }
+        let mut bufs = std::mem::take(&mut self.bufs);
+        bufs.clear();
+        self.sim.spare = Some(Box::new(bufs));
     }
 }
 
@@ -435,19 +502,19 @@ impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
         let pool = &sim.pool;
         debug_assert_eq!(pool.workers(), shards, "pool sized to the layout");
 
-        // --- Stage 1: distribute + step + enqueue + transfer. Every
+        // --- Stage 1: distribute + step + message-core round. Every
         // phase-lived buffer is handed to its owning worker through a
         // disjoint view — no per-round work-item collection. ---
         let stage1_start = now_if(P::ENABLED);
         {
             let state_c = DisjointChunks::new(state, &layout.node_ranges);
-            let cores_s = DisjointSlice::new(&mut self.cores);
+            let cores_s = DisjointSlice::new(&mut self.bufs.cores);
             let ebits_c = DisjointChunks::new(&mut sim.metrics.edge_bits, &layout.edge_ranges);
             let emsgs_c = DisjointChunks::new(&mut sim.metrics.edge_messages, &layout.edge_ranges);
-            let rows_c = DisjointChunks::new(&mut self.cells, &self.row_ranges);
-            let arrivals_s = DisjointSlice::new(&mut self.arrivals);
-            let scratch_s = DisjointSlice::new(&mut self.scratch);
-            let sends_s = DisjointSlice::new(&mut self.send_bufs);
+            let rows_c = DisjointChunks::new(&mut self.bufs.cells, &self.row_ranges);
+            let arrivals_s = DisjointSlice::new(&mut self.bufs.arrivals);
+            let scratch_s = DisjointSlice::new(&mut self.bufs.scratch);
+            let sends_s = DisjointSlice::new(&mut self.bufs.send_bufs);
             let out_s = DisjointSlice::new(&mut self.stage_out);
             pool.scatter(&|w| {
                 // SAFETY: worker `w` touches only chunk/element `w` of
@@ -492,18 +559,18 @@ impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
         }
         sim.metrics.bits += bits_total;
         sim.metrics.messages += msgs_total;
-        // Arena footprint at the barrier: the per-shard queued counts
-        // sum to the sequential engine's global transfer-start value.
-        let cell_size = self.cores[0].cell_size() as u64;
+        // Queue footprint at the barrier: the per-shard counts (backlog
+        // plus sends) sum to the sequential engine's global value.
+        let cell_size = self.bufs.cores[0].cell_size() as u64;
         sim.metrics.arena_cells_peak = sim.metrics.arena_cells_peak.max(queued_total);
         sim.metrics.arena_bytes_peak = sim.metrics.arena_bytes_peak.max(queued_total * cell_size);
 
         // --- Stage 2: splice the delivery cells onto the receiver
-        // shards' arrival runs, in sender-shard order (= ascending edge
-        // order) — one memcpy-style append per shard pair. Skipped
-        // entirely on quiet transfer rounds. ---
+        // shards' arrival runs, in sender-shard order — at most one
+        // memcpy-style append per shard pair. Skipped entirely on quiet
+        // transfer rounds. ---
         if P::ENABLED {
-            for (len, run) in self.pre_len.iter_mut().zip(&self.arrivals) {
+            for (len, run) in self.pre_len.iter_mut().zip(&self.bufs.arrivals) {
                 *len = run.len();
             }
             // Reset the per-receiver splice clocks: quiet rounds skip
@@ -511,9 +578,9 @@ impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
             self.splice_ns.fill(0);
         }
         let stage2_start = now_if(P::ENABLED);
-        if self.cells.iter().any(|c| !c.is_empty()) {
-            let cells_s = DisjointSlice::new(&mut self.cells);
-            let arrivals_s = DisjointSlice::new(&mut self.arrivals);
+        if self.bufs.cells.iter().any(|c| !c.is_empty()) {
+            let cells_s = DisjointSlice::new(&mut self.bufs.cells);
+            let arrivals_s = DisjointSlice::new(&mut self.bufs.arrivals);
             let splice_s = DisjointSlice::new(&mut self.splice_ns);
             pool.scatter(&|r| {
                 let t0 = now_if(P::ENABLED);
@@ -524,7 +591,14 @@ impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
                 let run = unsafe { arrivals_s.get(r) };
                 for w in 0..shards {
                     // Ascending `w` keeps the run in sender-shard order.
-                    run.append(unsafe { cells_s.get(w * shards + r) });
+                    // Stage 1 consumed the run, so the first nonempty
+                    // cell is swapped in rather than copied.
+                    let cell = &mut unsafe { cells_s.get(w * shards + r) }.0;
+                    if run.is_empty() {
+                        std::mem::swap(run, cell);
+                    } else {
+                        run.append(cell);
+                    }
                 }
                 if P::ENABLED {
                     // SAFETY: receiver `r` writes only its own slot (the
@@ -542,10 +616,15 @@ impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
             self.round_stamp += 1;
             let stamp = self.round_stamp;
             let mut dirty_nodes = 0u64;
-            for (&len, run) in self.pre_len.iter().zip(&self.arrivals) {
+            for (&len, run) in self.pre_len.iter().zip(&self.bufs.arrivals) {
                 dirty_nodes += stamp_receivers(&run[len..], &mut self.dirty_stamp, stamp);
             }
-            let active_edges: u64 = self.cores.iter().map(|c| c.active_edges() as u64).sum();
+            let active_edges: u64 = self
+                .bufs
+                .cores
+                .iter()
+                .map(|c| c.active_edges() as u64)
+                .sum();
             let obs = RoundObs {
                 round: sim.metrics.rounds - 1,
                 active_edges,
@@ -612,12 +691,12 @@ impl<M: Message, P: Probe> RoundPhase<M> for PooledPhase<'_, '_, M, P> {
         loop {
             // Hand every nonempty inbox to `f`, worker-parallel — unless
             // nothing was delivered (see `deliveries_pending`).
-            if deliveries_pending(&self.arrivals) {
+            if deliveries_pending(&self.bufs.arrivals) {
                 let layout = &self.sim.layout;
                 let pool = &self.sim.pool;
                 let state_c = DisjointChunks::new(state, &layout.node_ranges);
-                let arrivals_s = DisjointSlice::new(&mut self.arrivals);
-                let scratch_s = DisjointSlice::new(&mut self.scratch);
+                let arrivals_s = DisjointSlice::new(&mut self.bufs.arrivals);
+                let scratch_s = DisjointSlice::new(&mut self.bufs.scratch);
                 pool.scatter(&|w| {
                     // SAFETY: worker `w` touches only chunk/element `w`.
                     let (state_c, arrivals, scratch) =
@@ -643,11 +722,11 @@ impl<M: Message, P: Probe> RoundPhase<M> for PooledPhase<'_, '_, M, P> {
 
     fn in_flight(&self) -> bool {
         // O(shards): each core's emptiness is O(1).
-        self.cores.iter().any(|c| !c.is_empty())
+        self.bufs.cores.iter().any(|c| !c.is_empty())
     }
 
     fn idle(&self) -> bool {
-        !RoundPhase::in_flight(self) && !deliveries_pending(&self.arrivals)
+        !RoundPhase::in_flight(self) && !deliveries_pending(&self.bufs.arrivals)
     }
 }
 
@@ -731,11 +810,52 @@ mod tests {
         }
     }
 
+    /// Abandons a `u32` phase with a fragment still crossing and
+    /// deliveries unread, then runs a `u32` and a `u64` phase. Returns
+    /// what every node heard in the two later phases, which must start
+    /// idle and see nothing of the abandoned one.
+    fn reopen_after_abandon<E: RoundEngine>(eng: &mut E) -> Vec<Vec<(u32, u64)>> {
+        let n = eng.graph().n();
+        let mut unit = vec![(); n];
+        let mut p = eng.phase::<u32>();
+        p.step(&mut unit, |_, v, _in, out| {
+            out.broadcast(v, v.0, 4);
+            if v == NodeId(0) {
+                let to = out.neighbors(v)[0];
+                out.send(v, to, 99, 40);
+            }
+        });
+        assert!(p.in_flight(), "the 40-bit fragment is still crossing");
+        assert!(!p.idle(), "the 4-bit broadcasts are delivered but unread");
+        drop(p);
+        let mut heard: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+        let mut p = eng.phase::<u32>();
+        assert!(p.idle(), "a reopened u32 phase starts idle");
+        p.step(&mut heard, |_, v, inbox, out| {
+            assert!(inbox.is_empty(), "stale delivery in a reopened phase");
+            out.broadcast(v, v.0 + 1000, 13);
+        });
+        p.settle(64, &mut heard, |h, _, inbox| {
+            h.extend(inbox.iter().map(|&(f, m)| (f.0, u64::from(m))));
+        });
+        drop(p);
+        let mut p = eng.phase::<u64>();
+        assert!(p.idle(), "a u64 phase after u32 ones starts idle");
+        p.step(&mut heard, |_, v, inbox, out| {
+            assert!(inbox.is_empty(), "stale delivery in a new phase");
+            out.broadcast(v, u64::from(v.0) << 40, 22);
+        });
+        p.settle(64, &mut heard, |h, _, inbox| {
+            h.extend(inbox.iter().map(|&(f, m)| (f.0, m)));
+        });
+        heard
+    }
+
     #[test]
     fn phases_reuse_the_same_pool() {
-        // Two phases on one engine: the workers spawned at construction
-        // serve both (nothing is re-spawned; this also exercises pool
-        // reuse across message types).
+        // Phases on one engine: the workers spawned at construction
+        // serve them all (nothing is re-spawned), and each phase of a
+        // message type seen before reuses the last one's buffers.
         let g = generators::grid(6, 8);
         let config = SimConfig::with_bandwidth(9).with_per_edge_accounting();
         let mut seq = Simulator::new(&g, config);
@@ -759,6 +879,20 @@ mod tests {
         });
         q.settle(16, &mut vec![0usize; g.n()], |_, _, _| {});
         drop(q);
+        assert_eq!(seq.metrics(), RoundEngine::metrics(&par));
+        // A phase of a type seen last reuses that phase's buffers; a new
+        // type opens fresh ones.
+        let p = par.phase::<u8>();
+        assert!(p.bufs.send_bufs.iter().any(|b| b.capacity() > 0));
+        drop(p);
+        let p = par.phase::<u16>();
+        assert!(p.bufs.send_bufs.iter().all(|b| b.capacity() == 0));
+        drop(p);
+        // An abandoned phase leaves nothing behind for the next ones.
+        let want = reopen_after_abandon(&mut seq);
+        let got = reopen_after_abandon(&mut par);
+        assert!(want.iter().all(|h| !h.is_empty()));
+        assert_eq!(got, want, "inboxes diverged after an abandoned phase");
         assert_eq!(seq.metrics(), RoundEngine::metrics(&par));
         for (u, v) in g.edges() {
             assert_eq!(seq.messages_across(u, v), par.messages_across(u, v));

@@ -21,17 +21,19 @@
 //!   `Sends` frame in one monotone pass, and plays the stage-2
 //!   splicer: children are read in ascending shard order, which —
 //!   shards being CSR-aligned contiguous edge ranges ([`ShardLayout`])
-//!   — *is* ascending global edge order, the sequential reference
-//!   delivery order.  Delivered cells are decoded onto one arrival run
-//!   and grouped per node by the pooled engine's stable counting sort
-//!   when the next `step` or `settle` reads them;
+//!   — is ascending sender order across shards.  Delivered cells are
+//!   decoded onto one arrival run and grouped per node by the pooled
+//!   engine's stable counting sort when the next `step` or `settle`
+//!   reads them, so each inbox gets the sequential reference order;
 //! * each **child** owns its shard's message core over the shard's
-//!   local edge range and runs the bandwidth/fragmentation semantics
-//!   ([`MsgCore::transfer`]) on opaque payload bytes, stored inline in
-//!   the arena cell unless unusually long.  The transfer is
+//!   local edge range and, when the round's `Barrier` arrives, runs the
+//!   bandwidth/fragmentation semantics ([`MsgCore::round`]) over the
+//!   cells of the round's one `Sends` frame, on opaque payload bytes
+//!   (stored inline in an arena cell, unless unusually long, when a
+//!   message does not complete in its round).  The round is
 //!   payload-agnostic, so every counter the child reports (peak depth,
-//!   arena share, active edges) is identical to what an in-process core
-//!   would have measured.
+//!   queue footprint, active edges) is identical to what an in-process
+//!   core would have measured.
 //!
 //! A round allocates nothing per message on either side (a child boxes
 //! only payloads longer than 22 bytes): frames are built in place in
@@ -155,9 +157,11 @@ impl CellBytes {
 
 /// The child's whole life: a payload-opaque core servant.  It needs no
 /// graph, no message type and no metrics — just its local edge count
-/// and the bandwidth, delivered by `PhaseStart`.  Every reply is built
-/// in place in one reused [`FrameBuf`]; a protocol error ends the
-/// child, so a `Sends` run is enqueued as it is read.
+/// and the bandwidth, delivered by `PhaseStart`.  A round's one `Sends`
+/// frame is held until its `Barrier`, then its cells run through the
+/// core's round as they are read; a second `Sends` before the `Barrier`
+/// is a protocol error.  Every reply is built in place in one reused
+/// [`FrameBuf`]; a protocol error ends the child.
 fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
     let mut out = FrameBuf::new();
     out.begin();
@@ -166,6 +170,8 @@ fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
     let mut core: Option<MsgCore<CellBytes>> = None;
     let mut bw: u64 = 0;
     let mut epoch: u32 = 0;
+    // The held `Sends` frame: its bytes, cell count and payload length.
+    let mut held: Option<(Vec<u8>, u32, usize)> = None;
     loop {
         let bytes = t.recv()?;
         let frame = FrameView::parse(&bytes)?;
@@ -181,25 +187,22 @@ fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
                 let edges = get_varint(&mut p)? as usize;
                 bw = get_varint(&mut p)?;
                 core = Some(MsgCore::new(edges));
+                held = None;
                 epoch = frame.epoch;
             }
             FrameKind::Sends => {
-                let core = core.as_mut().ok_or(WireError::Payload)?;
-                // Edges outside the shard's range are a protocol error.
-                for cell in frame.cells() {
-                    let cell = cell?;
-                    let edge = usize::try_from(cell.edge)
-                        .ok()
-                        .filter(|&e| e < core.edges())
-                        .ok_or(WireError::Payload)?;
-                    core.enqueue(
-                        edge,
-                        cell.bits,
-                        NodeId(cell.from),
-                        CellBytes::new(cell.payload),
-                    );
+                if core.is_none() {
+                    return Err(WireError::Payload);
+                }
+                if held.is_some() {
+                    return Err(WireError::UnexpectedKind {
+                        want: FrameKind::Barrier,
+                        got: FrameKind::Sends,
+                    });
                 }
                 epoch = frame.epoch;
+                let (count, len) = (frame.count, frame.payload.len());
+                held = Some((bytes, count, len));
             }
             FrameKind::Barrier => {
                 if frame.epoch != epoch {
@@ -209,19 +212,47 @@ fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
                     });
                 }
                 let core = core.as_mut().ok_or(WireError::Payload)?;
-                // The transfer writes each delivered cell straight into
-                // the reply frame, so its time covers that encoding.
+                // The round writes each delivered cell straight into the
+                // reply frame, so its time covers that encoding.
                 let t0 = Instant::now();
-                let queued = core.queued() as u64;
+                let cells = match &held {
+                    Some((bytes, count, len)) => {
+                        CellReader::new(&bytes[HEADER_LEN..HEADER_LEN + len], *count as usize)
+                    }
+                    None => CellReader::new(&[], 0),
+                };
+                // Edges outside the shard's range are a protocol error;
+                // the first bad cell ends the sends and the child.
+                let edges = core.edges();
+                let mut bad = None;
+                let sends = cells.map_while(|cell| {
+                    let send = cell.and_then(|c| {
+                        let edge = usize::try_from(c.edge)
+                            .ok()
+                            .filter(|&e| e < edges)
+                            .ok_or(WireError::Payload)?;
+                        Ok(SendRecord {
+                            edge,
+                            bits: c.bits,
+                            from: NodeId(c.from),
+                            msg: CellBytes::new(c.payload),
+                        })
+                    });
+                    send.map_err(|e| bad = Some(e)).ok()
+                });
                 out.begin();
-                let peak = core.transfer(bw, |e, from, payload| {
+                let load = core.round(bw, sends, |e, from, payload| {
                     out.push_cell(e as u64, 0, from.0, payload.as_slice());
                 });
+                if let Some(e) = bad {
+                    return Err(e);
+                }
+                held = None;
                 let transfer_ns = t0.elapsed().as_nanos() as u64;
                 t.send(out.seal(FrameKind::Deliveries, shard, frame.epoch))?;
                 out.begin();
-                out.put_varint(queued);
-                out.put_varint(peak);
+                out.put_varint(load.cells);
+                out.put_varint(load.peak_depth);
                 out.put_varint(core.active_edges() as u64);
                 out.put_varint(core.queued() as u64);
                 out.put_varint(transfer_ns);
@@ -726,7 +757,7 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
 
 /// One typed communication phase on the process engine.  Structured
 /// like the sequential [`powersparse_congest::sim::Phase`] (the parent
-/// steps nodes in ID order), with the enqueue + transfer tail replaced
+/// steps nodes in ID order), with the message-core tail replaced
 /// by one wire round-trip per shard per round, and the pooled engine's
 /// inbox layout: deliveries accumulate on one arrival run and are
 /// grouped per node by a stable counting sort when they are read.
@@ -734,8 +765,9 @@ pub struct ProcessPhase<'s, 'g, M, P: Probe = NoProbe> {
     sim: &'s mut ProcessSimulator<'g, P>,
     /// Parking lot for payloads without an inline wire codec.
     slab: PayloadSlab<M>,
-    /// Messages delivered but not yet read, in ascending global edge
-    /// order (children are read in ascending shard order).
+    /// Messages delivered but not yet read: children are read in
+    /// ascending shard order, and each receiver's messages come in
+    /// ascending sender order, FIFO per edge.
     arrivals: Vec<Routed<M>>,
     /// Counting-sort workspace grouping `arrivals` into per-node inbox
     /// slices over the whole graph.
@@ -858,8 +890,8 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         assert!(records.next().is_none(), "a send escaped every shard");
         self.sim.metrics.bits += bits_total;
 
-        // Collect. Ascending shard order = ascending global edge order,
-        // the reference delivery order.
+        // Collect in ascending shard order (= ascending sender order
+        // across shards), so each inbox gets the reference order.
         debug_assert!(self.arrivals.is_empty(), "the step consumed every inbox");
         let mut queued_total = 0u64;
         let mut active_total = 0u64;
@@ -903,9 +935,9 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
                 shard_splice[w] = splice_count;
             }
         }
-        // The per-shard queued counts are sampled at each child's
-        // transfer start and sum to the sequential engine's global
-        // value; bytes scale by the parent-side typed cell size.
+        // The per-shard queue footprints (backlog plus the round's
+        // sends) sum to the sequential engine's global value; bytes
+        // scale by the parent-side typed cell size.
         self.sim.metrics.arena_cells_peak = self.sim.metrics.arena_cells_peak.max(queued_total);
         self.sim.metrics.arena_bytes_peak = self
             .sim
@@ -1203,6 +1235,87 @@ mod tests {
             EngineError { shard: 1, error }.to_string(),
             "process engine: shard 1: protocol version skew (want 3, got 99)"
         );
+    }
+
+    /// Serves a shard child on a thread over a socket pair: the parent's
+    /// end, past the child's `Hello`, and the child's result.
+    fn serve_child() -> (
+        StreamTransport,
+        std::thread::JoinHandle<Result<(), WireError>>,
+    ) {
+        let (parent, child) = UnixStream::pair().expect("socketpair");
+        let server = std::thread::spawn(move || child_serve(0, &mut StreamTransport::new(child)));
+        let mut t = StreamTransport::new(parent);
+        consume_hello(&mut t).expect("hello");
+        (t, server)
+    }
+
+    fn frame(kind: FrameKind, epoch: u32, fill: impl FnOnce(&mut FrameBuf)) -> Vec<u8> {
+        let mut f = FrameBuf::new();
+        f.begin();
+        fill(&mut f);
+        f.seal(kind, 0, epoch).to_vec()
+    }
+
+    /// A phase over four local edges at 8 bits per round.
+    fn start_phase(t: &mut StreamTransport) {
+        let start = frame(FrameKind::PhaseStart, 0, |f| {
+            f.put_varint(4);
+            f.put_varint(8);
+        });
+        t.send(&start).unwrap();
+    }
+
+    #[test]
+    fn child_runs_one_sends_frame_per_barrier() {
+        let (mut t, server) = serve_child();
+        start_phase(&mut t);
+        // A send that fits is delivered in its round; a 12-bit one takes
+        // the arena.
+        let sends = frame(FrameKind::Sends, 0, |f| {
+            f.push_cell(2, 8, 5, &[1]);
+            f.push_cell(3, 12, 5, &[2]);
+        });
+        t.send(&sends).unwrap();
+        t.send(&frame(FrameKind::Barrier, 0, |_| {})).unwrap();
+        let bytes = t.recv().unwrap();
+        let deliveries = FrameView::parse(&bytes).unwrap();
+        assert_eq!(deliveries.kind, FrameKind::Deliveries);
+        let cells: Vec<(u64, u32, Vec<u8>)> = deliveries
+            .cells()
+            .map(|c| c.map(|c| (c.edge, c.from, c.payload.to_vec())).unwrap())
+            .collect();
+        assert_eq!(cells, vec![(2, 5, vec![1])]);
+        let bytes = t.recv().unwrap();
+        let stats = FrameView::parse(&bytes).unwrap();
+        assert_eq!(stats.kind, FrameKind::RoundStats);
+        let mut p = stats.payload;
+        let counts: Vec<u64> = (0..4).map(|_| get_varint(&mut p).unwrap()).collect();
+        // Footprint 2 (the direct send counts), peak depth 1, one loaded
+        // edge holding one message.
+        assert_eq!(counts, vec![2, 1, 1, 1]);
+        // A second `Sends` before the round's `Barrier` fails closed.
+        for _ in 0..2 {
+            t.send(&frame(FrameKind::Sends, 1, |f| f.push_cell(0, 4, 5, &[3])))
+                .unwrap();
+        }
+        assert_eq!(
+            server.join().unwrap(),
+            Err(WireError::UnexpectedKind {
+                want: FrameKind::Barrier,
+                got: FrameKind::Sends
+            })
+        );
+    }
+
+    #[test]
+    fn child_rejects_an_out_of_range_edge() {
+        let (mut t, server) = serve_child();
+        start_phase(&mut t);
+        t.send(&frame(FrameKind::Sends, 0, |f| f.push_cell(4, 8, 5, &[1])))
+            .unwrap();
+        t.send(&frame(FrameKind::Barrier, 0, |_| {})).unwrap();
+        assert_eq!(server.join().unwrap(), Err(WireError::Payload));
     }
 
     #[test]

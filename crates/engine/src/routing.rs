@@ -8,16 +8,19 @@
 //!   nodes' out-edges (CSR alignment) — queues and per-edge counters are
 //!   sliced, never shared.
 //! * The sender side of a round touches only sender-shard-owned data and
-//!   emits deliveries bucketed by receiver shard ([`Routed`]), in
-//!   ascending edge order.
+//!   emits deliveries bucketed by receiver shard ([`Routed`]), in the
+//!   message core's round order: each receiver's messages by ascending
+//!   sender, FIFO per edge (not in global edge order).
 //! * The receiver side concatenates those buckets in sender-shard order,
-//!   which *is* ascending global edge order — the delivery order of the
-//!   sequential reference engine — onto one contiguous arrival run per
-//!   receiver. The pooled engine splices whole buffers (one `Vec::append`
-//!   per shard pair); the process engine decodes its children's
-//!   `Deliveries` frames onto one run over the whole graph.
+//!   which is ascending sender order across shards, onto one contiguous
+//!   arrival run per receiver. The pooled engine splices whole buffers
+//!   (a swap or one `Vec::append` per shard pair); the process engine
+//!   decodes its children's `Deliveries` frames onto one run over the
+//!   whole graph.
 //! * The per-node grouping is deferred to the next read, where the same
 //!   stable counting sort (`DistScratch`) turns a run into inbox slices.
+//!   Stability keeps each receiver's order, so every inbox gets the
+//!   delivery order of the sequential reference engine.
 //!
 //! Keeping this in one module is what keeps the two backends from
 //! drifting apart: they differ in *where* a shard's message core lives
@@ -135,11 +138,11 @@ impl<M> Default for DistScratch<M> {
 }
 
 impl<M> DistScratch<M> {
-    /// Groups an arrival run for nodes `lo..lo + n_local` (ascending
-    /// global edge order, consumed) into per-node inbox slices with a
-    /// stable counting sort: one counting pass, one placement pass, no
-    /// per-node allocation. Stability keeps each inbox in ascending edge
-    /// order — the sequential reference delivery order.
+    /// Groups an arrival run for nodes `lo..lo + n_local` (consumed)
+    /// into per-node inbox slices with a stable counting sort: one
+    /// counting pass, one placement pass, no per-node allocation.
+    /// Stability keeps each receiver's order from the run — ascending
+    /// sender, FIFO per edge, the sequential reference delivery order.
     pub(crate) fn distribute(&mut self, arrivals: &mut Vec<Routed<M>>, lo: usize, n_local: usize) {
         let total = arrivals.len();
         self.starts.clear();
@@ -165,6 +168,13 @@ impl<M> DistScratch<M> {
         // walks its own disjoint `starts[l]..starts[l + 1]` subrange, so
         // every slot in `0..total` was initialized exactly once above.
         unsafe { self.buf.set_len(total) };
+    }
+
+    /// Drops the last distribution's inboxes, keeping capacity.
+    pub(crate) fn clear(&mut self) {
+        self.starts.clear();
+        self.cursors.clear();
+        self.buf.clear();
     }
 
     /// Local node `l`'s inbox slice (valid after [`Self::distribute`]).
