@@ -6,9 +6,8 @@
 //! ```text
 //! experiments suite [--profile smoke|full|paper|engines | --spec FILE.toml] --out MANIFEST.json
 //!                   [--force-engine ENGINE] [--repeats R] [--warmup W]
-//! experiments suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]
+//! experiments suite --diff OLD.json NEW.json [--ignore-engine]
 //! experiments trend [DIR] [--out REPORT.json]
-//! experiments trace SCENARIO [--limit N] [--out FILE.json]
 //! experiments profile SCENARIO [--repeats R] [--chrome-trace OUT.json]
 //! ```
 //!
@@ -19,23 +18,20 @@
 //! run phase `R` times (plus `--warmup W` discarded invocations) and
 //! records mean/min/max/95%-CI wall statistics in the manifest. `trend`
 //! renders the cost trajectory across every `BENCH_*.json` in a
-//! directory, and `trace` runs one named builtin scenario (from any
-//! profile) with a round probe attached and prints the per-round
-//! activity table (round, active edges, dirty nodes, messages, bits) —
-//! `--out` exports the same rows as JSON. `profile` runs one scenario
-//! with the span probe attached and prints the per-stage × per-shard
-//! wall breakdown (step/transfer/barrier, imbalance, barrier-overhead
-//! share); `--chrome-trace` exports a Perfetto-loadable trace-event
-//! file.
+//! directory. `profile` runs one named builtin scenario (from any
+//! profile) with the span probe attached and prints the per-round
+//! activity table (round, active edges, dirty nodes, messages, bits),
+//! the run's totals and validation, and the per-stage × per-shard wall
+//! breakdown (step/transfer/barrier, imbalance, barrier-overhead share);
+//! `--chrome-trace` exports a Perfetto-loadable trace-event file.
 
-const USAGE: &str = "usage: experiments suite|trend|trace|profile [ARGS]";
+const USAGE: &str = "usage: experiments suite|trend|profile [ARGS]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("suite") => suite_cmd(&args[1..]),
         Some("trend") => trend_cmd(&args[1..]),
-        Some("trace") => trace_cmd(&args[1..]),
         Some("profile") => profile_cmd(&args[1..]),
         Some(other) => {
             eprintln!("unknown experiment '{other}' ({USAGE})");
@@ -154,188 +150,22 @@ fn find_builtin_scenario(target: &str) -> powersparse_workloads::Scenario {
     scenarios.swap_remove(i)
 }
 
-/// E12 — `experiments trace SCENARIO [--limit N]`: run one builtin
-/// scenario with a round probe attached and print the per-round
-/// activity table (round, active edges, dirty nodes, messages, bits).
-/// `--limit N` downsamples the table to at most `N` evenly strided rows
-/// (default: every round). The probe invariants (trace length = rounds
-/// on a full trace, per-round messages/bits summing to the run totals)
-/// are re-checked and a violation exits nonzero.
-fn trace_cmd(args: &[String]) {
-    use powersparse_workloads::{run_scenario_with, Json, Repeat, RunOptions, Scenario, TraceRow};
-
-    let mut target: Option<String> = None;
-    let mut limit = 0usize;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--limit" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("--limit requires a value");
-                    std::process::exit(2);
-                });
-                limit = value.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("cannot parse limit '{value}' (a row count; 0 = every round)");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--out requires a path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            other if target.is_none() && !other.starts_with('-') => {
-                target = Some(other.to_string());
-            }
-            other => {
-                eprintln!(
-                    "unknown trace argument '{other}' \
-                     (usage: experiments trace SCENARIO [--limit N] [--out FILE.json])"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(target) = target else {
-        eprintln!(
-            "trace requires a scenario name \
-             (usage: experiments trace SCENARIO [--limit N] [--out FILE.json])"
-        );
-        std::process::exit(2);
-    };
-    let sc = &find_builtin_scenario(&target);
-    let opts = RunOptions {
-        repeat: Repeat::once(),
-        trace: Some(limit),
-    };
-    let rec = run_scenario_with(sc, &opts).unwrap_or_else(|e| panic!("trace run failed: {e}"));
-    let trace = rec.trace.as_ref().expect("trace was requested");
-    println!(
-        "\n## E12: Round trace — `{}` ({} rounds, {} shown)\n",
-        Scenario::name(sc),
-        rec.rounds,
-        trace.len()
-    );
-    println!(
-        "{}",
-        row(&["round", "active edges", "dirty nodes", "messages", "bits"].map(String::from))
-    );
-    println!("{}", row(&["---"; 5].map(String::from)));
-    for r in trace {
-        println!(
-            "{}",
-            row(&[
-                r.round.to_string(),
-                r.active_edges.to_string(),
-                r.dirty_nodes.to_string(),
-                r.messages.to_string(),
-                r.bits.to_string(),
-            ])
-        );
-    }
-    println!(
-        "\ntotals: {} rounds ({} charged), {} messages, {} bits; peak queue {}; \
-         arena peak {} cells / {} bytes; validation: {}",
-        rec.rounds,
-        rec.charged_rounds,
-        rec.messages,
-        rec.bits,
-        rec.peak_queue_depth,
-        rec.arena_cells_peak,
-        rec.arena_bytes_peak,
-        rec.validation.detail
-    );
-    // Re-check the probe invariants the manifest trace section rests on.
-    let mut bad = false;
-    if limit == 0 {
-        if trace.len() as u64 != rec.rounds {
-            eprintln!(
-                "PROBE VIOLATION: full trace has {} rows but the run counted {} rounds",
-                trace.len(),
-                rec.rounds
-            );
-            bad = true;
-        }
-        let (msgs, bits): (u64, u64) = trace
-            .iter()
-            .fold((0, 0), |(m, b), r| (m + r.messages, b + r.bits));
-        if msgs != rec.messages || bits != rec.bits {
-            eprintln!(
-                "PROBE VIOLATION: trace sums ({msgs} msgs, {bits} bits) disagree with the \
-                 counters ({} msgs, {} bits)",
-                rec.messages, rec.bits
-            );
-            bad = true;
-        }
-    } else if trace.len() > limit {
-        eprintln!(
-            "PROBE VIOLATION: downsampled trace has {} rows > limit {limit}",
-            trace.len()
-        );
-        bad = true;
-    }
-    if let Some(path) = &out {
-        // Structured export of the same rows, gated by an exact
-        // round trip through the manifest TraceRow schema.
-        let doc = Json::Obj(vec![
-            ("scenario".into(), Json::str(&Scenario::name(sc))),
-            ("rounds".into(), Json::num(rec.rounds)),
-            (
-                "rows".into(),
-                Json::Arr(trace.iter().map(TraceRow::to_json).collect()),
-            ),
-        ]);
-        let text = doc.to_string_pretty();
-        std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        let reread =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot re-read {path}: {e}"));
-        let back = Json::parse(&reread).unwrap_or_else(|e| {
-            eprintln!("TRACE EXPORT VIOLATION: {path} does not parse back: {e}");
-            std::process::exit(1);
-        });
-        let rows: Result<Vec<TraceRow>, _> = back
-            .get("rows")
-            .and_then(Json::as_arr)
-            .map(|rows| rows.iter().map(TraceRow::from_json).collect())
-            .unwrap_or_else(|| {
-                eprintln!("TRACE EXPORT VIOLATION: {path} lost its rows array");
-                std::process::exit(1);
-            });
-        match rows {
-            Ok(rows) if rows == *trace => println!("trace JSON written to {path}"),
-            Ok(_) => {
-                eprintln!("TRACE EXPORT VIOLATION: {path} rows drifted through the round trip");
-                bad = true;
-            }
-            Err(e) => {
-                eprintln!("TRACE EXPORT VIOLATION: {path} rows do not parse: {e}");
-                bad = true;
-            }
-        }
-    }
-    if !rec.validation.passed || bad {
-        eprintln!("trace failed — see above");
-        std::process::exit(1);
-    }
-}
-
-/// E13 — `profile`: stage-level time attribution for one builtin
-/// scenario. Runs the scenario `--repeats` times with a span probe
-/// attached and prints the per-stage × per-shard wall breakdown, the
-/// step-imbalance metric (max/mean shard step time) and the barrier
-/// overhead share; `--chrome-trace OUT.json` additionally exports the
-/// first profiled run as a Chrome trace-event file (one Perfetto track
-/// per shard plus active-edge/arena counter tracks), gated by parsing
-/// the written file back. Span timings are machine-shaped: nothing here
-/// is compared across runs or engines.
+/// E13 — `profile`: where one builtin scenario's rounds and wall clock
+/// went. Runs the scenario `--repeats` times with a span probe attached
+/// and prints the per-round activity table (every round), the run's
+/// totals and validation, then the per-stage × per-shard wall
+/// breakdown, the step-imbalance metric (max/mean shard step time) and
+/// the barrier overhead share. Every repeat's probe is re-checked
+/// against the run's counters ([`powersparse_workloads::trace_violations`]);
+/// a broken invariant or a failed validation exits 1. `--chrome-trace
+/// OUT.json` additionally exports the first profiled run as a Chrome
+/// trace-event file (one Perfetto track per shard plus active-edge/arena
+/// counter tracks), gated by parsing the written file back. Span timings
+/// are machine-shaped: nothing here is compared across runs or engines.
 fn profile_cmd(args: &[String]) {
-    use powersparse_workloads::{breakdown, chrome_trace, profile_scenario, Json, Scenario};
+    use powersparse_workloads::{
+        breakdown, chrome_trace, profile_scenario, trace_violations, Json, Scenario,
+    };
 
     let mut target: Option<String> = None;
     let mut repeats = 1usize;
@@ -381,17 +211,55 @@ fn profile_cmd(args: &[String]) {
         std::process::exit(2);
     };
     let sc = find_builtin_scenario(&target);
-
-    let t = std::time::Instant::now();
-    let probes =
+    let (rec, probes) =
         profile_scenario(&sc, repeats).unwrap_or_else(|e| panic!("profile run failed: {e}"));
-    let wall_mean_us = t.elapsed().as_micros() as f64 / repeats as f64;
-    let b = breakdown(&probes);
 
     println!(
-        "\n## E13: Stage profile — `{}` ({} rounds, {} shard{}, {} repeat{})\n",
+        "\n## E13: Profile — `{}` ({} rounds, {} charged)\n",
         Scenario::name(&sc),
-        b.rounds,
+        rec.rounds,
+        rec.charged_rounds
+    );
+    println!(
+        "{}",
+        row(&["round", "active edges", "dirty nodes", "messages", "bits"].map(String::from))
+    );
+    println!("{}", row(&["---"; 5].map(String::from)));
+    for obs in &probes[0].rounds {
+        println!(
+            "{}",
+            row(&[
+                obs.round.to_string(),
+                obs.active_edges.to_string(),
+                obs.dirty_nodes.to_string(),
+                obs.messages.to_string(),
+                obs.bits.to_string(),
+            ])
+        );
+    }
+    println!(
+        "\ntotals: {} rounds ({} charged), {} messages, {} bits; peak queue {}; \
+         arena peak {} cells / {} bytes; validation: {}",
+        rec.rounds,
+        rec.charged_rounds,
+        rec.messages,
+        rec.bits,
+        rec.peak_queue_depth,
+        rec.arena_cells_peak,
+        rec.arena_bytes_peak,
+        rec.validation.detail
+    );
+    let mut bad = !rec.validation.passed;
+    for (i, probe) in probes.iter().enumerate() {
+        for violation in trace_violations(probe, &rec) {
+            eprintln!("PROBE VIOLATION (repeat {i}): {violation}");
+            bad = true;
+        }
+    }
+
+    let b = breakdown(&probes);
+    println!(
+        "\n### Stages ({} shard{}, {} repeat{})\n",
         b.stats.shards,
         if b.stats.shards == 1 { "" } else { "s" },
         repeats,
@@ -430,7 +298,7 @@ fn profile_cmd(args: &[String]) {
          attributed time; spanned-run wall mean: {:.1}µs",
         b.stats.imbalance,
         100.0 * b.stats.barrier_share,
-        wall_mean_us,
+        rec.wall_stats.mean_us,
     );
 
     if let Some(path) = &trace_out {
@@ -457,6 +325,10 @@ fn profile_cmd(args: &[String]) {
             }
         }
     }
+    if bad {
+        eprintln!("profile failed — see above");
+        std::process::exit(1);
+    }
 }
 
 /// E10 — The workload scenario suite: the declarative graph-family ×
@@ -467,13 +339,13 @@ fn profile_cmd(args: &[String]) {
 /// measured quantities the paper's tables report.
 fn suite_cmd(args: &[String]) {
     use powersparse_workloads::{
-        builtin_suite, parse_suite, run_suite_with, EngineSpec, Repeat, RunOptions, SuiteProfile,
+        builtin_suite, parse_suite, run_suite_with, EngineSpec, Repeat, SuiteProfile,
     };
 
     let usage = "usage: experiments suite [--profile smoke|full|paper|engines | --spec FILE.toml] \
                  --out MANIFEST.json [--force-engine sequential|pooled|process] \
                  [--repeats R] [--warmup W] \
-                 | suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]";
+                 | suite --diff OLD.json NEW.json [--ignore-engine]";
     // Strict argument parsing: a mistyped flag must not silently fall
     // back to the full builtin suite (the spec-file parser rejects
     // unknown keys for the same reason).
@@ -481,8 +353,6 @@ fn suite_cmd(args: &[String]) {
     let mut out: Option<String> = None;
     let mut spec: Option<String> = None;
     let mut diff: Option<(String, String)> = None;
-    let mut tolerance = 0.0f64;
-    let mut saw_tolerance = false;
     let mut force_engine: Option<String> = None;
     let mut ignore_engine = false;
     let mut repeats = 1usize;
@@ -544,22 +414,6 @@ fn suite_cmd(args: &[String]) {
                 };
                 diff = Some((old.clone(), new.clone()));
             }
-            "--tolerance" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("--tolerance requires a value (a fraction, e.g. 0.1)");
-                    std::process::exit(2);
-                });
-                tolerance = match value.parse::<f64>() {
-                    Ok(t) if t >= 0.0 && t.is_finite() => t,
-                    _ => {
-                        eprintln!(
-                            "cannot parse tolerance '{value}' (must be a non-negative fraction)"
-                        );
-                        std::process::exit(2);
-                    }
-                };
-                saw_tolerance = true;
-            }
             other => {
                 eprintln!("unknown suite argument '{other}' ({usage})");
                 std::process::exit(2);
@@ -576,11 +430,7 @@ fn suite_cmd(args: &[String]) {
             eprintln!("--diff compares two existing manifests; it cannot be combined with --profile/--spec/--out/--force-engine/--repeats/--warmup");
             std::process::exit(2);
         }
-        return diff_cmd(&old_path, &new_path, tolerance, ignore_engine);
-    }
-    if saw_tolerance {
-        eprintln!("--tolerance only applies to --diff");
-        std::process::exit(2);
+        return diff_cmd(&old_path, &new_path, ignore_engine);
     }
     if ignore_engine {
         eprintln!("--ignore-engine only applies to --diff");
@@ -627,12 +477,9 @@ fn suite_cmd(args: &[String]) {
         }
         name = format!("{name}+force-{engine}");
     }
-    let opts = RunOptions {
-        repeat: Repeat {
-            invocations: repeats,
-            warmup,
-        },
-        trace: None,
+    let rep = Repeat {
+        invocations: repeats,
+        warmup,
     };
     println!(
         "\n## E10: Workload suite `{name}` — {} scenarios{}\n",
@@ -659,7 +506,7 @@ fn suite_cmd(args: &[String]) {
     );
     println!("{}", row(&["---"; 8].map(String::from)));
     let manifest =
-        run_suite_with(&name, &scenarios, &opts).unwrap_or_else(|e| panic!("suite failed: {e}"));
+        run_suite_with(&name, &scenarios, rep).unwrap_or_else(|e| panic!("suite failed: {e}"));
     for run in &manifest.runs {
         let wall = if run.wall_stats.samples > 1 {
             format!(
@@ -703,10 +550,10 @@ fn suite_cmd(args: &[String]) {
 
 /// E10b — `suite --diff`: field-by-field manifest regression comparison.
 /// Exits nonzero when a baseline run is missing or reshaped, a counter
-/// grew beyond the tolerance, or a validation flipped to failed. With
+/// grew, or a validation flipped to failed. With
 /// `--ignore-engine`, runs are matched modulo engine backend and shard
 /// count — the cross-engine conformance gate.
-fn diff_cmd(old_path: &str, new_path: &str, tolerance: f64, ignore_engine: bool) {
+fn diff_cmd(old_path: &str, new_path: &str, ignore_engine: bool) {
     use powersparse_workloads::{diff_manifests_with, DiffOptions, SuiteManifest};
 
     let load = |path: &str| {
@@ -726,14 +573,7 @@ fn diff_cmd(old_path: &str, new_path: &str, tolerance: f64, ignore_engine: bool)
         old.runs.len(),
         new.runs.len()
     );
-    let report = diff_manifests_with(
-        &old,
-        &new,
-        DiffOptions {
-            tolerance,
-            ignore_engine,
-        },
-    );
+    let report = diff_manifests_with(&old, &new, DiffOptions { ignore_engine });
     print!("{report}");
     if !report.clean() {
         eprintln!("regression diff failed — see the report above");

@@ -225,8 +225,8 @@ pub struct Metrics {
     /// [`RoundEngine::charge_rounds`]).
     pub rounds: u64,
     /// Rounds charged analytically via [`RoundEngine::charge_rounds`]
-    /// (a subset of `rounds`; nonzero only where DESIGN.md documents a
-    /// cost-accounting substitution).
+    /// (a subset of `rounds`; nonzero only in the charged sub-simulations
+    /// the `powersparse::params` docs list under "Substitutions").
     pub charged_rounds: u64,
     /// Total messages delivered.
     pub messages: u64,
@@ -440,8 +440,10 @@ pub trait RoundEngine {
     /// Cost metrics so far.
     fn metrics(&self) -> &Metrics;
 
-    /// Charges `r` rounds without running them (cost-accounting
-    /// substitutions documented in DESIGN.md).
+    /// Charges `r` rounds without running them (the charged
+    /// sub-simulations the `powersparse::params` docs list under
+    /// "Substitutions"); every backend calls
+    /// [`crate::probe::charge_rounds`].
     fn charge_rounds(&mut self, r: u64);
 
     /// Messages delivered across the directed edge `u → v` so far.

@@ -21,8 +21,8 @@
 //!   pins down delivery order so every backend is bit-for-bit
 //!   deterministic.
 //! * [`sim::Simulator`] owns the metrics; algorithms open typed
-//!   [`sim::Phase`]s and drive them round by round with closures
-//!   `(node, inbox, outbox)`.
+//!   [`sim::Phase`]s and drive them round by round through
+//!   [`engine::RoundPhase`], the same API every backend implements.
 //! * Messages carry an explicit bit size. A message larger than the
 //!   remaining per-edge budget is **fragmented automatically**: it occupies
 //!   the edge for `⌈bits / bandwidth⌉` rounds and is delivered when its
@@ -30,7 +30,11 @@
 //!   instead of being asserted — the measured round counts are the
 //!   experiment results.
 //! * [`sim::Metrics`] tracks rounds, messages, bits, and per-edge traffic
-//!   (used by the Figure-1 tightness experiment).
+//!   (used by the Figure-1 tightness tests of Lemma 4.2).
+//! * [`probe`] observes a run on any backend: one [`probe::RoundObs`]
+//!   and one [`probe::RoundSpans`] per round, one [`probe::PhaseObs`] per
+//!   phase. [`probe::SpanProbe`] records them all; the default
+//!   [`probe::NoProbe`] compiles the layer out.
 //!
 //! # Primitives
 //!
@@ -44,28 +48,26 @@
 //! # Example
 //!
 //! ```
+//! use powersparse_congest::engine::RoundPhase;
 //! use powersparse_congest::sim::{SimConfig, Simulator};
-//! use powersparse_graphs::{generators, NodeId};
+//! use powersparse_graphs::generators;
 //!
 //! let g = generators::path(4);
 //! let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
 //! // One round of "send your ID left and right".
 //! let mut phase = sim.phase::<u32>();
-//! phase.round(|v, _inbox, out| {
+//! phase.step_stateless(|v, _inbox, out| {
 //!     for w in out.neighbors(v).to_vec() {
 //!         out.send(v, w, v.0, 8);
 //!     }
 //! });
-//! // Read what arrived.
-//! let mut got = vec![];
-//! phase.round(|v, inbox, _out| {
-//!     if v == NodeId(1) {
-//!         got = inbox.iter().map(|(_, m)| *m).collect();
-//!     }
+//! // Read what arrived: each node keeps the IDs it heard.
+//! let mut got: Vec<Vec<u32>> = vec![Vec::new(); 4];
+//! phase.step(&mut got, |mine, _v, inbox, _out| {
+//!     mine.extend(inbox.iter().map(|&(_, id)| id));
 //! });
 //! drop(phase);
-//! got.sort();
-//! assert_eq!(got, vec![0, 2]);
+//! assert_eq!(got[1], vec![0, 2]);
 //! assert_eq!(sim.metrics().rounds, 2);
 //! ```
 
@@ -80,6 +82,6 @@ pub use engine::{
     Delivery, Message, Metrics, MetricsConfig, Outbox, RoundEngine, RoundPhase, SendRecord,
 };
 pub use msgcore::MsgCore;
-pub use probe::{NoProbe, PhaseObs, Probe, RoundObs, TraceProbe};
+pub use probe::{NoProbe, PhaseObs, Probe, RoundObs, SpanProbe};
 pub use sim::{Phase, SimConfig, Simulator};
 pub use trees::{GlobalTree, QTrees};

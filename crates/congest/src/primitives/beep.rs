@@ -333,7 +333,7 @@ mod tests {
         }
     }
 
-    /// The ablation from DESIGN.md §7: forwarding only ONE tuple per step
+    /// The ablation the module docs describe: forwarding only ONE tuple per step
     /// can suppress a real neighbor's beep behind another tuple, so a
     /// beeping node misses its beeping distance-k neighbor. On the path
     /// `0 − 1 − 2` with beepers 0 and 2 and `k = 2`, the relay (node 1)

@@ -27,6 +27,12 @@
 //! [`PhaseObs`] fires when a typed phase is dropped, carrying the phase
 //! ordinal and the rounds/messages/bits the phase consumed.
 //!
+//! Only the per-round emission differs between engines, because each
+//! measures its spans differently. The rest is defined here once and
+//! called by all three: [`charge_rounds`] bills charged rounds, and a
+//! [`PhaseMark`] taken when a phase opens emits its [`PhaseObs`] when it
+//! drops.
+//!
 //! # Span emission points
 //!
 //! Directly after each [`RoundObs`], an engine emits one [`RoundSpans`]
@@ -71,6 +77,8 @@
 //! pre-probe engine — no branch, no allocation, no trace storage, no
 //! clock reads ([`now_if`] returns `None` without touching the clock,
 //! and [`probe_vec`] returns a zero-capacity vector).
+
+use crate::engine::Metrics;
 
 /// What one round looked like, observed at the round barrier.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -173,12 +181,6 @@ impl RoundSpans {
     pub fn shards(&self) -> usize {
         self.step_ns.len()
     }
-
-    /// The shard's total busy time this round (step + transfer), in
-    /// nanoseconds.
-    pub fn busy_ns(&self, shard: usize) -> u64 {
-        self.step_ns[shard] + self.transfer_ns[shard]
-    }
 }
 
 /// Reads the monotonic clock only when `enabled` — the span layer's
@@ -226,6 +228,60 @@ pub struct PhaseObs {
     pub bits: u64,
 }
 
+/// A phase's ordinal and the counters at the moment it opened. Every
+/// engine takes one in `phase()` and closes it when the phase drops.
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseMark {
+    phase: u64,
+    rounds: u64,
+    messages: u64,
+    bits: u64,
+}
+
+impl PhaseMark {
+    /// Opens phase number `*opened` at the counters `m`, and advances
+    /// the count.
+    pub fn open(opened: &mut u64, m: &Metrics) -> Self {
+        let phase = *opened;
+        *opened += 1;
+        Self {
+            phase,
+            rounds: m.rounds,
+            messages: m.messages,
+            bits: m.bits,
+        }
+    }
+
+    /// Emits the phase's [`PhaseObs`]: what the counters `m` grew by
+    /// since it opened.
+    pub fn close<P: Probe>(&self, m: &Metrics, probe: &mut P) {
+        if P::ENABLED {
+            probe.on_phase_end(PhaseObs {
+                phase: self.phase,
+                rounds: m.rounds - self.rounds,
+                messages: m.messages - self.messages,
+                bits: m.bits - self.bits,
+            });
+        }
+    }
+}
+
+/// Charges `r` rounds without running them: the body of every engine's
+/// [`RoundEngine::charge_rounds`](crate::engine::RoundEngine::charge_rounds).
+/// Each charged round emits a zeroed [`RoundObs`] and an empty
+/// [`RoundSpans`], so the probe's trace stays one entry per
+/// [`Metrics::rounds`].
+pub fn charge_rounds<P: Probe>(m: &mut Metrics, probe: &mut P, r: u64) {
+    if P::ENABLED {
+        for round in m.rounds..m.rounds + r {
+            probe.on_round_end(RoundObs::charged(round));
+            probe.on_round_spans(RoundSpans::charged(round));
+        }
+    }
+    m.rounds += r;
+    m.charged_rounds += r;
+}
+
 /// A round/phase observer attached to an engine.
 ///
 /// Implementations are called on the engine's caller thread only, after
@@ -242,12 +298,8 @@ pub trait Probe {
 
     /// Called once per round, directly after [`Probe::on_round_end`],
     /// with the round's per-shard stage timings (see the module docs'
-    /// "Span emission points"). The default implementation drops the
-    /// spans, so trace probes that only care about counters (like
-    /// [`TraceProbe`]) stay comparable across backends.
-    fn on_round_spans(&mut self, spans: RoundSpans) {
-        let _ = spans;
-    }
+    /// "Span emission points").
+    fn on_round_spans(&mut self, spans: RoundSpans);
 
     /// Called once per phase, when the phase is dropped.
     fn on_phase_end(&mut self, obs: PhaseObs);
@@ -270,43 +322,10 @@ impl Probe for NoProbe {
     fn on_phase_end(&mut self, _obs: PhaseObs) {}
 }
 
-/// A probe that records the full trace — the conformance suite compares
-/// these across backends, and the workload runner turns them into the
-/// manifest's per-round trace section.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceProbe {
-    /// One entry per round, in round order.
-    pub rounds: Vec<RoundObs>,
-    /// One entry per closed phase, in open order.
-    pub phases: Vec<PhaseObs>,
-}
-
-impl TraceProbe {
-    /// An empty trace collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The engine-invariant per-round cores (see [`RoundObs::core`]).
-    pub fn cores(&self) -> Vec<(u64, u64, u64, u64, u64)> {
-        self.rounds.iter().map(RoundObs::core).collect()
-    }
-}
-
-impl Probe for TraceProbe {
-    fn on_round_end(&mut self, obs: RoundObs) {
-        self.rounds.push(obs);
-    }
-
-    fn on_phase_end(&mut self, obs: PhaseObs) {
-        self.phases.push(obs);
-    }
-}
-
-/// A probe that records the full trace *and* the per-round stage spans
-/// — the profiler's collector. Kept separate from [`TraceProbe`] so the
-/// conformance suite can keep comparing whole `TraceProbe`s across
-/// backends (span timings are backend-shaped and would never match).
+/// The recording probe: every round observation, every round's stage
+/// spans and every phase observation. Span timings are backend-shaped,
+/// so cross-backend comparisons compare [`SpanProbe::rounds`] and
+/// [`SpanProbe::phases`], never whole probes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanProbe {
     /// One entry per round, in round order.
@@ -357,9 +376,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_probe_collects_in_order() {
-        const { assert!(TraceProbe::ENABLED) };
-        let mut p = TraceProbe::new();
+    fn span_probe_collects_spans_in_order() {
+        const { assert!(SpanProbe::ENABLED) };
+        let mut p = SpanProbe::new();
         p.on_round_end(RoundObs {
             round: 0,
             active_edges: 3,
@@ -378,28 +397,6 @@ mod tests {
         assert_eq!(p.cores(), vec![(0, 3, 2, 4, 32), (1, 0, 0, 0, 0)]);
         assert_eq!(p.rounds[1].shard_splice, Vec::<u64>::new());
         assert_eq!(p.phases.len(), 1);
-    }
-
-    #[test]
-    fn trace_probe_drops_spans() {
-        // The default on_round_spans keeps TraceProbe span-free, so
-        // whole-struct comparisons across backends stay meaningful.
-        let mut p = TraceProbe::new();
-        p.on_round_spans(RoundSpans {
-            round: 0,
-            step_ns: vec![10],
-            transfer_ns: vec![20],
-            barrier_ns: Vec::new(),
-            arena_cells: vec![1],
-        });
-        assert_eq!(p, TraceProbe::new());
-    }
-
-    #[test]
-    fn span_probe_collects_spans_in_order() {
-        const { assert!(SpanProbe::ENABLED) };
-        let mut p = SpanProbe::new();
-        p.on_round_end(RoundObs::charged(0));
         p.on_round_spans(RoundSpans {
             round: 0,
             step_ns: vec![5, 7],
@@ -411,7 +408,6 @@ mod tests {
         assert_eq!(p.spans.len(), 2);
         assert_eq!(p.spans[0].structure(), (2, 2, 2));
         assert_eq!(p.spans[0].shards(), 2);
-        assert_eq!(p.spans[0].busy_ns(0), 8);
         assert_eq!(p.spans[1].structure(), (0, 0, 0));
         assert_eq!(p.spans[1].round, 1);
     }

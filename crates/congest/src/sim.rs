@@ -5,7 +5,7 @@ pub use crate::engine::{Metrics, MetricsConfig, Outbox};
 
 use crate::engine::{Delivery, Message, RoundEngine, RoundPhase, SendRecord};
 use crate::msgcore::MsgCore;
-use crate::probe::{now_if, ns_between, NoProbe, PhaseObs, Probe, RoundObs, RoundSpans};
+use crate::probe::{now_if, ns_between, NoProbe, PhaseMark, Probe, RoundObs, RoundSpans};
 use powersparse_graphs::{Graph, NodeId};
 
 /// Configuration of a round engine (shared by all backends). No
@@ -60,14 +60,14 @@ impl SimConfig {
 /// The probe parameter `P` defaults to [`NoProbe`] (observation sites
 /// compile out entirely); [`Simulator::with_probe`] attaches a real
 /// [`Probe`] that receives one [`RoundObs`] per round and one
-/// [`PhaseObs`] per closed phase.
+/// [`crate::probe::PhaseObs`] per closed phase.
 #[derive(Debug)]
 pub struct Simulator<'g, P: Probe = NoProbe> {
     graph: &'g Graph,
     config: SimConfig,
     metrics: Metrics,
     probe: P,
-    /// Phases opened so far (the [`PhaseObs::phase`] ordinal source).
+    /// Phases opened so far (the [`PhaseMark`] ordinal source).
     phases_opened: u64,
 }
 
@@ -116,21 +116,9 @@ impl<'g, P: Probe> Simulator<'g, P> {
         &self.metrics
     }
 
-    /// Charges `r` rounds without running them. Only used for
-    /// cost-accounting substitutions documented in DESIGN.md (the charge
-    /// is also recorded separately in [`Metrics::charged_rounds`]). An
-    /// attached probe sees `r` zeroed observations so the trace length
-    /// stays equal to [`Metrics::rounds`].
+    /// Charges `r` rounds without running them ([`crate::probe::charge_rounds`]).
     pub fn charge_rounds(&mut self, r: u64) {
-        if P::ENABLED {
-            for i in 0..r {
-                let round = self.metrics.rounds + i;
-                self.probe.on_round_end(RoundObs::charged(round));
-                self.probe.on_round_spans(RoundSpans::charged(round));
-            }
-        }
-        self.metrics.rounds += r;
-        self.metrics.charged_rounds += r;
+        crate::probe::charge_rounds(&mut self.metrics, &mut self.probe, r);
     }
 
     /// Messages delivered across the directed edge `u → v` so far.
@@ -159,20 +147,12 @@ impl<'g, P: Probe> Simulator<'g, P> {
     pub fn phase<M: Clone>(&mut self) -> Phase<'_, 'g, M, P> {
         let n = self.graph.n();
         let dir_edges = 2 * self.graph.m();
-        let ordinal = self.phases_opened;
-        self.phases_opened += 1;
-        let open = (
-            self.metrics.rounds,
-            self.metrics.messages,
-            self.metrics.bits,
-        );
         Phase {
             core: MsgCore::new(dir_edges),
             inboxes: vec![Vec::new(); n],
             dirty: Vec::new(),
             sends: Vec::new(),
-            ordinal,
-            open,
+            mark: PhaseMark::open(&mut self.phases_opened, &self.metrics),
             sim: self,
         }
     }
@@ -234,24 +214,13 @@ pub struct Phase<'s, 'g, M, P: Probe = NoProbe> {
     dirty: Vec<u32>,
     /// Reused send-record scratch (drained every round).
     sends: Vec<SendRecord<M>>,
-    /// Phase ordinal on this simulator (0-based, open order).
-    ordinal: u64,
-    /// `(rounds, messages, bits)` at phase open — the [`PhaseObs`]
-    /// deltas are taken against these when the phase drops.
-    open: (u64, u64, u64),
+    /// The phase's ordinal and opening counters.
+    mark: PhaseMark,
 }
 
 impl<M, P: Probe> Drop for Phase<'_, '_, M, P> {
     fn drop(&mut self) {
-        if P::ENABLED {
-            let m = &self.sim.metrics;
-            self.sim.probe.on_phase_end(PhaseObs {
-                phase: self.ordinal,
-                rounds: m.rounds - self.open.0,
-                messages: m.messages - self.open.1,
-                bits: m.bits - self.open.2,
-            });
-        }
+        self.mark.close(&self.sim.metrics, &mut self.sim.probe);
     }
 }
 
@@ -261,20 +230,10 @@ impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
         self.sim.graph
     }
 
-    /// Executes one synchronous round. For every node `v`, `f` receives
-    /// the messages delivered to `v` this round (as `(sender, message)`
-    /// pairs) and an [`Outbox`] for sending. After all nodes have acted,
-    /// every directed edge transfers up to `bandwidth` bits from its
-    /// queue; fully transferred messages are delivered next round.
-    pub fn round(&mut self, mut f: impl FnMut(NodeId, &[Delivery<M>], &mut Outbox<'_, M>)) {
-        self.run_step(|i, inbox, out| f(NodeId::from(i), inbox, out));
-    }
-
     /// The single definition of a sequential round: step every node in ID
-    /// order, then run the message core's round and account. Both the legacy
-    /// [`Phase::round`] closures and the engine-generic
-    /// [`RoundPhase::step`] route through here so the reference
-    /// semantics live in exactly one place.
+    /// order, then run the message core's round and account
+    /// ([`RoundPhase::step`] and the silent rounds of
+    /// [`RoundPhase::settle`]).
     fn run_step(&mut self, mut g: impl FnMut(usize, &[Delivery<M>], &mut Outbox<'_, M>)) {
         let n = self.sim.graph.n();
         // Every inbox is consumed below, so the dirty worklist resets.
@@ -291,9 +250,8 @@ impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
         self.sends = sends;
     }
 
-    /// The single definition of the quiescence loop backing both
-    /// [`Phase::drain`] and [`RoundPhase::settle`]. Visits only nodes
-    /// with deliveries (the dirty worklist, in ID order) — a quiet
+    /// The quiescence loop behind [`RoundPhase::settle`]. Visits only
+    /// nodes with deliveries (the dirty worklist, in ID order) — a quiet
     /// round while fragments cross costs O(active), not O(n).
     fn run_drain(&mut self, max_rounds: u64, mut g: impl FnMut(usize, &[Delivery<M>])) {
         let mut spent = 0;
@@ -310,31 +268,9 @@ impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
                 break;
             }
             assert!(spent < max_rounds, "drain exceeded {max_rounds} rounds");
-            self.round(|_, _, _| {});
+            self.run_step(|_, _, _| {});
             spent += 1;
         }
-    }
-
-    /// Runs `t` rounds with the same handler.
-    pub fn rounds(
-        &mut self,
-        t: usize,
-        mut f: impl FnMut(NodeId, &[Delivery<M>], &mut Outbox<'_, M>),
-    ) {
-        for _ in 0..t {
-            self.round(&mut f);
-        }
-    }
-
-    /// Runs silent rounds (no new sends) until all in-flight messages
-    /// have been delivered, handing **every** delivery (including those
-    /// completing in intermediate rounds) to `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if draining takes more than `max_rounds` rounds.
-    pub fn drain(&mut self, max_rounds: u64, mut f: impl FnMut(NodeId, &[Delivery<M>])) {
-        self.run_drain(max_rounds, |i, inbox| f(NodeId::from(i), inbox));
     }
 
     /// Whether any message is still queued on an edge. O(1) on the
@@ -481,18 +417,18 @@ mod tests {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(32));
         let mut phase = sim.phase::<u32>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), 99, 8);
             }
         });
-        let mut seen = None;
-        phase.round(|v, inbox, _out| {
-            if v == NodeId(1) && !inbox.is_empty() {
-                seen = Some((inbox[0].0, inbox[0].1));
+        let mut seen = vec![None; 3];
+        phase.step(&mut seen, |seen, _v, inbox, _out| {
+            if let Some(&first) = inbox.first() {
+                *seen = Some(first);
             }
         });
-        assert_eq!(seen, Some((NodeId(0), 99)));
+        assert_eq!(seen, vec![None, Some((NodeId(0), 99)), None]);
         drop(phase);
         assert_eq!(sim.metrics().rounds, 2);
         assert_eq!(sim.metrics().messages, 1);
@@ -505,21 +441,21 @@ mod tests {
         let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(10));
         let mut phase = sim.phase::<&'static str>();
         // 35 bits at 10 bits/round: arrives after 4 transfer steps.
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), "big", 35);
             }
         });
-        let mut arrived_at_round = None;
+        let mut arrived_at_round = vec![None; 2];
         for r in 2..=6 {
-            phase.round(|v, inbox, _out| {
-                if v == NodeId(1) && !inbox.is_empty() && arrived_at_round.is_none() {
-                    arrived_at_round = Some(r);
+            phase.step(&mut arrived_at_round, |at, _v, inbox, _out| {
+                if !inbox.is_empty() && at.is_none() {
+                    *at = Some(r);
                 }
             });
         }
         // Sent in round 1; transfers rounds 1-4; readable in round 5's inbox.
-        assert_eq!(arrived_at_round, Some(5));
+        assert_eq!(arrived_at_round, vec![None, Some(5)]);
     }
 
     #[test]
@@ -527,22 +463,18 @@ mod tests {
         let g = generators::path(2);
         let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(8));
         let mut phase = sim.phase::<u32>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), 1, 8);
                 out.send(v, NodeId(1), 2, 8);
                 out.send(v, NodeId(1), 3, 8);
             }
         });
-        let mut got = Vec::new();
-        for _ in 0..4 {
-            phase.round(|v, inbox, _out| {
-                if v == NodeId(1) {
-                    got.extend(inbox.iter().map(|(_, m)| *m));
-                }
-            });
-        }
-        assert_eq!(got, vec![1, 2, 3]);
+        let mut got = vec![Vec::new(); 2];
+        phase.step_n(4, &mut got, |got, _v, inbox, _out| {
+            got.extend(inbox.iter().map(|(_, m)| *m));
+        });
+        assert_eq!(got[1], vec![1, 2, 3]);
     }
 
     #[test]
@@ -552,14 +484,14 @@ mod tests {
         let g = generators::star(3);
         let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(8));
         let mut phase = sim.phase::<u32>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.broadcast(v, 7, 8);
             }
         });
-        let mut deliveries = 0;
-        phase.round(|_, inbox, _out| deliveries += inbox.len());
-        assert_eq!(deliveries, 3);
+        let mut deliveries = vec![0usize; g.n()];
+        phase.step(&mut deliveries, |d, _, inbox, _out| *d += inbox.len());
+        assert_eq!(deliveries.iter().sum::<usize>(), 3);
     }
 
     #[test]
@@ -567,18 +499,14 @@ mod tests {
         let g = generators::path(2);
         let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(4));
         let mut phase = sim.phase::<u8>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), 1, 40); // 10 transfer rounds
             }
         });
-        let mut got = false;
-        phase.drain(64, |v, inbox| {
-            if v == NodeId(1) && !inbox.is_empty() {
-                got = true;
-            }
-        });
-        assert!(got);
+        let mut got = vec![false; 2];
+        phase.settle(64, &mut got, |got, _v, inbox| *got |= !inbox.is_empty());
+        assert_eq!(got, vec![false, true]);
         drop(phase);
         // Round 1 (send) + 9 more transfer rounds.
         assert_eq!(sim.metrics().rounds, 10);
@@ -589,12 +517,13 @@ mod tests {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(16).with_per_edge_accounting());
         let mut phase = sim.phase::<u8>();
-        phase.rounds(3, |v, _in, out| {
+        let mut unit = vec![(); 3];
+        phase.step_n(3, &mut unit, |_, v, _in, out| {
             if v == NodeId(1) {
                 out.send(v, NodeId(2), 0, 5);
             }
         });
-        phase.drain(16, |_, _| {});
+        phase.settle(16, &mut unit, |_, _, _| {});
         drop(phase);
         assert_eq!(sim.messages_across(NodeId(1), NodeId(2)), 3);
         assert_eq!(sim.bits_across(NodeId(1), NodeId(2)), 15);
@@ -607,7 +536,7 @@ mod tests {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let mut phase = sim.phase::<u8>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(1) {
                 out.send(v, NodeId(2), 0, 5);
             }
@@ -622,8 +551,9 @@ mod tests {
         let run = |config: SimConfig| {
             let mut sim = Simulator::new(&g, config);
             let mut phase = sim.phase::<u32>();
-            phase.rounds(3, |v, _in, out| out.broadcast(v, v.0, 40));
-            phase.drain(64, |_, _| {});
+            let mut unit = vec![(); 8];
+            phase.step_n(3, &mut unit, |_, v, _in, out| out.broadcast(v, v.0, 40));
+            phase.settle(64, &mut unit, |_, _, _| {});
             drop(phase);
             sim.metrics().clone()
         };
@@ -646,7 +576,7 @@ mod tests {
         let g = generators::star(500);
         let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(8));
         let mut phase = sim.phase::<u8>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(1) {
                 out.send(v, NodeId(0), 7, 80); // 10 transfer rounds
             }
@@ -657,9 +587,9 @@ mod tests {
             1,
             "only the loaded edge is active"
         );
-        let mut got = 0;
-        phase.drain(64, |_, inbox| got += inbox.len());
-        assert_eq!(got, 1);
+        let mut got = vec![0usize; g.n()];
+        phase.settle(64, &mut got, |got, _, inbox| *got += inbox.len());
+        assert_eq!(got.iter().sum::<usize>(), 1);
         assert!(phase.idle());
         assert_eq!(phase.core.active_edges(), 0);
     }
@@ -670,7 +600,7 @@ mod tests {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let mut phase = sim.phase::<u8>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(2), 0, 1);
             }
@@ -683,7 +613,7 @@ mod tests {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let mut phase = sim.phase::<u8>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(NodeId(1), NodeId(2), 0, 1);
             }
@@ -704,28 +634,28 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]); // node 2 isolated
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let mut phase = sim.phase::<u8>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), 9, 4);
             }
         });
-        let mut got = 0;
-        phase.round(|_, inbox, _| got += inbox.len());
-        assert_eq!(got, 1);
+        let mut got = vec![0usize; 3];
+        phase.step(&mut got, |got, _, inbox, _| *got += inbox.len());
+        assert_eq!(got, vec![0, 1, 0]);
     }
 
     #[test]
     fn probe_traces_rounds_phases_and_charges() {
-        use crate::probe::TraceProbe;
+        use crate::probe::{PhaseObs, SpanProbe};
         let g = generators::path(3);
-        let mut sim = Simulator::with_probe(&g, SimConfig::with_bandwidth(8), TraceProbe::new());
+        let mut sim = Simulator::with_probe(&g, SimConfig::with_bandwidth(8), SpanProbe::new());
         let mut phase = sim.phase::<u32>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), 9, 8);
             }
         });
-        phase.round(|_, _, _| {});
+        phase.step_stateless(|_, _, _| {});
         drop(phase);
         sim.charge_rounds(2);
         assert_eq!(sim.metrics().rounds, 4);
@@ -752,16 +682,16 @@ mod tests {
 
     #[test]
     fn probe_sees_fragment_crossing_rounds_as_active() {
-        use crate::probe::TraceProbe;
+        use crate::probe::SpanProbe;
         let g = generators::path(2);
-        let mut sim = Simulator::with_probe(&g, SimConfig::with_bandwidth(10), TraceProbe::new());
+        let mut sim = Simulator::with_probe(&g, SimConfig::with_bandwidth(10), SpanProbe::new());
         let mut phase = sim.phase::<u8>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), 1, 35); // 4 transfer rounds
             }
         });
-        phase.drain(16, |_, _| {});
+        phase.settle(16, &mut [(), ()], |_, _, _| {});
         drop(phase);
         let rounds = sim.metrics().rounds;
         let trace = sim.into_probe();
@@ -781,12 +711,12 @@ mod tests {
         let g = generators::path(3);
         let mut sim = Simulator::with_probe(&g, SimConfig::with_bandwidth(8), SpanProbe::new());
         let mut phase = sim.phase::<u32>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), 9, 8);
             }
         });
-        phase.round(|_, _, _| {});
+        phase.step_stateless(|_, _, _| {});
         drop(phase);
         sim.charge_rounds(2);
         let probe = sim.into_probe();
@@ -810,46 +740,17 @@ mod tests {
         let g = generators::path(2);
         let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(8));
         let mut phase = sim.phase::<u32>();
-        phase.round(|v, _in, out| {
+        phase.step_stateless(|v, _in, out| {
             if v == NodeId(0) {
                 out.send(v, NodeId(1), 1, 8);
                 out.send(v, NodeId(1), 2, 8);
             }
         });
         let cell = phase.core.cell_size() as u64;
-        phase.drain(16, |_, _| {});
+        phase.settle(16, &mut [(), ()], |_, _, _| {});
         drop(phase);
         assert_eq!(sim.metrics().arena_cells_peak, 2);
         assert_eq!(sim.metrics().arena_bytes_peak, 2 * cell);
         assert_eq!(sim.metrics().peak_queue_depth, 2);
-    }
-
-    #[test]
-    fn step_matches_round_accounting() {
-        let g = generators::cycle(6);
-        let run_round = |use_step: bool| {
-            let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let mut heard: Vec<Vec<u32>> = vec![Vec::new(); 6];
-            if use_step {
-                let mut phase = sim.phase::<u32>();
-                RoundPhase::step(&mut phase, &mut heard, |_, v, _in, out| {
-                    out.broadcast(v, v.0, 4);
-                });
-                phase.settle(16, &mut heard, |mine, _v, inbox| {
-                    mine.extend(inbox.iter().map(|&(_, m)| m));
-                });
-            } else {
-                let mut phase = sim.phase::<u32>();
-                phase.round(|v, _in, out| out.broadcast(v, v.0, 4));
-                phase.drain(16, |v, inbox| {
-                    heard[v.index()].extend(inbox.iter().map(|&(_, m)| m));
-                });
-            }
-            (heard, sim.metrics().clone())
-        };
-        let (h1, m1) = run_round(true);
-        let (h2, m2) = run_round(false);
-        assert_eq!(h1, h2);
-        assert_eq!(m1, m2);
     }
 }

@@ -212,19 +212,6 @@ impl QTrees {
             list.retain(|&(root, _)| keep[root as usize]);
         }
     }
-
-    /// Number of trees that use the directed edge `w → v` or `v → w`
-    /// (i.e. `v` is a child of `w` or vice versa), summed over roots.
-    /// Used to verify the `P = 2Δ̂` tree-congestion bound of Lemma 4.2.
-    pub fn trees_using_edge(&self, v: NodeId, w: NodeId) -> usize {
-        let under = |a: NodeId, b: NodeId| {
-            self.links[a.index()]
-                .iter()
-                .filter(|l| l.level > 0 && l.parent == b)
-                .count()
-        };
-        under(v, w) + under(w, v)
-    }
 }
 
 #[cfg(test)]
@@ -280,8 +267,6 @@ mod tests {
         assert_eq!(t.parent(NodeId(0), 0), None);
         assert_eq!(t.level(NodeId(0), 0), Some(0));
         assert_eq!(t.level(NodeId(2), 4), None);
-        assert_eq!(t.trees_using_edge(NodeId(1), NodeId(0)), 1);
-        assert_eq!(t.trees_using_edge(NodeId(2), NodeId(3)), 0);
     }
 
     #[test]
@@ -324,7 +309,7 @@ mod tests {
         let mut t = QTrees::new_roots(3, &[NodeId(0), NodeId(2)]);
         grow(&mut t, &[(0, 1, 0), (2, 1, 2)]);
         assert_eq!(t.trees_of(NodeId(1)), vec![0, 2]);
-        assert_eq!(t.trees_using_edge(NodeId(1), NodeId(0)), 1);
-        assert_eq!(t.trees_using_edge(NodeId(1), NodeId(2)), 1);
+        assert_eq!(t.parent(NodeId(1), 0), Some(NodeId(0)));
+        assert_eq!(t.parent(NodeId(1), 2), Some(NodeId(2)));
     }
 }

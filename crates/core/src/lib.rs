@@ -39,7 +39,8 @@
 //!
 //! Substitutions relative to the paper (derandomization strategy, the MIS
 //! subroutine of Theorem 1.1, the network-decomposition internals, scaled
-//! constants) are catalogued in the repository's `DESIGN.md` §3.
+//! constants, charged sub-simulations) are catalogued in
+//! [`params`](params#substitutions).
 //!
 //! # Quickstart
 //!

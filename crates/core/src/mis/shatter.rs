@@ -24,10 +24,11 @@
 //!    `O(log_N n)` executions in parallel (they fit one bandwidth —
 //!    demonstrated by `khop_beep_multi`), we run them as retries on the
 //!    cluster's sub-simulator and charge the rounds of the successful
-//!    execution (same wall-clock as the parallel composition; DESIGN.md
-//!    §3).
+//!    execution (same wall-clock as the parallel composition; see
+//!    "Charged sub-simulations" in
+//!    [`crate::params`](crate::params#substitutions)).
 
-use crate::nd::{build_ball_graph, power_nd, NdError};
+use crate::nd::{build_ball_graph, power_nd, NdError, NetworkDecomposition};
 use crate::params::TheoryParams;
 use crate::ruling::ruling_set_with_balls;
 use powersparse_congest::engine::RoundEngine;
@@ -176,29 +177,18 @@ pub fn mis_power<E: RoundEngine>(
 
     // --- Phase 4: distance-k ball graph + its network decomposition. ---
     let ball_graph = build_ball_graph(sim, &balls.ball_of, k);
-    // ND per connected component of the ball graph, on a sub-simulator;
     // Claim A.4: simulating the ND on balls costs an O(r·τ) factor, where
     // r is the ball radius — we charge the measured sub-rounds times the
     // measured maximum ball diameter (+k for borders).
     let ball_diam = max_ball_weak_diameter(sim.graph(), &ball_graph.assignment).max(1) as u64;
-    let mut cluster_of_ball: Vec<Option<usize>> = vec![None; ball_graph.graph.n()];
-    let mut color_of_cluster: Vec<usize> = Vec::new();
-    let mut num_colors = 0usize;
-    for comp in subgraph::components(&ball_graph.graph) {
-        let (comp_graph, comp_map) = subgraph::induced(&ball_graph.graph, &comp);
-        let mut subsim = Simulator::new(&comp_graph, SimConfig::for_graph(sim.graph()));
-        let nd = power_nd(&mut subsim, k, params)?;
-        sim.charge_rounds(subsim.metrics().rounds * (ball_diam + k as u64));
-        let base = color_of_cluster.len();
-        for (i, c) in nd.cluster.iter().enumerate() {
-            let ball = comp_map[i];
-            cluster_of_ball[ball.index()] = Some(base + c.expect("nd covers"));
-        }
-        for &col in &nd.color {
-            color_of_cluster.push(col);
-        }
-        num_colors = num_colors.max(nd.num_colors);
-    }
+    let config = SimConfig::for_graph(sim.graph());
+    let (ball_nd, rounds) = decompose_ball_graph(&ball_graph.graph, k, params, config)?;
+    sim.charge_rounds(rounds * (ball_diam + k as u64));
+    let NetworkDecomposition {
+        cluster: cluster_of_ball,
+        color: color_of_cluster,
+        num_colors,
+    } = ball_nd;
     report.nd_colors = num_colors;
 
     // Claim 8.4: nodes join the cluster of their ball (undecided nodes
@@ -233,7 +223,6 @@ pub fn mis_power<E: RoundEngine>(
                 sim.graph(),
                 k,
                 &members,
-                params,
                 seed ^ (c as u64) << 17,
                 exec_budget,
                 &mut report.retries,
@@ -262,6 +251,39 @@ pub fn mis_power<E: RoundEngine>(
     Ok((in_mis, report))
 }
 
+/// Phase 4's decomposition: decomposes every connected component of the
+/// ball graph `balls` on a sub-simulator of its own with the host
+/// network's `config`, and returns the ball-level decomposition with the
+/// ND rounds to charge for it. The components run in parallel, so they
+/// cost the slowest one's rounds, not the sum (Phase 5 charges its
+/// same-color clusters the same way).
+fn decompose_ball_graph(
+    balls: &Graph,
+    k: usize,
+    params: &TheoryParams,
+    config: SimConfig,
+) -> Result<(NetworkDecomposition, u64), MisError> {
+    let mut out = NetworkDecomposition {
+        cluster: vec![None; balls.n()],
+        color: Vec::new(),
+        num_colors: 0,
+    };
+    let mut rounds = 0;
+    for comp in subgraph::components(balls) {
+        let (comp_graph, comp_map) = subgraph::induced(balls, &comp);
+        let mut subsim = Simulator::new(&comp_graph, config);
+        let nd = power_nd(&mut subsim, k, params)?;
+        rounds = rounds.max(subsim.metrics().rounds);
+        let base = out.color.len();
+        for (i, c) in nd.cluster.iter().enumerate() {
+            out.cluster[comp_map[i].index()] = Some(base + c.expect("nd covers"));
+        }
+        out.color.extend(&nd.color);
+        out.num_colors = out.num_colors.max(nd.num_colors);
+    }
+    Ok((out, rounds))
+}
+
 /// Completes the MIS on one cluster's undecided nodes: repeated
 /// bounded-step BeepingMIS executions over the induced domain
 /// `cluster ∪ N^k(cluster)` with short IDs, until one execution is
@@ -271,7 +293,6 @@ fn finish_cluster(
     g: &Graph,
     k: usize,
     members: &[NodeId],
-    params: &TheoryParams,
     seed: u64,
     exec_budget: u64,
     retries: &mut u64,
@@ -283,10 +304,6 @@ fn finish_cluster(
         .filter(|v| matches!(dist_m[v.index()], Some(d) if (d as usize) <= k))
         .collect();
     let (dom_graph, dom_map) = subgraph::induced(g, &domain);
-    let mut member_mask_dom: Vec<bool> = dom_map
-        .iter()
-        .map(|v| matches!(dist_m[v.index()], Some(0)))
-        .collect();
     let mut total_rounds = 0u64;
     let mut result: Vec<NodeId> = Vec::new();
     for comp in subgraph::components(&dom_graph) {
@@ -302,10 +319,9 @@ fn finish_cluster(
         // Short IDs are the compact sub-graph indices (|sub| ≤ N). The
         // execution length is the paper's O(log N) with a constant large
         // enough that a single execution succeeds with good probability
-        // (independent of the pre-shattering length in `params`).
+        // (independent of the pre-shattering length in `TheoryParams`).
         let n_sub = sub.n();
         let steps = 8 * (TheoryParams::log_n(n_sub).ceil() as usize) + 8;
-        let _ = params;
         let mut done = false;
         for attempt in 0..exec_budget {
             let mut subsim = Simulator::new(&sub, SimConfig::for_graph(&sub));
@@ -332,7 +348,6 @@ fn finish_cluster(
             });
         }
     }
-    let _ = &mut member_mask_dom;
     // Sanity: the produced set is valid for this cluster.
     debug_assert!(check::is_alpha_independent(g, &result, k + 1));
     Ok((total_rounds, result))
@@ -410,6 +425,28 @@ mod tests {
             assert!(report.components >= 1);
             assert!(report.rulers >= 1);
         }
+    }
+
+    #[test]
+    fn ball_graph_components_are_charged_in_parallel() {
+        // Two disjoint copies of one ball graph decompose in parallel, so
+        // they are charged what one copy is (Phase 5 charges its
+        // same-color clusters the same way).
+        let one = generators::grid(6, 6);
+        let n = one.n();
+        let edges: Vec<(usize, usize)> = one
+            .edges()
+            .flat_map(|(u, v)| [(u.index(), v.index()), (u.index() + n, v.index() + n)])
+            .collect();
+        let two = Graph::from_edges(2 * n, &edges);
+        let params = TheoryParams::scaled();
+        let config = SimConfig::for_graph(&two);
+        let (a, a_rounds) = decompose_ball_graph(&one, 2, &params, config).unwrap();
+        let (b, b_rounds) = decompose_ball_graph(&two, 2, &params, config).unwrap();
+        assert!(a_rounds > 0);
+        assert_eq!(b_rounds, a_rounds);
+        assert_eq!(b.num_colors, a.num_colors);
+        assert_eq!(b.color.len(), 2 * a.color.len());
     }
 
     #[test]

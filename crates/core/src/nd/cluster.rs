@@ -1,7 +1,7 @@
 //! Network decomposition of `G^k` with same-color separation `2k+1`
 //! (the Theorem A.1 interface).
 //!
-//! Implementation (DESIGN.md §3, substitution 3): per color class, a
+//! Implementation (a [substitution](crate::params#substitutions)): per color class, a
 //! **delayed-BFS clustering** in the style of [MPX13]/[GGH+22, Lemma A.2]
 //! — every living node starts a BFS token after a geometric random delay;
 //! nodes join the earliest-arriving token (ties: smaller root ID). A

@@ -1,12 +1,71 @@
 //! Theory constants, with a paper-faithful preset and a laptop-scale
-//! preset (DESIGN.md §3, substitution 4).
+//! preset (see "Scaled constants" below).
 //!
 //! The paper's constants (sampling factor 24, degree bound `72 log n`,
 //! `8 log n`-wise independence, …) make every bound vacuous at simulation
 //! scales — e.g. `72 log₂ n > n` for all `n ≤ 512`. Tests that verify the
 //! stated bounds verbatim use [`TheoryParams::paper`]; experiments that
 //! need the bounds to *bite* (so the asymptotic shape is visible) use
-//! [`TheoryParams::scaled`] and record that choice in EXPERIMENTS.md.
+//! [`TheoryParams::scaled`].
+//!
+//! # Substitutions
+//!
+//! Where the reproduction does something other than the paper, and where.
+//! Each changes round counts, never what a run's output must satisfy.
+//!
+//! **Derandomization over a global BFS tree.** The paper derandomizes
+//! each sampling stage of Algorithms 1–2 by the method of conditional
+//! expectations over an `O(log n)`-wise independent family (Claim 5.6),
+//! and Lemma 5.8 does so inside network-decomposition clusters to avoid
+//! any dependence on the diameter `D`. Here `sparsify_power` elects one
+//! global BFS tree and, under `SamplingStrategy::SeedSearch`, scans seed
+//! candidates in a fixed order: each candidate costs one convergecast of
+//! the bad-event count and one accept/reject broadcast over that tree, so
+//! `Θ(D)` rounds. Exact bit-by-bit fixing
+//! (`SamplingStrategy::ConditionalExpectations`,
+//! `powersparse_kwise::derand`) is kept for small seed spaces. See
+//! `sparsify/power.rs` and `powersparse_kwise::derand`; `power_nd` scans
+//! its delay seeds the same way.
+//!
+//! **The greedy MIS in Theorem 1.1.** The paper computes the MIS of
+//! `G^k[Q]` with a deterministic CONGEST MIS algorithm, simulated over
+//! the I3 trees (Lemma 6.3), in polylogarithmically many steps. Here
+//! `mis_on_sparse_power` runs a greedy on local ID minima, one Lemma 4.2
+//! broadcast per step, so it takes as many steps as the longest
+//! decreasing ID chain in `G^k[Q]`. Likewise `beta_ruling_set`
+//! (Corollary 1.3) finishes with Luby's MIS restricted to `Q` instead of
+//! Theorem 1.2; the guarantee is the same. See `ruling/det_k2.rs` and
+//! `ruling/kp12.rs`.
+//!
+//! **Delayed-BFS ND, with a one-cluster shortcut.** Theorem A.1 takes a
+//! deterministic network decomposition of `G^k` with `O(log n)` colors
+//! and cluster weak diameter `O(k·log n)` from prior work. Here
+//! `power_nd` runs, per color, a delayed-BFS clustering in the style of
+//! Miller, Peng and Xu (MPX13) with geometric delays chosen by a seed scan, and colors the
+//! nodes whose whole `k`-ball landed in one cluster. When twice the
+//! global tree's depth fits the weak-diameter budget (`diameter_bound`),
+//! it returns one cluster in one color instead, which is valid because a
+//! single cluster has no separation constraint. See `nd/cluster.rs`.
+//!
+//! **Scaled constants.** The paper's constants make every bound vacuous
+//! at simulation scale (above). [`TheoryParams::paper`] keeps them for
+//! the tests that check the bounds verbatim; every workload-suite run,
+//! the paper profile included, and the benchmark use
+//! [`TheoryParams::scaled`]. See this module and
+//! `powersparse_workloads::suite_params`.
+//!
+//! **Charged sub-simulations.** Some steps of the paper run many
+//! independent executions in parallel: the ball-graph network
+//! decomposition, simulated on balls at an `O(r·τ)` overhead
+//! (Claim A.4); cluster finishing's `O(log_N n)` BeepingMIS executions
+//! within one bandwidth; and Lemma 5.8's per-cluster sparsification.
+//! Here each runs on a private sequential `Simulator`, and the engine
+//! under test is billed with `RoundEngine::charge_rounds`: the slowest
+//! parallel part's rounds, times the simulation overhead where the paper
+//! pays one. Charged rounds count in `Metrics::rounds` and again in
+//! `Metrics::charged_rounds`, and a probe sees each as a zeroed
+//! observation with empty spans. See `mis/shatter.rs` (phases 4 and 5)
+//! and `sparsify/nd.rs`.
 
 /// Tunable constants of the sparsification and shattering machinery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,8 +82,8 @@ pub struct TheoryParams {
     /// Independence used by the hash family: `kwise_factor · log₂ n`-wise.
     /// Paper: 8.
     pub kwise_factor: usize,
-    /// Budget for the deterministic seed scan (DESIGN.md §3,
-    /// substitution 1).
+    /// Budget for the deterministic seed scan (see "Derandomization over
+    /// a global BFS tree" in the [module docs](self)).
     pub seed_attempts: u64,
     /// Pre-shattering length factor: `Θ(shatter_factor · log Δ)` steps.
     pub shatter_factor: f64,

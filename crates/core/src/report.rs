@@ -8,7 +8,8 @@ use powersparse_congest::sim::Metrics;
 pub struct RunReport {
     /// Rounds consumed (including charged rounds).
     pub rounds: u64,
-    /// Of which charged analytically (DESIGN.md substitutions).
+    /// Of which charged analytically (see the
+    /// [substitutions](crate::params#substitutions)).
     pub charged_rounds: u64,
     /// Messages delivered.
     pub messages: u64,

@@ -63,7 +63,7 @@ pub fn kp12_sparsify<E: RoundEngine>(
 /// iterations with `f_s = 2^{(log Δ_k)^{1 − s/(β−1)}}` followed by an MIS
 /// of `G^k[Q_{β−1}]` (we use Luby restricted to `Q_{β−1}`; the paper uses
 /// Theorem 1.2 — the guarantees are identical, only the polylog factors
-/// differ, see DESIGN.md).
+/// differ; see the [substitutions](crate::params#substitutions)).
 ///
 /// # Panics
 ///

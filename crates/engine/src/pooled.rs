@@ -40,7 +40,7 @@ use powersparse_congest::engine::{
 };
 use powersparse_congest::msgcore::MsgCore;
 use powersparse_congest::probe::{
-    now_if, ns_between, NoProbe, PhaseObs, Probe, RoundObs, RoundSpans,
+    charge_rounds, now_if, ns_between, NoProbe, PhaseMark, Probe, RoundObs, RoundSpans,
 };
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
@@ -144,15 +144,7 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
     }
 
     fn charge_rounds(&mut self, r: u64) {
-        if P::ENABLED {
-            for i in 0..r {
-                let round = self.metrics.rounds + i;
-                self.probe.on_round_end(RoundObs::charged(round));
-                self.probe.on_round_spans(RoundSpans::charged(round));
-            }
-        }
-        self.metrics.rounds += r;
-        self.metrics.charged_rounds += r;
+        charge_rounds(&mut self.metrics, &mut self.probe, r);
     }
 
     fn messages_across(&self, u: NodeId, v: NodeId) -> u64 {
@@ -165,13 +157,7 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
 
     fn phase<M: Message>(&mut self) -> PooledPhase<'_, 'g, M, P> {
         let shards = self.layout.shards();
-        let ordinal = self.phases_opened;
-        self.phases_opened += 1;
-        let open = (
-            self.metrics.rounds,
-            self.metrics.messages,
-            self.metrics.bits,
-        );
+        let mark = PhaseMark::open(&mut self.phases_opened, &self.metrics);
         let bufs = match self.spare.take().map(|b| b.downcast::<PhaseBufs<M>>()) {
             Some(Ok(bufs)) => *bufs,
             _ => PhaseBufs::new(&self.layout),
@@ -192,8 +178,7 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
                 Vec::new()
             },
             round_stamp: 0,
-            ordinal,
-            open,
+            mark,
             sim: self,
         }
     }
@@ -459,25 +444,13 @@ pub struct PooledPhase<'s, 'g, M: Message, P: Probe = NoProbe> {
     /// The monotone stamp written into `dirty_stamp` (current round + 1,
     /// so the zero-initialized vector never matches).
     round_stamp: u64,
-    /// Phase ordinal on the owning engine (0-based, in open order).
-    ordinal: u64,
-    /// `(rounds, messages, bits)` snapshot at phase open, for the
-    /// [`PhaseObs`] deltas emitted on drop.
-    open: (u64, u64, u64),
+    /// The phase's ordinal and opening counters.
+    mark: PhaseMark,
 }
 
 impl<M: Message, P: Probe> Drop for PooledPhase<'_, '_, M, P> {
     fn drop(&mut self) {
-        if P::ENABLED {
-            let m = &self.sim.metrics;
-            let obs = PhaseObs {
-                phase: self.ordinal,
-                rounds: m.rounds - self.open.0,
-                messages: m.messages - self.open.1,
-                bits: m.bits - self.open.2,
-            };
-            self.sim.probe.on_phase_end(obs);
-        }
+        self.mark.close(&self.sim.metrics, &mut self.sim.probe);
         let mut bufs = std::mem::take(&mut self.bufs);
         bufs.clear();
         self.sim.spare = Some(Box::new(bufs));
@@ -932,22 +905,10 @@ mod tests {
 
     #[test]
     fn settle_counts_rounds_like_drain() {
-        let g = generators::path(2);
-        let config = SimConfig::with_bandwidth(4);
-        let mut seq = Simulator::new(&g, config);
-        {
-            let mut phase = seq.phase::<u8>();
-            phase.round(|v, _in, out| {
-                if v == NodeId(0) {
-                    out.send(v, NodeId(1), 1, 40);
-                }
-            });
-            phase.drain(64, |_, _| {});
-        }
-        let mut par = PooledSimulator::with_shards(&g, config, 2);
-        {
+        // One 40-bit message over a 4-bit edge, settled on both engines.
+        fn send_and_settle<E: RoundEngine>(eng: &mut E) {
             let mut unit = vec![(); 2];
-            let mut phase = par.phase::<u8>();
+            let mut phase = eng.phase::<u8>();
             phase.step(&mut unit, |_, v, _in, out| {
                 if v == NodeId(0) {
                     out.send(v, NodeId(1), 1, 40);
@@ -955,22 +916,29 @@ mod tests {
             });
             phase.settle(64, &mut unit, |_, _, _| {});
         }
+        let g = generators::path(2);
+        let config = SimConfig::with_bandwidth(4);
+        let mut seq = Simulator::new(&g, config);
+        send_and_settle(&mut seq);
+        let mut par = PooledSimulator::with_shards(&g, config, 2);
+        send_and_settle(&mut par);
+        assert_eq!(seq.metrics().rounds, 10);
         assert_eq!(seq.metrics().rounds, RoundEngine::metrics(&par).rounds);
         assert_eq!(seq.metrics(), RoundEngine::metrics(&par));
     }
 
     #[test]
     fn probe_trace_matches_sequential_core_for_core() {
-        use powersparse_congest::probe::TraceProbe;
+        use powersparse_congest::probe::SpanProbe;
         let g = generators::connected_gnp(80, 0.07, 5);
         let config = SimConfig::with_bandwidth(16);
-        let mut seq = Simulator::with_probe(&g, config, TraceProbe::new());
+        let mut seq = Simulator::with_probe(&g, config, SpanProbe::new());
         echo_program(&mut seq, 4);
         seq.charge_rounds(2);
         let seq_rounds = seq.metrics().rounds;
         let want = seq.into_probe();
         for shards in [1usize, 3, 4] {
-            let mut par = PooledSimulator::with_probe(&g, config, shards, TraceProbe::new());
+            let mut par = PooledSimulator::with_probe(&g, config, shards, SpanProbe::new());
             echo_program(&mut par, 4);
             par.charge_rounds(2);
             assert_eq!(RoundEngine::metrics(&par).rounds, seq_rounds);

@@ -74,7 +74,7 @@ use powersparse_congest::engine::{
 };
 use powersparse_congest::msgcore::MsgCore;
 use powersparse_congest::probe::{
-    now_if, ns_between, probe_vec, NoProbe, PhaseObs, Probe, RoundObs, RoundSpans,
+    charge_rounds, now_if, ns_between, probe_vec, NoProbe, PhaseMark, Probe, RoundObs, RoundSpans,
 };
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
@@ -701,15 +701,7 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
     }
 
     fn charge_rounds(&mut self, r: u64) {
-        if P::ENABLED {
-            for i in 0..r {
-                let round = self.metrics.rounds + i;
-                self.probe.on_round_end(RoundObs::charged(round));
-                self.probe.on_round_spans(RoundSpans::charged(round));
-            }
-        }
-        self.metrics.rounds += r;
-        self.metrics.charged_rounds += r;
+        charge_rounds(&mut self.metrics, &mut self.probe, r);
     }
 
     fn messages_across(&self, u: NodeId, v: NodeId) -> u64 {
@@ -723,13 +715,7 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
     fn phase<M: Message>(&mut self) -> ProcessPhase<'_, 'g, M, P> {
         let n = self.graph.n();
         let shards = self.layout.shards();
-        let ordinal = self.phases_opened;
-        self.phases_opened += 1;
-        let open = (
-            self.metrics.rounds,
-            self.metrics.messages,
-            self.metrics.bits,
-        );
+        let mark = PhaseMark::open(&mut self.phases_opened, &self.metrics);
         let epoch = self.metrics.rounds as u32;
         let bw = self.config.bandwidth as u64;
         for w in 0..shards {
@@ -748,8 +734,7 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
             live: vec![false; shards],
             dirty_stamp: if P::ENABLED { vec![0; n] } else { Vec::new() },
             round_stamp: 0,
-            ordinal,
-            open,
+            mark,
             sim: self,
         }
     }
@@ -787,24 +772,13 @@ pub struct ProcessPhase<'s, 'g, M, P: Probe = NoProbe> {
     /// The stamp of the current round (round + 1, so the zeroed vector
     /// never matches).
     round_stamp: u64,
-    /// Phase ordinal on the owning engine (0-based, in open order).
-    ordinal: u64,
-    /// `(rounds, messages, bits)` at phase open, for the [`PhaseObs`]
-    /// deltas emitted on drop.
-    open: (u64, u64, u64),
+    /// The phase's ordinal and opening counters.
+    mark: PhaseMark,
 }
 
 impl<M, P: Probe> Drop for ProcessPhase<'_, '_, M, P> {
     fn drop(&mut self) {
-        if P::ENABLED {
-            let m = &self.sim.metrics;
-            self.sim.probe.on_phase_end(PhaseObs {
-                phase: self.ordinal,
-                rounds: m.rounds - self.open.0,
-                messages: m.messages - self.open.1,
-                bits: m.bits - self.open.2,
-            });
-        }
+        self.mark.close(&self.sim.metrics, &mut self.sim.probe);
     }
 }
 
@@ -1116,22 +1090,10 @@ mod tests {
 
     #[test]
     fn settle_counts_rounds_like_drain() {
-        let g = generators::path(2);
-        let config = SimConfig::with_bandwidth(4);
-        let mut seq = Simulator::new(&g, config);
-        {
-            let mut phase = seq.phase::<u8>();
-            phase.round(|v, _in, out| {
-                if v == NodeId(0) {
-                    out.send(v, NodeId(1), 1, 40);
-                }
-            });
-            phase.drain(64, |_, _| {});
-        }
-        let mut pr = ProcessSimulator::with_shards(&g, config, 2);
-        {
+        // One 40-bit message over a 4-bit edge, settled on both engines.
+        fn send_and_settle<E: RoundEngine>(eng: &mut E) {
             let mut unit = vec![(); 2];
-            let mut phase = pr.phase::<u8>();
+            let mut phase = eng.phase::<u8>();
             phase.step(&mut unit, |_, v, _in, out| {
                 if v == NodeId(0) {
                     out.send(v, NodeId(1), 1, 40);
@@ -1139,6 +1101,13 @@ mod tests {
             });
             phase.settle(64, &mut unit, |_, _, _| {});
         }
+        let g = generators::path(2);
+        let config = SimConfig::with_bandwidth(4);
+        let mut seq = Simulator::new(&g, config);
+        send_and_settle(&mut seq);
+        let mut pr = ProcessSimulator::with_shards(&g, config, 2);
+        send_and_settle(&mut pr);
+        assert_eq!(seq.metrics().rounds, 10);
         assert_eq!(seq.metrics(), RoundEngine::metrics(&pr));
     }
 

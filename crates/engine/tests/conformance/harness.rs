@@ -353,6 +353,17 @@ pub fn full_matrix() -> Vec<Case> {
                 two_phase: false,
             },
         ),
+        // Post-shattering runs here, and its charged sub-simulations
+        // bill 52 of the 120 rounds.
+        Case::new(
+            "shatter-1p/grid-k1",
+            generators::grid(16, 8),
+            42,
+            ShatterMis {
+                k: 1,
+                two_phase: false,
+            },
+        ),
         Case::new(
             "shatter-2p/gnp-k2",
             generators::connected_gnp(64, 5.0 / 64.0, 41),

@@ -15,7 +15,7 @@
 
 use crate::harness::{case_config, full_matrix, Case, SHARD_GRID};
 use powersparse_congest::engine::RoundEngine;
-use powersparse_congest::probe::{PhaseObs, TraceProbe};
+use powersparse_congest::probe::{PhaseObs, SpanProbe};
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::generators;
@@ -25,18 +25,19 @@ use proptest::prelude::*;
 /// comparison sweeps (the full matrix already runs per backend in
 /// `matrix.rs`; traces add a third dimension, so we keep one case per
 /// algorithm family with nontrivial round structure).
-const PROBE_CASES: [&str; 5] = [
+const PROBE_CASES: [&str; 6] = [
     "luby/gnp-k2",
     "shatter-1p/gnp-k1",
+    "shatter-1p/grid-k1",
     "detk2/grid-k2",
     "sparsify-det/gnp-k1",
     "beeping/gnp-k2",
 ];
 
-/// Runs `case` on the sequential reference with a [`TraceProbe`];
+/// Runs `case` on the sequential reference with a [`SpanProbe`];
 /// returns output, trace and final round count.
-fn traced_reference(case: &Case, config: SimConfig) -> (String, TraceProbe, u64) {
-    let mut seq = Simulator::with_probe(&case.graph, config, TraceProbe::new());
+fn traced_reference(case: &Case, config: SimConfig) -> (String, SpanProbe, u64) {
+    let mut seq = Simulator::with_probe(&case.graph, config, SpanProbe::new());
     let out = case.algorithm.run(&case.graph, &mut seq, case.seed);
     let rounds = seq.metrics().rounds;
     (out, seq.into_probe(), rounds)
@@ -46,7 +47,7 @@ fn traced_reference(case: &Case, config: SimConfig) -> (String, TraceProbe, u64)
 /// (before any cross-engine comparison): dense 0-based round indices,
 /// length equal to the round counter, splice sums equal to messages,
 /// and empty splices exactly on charged rounds.
-fn assert_trace_well_formed(trace: &TraceProbe, rounds: u64, label: &str) {
+fn assert_trace_well_formed(trace: &SpanProbe, rounds: u64, label: &str) {
     assert_eq!(trace.rounds.len() as u64, rounds, "{label}: trace length");
     for (i, obs) in trace.rounds.iter().enumerate() {
         assert_eq!(obs.round, i as u64, "{label}: round index out of order");
@@ -65,20 +66,21 @@ fn traces_agree_across_engines_at_all_shard_counts() {
         .filter(|c| PROBE_CASES.contains(&c.name))
         .collect();
     assert_eq!(cases.len(), PROBE_CASES.len(), "matrix renamed a case");
+    let mut charged = 0;
     for case in &cases {
         let config = case_config(case);
         let (want_out, want, rounds) = traced_reference(case, config);
         assert_trace_well_formed(&want, rounds, case.name);
+        charged += want.spans.iter().filter(|s| s.shards() == 0).count();
         for &shards in &SHARD_GRID {
-            let mut po =
-                PooledSimulator::with_probe(&case.graph, config, shards, TraceProbe::new());
+            let mut po = PooledSimulator::with_probe(&case.graph, config, shards, SpanProbe::new());
             let po_out = case.algorithm.run(&case.graph, &mut po, case.seed);
             assert_eq!(po_out, want_out, "{}: pooled output at {shards}", case.name);
             assert_eq!(RoundEngine::metrics(&po).rounds, rounds);
             let po_trace = po.into_probe();
 
             let mut pr =
-                ProcessSimulator::with_probe(&case.graph, config, shards, TraceProbe::new());
+                ProcessSimulator::with_probe(&case.graph, config, shards, SpanProbe::new());
             let pr_out = case.algorithm.run(&case.graph, &mut pr, case.seed);
             assert_eq!(
                 pr_out, want_out,
@@ -106,38 +108,40 @@ fn traces_agree_across_engines_at_all_shard_counts() {
             // backend-shaped splice vectors must agree whole — the
             // process backend's come back over the wire.
             assert_eq!(
-                po_trace, pr_trace,
+                po_trace.rounds, pr_trace.rounds,
                 "{}: full traces (incl. splice volumes) diverged at {shards} shards",
                 case.name
             );
         }
     }
+    assert!(charged > 0, "no probe case charges rounds");
 }
 
 #[test]
 fn quiet_rounds_fire_zeroed_observations_in_order() {
     // One 35-bit message over a 10-bit edge: three quiet rounds while
-    // fragments cross, nothing delivered until round 3. Every backend
-    // must emit the quiet observations at their positions.
+    // fragments cross, nothing delivered until round 3, then two charged
+    // rounds. Every backend must emit the zeroed observations at their
+    // positions.
     let g = generators::path(2);
     let config = SimConfig::with_bandwidth(10);
-    let mut traces: Vec<TraceProbe> = Vec::new();
+    let mut traces: Vec<SpanProbe> = Vec::new();
     {
-        let mut seq = Simulator::with_probe(&g, config, TraceProbe::new());
+        let mut seq = Simulator::with_probe(&g, config, SpanProbe::new());
         drive(&mut seq);
         traces.push(seq.into_probe());
     }
     for shards in [1usize, 2] {
-        let mut po = PooledSimulator::with_probe(&g, config, shards, TraceProbe::new());
+        let mut po = PooledSimulator::with_probe(&g, config, shards, SpanProbe::new());
         drive(&mut po);
         traces.push(po.into_probe());
-        let mut pr = ProcessSimulator::with_probe(&g, config, shards, TraceProbe::new());
+        let mut pr = ProcessSimulator::with_probe(&g, config, shards, SpanProbe::new());
         drive(&mut pr);
         traces.push(pr.into_probe());
     }
     for t in &traces {
         let cores = t.cores();
-        assert_eq!(cores.len(), 4);
+        assert_eq!(cores.len(), 6);
         // Round 0: the send (35 bits enqueued), nothing delivered yet.
         assert_eq!(cores[0], (0, 1, 0, 0, 35));
         // Rounds 1-2: quiet — fragments crossing, zero traffic.
@@ -145,6 +149,11 @@ fn quiet_rounds_fire_zeroed_observations_in_order() {
         assert_eq!(cores[2], (2, 1, 0, 0, 0));
         // Round 3: the last fragment lands, one delivery.
         assert_eq!(cores[3], (3, 0, 1, 1, 0));
+        // Rounds 4-5: charged, zeroed, with empty spans.
+        assert_eq!(cores[4], (4, 0, 0, 0, 0));
+        assert_eq!(cores[5], (5, 0, 0, 0, 0));
+        assert_eq!(t.spans.len(), 6);
+        assert!(t.spans[4..].iter().all(|s| s.shards() == 0));
         assert_eq!(
             t.phases,
             vec![PhaseObs {
@@ -167,6 +176,8 @@ fn quiet_rounds_fire_zeroed_observations_in_order() {
             }
         });
         phase.settle(16, &mut unit, |_, _, _| {});
+        drop(phase);
+        eng.charge_rounds(2);
     }
 }
 
@@ -175,8 +186,8 @@ proptest! {
 
     /// On random graphs, every backend's trace has dense in-order round
     /// indices (quiet and charged rounds included) and exactly
-    /// `Metrics::rounds` entries — the satellite invariant that the
-    /// manifest trace section relies on.
+    /// `Metrics::rounds` entries — the invariant `experiments profile`
+    /// re-checks on every run.
     #[test]
     fn trace_length_equals_rounds_on_every_backend(n in 20usize..70, seed in 0u64..300) {
         use crate::harness::Algorithm;
@@ -186,13 +197,13 @@ proptest! {
         let (_, want, rounds) = traced_reference(&case, config);
         assert_trace_well_formed(&want, rounds, "sequential");
         for shards in [2usize, 5] {
-            let mut po = PooledSimulator::with_probe(&case.graph, config, shards, TraceProbe::new());
+            let mut po = PooledSimulator::with_probe(&case.graph, config, shards, SpanProbe::new());
             case.algorithm.run(&case.graph, &mut po, case.seed);
             let r = RoundEngine::metrics(&po).rounds;
             prop_assert_eq!(r, rounds);
             assert_trace_well_formed(&po.into_probe(), r, "pooled");
         }
-        let mut pr = ProcessSimulator::with_probe(&case.graph, config, 2, TraceProbe::new());
+        let mut pr = ProcessSimulator::with_probe(&case.graph, config, 2, SpanProbe::new());
         case.algorithm.run(&case.graph, &mut pr, case.seed);
         let r = RoundEngine::metrics(&pr).rounds;
         prop_assert_eq!(r, rounds);

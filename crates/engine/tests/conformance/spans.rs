@@ -23,7 +23,12 @@ use powersparse_engine::{PooledSimulator, ProcessSimulator};
 /// The matrix slice the span sweep runs (one case per algorithm family
 /// with nontrivial round structure — quiet transfer rounds, charged
 /// rounds and multi-phase runs are all represented).
-const SPAN_CASES: [&str; 3] = ["luby/gnp-k2", "shatter-1p/gnp-k1", "detk2/grid-k2"];
+const SPAN_CASES: [&str; 4] = [
+    "luby/gnp-k2",
+    "shatter-1p/gnp-k1",
+    "shatter-1p/grid-k1",
+    "detk2/grid-k2",
+];
 
 /// Asserts the invariants every backend's span trace must satisfy on
 /// its own: length equal to the round counter, dense in-order round

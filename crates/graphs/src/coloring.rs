@@ -37,12 +37,6 @@ pub fn greedy_distance_k(g: &Graph, k: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The trivial coloring by unique IDs (an `n`-coloring valid at every
-/// distance).
-pub fn id_coloring(g: &Graph) -> Vec<u64> {
-    g.nodes().map(|v| v.0 as u64).collect()
-}
-
 /// Number of distinct colors used.
 pub fn palette_size(colors: &[u64]) -> usize {
     let mut c: Vec<u64> = colors.to_vec();
@@ -74,16 +68,6 @@ mod tests {
             let dk = power::power_graph(&g, k).max_degree();
             assert!(palette_size(&colors) <= dk + 1);
         }
-    }
-
-    #[test]
-    fn id_coloring_valid_any_distance() {
-        let g = generators::cycle(9);
-        let colors = id_coloring(&g);
-        for k in 1..=4 {
-            assert!(check::is_distance_k_coloring(&g, &colors, k));
-        }
-        assert_eq!(palette_size(&colors), 9);
     }
 
     #[test]

@@ -91,22 +91,6 @@ pub fn binary_tree(levels: u32) -> Graph {
     b.build()
 }
 
-/// Hypercube on `2^dim` nodes: nodes adjacent iff their indices differ in
-/// exactly one bit.
-pub fn hypercube(dim: u32) -> Graph {
-    let n = 1usize << dim;
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for bit in 0..dim {
-            let w = v ^ (1 << bit);
-            if w > v {
-                b.add_edge(NodeId::from(v), NodeId::from(w));
-            }
-        }
-    }
-    b.build()
-}
-
 /// Caterpillar: a spine path of `spine` nodes, each carrying `legs` leaves.
 /// Spine nodes come first (`0..spine`), then the leaves.
 pub fn caterpillar(spine: usize, legs: usize) -> Graph {
@@ -135,17 +119,6 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
         }
     }
     b.build()
-}
-
-/// `G(n, p)` with expected average degree `d` (i.e. `p = d/(n-1)` clamped
-/// to `[0, 1]`), seeded.
-pub fn gnp_with_avg_degree(n: usize, d: f64, seed: u64) -> Graph {
-    let p = if n > 1 {
-        (d / (n as f64 - 1.0)).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    gnp(n, p, seed)
 }
 
 /// A connected `G(n, p)`-like graph: a random spanning path (over a seeded
@@ -207,32 +180,6 @@ pub fn connected_sparse_gnp(n: usize, avg_deg: f64, seed: u64) -> Graph {
             if u != v {
                 b.add_edge(NodeId::from(u), NodeId::from(v));
             }
-        }
-    }
-    b.build()
-}
-
-/// Random graph with maximum degree at most `max_deg`: repeatedly attempts
-/// random edges, accepting only those that keep both endpoints under the
-/// cap. Produces graphs whose max degree is close to (and never exceeds)
-/// `max_deg`. Seeded.
-pub fn random_bounded_degree(n: usize, max_deg: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut deg = vec![0usize; n];
-    let mut b = GraphBuilder::new(n);
-    let mut present = std::collections::HashSet::new();
-    let attempts = n * max_deg * 4;
-    for _ in 0..attempts {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        if u == v || deg[u] >= max_deg || deg[v] >= max_deg {
-            continue;
-        }
-        let key = (u.min(v), u.max(v));
-        if present.insert(key) {
-            deg[u] += 1;
-            deg[v] += 1;
-            b.add_edge(NodeId::from(u), NodeId::from(v));
         }
     }
     b.build()
@@ -685,13 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn hypercube_regular() {
-        let g = hypercube(4);
-        assert_eq!(g.n(), 16);
-        assert!(g.nodes().all(|v| g.degree(v) == 4));
-    }
-
-    #[test]
     fn caterpillar_shape() {
         let g = caterpillar(3, 2);
         assert_eq!(g.n(), 9);
@@ -732,13 +672,6 @@ mod tests {
         let avg = 2.0 * g.m() as f64 / g.n() as f64;
         assert!((7.0..=9.0).contains(&avg), "avg degree {avg} out of range");
         assert_eq!(g, connected_sparse_gnp(5_000, 8.0, 3), "not reproducible");
-    }
-
-    #[test]
-    fn bounded_degree_respects_cap() {
-        let g = random_bounded_degree(100, 5, 3);
-        assert!(g.max_degree() <= 5);
-        assert!(g.max_degree() >= 4, "should get close to cap");
     }
 
     #[test]
@@ -931,15 +864,6 @@ mod tests {
         assert_eq!(g.degree(NodeId(1)), cluster - 1);
     }
 
-    #[test]
-    fn avg_degree_generator_close() {
-        let g = gnp_with_avg_degree(400, 10.0, 42);
-        let avg = 2.0 * g.m() as f64 / g.n() as f64;
-        assert!((avg - 10.0).abs() < 2.0, "avg degree {avg} too far from 10");
-    }
-
-    /// The brute-force O(n²) oracle over the same sampled points and the
-    /// same connection predicate as the banded generator.
     fn hyperbolic_brute(n: usize, avg_deg: f64, alpha: f64, seed: u64) -> Graph {
         let (pts, r_disk) = hyperbolic_points(n, avg_deg, alpha, seed);
         let cosh_r_disk = r_disk.cosh();

@@ -9,7 +9,7 @@
 //!   with `O(1)` degree queries and cache-friendly neighbor iteration.
 //! * [`generators`] — deterministic and seeded-random graph families used by
 //!   the test suite and the benchmark harness (G(n,p), grids, tori, rings,
-//!   trees, hypercubes, caterpillars, cluster graphs, and the Figure-1
+//!   trees, caterpillars, cluster graphs, and the Figure-1
 //!   gadget from the paper).
 //! * [`bfs`] — breadth-first search, multi-source BFS, exact distances,
 //!   eccentricities and diameters.

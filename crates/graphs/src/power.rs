@@ -86,49 +86,6 @@ pub fn power_graph(g: &Graph, k: usize) -> Graph {
     b.build()
 }
 
-/// `N^s(X) = ∪_{v ∈ X} N^s(v) ∪ X` as a membership mask (the paper uses
-/// `N^s(X)` for the union of neighborhoods; we include `X` itself, which is
-/// what every caller — deactivation of `N^2(M_i) ∪ M_i`, cluster borders —
-/// needs; callers that want it exclusive subtract `X`).
-pub fn set_neighborhood(g: &Graph, x: &[NodeId], s: usize) -> Vec<bool> {
-    let d = crate::bfs::multi_source_distances(g, x);
-    d.iter()
-        .map(|dd| matches!(dd, Some(v) if (*v as usize) <= s))
-        .collect()
-}
-
-/// Induced power-subgraph `G^s[X]`: nodes of `X`, edges between members at
-/// distance ≤ `s` **in `G`** (not in `G[X]`; see Section 2 of the paper).
-/// Returns the graph over compacted indices together with the mapping
-/// from new index to original [`NodeId`].
-pub fn induced_power_subgraph(g: &Graph, s: usize, x: &[NodeId]) -> (Graph, Vec<NodeId>) {
-    let mut mask = vec![false; g.n()];
-    for &v in x {
-        mask[v.index()] = true;
-    }
-    let mut to_new = vec![usize::MAX; g.n()];
-    let mut to_old = Vec::with_capacity(x.len());
-    let mut sorted = x.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    for (i, &v) in sorted.iter().enumerate() {
-        to_new[v.index()] = i;
-        to_old.push(v);
-    }
-    let mut b = GraphBuilder::new(sorted.len());
-    for &v in &sorted {
-        for w in q_neighborhood(g, v, s, &mask) {
-            if v < w {
-                b.add_edge(
-                    NodeId::from(to_new[v.index()]),
-                    NodeId::from(to_new[w.index()]),
-                );
-            }
-        }
-    }
-    (b.build(), to_old)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,39 +133,6 @@ mod tests {
     fn power_graph_k1_is_g() {
         let g = generators::gnp(40, 0.1, 3);
         assert_eq!(power_graph(&g, 1), g);
-    }
-
-    #[test]
-    fn set_neighborhood_radius() {
-        let g = generators::path(9);
-        let mask = set_neighborhood(&g, &[NodeId(4)], 2);
-        let members: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(members, vec![2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn induced_power_subgraph_uses_g_distances() {
-        // Path 0-1-2; X = {0, 2}. In G², 0 and 2 are adjacent through 1
-        // even though 1 ∉ X. (G[X])² would have no edge.
-        let g = generators::path(3);
-        let (sub, map) = induced_power_subgraph(&g, 2, &[NodeId(0), NodeId(2)]);
-        assert_eq!(sub.n(), 2);
-        assert_eq!(sub.m(), 1);
-        assert_eq!(map, vec![NodeId(0), NodeId(2)]);
-    }
-
-    #[test]
-    fn induced_power_subgraph_dedups() {
-        let g = generators::cycle(5);
-        let (sub, map) = induced_power_subgraph(&g, 1, &[NodeId(1), NodeId(1), NodeId(2)]);
-        assert_eq!(sub.n(), 2);
-        assert_eq!(map.len(), 2);
-        assert_eq!(sub.m(), 1);
     }
 
     #[test]

@@ -95,13 +95,6 @@ pub fn k_connected_components(g: &Graph, x: &[NodeId], k: usize) -> Vec<Vec<Node
     out
 }
 
-/// Checks whether the set `x` is `k`-connected in `G` (Section 2 of the
-/// paper): `G^k[X]` is connected. Empty and singleton sets count as
-/// connected.
-pub fn is_k_connected(g: &Graph, x: &[NodeId], k: usize) -> bool {
-    k_connected_components(g, x, k).len() <= 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,8 +125,7 @@ mod tests {
         // even though G[X] has no edges.
         let g = generators::path(5);
         let x = [NodeId(0), NodeId(2), NodeId(4)];
-        assert!(is_k_connected(&g, &x, 2));
-        assert!(!is_k_connected(&g, &x, 1));
+        assert_eq!(k_connected_components(&g, &x, 2).len(), 1);
         assert_eq!(k_connected_components(&g, &x, 1).len(), 3);
     }
 
@@ -150,7 +142,10 @@ mod tests {
     #[test]
     fn empty_and_singleton_connected() {
         let g = generators::path(3);
-        assert!(is_k_connected(&g, &[], 1));
-        assert!(is_k_connected(&g, &[NodeId(1)], 1));
+        assert!(k_connected_components(&g, &[], 1).is_empty());
+        assert_eq!(
+            k_connected_components(&g, &[NodeId(1)], 1),
+            vec![vec![NodeId(1)]]
+        );
     }
 }

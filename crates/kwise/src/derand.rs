@@ -1,4 +1,5 @@
-//! Derandomization strategies (DESIGN.md §3, substitution 1).
+//! Derandomization strategies (see "Derandomization over a global BFS
+//! tree" in the `powersparse::params` docs).
 //!
 //! Both strategies produce a seed under which **zero bad events** occur.
 //! The existence of such a seed is exactly the paper's argument in

@@ -19,8 +19,8 @@
 //!   an exactly k-wise independent family with `k·b` seed bits.
 //! * [`seed::Seed`] and [`seed::PartialSeed`] — bit strings with partial
 //!   assignment, as manipulated by the derandomizers.
-//! * [`derand`] — the two derandomization strategies described in
-//!   DESIGN.md §3: deterministic [`derand::seed_search`] (scan seeds in a
+//! * [`derand`] — the two derandomization strategies (see "Derandomization
+//!   over a global BFS tree" in the `powersparse::params` docs): deterministic [`derand::seed_search`] (scan seeds in a
 //!   fixed order, keep the first one under which no bad event occurs) and
 //!   exact [`derand::conditional_expectations`] (the paper's bit-by-bit
 //!   method, feasible for small seed spaces; used to validate the

@@ -163,11 +163,6 @@ impl PartialSeed {
         self.bits[i]
     }
 
-    /// Whether every bit is fixed.
-    pub fn is_complete(&self) -> bool {
-        self.bits.iter().all(Option::is_some)
-    }
-
     /// Converts to a [`Seed`].
     ///
     /// # Panics
@@ -270,7 +265,7 @@ mod tests {
         }
         p.fix(0, false);
         p.fix(2, true);
-        assert!(p.is_complete());
+        assert_eq!(p.free_bits(), 0);
         let s = p.to_seed();
         assert!(!s.get(0) && s.get(1) && s.get(2));
     }

@@ -1,6 +1,7 @@
 //! Manifest regression diffing (`experiments suite --diff old.json
 //! new.json`): compares two [`SuiteManifest`]s field by field and flags
-//! round/message/bit regressions beyond a relative tolerance.
+//! every round/message/bit regression. The counters are bit-deterministic
+//! per seed, so the comparison is exact.
 //!
 //! Runs are matched by their canonical scenario name plus seed (the
 //! name omits the seed, and two runs may legally differ only there).
@@ -9,8 +10,8 @@
 //! * **missing** — a baseline scenario disappeared from the new manifest;
 //! * **reshaped** — a scenario's coordinates (graph shape, `k`, seed,
 //!   algorithm, engine) changed, so its counters measure something else;
-//! * **regressions** — a cost counter grew beyond the tolerance, or a
-//!   run's validation flipped from passed to failed.
+//! * **regressions** — a cost counter grew, or a run's validation
+//!   flipped from passed to failed.
 //!
 //! Improvements and newly added runs are reported but never gate.
 //! Wall clock is held to a *statistical* standard instead of the exact
@@ -35,8 +36,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// The cost counters compared per run, as `(label, accessor)` pairs.
-/// `validation.passed` is handled separately (a flip to failed is always
-/// a regression, regardless of tolerance).
+/// `validation.passed` is handled separately (a flip to failed is a
+/// regression).
 const COUNTERS: [(&str, fn(&RunRecord) -> u64); 6] = [
     ("rounds", |r| r.rounds),
     ("charged_rounds", |r| r.charged_rounds),
@@ -103,12 +104,8 @@ pub struct ShapeChange {
 }
 
 /// How a manifest comparison is performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiffOptions {
-    /// Relative slack on every cost counter: a counter regresses when
-    /// `new > old · (1 + tolerance)` and improves when
-    /// `new < old · (1 − tolerance)`. Validation verdicts ignore it.
-    pub tolerance: f64,
     /// Match runs modulo engine backend and shard count (the engine
     /// contract makes every gated counter identical across backends),
     /// and skip the `engine`/`shards` shape fields.
@@ -118,8 +115,6 @@ pub struct DiffOptions {
 /// The outcome of [`diff_manifests`].
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
-    /// Relative tolerance the comparison ran with.
-    pub tolerance: f64,
     /// Whether runs were matched modulo engine backend.
     pub ignore_engine: bool,
     /// Baseline runs absent from the new manifest (gating).
@@ -129,13 +124,12 @@ pub struct DiffReport {
     /// Scenario-coordinate changes (gating; counters are not compared
     /// for a reshaped run).
     pub reshaped: Vec<ShapeChange>,
-    /// Counter growth beyond tolerance and validation passed→failed
-    /// flips (gating).
+    /// Counter growth and validation passed→failed flips (gating).
     pub regressions: Vec<FieldChange>,
-    /// Counter reductions beyond tolerance and validation failed→passed
-    /// flips (informational).
+    /// Counter reductions and validation failed→passed flips
+    /// (informational).
     pub improvements: Vec<FieldChange>,
-    /// Runs compared with every counter within tolerance.
+    /// Runs compared with every counter equal.
     pub unchanged: usize,
 }
 
@@ -151,11 +145,10 @@ impl fmt::Display for DiffReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "suite diff (tolerance {:.1}%{}): {} unchanged, {} regression(s), \
+            "suite diff{}: {} unchanged, {} regression(s), \
              {} improvement(s), {} missing, {} reshaped, {} added",
-            100.0 * self.tolerance,
             if self.ignore_engine {
-                ", engines ignored"
+                " (engines ignored)"
             } else {
                 ""
             },
@@ -230,17 +223,10 @@ fn key_label(r: &RunRecord) -> String {
 }
 
 /// Compares `new` against the `old` baseline, run by run and field by
-/// field, with the given relative counter tolerance. Shorthand for
-/// [`diff_manifests_with`] without the engine-agnostic matching.
-pub fn diff_manifests(old: &SuiteManifest, new: &SuiteManifest, tolerance: f64) -> DiffReport {
-    diff_manifests_with(
-        old,
-        new,
-        DiffOptions {
-            tolerance,
-            ignore_engine: false,
-        },
-    )
+/// field. Shorthand for [`diff_manifests_with`] without the
+/// engine-agnostic matching.
+pub fn diff_manifests(old: &SuiteManifest, new: &SuiteManifest) -> DiffReport {
+    diff_manifests_with(old, new, DiffOptions::default())
 }
 
 /// Compares `new` against the `old` baseline, run by run and field by
@@ -250,9 +236,7 @@ pub fn diff_manifests_with(
     new: &SuiteManifest,
     opts: DiffOptions,
 ) -> DiffReport {
-    assert!(opts.tolerance >= 0.0, "tolerance must be non-negative");
     let mut report = DiffReport {
-        tolerance: opts.tolerance,
         ignore_engine: opts.ignore_engine,
         ..DiffReport::default()
     };
@@ -293,7 +277,6 @@ pub fn diff_manifests_with(
 
 /// Compares one matched run pair and records the findings.
 fn compare_run(o: &RunRecord, n: &RunRecord, opts: DiffOptions, report: &mut DiffReport) {
-    let tolerance = opts.tolerance;
     let old_shape = shape_fields(o, opts.ignore_engine);
     let new_shape = shape_fields(n, opts.ignore_engine);
     let mut reshaped = false;
@@ -334,10 +317,10 @@ fn compare_run(o: &RunRecord, n: &RunRecord, opts: DiffOptions, report: &mut Dif
             old: ov,
             new: nv,
         };
-        if nv as f64 > ov as f64 * (1.0 + tolerance) {
+        if nv > ov {
             changed = true;
             report.regressions.push(change);
-        } else if (nv as f64) < ov as f64 * (1.0 - tolerance) && nv != ov {
+        } else if nv < ov {
             changed = true;
             report.improvements.push(change);
         }
@@ -399,7 +382,6 @@ mod tests {
                 validate_us: 20,
             },
             wall_stats: WallStats::single(500),
-            trace: None,
             validation: Validation {
                 passed: true,
                 detail: "ok".into(),
@@ -417,7 +399,7 @@ mod tests {
     #[test]
     fn identical_manifests_are_clean() {
         let m = manifest(vec![record("a", 10, 100, 1000), record("b", 20, 200, 2000)]);
-        let report = diff_manifests(&m, &m, 0.0);
+        let report = diff_manifests(&m, &m);
         assert!(report.clean());
         assert_eq!(report.unchanged, 2);
         assert!(report.regressions.is_empty());
@@ -428,7 +410,7 @@ mod tests {
     fn counter_growth_is_a_regression_and_shrink_an_improvement() {
         let old = manifest(vec![record("a", 10, 100, 1000)]);
         let new = manifest(vec![record("a", 12, 90, 1000)]);
-        let report = diff_manifests(&old, &new, 0.0);
+        let report = diff_manifests(&old, &new);
         assert!(!report.clean());
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].field, "rounds");
@@ -443,26 +425,14 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_absorbs_small_drift() {
-        let old = manifest(vec![record("a", 100, 1000, 10000)]);
-        let new = manifest(vec![record("a", 109, 1090, 10900)]);
-        // 9% growth: regression at 5% tolerance, clean at 10%.
-        let tight = diff_manifests(&old, &new, 0.05);
-        assert_eq!(tight.regressions.len(), 3);
-        let loose = diff_manifests(&old, &new, 0.10);
-        assert!(loose.clean(), "{loose}");
-        assert_eq!(loose.unchanged, 1);
-        assert!(loose.improvements.is_empty());
-    }
-
-    #[test]
-    fn validation_flip_gates_regardless_of_tolerance() {
+    fn validation_flip_gates_with_identical_counters() {
         let old = manifest(vec![record("a", 10, 100, 1000)]);
         let mut bad = record("a", 10, 100, 1000);
         bad.validation.passed = false;
         let new = manifest(vec![bad]);
-        let report = diff_manifests(&old, &new, 10.0);
+        let report = diff_manifests(&old, &new);
         assert!(!report.clean());
+        assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].field, "validation.passed");
     }
 
@@ -472,7 +442,7 @@ mod tests {
         let mut c = record("a", 10, 100, 1000);
         c.n = 128; // same name, different graph shape
         let new = manifest(vec![c, record("d", 1, 1, 1)]);
-        let report = diff_manifests(&old, &new, 0.0);
+        let report = diff_manifests(&old, &new);
         assert_eq!(report.missing, vec!["b (seed 42)".to_string()]);
         assert_eq!(report.added, vec!["d (seed 42)".to_string()]);
         assert_eq!(report.reshaped.len(), 1);
@@ -492,12 +462,12 @@ mod tests {
         let mut s9 = record("a", 30, 300, 3000);
         s9.seed = 9;
         let m = manifest(vec![s5.clone(), s9.clone()]);
-        let report = diff_manifests(&m, &m, 0.0);
+        let report = diff_manifests(&m, &m);
         assert!(report.clean(), "{report}");
         assert_eq!(report.unchanged, 2);
 
         // Dropping one duplicate is reported missing, not absorbed.
-        let report = diff_manifests(&m, &manifest(vec![s5]), 0.0);
+        let report = diff_manifests(&m, &manifest(vec![s5]));
         assert_eq!(report.missing, vec!["a (seed 9)".to_string()]);
         assert_eq!(report.unchanged, 1);
     }
@@ -510,15 +480,15 @@ mod tests {
         // behind its clean twin.
         let old = manifest(vec![record("a", 10, 100, 1000), record("a", 10, 100, 1000)]);
         let new = manifest(vec![record("a", 50, 100, 1000), record("a", 10, 100, 1000)]);
-        let report = diff_manifests(&old, &new, 0.0);
+        let report = diff_manifests(&old, &new);
         assert_eq!(report.regressions.len(), 1, "{report}");
         assert_eq!(report.regressions[0].field, "rounds");
         assert_eq!(report.unchanged, 1);
 
         // A deleted duplicate is missing, an extra one is added.
-        let report = diff_manifests(&old, &manifest(vec![record("a", 10, 100, 1000)]), 0.0);
+        let report = diff_manifests(&old, &manifest(vec![record("a", 10, 100, 1000)]));
         assert_eq!(report.missing.len(), 1);
-        let report = diff_manifests(&manifest(vec![record("a", 10, 100, 1000)]), &old, 0.0);
+        let report = diff_manifests(&manifest(vec![record("a", 10, 100, 1000)]), &old);
         assert_eq!(report.added.len(), 1);
         assert!(report.clean());
     }
@@ -529,32 +499,10 @@ mod tests {
         o.charged_rounds = 0;
         let mut n = o.clone();
         n.charged_rounds = 5;
-        let report = diff_manifests(&manifest(vec![o]), &manifest(vec![n]), 0.5);
+        let report = diff_manifests(&manifest(vec![o]), &manifest(vec![n]));
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].field, "charged_rounds");
         assert!(report.regressions[0].relative().is_infinite());
-    }
-
-    #[test]
-    fn tolerance_boundary_is_exclusive() {
-        // Growth exactly at `old · (1 + tolerance)` is within tolerance
-        // (the gate is strict `>`), and shrink exactly at
-        // `old · (1 − tolerance)` is likewise not an improvement.
-        let old = manifest(vec![record("a", 100, 1000, 10000)]);
-        let at_boundary = manifest(vec![record("a", 110, 900, 10000)]);
-        let report = diff_manifests(&old, &at_boundary, 0.10);
-        assert!(report.clean(), "{report}");
-        assert!(report.improvements.is_empty(), "{report}");
-        assert_eq!(report.unchanged, 1);
-        // One past the boundary gates.
-        let past = manifest(vec![record("a", 111, 1000, 10000)]);
-        let report = diff_manifests(&old, &past, 0.10);
-        assert_eq!(report.regressions.len(), 1, "{report}");
-        // And one under it is an improvement.
-        let under = manifest(vec![record("a", 100, 899, 10000)]);
-        let report = diff_manifests(&old, &under, 0.10);
-        assert!(report.clean());
-        assert_eq!(report.improvements.len(), 1, "{report}");
     }
 
     #[test]
@@ -562,15 +510,15 @@ mod tests {
         let empty = manifest(vec![]);
         let full = manifest(vec![record("a", 10, 100, 1000)]);
         // Empty vs empty: trivially clean, nothing compared.
-        let report = diff_manifests(&empty, &empty, 0.0);
+        let report = diff_manifests(&empty, &empty);
         assert!(report.clean(), "{report}");
         assert_eq!(report.unchanged, 0);
         // Empty baseline: everything is merely added, still clean.
-        let report = diff_manifests(&empty, &full, 0.0);
+        let report = diff_manifests(&empty, &full);
         assert!(report.clean(), "{report}");
         assert_eq!(report.added, vec!["a (seed 42)".to_string()]);
         // Empty new manifest against a real baseline gates.
-        let report = diff_manifests(&full, &empty, 0.0);
+        let report = diff_manifests(&full, &empty);
         assert!(!report.clean());
         assert_eq!(report.missing, vec!["a (seed 42)".to_string()]);
     }
@@ -587,7 +535,7 @@ mod tests {
             record("a", 99, 100, 1000),
             record("a", 10, 100, 1000),
         ]);
-        let report = diff_manifests(&old, &new, 0.0);
+        let report = diff_manifests(&old, &new);
         assert_eq!(report.added.len(), 1, "{report}");
         assert_eq!(report.regressions.len(), 1, "{report}");
         assert_eq!(
@@ -610,12 +558,11 @@ mod tests {
         pooled.shards = 4;
         let new = manifest(vec![pooled.clone()]);
         // Engine-strict: nothing matches.
-        let strict = diff_manifests(&old, &new, 0.0);
+        let strict = diff_manifests(&old, &new);
         assert_eq!(strict.missing.len(), 1);
         assert_eq!(strict.added.len(), 1);
         // Engine-agnostic: matched, compared, clean.
         let opts = DiffOptions {
-            tolerance: 0.0,
             ignore_engine: true,
         };
         let agnostic = diff_manifests_with(&old, &new, opts);
@@ -639,7 +586,7 @@ mod tests {
         let mut slow = record("a", 10, 100, 1000);
         slow.wall.run_us = 50_000;
         slow.wall_stats = WallStats::single(50_000);
-        let report = diff_manifests(&old, &manifest(vec![slow]), 0.0);
+        let report = diff_manifests(&old, &manifest(vec![slow]));
         assert!(report.clean(), "{report}");
         assert_eq!(report.unchanged, 1);
     }
@@ -650,7 +597,7 @@ mod tests {
         o.wall_stats = WallStats::from_samples(&[100.0, 102.0, 98.0]);
         let mut n = o.clone();
         n.wall_stats = WallStats::from_samples(&[200.0, 202.0, 198.0]);
-        let report = diff_manifests(&manifest(vec![o.clone()]), &manifest(vec![n]), 0.0);
+        let report = diff_manifests(&manifest(vec![o.clone()]), &manifest(vec![n]));
         assert!(!report.clean(), "{report}");
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].field, "wall_stats.mean_us");
@@ -662,7 +609,7 @@ mod tests {
         // The mirror image is an improvement, never a gate.
         let mut fast = o.clone();
         fast.wall_stats = WallStats::from_samples(&[50.0, 52.0, 48.0]);
-        let report = diff_manifests(&manifest(vec![o]), &manifest(vec![fast]), 0.0);
+        let report = diff_manifests(&manifest(vec![o]), &manifest(vec![fast]));
         assert!(report.clean(), "{report}");
         assert_eq!(report.improvements.len(), 1);
         assert_eq!(report.improvements[0].field, "wall_stats.mean_us");
@@ -683,7 +630,7 @@ mod tests {
             "fixture must overlap: {new_lo} vs {old_hi}"
         );
         assert!(old_lo < new_hi);
-        let report = diff_manifests(&manifest(vec![o]), &manifest(vec![n]), 0.0);
+        let report = diff_manifests(&manifest(vec![o]), &manifest(vec![n]));
         assert!(report.clean(), "{report}");
         assert_eq!(report.unchanged, 1);
         assert!(report.improvements.is_empty());
@@ -693,7 +640,7 @@ mod tests {
     fn report_renders_human_readably() {
         let old = manifest(vec![record("a", 10, 100, 1000)]);
         let new = manifest(vec![record("a", 20, 100, 1000)]);
-        let text = diff_manifests(&old, &new, 0.0).to_string();
+        let text = diff_manifests(&old, &new).to_string();
         assert!(
             text.contains("REGRESSED a (seed 42): rounds 10 -> 20 (+100.0%)"),
             "{text}"

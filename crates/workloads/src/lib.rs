@@ -22,18 +22,21 @@
 //!   predicates (MIS independence + maximality, ruling-set packing +
 //!   covering, sparsifier invariant I3 + domination) and collect rounds,
 //!   messages, bits, peak queue depth, arena footprint and per-phase
-//!   wall clock. The `_with` variants take [`RunOptions`]: a [`Repeat`]
-//!   scheme (warmup + timed invocations) that turns the wall clock into
-//!   [`WallStats`] (mean/min/max/95% CI), and an
-//!   optional untimed probe run capturing a bounded per-round
-//!   [`TraceRow`] activity trace.
+//!   wall clock. The `_with` variants take a [`Repeat`] scheme (warmup +
+//!   timed invocations) that turns the wall clock into [`WallStats`]
+//!   (mean/min/max/95% CI).
+//! * [`profile_scenario`] — the same run path with a
+//!   `powersparse_congest::probe::SpanProbe` on every repeat
+//!   (`experiments profile SCENARIO`): [`trace_violations`] re-checks
+//!   each probe against the run's counters, and [`breakdown`] and
+//!   [`chrome_trace`] read where the wall clock went.
 //! * [`SuiteManifest`] — the structured JSON result
 //!   (`BENCH_*.json`-ready), with an exact parse/serialize round trip
 //!   for cross-run regression diffing.
 //! * [`diff_manifests`] — field-by-field manifest comparison
-//!   (`experiments suite --diff old.json new.json`): flags
-//!   round/message/bit regressions beyond a relative tolerance, missing
-//!   or reshaped scenarios and validation flips; wall clock gates only
+//!   (`experiments suite --diff old.json new.json`): flags every
+//!   round/message/bit regression, missing or reshaped scenarios and
+//!   validation flips; wall clock gates only
 //!   when both sides carry repeat statistics with disjoint confidence
 //!   intervals.
 //! * [`TrendReport`] — the cross-manifest trajectory (`experiments
@@ -77,11 +80,13 @@ pub use diff::{
     diff_manifests, diff_manifests_with, DiffOptions, DiffReport, FieldChange, ShapeChange,
 };
 pub use json::{Json, JsonError};
-pub use manifest::{PhaseWall, RunRecord, SuiteManifest, TraceRow, Validation, WallStats};
-pub use profile::{breakdown, chrome_trace, ProfileBreakdown, ProfileStats, ShardProfile};
+pub use manifest::{PhaseWall, RunRecord, SuiteManifest, Validation, WallStats};
+pub use profile::{
+    breakdown, chrome_trace, trace_violations, ProfileBreakdown, ProfileStats, ShardProfile,
+};
 pub use runner::{
     profile_scenario, run_scenario, run_scenario_with, run_suite, run_suite_with, suite_params,
-    Repeat, RunOptions,
+    Repeat,
 };
 pub use scenario::{
     builtin_suite, parse_suite, AlgorithmSpec, EngineSpec, GraphFamily, Scenario, SpecError,

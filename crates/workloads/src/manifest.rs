@@ -113,51 +113,6 @@ impl WallStats {
     }
 }
 
-/// One row of the optional per-round trace section: the
-/// engine-invariant core of a `powersparse_congest::probe::RoundObs`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceRow {
-    /// Round index (real, even when the trace is downsampled).
-    pub round: u64,
-    /// Directed edges still holding queued bits after the transfer.
-    pub active_edges: u64,
-    /// Distinct nodes that received a delivery this round.
-    pub dirty_nodes: u64,
-    /// Messages delivered this round.
-    pub messages: u64,
-    /// Bits sent this round.
-    pub bits: u64,
-}
-
-impl TraceRow {
-    /// The row as a [`Json`] object (the schema `experiments trace
-    /// --out` emits and the manifest `trace` section embeds).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("round".into(), Json::num(self.round)),
-            ("active_edges".into(), Json::num(self.active_edges)),
-            ("dirty_nodes".into(), Json::num(self.dirty_nodes)),
-            ("messages".into(), Json::num(self.messages)),
-            ("bits".into(), Json::num(self.bits)),
-        ])
-    }
-
-    /// Parses one row back from its JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
-    pub fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            round: req_u64(doc, "round")?,
-            active_edges: req_u64(doc, "active_edges")?,
-            dirty_nodes: req_u64(doc, "dirty_nodes")?,
-            messages: req_u64(doc, "messages")?,
-            bits: req_u64(doc, "bits")?,
-        })
-    }
-}
-
 /// The validation verdict of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Validation {
@@ -214,9 +169,6 @@ pub struct RunRecord {
     pub wall: PhaseWall,
     /// Wall-clock statistics over repeated invocations.
     pub wall_stats: WallStats,
-    /// Optional per-round activity trace (possibly downsampled; absent
-    /// unless the run was traced).
-    pub trace: Option<Vec<TraceRow>>,
     /// Validation verdict.
     pub validation: Validation,
 }
@@ -281,11 +233,9 @@ impl SuiteManifest {
 }
 
 impl RunRecord {
-    /// The record as a [`Json`] object. The optional `trace` key is
-    /// emitted only when captured, so plain manifests stay compact and
-    /// byte-stable against older builds' diff tooling.
+    /// The record as a [`Json`] object.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("name".into(), Json::str(&self.name)),
             ("family".into(), Json::str(&self.family)),
             ("graph".into(), Json::str(&self.graph)),
@@ -323,31 +273,24 @@ impl RunRecord {
                     ("samples".into(), Json::num(self.wall_stats.samples)),
                 ]),
             ),
-        ];
-        if let Some(trace) = &self.trace {
-            fields.push((
-                "trace".into(),
-                Json::Arr(trace.iter().map(TraceRow::to_json).collect()),
-            ));
-        }
-        fields.push((
-            "validation".into(),
-            Json::Obj(vec![
-                ("passed".into(), Json::Bool(self.validation.passed)),
-                ("detail".into(), Json::str(&self.validation.detail)),
-            ]),
-        ));
-        Json::Obj(fields)
+            (
+                "validation".into(),
+                Json::Obj(vec![
+                    ("passed".into(), Json::Bool(self.validation.passed)),
+                    ("detail".into(), Json::str(&self.validation.detail)),
+                ]),
+            ),
+        ])
     }
 
     /// Parses one record from its JSON object. The observability fields
-    /// introduced with the probe layer (`arena_*_peak`, `wall_stats`,
-    /// `trace`) are optional, so manifests written by older builds still
-    /// parse: missing arena gauges read as zero, missing statistics
-    /// derive from the plain `wall_us.run` sample, and a missing trace
-    /// reads as "not captured". Keys this build does not read — such as
-    /// the retired `net`, `recovery` and `profile` sections and the
-    /// `alloc_count`/`alloc_bytes_peak` gauges — are skipped.
+    /// introduced with the probe layer (`arena_*_peak`, `wall_stats`)
+    /// are optional, so manifests written by older builds still parse:
+    /// missing arena gauges read as zero, and missing statistics derive
+    /// from the plain `wall_us.run` sample. Keys this build does not
+    /// read — such as the retired `net`, `recovery`, `profile` and
+    /// `trace` sections and the `alloc_count`/`alloc_bytes_peak` gauges
+    /// — are skipped.
     ///
     /// # Errors
     ///
@@ -365,16 +308,6 @@ impl RunRecord {
                 ci95_us: req_f64(stats, "ci95_us")?,
                 samples: req_u64(stats, "samples")?,
             },
-        };
-        let trace = match doc.get("trace") {
-            None => None,
-            Some(rows) => Some(
-                rows.as_arr()
-                    .ok_or_else(|| missing("trace"))?
-                    .iter()
-                    .map(TraceRow::from_json)
-                    .collect::<Result<Vec<_>, JsonError>>()?,
-            ),
         };
         Ok(Self {
             name: req_str(doc, "name")?,
@@ -402,7 +335,6 @@ impl RunRecord {
                 validate_us: req_u64(wall, "validate")?,
             },
             wall_stats,
-            trace,
             validation: Validation {
                 passed: validation
                     .get("passed")
@@ -488,22 +420,6 @@ mod tests {
                     ci95_us: 88.125,
                     samples: 4,
                 },
-                trace: Some(vec![
-                    TraceRow {
-                        round: 0,
-                        active_edges: 12,
-                        dirty_nodes: 0,
-                        messages: 0,
-                        bits: 96,
-                    },
-                    TraceRow {
-                        round: 76,
-                        active_edges: 0,
-                        dirty_nodes: 3,
-                        messages: 3,
-                        bits: 0,
-                    },
-                ]),
                 validation: Validation {
                     passed: true,
                     detail: "MIS of G^1: independent + maximal, |S| = 55".into(),
@@ -526,20 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn untraced_record_omits_the_trace_key() {
-        let mut m = sample();
-        m.runs[0].trace = None;
-        let text = m.to_json_string();
-        assert!(!text.contains("\"trace\""));
-        assert_eq!(SuiteManifest::parse(&text).unwrap(), m);
-    }
-
-    #[test]
     fn old_schema_without_observability_fields_still_parses() {
         // A manifest written before the probe layer: no arena gauges,
-        // no wall_stats, no trace.
-        let mut m = sample();
-        m.runs[0].trace = None;
+        // no wall_stats.
+        let m = sample();
         let mut text = m.to_json_string();
         for key in ["arena_cells_peak", "arena_bytes_peak"] {
             let from = text.find(key).unwrap() - 1;
@@ -557,7 +463,6 @@ mod tests {
         assert_eq!(r.arena_bytes_peak, 0);
         assert_eq!(r.wall_stats, WallStats::single(r.wall.run_us));
         assert_eq!(r.wall_stats.samples, 1);
-        assert_eq!(r.trace, None);
     }
 
     #[test]
@@ -606,8 +511,9 @@ mod tests {
     /// A `+net(...)` row of the engine manifest as the wire-shaping
     /// build wrote it, verbatim, plus the sections other retired
     /// writers added: the `recovery` object a supervised run appended
-    /// after `net`, and the `alloc_*` gauges and `profile` object of a
-    /// gauged, profiled run.
+    /// after `net`, the `alloc_*` gauges and `profile` object of a
+    /// gauged, profiled run, and the per-round `trace` array of a
+    /// traced one.
     const ARCHIVED_WIRE_ROW: &str = r#"{
       "name": "gnp(n=1000,d=8)/k1/luby_mis/process2+net(lat=50us,bw=0,jit=0)",
       "family": "gnp",
@@ -662,6 +568,22 @@ mod tests {
         "imbalance": 1.37,
         "barrier_share": 0.284
       },
+      "trace": [
+        {
+          "round": 0,
+          "active_edges": 12,
+          "dirty_nodes": 0,
+          "messages": 0,
+          "bits": 96
+        },
+        {
+          "round": 7,
+          "active_edges": 0,
+          "dirty_nodes": 3,
+          "messages": 3,
+          "bits": 0
+        }
+      ],
       "validation": {
         "passed": true,
         "detail": "MIS of G^1: independent + maximal, |S| = 265"
@@ -692,23 +614,16 @@ mod tests {
         assert!(r.validation.passed);
         // Re-serializing drops the retired sections and nothing else.
         let again = m.to_json_string();
-        for retired in ["\"net\"", "\"recovery\"", "\"alloc_", "\"profile\""] {
+        for retired in [
+            "\"net\"",
+            "\"recovery\"",
+            "\"alloc_",
+            "\"profile\"",
+            "\"trace\"",
+        ] {
             assert!(!again.contains(retired), "{retired} survived: {again}");
         }
         assert_eq!(SuiteManifest::parse(&again).unwrap().runs, m.runs);
-    }
-
-    #[test]
-    fn trace_row_json_round_trips() {
-        let row = TraceRow {
-            round: 7,
-            active_edges: 12,
-            dirty_nodes: 3,
-            messages: 5,
-            bits: 160,
-        };
-        assert_eq!(TraceRow::from_json(&row.to_json()).unwrap(), row);
-        assert!(TraceRow::from_json(&Json::Obj(vec![])).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Stage-level time attribution: turns the raw per-round, per-shard
-//! spans a [`SpanProbe`] gathered into (a) the per-stage × per-shard
+//! Reading a profiled run: [`trace_violations`] re-checks what a
+//! [`SpanProbe`] gathered against the run's counters, and the raw
+//! per-round, per-shard spans turn into (a) the per-stage × per-shard
 //! [`breakdown`] with its aggregated [`ProfileStats`], which the
 //! `experiments profile` table renders, and (b) a Chrome trace-event
 //! document (one Perfetto track per shard, counter tracks for active
@@ -14,7 +15,58 @@
 //! onto tiny components.
 
 use crate::json::Json;
-use powersparse_congest::probe::SpanProbe;
+use crate::manifest::RunRecord;
+use powersparse_congest::probe::{RoundObs, SpanProbe};
+
+/// Re-checks one profiled run's probe against the run's counters: one
+/// observation and one span per round, in round order; per-round
+/// messages and bits summing to the counters; and the charged rounds
+/// being exactly the rounds with empty spans, each with a zeroed
+/// observation. Returns one line per broken invariant.
+pub fn trace_violations(probe: &SpanProbe, rec: &RunRecord) -> Vec<String> {
+    let mut bad = Vec::new();
+    let (obs, spans) = (probe.rounds.len(), probe.spans.len());
+    if obs as u64 != rec.rounds || spans as u64 != rec.rounds {
+        bad.push(format!(
+            "{obs} observations and {spans} spans for {} rounds",
+            rec.rounds
+        ));
+    }
+    let rounds = || probe.rounds.iter().zip(&probe.spans);
+    if let Some(i) = (0u64..)
+        .zip(rounds())
+        .position(|(i, (o, s))| o.round != i || s.round != i)
+    {
+        bad.push(format!("round {i} is out of order"));
+    }
+    let (msgs, bits) = probe
+        .rounds
+        .iter()
+        .fold((0, 0), |(m, b), o| (m + o.messages, b + o.bits));
+    if (msgs, bits) != (rec.messages, rec.bits) {
+        bad.push(format!(
+            "per-round sums ({msgs} messages, {bits} bits) disagree with the counters \
+             ({} messages, {} bits)",
+            rec.messages, rec.bits
+        ));
+    }
+    let empty = probe.spans.iter().filter(|s| s.shards() == 0).count() as u64;
+    if empty != rec.charged_rounds {
+        bad.push(format!(
+            "{empty} rounds have empty spans but {} were charged",
+            rec.charged_rounds
+        ));
+    }
+    if let Some((o, _)) =
+        rounds().find(|(o, s)| s.shards() == 0 && **o != RoundObs::charged(o.round))
+    {
+        bad.push(format!(
+            "round {} has empty spans but a nonzero observation",
+            o.round
+        ));
+    }
+    bad
+}
 
 /// Aggregated stage-attribution statistics of one or more profiled
 /// runs. All times are totals over the run's rounds, in microseconds,

@@ -7,7 +7,7 @@
 //! slow, obviously-correct checkers agree (MIS independence + maximality,
 //! ruling-set packing + covering, sparsifier invariant I3 + domination).
 
-use crate::manifest::{PhaseWall, RunRecord, SuiteManifest, TraceRow, Validation, WallStats};
+use crate::manifest::{PhaseWall, RunRecord, SuiteManifest, Validation, WallStats};
 use crate::scenario::{AlgorithmSpec, EngineSpec, Scenario};
 use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering, ShatterReport};
 use powersparse::nd::{diameter_bound, power_nd, NetworkDecomposition};
@@ -17,14 +17,15 @@ use powersparse::ruling::{
 };
 use powersparse::sparsify::{sparsify_power, SamplingStrategy, SparsifyOutcome};
 use powersparse_congest::engine::{Metrics, RoundEngine};
-use powersparse_congest::probe::{NoProbe, Probe, SpanProbe, TraceProbe};
+use powersparse_congest::probe::{NoProbe, Probe, SpanProbe};
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::{bfs, check, generators, power, Graph, NodeId};
 use std::time::Instant;
 
 /// The laptop-scale theory constants every suite run uses, the paper
-/// profile included (see DESIGN.md §3 substitution 4).
+/// profile included (see "Scaled constants" in
+/// [`powersparse::params`](powersparse::params#substitutions)).
 pub fn suite_params() -> TheoryParams {
     TheoryParams::scaled()
 }
@@ -60,19 +61,6 @@ impl Default for Repeat {
     }
 }
 
-/// Per-run options of [`run_scenario_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Repetition scheme for wall-clock statistics.
-    pub repeat: Repeat,
-    /// Capture a per-round activity trace: `Some(limit)` runs the
-    /// scenario once more, untimed, with a
-    /// [`powersparse_congest::probe::TraceProbe`] attached and stores
-    /// at most `limit` evenly strided rows (real round indices are
-    /// preserved; `Some(0)` keeps every round).
-    pub trace: Option<usize>,
-}
-
 /// What an algorithm produced, in the shape its checker wants.
 enum AlgOutput {
     /// A membership mask (MIS of `G^k`), with the shattering pipeline's
@@ -99,12 +87,12 @@ enum AlgOutput {
 /// fails validation still returns `Ok` with
 /// `record.validation.passed == false`, so a suite can report it.
 pub fn run_scenario(sc: &Scenario) -> Result<RunRecord, String> {
-    run_scenario_with(sc, &RunOptions::default())
+    run_scenario_with(sc, Repeat::once())
 }
 
 /// One run-phase execution: builds a fresh engine for the scenario's
 /// backend with `probe` attached, runs the algorithm, and returns the
-/// output, the final metrics and the probe. Timed runs pass [`NoProbe`],
+/// output, the final metrics and the probe. Suite runs pass [`NoProbe`],
 /// which is what every plain engine constructor attaches, so they
 /// compile to the un-probed engine.
 fn execute<P: Probe>(
@@ -132,35 +120,7 @@ fn execute<P: Probe>(
     }
 }
 
-/// Builds a scenario's graph once and profiles `repeats` independent
-/// executions with a [`SpanProbe`] attached (the `experiments profile`
-/// front end; aggregate the probes with [`crate::profile::breakdown`]).
-///
-/// # Errors
-///
-/// As [`run_scenario`]; additionally rejects `repeats == 0`.
-pub fn profile_scenario(sc: &Scenario, repeats: usize) -> Result<Vec<SpanProbe>, String> {
-    sc.validate_spec()?;
-    if repeats == 0 {
-        return Err("profile needs at least one repeat".into());
-    }
-    let g = sc.family.build(sc.seed);
-    let config = SimConfig::for_graph(&g);
-    (0..repeats)
-        .map(|_| execute(&g, config, sc, SpanProbe::new()).map(|(_, _, probe)| probe))
-        .collect()
-}
-
-/// Evenly strided downsampling that keeps real round indices.
-fn downsample(rows: Vec<TraceRow>, limit: usize) -> Vec<TraceRow> {
-    if limit == 0 || rows.len() <= limit {
-        return rows;
-    }
-    let stride = rows.len().div_ceil(limit);
-    rows.into_iter().step_by(stride).collect()
-}
-
-/// Executes one scenario with explicit repetition/trace options (see
+/// Executes one scenario with an explicit repetition scheme (see
 /// [`run_scenario`] for the error contract).
 ///
 /// # Errors
@@ -169,9 +129,39 @@ fn downsample(rows: Vec<TraceRow>, limit: usize) -> Vec<TraceRow> {
 /// invocations, and reports counters that drift between invocations of
 /// the same scenario (which would mean the run is not deterministic and
 /// its statistics meaningless).
-pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, String> {
+pub fn run_scenario_with(sc: &Scenario, rep: Repeat) -> Result<RunRecord, String> {
+    run_probed(sc, rep, || NoProbe).map(|(record, _)| record)
+}
+
+/// Runs one scenario `repeats` times with a [`SpanProbe`] attached (the
+/// `experiments profile` front end). Returns the run's record, whose
+/// counters every repeat reproduced, and one probe per repeat: check
+/// each with [`crate::profile::trace_violations`] and aggregate them with
+/// [`crate::profile::breakdown`].
+///
+/// # Errors
+///
+/// As [`run_scenario_with`] with `repeats` invocations and no warmup.
+pub fn profile_scenario(
+    sc: &Scenario,
+    repeats: usize,
+) -> Result<(RunRecord, Vec<SpanProbe>), String> {
+    let rep = Repeat {
+        invocations: repeats,
+        warmup: 0,
+    };
+    run_probed(sc, rep, SpanProbe::new)
+}
+
+/// The one run path: builds the graph, runs `rep.warmup` discarded and
+/// `rep.invocations` timed executions, each with a fresh `probe()`
+/// attached, and validates the first execution's output.
+fn run_probed<P: Probe>(
+    sc: &Scenario,
+    rep: Repeat,
+    probe: impl Fn() -> P,
+) -> Result<(RunRecord, Vec<P>), String> {
     sc.validate_spec()?;
-    let rep = opts.repeat;
     if rep.invocations == 0 {
         return Err("repeat needs at least one invocation".into());
     }
@@ -185,11 +175,13 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
     }
 
     let mut samples: Vec<f64> = Vec::with_capacity(rep.invocations);
+    let mut probes: Vec<P> = Vec::with_capacity(rep.invocations);
     let mut first: Option<(AlgOutput, Metrics)> = None;
     for _ in 0..rep.invocations {
         let t = Instant::now();
-        let (out, metrics, _) = execute(&g, config, sc, NoProbe)?;
+        let (out, metrics, p) = execute(&g, config, sc, probe())?;
         samples.push(t.elapsed().as_micros() as f64);
+        probes.push(p);
         match &first {
             None => first = Some((out, metrics)),
             Some((_, m0)) => {
@@ -211,44 +203,18 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
     let wall_stats = WallStats::from_samples(&samples);
     let run_us = samples[0] as u64;
 
-    // One untimed traced execution, reduced to manifest rows and
-    // downsampled to at most `limit` rows.
-    let trace = match opts.trace {
-        None => None,
-        Some(limit) => {
-            let (_, _, probe) = execute(&g, config, sc, TraceProbe::new())?;
-            let rows = probe
-                .rounds
-                .iter()
-                .map(|obs| TraceRow {
-                    round: obs.round,
-                    active_edges: obs.active_edges,
-                    dirty_nodes: obs.dirty_nodes,
-                    messages: obs.messages,
-                    bits: obs.bits,
-                })
-                .collect();
-            Some(downsample(rows, limit))
-        }
-    };
-
     let t = Instant::now();
     let (validation, output_size) = validate(&g, sc, &output);
     let validate_us = t.elapsed().as_micros() as u64;
 
-    Ok(record(
-        sc,
-        &g,
-        &metrics,
-        PhaseWall {
-            build_us,
-            run_us,
-            validate_us,
-        },
-        wall_stats,
-        trace,
-        validation,
-        output_size,
+    let wall = PhaseWall {
+        build_us,
+        run_us,
+        validate_us,
+    };
+    Ok((
+        record(sc, &g, &metrics, wall, wall_stats, validation, output_size),
+        probes,
     ))
 }
 
@@ -259,10 +225,10 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
 /// Propagates the first specification/algorithm error (validation
 /// failures do not abort the suite; they are recorded per run).
 pub fn run_suite(suite: &str, scenarios: &[Scenario]) -> Result<SuiteManifest, String> {
-    run_suite_with(suite, scenarios, &RunOptions::default())
+    run_suite_with(suite, scenarios, Repeat::once())
 }
 
-/// Executes a whole scenario matrix with explicit options.
+/// Executes a whole scenario matrix with an explicit repetition scheme.
 ///
 /// # Errors
 ///
@@ -270,11 +236,11 @@ pub fn run_suite(suite: &str, scenarios: &[Scenario]) -> Result<SuiteManifest, S
 pub fn run_suite_with(
     suite: &str,
     scenarios: &[Scenario],
-    opts: &RunOptions,
+    rep: Repeat,
 ) -> Result<SuiteManifest, String> {
     let runs = scenarios
         .iter()
-        .map(|sc| run_scenario_with(sc, opts).map_err(|e| format!("{}: {e}", sc.name())))
+        .map(|sc| run_scenario_with(sc, rep).map_err(|e| format!("{}: {e}", sc.name())))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(SuiteManifest {
         suite: suite.to_string(),
@@ -432,14 +398,12 @@ fn validate(g: &Graph, sc: &Scenario, output: &AlgOutput) -> (Validation, u64) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn record(
     sc: &Scenario,
     g: &Graph,
     metrics: &Metrics,
     wall: PhaseWall,
     wall_stats: WallStats,
-    trace: Option<Vec<TraceRow>>,
     validation: Validation,
     output_size: u64,
 ) -> RunRecord {
@@ -465,7 +429,6 @@ fn record(
         output_size,
         wall,
         wall_stats,
-        trace,
         validation,
     }
 }
@@ -622,14 +585,11 @@ mod tests {
     #[test]
     fn repeated_runs_collect_wall_stats_and_keep_counters_exact() {
         let sc = Scenario::new(GraphFamily::Grid { rows: 5, cols: 5 }).seed(2);
-        let opts = RunOptions {
-            repeat: Repeat {
-                invocations: 3,
-                warmup: 1,
-            },
-            trace: None,
+        let rep = Repeat {
+            invocations: 3,
+            warmup: 1,
         };
-        let rec = run_scenario_with(&sc, &opts).unwrap();
+        let rec = run_scenario_with(&sc, rep).unwrap();
         assert_eq!(rec.wall_stats.samples, 3);
         assert!(rec.wall_stats.min_us <= rec.wall_stats.mean_us);
         assert!(rec.wall_stats.mean_us <= rec.wall_stats.max_us);
@@ -646,67 +606,59 @@ mod tests {
 
     #[test]
     fn full_trace_reconciles_with_the_counters() {
-        let sc = Scenario::new(GraphFamily::Grid { rows: 5, cols: 5 })
-            .seed(2)
-            .pooled(3);
-        let opts = RunOptions {
-            repeat: Repeat::once(),
-            trace: Some(0), // keep every round
-        };
-        let rec = run_scenario_with(&sc, &opts).unwrap();
-        let trace = rec.trace.as_ref().unwrap();
-        assert_eq!(trace.len() as u64, rec.rounds);
-        assert_eq!(trace.iter().map(|r| r.messages).sum::<u64>(), rec.messages);
-        assert_eq!(trace.iter().map(|r| r.bits).sum::<u64>(), rec.bits);
-        for (i, row) in trace.iter().enumerate() {
-            assert_eq!(row.round, i as u64);
+        // A pooled Luby run, and a sequential shattering run whose
+        // post-shattering phases charge rounds.
+        for sc in [
+            Scenario::new(GraphFamily::Grid { rows: 5, cols: 5 })
+                .seed(2)
+                .pooled(3),
+            Scenario::new(GraphFamily::Grid { rows: 16, cols: 8 })
+                .algorithm(AlgorithmSpec::ShatterMis { two_phase: false }),
+        ] {
+            let (rec, probes) = profile_scenario(&sc, 2).unwrap();
+            assert!(rec.validation.passed, "{}", rec.validation.detail);
+            assert_eq!(probes.len(), 2);
+            for probe in &probes {
+                assert_eq!(probe.rounds.len() as u64, rec.rounds);
+                let msgs: u64 = probe.rounds.iter().map(|r| r.messages).sum();
+                let bits: u64 = probe.rounds.iter().map(|r| r.bits).sum();
+                assert_eq!((msgs, bits), (rec.messages, rec.bits));
+                for (i, obs) in probe.rounds.iter().enumerate() {
+                    assert_eq!(obs.round, i as u64);
+                }
+                assert_eq!(
+                    crate::profile::trace_violations(probe, &rec),
+                    Vec::<String>::new()
+                );
+            }
+            // The probe changes no counter.
+            let counters = |r: &RunRecord| (r.rounds, r.charged_rounds, r.messages, r.bits);
+            assert_eq!(counters(&rec), counters(&run_scenario(&sc).unwrap()));
         }
     }
 
     #[test]
-    fn downsampled_trace_is_bounded_and_keeps_real_round_indices() {
-        let sc = Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
-            .k(2)
-            .seed(3);
-        let full = run_scenario_with(
-            &sc,
-            &RunOptions {
-                repeat: Repeat::once(),
-                trace: Some(0),
-            },
-        )
-        .unwrap();
-        let rounds = full.rounds;
-        assert!(rounds > 4, "need a multi-round run for downsampling");
-        let limit = 4usize;
-        let rec = run_scenario_with(
-            &sc,
-            &RunOptions {
-                repeat: Repeat::once(),
-                trace: Some(limit),
-            },
-        )
-        .unwrap();
-        let trace = rec.trace.as_ref().unwrap();
-        assert!(trace.len() <= limit, "{} rows > limit {limit}", trace.len());
-        assert_eq!(trace[0].round, 0, "first round must survive");
-        let full_rows = full.trace.as_ref().unwrap();
-        for row in trace {
-            assert_eq!(&full_rows[row.round as usize], row, "strided row differs");
-        }
+    fn trace_violations_catch_a_missing_charged_observation() {
+        let sc = Scenario::new(GraphFamily::Grid { rows: 16, cols: 8 })
+            .algorithm(AlgorithmSpec::ShatterMis { two_phase: false });
+        let (rec, mut probes) = profile_scenario(&sc, 1).unwrap();
+        assert!(rec.charged_rounds > 0, "the row must charge rounds");
+        let mut probe = probes.pop().unwrap();
+        let charged = probe.spans.iter().position(|s| s.shards() == 0).unwrap();
+        probe.rounds.remove(charged);
+        let bad = crate::profile::trace_violations(&probe, &rec);
+        assert!(bad.iter().any(|v| v.contains("observations")), "{bad:?}");
     }
 
     #[test]
     fn zero_repeat_counts_are_spec_errors() {
         let sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 });
-        let opts = RunOptions {
-            repeat: Repeat {
-                invocations: 0,
-                warmup: 0,
-            },
-            trace: None,
+        let rep = Repeat {
+            invocations: 0,
+            warmup: 0,
         };
-        assert!(run_scenario_with(&sc, &opts).is_err());
+        assert!(run_scenario_with(&sc, rep).is_err());
+        assert!(profile_scenario(&sc, 0).is_err());
     }
 
     #[test]

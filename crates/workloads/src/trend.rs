@@ -265,7 +265,6 @@ mod tests {
                 validate_us: 5,
             },
             wall_stats: WallStats::single(100),
-            trace: None,
             validation: Validation {
                 passed: true,
                 detail: "ok".into(),

@@ -6,8 +6,7 @@
 
 use powersparse_workloads::{
     builtin_suite, run_scenario, run_scenario_with, run_suite, AlgorithmSpec, EngineSpec,
-    GraphFamily, PhaseWall, Repeat, RunOptions, RunRecord, Scenario, SuiteManifest, SuiteProfile,
-    WallStats,
+    GraphFamily, PhaseWall, Repeat, RunRecord, Scenario, SuiteManifest, SuiteProfile, WallStats,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -233,26 +232,21 @@ fn same_seed_same_suite_manifest_bytes() {
 #[test]
 fn repeated_run_statistics_round_trip_exactly_through_json() {
     // The acceptance bar for the repeat-run statistics: a --repeats ≥ 3
-    // run emits mean/ci95 wall stats (plus a bounded trace) that
-    // survive the JSON parser bit-for-bit, fractional values included.
+    // run emits mean/ci95 wall stats that survive the JSON parser
+    // bit-for-bit, fractional values included.
     let sc = Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
         .k(2)
         .seed(3)
         .pooled(2);
-    let opts = RunOptions {
-        repeat: Repeat {
-            invocations: 3,
-            warmup: 1,
-        },
-        trace: Some(16),
+    let rep = Repeat {
+        invocations: 3,
+        warmup: 1,
     };
-    let rec = run_scenario_with(&sc, &opts).unwrap();
+    let rec = run_scenario_with(&sc, rep).unwrap();
     assert!(rec.validation.passed, "{}", rec.validation.detail);
     assert_eq!(rec.wall_stats.samples, 3);
     assert!(rec.wall_stats.min_us <= rec.wall_stats.mean_us);
     assert!(rec.wall_stats.mean_us <= rec.wall_stats.max_us);
-    let trace = rec.trace.as_ref().expect("trace requested");
-    assert!(!trace.is_empty() && trace.len() <= 16);
 
     let manifest = SuiteManifest {
         suite: "repeats".into(),
@@ -260,7 +254,7 @@ fn repeated_run_statistics_round_trip_exactly_through_json() {
     };
     let text = manifest.to_json_string();
     let back = SuiteManifest::parse(&text).expect("manifest must parse");
-    assert_eq!(back, manifest, "wall stats / trace did not round-trip");
+    assert_eq!(back, manifest, "wall stats did not round-trip");
     assert_eq!(back.to_json_string(), text, "re-serialization not stable");
     let stats = &back.runs[0].wall_stats;
     assert_eq!(
