@@ -17,7 +17,7 @@ fn bench(c: &mut Criterion) {
             .count() as u64
     };
     group.bench_function(BenchmarkId::new("seed_search", "64pts"), |b| {
-        b.iter(|| seed_search(fam.seed_len(), 4096, count).expect("found"))
+        b.iter(|| seed_search(fam.seed_len(), 0..4096, count).expect("found"))
     });
     // Exhaustive conditional expectations on a tiny family.
     let tiny = KWiseFamily::new(2, 8);

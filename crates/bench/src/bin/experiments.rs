@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! experiments suite [--profile smoke|full|paper|engines | --spec FILE.toml] --out MANIFEST.json
+//! experiments suite (--profile smoke|paper|engines | --spec FILE.toml) --out MANIFEST.json
 //!                   [--force-engine ENGINE] [--repeats R] [--warmup W]
 //! experiments suite --diff OLD.json NEW.json [--ignore-engine]
 //! experiments trend [DIR] [--out REPORT.json]
@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Output is markdown. The `suite` subcommand runs a builtin profile
-//! (full by default) or a spec file, writes a structured JSON manifest
+//! or a spec file (one of the two is required), writes a structured JSON manifest
 //! to `--out` for cross-run regression diffing, and exits nonzero if any
 //! run fails its validity checks; `--repeats R` times each scenario's
 //! run phase `R` times (plus `--warmup W` discarded invocations) and
@@ -122,19 +122,14 @@ fn trend_cmd(args: &[String]) {
 }
 
 /// Looks a scenario up by canonical name across the builtin suites —
-/// smoke first so the cheap instance of a name wins, then the full,
-/// paper and engines scenarios smoke does not carry. Unknown names list
-/// the catalogue and exit nonzero.
+/// smoke first, then the paper and engines scenarios smoke does not
+/// carry. Unknown names list the catalogue and exit nonzero.
 fn find_builtin_scenario(target: &str) -> powersparse_workloads::Scenario {
     use powersparse_workloads::{builtin_suite, SuiteProfile};
     let mut scenarios = builtin_suite(SuiteProfile::Smoke);
-    for sc in [
-        SuiteProfile::Full,
-        SuiteProfile::Paper,
-        SuiteProfile::Engines,
-    ]
-    .into_iter()
-    .flat_map(builtin_suite)
+    for sc in [SuiteProfile::Paper, SuiteProfile::Engines]
+        .into_iter()
+        .flat_map(builtin_suite)
     {
         if !scenarios.iter().any(|s| s.name() == sc.name()) {
             scenarios.push(sc);
@@ -332,7 +327,7 @@ fn profile_cmd(args: &[String]) {
 }
 
 /// E10 — The workload scenario suite: the declarative graph-family ×
-/// algorithm × engine matrix of `powersparse-workloads` (the smoke, full,
+/// algorithm × engine matrix of `powersparse-workloads` (the smoke,
 /// paper or engines profile, or a spec file), validated run by run, with
 /// a JSON manifest for `BENCH_*.json` trajectory tracking. Each row's `valid`
 /// column is its validation detail: the checked guarantee plus the
@@ -342,13 +337,13 @@ fn suite_cmd(args: &[String]) {
         builtin_suite, parse_suite, run_suite_with, EngineSpec, Repeat, SuiteProfile,
     };
 
-    let usage = "usage: experiments suite [--profile smoke|full|paper|engines | --spec FILE.toml] \
+    let usage = "usage: experiments suite (--profile smoke|paper|engines | --spec FILE.toml) \
                  --out MANIFEST.json [--force-engine sequential|pooled|process] \
                  [--repeats R] [--warmup W] \
                  | suite --diff OLD.json NEW.json [--ignore-engine]";
-    // Strict argument parsing: a mistyped flag must not silently fall
-    // back to the full builtin suite (the spec-file parser rejects
-    // unknown keys for the same reason).
+    // Strict argument parsing: a mistyped flag must not silently run
+    // something else (the spec-file parser rejects unknown keys for the
+    // same reason).
     let mut profile: Option<(String, SuiteProfile)> = None;
     let mut out: Option<String> = None;
     let mut spec: Option<String> = None;
@@ -392,12 +387,11 @@ fn suite_cmd(args: &[String]) {
                     "--profile" => {
                         let builtin = match value.as_str() {
                             "smoke" => SuiteProfile::Smoke,
-                            "full" => SuiteProfile::Full,
                             "paper" => SuiteProfile::Paper,
                             "engines" => SuiteProfile::Engines,
                             other => {
                                 eprintln!(
-                                    "unknown profile '{other}' (expected smoke|full|paper|engines)"
+                                    "unknown profile '{other}' (expected smoke|paper|engines)"
                                 );
                                 std::process::exit(2);
                             }
@@ -446,16 +440,17 @@ fn suite_cmd(args: &[String]) {
         eprintln!("suite runs need --out MANIFEST.json ({usage})");
         std::process::exit(2);
     };
-    let (mut name, mut scenarios) = match spec {
-        Some(path) => {
+    let (mut name, mut scenarios) = match (spec, profile) {
+        (Some(path), _) => {
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("cannot read spec {path}: {e}"));
             let scenarios = parse_suite(&text).unwrap_or_else(|e| panic!("{e}"));
             (path, scenarios)
         }
-        None => {
-            let (name, profile) = profile.unwrap_or(("full".into(), SuiteProfile::Full));
-            (name, builtin_suite(profile))
+        (None, Some((name, profile))) => (name, builtin_suite(profile)),
+        (None, None) => {
+            eprintln!("suite runs need --profile or --spec ({usage})");
+            std::process::exit(2);
         }
     };
     // `--force-engine` reruns the whole matrix on one backend, keeping

@@ -108,6 +108,9 @@
 //! * a state slice whose length differs from the node count panics with
 //!   "state slice must have one entry per node" in both
 //!   [`RoundPhase::step`] and [`RoundPhase::settle`];
+//! * a [`RoundPhase::settle`] whose messages are still in flight after
+//!   its `max_rounds` silent rounds panics with "settle exceeded
+//!   `max_rounds` rounds" (the loop is defined once, in the trait);
 //! * querying [`RoundEngine::messages_across`] /
 //!   [`RoundEngine::bits_across`] on an engine built without
 //!   [`MetricsConfig::per_edge`] panics with "per-edge accounting is
@@ -515,18 +518,45 @@ pub trait RoundPhase<M: Message> {
         self.step(&mut unit, |_, v, inbox, out| f(v, inbox, out));
     }
 
-    /// Runs silent rounds (no new sends) until all in-flight messages
-    /// have been delivered, handing **every** nonempty delivery batch
-    /// (including those completing in intermediate rounds) to `f`.
+    /// Hands every nonempty unread inbox to `f` and consumes it, without
+    /// running a round. Backends may visit the nodes in any order, or
+    /// concurrently; each inbox keeps the contract's delivery order.
     ///
     /// # Panics
     ///
-    /// Panics if draining takes more than `max_rounds` rounds, or if
+    /// Panics if `state.len()` differs from the node count.
+    fn read_inboxes<S, F>(&mut self, state: &mut [S], f: F)
+    where
+        S: Send,
+        F: Fn(&mut S, NodeId, &[Delivery<M>]) + Sync;
+
+    /// Runs silent rounds (no new sends) until all in-flight messages
+    /// have been delivered, handing **every** nonempty delivery batch
+    /// (including those completing in intermediate rounds) to `f`. One
+    /// definition for every backend, over [`RoundPhase::read_inboxes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with "settle exceeded `max_rounds` rounds" if messages are
+    /// still in flight after `max_rounds` silent rounds, or if
     /// `state.len()` differs from the node count.
     fn settle<S, F>(&mut self, max_rounds: u64, state: &mut [S], f: F)
     where
         S: Send,
-        F: Fn(&mut S, NodeId, &[Delivery<M>]) + Sync;
+        F: Fn(&mut S, NodeId, &[Delivery<M>]) + Sync,
+    {
+        let mut unit = vec![(); self.graph().n()];
+        let mut spent = 0u64;
+        loop {
+            self.read_inboxes(state, &f);
+            if !self.in_flight() {
+                break;
+            }
+            assert!(spent < max_rounds, "settle exceeded {max_rounds} rounds");
+            self.step(&mut unit, |_, _, _, _| {});
+            spent += 1;
+        }
+    }
 
     /// Whether any message is still queued on an edge.
     fn in_flight(&self) -> bool;

@@ -22,7 +22,9 @@
 //!   deterministic.
 //! * [`sim::Simulator`] owns the metrics; algorithms open typed
 //!   [`sim::Phase`]s and drive them round by round through
-//!   [`engine::RoundPhase`], the same API every backend implements.
+//!   [`engine::RoundPhase`], the same API every backend implements. A
+//!   backend supplies `step` and `read_inboxes`; the trait defines
+//!   `settle`, the quiescence loop, once for all of them.
 //! * Messages carry an explicit bit size. A message larger than the
 //!   remaining per-edge budget is **fragmented automatically**: it occupies
 //!   the edge for `⌈bits / bandwidth⌉` rounds and is delivered when its
@@ -40,10 +42,13 @@
 //!
 //! [`primitives`] implements the communication toolbox of Section 4 of the
 //! paper as real node programs: leader election + global BFS tree,
-//! convergecast (Lemma 4.3), tree broadcast, k-hop floods, pipelined ID-set
-//! exchange (Lemma 4.1), multicast over distributed BFS trees — the
-//! *Broadcast* and *Q-message* operations of Lemma 4.2 — and the ID-tagged
-//! k-hop beep layer of Lemma 8.2.
+//! convergecast (Lemma 4.3), tree broadcast and their composition
+//! [`primitives::sum_and_broadcast`] (the check of one seed candidate,
+//! Claim 5.6), k-hop floods — flag-merging, and the `min`-merging
+//! [`primitives::khop_min`] behind knock-out beeps and Luby's ranks —
+//! pipelined ID-set exchange (Lemma 4.1), multicast over distributed BFS
+//! trees — the *Broadcast* and *Q-message* operations of Lemma 4.2 — and
+//! the ID-tagged k-hop beep layer of Lemma 8.2.
 //!
 //! # Example
 //!

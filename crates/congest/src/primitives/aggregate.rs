@@ -120,21 +120,22 @@ pub fn broadcast_from_root<E: RoundEngine>(
         .collect()
 }
 
-/// The derandomization inner step (Claim 5.6): aggregate the per-node
-/// values at the root, let the root `decide`, and broadcast the decision
-/// to everyone. Returns the decision.
+/// Claim 5.6's check of one seed candidate: sums the per-node values at
+/// the root (Lemma 4.3), lets the root judge the total with `accept`,
+/// and broadcasts the 1-bit verdict to every node. Returns the total and
+/// the verdict. Every seed scan of the reproduction checks its
+/// candidates with this.
 pub fn sum_and_broadcast<E: RoundEngine>(
     sim: &mut E,
     tree: &GlobalTree,
     values: &[u64],
     value_bits: usize,
-    decide: impl FnOnce(u64) -> u64,
-    decision_bits: usize,
-) -> u64 {
+    accept: impl FnOnce(u64) -> bool,
+) -> (u64, bool) {
     let total = converge_sum(sim, tree, values, value_bits);
-    let decision = decide(total);
-    broadcast_from_root(sim, tree, decision, decision_bits);
-    decision
+    let verdict = accept(total);
+    broadcast_from_root(sim, tree, u64::from(verdict), 1);
+    (total, verdict)
 }
 
 #[cfg(test)]
@@ -205,14 +206,7 @@ mod tests {
     fn sum_and_broadcast_decision() {
         let g = generators::cycle(8);
         let (mut sim, tree) = setup(&g);
-        let d = sum_and_broadcast(
-            &mut sim,
-            &tree,
-            &[2; 8],
-            8,
-            |total| u64::from(total > 10),
-            1,
-        );
-        assert_eq!(d, 1);
+        let got = sum_and_broadcast(&mut sim, &tree, &[2; 8], 8, |total| total > 10);
+        assert_eq!(got, (16, true));
     }
 }

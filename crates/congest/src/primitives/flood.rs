@@ -1,9 +1,11 @@
 //! k-hop floods: anonymous flag propagation (deactivation flags, Section
 //! 5.1: "sending a flag from each sampled node, propagated for two hops,
-//! where multiple incoming flags can be forwarded as one") and
-//! accept-first ball growing (Lemma 8.3 border construction).
+//! where multiple incoming flags can be forwarded as one"), the
+//! `min`-merging value flood (Theorem 6.1's knock-out beeps and Luby's
+//! rank comparison, Section 8.1) and accept-first ball growing (Lemma 8.3
+//! border construction).
 
-use crate::engine::{RoundEngine, RoundPhase};
+use crate::engine::{Delivery, Message, RoundEngine, RoundPhase};
 
 /// Per-node state of a flag flood.
 #[derive(Clone, Copy)]
@@ -48,69 +50,69 @@ pub fn flood_flags<E: RoundEngine>(sim: &mut E, sources: &[bool], hops: usize) -
     state.into_iter().map(|s| s.reached).collect()
 }
 
-/// Per-node state of the min-ID flood.
+/// Per-node state of the min flood.
 #[derive(Clone, Copy)]
-struct MinIdState {
-    /// Smallest source ID from some *other* node seen so far.
-    best: Option<u32>,
-    /// Smallest ID known for forwarding (own source ID included).
-    carry: Option<u32>,
-    /// Last ID broadcast (re-send only on improvement).
-    sent: Option<u32>,
+struct MinState<M> {
+    /// Smallest value heard from another starter so far.
+    best: Option<M>,
+    /// Last value broadcast (re-sent only on improvement).
+    sent: Option<M>,
 }
 
-/// `min`-merging ID flood (the knock-out beep of Theorem 6.1): every node
-/// learns the smallest source ID within `hops` (in `G`, or in `G[mask]`
-/// when `relay = Some(mask)` — sources outside the mask still emit their
-/// own ID); sources themselves hear only *other* sources. Costs `hops`
-/// rounds (+ drain).
-pub fn khop_min_source<E: RoundEngine>(
+/// `min`-merging value flood: the knock-out beep of Theorem 6.1 (values
+/// are starter IDs) and Luby's rank comparison (values are
+/// `(rank, ID)` pairs). `start(i)` is node `i`'s own value, `None` if
+/// `i` starts nothing; values of distinct starters must differ. Every
+/// node learns the smallest value of *another* starter within `hops`,
+/// in `G`, or with `relay = Some(mask)` along paths whose inner nodes are
+/// starters or in the mask (starters outside the mask still emit). A
+/// node re-broadcasts the smallest value it knows, its own included,
+/// whenever that improves, so each edge carries one `msg_bits`-bit value
+/// per round. Merging may hide a larger value behind a smaller one, but a
+/// starter hears a smaller value exactly when it is not the strict
+/// minimum among the starters within reach. Costs `hops` rounds (+ drain).
+pub fn khop_min<E: RoundEngine, M: Message + Copy + Ord>(
     sim: &mut E,
-    sources: &[bool],
     hops: usize,
+    start: impl Fn(usize) -> Option<M> + Sync,
+    msg_bits: usize,
     relay: Option<&[bool]>,
-) -> Vec<Option<u32>> {
+) -> Vec<Option<M>> {
     let n = sim.graph().n();
-    assert_eq!(sources.len(), n);
     if let Some(mask) = relay {
         assert_eq!(mask.len(), n);
     }
-    let id_bits = sim.graph().id_bits();
-    let mut state: Vec<MinIdState> = (0..n)
-        .map(|i| MinIdState {
+    let hear = |s: &mut MinState<M>, own: Option<M>, inbox: &[Delivery<M>]| {
+        for &(_, m) in inbox {
+            if Some(m) != own && s.best.is_none_or(|b| m < b) {
+                s.best = Some(m);
+            }
+        }
+    };
+    let mut state = vec![
+        MinState {
             best: None,
-            carry: sources[i].then_some(i as u32),
-            sent: None,
-        })
-        .collect();
-    let mut phase = sim.phase::<u32>();
+            sent: None
+        };
+        n
+    ];
+    let mut phase = sim.phase::<M>();
     phase.step_n(hops, &mut state, |s, v, inbox, out| {
         let i = v.index();
-        for &(_, id) in inbox {
-            if id != i as u32 && s.best.is_none_or(|b| id < b) {
-                s.best = Some(id);
-            }
-            if s.carry.is_none_or(|c| id < c) {
-                s.carry = Some(id);
-            }
-        }
-        if relay.is_some_and(|m| !m[i]) && !sources[i] {
+        let own = start(i);
+        hear(s, own, inbox);
+        if own.is_none() && relay.is_some_and(|m| !m[i]) {
             return;
         }
-        if let Some(c) = s.carry {
-            if s.sent.is_none_or(|prev| c < prev) {
-                s.sent = Some(c);
-                out.broadcast(v, c, id_bits);
+        if let Some(carry) = own.into_iter().chain(s.best).min() {
+            if s.sent.is_none_or(|prev| carry < prev) {
+                s.sent = Some(carry);
+                out.broadcast(v, carry, msg_bits);
             }
         }
     });
-    phase.settle(8 * id_bits as u64, &mut state, |s, v, inbox| {
-        let i = v.index();
-        for &(_, id) in inbox {
-            if id != i as u32 && s.best.is_none_or(|b| id < b) {
-                s.best = Some(id);
-            }
-        }
+    phase.settle(8 * msg_bits as u64, &mut state, |s, v, inbox| {
+        hear(s, start(v.index()), inbox);
     });
     state.into_iter().map(|s| s.best).collect()
 }
@@ -222,7 +224,8 @@ mod tests {
         let d18 = bfs::distances(&g, NodeId(18));
         for hops in 1..=3 {
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let got = khop_min_source(&mut sim, &sources, hops, None);
+            let ids = |i: usize| sources[i].then_some(i as u32);
+            let got = khop_min(&mut sim, hops, ids, g.id_bits(), None);
             for v in g.nodes() {
                 let i = v.index();
                 let near7 = i != 7 && matches!(d7[i], Some(x) if x as usize <= hops);
@@ -244,13 +247,86 @@ mod tests {
         // reach nodes 3 and 4 even with a large hop budget.
         let g = generators::path(5);
         let mask: Vec<bool> = (0..5).map(|i| i != 2).collect();
-        let sources = vec![true, false, false, false, false];
+        let sources = [true, false, false, false, false];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let got = khop_min_source(&mut sim, &sources, 4, Some(&mask));
+        let ids = |i: usize| sources[i].then_some(i as u32);
+        let got = khop_min(&mut sim, 4, ids, g.id_bits(), Some(&mask));
         assert_eq!(got[1], Some(0));
         assert_eq!(got[2], Some(0), "the masked-out node still hears");
         assert_eq!(got[3], None, "ID crossed the masked-out relay");
         assert_eq!(got[4], None);
+    }
+
+    /// Starters reachable from `v` in at most `hops` hops along paths
+    /// whose inner nodes relay: a starter, or in `relay` when given.
+    fn starters_within(
+        g: &powersparse_graphs::Graph,
+        v: usize,
+        hops: usize,
+        starter: &[bool],
+        relay: Option<&[bool]>,
+    ) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; g.n()];
+        dist[v] = 0;
+        let mut frontier = vec![v];
+        let mut found = Vec::new();
+        for d in 1..=hops {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                if u != v && !starter[u] && relay.is_some_and(|m| !m[u]) {
+                    continue;
+                }
+                for &w in g.neighbors(NodeId::from(u)) {
+                    if dist[w.index()] == usize::MAX {
+                        dist[w.index()] = d;
+                        next.push(w.index());
+                        if starter[w.index()] {
+                            found.push(w.index());
+                        }
+                    }
+                }
+            }
+            frontier = next;
+        }
+        found
+    }
+
+    /// Luby's join rule over `khop_min` with `(rank, id)` payloads,
+    /// against a BFS oracle: a starter hears a smaller value exactly when
+    /// some other starter within `hops` has a smaller one, with and
+    /// without a relay mask; a node with no starter in reach hears
+    /// nothing.
+    #[test]
+    fn min_flood_matches_lubys_join_rule() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..4u64 {
+            let g = generators::connected_gnp(60, 0.06, seed);
+            let n = g.n();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let starter: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+            let rank: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 20)).collect();
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
+            let value = |i: usize| (rank[i], i as u32);
+            for relay in [None, Some(mask.as_slice())] {
+                for hops in 1..=4 {
+                    let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+                    let start = |i: usize| starter[i].then(|| value(i));
+                    let got = khop_min(&mut sim, hops, start, 20 + g.id_bits(), relay);
+                    for v in 0..n {
+                        let near = starters_within(&g, v, hops, &starter, relay);
+                        let what = format!("seed {seed}, node {v}, hops {hops}, {relay:?}");
+                        if near.is_empty() {
+                            assert_eq!(got[v], None, "{what}");
+                        } else if starter[v] {
+                            let beaten = near.iter().any(|&w| value(w) < value(v));
+                            let heard_smaller = got[v].is_some_and(|b| b < value(v));
+                            assert_eq!(heard_smaller, beaten, "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -250,29 +250,6 @@ impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
         self.sends = sends;
     }
 
-    /// The quiescence loop behind [`RoundPhase::settle`]. Visits only
-    /// nodes with deliveries (the dirty worklist, in ID order) — a quiet
-    /// round while fragments cross costs O(active), not O(n).
-    fn run_drain(&mut self, max_rounds: u64, mut g: impl FnMut(usize, &[Delivery<M>])) {
-        let mut spent = 0;
-        loop {
-            let mut dirty = std::mem::take(&mut self.dirty);
-            dirty.sort_unstable();
-            for &i in &dirty {
-                let inbox = std::mem::take(&mut self.inboxes[i as usize]);
-                g(i as usize, &inbox);
-            }
-            dirty.clear();
-            self.dirty = dirty;
-            if !self.in_flight() {
-                break;
-            }
-            assert!(spent < max_rounds, "drain exceeded {max_rounds} rounds");
-            self.run_step(|_, _, _| {});
-            spent += 1;
-        }
-    }
-
     /// Whether any message is still queued on an edge. O(1) on the
     /// arena core.
     pub fn in_flight(&self) -> bool {
@@ -383,7 +360,10 @@ impl<M: Message, P: Probe> RoundPhase<M> for Phase<'_, '_, M, P> {
         self.run_step(|i, inbox, out| f(&mut state[i], NodeId::from(i), inbox, out));
     }
 
-    fn settle<S, F>(&mut self, max_rounds: u64, state: &mut [S], f: F)
+    /// Visits only nodes with deliveries (the dirty worklist, in ID
+    /// order), so a quiet round while fragments cross costs O(active),
+    /// not O(n).
+    fn read_inboxes<S, F>(&mut self, state: &mut [S], f: F)
     where
         S: Send,
         F: Fn(&mut S, NodeId, &[Delivery<M>]) + Sync,
@@ -393,9 +373,12 @@ impl<M: Message, P: Probe> RoundPhase<M> for Phase<'_, '_, M, P> {
             self.inboxes.len(),
             "state slice must have one entry per node"
         );
-        self.run_drain(max_rounds, |i, inbox| {
-            f(&mut state[i], NodeId::from(i), inbox)
-        });
+        self.dirty.sort_unstable();
+        for &i in &self.dirty {
+            let inbox = std::mem::take(&mut self.inboxes[i as usize]);
+            f(&mut state[i as usize], NodeId(i), &inbox);
+        }
+        self.dirty.clear();
     }
 
     fn in_flight(&self) -> bool {

@@ -11,7 +11,9 @@
 //! * **Sparsification** ([`sparsify`]):
 //!   * randomized sampling (Algorithm 1, Section 5.1),
 //!   * deterministic sparsification via derandomization
-//!     (Algorithm 2 / `DetSparsification`, Section 5.2),
+//!     (Algorithm 2 / `DetSparsification`, Section 5.2): a seed scan
+//!     whose candidates are checked over a global BFS tree (Claim 5.6),
+//!     shared with the network decomposition's delay seeds,
 //!   * iterated sparsification of power graphs with invariants I1–I3
 //!     (Algorithm 3, Section 5.3 — [`sparsify::sparsify_power`]),
 //!   * diameter-free sparsification inside network-decomposition
@@ -34,8 +36,10 @@
 //!     Section 7 (**Theorem 1.4**) generalized to power graphs
 //!     (**Theorem 1.2** — [`mis::mis_power`]).
 //! * **Network decomposition** ([`nd`]): delay-based clustering with
-//!   same-color separation `2k+1` (Theorem A.1 interface) plus the
-//!   distance-`k` ball graphs of Lemma 8.3.
+//!   same-color separation `2k+1` (Theorem A.1 interface), the
+//!   distance-`k` ball graphs of Lemma 8.3, and [`nd::cluster_parts`],
+//!   the domain `G[C ∪ N^k(C)]` on which both cluster finishing
+//!   (Theorem 1.2) and Lemma 5.8 run a cluster.
 //!
 //! Substitutions relative to the paper (derandomization strategy, the MIS
 //! subroutine of Theorem 1.1, the network-decomposition internals, scaled

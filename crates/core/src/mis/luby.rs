@@ -4,14 +4,14 @@
 //! whose rank is a strict minimum among the undecided nodes of its
 //! distance-`k` neighborhood joins the MIS; joiners alert their
 //! distance-`k` neighborhood, which becomes decided. Rank comparison and
-//! the alert are `k`-hop floods (min-merging and flag-merging
-//! respectively), so one step costs `O(k)` rounds — the paper's `k`-factor
-//! slowdown. Importantly, the algorithm never needs a node's degree in
-//! `G^k` (unknowable in CONGEST), which is why this variant extends to
-//! power graphs.
+//! the alert are `k`-hop floods (the min-merging [`khop_min`] and the
+//! flag-merging [`flood_flags`]), so one step costs `O(k)` rounds — the
+//! paper's `k`-factor slowdown. Importantly, the algorithm never needs a
+//! node's degree in `G^k` (unknowable in CONGEST), which is why this
+//! variant extends to power graphs.
 
-use powersparse_congest::engine::{RoundEngine, RoundPhase};
-use powersparse_congest::primitives::flood_flags;
+use powersparse_congest::engine::RoundEngine;
+use powersparse_congest::primitives::{flood_flags, khop_min};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,7 +59,8 @@ pub fn luby_mis_on<E: RoundEngine>(
             .map(|_| rng.gen_range(0..1u64 << rank_bits.min(40)))
             .collect();
         // k-hop min-flood of (rank, id) over undecided originators.
-        let best = khop_min(sim, k, &undecided, &ranks, rank_bits + id_bits);
+        let own = |i: usize| undecided[i].then_some((ranks[i], i as u32));
+        let best = khop_min(sim, k, own, rank_bits + id_bits, None);
         // Strict minimum joins.
         let mut joined = vec![false; n];
         for i in 0..n {
@@ -84,66 +85,6 @@ pub fn luby_mis_on<E: RoundEngine>(
         "Luby did not terminate within {max_steps} steps"
     );
     in_mis
-}
-
-/// Per-node state of the k-hop min-flood.
-#[derive(Clone, Copy)]
-struct MinState {
-    /// Minimum (rank, id) from some *other* node seen so far.
-    best_other: Option<(u64, u32)>,
-    /// Minimum (rank, id) known for forwarding (own value included).
-    forward: Option<(u64, u32)>,
-    /// Last value broadcast (re-send only on improvement).
-    sent: Option<(u64, u32)>,
-}
-
-/// k-hop minimum flood: every node learns
-/// `min {(rank_w, ID(w)) : w ∈ N^k(v), w undecided}` (its own excluded).
-/// One `(rank, id)` pair per edge per round — mins merge.
-fn khop_min<E: RoundEngine>(
-    sim: &mut E,
-    k: usize,
-    undecided: &[bool],
-    ranks: &[u64],
-    msg_bits: usize,
-) -> Vec<Option<(u64, u32)>> {
-    let n = undecided.len();
-    let mut state: Vec<MinState> = (0..n)
-        .map(|i| MinState {
-            best_other: None,
-            forward: undecided[i].then_some((ranks[i], i as u32)),
-            sent: None,
-        })
-        .collect();
-    let mut phase = sim.phase::<(u64, u32)>();
-    phase.step_n(k, &mut state, |s, v, inbox, out| {
-        let i = v.index();
-        for &(_, pair) in inbox {
-            if pair.1 != i as u32 && s.best_other.is_none_or(|b| pair < b) {
-                s.best_other = Some(pair);
-            }
-            if s.forward.is_none_or(|f| pair < f) {
-                s.forward = Some(pair);
-            }
-        }
-        // Forward the current best if it improved since last send.
-        if let Some(f) = s.forward {
-            if s.sent.is_none_or(|prev| f < prev) {
-                s.sent = Some(f);
-                out.broadcast(v, f, msg_bits);
-            }
-        }
-    });
-    // Final delivery sweep.
-    phase.settle(8 * msg_bits as u64, &mut state, |s, v, inbox| {
-        let i = v.index();
-        for &(_, pair) in inbox {
-            if pair.1 != i as u32 && s.best_other.is_none_or(|b| pair < b) {
-                s.best_other = Some(pair);
-            }
-        }
-    });
-    state.into_iter().map(|s| s.best_other).collect()
 }
 
 #[cfg(test)]

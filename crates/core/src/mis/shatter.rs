@@ -28,7 +28,7 @@
 //!    "Charged sub-simulations" in
 //!    [`crate::params`](crate::params#substitutions)).
 
-use crate::nd::{build_ball_graph, power_nd, NdError, NetworkDecomposition};
+use crate::nd::{build_ball_graph, cluster_parts, power_nd, NdError, NetworkDecomposition};
 use crate::params::TheoryParams;
 use crate::ruling::ruling_set_with_balls;
 use powersparse_congest::engine::RoundEngine;
@@ -297,25 +297,9 @@ fn finish_cluster(
     exec_budget: u64,
     retries: &mut u64,
 ) -> Result<(u64, Vec<NodeId>), MisError> {
-    // Domain: members ∪ N^k(members), per connected component.
-    let dist_m = bfs::multi_source_distances(g, members);
-    let domain: Vec<NodeId> = g
-        .nodes()
-        .filter(|v| matches!(dist_m[v.index()], Some(d) if (d as usize) <= k))
-        .collect();
-    let (dom_graph, dom_map) = subgraph::induced(g, &domain);
     let mut total_rounds = 0u64;
     let mut result: Vec<NodeId> = Vec::new();
-    for comp in subgraph::components(&dom_graph) {
-        let comp_nodes: Vec<NodeId> = comp.iter().map(|v| dom_map[v.index()]).collect();
-        let (sub, map) = subgraph::induced(g, &comp_nodes);
-        let cand: Vec<bool> = map
-            .iter()
-            .map(|v| matches!(dist_m[v.index()], Some(0)))
-            .collect();
-        if !cand.iter().any(|&b| b) {
-            continue;
-        }
+    for (sub, map, cand) in cluster_parts(g, members, k) {
         // Short IDs are the compact sub-graph indices (|sub| ≤ N). The
         // execution length is the paper's O(log N) with a constant large
         // enough that a single execution succeeds with good probability
@@ -344,7 +328,7 @@ fn finish_cluster(
         }
         if !done {
             return Err(MisError::ClusterBudgetExhausted {
-                cluster_size: comp_nodes.len(),
+                cluster_size: sub.n(),
             });
         }
     }

@@ -14,14 +14,16 @@
 //! safe per color (the [MPX13] cutting argument), giving `O(log n)`
 //! colors and cluster weak diameter `O(k·log n)` — the Theorem A.1 shape.
 //!
-//! The delay seed is chosen by the same deterministic seed-scan as the
-//! sparsifier (one convergecast per candidate verifies that at least half
-//! the expected fraction got clustered), making the whole decomposition
-//! deterministic.
+//! The delay seed is chosen by the same deterministic seed scan as the
+//! sparsifier ([`seed_search`], one [`sum_and_broadcast`] per candidate
+//! verifies that at least an eighth of the living nodes got clustered),
+//! making the whole decomposition deterministic.
 
 use crate::params::TheoryParams;
 use powersparse_congest::engine::{RoundEngine, RoundPhase};
-use powersparse_congest::primitives::{broadcast_from_root, converge_sum, elect_leader_and_tree};
+use powersparse_congest::primitives::{elect_leader_and_tree, sum_and_broadcast};
+use powersparse_graphs::{bfs, subgraph, Graph, NodeId};
+use powersparse_kwise::derand::seed_search;
 use powersparse_kwise::family::KWiseFamily;
 use powersparse_kwise::seed::Seed;
 
@@ -39,11 +41,11 @@ pub struct NetworkDecomposition {
 
 impl NetworkDecomposition {
     /// Members of each cluster.
-    pub fn members(&self) -> Vec<Vec<powersparse_graphs::NodeId>> {
+    pub fn members(&self) -> Vec<Vec<NodeId>> {
         let mut out = vec![Vec::new(); self.color.len()];
         for (i, c) in self.cluster.iter().enumerate() {
             if let Some(c) = c {
-                out[*c].push(powersparse_graphs::NodeId::from(i));
+                out[*c].push(NodeId::from(i));
             }
         }
         out
@@ -157,27 +159,28 @@ pub fn power_nd<E: RoundEngine>(
         // Deterministic scan over delay seeds: accept the first seed that
         // clusters at least 1/8 of the living nodes (the randomized
         // analysis yields a constant fraction in expectation, so a good
-        // seed exists nearby; cf. Claim 5.6's existence argument).
-        let mut accepted: Option<(Vec<Option<u32>>, Vec<bool>)> = None;
-        for _ in 0..params.seed_attempts {
-            let seed = Seed::from_counter(family.seed_len(), seed_counter);
-            seed_counter += 1;
-            let assignment = delayed_bfs(sim, &living, &family, &seed, p_delay, max_delay, k);
+        // seed exists nearby; cf. Claim 5.6's existence argument). The
+        // counter keeps running across colors.
+        let mut accepted = None;
+        let counters = seed_counter..seed_counter + params.seed_attempts;
+        let scan = seed_search(family.seed_len(), counters, |seed| {
+            let assignment = delayed_bfs(sim, &living, &family, seed, p_delay, max_delay, k);
             let safe = safe_nodes(sim, &assignment, &living, k, id_bits);
-            // Count clustered (= safe living) nodes at the root; broadcast
-            // accept/reject.
-            let values: Vec<u64> = (0..n).map(|i| u64::from(safe[i])).collect();
-            let clustered = converge_sum(sim, &global, &values, id_bits + 1);
-            let accept = u64::from(8 * clustered >= living_count);
-            broadcast_from_root(sim, &global, accept, 1);
-            if accept == 1 {
+            // Count clustered (= safe living) nodes at the root, which
+            // broadcasts accept/reject.
+            let values: Vec<u64> = safe.iter().map(|&b| u64::from(b)).collect();
+            let (_, accept) = sum_and_broadcast(sim, &global, &values, id_bits + 1, |clustered| {
+                8 * clustered >= living_count
+            });
+            if accept {
                 accepted = Some((assignment, safe));
-                break;
             }
-        }
-        let Some((assignment, safe)) = accepted else {
+            u64::from(!accept)
+        });
+        let (Ok(counter), Some((assignment, safe))) = (scan, accepted) else {
             return Err(NdError::SeedScanExhausted { color });
         };
+        seed_counter = counter + 1;
 
         // Safe nodes of each root form a cluster of this color.
         let mut root_to_cluster: std::collections::BTreeMap<u32, usize> =
@@ -198,6 +201,36 @@ pub fn power_nd<E: RoundEngine>(
     }
     decomposition.num_colors = color;
     Ok(decomposition)
+}
+
+/// The domain a cluster `C` runs its own sub-simulation on (Phase 5 of
+/// the shattering framework, Lemma 5.8), split into the connected
+/// components of `G[C ∪ N^k(C)]`. Each part is the component's induced
+/// subgraph, its map from sub-graph index to host node, and which of its
+/// nodes lie in `C` (the rest are border observers). A weak-diameter
+/// cluster's domain may be disconnected; distance-`k` relations never
+/// cross components (a path of at most `k` hops between domain nodes
+/// stays in the domain), so the parts run independently, in parallel.
+pub fn cluster_parts(
+    g: &Graph,
+    cluster: &[NodeId],
+    k: usize,
+) -> Vec<(Graph, Vec<NodeId>, Vec<bool>)> {
+    let dist = bfs::multi_source_distances(g, cluster);
+    let domain: Vec<NodeId> = g
+        .nodes()
+        .filter(|v| matches!(dist[v.index()], Some(d) if (d as usize) <= k))
+        .collect();
+    let (dom_graph, dom_map) = subgraph::induced(g, &domain);
+    subgraph::components(&dom_graph)
+        .into_iter()
+        .map(|comp| {
+            let nodes: Vec<NodeId> = comp.iter().map(|v| dom_map[v.index()]).collect();
+            let (sub, map) = subgraph::induced(g, &nodes);
+            let member = map.iter().map(|v| dist[v.index()] == Some(0)).collect();
+            (sub, map, member)
+        })
+        .collect()
 }
 
 /// The Theorem A.1 cluster weak-diameter budget `O(k·log n)` used by

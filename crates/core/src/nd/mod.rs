@@ -5,4 +5,4 @@ mod ball;
 mod cluster;
 
 pub use ball::{build_ball_graph, BallGraph};
-pub use cluster::{diameter_bound, power_nd, NdError, NetworkDecomposition};
+pub use cluster::{cluster_parts, diameter_bound, power_nd, NdError, NetworkDecomposition};

@@ -17,15 +17,19 @@
 //! each sampling stage of Algorithms 1–2 by the method of conditional
 //! expectations over an `O(log n)`-wise independent family (Claim 5.6),
 //! and Lemma 5.8 does so inside network-decomposition clusters to avoid
-//! any dependence on the diameter `D`. Here `sparsify_power` elects one
-//! global BFS tree and, under `SamplingStrategy::SeedSearch`, scans seed
-//! candidates in a fixed order: each candidate costs one convergecast of
-//! the bad-event count and one accept/reject broadcast over that tree, so
-//! `Θ(D)` rounds. Exact bit-by-bit fixing
-//! (`SamplingStrategy::ConditionalExpectations`,
-//! `powersparse_kwise::derand`) is kept for small seed spaces. See
-//! `sparsify/power.rs` and `powersparse_kwise::derand`; `power_nd` scans
-//! its delay seeds the same way.
+//! any dependence on the diameter `D`. Here every derandomized choice is
+//! one scan, `powersparse_kwise::derand::seed_search`, over one global
+//! BFS tree: the sparsifier's stages (`SamplingStrategy::SeedSearch`,
+//! `sparsify/power.rs`) and `power_nd`'s delay seeds (`nd/cluster.rs`,
+//! whose counter keeps running across colors) try seed candidates in a
+//! fixed order, and each candidate costs one
+//! `powersparse_congest::primitives::sum_and_broadcast`: a convergecast
+//! of the local counts and a 1-bit accept/reject broadcast, so `Θ(D)`
+//! rounds. The sparsifier never fixes bits one by one: its family
+//! (`KWiseFamily::for_graph`) has at least 32 seed bits, far beyond what
+//! exact conditional expectations can enumerate.
+//! `powersparse_kwise::derand::conditional_expectations` stays as the
+//! tested reference for Claim 5.6 on small families.
 //!
 //! **The greedy MIS in Theorem 1.1.** The paper computes the MIS of
 //! `G^k[Q]` with a deterministic CONGEST MIS algorithm, simulated over

@@ -17,7 +17,7 @@
 //! needs for the shattering framework.
 
 use powersparse_congest::engine::RoundEngine;
-use powersparse_congest::primitives::khop_min_source;
+use powersparse_congest::primitives::khop_min;
 
 /// Output of [`aglp_ruling_set`]/[`ruling_set_with_balls`].
 #[derive(Debug, Clone)]
@@ -68,6 +68,7 @@ pub fn aglp_ruling_set<E: RoundEngine>(
         m.max(1)
     };
 
+    let id_bits = sim.graph().id_bits();
     let mut in_set: Vec<bool> = candidates.to_vec();
     let mut knocked_by: Vec<Option<u32>> = vec![None; n];
 
@@ -80,7 +81,8 @@ pub fn aglp_ruling_set<E: RoundEngine>(
             if !beepers.iter().any(|&b| b) {
                 continue;
             }
-            let heard = khop_min_source(sim, &beepers, dist, relay);
+            let ids = |i: usize| beepers[i].then_some(i as u32);
+            let heard = khop_min(sim, dist, ids, id_bits, relay);
             for i in 0..n {
                 if in_set[i] && colors[i] / place % base > s {
                     if let Some(knocker) = heard[i] {

@@ -10,10 +10,11 @@
 //!   network decomposition.
 //!
 //! The per-stage sampling is controlled by a [`SamplingStrategy`]:
-//! Algorithm 1's randomized sampling, or Algorithm 2's derandomization
-//! with one of the two strategies of [`powersparse_kwise::derand`]
-//! (deterministic seed scan, or exact bit-by-bit conditional
-//! expectations).
+//! Algorithm 1's randomized sampling, or Algorithm 2's derandomization,
+//! which scans seeds with [`powersparse_kwise::derand::seed_search`] and
+//! checks each candidate with one
+//! [`sum_and_broadcast`](powersparse_congest::primitives::sum_and_broadcast)
+//! on the global BFS tree (Claim 5.6).
 
 mod nd;
 mod power;
@@ -35,10 +36,6 @@ pub enum SamplingStrategy {
     /// evaluated with a real convergecast per candidate and the first
     /// seed with zero bad events wins.
     SeedSearch,
-    /// Algorithm 2 with the paper's bit-by-bit method of conditional
-    /// expectations, computed exactly by exhaustive enumeration (only
-    /// feasible for tiny hash families; used to validate the machinery).
-    ConditionalExpectations,
 }
 
 /// Per-iteration statistics of a sparsification run.

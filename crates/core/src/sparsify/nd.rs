@@ -3,12 +3,11 @@
 //! network decomposition, one color class at a time.
 
 use super::{SamplingStrategy, SparsifyError};
-use crate::nd::{power_nd, NdError, NetworkDecomposition};
+use crate::nd::{cluster_parts, power_nd, NdError, NetworkDecomposition};
 use crate::params::TheoryParams;
 use powersparse_congest::engine::RoundEngine;
 use powersparse_congest::primitives::flood_flags;
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_graphs::{bfs, subgraph, NodeId};
 
 /// Outcome of [`sparsify_power_nd`].
 #[derive(Debug, Clone)]
@@ -89,25 +88,12 @@ pub fn sparsify_power_nd<E: RoundEngine>(
             if nd.color[c] != color || cluster.is_empty() {
                 continue;
             }
-            // Domain: C ∪ N^k(C).
-            let dist_c = bfs::multi_source_distances(sim.graph(), cluster);
-            let domain: Vec<NodeId> = sim
-                .graph()
-                .nodes()
-                .filter(|v| matches!(dist_c[v.index()], Some(d) if (d as usize) <= k))
-                .collect();
-            // A weak-diameter cluster's domain may be disconnected in
-            // G[domain]; distance-k relations never cross components (a
-            // ≤ k path between domain members stays in the domain), so
-            // components can run independently, in parallel.
-            let (dom_graph, dom_map) = subgraph::induced(sim.graph(), &domain);
-            for comp in subgraph::components(&dom_graph) {
-                let comp_nodes: Vec<NodeId> = comp.iter().map(|v| dom_map[v.index()]).collect();
-                let (sub, map) = subgraph::induced(sim.graph(), &comp_nodes);
+            for (sub, map, member) in cluster_parts(sim.graph(), cluster, k) {
                 // Actives: globally active members of C (borders observe).
                 let in_cluster: Vec<bool> = map
                     .iter()
-                    .map(|v| globally_active[v.index()] && matches!(dist_c[v.index()], Some(0)))
+                    .zip(&member)
+                    .map(|(v, &m)| m && globally_active[v.index()])
                     .collect();
                 if !in_cluster.iter().any(|&b| b) {
                     continue;
@@ -143,7 +129,7 @@ pub fn sparsify_power_nd<E: RoundEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powersparse_graphs::{generators, power};
+    use powersparse_graphs::{bfs, generators, power};
 
     fn validate(
         g: &powersparse_graphs::Graph,

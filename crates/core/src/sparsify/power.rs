@@ -5,12 +5,13 @@ use super::{IterationStats, SamplingStrategy};
 use crate::params::TheoryParams;
 use powersparse_congest::engine::RoundEngine;
 use powersparse_congest::primitives::{
-    broadcast_from_root, converge_sum, elect_leader_and_tree, extend_trees, flood_flags,
-    init_knowledge_and_trees, q_broadcast,
+    elect_leader_and_tree, extend_trees, flood_flags, init_knowledge_and_trees, q_broadcast,
+    sum_and_broadcast,
 };
 use powersparse_congest::trees::{GlobalTree, QTrees};
+use powersparse_kwise::derand::{seed_search, DerandError};
 use powersparse_kwise::family::KWiseFamily;
-use powersparse_kwise::seed::{PartialSeed, Seed};
+use powersparse_kwise::seed::Seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -29,12 +30,6 @@ pub enum SparsifyError {
         /// Best (minimum) bad-event count seen.
         best_bad_events: u64,
     },
-    /// The hash family's seed is too long for exhaustive conditional
-    /// expectations; use [`SamplingStrategy::SeedSearch`] instead.
-    SeedSpaceTooLarge {
-        /// Required seed bits.
-        seed_len: usize,
-    },
 }
 
 impl std::fmt::Display for SparsifyError {
@@ -44,9 +39,6 @@ impl std::fmt::Display for SparsifyError {
                 f,
                 "seed scan exhausted in iteration {s} stage {stage} (best candidate had {best_bad_events} bad events)"
             ),
-            Self::SeedSpaceTooLarge { seed_len } => {
-                write!(f, "seed space of {seed_len} bits too large for exact conditional expectations")
-            }
         }
     }
 }
@@ -134,7 +126,7 @@ pub fn sparsify_power<E: RoundEngine>(
     // Global BFS tree for the derandomization convergecasts.
     let global = match strategy {
         SamplingStrategy::Randomized { .. } => None,
-        _ => Some(elect_leader_and_tree(sim)),
+        SamplingStrategy::SeedSearch => Some(elect_leader_and_tree(sim)),
     };
 
     // I3 for s = 0 → 1: knowledge of N^1(v, Q_0) and depth-1 trees.
@@ -218,8 +210,9 @@ fn sparsify_iteration<E: RoundEngine>(
         SamplingStrategy::Randomized { seed } => {
             Some(StdRng::seed_from_u64(seed ^ (s as u64) << 32))
         }
-        _ => None,
+        SamplingStrategy::SeedSearch => None,
     };
+    let id_bits = sim.graph().id_bits();
     let mut total_attempts = 0u64;
 
     for stage in 1..=r {
@@ -228,27 +221,47 @@ fn sparsify_iteration<E: RoundEngine>(
         let high = params.high_degree_threshold(stage, delta_a);
 
         // --- Select the sampled set M_i. ---
-        let sampled_mask: Vec<bool> = match (&strategy, &mut rng) {
-            (SamplingStrategy::Randomized { .. }, Some(rng)) => (0..n)
+        let sampled_mask: Vec<bool> = match &mut rng {
+            Some(rng) => (0..n)
                 .map(|i| own[i] == MemberStatus::Active && rng.gen_bool(p))
                 .collect(),
-            _ => {
+            None => {
+                // Claim 5.6: every node evaluates its own bad events under
+                // the candidate locally, the totals travel to the root
+                // (Lemma 4.3), and the root accepts the first candidate
+                // with none.
                 let tree = global.expect("derandomization needs the global tree");
-                let seed = derandomize_stage(
-                    sim,
-                    tree,
-                    &family,
-                    threshold,
-                    high,
-                    degree_bound,
-                    &members,
-                    &own,
-                    params,
-                    strategy,
-                    s,
-                    stage,
-                    &mut total_attempts,
-                )?;
+                let bad_events = |seed: &Seed, v| {
+                    node_bad_events(
+                        &family,
+                        seed,
+                        threshold,
+                        high,
+                        degree_bound,
+                        &members,
+                        &own,
+                        v,
+                    )
+                };
+                let scan = seed_search(family.seed_len(), 0..params.seed_attempts, |seed| {
+                    let values: Vec<u64> = (0..n).map(|v| bad_events(seed, v)).collect();
+                    sum_and_broadcast(sim, tree, &values, id_bits + 2, |total| total == 0).0
+                });
+                let counter = match scan {
+                    Ok(counter) => counter,
+                    Err(DerandError::SearchExhausted {
+                        best_bad_events, ..
+                    }) => {
+                        return Err(SparsifyError::SeedScanExhausted {
+                            s,
+                            stage,
+                            best_bad_events,
+                        });
+                    }
+                    Err(e) => unreachable!("a seed scan only exhausts: {e}"),
+                };
+                total_attempts += counter + 1;
+                let seed = Seed::from_counter(family.seed_len(), counter);
                 (0..n)
                     .map(|i| {
                         own[i] == MemberStatus::Active
@@ -349,117 +362,6 @@ fn node_bad_events(
         own[v] == MemberStatus::Active && family.indicator(seed, v as u64, threshold);
     let phi = u64::from(active as f64 >= high && sampled_neighbors == 0 && !self_sampled);
     psi + phi
-}
-
-/// Claim 5.6: fixes the hash-function seed so that no bad event occurs.
-///
-/// `SeedSearch`: candidates `0, 1, 2, …` are checked with one real
-/// convergecast + broadcast each (every node evaluates its events under
-/// the candidate locally; the root aggregates the bad-event count and
-/// broadcasts accept/reject). `ConditionalExpectations`: the paper's
-/// bit-by-bit fixing with two convergecasts per bit (footnote 5's
-/// exhaustive local averaging), feasible only for tiny seed spaces.
-#[allow(clippy::too_many_arguments)]
-fn derandomize_stage<E: RoundEngine>(
-    sim: &mut E,
-    tree: &GlobalTree,
-    family: &KWiseFamily,
-    threshold: u64,
-    high: f64,
-    degree_bound: usize,
-    members: &[Vec<(u32, MemberStatus)>],
-    own: &[MemberStatus],
-    params: &TheoryParams,
-    strategy: SamplingStrategy,
-    s: usize,
-    stage: usize,
-    total_attempts: &mut u64,
-) -> Result<Seed, SparsifyError> {
-    let n = members.len();
-    let id_bits = sim.graph().id_bits();
-    match strategy {
-        SamplingStrategy::SeedSearch => {
-            let mut best = u64::MAX;
-            for c in 0..params.seed_attempts {
-                *total_attempts += 1;
-                let seed = Seed::from_counter(family.seed_len(), c);
-                // Every node evaluates its own events locally...
-                let values: Vec<u64> = (0..n)
-                    .map(|v| {
-                        node_bad_events(
-                            family,
-                            &seed,
-                            threshold,
-                            high,
-                            degree_bound,
-                            members,
-                            own,
-                            v,
-                        )
-                    })
-                    .collect();
-                // ...and the totals travel to the root (Lemma 4.3), which
-                // broadcasts accept (1) or reject (0).
-                let total = converge_sum(sim, tree, &values, id_bits + 2);
-                let accept = u64::from(total == 0);
-                broadcast_from_root(sim, tree, accept, 1);
-                if accept == 1 {
-                    return Ok(seed);
-                }
-                best = best.min(total);
-            }
-            Err(SparsifyError::SeedScanExhausted {
-                s,
-                stage,
-                best_bad_events: best,
-            })
-        }
-        SamplingStrategy::ConditionalExpectations => {
-            let gamma = family.seed_len();
-            if gamma > powersparse_kwise::derand::MAX_EXHAUSTIVE_SEED_BITS {
-                return Err(SparsifyError::SeedSpaceTooLarge { seed_len: gamma });
-            }
-            let mut partial = PartialSeed::unfixed(gamma);
-            for j in 0..gamma {
-                // α_{v,b}: each node sums its events over all completions
-                // with bit j = b (exact, local; footnote 5).
-                let mut totals = [0u64; 2];
-                for b in 0..2 {
-                    let mut trial = partial.clone();
-                    trial.fix(j, b == 1);
-                    let values: Vec<u64> = (0..n)
-                        .map(|v| {
-                            trial
-                                .completions()
-                                .map(|seed| {
-                                    node_bad_events(
-                                        family,
-                                        &seed,
-                                        threshold,
-                                        high,
-                                        degree_bound,
-                                        members,
-                                        own,
-                                        v,
-                                    )
-                                })
-                                .sum()
-                        })
-                        .collect();
-                    // One convergecast per conditional expectation
-                    // (the paper runs the two "in parallel"; we run them
-                    // back to back, a factor-2 difference).
-                    totals[b] = converge_sum(sim, tree, &values, 2 * id_bits + 2);
-                }
-                let bit = totals[1] < totals[0];
-                broadcast_from_root(sim, tree, u64::from(bit), 1);
-                partial.fix(j, bit);
-            }
-            *total_attempts += 1;
-            Ok(partial.to_seed())
-        }
-        SamplingStrategy::Randomized { .. } => unreachable!("handled by caller"),
-    }
 }
 
 #[cfg(test)]
@@ -639,33 +541,6 @@ mod tests {
         assert!(powersparse_graphs::check::is_beta_dominating(
             &g, &members, 2
         ));
-    }
-
-    /// The exact conditional-expectations derandomizer on a tiny instance
-    /// with a tiny hash family reaches zero bad events, matching the
-    /// seed-search outcome properties.
-    #[test]
-    fn conditional_expectations_tiny() {
-        let g = generators::complete(10);
-        let mut params = TheoryParams::scaled();
-        params.kwise_factor = 1; // keeps the family enumerable
-        let q0 = vec![true; 10];
-        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        // KWiseFamily::for_graph(10, 1) → k = max(2, 1·4)= 4, b = 16 →
-        // 64-bit seed: too large. Shrink by monkey-checking the error.
-        let r = sparsify_graph(
-            &mut sim,
-            &q0,
-            &params,
-            SamplingStrategy::ConditionalExpectations,
-        );
-        match r {
-            Ok(out) => check_outcome(&g, 1, &q0, &out, &params),
-            Err(SparsifyError::SeedSpaceTooLarge { .. }) => {
-                // Accepted: documented limitation of the exact method.
-            }
-            Err(e) => panic!("unexpected error {e}"),
-        }
     }
 
     #[test]

@@ -42,9 +42,9 @@
 //! [`PooledSimulator`] spawns its worker threads once, when the engine
 //! is built, and parks them on an epoch barrier (condvar + generation
 //! counter), so each round costs two barrier waits and no thread spawns
-//! (see [`pooled`]). The worker count honors, in order: an explicit
-//! `with_shards`, `POWERSPARSE_THREADS`, then the machine's available
-//! parallelism. With one shard the engine runs inline with no thread
+//! (see [`pooled`]). The worker count is the one passed to
+//! `with_shards`; the engines keep no default and read no environment
+//! variable. With one shard the engine runs inline with no thread
 //! overhead.
 //!
 //! # Crossing the process boundary
@@ -87,4 +87,3 @@ pub mod wire;
 
 pub use pooled::{PooledPhase, PooledSimulator};
 pub use process::{ProcessPhase, ProcessSimulator};
-pub use routing::default_shards;

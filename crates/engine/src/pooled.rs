@@ -34,7 +34,7 @@
 //! the conformance suite in `tests/conformance/` pins this down.
 
 use crate::pool::{CachePadded, DisjointChunks, DisjointSlice, WorkerPool};
-use crate::routing::{capped_default_shards, stamp_receivers, DistScratch, Routed, ShardLayout};
+use crate::routing::{stamp_receivers, DistScratch, Routed, ShardLayout};
 use powersparse_congest::engine::{
     Delivery, Message, Metrics, Outbox, RoundEngine, RoundPhase, SendRecord,
 };
@@ -65,12 +65,6 @@ pub struct PooledSimulator<'g, P: Probe = NoProbe> {
 }
 
 impl<'g> PooledSimulator<'g> {
-    /// Creates a pooled engine with the default worker count
-    /// ([`capped_default_shards`]).
-    pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
-        Self::with_shards(graph, config, capped_default_shards(graph))
-    }
-
     /// Creates a pooled engine with an explicit shard/worker count; the
     /// worker threads are spawned here, once, and live until the engine
     /// is dropped. Results are identical for every count (the engine
@@ -652,45 +646,35 @@ impl<M: Message, P: Probe> RoundPhase<M> for PooledPhase<'_, '_, M, P> {
         self.run_round(state, &f);
     }
 
-    fn settle<S, F>(&mut self, max_rounds: u64, state: &mut [S], f: F)
+    /// Worker-parallel, and skipped when nothing was delivered (see
+    /// `deliveries_pending`).
+    fn read_inboxes<S, F>(&mut self, state: &mut [S], f: F)
     where
         S: Send,
         F: Fn(&mut S, NodeId, &[Delivery<M>]) + Sync,
     {
         let n = self.sim.graph.n();
         assert_eq!(state.len(), n, "state slice must have one entry per node");
-        let mut unit: Vec<()> = vec![(); n];
-        let mut spent = 0u64;
-        loop {
-            // Hand every nonempty inbox to `f`, worker-parallel — unless
-            // nothing was delivered (see `deliveries_pending`).
-            if deliveries_pending(&self.bufs.arrivals) {
-                let layout = &self.sim.layout;
-                let pool = &self.sim.pool;
-                let state_c = DisjointChunks::new(state, &layout.node_ranges);
-                let arrivals_s = DisjointSlice::new(&mut self.bufs.arrivals);
-                let scratch_s = DisjointSlice::new(&mut self.bufs.scratch);
-                pool.scatter(&|w| {
-                    // SAFETY: worker `w` touches only chunk/element `w`.
-                    let (state_c, arrivals, scratch) =
-                        unsafe { (state_c.chunk(w), arrivals_s.get(w), scratch_s.get(w)) };
-                    let nodes = layout.node_ranges[w].clone();
-                    scratch.distribute(arrivals, nodes.start, nodes.len());
-                    for (local, i) in nodes.enumerate() {
-                        let inbox = scratch.inbox(local);
-                        if !inbox.is_empty() {
-                            f(&mut state_c[local], NodeId::from(i), inbox);
-                        }
-                    }
-                });
-            }
-            if !RoundPhase::in_flight(self) {
-                break;
-            }
-            assert!(spent < max_rounds, "settle exceeded {max_rounds} rounds");
-            self.run_round(&mut unit, &|_: &mut (), _, _, _: &mut Outbox<'_, M>| {});
-            spent += 1;
+        if !deliveries_pending(&self.bufs.arrivals) {
+            return;
         }
+        let layout = &self.sim.layout;
+        let state_c = DisjointChunks::new(state, &layout.node_ranges);
+        let arrivals_s = DisjointSlice::new(&mut self.bufs.arrivals);
+        let scratch_s = DisjointSlice::new(&mut self.bufs.scratch);
+        self.sim.pool.scatter(&|w| {
+            // SAFETY: worker `w` touches only chunk/element `w`.
+            let (state_c, arrivals, scratch) =
+                unsafe { (state_c.chunk(w), arrivals_s.get(w), scratch_s.get(w)) };
+            let nodes = layout.node_ranges[w].clone();
+            scratch.distribute(arrivals, nodes.start, nodes.len());
+            for (local, i) in nodes.enumerate() {
+                let inbox = scratch.inbox(local);
+                if !inbox.is_empty() {
+                    f(&mut state_c[local], NodeId::from(i), inbox);
+                }
+            }
+        });
     }
 
     fn in_flight(&self) -> bool {
@@ -876,8 +860,8 @@ mod tests {
     #[test]
     fn charge_rounds_and_accessors() {
         let g = generators::path(5);
-        let mut par = PooledSimulator::new(&g, SimConfig::for_graph(&g));
-        assert!(par.shards() >= 1);
+        let mut par = PooledSimulator::with_shards(&g, SimConfig::for_graph(&g), 2);
+        assert_eq!(par.shards(), 2);
         par.charge_rounds(3);
         assert_eq!(par.metrics().rounds, 3);
         assert_eq!(par.metrics().charged_rounds, 3);

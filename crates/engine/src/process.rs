@@ -63,7 +63,7 @@
 //! identically to the in-process backends; `tests/faults.rs` and
 //! `tests/conformance/` pin all of this.
 
-use crate::routing::{capped_default_shards, stamp_receivers, DistScratch, Routed, ShardLayout};
+use crate::routing::{stamp_receivers, DistScratch, Routed, ShardLayout};
 use crate::wire::{
     decode_payload, encode_payload, get_varint, CellReader, EngineError, Frame, FrameBuf,
     FrameKind, FrameView, PayloadSlab, StreamTransport, Transport, WireError, HEADER_LEN,
@@ -474,14 +474,9 @@ fn consume_hello(t: &mut dyn Transport) -> Result<(), WireError> {
 }
 
 impl<'g> ProcessSimulator<'g> {
-    /// Creates a process engine with the default shard count
-    /// ([`capped_default_shards`]); one child process per shard.
-    pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
-        Self::with_shards(graph, config, capped_default_shards(graph))
-    }
-
-    /// Creates a process engine with an explicit shard count. The
-    /// children are forked here, once, and live until the engine drops.
+    /// Creates a process engine with an explicit shard count, one child
+    /// process per shard. The children are forked here, once, and live
+    /// until the engine drops.
     /// Results are identical for every count (the engine contract).
     ///
     /// # Panics
@@ -948,32 +943,6 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
             });
         }
     }
-
-    /// The quiescence loop, mirroring the sequential engine's
-    /// `run_drain`: every nonempty inbox in ID order, consuming the
-    /// arrival run it reads, then silent rounds while anything is in
-    /// flight.
-    fn run_drain(&mut self, max_rounds: u64, mut g: impl FnMut(usize, &[Delivery<M>])) {
-        let n = self.sim.graph.n();
-        let mut spent = 0u64;
-        loop {
-            if !self.arrivals.is_empty() {
-                self.scratch.distribute(&mut self.arrivals, 0, n);
-                for i in 0..n {
-                    let inbox = self.scratch.inbox(i);
-                    if !inbox.is_empty() {
-                        g(i, inbox);
-                    }
-                }
-            }
-            if !RoundPhase::in_flight(self) {
-                break;
-            }
-            assert!(spent < max_rounds, "settle exceeded {max_rounds} rounds");
-            self.run_step(|_, _, _| {});
-            spent += 1;
-        }
-    }
 }
 
 impl<M: Message, P: Probe> RoundPhase<M> for ProcessPhase<'_, '_, M, P> {
@@ -991,19 +960,25 @@ impl<M: Message, P: Probe> RoundPhase<M> for ProcessPhase<'_, '_, M, P> {
         self.run_step(|i, inbox, out| f(&mut state[i], NodeId::from(i), inbox, out));
     }
 
-    fn settle<S, F>(&mut self, max_rounds: u64, state: &mut [S], f: F)
+    /// Every nonempty inbox in ID order, consuming the arrival run it
+    /// reads.
+    fn read_inboxes<S, F>(&mut self, state: &mut [S], f: F)
     where
         S: Send,
         F: Fn(&mut S, NodeId, &[Delivery<M>]) + Sync,
     {
-        assert_eq!(
-            state.len(),
-            self.sim.graph.n(),
-            "state slice must have one entry per node"
-        );
-        self.run_drain(max_rounds, |i, inbox| {
-            f(&mut state[i], NodeId::from(i), inbox)
-        });
+        let n = self.sim.graph.n();
+        assert_eq!(state.len(), n, "state slice must have one entry per node");
+        if self.arrivals.is_empty() {
+            return;
+        }
+        self.scratch.distribute(&mut self.arrivals, 0, n);
+        for (i, s) in state.iter_mut().enumerate() {
+            let inbox = self.scratch.inbox(i);
+            if !inbox.is_empty() {
+                f(s, NodeId::from(i), inbox);
+            }
+        }
     }
 
     fn in_flight(&self) -> bool {
@@ -1140,8 +1115,8 @@ mod tests {
     #[test]
     fn charge_rounds_and_accessors() {
         let g = generators::path(5);
-        let mut pr = ProcessSimulator::new(&g, SimConfig::for_graph(&g));
-        assert!(pr.shards() >= 1);
+        let mut pr = ProcessSimulator::with_shards(&g, SimConfig::for_graph(&g), 2);
+        assert_eq!(pr.shards(), 2);
         pr.charge_rounds(3);
         assert_eq!(pr.metrics().rounds, 3);
         assert_eq!(pr.metrics().charged_rounds, 3);

@@ -32,34 +32,6 @@ use powersparse_graphs::partition::shard_ranges;
 use powersparse_graphs::{Graph, NodeId};
 use std::ops::Range;
 
-/// The worker count used by the engines' `new` constructors:
-/// `POWERSPARSE_THREADS`, else the machine's available parallelism.
-pub fn default_shards() -> usize {
-    std::env::var("POWERSPARSE_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Nodes per shard below which extra workers stop paying for themselves;
-/// the engines' `new` constructors cap the default worker count with
-/// this.
-pub const MIN_NODES_PER_SHARD: usize = 64;
-
-/// The default worker count for `graph`: [`default_shards`], capped so
-/// each worker keeps at least [`MIN_NODES_PER_SHARD`] nodes. The single
-/// definition both engines' `new` constructors use — the default must
-/// never drift between backends.
-pub fn capped_default_shards(graph: &Graph) -> usize {
-    let cap = (graph.n() / MIN_NODES_PER_SHARD).max(1);
-    default_shards().min(cap)
-}
-
 /// The contiguous, CSR-aligned shard partition of a graph: which nodes,
 /// which directed edges and (inverted) which shard owns each node.
 #[derive(Debug, Clone)]

@@ -31,9 +31,8 @@ use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{PooledSimulator, ProcessSimulator};
 use powersparse_graphs::{check, generators, Graph};
 
-/// The shard counts every backend is checked at (1 shard is the
-/// `POWERSPARSE_THREADS=1` configuration, 8 exceeds a CI machine's
-/// core count).
+/// The shard counts every backend is checked at (1 shard runs the pooled
+/// engine inline, 8 exceeds a CI machine's core count).
 pub const SHARD_GRID: [usize; 4] = [1, 2, 4, 8];
 
 /// Builds the backend under test over any borrowed graph. The GAT makes
@@ -102,7 +101,7 @@ pub enum Algorithm {
         two_phase: bool,
     },
     /// The AGLP coloring-digit ruling set with ball partition
-    /// (Claim 7.6; exercises the `khop_min_source` knock-out floods).
+    /// (Claim 7.6; exercises the `khop_min` knock-out floods).
     AglpRuling {
         /// Independence distance.
         dist: usize,

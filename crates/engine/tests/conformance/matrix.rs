@@ -10,7 +10,7 @@ use powersparse::mis::luby_mis;
 use powersparse_congest::engine::{Metrics, RoundEngine, RoundPhase};
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{PooledSimulator, ProcessSimulator};
-use powersparse_graphs::{check, generators, Graph, NodeId};
+use powersparse_graphs::{check, generators, NodeId};
 
 #[test]
 fn pooled_passes_the_full_matrix() {
@@ -196,30 +196,6 @@ fn delayed_bfs_path_conforms_on_both_backends() {
     assert!(nd.color.len() > 1, "must have formed several clusters");
     assert_case_conformance(&PooledFactory, &case, &[1, 4]);
     assert_case_conformance(&ProcessFactory, &case, &[2]);
-}
-
-/// One shard versus the machine-default worker count: same bits, same
-/// results, on both parallel backends. This is the
-/// `POWERSPARSE_THREADS=1` vs default determinism claim, checked without
-/// mutating the test process's environment.
-#[test]
-fn one_shard_matches_default_shards() {
-    let g: Graph = generators::connected_gnp(400, 0.02, 31);
-    let config = SimConfig::for_graph(&g);
-    let mut one = PooledSimulator::with_shards(&g, config, 1);
-    let mut dflt = PooledSimulator::new(&g, config);
-    let a = luby_mis(&mut one, 2, 13);
-    let b = luby_mis(&mut dflt, 2, 13);
-    assert_eq!(a, b, "pooled default ({}) diverged", dflt.shards());
-    assert_eq!(RoundEngine::metrics(&one), RoundEngine::metrics(&dflt));
-
-    let mut one = ProcessSimulator::with_shards(&g, config, 1);
-    let mut dflt = ProcessSimulator::new(&g, config);
-    let e = luby_mis(&mut one, 2, 13);
-    let f = luby_mis(&mut dflt, 2, 13);
-    assert_eq!(e, f, "process default ({}) diverged", dflt.shards());
-    assert_eq!(RoundEngine::metrics(&one), RoundEngine::metrics(&dflt));
-    assert_eq!(a, e, "process backend diverged from the pooled one");
 }
 
 /// The full acceptance-scale check at a size where sharding matters:

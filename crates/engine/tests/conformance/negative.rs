@@ -12,7 +12,8 @@
 //! * sending to a node that is not a `G`-neighbor (a non-edge),
 //! * sending on behalf of another node (sender spoofing),
 //! * sending a zero-bit message,
-//! * handing `step`/`settle` a state slice of the wrong length.
+//! * handing `step`/`settle` a state slice of the wrong length,
+//! * settling a message that cannot cross within the `settle` budget.
 //!
 //! The remaining misbehavior named by the contract — *writing outside
 //! the node's own state slice* — is rejected statically: a step function
@@ -233,4 +234,44 @@ fn settle_rejects_wrong_state_length_identically() {
     assert!(msgs[0].contains("state slice"), "{}", msgs[0]);
     assert_eq!(msgs[0], msgs[1]);
     assert_eq!(msgs[0], msgs[2]);
+}
+
+/// A message too large to cross in the given budget makes `settle` panic
+/// with the same text on every engine: the quiescence loop is defined
+/// once, in `RoundPhase::settle`, over each backend's `read_inboxes`.
+#[test]
+fn settle_budget_rejected_identically() {
+    fn overrun_panic<E: RoundEngine>(eng: &mut E) -> String {
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            let mut unit = vec![(); eng.graph().n()];
+            let mut phase = eng.phase::<u8>();
+            // 40 bits over a 4-bit edge need 10 rounds; allow 3.
+            phase.step(&mut unit, |_, v, _in, out| {
+                if v == NodeId(0) {
+                    out.send(v, NodeId(1), 1, 40);
+                }
+            });
+            phase.settle(3, &mut unit, |_, _, _| {});
+        }))
+        .expect_err("an overrun settle must panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+    let g = generators::path(3);
+    let config = SimConfig::with_bandwidth(4);
+    let mut msgs = vec![overrun_panic(&mut Simulator::new(&g, config))];
+    for shards in [1usize, 2] {
+        msgs.push(overrun_panic(&mut PooledSimulator::with_shards(
+            &g, config, shards,
+        )));
+        msgs.push(overrun_panic(&mut ProcessSimulator::with_shards(
+            &g, config, shards,
+        )));
+    }
+    assert_eq!(msgs[0], "settle exceeded 3 rounds");
+    for msg in &msgs[1..] {
+        assert_eq!(msg, &msgs[0]);
+    }
 }

@@ -5,20 +5,23 @@
 //! The existence of such a seed is exactly the paper's argument in
 //! Claim 5.6: `E[Σ_v Φ_v + Ψ_v] ≤ 2n/n³ < 1`, so some seed realizes 0.
 //!
-//! * [`seed_search`] — deterministically scans seeds expanded from the
-//!   counters `0, 1, 2, …` and returns the first seed with zero bad
-//!   events. Since a uniformly random seed is good with probability
+//! * [`seed_search`] — deterministically scans seeds expanded from a
+//!   range of counters and returns the first counter whose seed has zero
+//!   bad events. Since a uniformly random seed is good with probability
 //!   `≥ 1 − 2/n²`, the scan terminates after a handful of candidates on
-//!   any instance where the probabilistic analysis applies.
+//!   any instance where the probabilistic analysis applies. Every
+//!   derandomized stage of the reproduction (the sparsifier's sampling
+//!   stages and the network decomposition's delay seeds) is this scan.
 //! * [`conditional_expectations`] — the paper's bit-by-bit method with
 //!   *exact* conditional expectations computed by enumerating all
 //!   completions of the remaining free bits (the paper's own footnote 5
 //!   describes exactly this exhaustive local averaging). Exponential in
-//!   the seed length, so only usable for small families; the test suite
-//!   uses it to validate that bit-by-bit fixing reaches a good seed
-//!   whenever the expectation argument applies.
+//!   the seed length, so only usable for small families; the tests keep
+//!   it as the reference for Claim 5.6: bit-by-bit fixing reaches a good
+//!   seed whenever the expectation argument applies.
 
 use crate::seed::{PartialSeed, Seed};
+use std::ops::Range;
 
 /// Failure of a derandomization strategy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,32 +62,34 @@ impl std::fmt::Display for DerandError {
 
 impl std::error::Error for DerandError {}
 
-/// Deterministically scans seeds `Seed::from_counter(len, 0), (len, 1), …`
-/// and returns the first one for which `count_bad_events` reports zero.
+/// Deterministically scans the seeds `Seed::from_counter(len, c)` for the
+/// counters `c` in `counters`, in order, and returns the first counter
+/// for which `count_bad_events` reports zero. A caller that scans again
+/// later can start its next range after the returned counter.
 ///
 /// `count_bad_events(seed)` must return the number of bad events (the
 /// paper's `Σ_v Φ_v + Ψ_v`) under that seed.
 ///
 /// # Errors
 ///
-/// Returns [`DerandError::SearchExhausted`] if no good seed is found
-/// within `max_attempts`.
+/// Returns [`DerandError::SearchExhausted`] if no counter in the range
+/// gives a good seed; `attempts` is the length of the range.
 pub fn seed_search(
     seed_len: usize,
-    max_attempts: u64,
+    counters: Range<u64>,
     mut count_bad_events: impl FnMut(&Seed) -> u64,
-) -> Result<Seed, DerandError> {
+) -> Result<u64, DerandError> {
+    let attempts = counters.end.saturating_sub(counters.start);
     let mut best = u64::MAX;
-    for c in 0..max_attempts {
-        let seed = Seed::from_counter(seed_len, c);
-        let bad = count_bad_events(&seed);
+    for c in counters {
+        let bad = count_bad_events(&Seed::from_counter(seed_len, c));
         if bad == 0 {
-            return Ok(seed);
+            return Ok(c);
         }
         best = best.min(bad);
     }
     Err(DerandError::SearchExhausted {
-        attempts: max_attempts,
+        attempts,
         best_bad_events: best,
     })
 }
@@ -143,27 +148,62 @@ mod tests {
 
     #[test]
     fn seed_search_finds_trivial() {
-        // Everything is good: first seed wins.
-        let s = seed_search(16, 10, |_| 0).unwrap();
-        assert_eq!(s, Seed::from_counter(16, 0));
+        // Everything is good: first counter wins.
+        assert_eq!(seed_search(16, 0..10, |_| 0), Ok(0));
     }
 
     #[test]
     fn seed_search_skips_bad_seeds() {
         // Only the seed from counter 3 is good.
         let target = Seed::from_counter(16, 3);
-        let s = seed_search(16, 10, |seed| u64::from(*seed != target)).unwrap();
-        assert_eq!(s, target);
+        let c = seed_search(16, 0..10, |seed| u64::from(*seed != target)).unwrap();
+        assert_eq!(c, 3);
+    }
+
+    /// A range starting above 0 (a scan resumed after an earlier
+    /// winner) returns the first good counter of that range, and never
+    /// looks at counters before it.
+    #[test]
+    fn seed_search_resumes_inside_a_range() {
+        let good = [Seed::from_counter(16, 2), Seed::from_counter(16, 9)];
+        let mut seen = Vec::new();
+        let c = seed_search(16, 5..20, |seed| {
+            seen.push(seed.clone());
+            u64::from(!good.contains(seed))
+        })
+        .unwrap();
+        assert_eq!(c, 9);
+        let expect: Vec<Seed> = (5..=9).map(|c| Seed::from_counter(16, c)).collect();
+        assert_eq!(seen, expect);
     }
 
     #[test]
     fn seed_search_exhaustion_reports_best() {
-        let err = seed_search(8, 5, |_| 7).unwrap_err();
+        let err = seed_search(8, 0..5, |_| 7).unwrap_err();
         assert_eq!(
             err,
             DerandError::SearchExhausted {
                 attempts: 5,
                 best_bad_events: 7
+            }
+        );
+    }
+
+    /// An exhausted range reports its length as `attempts`, wherever it
+    /// starts, and the fewest bad events any of its seeds had.
+    #[test]
+    fn seed_search_exhaustion_counts_the_range() {
+        let mut bad = 10u64;
+        let err = seed_search(8, 40..46, |_| {
+            bad -= 1;
+            bad
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            DerandError::SearchExhausted {
+                attempts: 6,
+                best_bad_events: 4
             }
         );
     }
@@ -232,9 +272,9 @@ mod tests {
         let count = |seed: &Seed| -> u64 {
             u64::from(fam.indicator(seed, 3, t)) + u64::from(fam.indicator(seed, 9, t))
         };
-        let s1 = seed_search(8, 1000, count).unwrap();
+        let c1 = seed_search(8, 0..1000, count).unwrap();
         let (s2, bad2) = conditional_expectations(8, count).unwrap();
-        assert_eq!(count(&s1), 0);
+        assert_eq!(count(&Seed::from_counter(8, c1)), 0);
         assert_eq!(bad2, 0);
         let _ = s2;
     }

@@ -7,7 +7,10 @@
 //! (Theorem 5.3, \[SSS95\]). Nodes simulate their coin flips by evaluating a
 //! shared hash function drawn from a k-wise independent family
 //! (Definition 2.2 / Lemma 2.3); the `O(log² n)`-bit seed is then fixed bit
-//! by bit with the method of conditional expectations (Claim 5.6).
+//! by bit with the method of conditional expectations (Claim 5.6). The
+//! reproduction instead scans whole seeds ([`derand::seed_search`]); see
+//! "Derandomization over a global BFS tree" in the `powersparse::params`
+//! docs.
 //!
 //! This crate provides:
 //!
@@ -19,12 +22,13 @@
 //!   an exactly k-wise independent family with `k·b` seed bits.
 //! * [`seed::Seed`] and [`seed::PartialSeed`] — bit strings with partial
 //!   assignment, as manipulated by the derandomizers.
-//! * [`derand`] — the two derandomization strategies (see "Derandomization
-//!   over a global BFS tree" in the `powersparse::params` docs): deterministic [`derand::seed_search`] (scan seeds in a
-//!   fixed order, keep the first one under which no bad event occurs) and
-//!   exact [`derand::conditional_expectations`] (the paper's bit-by-bit
-//!   method, feasible for small seed spaces; used to validate the
-//!   machinery).
+//! * [`derand`] — the two derandomization strategies: deterministic
+//!   [`derand::seed_search`] (scan the seeds of a counter range in order,
+//!   return the first counter under which no bad event occurs), which
+//!   every derandomized stage of the reproduction runs, and exact
+//!   [`derand::conditional_expectations`] (the paper's bit-by-bit method,
+//!   feasible for small seed spaces; the tested reference for
+//!   Claim 5.6).
 //!
 //! # Example
 //!

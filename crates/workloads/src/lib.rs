@@ -10,8 +10,8 @@
 //!   power `k` × algorithm × engine × shard count. Built fluently
 //!   ([`Scenario::new`] + builder methods) or parsed from a TOML-subset
 //!   spec file ([`parse_suite`]).
-//! * [`builtin_suite`] — the curated matrices: smoke and full span every
-//!   graph family (random, power-law, unit-disk, grid/torus,
+//! * [`builtin_suite`] — the curated matrices: [`SuiteProfile::Smoke`]
+//!   spans every graph family (random, power-law, unit-disk, grid/torus,
 //!   caterpillar/broom trees, bounded-growth cluster graphs) and all
 //!   three engine backends; [`SuiteProfile::Paper`] reproduces the
 //!   paper's tables, one validated row per table cell, and

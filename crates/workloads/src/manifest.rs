@@ -176,7 +176,8 @@ pub struct RunRecord {
 /// A full suite execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteManifest {
-    /// Suite name (`smoke`, `full`, or the spec file's stem).
+    /// Suite name (`smoke`, `paper`, `engines`, or the spec file's
+    /// path), with `+force-ENGINE` appended for a forced rerun.
     pub suite: String,
     /// All runs, in execution order.
     pub runs: Vec<RunRecord>,

@@ -385,10 +385,8 @@ impl Scenario {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuiteProfile {
     /// Small sizes, every family, all three engines — CI-speed
-    /// (< seconds).
+    /// (< seconds). `BENCH_suite.json` is the committed run.
     Smoke,
-    /// Larger sizes for real measurements; still laptop-scale.
-    Full,
     /// The paper's evaluation on the sequential reference engine:
     /// Table 1's rows at `k ∈ {1,2,3}`, Theorem 1.4's degree sweep, the
     /// sparsifier ablation and Theorem A.1 on a long path.
@@ -400,87 +398,78 @@ pub enum SuiteProfile {
     Engines,
 }
 
-/// The curated built-in scenario suite. The smoke and full profiles
-/// cover every graph family, all three engines and all four algorithm
-/// classes: smoke is the one CI runs on every PR, full scales sizes up
-/// for the `BENCH_*.json` trajectory. The paper profile reproduces the
-/// paper's tables, one validated row per table cell, and the engines
-/// profile times one algorithm on every backend.
+/// The curated built-in scenario suites: smoke (the one CI runs on
+/// every PR) covers every graph family, all three engines and all four
+/// algorithm classes; the paper profile reproduces the paper's tables,
+/// one validated row per table cell; the engines profile times one
+/// algorithm on every backend.
 pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
+    match profile {
+        SuiteProfile::Smoke => smoke_suite(),
+        SuiteProfile::Paper => paper_suite(),
+        SuiteProfile::Engines => engines_suite(),
+    }
+}
+
+/// Every graph family at CI-speed sizes, each algorithm class on at
+/// least two engines.
+fn smoke_suite() -> Vec<Scenario> {
     use AlgorithmSpec::*;
-    let (s, shards) = match profile {
-        SuiteProfile::Smoke => (1, 4),
-        SuiteProfile::Full => (8, 8),
-        SuiteProfile::Paper => return paper_suite(),
-        SuiteProfile::Engines => return engines_suite(),
-    };
     let gnp = GraphFamily::Gnp {
-        n: 192 * s,
+        n: 192,
         avg_deg: 8.0,
     };
-    let power_law = GraphFamily::PowerLaw {
-        n: 300 * s,
-        attach: 3,
-    };
+    let power_law = GraphFamily::PowerLaw { n: 300, attach: 3 };
     // Radius comfortably above the connectivity threshold √(ln n / n);
     // the suite's geometric scenarios run Luby MIS, which validates
     // per component and does not require connectivity.
     let geometric = GraphFamily::Geometric {
-        n: 256 * s,
-        radius: if s == 1 { 0.16 } else { 0.06 },
+        n: 256,
+        radius: 0.16,
     };
     // Power-law-with-geometry regime; Luby MIS validates per component,
     // so the (rare) small satellite components are fine.
     let hyperbolic = GraphFamily::Hyperbolic {
-        n: 256 * s,
+        n: 256,
         avg_deg: 6.0,
         alpha: 0.75,
     };
-    let grid = GraphFamily::Grid {
-        rows: 16 * s,
-        cols: 12,
-    };
-    let torus = GraphFamily::Torus {
-        rows: 12,
-        cols: 12 * s,
-    };
-    let caterpillar = GraphFamily::Caterpillar {
-        spine: 60 * s,
-        legs: 3,
-    };
+    let grid = GraphFamily::Grid { rows: 16, cols: 12 };
+    let torus = GraphFamily::Torus { rows: 12, cols: 12 };
+    let caterpillar = GraphFamily::Caterpillar { spine: 60, legs: 3 };
     let broom = GraphFamily::Broom {
-        handle: 80 * s,
-        bristles: 40 * s,
+        handle: 80,
+        bristles: 40,
     };
     let cluster = GraphFamily::ClusterGrid {
         rows: 4,
-        cols: 4 * s,
+        cols: 4,
         cluster: 6,
     };
     // Dense pockets over a sparse cut — the imbalance workload the
     // stage profiler is built to expose (`experiments profile`).
     let planted = GraphFamily::Planted {
-        n: 160 * s,
+        n: 160,
         communities: 4,
-        p_in: if s == 1 { 0.25 } else { 0.25 / s as f64 },
-        p_out: 0.01 / s as f64,
+        p_in: 0.25,
+        p_out: 0.01,
     };
     vec![
         // MIS across every family, alternating/pairing engines so each
         // family and all three engine backends appear.
         Scenario::new(gnp.clone()).seed(42),
-        Scenario::new(gnp.clone()).seed(42).pooled(shards),
+        Scenario::new(gnp.clone()).seed(42).pooled(4),
         Scenario::new(gnp.clone()).seed(42).process(2),
         Scenario::new(power_law.clone()).k(2).seed(7),
-        Scenario::new(power_law).k(2).seed(7).pooled(shards),
+        Scenario::new(power_law).k(2).seed(7).pooled(4),
         Scenario::new(geometric.clone()).seed(3),
         Scenario::new(geometric).seed(3).pooled(2),
-        Scenario::new(hyperbolic).seed(17).pooled(shards),
-        Scenario::new(grid.clone()).k(2).pooled(shards),
+        Scenario::new(hyperbolic).seed(17).pooled(4),
+        Scenario::new(grid.clone()).k(2).pooled(4),
         Scenario::new(caterpillar).k(2),
         Scenario::new(broom).pooled(2),
-        Scenario::new(cluster.clone()).k(2).pooled(shards),
-        Scenario::new(planted).seed(23).pooled(shards),
+        Scenario::new(cluster.clone()).k(2).pooled(4),
+        Scenario::new(planted).seed(23).pooled(4),
         // Sparsification (Lemma 3.1) on structured topologies, both
         // engines.
         Scenario::new(torus.clone()).algorithm(Sparsify {
@@ -490,7 +479,7 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
             .algorithm(Sparsify {
                 derandomized: false,
             })
-            .pooled(shards),
+            .pooled(4),
         Scenario::new(torus.clone())
             .algorithm(Sparsify {
                 derandomized: false,
@@ -502,7 +491,7 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
         // BeepingMIS (Lemma 8.2) — per-component, so it also covers the
         // possibly-disconnected geometric family; both engines.
         Scenario::new(GraphFamily::Gnp {
-            n: 128 * s,
+            n: 128,
             avg_deg: 7.0,
         })
         .seed(11)
@@ -511,55 +500,46 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
             .k(2)
             .seed(11)
             .algorithm(BeepingMis)
-            .pooled(shards),
+            .pooled(4),
         // The shattering MIS pipeline (Theorems 1.2/1.4), both
         // post-shattering variants.
         Scenario::new(GraphFamily::Gnp {
-            n: 96 * s,
+            n: 96,
             avg_deg: 6.0,
         })
         .seed(13)
         .algorithm(ShatterMis { two_phase: false })
-        .pooled(shards),
+        .pooled(4),
         Scenario::new(cluster)
             .k(2)
             .seed(13)
             .algorithm(ShatterMis { two_phase: true }),
         // Ruling sets, now engine-generic: both engines appear.
         Scenario::new(GraphFamily::Gnp {
-            n: 160 * s,
+            n: 160,
             avg_deg: 10.0,
         })
         .seed(5)
         .algorithm(BetaRulingSet { beta: 3 }),
         Scenario::new(GraphFamily::Gnp {
-            n: 160 * s,
+            n: 160,
             avg_deg: 10.0,
         })
         .seed(5)
         .algorithm(BetaRulingSet { beta: 3 })
-        .pooled(shards),
-        Scenario::new(GraphFamily::Grid {
-            rows: 10,
-            cols: 10 * s,
-        })
-        .k(2)
-        .algorithm(DetRulingK2),
-        Scenario::new(GraphFamily::Grid {
-            rows: 10,
-            cols: 10 * s,
-        })
-        .k(2)
-        .algorithm(DetRulingK2)
-        .pooled(2),
+        .pooled(4),
+        Scenario::new(GraphFamily::Grid { rows: 10, cols: 10 })
+            .k(2)
+            .algorithm(DetRulingK2),
+        Scenario::new(GraphFamily::Grid { rows: 10, cols: 10 })
+            .k(2)
+            .algorithm(DetRulingK2)
+            .pooled(2),
         // Network decomposition (Theorem A.1), both engines.
         Scenario::new(torus).k(2).algorithm(PowerNd),
-        Scenario::new(GraphFamily::Caterpillar {
-            spine: 60 * s,
-            legs: 3,
-        })
-        .algorithm(PowerNd)
-        .pooled(shards),
+        Scenario::new(GraphFamily::Caterpillar { spine: 60, legs: 3 })
+            .algorithm(PowerNd)
+            .pooled(4),
     ]
 }
 
@@ -1362,27 +1342,25 @@ algorithm = "sparsify"   # randomized
 
     #[test]
     fn builtin_suites_are_well_formed() {
-        for profile in [SuiteProfile::Smoke, SuiteProfile::Full] {
-            let suite = builtin_suite(profile);
-            assert!(suite.len() >= 10);
-            for sc in &suite {
-                sc.validate_spec().unwrap();
-            }
-            let families: std::collections::BTreeSet<&str> =
-                suite.iter().map(|s| s.family.id()).collect();
-            assert!(families.len() >= 5, "families: {families:?}");
-            assert!(
-                families.contains("planted"),
-                "the planted-community row must stay in both profiles"
-            );
-            assert!(suite.iter().any(|s| s.engine == EngineSpec::Sequential));
-            assert!(suite
-                .iter()
-                .any(|s| matches!(s.engine, EngineSpec::Pooled { .. })));
-            assert!(suite
-                .iter()
-                .any(|s| matches!(s.engine, EngineSpec::Process { .. })));
+        let suite = builtin_suite(SuiteProfile::Smoke);
+        assert!(suite.len() >= 10);
+        for sc in &suite {
+            sc.validate_spec().unwrap();
         }
+        let families: std::collections::BTreeSet<&str> =
+            suite.iter().map(|s| s.family.id()).collect();
+        assert!(families.len() >= 5, "families: {families:?}");
+        assert!(
+            families.contains("planted"),
+            "the planted-community row must stay in the smoke profile"
+        );
+        assert!(suite.iter().any(|s| s.engine == EngineSpec::Sequential));
+        assert!(suite
+            .iter()
+            .any(|s| matches!(s.engine, EngineSpec::Pooled { .. })));
+        assert!(suite
+            .iter()
+            .any(|s| matches!(s.engine, EngineSpec::Process { .. })));
     }
 
     #[test]
