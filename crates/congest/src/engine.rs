@@ -102,6 +102,8 @@
 //!
 //! * sending to a non-neighbor panics with "… is not an edge"
 //!   ([`Outbox::send`] resolves the directed edge index first);
+//! * sending to a CSR position at or beyond the sender's degree panics
+//!   with "… has no neighbor at position …" ([`Outbox::send_at`]);
 //! * sending on behalf of another node panics with "attempted to send
 //!   as" (the outbox is bound to the acting node);
 //! * zero-bit messages panic with "messages must have positive size";
@@ -380,15 +382,33 @@ impl<'a, M: Clone> Outbox<'a, M> {
     /// Panics if `from` is not the node currently acting, if `to` is not a
     /// `G`-neighbor of `from`, or if `bits == 0`.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M, bits: usize) {
-        assert_eq!(
-            from, self.from_expected,
-            "node {} attempted to send as {}",
-            self.from_expected, from
-        );
-        assert!(bits > 0, "messages must have positive size");
+        self.check_send(from, bits);
         let edge = dir_edge_index(self.graph, from, to);
         self.sends.push(SendRecord {
             edge,
+            bits: bits as u64,
+            from,
+            msg,
+        });
+    }
+
+    /// Sends `msg` of `bits` bits from `from` to `neighbors(from)[pos]`,
+    /// addressed by CSR position: the directed edge index is
+    /// `offsets[from] + pos`, with no search.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Outbox::send`], and if `pos` is not below `from`'s
+    /// degree.
+    pub fn send_at(&mut self, from: NodeId, pos: usize, msg: M, bits: usize) {
+        self.check_send(from, bits);
+        let degree = self.graph.degree(from);
+        assert!(
+            pos < degree,
+            "{from} has no neighbor at position {pos} (degree {degree})"
+        );
+        self.sends.push(SendRecord {
+            edge: self.graph.offsets()[from.index()] as usize + pos,
             bits: bits as u64,
             from,
             msg,
@@ -404,12 +424,7 @@ impl<'a, M: Clone> Outbox<'a, M> {
     ///
     /// As for [`Outbox::send`].
     pub fn broadcast(&mut self, from: NodeId, msg: M, bits: usize) {
-        assert_eq!(
-            from, self.from_expected,
-            "node {} attempted to send as {}",
-            self.from_expected, from
-        );
-        assert!(bits > 0, "messages must have positive size");
+        self.check_send(from, bits);
         let base = self.graph.offsets()[from.index()] as usize;
         for i in 0..self.graph.degree(from) {
             self.sends.push(SendRecord {
@@ -419,6 +434,17 @@ impl<'a, M: Clone> Outbox<'a, M> {
                 msg: msg.clone(),
             });
         }
+    }
+
+    /// The rejections every send shares: the outbox is bound to the
+    /// acting node, and a message has at least one bit.
+    fn check_send(&self, from: NodeId, bits: usize) {
+        assert_eq!(
+            from, self.from_expected,
+            "node {} attempted to send as {}",
+            self.from_expected, from
+        );
+        assert!(bits > 0, "messages must have positive size");
     }
 }
 

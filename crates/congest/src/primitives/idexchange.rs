@@ -108,7 +108,7 @@ pub fn init_knowledge_and_trees<E: RoundEngine>(
         children[x.index()] = g.neighbors(x).iter().map(|&c| (x.0, c)).collect();
     }
     let mut trees = QTrees::new_roots(n, &roots);
-    trees.grow(&heard, children);
+    trees.grow(g, &heard, children);
     (sets, trees)
 }
 
@@ -173,7 +173,7 @@ pub fn extend_trees<E: RoundEngine>(
     drop(phase);
     // v joins T_x under w_x; w_x learned its descendant v from v's
     // confirmation.
-    trees.grow(&chosen, confirmations);
+    trees.grow(sim.graph(), &chosen, confirmations);
     out_sets
 }
 
@@ -328,11 +328,16 @@ mod tests {
                 }
                 if let Some(w) = trees.parent(v, x.0) {
                     assert!(
-                        trees.children(w, x.0).any(|c| c == v),
+                        trees
+                            .child_positions(w, x.0)
+                            .any(|pos| g.neighbors(w)[pos] == v),
                         "{v} has parent {w} in T_{x} but is not its child"
                     );
                 }
-                let kids: Vec<NodeId> = trees.children(v, x.0).collect();
+                let kids: Vec<NodeId> = trees
+                    .child_positions(v, x.0)
+                    .map(|pos| g.neighbors(v)[pos])
+                    .collect();
                 assert!(
                     kids.windows(2).all(|p| p[0] < p[1]),
                     "children of {v} in T_{x} not ascending: {kids:?}"

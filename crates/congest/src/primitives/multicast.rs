@@ -15,67 +15,67 @@ use crate::trees::QTrees;
 use powersparse_graphs::NodeId;
 use std::collections::BTreeMap;
 
-/// **Broadcast** (Lemma 4.2): each root `x ∈ Q` with an entry in `msgs`
-/// sends its `m`-bit message to all nodes of its tree `T_x` (its
-/// distance-`s` neighborhood). Returns, per node, the received
-/// `(root, message)` pairs (the root itself does not receive its own).
+/// **Broadcast** (Lemma 4.2): every root `x ∈ Q` that has a message
+/// sends it to all nodes of its tree `T_x` (its distance-`s`
+/// neighborhood), every message `bits` bits long.
 ///
-/// Every node forwards what it received in arrival order, to its children
-/// in ascending node ID ([`QTrees::children`]).
+/// Both closures run inside the nodes' steps, over the caller's per-node
+/// `state` (one entry per node), so a parallel engine runs them in
+/// parallel:
+///
+/// * `origin(state, v)` runs once per node, in the first round's step,
+///   and returns the message `v` sends down its own tree, if any;
+/// * `receive(state, v, root, &msg)` is handed every delivery, in
+///   arrival order, in the step where it arrives (a root does not
+///   receive its own message).
+///
+/// Every node forwards what it received straight from its inbox, in
+/// arrival order, to its children in ascending node ID, each addressed
+/// by its CSR position ([`QTrees::child_positions`]). The broadcast ends
+/// in the first round that sends nothing and leaves nothing in flight.
 ///
 /// Measured cost: `O(s + m·Δ̂ / bandwidth)` rounds.
-pub fn q_broadcast<E: RoundEngine, M: Message>(
+///
+/// # Panics
+///
+/// Panics if `origin` returns a message at a node that roots no tree,
+/// if `bits` is 0 and some message is sent, or if `state` does not hold
+/// one entry per node.
+pub fn q_broadcast<E, S, M>(
     sim: &mut E,
     trees: &QTrees,
-    msgs: &BTreeMap<u32, (M, usize)>,
-) -> Vec<Vec<(u32, M)>> {
-    let n = sim.graph().n();
-    /// Per-node state: received pairs, pending forwards, sent-this-round.
-    struct NodeState<M> {
-        received: Vec<(u32, M)>,
-        /// Pending forwards: (root, msg).
-        pending: Vec<(u32, M)>,
-        sent: bool,
-    }
-    let mut state: Vec<NodeState<M>> = (0..n)
-        .map(|_| NodeState {
-            received: Vec::new(),
-            pending: Vec::new(),
-            sent: false,
-        })
-        .collect();
-    // Every message keeps its root's original bit size down the tree.
-    let mut bits_of = vec![0usize; n];
-    for (&root, (m, bits)) in msgs {
-        let r = NodeId(root);
-        assert!(trees.is_root(r), "message root v{root} is not a tree root");
-        bits_of[r.index()] = *bits;
-        state[r.index()].pending.push((root, m.clone()));
-    }
+    bits: usize,
+    state: &mut [S],
+    origin: impl Fn(&mut S, NodeId) -> Option<M> + Sync,
+    receive: impl Fn(&mut S, NodeId, u32, &M) + Sync,
+) where
+    E: RoundEngine,
+    S: Send,
+    M: Message,
+{
     let mut phase = sim.phase::<(u32, M)>();
-    let budget = 1_000_000u64;
-    let mut spent = 0u64;
-    loop {
-        phase.step(&mut state, |s, v, inbox, out| {
-            s.sent = false;
-            for (_, (root, m)) in inbox {
-                s.received.push((*root, m.clone()));
-                s.pending.push((*root, m.clone()));
+    phase.step(state, |s, v, _inbox, out| {
+        if let Some(m) = origin(s, v) {
+            assert!(trees.is_root(v), "message root {v} is not a tree root");
+            for pos in trees.child_positions(v, v.0) {
+                out.send_at(v, pos, (v.0, m.clone()), bits);
             }
-            for (root, m) in s.pending.drain(..) {
-                for c in trees.children(v, root) {
-                    s.sent = true;
-                    out.send(v, c, (root, m.clone()), bits_of[root as usize]);
+        }
+    });
+    let budget = 1_000_000u64;
+    let mut spent = 1u64;
+    while !phase.idle() {
+        phase.step(state, |s, v, inbox, out| {
+            for (_, (root, m)) in inbox {
+                receive(s, v, *root, m);
+                for pos in trees.child_positions(v, *root) {
+                    out.send_at(v, pos, (*root, m.clone()), bits);
                 }
             }
         });
         spent += 1;
         assert!(spent < budget, "q_broadcast exceeded round budget");
-        if !state.iter().any(|s| s.sent) && phase.idle() {
-            break;
-        }
     }
-    state.into_iter().map(|s| s.received).collect()
 }
 
 /// **Q-message** (Lemma 4.2): each root `x ∈ Q` sends an individual
@@ -170,9 +170,9 @@ pub fn q_message<E: RoundEngine, M: Message>(
                 s.pending.push(((*root, tuples.clone()), bits));
             }
             for ((root, tuples), bits) in s.pending.drain(..) {
-                for c in trees.children(v, root) {
+                for pos in trees.child_positions(v, root) {
                     s.sent = true;
-                    out.send(v, c, (root, tuples.clone()), bits);
+                    out.send_at(v, pos, (root, tuples.clone()), bits);
                 }
             }
         });
@@ -206,6 +206,27 @@ mod tests {
         (sets, trees)
     }
 
+    /// A broadcast in which every node `v` with `origin(v)` sends it as
+    /// a `bits`-bit message; returns each node's deliveries in arrival
+    /// order.
+    fn broadcast<M: Message>(
+        sim: &mut Simulator<'_>,
+        trees: &QTrees,
+        bits: usize,
+        origin: impl Fn(NodeId) -> Option<M> + Sync,
+    ) -> Vec<Vec<(u32, M)>> {
+        let mut got = vec![Vec::new(); sim.graph().n()];
+        q_broadcast(
+            sim,
+            trees,
+            bits,
+            &mut got,
+            |_, v| origin(v),
+            |mine, _, root, m| mine.push((root, m.clone())),
+        );
+        got
+    }
+
     #[test]
     fn broadcast_covers_distance_s_neighborhood() {
         let g = generators::grid(5, 6);
@@ -213,13 +234,9 @@ mod tests {
         let s = 3;
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let (_sets, trees) = build(&mut sim, &q, s);
-        let msgs: BTreeMap<u32, (u64, usize)> = q
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| (i as u32, (1000 + i as u64, 16)))
-            .collect();
-        let got = q_broadcast(&mut sim, &trees, &msgs);
+        let got = broadcast(&mut sim, &trees, 16, |v| {
+            q[v.index()].then_some(1000 + u64::from(v.0))
+        });
         for v in g.nodes() {
             let mut expect: Vec<u32> = power::q_neighborhood(&g, v, s, &q)
                 .into_iter()
@@ -288,14 +305,10 @@ mod tests {
             let config = SimConfig::for_graph(&g).with_per_edge_accounting();
             let mut sim = Simulator::new(&g, config);
             let (_sets, trees) = build(&mut sim, &q, 3);
-            let msgs: BTreeMap<u32, (u64, usize)> = q
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m)
-                .map(|(i, _)| (i as u32, (i as u64, 8)))
-                .collect();
             let before = sim.messages_across(v, w) + sim.messages_across(w, v);
-            let _ = q_broadcast(&mut sim, &trees, &msgs);
+            let _ = broadcast(&mut sim, &trees, 8, |x| {
+                q[x.index()].then_some(u64::from(x.0))
+            });
             let after = sim.messages_across(v, w) + sim.messages_across(w, v);
             let crossing = after - before;
             assert_eq!(
@@ -354,11 +367,12 @@ mod tests {
         let q: Vec<bool> = vec![true, false, false, false, true];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let (_sets, trees) = build(&mut sim, &q, 2);
-        let before = sim.metrics().messages;
-        let got = q_broadcast::<_, u64>(&mut sim, &trees, &BTreeMap::new());
+        let before = sim.metrics().clone();
+        let got = broadcast::<u64>(&mut sim, &trees, 8, |_| None);
         assert!(got.iter().all(Vec::is_empty));
         // Only the final emptiness-check round; no messages.
-        assert_eq!(sim.metrics().messages, before);
+        assert_eq!(sim.metrics().messages, before.messages);
+        assert_eq!(sim.metrics().rounds, before.rounds + 1);
     }
 
     #[test]
@@ -368,12 +382,20 @@ mod tests {
         let q = vec![true, false, false, false, true];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let (_sets, trees) = build(&mut sim, &q, 4);
-        let mut msgs = BTreeMap::new();
-        msgs.insert(0u32, (7u64, 8));
-        let got = q_broadcast(&mut sim, &trees, &msgs);
+        let got = broadcast(&mut sim, &trees, 8, |v| (v == NodeId(0)).then_some(7u64));
         // Node 4 (∈ Q) and middle nodes all hear root 0.
         for i in 1..5 {
             assert_eq!(got[i], vec![(0u32, 7u64)], "node {i}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "message root v1 is not a tree root")]
+    fn origin_at_a_non_root_panics() {
+        let g: Graph = generators::path(5);
+        let q = vec![true, false, false, false, true];
+        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+        let (_sets, trees) = build(&mut sim, &q, 2);
+        let _ = broadcast(&mut sim, &trees, 8, |v| (v == NodeId(1)).then_some(7u64));
     }
 }

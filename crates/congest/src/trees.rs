@@ -3,7 +3,7 @@
 //! distributedly" in the sense of Section 2 of the paper: each node knows
 //! its ancestor and descendants per tree plus the root's ID).
 
-use powersparse_graphs::NodeId;
+use powersparse_graphs::{Graph, NodeId};
 
 /// A spanning BFS tree rooted at `root`, known distributedly.
 #[derive(Debug, Clone)]
@@ -81,19 +81,23 @@ struct Link {
 ///
 /// * its *links*: one `(root, parent, level)` entry per tree it belongs
 ///   to (a root's entry for its own tree has level 0 and no parent);
-/// * its *descendants*: one `(root, child)` entry per child it has in any
-///   tree, sorted by `(root, child)`, so the children of one tree form a
-///   single run in **ascending node ID**.
+/// * its *descendants*: one `(root, pos)` entry per child it has in any
+///   tree, where the child is `neighbors(v)[pos]` (its CSR position in
+///   the node's neighbor list), sorted by `(root, pos)`. Neighbor lists
+///   ascend, so the children of one tree form a single run in
+///   **ascending node ID**.
 ///
 /// The multicasts of Lemma 4.2 send down the trees in that child order,
-/// and the message counters of every committed manifest depend on it.
+/// and the message counters of every committed manifest depend on it. A
+/// child's position addresses its edge directly
+/// ([`crate::engine::Outbox::send_at`]), so a tree send costs no search.
 /// Lookups binary-search a node's list; the accessors below are the only
 /// view of the layout.
 #[derive(Debug, Clone, Default)]
 pub struct QTrees {
     depth: usize,
     links: Vec<Vec<Link>>,
-    descendants: Vec<Vec<(u32, NodeId)>>,
+    descendants: Vec<Vec<(u32, u32)>>,
 }
 
 impl QTrees {
@@ -157,26 +161,34 @@ impl QTrees {
         self.link(v, root).map(|l| l.level)
     }
 
-    /// `v`'s descendants in the tree rooted at `root`, in ascending node
-    /// ID.
-    pub fn children(&self, v: NodeId, root: u32) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+    /// `v`'s descendants in the tree rooted at `root`, as CSR positions
+    /// in `v`'s neighbor list (the child is `neighbors(v)[pos]`), in
+    /// ascending order — that is, in ascending node ID.
+    pub fn child_positions(
+        &self,
+        v: NodeId,
+        root: u32,
+    ) -> impl ExactSizeIterator<Item = usize> + '_ {
         let list = &self.descendants[v.index()];
         let lo = list.partition_point(|&(r, _)| r < root);
         let len = list[lo..].partition_point(|&(r, _)| r == root);
-        list[lo..lo + len].iter().map(|&(_, c)| c)
+        list[lo..lo + len].iter().map(|&(_, pos)| pos as usize)
     }
 
     /// Grows every tree by one level (Lemma 4.1's second claim).
     /// `joins[v]` lists the trees `v` joins at the new level as
     /// `(root, parent)` pairs in ascending root order; `confirmations[w]`
     /// lists the `(root, child)` confirmations `w` received, in any order
-    /// (they may arrive over several rounds).
+    /// (they may arrive over several rounds). Each child is recorded by
+    /// its CSR position in `w`'s neighbor list in `g`.
     ///
     /// # Panics
     ///
-    /// Panics if a node joins a tree it already belongs to.
+    /// Panics if a node joins a tree it already belongs to, or if a
+    /// confirming child is not a neighbor in `g`.
     pub(crate) fn grow(
         &mut self,
+        g: &Graph,
         joins: &[Vec<(u32, NodeId)>],
         confirmations: Vec<Vec<(u32, NodeId)>>,
     ) {
@@ -195,8 +207,14 @@ impl QTrees {
                 "a node joined a tree it already belongs to"
             );
         }
-        for (list, got) in self.descendants.iter_mut().zip(confirmations) {
-            list.extend(got);
+        for (w, (list, got)) in self.descendants.iter_mut().zip(confirmations).enumerate() {
+            let neighbors = g.neighbors(NodeId::from(w));
+            list.extend(got.into_iter().map(|(root, child)| {
+                let pos = neighbors
+                    .binary_search(&child)
+                    .unwrap_or_else(|_| panic!("{child} is not a neighbor of v{w}"));
+                (root, pos as u32)
+            }));
             list.sort_unstable();
         }
     }
@@ -217,6 +235,7 @@ impl QTrees {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powersparse_graphs::generators;
 
     #[test]
     fn global_tree_from_parents() {
@@ -238,7 +257,8 @@ mod tests {
     }
 
     /// Grows `t` by one level in which every `(root, child, parent)`
-    /// edge joins `child` to the tree of `root` under `parent`.
+    /// edge joins `child` to the tree of `root` under `parent`, on the
+    /// complete graph over `t`'s nodes.
     fn grow(t: &mut QTrees, edges: &[(u32, u32, u32)]) {
         let n = t.links.len();
         let mut joins = vec![Vec::new(); n];
@@ -247,7 +267,16 @@ mod tests {
             joins[child as usize].push((root, NodeId(parent)));
             confirmations[parent as usize].push((root, NodeId(child)));
         }
-        t.grow(&joins, confirmations);
+        t.grow(&generators::complete(n), &joins, confirmations);
+    }
+
+    /// `v`'s children in the tree rooted at `root`, by node ID.
+    fn children(t: &QTrees, v: u32, root: u32) -> Vec<u32> {
+        let g = generators::complete(t.links.len());
+        let neighbors = g.neighbors(NodeId(v));
+        t.child_positions(NodeId(v), root)
+            .map(|pos| neighbors[pos].0)
+            .collect()
     }
 
     #[test]
@@ -258,10 +287,8 @@ mod tests {
         grow(&mut t, &[(0, 2, 1)]);
         assert_eq!(t.depth(), 2);
         assert_eq!(t.trees_of(NodeId(1)), vec![0]);
-        assert_eq!(
-            t.children(NodeId(0), 0).collect::<Vec<_>>(),
-            vec![NodeId(1)]
-        );
+        assert_eq!(children(&t, 0, 0), vec![1]);
+        assert_eq!(children(&t, 1, 0), vec![2]);
         assert_eq!(t.level(NodeId(2), 0), Some(2));
         assert_eq!(t.parent(NodeId(2), 0), Some(NodeId(1)));
         assert_eq!(t.parent(NodeId(0), 0), None);
@@ -276,10 +303,9 @@ mod tests {
             &mut t,
             &[(5, 4, 5), (2, 3, 2), (2, 0, 2), (5, 1, 5), (2, 1, 2)],
         );
-        let kids = |v: u32, root| t.children(NodeId(v), root).collect::<Vec<_>>();
-        assert_eq!(kids(2, 2), vec![NodeId(0), NodeId(1), NodeId(3)]);
-        assert_eq!(kids(5, 5), vec![NodeId(1), NodeId(4)]);
-        assert_eq!(kids(2, 5), vec![]);
+        assert_eq!(children(&t, 2, 2), vec![0, 1, 3]);
+        assert_eq!(children(&t, 5, 5), vec![1, 4]);
+        assert_eq!(children(&t, 2, 5), vec![]);
         assert_eq!(t.trees_of(NodeId(1)), vec![2, 5]);
     }
 
@@ -292,8 +318,8 @@ mod tests {
         t.retain_roots(&keep);
         assert_eq!(t.roots(), vec![NodeId(3)]);
         assert_eq!(t.trees_of(NodeId(1)), vec![3]);
-        assert_eq!(t.children(NodeId(0), 0).len(), 0);
-        assert_eq!(t.children(NodeId(3), 3).len(), 1);
+        assert_eq!(t.child_positions(NodeId(0), 0).len(), 0);
+        assert_eq!(t.child_positions(NodeId(3), 3).len(), 1);
     }
 
     #[test]

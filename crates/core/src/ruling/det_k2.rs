@@ -11,8 +11,9 @@
 //! MIS subroutine substitution (see [`mis_on_sparse_power`]): the paper
 //! plugs in the FGG+22 deterministic MIS; we use a deterministic
 //! local-ID-minimum greedy whose per-round communication is exactly the
-//! Lemma 4.2 broadcast pattern. Its worst-case round count is `Θ(n)` (ID
-//! chains) but it is `O(log n)`-ish on every benchmark family; the ruling
+//! Lemma 4.2 broadcast pattern. Its round count grows with the longest
+//! decreasing ID chain in `G^k[Q]`, up to `Θ(n)`: the paper profile's
+//! path rows take `2N + 5` rounds on `N` nodes at `k = 2`. The ruling
 //! set guarantees are independent of this choice (Lemma 6.3 is
 //! black-box).
 
@@ -21,7 +22,6 @@ use crate::sparsify::{sparsify_power, SamplingStrategy, SparsifyError, SparsifyO
 use powersparse_congest::engine::RoundEngine;
 use powersparse_congest::primitives::q_broadcast;
 use powersparse_graphs::NodeId;
-use std::collections::BTreeMap;
 
 /// Result of [`det_ruling_set_k2`].
 #[derive(Debug, Clone)]
@@ -87,91 +87,106 @@ pub fn try_det_ruling_set_k2<E: RoundEngine>(
 /// [`SparsifyOutcome`] (trees of depth `k`, knowledge `N^k(v, Q)`),
 /// communicating via Lemma 4.2 broadcasts.
 ///
-/// Greedy local-ID-minimum: each round, every undecided member whose ID
-/// is smaller than all its *undecided* `G^k[Q]`-neighbors joins; joiners
-/// and the members they dominate announce their new status down their
-/// trees.
+/// Greedy local-ID-minimum: each step, every undecided member whose ID
+/// is smaller than all its *undecided* `G^k[Q]`-neighbors joins and
+/// announces it down its tree; the members a joiner reaches are
+/// dominated and announce that in a second broadcast. Each member counts
+/// its undecided smaller-ID neighbors, starting from its I3 knowledge:
+/// every member decides once and announces it once, so the count falls
+/// by one for each smaller neighbor's "dominated" announcement, and the
+/// member joins once it reaches 0. The join test, the count and the
+/// domination check run inside the broadcasts' node steps.
 pub fn mis_on_sparse_power<E: RoundEngine>(sim: &mut E, sparse: &SparsifyOutcome) -> Vec<NodeId> {
     let n = sparse.q.len();
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        Undecided,
-        In,
-        Out,
-    }
-    let mut st: Vec<St> = (0..n)
-        .map(|i| if sparse.q[i] { St::Undecided } else { St::Out })
-        .collect();
-    // Member views: each member tracks the status of its G^k[Q]
-    // neighbors (from its I3 knowledge, which is already `N^k(v, Q)`;
-    // the filter is defensive), sorted by ID.
-    let mut view: Vec<Vec<(u32, St)>> = (0..n)
+    let mut nodes: Vec<GreedyNode> = (0..n)
         .map(|i| {
             if sparse.q[i] {
-                sparse.knowledge[i]
+                let smaller = sparse.knowledge[i]
                     .iter()
-                    .filter(|&&x| sparse.q[x as usize])
-                    .map(|&x| (x, St::Undecided))
-                    .collect()
+                    .take_while(|&&x| (x as usize) < i);
+                GreedyNode {
+                    st: St::Undecided,
+                    smaller_undecided: smaller.filter(|&&x| sparse.q[x as usize]).count(),
+                }
             } else {
-                Vec::new()
+                GreedyNode {
+                    st: St::Out,
+                    smaller_undecided: 0,
+                }
             }
         })
         .collect();
-    let record = |view: &mut Vec<(u32, St)>, root: u32, code: u8| {
-        if let Ok(j) = view.binary_search_by_key(&root, |&(x, _)| x) {
-            view[j].1 = if code == 1 { St::In } else { St::Out };
-        }
-    };
 
     let budget = 4 * n as u64 + 16;
     let mut steps = 0u64;
-    while (0..n).any(|i| st[i] == St::Undecided) {
+    while nodes.iter().any(|m| m.st == St::Undecided) {
         steps += 1;
         assert!(steps < budget, "greedy MIS exceeded its round budget");
-        // Join: local minimum among undecided neighbors.
-        let mut changed: BTreeMap<u32, (u8, usize)> = BTreeMap::new();
-        for i in 0..n {
-            if st[i] != St::Undecided {
-                continue;
-            }
-            let has_smaller_undecided = view[i]
-                .iter()
-                .take_while(|&&(x, _)| (x as usize) < i)
-                .any(|&(_, s)| s == St::Undecided);
-            if !has_smaller_undecided {
-                st[i] = St::In;
-                changed.insert(i as u32, (1u8, 1));
-            }
-        }
-        // Announce joins; dominated members go Out and announce too.
-        let got = q_broadcast(sim, &sparse.trees, &changed);
-        let mut outs: BTreeMap<u32, (u8, usize)> = BTreeMap::new();
-        for i in 0..n {
-            let mut dominated = false;
-            for &(root, code) in &got[i] {
-                record(&mut view[i], root, code);
-                if code == 1 && st[i] == St::Undecided {
-                    dominated = true;
+        // Join: local minimum among undecided neighbors; every undecided
+        // member a joiner reaches is dominated.
+        q_broadcast(
+            sim,
+            &sparse.trees,
+            1,
+            &mut nodes,
+            |m, _| {
+                let joins = m.st == St::Undecided && m.smaller_undecided == 0;
+                joins.then(|| {
+                    m.st = St::In;
+                    JOINED
+                })
+            },
+            |m, _, _, _| {
+                if m.st == St::Undecided {
+                    m.st = St::Dominated;
                 }
-            }
-            if dominated {
-                st[i] = St::Out;
-                outs.insert(i as u32, (0u8, 1));
-            }
-        }
-        let got = q_broadcast(sim, &sparse.trees, &outs);
-        for i in 0..n {
-            for &(root, code) in &got[i] {
-                record(&mut view[i], root, code);
-            }
-        }
+            },
+        );
+        // Dominated members go Out and announce it.
+        q_broadcast(
+            sim,
+            &sparse.trees,
+            1,
+            &mut nodes,
+            |m, _| {
+                (m.st == St::Dominated).then(|| {
+                    m.st = St::Out;
+                    DOMINATED
+                })
+            },
+            |m, v, root, _| {
+                if m.st == St::Undecided && (root as usize) < v.index() {
+                    m.smaller_undecided -= 1;
+                }
+            },
+        );
     }
     (0..n)
-        .filter(|&i| st[i] == St::In)
+        .filter(|&i| nodes[i].st == St::In)
         .map(NodeId::from)
         .collect()
 }
+
+/// A greedy MIS member's status.
+#[derive(Clone, Copy, PartialEq)]
+enum St {
+    Undecided,
+    In,
+    /// Reached by a joiner's announcement, not yet announced itself.
+    Dominated,
+    Out,
+}
+
+/// Per-node state of the greedy MIS.
+struct GreedyNode {
+    st: St,
+    /// Undecided `G^k[Q]`-neighbors with a smaller ID.
+    smaller_undecided: usize,
+}
+
+/// The 1-bit codes of the two announcements.
+const JOINED: u8 = 1;
+const DOMINATED: u8 = 0;
 
 #[cfg(test)]
 mod tests {

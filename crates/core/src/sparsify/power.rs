@@ -14,7 +14,6 @@ use powersparse_kwise::family::KWiseFamily;
 use powersparse_kwise::seed::Seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Failure of the derandomization step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +74,17 @@ enum MemberStatus {
     Gone,
 }
 
+/// The 1-bit codes of a stage's status announcements.
+const SAMPLED: u8 = 1;
+const DEACTIVATED: u8 = 0;
+
+/// What a node tracks during one iteration: its own status, and the
+/// status of each member of `N^s(v, Q_{s-1})`, sorted by ID.
+struct Observer {
+    own: MemberStatus,
+    members: Vec<(u32, MemberStatus)>,
+}
+
 /// Lemma 5.1 (`DetSparsification` on `G`): finds `Q ⊆ A` with
 /// `d(v, Q) ≤ degree_bound` and `dist(v, Q) ≤ 2 + dist(v, A)`.
 ///
@@ -109,8 +119,11 @@ pub fn sparsify_graph<E: RoundEngine>(
 ///
 /// # Panics
 ///
-/// Panics if `q0` has the wrong length or the graph is disconnected
-/// (the derandomization aggregates on a global BFS tree).
+/// Panics if `q0` has the wrong length, or if the graph is disconnected
+/// and a derandomized stage samples (`r ≥ 1` stages in some iteration):
+/// the seed scan aggregates on a global BFS tree, elected just before
+/// the first such stage. A run whose iterations all have `r = 0` stages
+/// elects no tree and accepts a disconnected graph.
 pub fn sparsify_power<E: RoundEngine>(
     sim: &mut E,
     k: usize,
@@ -123,16 +136,14 @@ pub fn sparsify_power<E: RoundEngine>(
     assert_eq!(q0.len(), n);
     let delta = g.max_degree();
 
-    // Global BFS tree for the derandomization convergecasts.
-    let global = match strategy {
-        SamplingStrategy::Randomized { .. } => None,
-        SamplingStrategy::SeedSearch => Some(elect_leader_and_tree(sim)),
-    };
-
     // I3 for s = 0 → 1: knowledge of N^1(v, Q_0) and depth-1 trees.
     let mut q: Vec<bool> = q0.to_vec();
     let (mut knowledge, mut trees) = init_knowledge_and_trees(sim, &q);
     let mut iterations = Vec::new();
+    // Global BFS tree for the seed scans' convergecasts, elected before
+    // the first stage that samples (r depends only on Δ_A, n and the
+    // parameters).
+    let mut global: Option<GlobalTree> = None;
 
     for s in 1..=k {
         let delta_a = if s == 1 {
@@ -140,6 +151,11 @@ pub fn sparsify_power<E: RoundEngine>(
         } else {
             (params.degree_bound(n) * delta).max(1)
         };
+        let scans =
+            matches!(strategy, SamplingStrategy::SeedSearch) && params.num_stages(delta_a, n) > 0;
+        if scans && global.is_none() {
+            global = Some(elect_leader_and_tree(sim));
+        }
         let stats = sparsify_iteration(
             sim,
             s,
@@ -190,19 +206,16 @@ fn sparsify_iteration<E: RoundEngine>(
     let degree_bound = params.degree_bound(n);
     let family = KWiseFamily::for_graph(n, params.kwise_factor);
 
-    // Per-node member status over N^s(v, Q_{s-1}), sorted by ID.
-    let mut members: Vec<Vec<(u32, MemberStatus)>> = knowledge
+    let mut nodes: Vec<Observer> = knowledge
         .iter()
-        .map(|set| set.iter().map(|&x| (x, MemberStatus::Active)).collect())
-        .collect();
-    // Own status.
-    let mut own: Vec<MemberStatus> = (0..n)
-        .map(|i| {
-            if q[i] {
+        .zip(q.iter())
+        .map(|(set, &member)| Observer {
+            own: if member {
                 MemberStatus::Active
             } else {
                 MemberStatus::Gone
-            }
+            },
+            members: set.iter().map(|&x| (x, MemberStatus::Active)).collect(),
         })
         .collect();
 
@@ -222,8 +235,9 @@ fn sparsify_iteration<E: RoundEngine>(
 
         // --- Select the sampled set M_i. ---
         let sampled_mask: Vec<bool> = match &mut rng {
-            Some(rng) => (0..n)
-                .map(|i| own[i] == MemberStatus::Active && rng.gen_bool(p))
+            Some(rng) => nodes
+                .iter()
+                .map(|o| o.own == MemberStatus::Active && rng.gen_bool(p))
                 .collect(),
             None => {
                 // Claim 5.6: every node evaluates its own bad events under
@@ -231,17 +245,8 @@ fn sparsify_iteration<E: RoundEngine>(
                 // (Lemma 4.3), and the root accepts the first candidate
                 // with none.
                 let tree = global.expect("derandomization needs the global tree");
-                let bad_events = |seed: &Seed, v| {
-                    node_bad_events(
-                        &family,
-                        seed,
-                        threshold,
-                        high,
-                        degree_bound,
-                        &members,
-                        &own,
-                        v,
-                    )
+                let bad_events = |seed: &Seed, v: usize| {
+                    node_bad_events(&family, seed, threshold, high, degree_bound, &nodes[v], v)
                 };
                 let scan = seed_search(family.seed_len(), 0..params.seed_attempts, |seed| {
                     let values: Vec<u64> = (0..n).map(|v| bad_events(seed, v)).collect();
@@ -262,9 +267,11 @@ fn sparsify_iteration<E: RoundEngine>(
                 };
                 total_attempts += counter + 1;
                 let seed = Seed::from_counter(family.seed_len(), counter);
-                (0..n)
-                    .map(|i| {
-                        own[i] == MemberStatus::Active
+                nodes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, o)| {
+                        o.own == MemberStatus::Active
                             && family.indicator(&seed, i as u64, threshold)
                     })
                     .collect()
@@ -273,53 +280,49 @@ fn sparsify_iteration<E: RoundEngine>(
 
         // --- Deactivate M_i ∪ N^{2s}(M_i) by flooding a flag 2s hops. ---
         let reached = flood_flags(sim, &sampled_mask, 2 * s);
-        let mut deactivated: Vec<u32> = Vec::new();
-        for i in 0..n {
-            if sampled_mask[i] {
-                own[i] = MemberStatus::Sampled;
-            } else if reached[i] && own[i] == MemberStatus::Active {
-                own[i] = MemberStatus::Gone;
-                deactivated.push(i as u32);
-            }
-        }
 
         // --- Status announcements over the depth-s trees (Lemma 4.2
-        // broadcast): sampled → "sampled", newly deactivated →
-        // "deactivated"; observers update their member maps. ---
-        let mut msgs: BTreeMap<u32, (u8, usize)> = BTreeMap::new();
-        for i in 0..n {
-            if sampled_mask[i] {
-                msgs.insert(i as u32, (1u8, 1));
-            }
-        }
-        for &x in &deactivated {
-            msgs.insert(x, (0u8, 1));
-        }
-        let received = q_broadcast(sim, trees, &msgs);
-        for (i, inbox) in received.iter().enumerate() {
-            let observed = &mut members[i];
-            for &(root, code) in inbox {
-                if let Ok(j) = observed.binary_search_by_key(&root, |&(x, _)| x) {
-                    let st = &mut observed[j].1;
+        // broadcast): a sampled node announces "sampled", a newly
+        // deactivated one "deactivated"; observers update their views. ---
+        q_broadcast(
+            sim,
+            trees,
+            1,
+            &mut nodes,
+            |o, v| {
+                if sampled_mask[v.index()] {
+                    o.own = MemberStatus::Sampled;
+                    Some(SAMPLED)
+                } else if reached[v.index()] && o.own == MemberStatus::Active {
+                    o.own = MemberStatus::Gone;
+                    Some(DEACTIVATED)
+                } else {
+                    None
+                }
+            },
+            |o, _, root, &code| {
+                if let Ok(j) = o.members.binary_search_by_key(&root, |&(x, _)| x) {
+                    let st = &mut o.members[j].1;
                     if *st == MemberStatus::Active {
-                        *st = if code == 1 {
+                        *st = if code == SAMPLED {
                             MemberStatus::Sampled
                         } else {
                             MemberStatus::Gone
                         };
                     }
                 }
-            }
-        }
+            },
+        );
     }
 
     // M_{r+1}: remaining active nodes join Q_s.
     for i in 0..n {
-        q[i] = matches!(own[i], MemberStatus::Sampled | MemberStatus::Active);
+        q[i] = matches!(nodes[i].own, MemberStatus::Sampled | MemberStatus::Active);
     }
     // Knowledge of N^s(v, Q_s): members sampled or still active.
     for i in 0..n {
-        knowledge[i] = members[i]
+        knowledge[i] = nodes[i]
+            .members
             .iter()
             .filter(|(_, st)| matches!(st, MemberStatus::Sampled | MemberStatus::Active))
             .map(|&(x, _)| x)
@@ -336,20 +339,18 @@ fn sparsify_iteration<E: RoundEngine>(
 /// Φ_v + Ψ_v for a single node (0, 1 or 2). Each node can evaluate its
 /// own events locally: they depend only on the IDs of its active
 /// distance-`s` neighbors.
-#[allow(clippy::too_many_arguments)]
 fn node_bad_events(
     family: &KWiseFamily,
     seed: &Seed,
     threshold: u64,
     high: f64,
     degree_bound: usize,
-    members: &[Vec<(u32, MemberStatus)>],
-    own: &[MemberStatus],
+    node: &Observer,
     v: usize,
 ) -> u64 {
     let mut active = 0usize;
     let mut sampled_neighbors = 0usize;
-    for &(x, st) in &members[v] {
+    for &(x, st) in &node.members {
         if st == MemberStatus::Active {
             active += 1;
             sampled_neighbors += usize::from(family.indicator(seed, x as u64, threshold));
@@ -359,7 +360,7 @@ fn node_bad_events(
     let psi = u64::from(sampled_neighbors > degree_bound);
     // Φ_v: high active degree but neither v nor any neighbor sampled.
     let self_sampled =
-        own[v] == MemberStatus::Active && family.indicator(seed, v as u64, threshold);
+        node.own == MemberStatus::Active && family.indicator(seed, v as u64, threshold);
     let phi = u64::from(active as f64 >= high && sampled_neighbors == 0 && !self_sampled);
     psi + phi
 }
@@ -507,6 +508,68 @@ mod tests {
         let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
         assert_eq!(out.q, q0);
         assert_eq!(out.iterations[0].stages, 0);
+    }
+
+    /// Two disjoint copies of `g`: copy 2 renumbers node `v` as `v + n`.
+    fn two_copies(g: &powersparse_graphs::Graph) -> powersparse_graphs::Graph {
+        let n = g.n();
+        let edges: Vec<(usize, usize)> = g
+            .edges()
+            .flat_map(|(u, v)| [(u.index(), v.index()), (u.index() + n, v.index() + n)])
+            .collect();
+        powersparse_graphs::Graph::from_edges(2 * n, &edges)
+    }
+
+    /// With no stage that samples, a derandomized run elects no global
+    /// tree: it costs exactly the I3 upkeep, the depth-1 bootstrap plus
+    /// one tree extension per iteration.
+    #[test]
+    fn seed_search_without_stages_costs_only_the_tree_growth() {
+        let g = generators::cycle(64);
+        let params = TheoryParams::scaled();
+        let q0 = vec![true; 64];
+        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+        let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
+        assert_eq!(out.iterations[0].stages, 0);
+        let mut fresh = Simulator::new(&g, SimConfig::for_graph(&g));
+        let (sets, mut trees) = init_knowledge_and_trees(&mut fresh, &q0);
+        let knowledge = extend_trees(&mut fresh, &sets, &mut trees);
+        assert_eq!(out.knowledge, knowledge);
+        let (got, want) = (sim.metrics(), fresh.metrics());
+        assert_eq!(
+            (got.rounds, got.messages, got.bits),
+            (want.rounds, want.messages, want.bits)
+        );
+    }
+
+    /// Without a stage that samples, the graph need not be connected.
+    #[test]
+    fn seed_search_without_stages_accepts_a_disconnected_graph() {
+        let g = two_copies(&generators::cycle(32));
+        let params = TheoryParams::scaled();
+        let q0 = vec![true; 64];
+        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+        let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
+        assert_eq!(out.iterations[0].stages, 0);
+        assert_eq!(out.q, q0);
+        check_outcome(&g, 1, &q0, &out, &params);
+    }
+
+    /// A stage that samples scans its seeds over the global tree, which a
+    /// disconnected graph does not have.
+    #[test]
+    #[should_panic(expected = "disconnected")]
+    fn seed_search_with_stages_rejects_a_disconnected_graph() {
+        let g = two_copies(&generators::connected_gnp(128, 0.12, 7));
+        let params = TheoryParams::scaled();
+        assert!(params.num_stages(g.max_degree(), g.n()) >= 1);
+        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+        let _ = sparsify_graph(
+            &mut sim,
+            &vec![true; g.n()],
+            &params,
+            SamplingStrategy::SeedSearch,
+        );
     }
 
     /// Paper-faithful constants on a graph with Δ large enough for

@@ -10,6 +10,7 @@
 //! The misbehaviors a node program can express at runtime:
 //!
 //! * sending to a node that is not a `G`-neighbor (a non-edge),
+//! * sending to a CSR position at or beyond the sender's degree,
 //! * sending on behalf of another node (sender spoofing),
 //! * sending a zero-bit message,
 //! * handing `step`/`settle` a state slice of the wrong length,
@@ -32,6 +33,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 enum Misbehavior {
     /// Node 0 sends to node 2 on `path(4)` — not an edge.
     NonEdgeSend,
+    /// Node 0 sends to CSR position 1 on `path(4)`, where it has one
+    /// neighbor.
+    PositionOutOfRange,
     /// Node 0 sends pretending to be node 1.
     SpoofedSender,
     /// Node 0 sends a message of zero bits.
@@ -52,6 +56,7 @@ fn misbehavior_message<E: RoundEngine>(eng: &mut E, mis: Misbehavior) -> String 
             }
             match mis {
                 Misbehavior::NonEdgeSend => out.send(v, NodeId(2), 1, 4),
+                Misbehavior::PositionOutOfRange => out.send_at(v, 1, 1, 4),
                 Misbehavior::SpoofedSender => out.send(NodeId(1), NodeId(2), 1, 4),
                 Misbehavior::ZeroBits => out.send(v, NodeId(1), 1, 0),
                 Misbehavior::WrongStateLen => {}
@@ -103,6 +108,14 @@ fn assert_identical_rejection(mis: Misbehavior, expected_fragment: &str) {
 #[test]
 fn non_edge_send_rejected_identically() {
     assert_identical_rejection(Misbehavior::NonEdgeSend, "is not an edge");
+}
+
+#[test]
+fn out_of_range_position_rejected_identically() {
+    assert_identical_rejection(
+        Misbehavior::PositionOutOfRange,
+        "v0 has no neighbor at position 1 (degree 1)",
+    );
 }
 
 #[test]

@@ -559,6 +559,9 @@ fn smoke_suite() -> Vec<Scenario> {
 /// * The sparsifier sampling ablation on the dense `gnp(n=192,d=24)`.
 /// * Theorem A.1 on a 900-node path (the long-diameter clustering
 ///   path).
+/// * Theorem 1.1 at `k = 2` on paths of 100–1,600 nodes and on square
+///   grids of side 16, 32 and 64: how its rounds grow with the
+///   diameter.
 fn paper_suite() -> Vec<Scenario> {
     use AlgorithmSpec::*;
     let gnp = |n, avg_deg| GraphFamily::Gnp { n, avg_deg };
@@ -614,6 +617,17 @@ fn paper_suite() -> Vec<Scenario> {
         legs: 0,
     };
     add(&path, 1, 1..=2, &[PowerNd]);
+    for spine in [100, 200, 400, 800, 1600] {
+        let path = GraphFamily::Caterpillar { spine, legs: 0 };
+        add(&path, 1, 2..=2, &[DetRulingK2]);
+    }
+    for side in [16, 32, 64] {
+        let grid = GraphFamily::Grid {
+            rows: side,
+            cols: side,
+        };
+        add(&grid, 1, 2..=2, &[DetRulingK2]);
+    }
     suite
 }
 
@@ -1135,7 +1149,7 @@ algorithm = "sparsify"   # randomized
     #[test]
     fn paper_profile_pins_every_table_row() {
         let suite = builtin_suite(SuiteProfile::Paper);
-        assert_eq!(suite.len(), 121);
+        assert_eq!(suite.len(), 129);
         let mut seen = std::collections::BTreeSet::new();
         for sc in &suite {
             assert_eq!(sc.engine, EngineSpec::Sequential, "{}", sc.name());
@@ -1195,6 +1209,18 @@ algorithm = "sparsify"   # randomized
         for k in 1..=2 {
             let name = format!("caterpillar(spine=900,legs=0)/k{k}/power_nd/sequential");
             assert!(suite.iter().any(|sc| sc.name() == name), "missing {name}");
+        }
+        // Theorem 1.1's growth with the diameter.
+        for spine in [100, 200, 400, 800, 1600] {
+            expect(
+                &format!("caterpillar(spine={spine},legs=0)"),
+                2,
+                "det_ruling_k2",
+                1,
+            );
+        }
+        for side in [16, 32, 64] {
+            expect(&format!("grid({side}x{side})"), 2, "det_ruling_k2", 1);
         }
     }
 
