@@ -77,13 +77,12 @@
 //! — the observation fires exactly where the round counter advances, so
 //! trace length equals `rounds` on every backend:
 //!
-//! * the sequential `Simulator` emits at the end of its round step,
-//!   after the transfer delivered;
-//! * the pooled and process backends gather shard-local counts during
-//!   the round stages and emit **on the caller thread** after the
-//!   stage-2 barrier (the process backend's parent has read every
-//!   child's `Deliveries` and `RoundStats` frames), merged exactly where
-//!   the shard counters merge;
+//! * every engine closes an executed round with
+//!   [`crate::shard::close_round`], which merges the shards' tallies
+//!   and emits **on the caller thread** once the round's deliveries are
+//!   in place (the sequential engine after its transfer, the pooled
+//!   engine after the stage-2 barrier, the process backend's parent
+//!   after reading every child's `Deliveries` and `RoundStats` frames);
 //! * [`RoundEngine::charge_rounds`] emits one zeroed observation per
 //!   charged round, in order.
 //!

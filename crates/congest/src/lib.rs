@@ -33,6 +33,11 @@
 //!   experiment results.
 //! * [`sim::Metrics`] tracks rounds, messages, bits, and per-edge traffic
 //!   (used by the Figure-1 tightness tests of Lemma 4.2).
+//! * [`shard`] defines one shard's round — group its arrival run into
+//!   inboxes, step its nodes, run their sends through its
+//!   [`msgcore::MsgCore`] — and [`shard::close_round`], which ends every
+//!   engine's round: the sequential engine is one shard over the whole
+//!   graph, the parallel backends one per worker or child.
 //! * [`probe`] observes a run on any backend: one [`probe::RoundObs`]
 //!   and one [`probe::RoundSpans`] per round, one [`probe::PhaseObs`] per
 //!   phase. [`probe::SpanProbe`] records them all; the default
@@ -80,6 +85,7 @@ pub mod engine;
 pub mod msgcore;
 pub mod primitives;
 pub mod probe;
+pub mod shard;
 pub mod sim;
 pub mod trees;
 

@@ -172,7 +172,7 @@ impl<M> MsgCore<M> {
     /// Size of one arena cell in bytes for this payload type — the
     /// multiplier turning peak cell counts into the manifest's
     /// arena-footprint bytes.
-    pub fn cell_size(&self) -> usize {
+    pub fn cell_size() -> usize {
         std::mem::size_of::<Cell<M>>()
     }
 
@@ -484,7 +484,8 @@ mod tests {
     #[test]
     fn free_list_reuses_cells() {
         let mut core = MsgCore::new(4);
-        assert!(core.cell_size() >= std::mem::size_of::<u64>() + std::mem::size_of::<u32>());
+        let cell = MsgCore::<u32>::cell_size();
+        assert!(cell >= std::mem::size_of::<u64>() + std::mem::size_of::<u32>());
         for round in 0..10 {
             // 12 bits at bw 8 overflow the edge, so every send takes a
             // cell; the silent round after it delivers the cell.

@@ -64,17 +64,8 @@ impl Relay {
 /// `fanout` is the number of distinct-ID tuples forwarded per step: the
 /// paper uses 2 (correct); 1 reproduces the naive broken variant for the
 /// ablation experiment.
-pub fn khop_beep_with_fanout<E: RoundEngine>(
-    sim: &mut E,
-    beepers: &[bool],
-    k: usize,
-    fanout: usize,
-) -> Vec<bool> {
-    khop_beep_masked(sim, beepers, k, fanout, None)
-}
-
-/// [`khop_beep_with_fanout`] with an optional **relay mask**: when
-/// `relay = Some(mask)`, only masked nodes forward tuples, so beeps
+///
+/// With `relay = Some(mask)`, only masked nodes forward tuples, so beeps
 /// propagate within the induced subgraph `G[mask]` — distances are
 /// measured in `G[mask]`, not `G`. That runs the beep on `(G[mask])^k`,
 /// which differs from `G^k[mask]` whenever a shortest path leaves the
@@ -136,11 +127,6 @@ pub fn khop_beep_masked<E: RoundEngine>(
         }
     });
     state.into_iter().map(|s| s.0).collect()
-}
-
-/// The correct Lemma 8.2 primitive (fanout 2).
-pub fn khop_beep<E: RoundEngine>(sim: &mut E, beepers: &[bool], k: usize) -> Vec<bool> {
-    khop_beep_with_fanout(sim, beepers, k, 2)
 }
 
 /// Multiple **parallel** beep instances in one communication phase
@@ -288,7 +274,7 @@ mod tests {
     fn fanout_beyond_two_is_rejected() {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        khop_beep_with_fanout(&mut sim, &[true, false, false], 2, 3);
+        khop_beep_masked(&mut sim, &[true, false, false], 2, 3, None);
     }
 
     fn ground_truth(g: &powersparse_graphs::Graph, beepers: &[bool], k: usize) -> Vec<bool> {
@@ -303,7 +289,7 @@ mod tests {
         let beepers: Vec<bool> = (0..25).map(|i| i == 0 || i == 24).collect();
         for k in 1..=3 {
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let heard = khop_beep(&mut sim, &beepers, k);
+            let heard = khop_beep_masked(&mut sim, &beepers, k, 2, None);
             assert_eq!(heard, ground_truth(&g, &beepers, k), "k = {k}");
         }
     }
@@ -315,7 +301,7 @@ mod tests {
         let g = generators::cycle(5);
         let beepers = vec![true, false, false, false, false];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard = khop_beep(&mut sim, &beepers, 4);
+        let heard = khop_beep_masked(&mut sim, &beepers, 4, 2, None);
         assert!(!heard[0], "lone beeper heard its own echo");
         for i in 1..5 {
             assert!(heard[i]);
@@ -328,7 +314,7 @@ mod tests {
         for k in [2usize, 3] {
             let beepers: Vec<bool> = (0..40).map(|i| i % 19 == 0).collect();
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let heard = khop_beep(&mut sim, &beepers, k);
+            let heard = khop_beep_masked(&mut sim, &beepers, k, 2, None);
             assert_eq!(heard, ground_truth(&g, &beepers, k), "k = {k}");
         }
     }
@@ -348,11 +334,11 @@ mod tests {
         assert!(truth[0] && truth[2]);
 
         let mut sim2 = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard2 = khop_beep_with_fanout(&mut sim2, &beepers, k, 2);
+        let heard2 = khop_beep_masked(&mut sim2, &beepers, k, 2, None);
         assert_eq!(heard2, truth, "fanout 2 must be correct");
 
         let mut sim1 = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard1 = khop_beep_with_fanout(&mut sim1, &beepers, k, 1);
+        let heard1 = khop_beep_masked(&mut sim1, &beepers, k, 1, None);
         assert!(
             !heard1[0],
             "node 0 should have missed node 2's beep under fanout 1"
@@ -407,7 +393,7 @@ mod tests {
     fn no_beepers_nothing_heard() {
         let g = generators::path(6);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard = khop_beep(&mut sim, &[false; 6], 3);
+        let heard = khop_beep_masked(&mut sim, &[false; 6], 3, 2, None);
         assert!(heard.iter().all(|&h| !h));
     }
 
@@ -417,7 +403,7 @@ mod tests {
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let beepers: Vec<bool> = (0..20).map(|i| i == 0).collect();
         let before = sim.metrics().rounds;
-        let _ = khop_beep(&mut sim, &beepers, 5);
+        let _ = khop_beep_masked(&mut sim, &beepers, 5, 2, None);
         let spent = sim.metrics().rounds - before;
         assert!(spent <= 5 + 3, "beep of k=5 took {spent} rounds");
     }

@@ -20,7 +20,7 @@ struct Best {
 /// Per-node state driven through the election rounds.
 #[derive(Clone, Copy)]
 struct ElectState {
-    best: Option<Best>,
+    best: Best,
     /// Best changed since the last forward.
     dirty: bool,
     /// Forwarded a token in the current round (the termination signal,
@@ -35,42 +35,23 @@ struct ElectState {
 ///
 /// Panics if the graph is disconnected (no spanning tree exists) or empty.
 pub fn elect_leader_and_tree<E: RoundEngine>(sim: &mut E) -> GlobalTree {
-    run_election(sim, None)
-}
-
-/// Builds a BFS tree from a designated root (no election), in
-/// `O(ecc(root))` measured rounds.
-///
-/// # Panics
-///
-/// Panics if the graph is disconnected or empty.
-pub fn bfs_tree_from<E: RoundEngine>(sim: &mut E, root: NodeId) -> GlobalTree {
-    run_election(sim, Some(root))
-}
-
-fn run_election<E: RoundEngine>(sim: &mut E, fixed_root: Option<NodeId>) -> GlobalTree {
     let g = sim.graph();
     let n = g.n();
     assert!(n > 0, "cannot build a tree on the empty graph");
     let id_bits = g.id_bits();
     let msg_bits = 2 * id_bits + 1;
 
+    // Every node starts a BFS token of its own.
     let mut state: Vec<ElectState> = g
         .nodes()
-        .map(|v| {
-            let is_origin = match fixed_root {
-                Some(r) => v == r,
-                None => true,
-            };
-            ElectState {
-                best: is_origin.then_some(Best {
-                    root: v.0,
-                    dist: 0,
-                    parent: None,
-                }),
-                dirty: is_origin,
-                forwarded: false,
-            }
+        .map(|v| ElectState {
+            best: Best {
+                root: v.0,
+                dist: 0,
+                parent: None,
+            },
+            dirty: true,
+            forwarded: false,
         })
         .collect();
 
@@ -80,16 +61,13 @@ fn run_election<E: RoundEngine>(sim: &mut E, fixed_root: Option<NodeId>) -> Glob
             s.forwarded = false;
             // Relax on incoming tokens.
             for &(from, (root, dist)) in inbox {
-                let better = match s.best {
-                    None => true,
-                    Some(b) => root < b.root || (root == b.root && dist + 1 < b.dist),
-                };
-                if better {
-                    s.best = Some(Best {
+                let b = s.best;
+                if root < b.root || (root == b.root && dist + 1 < b.dist) {
+                    s.best = Best {
                         root,
                         dist: dist + 1,
                         parent: Some(from),
-                    });
+                    };
                     s.dirty = true;
                 }
             }
@@ -97,8 +75,7 @@ fn run_election<E: RoundEngine>(sim: &mut E, fixed_root: Option<NodeId>) -> Glob
             if s.dirty {
                 s.dirty = false;
                 s.forwarded = true;
-                let b = s.best.expect("dirty implies known");
-                out.broadcast(v, (b.root, b.dist), msg_bits);
+                out.broadcast(v, (s.best.root, s.best.dist), msg_bits);
             }
         });
         if !state.iter().any(|s| s.forwarded) && phase.idle() {
@@ -107,16 +84,13 @@ fn run_election<E: RoundEngine>(sim: &mut E, fixed_root: Option<NodeId>) -> Glob
     }
     drop(phase);
 
-    let best: Vec<Option<Best>> = state.into_iter().map(|s| s.best).collect();
+    let states: Vec<Best> = state.into_iter().map(|s| s.best).collect();
 
     // One round: every non-root announces itself to its parent so parents
     // learn their children (1-bit message; sender identity is implicit).
     let mut phase = sim.phase::<()>();
     phase.step_stateless(|v, _in, out| {
-        if let Some(Best {
-            parent: Some(p), ..
-        }) = best[v.index()]
-        {
+        if let Some(p) = states[v.index()].parent {
             out.send(v, p, (), 1);
         }
     });
@@ -124,11 +98,6 @@ fn run_election<E: RoundEngine>(sim: &mut E, fixed_root: Option<NodeId>) -> Glob
     phase.settle(4, &mut unit, |_, _, _| {});
     drop(phase);
 
-    let states: Vec<Best> = best
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| b.unwrap_or_else(|| panic!("node v{i} unreachable: graph disconnected")))
-        .collect();
     let root = NodeId(states.iter().map(|b| b.root).min().expect("nonempty"));
     for s in &states {
         assert_eq!(
@@ -165,17 +134,6 @@ mod tests {
             "rounds {}",
             sim.metrics().rounds
         );
-    }
-
-    #[test]
-    fn fixed_root_tree() {
-        let g = generators::path(6);
-        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let t = bfs_tree_from(&mut sim, NodeId(3));
-        assert_eq!(t.root, NodeId(3));
-        assert_eq!(t.level[0], 3);
-        assert_eq!(t.depth, 3);
-        assert_eq!(t.children[3].len(), 2);
     }
 
     #[test]

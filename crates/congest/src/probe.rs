@@ -17,43 +17,38 @@
 //!
 //! Emission points (one per `Metrics::rounds` increment):
 //!
-//! * sequential `Simulator` — at the end of `finish_round`, after the
-//!   transfer delivered;
-//! * `PooledSimulator` / `ProcessSimulator` — on the caller thread after
-//!   the stage-2 barrier, from shard observations merged exactly where
-//!   the shard-local counters merge;
+//! * every executed round, on every engine —
+//!   [`crate::shard::close_round`], on the caller thread once the
+//!   round's deliveries are in place (after the stage-2 barrier on the
+//!   pooled engine, after every child's replies on the process engine),
+//!   exactly where the shards' tallies merge into the counters;
 //! * `charge_rounds(r)` — `r` zeroed observations, in order.
 //!
 //! [`PhaseObs`] fires when a typed phase is dropped, carrying the phase
 //! ordinal and the rounds/messages/bits the phase consumed.
 //!
-//! Only the per-round emission differs between engines, because each
-//! measures its spans differently. The rest is defined here once and
-//! called by all three: [`charge_rounds`] bills charged rounds, and a
-//! [`PhaseMark`] taken when a phase opens emits its [`PhaseObs`] when it
-//! drops.
+//! Each emission is defined once and called by all three engines:
+//! [`crate::shard::close_round`] closes executed rounds,
+//! [`charge_rounds`] bills charged rounds, and a [`PhaseMark`] taken
+//! when a phase opens emits its [`PhaseObs`] when it drops.
 //!
 //! # Span emission points
 //!
-//! Directly after each [`RoundObs`], an engine emits one [`RoundSpans`]
-//! through [`Probe::on_round_spans`] carrying the round's per-shard
-//! stage timings. The emission site is the same as the round
-//! observation's (end of `finish_round` sequentially; the caller thread
-//! after the stage-2 barrier on the parallel backends; zeroed/empty for
-//! charged rounds), and the timestamps themselves are taken where the
-//! work happens:
+//! Directly after each [`RoundObs`], [`crate::shard::close_round`]
+//! emits one [`RoundSpans`] through [`Probe::on_round_spans`] carrying
+//! the round's per-shard stage timings (empty for charged rounds). The
+//! timestamps themselves are taken where the work happens:
 //!
-//! * sequential `Simulator` — `step` brackets the node-stepping loop of
-//!   `run_step`, `transfer` brackets the whole of `finish_round`
-//!   (the message core's round + accounting); `barrier` is empty (there
-//!   is no barrier to wait on).
-//! * `PooledSimulator` — each pool worker timestamps its own stage-1
-//!   step loop and `flush_shard_sends` tail, and its stage-2 splice,
-//!   **on its own thread**, writing them into probe-only per-shard slots
-//!   through the same disjoint views the counters use; the caller
-//!   measures each stage's wall clock around the scatter and attributes
-//!   `barrier = Σ stage walls − the shard's busy time` per shard, at the
-//!   stage-2 barrier exactly where the counters merge.
+//! * sequential `Simulator` and `PooledSimulator` — a shard's round
+//!   ([`crate::shard::Shard::round`]) times its node-stepping loop as
+//!   `step`, and its grouping of the arrival run plus its message
+//!   core's round as `transfer`, on the thread that runs it: a pool
+//!   worker writes them into its shard's tally slot through the same
+//!   disjoint views the counters use. A pooled worker adds its stage-2
+//!   splice to `transfer`. The sequential engine has no barrier, so its
+//!   `barrier` vector is empty; the pooled caller measures each stage's
+//!   wall clock around the scatter and attributes
+//!   `barrier = Σ stage walls − step − transfer` per shard.
 //! * `ProcessSimulator` — the parent times each shard's step loop, each
 //!   shard child times its own transfer and reports it in the round's
 //!   `RoundStats` frame, and the parent attributes
@@ -139,9 +134,10 @@ pub struct RoundSpans {
     /// Nanoseconds each shard spent stepping its nodes this round
     /// (empty for charged rounds).
     pub step_ns: Vec<u64>,
-    /// Nanoseconds each shard spent running its sends through its
-    /// message core (stage 1, as sender) plus routing/splicing deliveries
-    /// (stage 2, as receiver). Empty for charged rounds.
+    /// Nanoseconds each shard spent grouping its arrivals and running
+    /// its sends through its message core (stage 1, as sender) plus, on
+    /// the pooled engine, splicing deliveries (stage 2, as receiver).
+    /// Empty for charged rounds.
     pub transfer_ns: Vec<u64>,
     /// Nanoseconds each shard's worker spent idle at the round's stage
     /// barriers (stage wall clock minus the shard's busy time, summed
@@ -201,11 +197,12 @@ pub fn ns_between(start: Option<std::time::Instant>, end: Option<std::time::Inst
     }
 }
 
-/// Probe-only per-shard scratch: a `len`-element zeroed vector when `P`
-/// gathers observations, a **zero-capacity** vector otherwise. Every
-/// engine allocates its span/observation scratch through this, which is
-/// what makes "`NoProbe` engines allocate zero span storage" a
-/// type-level guarantee (tested in the conformance suite).
+/// Probe-only scratch: a `len`-element zeroed vector when `P` gathers
+/// observations, a **zero-capacity** vector otherwise. Every engine
+/// allocates its probe-only storage through this (the distinct-receiver
+/// stamps, the pooled engine's splice clocks), which is what makes
+/// "`NoProbe` engines allocate zero span storage" a type-level guarantee
+/// (tested in the conformance suite).
 pub fn probe_vec<T: Default + Clone, P: Probe>(len: usize) -> Vec<T> {
     if P::ENABLED {
         vec![T::default(); len]

@@ -3,9 +3,9 @@
 
 pub use crate::engine::{Metrics, MetricsConfig, Outbox};
 
-use crate::engine::{Delivery, Message, RoundEngine, RoundPhase, SendRecord};
-use crate::msgcore::MsgCore;
-use crate::probe::{now_if, ns_between, NoProbe, PhaseMark, Probe, RoundObs, RoundSpans};
+use crate::engine::{Delivery, Message, RoundEngine, RoundPhase};
+use crate::probe::{probe_vec, NoProbe, PhaseMark, Probe};
+use crate::shard::{close_round, Shard};
 use powersparse_graphs::{Graph, NodeId};
 
 /// Configuration of a round engine (shared by all backends). No
@@ -59,7 +59,7 @@ impl SimConfig {
 ///
 /// The probe parameter `P` defaults to [`NoProbe`] (observation sites
 /// compile out entirely); [`Simulator::with_probe`] attaches a real
-/// [`Probe`] that receives one [`RoundObs`] per round and one
+/// [`Probe`] that receives one [`crate::probe::RoundObs`] per round and one
 /// [`crate::probe::PhaseObs`] per closed phase.
 #[derive(Debug)]
 pub struct Simulator<'g, P: Probe = NoProbe> {
@@ -69,6 +69,9 @@ pub struct Simulator<'g, P: Probe = NoProbe> {
     probe: P,
     /// Phases opened so far (the [`PhaseMark`] ordinal source).
     phases_opened: u64,
+    /// The probe's distinct-receiver stamps, one per node (empty under
+    /// [`NoProbe`]).
+    stamps: Vec<u64>,
 }
 
 impl<'g> Simulator<'g> {
@@ -87,6 +90,7 @@ impl<'g, P: Probe> Simulator<'g, P> {
             metrics: Metrics::for_graph(graph, config.metrics),
             probe,
             phases_opened: 0,
+            stamps: probe_vec::<u64, P>(graph.n()),
         }
     }
 
@@ -145,13 +149,8 @@ impl<'g, P: Probe> Simulator<'g, P> {
 
     /// Opens a communication phase with message type `M`.
     pub fn phase<M: Clone>(&mut self) -> Phase<'_, 'g, M, P> {
-        let n = self.graph.n();
-        let dir_edges = 2 * self.graph.m();
         Phase {
-            core: MsgCore::new(dir_edges),
-            inboxes: vec![Vec::new(); n],
-            dirty: Vec::new(),
-            sends: Vec::new(),
+            shard: Shard::new(0..self.graph.n(), 0..2 * self.graph.m()),
             mark: PhaseMark::open(&mut self.phases_opened, &self.metrics),
             sim: self,
         }
@@ -194,7 +193,9 @@ impl<'g, P: Probe> RoundEngine for Simulator<'g, P> {
 }
 
 /// One typed communication phase: a sequence of synchronous rounds
-/// exchanging messages of type `M`.
+/// exchanging messages of type `M`, run as one [`Shard`] over the whole
+/// graph, stepped inline. A round's deliveries land on the shard's own
+/// arrival run, as a one-shard pooled round's do after its splice.
 ///
 /// Messages sent in round `r` begin transferring in round `r`; a message
 /// of `b` bits is delivered at the start of round `r + ⌈(queue + b) /
@@ -203,17 +204,8 @@ impl<'g, P: Probe> RoundEngine for Simulator<'g, P> {
 #[derive(Debug)]
 pub struct Phase<'s, 'g, M, P: Probe = NoProbe> {
     sim: &'s mut Simulator<'g, P>,
-    /// The per-edge queues ([`MsgCore`]): direct delivery for what
-    /// completes in its round, the arena for the rest, O(1) quiescence.
-    core: MsgCore<M>,
-    /// Messages available to each node in the *next* `round` call.
-    inboxes: Vec<Vec<Delivery<M>>>,
-    /// Nodes whose inbox is nonempty (pushed on the empty→nonempty
-    /// transition at delivery), so drain rounds visit only receivers —
-    /// O(active), not O(n).
-    dirty: Vec<u32>,
-    /// Reused send-record scratch (drained every round).
-    sends: Vec<SendRecord<M>>,
+    /// The whole graph's core, inboxes and send buffer.
+    shard: Shard<M>,
     /// The phase's ordinal and opening counters.
     mark: PhaseMark,
 }
@@ -221,127 +213,6 @@ pub struct Phase<'s, 'g, M, P: Probe = NoProbe> {
 impl<M, P: Probe> Drop for Phase<'_, '_, M, P> {
     fn drop(&mut self) {
         self.mark.close(&self.sim.metrics, &mut self.sim.probe);
-    }
-}
-
-impl<M: Clone, P: Probe> Phase<'_, '_, M, P> {
-    /// The communication network.
-    pub fn graph(&self) -> &Graph {
-        self.sim.graph
-    }
-
-    /// The single definition of a sequential round: step every node in ID
-    /// order, then run the message core's round and account
-    /// ([`RoundPhase::step`] and the silent rounds of
-    /// [`RoundPhase::settle`]).
-    fn run_step(&mut self, mut g: impl FnMut(usize, &[Delivery<M>], &mut Outbox<'_, M>)) {
-        let n = self.sim.graph.n();
-        // Every inbox is consumed below, so the dirty worklist resets.
-        self.dirty.clear();
-        let mut sends = std::mem::take(&mut self.sends);
-        let step_start = now_if(P::ENABLED);
-        for i in 0..n {
-            let inbox = std::mem::take(&mut self.inboxes[i]);
-            let mut out = Outbox::new(self.sim.graph, NodeId::from(i), &mut sends);
-            g(i, &inbox, &mut out);
-        }
-        let step_ns = ns_between(step_start, now_if(P::ENABLED));
-        self.finish_round(&mut sends, step_ns);
-        self.sends = sends;
-    }
-
-    /// Whether any message is still queued on an edge. O(1) on the
-    /// arena core.
-    pub fn in_flight(&self) -> bool {
-        !self.core.is_empty()
-    }
-
-    /// Whether the phase is fully quiescent: nothing queued on any edge
-    /// **and** nothing delivered-but-unread in any inbox. Termination
-    /// checks must use this rather than [`Phase::in_flight`] alone — a
-    /// message delivered at the end of the last round is no longer "in
-    /// flight" but still awaits processing. O(1): the dirty worklist
-    /// tracks unread inboxes exactly.
-    pub fn idle(&self) -> bool {
-        !self.in_flight() && self.dirty.is_empty()
-    }
-
-    /// Hands this round's sends to the message core, which delivers
-    /// what completes this round, and closes the round's accounting.
-    /// Only edges that hold or receive bits are touched. `step_ns` is the
-    /// caller-measured node-stepping time, forwarded into the round's
-    /// [`RoundSpans`] (0 when un-probed).
-    fn finish_round(&mut self, sends: &mut Vec<SendRecord<M>>, step_ns: u64) {
-        let transfer_start = now_if(P::ENABLED);
-        let bw = self.sim.config.bandwidth as u64;
-        let graph = self.sim.graph;
-        let Metrics {
-            messages,
-            bits,
-            per_edge,
-            edge_messages,
-            edge_bits,
-            ..
-        } = &mut self.sim.metrics;
-        let per_edge = *per_edge;
-        let (msgs_before, bits_before) = (*messages, *bits);
-        let inboxes = &mut self.inboxes;
-        let dirty = &mut self.dirty;
-        let sends = sends.drain(..).inspect(|s| {
-            *bits += s.bits;
-            if per_edge {
-                edge_bits[s.edge] += s.bits;
-            }
-        });
-        let load = self.core.round(bw, sends, |edge, from, msg| {
-            *messages += 1;
-            if per_edge {
-                edge_messages[edge] += 1;
-            }
-            let to = graph.edge_target(edge);
-            let inbox = &mut inboxes[to.index()];
-            if inbox.is_empty() {
-                dirty.push(to.0);
-            }
-            inbox.push((from, msg));
-        });
-        // The queue model's footprint at transfer start: the backlog plus
-        // every send of the round (shard-partitioned cores measure the
-        // same per shard and sum at the barrier, so the gauge is
-        // engine-invariant — see the engine-contract docs).
-        let metrics = &mut self.sim.metrics;
-        metrics.peak_queue_depth = metrics.peak_queue_depth.max(load.peak_depth);
-        metrics.arena_cells_peak = metrics.arena_cells_peak.max(load.cells);
-        metrics.arena_bytes_peak = metrics
-            .arena_bytes_peak
-            .max(load.cells * self.core.cell_size() as u64);
-        metrics.rounds += 1;
-        if P::ENABLED {
-            let transfer_ns = ns_between(transfer_start, now_if(true));
-            let (messages, bits, round) = (
-                self.sim.metrics.messages - msgs_before,
-                self.sim.metrics.bits - bits_before,
-                self.sim.metrics.rounds - 1,
-            );
-            let obs = RoundObs {
-                round,
-                active_edges: self.core.active_edges() as u64,
-                dirty_nodes: self.dirty.len() as u64,
-                messages,
-                bits,
-                shard_splice: vec![messages],
-            };
-            self.sim.probe.on_round_end(obs);
-            // The sequential engine is its own single shard; no barrier
-            // to wait on, so the barrier vector stays empty.
-            self.sim.probe.on_round_spans(RoundSpans {
-                round,
-                step_ns: vec![step_ns],
-                transfer_ns: vec![transfer_ns],
-                barrier_ns: Vec::new(),
-                arena_cells: vec![load.cells],
-            });
-        }
     }
 }
 
@@ -355,38 +226,51 @@ impl<M: Message, P: Probe> RoundPhase<M> for Phase<'_, '_, M, P> {
         S: Send,
         F: Fn(&mut S, NodeId, &[Delivery<M>], &mut Outbox<'_, M>) + Sync,
     {
-        let n = self.sim.graph.n();
+        let sim = &mut *self.sim;
+        let n = sim.graph.n();
         assert_eq!(state.len(), n, "state slice must have one entry per node");
-        self.run_step(|i, inbox, out| f(&mut state[i], NodeId::from(i), inbox, out));
+        let Metrics {
+            edge_bits,
+            edge_messages,
+            ..
+        } = &mut sim.metrics;
+        let tally = self.shard.round(
+            sim.graph,
+            sim.config.bandwidth as u64,
+            state,
+            edge_bits,
+            edge_messages,
+            f,
+            P::ENABLED,
+            |inboxes, delivery| inboxes.push(delivery),
+        );
+        close_round(
+            &mut sim.metrics,
+            &mut sim.probe,
+            &[tally],
+            [&self.shard.inboxes],
+            &mut sim.stamps,
+            None,
+        );
     }
 
-    /// Visits only nodes with deliveries (the dirty worklist, in ID
-    /// order), so a quiet round while fragments cross costs O(active),
-    /// not O(n).
     fn read_inboxes<S, F>(&mut self, state: &mut [S], f: F)
     where
         S: Send,
         F: Fn(&mut S, NodeId, &[Delivery<M>]) + Sync,
     {
-        assert_eq!(
-            state.len(),
-            self.inboxes.len(),
-            "state slice must have one entry per node"
-        );
-        self.dirty.sort_unstable();
-        for &i in &self.dirty {
-            let inbox = std::mem::take(&mut self.inboxes[i as usize]);
-            f(&mut state[i as usize], NodeId(i), &inbox);
-        }
-        self.dirty.clear();
+        let n = self.sim.graph.n();
+        assert_eq!(state.len(), n, "state slice must have one entry per node");
+        self.shard.inboxes.read(state, f);
     }
 
+    /// O(1) on the message core.
     fn in_flight(&self) -> bool {
-        Phase::in_flight(self)
+        !self.shard.core.is_empty()
     }
 
     fn idle(&self) -> bool {
-        Phase::idle(self)
+        !self.in_flight() && self.shard.inboxes.is_empty()
     }
 }
 
@@ -566,7 +450,7 @@ mod tests {
         });
         assert!(phase.in_flight());
         assert_eq!(
-            phase.core.active_edges(),
+            phase.shard.core.active_edges(),
             1,
             "only the loaded edge is active"
         );
@@ -574,7 +458,7 @@ mod tests {
         phase.settle(64, &mut got, |got, _, inbox| *got += inbox.len());
         assert_eq!(got.iter().sum::<usize>(), 1);
         assert!(phase.idle());
-        assert_eq!(phase.core.active_edges(), 0);
+        assert_eq!(phase.shard.core.active_edges(), 0);
     }
 
     #[test]
@@ -729,7 +613,7 @@ mod tests {
                 out.send(v, NodeId(1), 2, 8);
             }
         });
-        let cell = phase.core.cell_size() as u64;
+        let cell = crate::msgcore::MsgCore::<u32>::cell_size() as u64;
         phase.settle(16, &mut [(), ()], |_, _, _| {});
         drop(phase);
         assert_eq!(sim.metrics().arena_cells_peak, 2);

@@ -17,25 +17,27 @@
 //!
 //! A round executes in two barrier-separated stages:
 //!
-//! 1. **Step + transfer (sender side).** Each shard's nodes are stepped
-//!    against their inboxes, their sends run through the shard-owned
-//!    message core, and up to `bandwidth` bits move on each owned edge.
-//!    Completed messages are bucketed by receiver shard; bit/message
-//!    totals accumulate in shard-local counters.
+//! 1. **Shard round (sender side).** Each shard runs the round every
+//!    engine runs ([`powersparse_congest::shard::Shard::round`]): its
+//!    nodes are stepped against their inboxes, their sends run through
+//!    the shard-owned message core, and up to `bandwidth` bits move on
+//!    each owned edge. Completed messages are bucketed by receiver
+//!    shard; bit/message totals accumulate in the shard's tally.
 //! 2. **Splice (receiver side).** After the barrier, each receiver
 //!    shard's buckets are appended onto its arrival run in sender-shard
 //!    order; the next read groups the run per node with a stable
 //!    counting sort, so each inbox is in ascending sender order, FIFO
 //!    per edge.
 //!
-//! Shard-local counters are merged into the shared
-//! [`Metrics`](powersparse_congest::Metrics) at the barrier, so totals
-//! and per-edge traffic are *identical* to the sequential
+//! The shards' tallies are merged into the shared
+//! [`Metrics`](powersparse_congest::Metrics) at the barrier by
+//! [`close_round`](powersparse_congest::shard::close_round), the round
+//! close of every engine, so totals and per-edge traffic are
+//! *identical* to the sequential
 //! [`Simulator`](powersparse_congest::Simulator), and the delivery-order
 //! rule of the engine contract (`powersparse_congest::engine` module
 //! docs) holds bit-for-bit: results do not depend on the shard count.
-//! The layout and the counting sort both backends share live in
-//! [`routing`].
+//! The shard layout both backends share lives in [`routing`].
 //!
 //! # Threading: the persistent pool
 //!

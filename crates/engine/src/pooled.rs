@@ -4,44 +4,39 @@
 //! ([`crate::routing`]), one per worker, and a round runs in two
 //! barrier-separated stages:
 //!
-//! 1. **Step + transfer (sender side).** Each worker groups its shard's
-//!    arrival run into per-node inboxes, steps its own nodes (collecting
-//!    sends into a shard-local buffer), and runs the sends through the
-//!    shard's message core ([`MsgCore::round`]), which moves up to
-//!    `bandwidth` bits on each owned edge. Completed messages land in
-//!    per-`(sender shard, receiver shard)` delivery cells; bit/message
-//!    totals accumulate in shard-local counters, merged on the caller at
-//!    the barrier.
+//! 1. **Shard round (sender side).** Each worker runs its shard's round
+//!    ([`Shard::round`]): it groups the shard's arrival run into
+//!    per-node inboxes, steps its own nodes, and runs their sends
+//!    through the shard's message core, which moves up to `bandwidth`
+//!    bits on each owned edge. Completed messages land in
+//!    per-`(sender shard, receiver shard)` delivery cells.
 //! 2. **Splice (receiver side).** Each worker moves the cells bound for
 //!    its nodes onto its shard's contiguous *arrival run*, in
-//!    sender-shard order: the first nonempty cell is swapped in whole,
-//!    each later one is a `Vec::append` (a memcpy-style move). Within one
-//!    cell, each receiver's messages are in ascending sender order, FIFO
-//!    per edge; the run as a whole is not in global edge order.
+//!    sender-shard order
+//!    ([`Inboxes::append`](powersparse_congest::shard::Inboxes::append)):
+//!    the first nonempty cell is swapped in whole, each later one is a
+//!    `Vec::append` (a memcpy-style move). Within one cell, each
+//!    receiver's messages are in ascending sender order, FIFO per edge;
+//!    the run as a whole is not in global edge order.
 //!
-//! Worker threads are spawned once, when the engine is built, and parked
-//! on an epoch barrier (`pool::WorkerPool`), so a round costs two
-//! barrier waits and no thread spawns. The per-node grouping of stage 1
-//! is a stable counting sort into a flat, reused buffer (two linear
-//! passes, no per-node allocation), so each inbox keeps the run's order
-//! per receiver — ascending sender, FIFO per edge: delivery order is
-//! bit-for-bit the sequential reference order. A phase's per-shard
-//! buffers outlive it, and the next phase of the same message type
-//! reuses them.
+//! The caller then closes the round ([`close_round`]), merging the
+//! shards' tallies into [`Metrics`]. Worker threads are spawned once,
+//! when the engine is built, and parked on an epoch barrier
+//! (`pool::WorkerPool`), so a round costs two barrier waits and no
+//! thread spawns. A phase's per-shard buffers outlive it, and the next
+//! phase of the same message type reuses them.
 //!
 //! Outputs and [`Metrics`] (totals, `peak_queue_depth`, per-edge
 //! traffic) are identical to the other backends at every shard count —
 //! the conformance suite in `tests/conformance/` pins this down.
 
 use crate::pool::{CachePadded, DisjointChunks, DisjointSlice, WorkerPool};
-use crate::routing::{stamp_receivers, DistScratch, Routed, ShardLayout};
-use powersparse_congest::engine::{
-    Delivery, Message, Metrics, Outbox, RoundEngine, RoundPhase, SendRecord,
-};
-use powersparse_congest::msgcore::MsgCore;
+use crate::routing::ShardLayout;
+use powersparse_congest::engine::{Delivery, Message, Metrics, Outbox, RoundEngine, RoundPhase};
 use powersparse_congest::probe::{
-    charge_rounds, now_if, ns_between, NoProbe, PhaseMark, Probe, RoundObs, RoundSpans,
+    charge_rounds, now_if, ns_between, probe_vec, NoProbe, PhaseMark, Probe,
 };
+use powersparse_congest::shard::{close_round, Routed, Shard, ShardTally};
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
 use std::any::Any;
@@ -59,6 +54,9 @@ pub struct PooledSimulator<'g, P: Probe = NoProbe> {
     probe: P,
     /// Phases opened so far (the ordinal assigned to the next phase).
     phases_opened: u64,
+    /// The probe's distinct-receiver stamps, one per node (empty under
+    /// [`NoProbe`]).
+    stamps: Vec<u64>,
     /// The last closed phase's cleared [`PhaseBufs`], type-erased; the
     /// next phase takes them back if its message type matches.
     spare: Option<Box<dyn Any + Send>>,
@@ -98,6 +96,7 @@ impl<'g, P: Probe> PooledSimulator<'g, P> {
             pool,
             probe,
             phases_opened: 0,
+            stamps: probe_vec::<u64, P>(graph.n()),
             spare: None,
         }
     }
@@ -158,20 +157,9 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
         };
         PooledPhase {
             bufs,
-            stage_out: vec![StageOut::default(); shards],
+            tallies: vec![ShardTally::default(); shards],
             row_ranges: (0..shards).map(|w| w * shards..(w + 1) * shards).collect(),
-            pre_len: vec![0; shards],
-            splice_ns: if P::ENABLED {
-                vec![0; shards]
-            } else {
-                Vec::new()
-            },
-            dirty_stamp: if P::ENABLED {
-                vec![0; self.graph.n()]
-            } else {
-                Vec::new()
-            },
-            round_stamp: 0,
+            splice_ns: probe_vec::<u64, P>(shards),
             mark,
             sim: self,
         }
@@ -184,41 +172,30 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
 /// the same message type opens with them in O(shards) instead of
 /// building O(m) cursors and regrowing every buffer from empty.
 ///
-/// What a worker touches per message — its core, sort scratch, send
-/// buffer and delivery cells — sits on cache lines of its own
+/// What a worker touches per message — its shard (core, inboxes, send
+/// buffer) and its delivery cells — sits on cache lines of its own
 /// ([`CachePadded`]): the buffers live as long as the engine, so a line
-/// shared by two workers would slow every round of every phase. The
-/// arrival runs are touched once per round and stay packed.
+/// shared by two workers would slow every round of every phase.
 #[derive(Debug)]
 struct PhaseBufs<M> {
-    /// One message core per shard, covering the shard's CSR-aligned
-    /// directed-edge range ([`MsgCore`]).
-    cores: Vec<CachePadded<MsgCore<M>>>,
-    /// Per receiver shard: the contiguous arrival run of messages
-    /// delivered but not yet read, in sender-shard order.
-    arrivals: Vec<Vec<Routed<M>>>,
-    /// Per-shard counting-sort workspace.
-    scratch: Vec<CachePadded<DistScratch<M>>>,
-    /// Per-shard reusable send buffer (drained by the core's round).
-    send_bufs: Vec<CachePadded<Vec<SendRecord<M>>>>,
+    /// One shard per worker ([`Shard`]).
+    shards: Vec<CachePadded<Shard<M>>>,
     /// Shard-to-shard delivery cells, rows-major: sender shard `w` ×
     /// receiver shard `r` is `cells[w * shards + r]`.
     cells: Vec<CachePadded<Vec<Routed<M>>>>,
 }
 
-impl<M> PhaseBufs<M> {
+impl<M: Message> PhaseBufs<M> {
     /// Fresh, empty buffers for `layout`.
     fn new(layout: &ShardLayout) -> Self {
         let shards = layout.shards();
         Self {
-            cores: layout
-                .edge_ranges
+            shards: layout
+                .node_ranges
                 .iter()
-                .map(|r| CachePadded(MsgCore::new(r.len())))
+                .zip(&layout.edge_ranges)
+                .map(|(nodes, edges)| CachePadded(Shard::new(nodes.clone(), edges.clone())))
                 .collect(),
-            arrivals: (0..shards).map(|_| Vec::new()).collect(),
-            scratch: (0..shards).map(|_| CachePadded::default()).collect(),
-            send_bufs: (0..shards).map(|_| CachePadded::default()).collect(),
             cells: (0..shards * shards)
                 .map(|_| CachePadded::default())
                 .collect(),
@@ -227,10 +204,7 @@ impl<M> PhaseBufs<M> {
 
     /// Empties every buffer and core, keeping capacity.
     fn clear(&mut self) {
-        self.cores.iter_mut().for_each(|c| c.clear());
-        self.arrivals.iter_mut().for_each(Vec::clear);
-        self.scratch.iter_mut().for_each(|s| s.clear());
-        self.send_bufs.iter_mut().for_each(|b| b.clear());
+        self.shards.iter_mut().for_each(|s| s.clear());
         self.cells.iter_mut().for_each(|c| c.clear());
     }
 }
@@ -240,204 +214,34 @@ impl<M> Default for PhaseBufs<M> {
     /// leaves behind when it hands its buffers to the engine.
     fn default() -> Self {
         Self {
-            cores: Vec::new(),
-            arrivals: Vec::new(),
-            scratch: Vec::new(),
-            send_bufs: Vec::new(),
+            shards: Vec::new(),
             cells: Vec::new(),
         }
     }
 }
 
-/// One shard's stage-1 result: the counters returned by
-/// [`flush_shard_sends`] plus the shard's worker-side span timestamps
-/// (zero when the engine runs un-probed — see
-/// `powersparse_congest::probe`'s "Span emission points"). Workers write
-/// these into per-shard slots through their disjoint views, and the
-/// caller merges them at the stage-2 barrier, exactly where the counters
-/// merge.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct StageOut {
-    /// Bits the shard sent this round.
-    bits: u64,
-    /// Messages the shard's core delivered this round.
-    msgs: u64,
-    /// Peak single-edge queue depth observed on the shard's core.
-    peak: u64,
-    /// The shard's queue footprint: backlog plus this round's sends
-    /// (sums to the sequential engine's global value).
-    queued: u64,
-    /// Nanoseconds the shard spent stepping its nodes (probe only).
-    step_ns: u64,
-    /// Nanoseconds the shard spent in the message-core tail (probe
-    /// only).
-    transfer_ns: u64,
-}
-
-/// The `settle` fast-path pre-check: whether any arrival run still holds
-/// an unread message. On quiet rounds (fragmented messages still
-/// crossing, nothing delivered yet) every run is empty and fanning out a
-/// parallel consume stage would be pure overhead.
-fn deliveries_pending<T>(buffers: &[Vec<T>]) -> bool {
-    buffers.iter().any(|b| !b.is_empty())
-}
-
-/// The sender-side tail of one round for one shard: hand the shard's
-/// collected sends to its message core ([`MsgCore::round`], covering the
-/// shard's CSR-aligned edge range), which moves up to `bw` bits per
-/// loaded or sending edge, and bucket the messages that complete by
-/// receiver shard into `row` (this shard's row of the phase's cell
-/// matrix). Returns the shard's bit/message totals, its peak single-edge
-/// queue depth, and its share of the round's queue footprint (summed
-/// across shards at the barrier it equals the sequential engine's
-/// global value).
-///
-/// `edge_bits`/`edge_messages` are the shard's slices of the per-edge
-/// counters — **empty slices when per-edge accounting is disabled**
-/// (the opt-in `MetricsConfig::per_edge` mode), in which case no
-/// per-edge accumulation happens at all.
-///
-/// A node's out-edges all lie in the shard's edge range (CSR alignment),
-/// so this writes only shard-owned queues and counters.
-#[allow(clippy::too_many_arguments)]
-fn flush_shard_sends<M: Message>(
-    graph: &Graph,
-    shard_of: &[u32],
-    bw: u64,
-    edges: Range<usize>,
-    core: &mut MsgCore<M>,
-    edge_bits: &mut [u64],
-    edge_messages: &mut [u64],
-    sends: &mut Vec<SendRecord<M>>,
-    row: &mut [CachePadded<Vec<Routed<M>>>],
-) -> (u64, u64, u64, u64) {
-    let per_edge = !edge_bits.is_empty();
-    let mut bits_total = 0u64;
-    let mut msgs_total = 0u64;
-    let local_sends = sends.drain(..).map(|mut s| {
-        debug_assert!(
-            edges.contains(&s.edge),
-            "send escaped its shard's edge range"
-        );
-        s.edge -= edges.start;
-        bits_total += s.bits;
-        if per_edge {
-            edge_bits[s.edge] += s.bits;
-        }
-        s
-    });
-    let load = core.round(bw, local_sends, |e, from, msg| {
-        msgs_total += 1;
-        if per_edge {
-            edge_messages[e] += 1;
-        }
-        let to = graph.edge_target(edges.start + e);
-        row[shard_of[to.index()] as usize].push((to, from, msg));
-    });
-    (bits_total, msgs_total, load.peak_depth, load.cells)
-}
-
-/// Stage 1 body for one shard: distribute the shard's arrival run into
-/// per-node inbox slices, step the owned nodes, then run their sends
-/// through the shard's core ([`flush_shard_sends`]). Returns the shard's counters and — when `timed`
-/// (call sites pass `P::ENABLED`, so the clock reads const-fold away
-/// un-probed) — its span nanoseconds, timestamped on the worker's own
-/// thread. The distribution pass is deferred receiver-side grouping, so
-/// its time is attributed to the transfer/splice span, not the step.
-#[allow(clippy::too_many_arguments)]
-fn stage1_body<S, M, F>(
-    graph: &Graph,
-    shard_of: &[u32],
-    bw: u64,
-    nodes: Range<usize>,
-    edges: Range<usize>,
-    state: &mut [S],
-    arrivals: &mut Vec<Routed<M>>,
-    scratch: &mut DistScratch<M>,
-    core: &mut MsgCore<M>,
-    edge_bits: &mut [u64],
-    edge_messages: &mut [u64],
-    sends: &mut Vec<SendRecord<M>>,
-    row: &mut [CachePadded<Vec<Routed<M>>>],
-    f: &F,
-    timed: bool,
-) -> StageOut
-where
-    S: Send,
-    M: Message,
-    F: Fn(&mut S, NodeId, &[Delivery<M>], &mut Outbox<'_, M>) + Sync,
-{
-    debug_assert!(sends.is_empty(), "send scratch not drained last round");
-    debug_assert!(
-        row.iter().all(|c| c.is_empty()),
-        "cell scratch not drained last round"
-    );
-    let t0 = now_if(timed);
-    scratch.distribute(arrivals, nodes.start, nodes.len());
-    let t1 = now_if(timed);
-    for (local, i) in nodes.enumerate() {
-        let v = NodeId::from(i);
-        let mut out = Outbox::new(graph, v, sends);
-        f(&mut state[local], v, scratch.inbox(local), &mut out);
-    }
-    let t2 = now_if(timed);
-    let (bits, msgs, peak, queued) = flush_shard_sends(
-        graph,
-        shard_of,
-        bw,
-        edges,
-        core,
-        edge_bits,
-        edge_messages,
-        sends,
-        row,
-    );
-    StageOut {
-        bits,
-        msgs,
-        peak,
-        queued,
-        step_ns: ns_between(t1, t2),
-        transfer_ns: ns_between(t0, t1) + ns_between(t2, now_if(timed)),
-    }
-}
-
 /// One typed communication phase on the pooled engine.
 ///
-/// All buffers (the per-shard cores, arrival runs, distribution scratch,
-/// send buffers and delivery cells, and `stage_out`) live for the whole
-/// phase and keep their capacity round after round; the scatter bodies
-/// reach them through zero-allocation disjoint views, so a round
-/// allocates nothing beyond what the node program itself sends. The
-/// per-shard buffers also outlive the phase: dropping it clears them
-/// and hands them to the engine, and the next phase of the same message
-/// type opens with them.
+/// All buffers live for the whole phase and keep their capacity round
+/// after round; the scatter bodies reach them through zero-allocation
+/// disjoint views, so a round allocates nothing beyond what the node
+/// program itself sends. The per-shard buffers also outlive the phase:
+/// dropping it clears them and hands them to the engine, and the next
+/// phase of the same message type opens with them.
 #[derive(Debug)]
 pub struct PooledPhase<'s, 'g, M: Message, P: Probe = NoProbe> {
     sim: &'s mut PooledSimulator<'g, P>,
-    /// The per-shard cores and buffers, handed back to the engine on
-    /// drop.
+    /// The per-shard buffers, handed back to the engine on drop.
     bufs: PhaseBufs<M>,
-    /// Per-shard stage-1 result slots (counters plus worker-side span
-    /// timestamps — see [`StageOut`]), written by workers through a
+    /// Per-shard round tallies, written by the workers through a
     /// disjoint view and merged on the caller behind the barrier.
-    stage_out: Vec<StageOut>,
+    tallies: Vec<ShardTally>,
     /// Cell-row range of each sender shard: `w * shards..(w+1) * shards`.
     row_ranges: Vec<Range<usize>>,
-    /// Per-receiver-shard arrival-run length captured before stage 2,
-    /// so the probe can scan exactly this round's appended suffix.
-    pre_len: Vec<usize>,
     /// Per-receiver-shard stage-2 splice time, timestamped by the
-    /// workers themselves through a disjoint view. Allocated only when
-    /// a probe is attached (empty under [`NoProbe`]).
+    /// workers themselves through a disjoint view (empty under
+    /// [`NoProbe`]).
     splice_ns: Vec<u64>,
-    /// Per-node last-dirty round stamp (for counting *distinct*
-    /// delivery receivers without clearing a set every round).
-    /// Allocated only when a probe is attached.
-    dirty_stamp: Vec<u64>,
-    /// The monotone stamp written into `dirty_stamp` (current round + 1,
-    /// so the zero-initialized vector never matches).
-    round_stamp: u64,
     /// The phase's ordinal and opening counters.
     mark: PhaseMark,
 }
@@ -452,9 +256,20 @@ impl<M: Message, P: Probe> Drop for PooledPhase<'_, '_, M, P> {
 }
 
 impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
-    /// Executes one round through the two barrier-separated stages; with
-    /// one shard both run inline on the calling thread.
-    fn run_round<S, F>(&mut self, state: &mut [S], f: &F)
+    /// Whether any shard holds a delivered, unread message.
+    fn unread(&self) -> bool {
+        self.bufs.shards.iter().any(|s| !s.inboxes.is_empty())
+    }
+}
+
+impl<M: Message, P: Probe> RoundPhase<M> for PooledPhase<'_, '_, M, P> {
+    fn graph(&self) -> &Graph {
+        self.sim.graph
+    }
+
+    /// One round through the two barrier-separated stages; with one
+    /// shard both run inline on the calling thread.
+    fn step<S, F>(&mut self, state: &mut [S], f: F)
     where
         S: Send,
         F: Fn(&mut S, NodeId, &[Delivery<M>], &mut Outbox<'_, M>) + Sync,
@@ -469,103 +284,57 @@ impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
         let pool = &sim.pool;
         debug_assert_eq!(pool.workers(), shards, "pool sized to the layout");
 
-        // --- Stage 1: distribute + step + message-core round. Every
-        // phase-lived buffer is handed to its owning worker through a
-        // disjoint view — no per-round work-item collection. ---
+        // --- Stage 1: every shard's round. Every phase-lived buffer is
+        // handed to its owning worker through a disjoint view. ---
         let stage1_start = now_if(P::ENABLED);
         {
             let state_c = DisjointChunks::new(state, &layout.node_ranges);
-            let cores_s = DisjointSlice::new(&mut self.bufs.cores);
+            let shards_s = DisjointSlice::new(&mut self.bufs.shards);
             let ebits_c = DisjointChunks::new(&mut sim.metrics.edge_bits, &layout.edge_ranges);
             let emsgs_c = DisjointChunks::new(&mut sim.metrics.edge_messages, &layout.edge_ranges);
             let rows_c = DisjointChunks::new(&mut self.bufs.cells, &self.row_ranges);
-            let arrivals_s = DisjointSlice::new(&mut self.bufs.arrivals);
-            let scratch_s = DisjointSlice::new(&mut self.bufs.scratch);
-            let sends_s = DisjointSlice::new(&mut self.bufs.send_bufs);
-            let out_s = DisjointSlice::new(&mut self.stage_out);
+            let tallies_s = DisjointSlice::new(&mut self.tallies);
+            let f = &f;
             pool.scatter(&|w| {
                 // SAFETY: worker `w` touches only chunk/element `w` of
-                // every view (shard `w`'s nodes, edges and scratch).
+                // every view (shard `w`'s nodes, edges and buffers).
                 unsafe {
-                    *out_s.get(w) = stage1_body(
+                    let row = rows_c.chunk(w);
+                    *tallies_s.get(w) = shards_s.get(w).round(
                         graph,
-                        &layout.shard_of,
                         bw,
-                        layout.node_ranges[w].clone(),
-                        layout.edge_ranges[w].clone(),
                         state_c.chunk(w),
-                        arrivals_s.get(w),
-                        scratch_s.get(w),
-                        cores_s.get(w),
                         ebits_c.chunk(w),
                         emsgs_c.chunk(w),
-                        sends_s.get(w),
-                        rows_c.chunk(w),
                         f,
                         P::ENABLED,
+                        |_, d| row[layout.shard_of[d.0.index()] as usize].push(d),
                     );
                 }
             });
         }
         let stage1_wall = ns_between(stage1_start, now_if(P::ENABLED));
-        let mut bits_total = 0u64;
-        let mut msgs_total = 0u64;
-        let mut queued_total = 0u64;
-        for &StageOut {
-            bits,
-            msgs,
-            peak,
-            queued,
-            ..
-        } in &self.stage_out
-        {
-            bits_total += bits;
-            msgs_total += msgs;
-            queued_total += queued;
-            sim.metrics.peak_queue_depth = sim.metrics.peak_queue_depth.max(peak);
-        }
-        sim.metrics.bits += bits_total;
-        sim.metrics.messages += msgs_total;
-        // Queue footprint at the barrier: the per-shard counts (backlog
-        // plus sends) sum to the sequential engine's global value.
-        let cell_size = self.bufs.cores[0].cell_size() as u64;
-        sim.metrics.arena_cells_peak = sim.metrics.arena_cells_peak.max(queued_total);
-        sim.metrics.arena_bytes_peak = sim.metrics.arena_bytes_peak.max(queued_total * cell_size);
 
         // --- Stage 2: splice the delivery cells onto the receiver
         // shards' arrival runs, in sender-shard order — at most one
         // memcpy-style append per shard pair. Skipped entirely on quiet
-        // transfer rounds. ---
-        if P::ENABLED {
-            for (len, run) in self.pre_len.iter_mut().zip(&self.bufs.arrivals) {
-                *len = run.len();
-            }
-            // Reset the per-receiver splice clocks: quiet rounds skip
-            // the scatter and must report zero, not last round's value.
-            self.splice_ns.fill(0);
-        }
+        // transfer rounds, whose splice clocks then read zero. ---
+        self.splice_ns.fill(0);
         let stage2_start = now_if(P::ENABLED);
         if self.bufs.cells.iter().any(|c| !c.is_empty()) {
             let cells_s = DisjointSlice::new(&mut self.bufs.cells);
-            let arrivals_s = DisjointSlice::new(&mut self.bufs.arrivals);
+            let shards_s = DisjointSlice::new(&mut self.bufs.shards);
             let splice_s = DisjointSlice::new(&mut self.splice_ns);
             pool.scatter(&|r| {
                 let t0 = now_if(P::ENABLED);
-                // SAFETY: receiver `r` appends only to its own arrival
+                // SAFETY: receiver `r` appends only to its own shard's
                 // run and drains only its own strided cell column
                 // `{w · shards + r}` — disjoint across receivers; cells
                 // were filled by stage 1, behind the pool barrier.
-                let run = unsafe { arrivals_s.get(r) };
+                let inboxes = &mut unsafe { shards_s.get(r) }.inboxes;
                 for w in 0..shards {
                     // Ascending `w` keeps the run in sender-shard order.
-                    // Stage 1 consumed the run, so the first nonempty
-                    // cell is swapped in rather than copied.
-                    let cell = &mut unsafe { cells_s.get(w * shards + r) }.0;
-                    if run.is_empty() {
-                        std::mem::swap(run, cell);
-                    } else {
-                        run.append(cell);
-                    }
+                    inboxes.append(unsafe { cells_s.get(w * shards + r) });
                 }
                 if P::ENABLED {
                     // SAFETY: receiver `r` writes only its own slot (the
@@ -574,80 +343,23 @@ impl<M: Message, P: Probe> PooledPhase<'_, '_, M, P> {
                 }
             });
         }
-        let stage2_wall = ns_between(stage2_start, now_if(P::ENABLED));
-        sim.metrics.rounds += 1;
-        if P::ENABLED {
-            // Count distinct receivers in the suffixes stage 2 appended,
-            // on the caller thread, behind the barrier. The stamp trick
-            // avoids clearing an n-sized set every round.
-            self.round_stamp += 1;
-            let stamp = self.round_stamp;
-            let mut dirty_nodes = 0u64;
-            for (&len, run) in self.pre_len.iter().zip(&self.bufs.arrivals) {
-                dirty_nodes += stamp_receivers(&run[len..], &mut self.dirty_stamp, stamp);
-            }
-            let active_edges: u64 = self
-                .bufs
-                .cores
-                .iter()
-                .map(|c| c.active_edges() as u64)
-                .sum();
-            let obs = RoundObs {
-                round: sim.metrics.rounds - 1,
-                active_edges,
-                dirty_nodes,
-                messages: msgs_total,
-                bits: bits_total,
-                shard_splice: self.stage_out.iter().map(|s| s.msgs).collect(),
-            };
-            sim.probe.on_round_end(obs);
-            // Barrier attribution: a shard's wait is each stage's wall
-            // (measured on the caller) minus the shard's own busy time
-            // in that stage, saturating — cross-thread clock reads can
-            // make a worker's busy span exceed the caller's wall by a
-            // few nanoseconds.
-            let mut step_ns = Vec::with_capacity(shards);
-            let mut transfer_ns = Vec::with_capacity(shards);
-            let mut barrier_ns = Vec::with_capacity(shards);
-            let mut arena_cells = Vec::with_capacity(shards);
-            for (w, out) in self.stage_out.iter().enumerate() {
-                let wait1 = stage1_wall.saturating_sub(out.step_ns + out.transfer_ns);
-                let wait2 = stage2_wall.saturating_sub(self.splice_ns[w]);
-                step_ns.push(out.step_ns);
-                // A shard's transfer span covers its sender-side flush
-                // tail, its receiver-side stage-2 splice, and next
-                // round's deferred distribution (already inside
-                // `out.transfer_ns`).
-                transfer_ns.push(out.transfer_ns + self.splice_ns[w]);
-                barrier_ns.push(wait1 + wait2);
-                arena_cells.push(out.queued);
-            }
-            sim.probe.on_round_spans(RoundSpans {
-                round: sim.metrics.rounds - 1,
-                step_ns,
-                transfer_ns,
-                barrier_ns,
-                arena_cells,
-            });
+        let wall = stage1_wall + ns_between(stage2_start, now_if(P::ENABLED));
+        // A shard's transfer span covers its grouping and core round
+        // (stage 1) and its splice (stage 2).
+        for (tally, &splice) in self.tallies.iter_mut().zip(&self.splice_ns) {
+            tally.transfer_ns += splice;
         }
-    }
-}
-
-impl<M: Message, P: Probe> RoundPhase<M> for PooledPhase<'_, '_, M, P> {
-    fn graph(&self) -> &Graph {
-        self.sim.graph
-    }
-
-    fn step<S, F>(&mut self, state: &mut [S], f: F)
-    where
-        S: Send,
-        F: Fn(&mut S, NodeId, &[Delivery<M>], &mut Outbox<'_, M>) + Sync,
-    {
-        self.run_round(state, &f);
+        close_round(
+            &mut sim.metrics,
+            &mut sim.probe,
+            &self.tallies,
+            self.bufs.shards.iter().map(|s| &s.inboxes),
+            &mut sim.stamps,
+            Some(wall),
+        );
     }
 
-    /// Worker-parallel, and skipped when nothing was delivered (see
-    /// `deliveries_pending`).
+    /// Worker-parallel, and skipped when nothing was delivered.
     fn read_inboxes<S, F>(&mut self, state: &mut [S], f: F)
     where
         S: Send,
@@ -655,35 +367,26 @@ impl<M: Message, P: Probe> RoundPhase<M> for PooledPhase<'_, '_, M, P> {
     {
         let n = self.sim.graph.n();
         assert_eq!(state.len(), n, "state slice must have one entry per node");
-        if !deliveries_pending(&self.bufs.arrivals) {
+        if !self.unread() {
             return;
         }
         let layout = &self.sim.layout;
         let state_c = DisjointChunks::new(state, &layout.node_ranges);
-        let arrivals_s = DisjointSlice::new(&mut self.bufs.arrivals);
-        let scratch_s = DisjointSlice::new(&mut self.bufs.scratch);
+        let shards_s = DisjointSlice::new(&mut self.bufs.shards);
+        let f = &f;
         self.sim.pool.scatter(&|w| {
             // SAFETY: worker `w` touches only chunk/element `w`.
-            let (state_c, arrivals, scratch) =
-                unsafe { (state_c.chunk(w), arrivals_s.get(w), scratch_s.get(w)) };
-            let nodes = layout.node_ranges[w].clone();
-            scratch.distribute(arrivals, nodes.start, nodes.len());
-            for (local, i) in nodes.enumerate() {
-                let inbox = scratch.inbox(local);
-                if !inbox.is_empty() {
-                    f(&mut state_c[local], NodeId::from(i), inbox);
-                }
-            }
+            unsafe { shards_s.get(w).inboxes.read(state_c.chunk(w), f) };
         });
     }
 
     fn in_flight(&self) -> bool {
         // O(shards): each core's emptiness is O(1).
-        self.bufs.cores.iter().any(|c| !c.is_empty())
+        self.bufs.shards.iter().any(|s| !s.core.is_empty())
     }
 
     fn idle(&self) -> bool {
-        !RoundPhase::in_flight(self) && !deliveries_pending(&self.bufs.arrivals)
+        !self.in_flight() && !self.unread()
     }
 }
 
@@ -840,10 +543,10 @@ mod tests {
         // A phase of a type seen last reuses that phase's buffers; a new
         // type opens fresh ones.
         let p = par.phase::<u8>();
-        assert!(p.bufs.send_bufs.iter().any(|b| b.capacity() > 0));
+        assert!(p.bufs.shards.iter().any(|s| s.sends.capacity() > 0));
         drop(p);
         let p = par.phase::<u16>();
-        assert!(p.bufs.send_bufs.iter().all(|b| b.capacity() == 0));
+        assert!(p.bufs.shards.iter().all(|s| s.sends.capacity() == 0));
         drop(p);
         // An abandoned phase leaves nothing behind for the next ones.
         let want = reopen_after_abandon(&mut seq);
@@ -960,13 +663,5 @@ mod tests {
         assert!(!RoundPhase::idle(&phase));
         phase.step(&mut unit, |_, _, _, _| {});
         assert!(RoundPhase::idle(&phase));
-    }
-
-    #[test]
-    fn deliveries_pending_matches_emptiness() {
-        let empty: Vec<Vec<u8>> = vec![Vec::new(), Vec::new()];
-        assert!(!deliveries_pending(&empty));
-        assert!(deliveries_pending(&[vec![], vec![1u8]]));
-        assert!(!deliveries_pending::<u8>(&[]));
     }
 }

@@ -22,9 +22,10 @@
 //!   splicer: children are read in ascending shard order, which —
 //!   shards being CSR-aligned contiguous edge ranges ([`ShardLayout`])
 //!   — is ascending sender order across shards.  Delivered cells are
-//!   decoded onto one arrival run and grouped per node by the pooled
-//!   engine's stable counting sort when the next `step` or `settle`
-//!   reads them, so each inbox gets the sequential reference order;
+//!   decoded onto the receiving shard's [`Inboxes`], the inbox type
+//!   every engine steps and reads through, so each inbox gets the
+//!   sequential reference order, and the round closes in the same
+//!   [`close_round`] as the in-process engines';
 //! * each **child** owns its shard's message core over the shard's
 //!   local edge range and, when the round's `Barrier` arrives, runs the
 //!   bandwidth/fragmentation semantics ([`MsgCore::round`]) over the
@@ -63,7 +64,7 @@
 //! identically to the in-process backends; `tests/faults.rs` and
 //! `tests/conformance/` pin all of this.
 
-use crate::routing::{stamp_receivers, DistScratch, Routed, ShardLayout};
+use crate::routing::ShardLayout;
 use crate::wire::{
     decode_payload, encode_payload, get_varint, CellReader, EngineError, Frame, FrameBuf,
     FrameKind, FrameView, PayloadSlab, StreamTransport, Transport, WireError, HEADER_LEN,
@@ -74,8 +75,9 @@ use powersparse_congest::engine::{
 };
 use powersparse_congest::msgcore::MsgCore;
 use powersparse_congest::probe::{
-    charge_rounds, now_if, ns_between, probe_vec, NoProbe, PhaseMark, Probe, RoundObs, RoundSpans,
+    charge_rounds, now_if, ns_between, probe_vec, NoProbe, PhaseMark, Probe,
 };
+use powersparse_congest::shard::{close_round, Inboxes, ShardTally};
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
 use std::os::unix::io::AsRawFd;
@@ -411,6 +413,9 @@ pub struct ProcessSimulator<'g, P: Probe = NoProbe> {
     children: Children,
     probe: P,
     phases_opened: u64,
+    /// The probe's distinct-receiver stamps, one per node (empty under
+    /// [`NoProbe`]).
+    stamps: Vec<u64>,
     /// Per-shard outbound frame buffer, reused by every frame the
     /// parent builds for that shard, across rounds and phases.
     frames: Vec<FrameBuf>,
@@ -508,6 +513,7 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
             children: Children::default(),
             probe,
             phases_opened: 0,
+            stamps: probe_vec::<u64, P>(graph.n()),
             frames: (0..shards).map(|_| FrameBuf::new()).collect(),
         };
         for w in 0..shards {
@@ -708,7 +714,6 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
     }
 
     fn phase<M: Message>(&mut self) -> ProcessPhase<'_, 'g, M, P> {
-        let n = self.graph.n();
         let shards = self.layout.shards();
         let mark = PhaseMark::open(&mut self.phases_opened, &self.metrics);
         let epoch = self.metrics.rounds as u32;
@@ -722,51 +727,41 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
         }
         ProcessPhase {
             slab: PayloadSlab::new(),
-            arrivals: Vec::new(),
-            scratch: DistScratch::default(),
+            inboxes: self
+                .layout
+                .node_ranges
+                .iter()
+                .map(|nodes| Inboxes::new(nodes.clone()))
+                .collect(),
             sends: Vec::new(),
-            cell_size: MsgCore::<M>::new(0).cell_size() as u64,
+            tallies: vec![ShardTally::default(); shards],
             live: vec![false; shards],
-            dirty_stamp: if P::ENABLED { vec![0; n] } else { Vec::new() },
-            round_stamp: 0,
             mark,
             sim: self,
         }
     }
 }
 
-/// One typed communication phase on the process engine.  Structured
-/// like the sequential [`powersparse_congest::sim::Phase`] (the parent
-/// steps nodes in ID order), with the message-core tail replaced
-/// by one wire round-trip per shard per round, and the pooled engine's
-/// inbox layout: deliveries accumulate on one arrival run and are
-/// grouped per node by a stable counting sort when they are read.
+/// One typed communication phase on the process engine. The parent
+/// steps and reads each shard's nodes through the shard's [`Inboxes`],
+/// as the in-process engines do; the message-core tail is one wire
+/// round-trip per shard per round.
 pub struct ProcessPhase<'s, 'g, M, P: Probe = NoProbe> {
     sim: &'s mut ProcessSimulator<'g, P>,
     /// Parking lot for payloads without an inline wire codec.
     slab: PayloadSlab<M>,
-    /// Messages delivered but not yet read: children are read in
+    /// Per shard: the inboxes of its nodes. Children are read in
     /// ascending shard order, and each receiver's messages come in
     /// ascending sender order, FIFO per edge.
-    arrivals: Vec<Routed<M>>,
-    /// Counting-sort workspace grouping `arrivals` into per-node inbox
-    /// slices over the whole graph.
-    scratch: DistScratch<M>,
+    inboxes: Vec<Inboxes<M>>,
     /// Reused send-record scratch (drained every round).
     sends: Vec<SendRecord<M>>,
-    /// The parent-side `MsgCore::<M>` cell size: children queue encoded
-    /// bytes, so the engine-invariant `arena_bytes_peak` must be scaled
-    /// by the *typed* cell size, not the child's.
-    cell_size: u64,
+    /// Per-shard round tallies: the parent's step time and sent bits,
+    /// the rest from each child's `RoundStats`.
+    tallies: Vec<ShardTally>,
     /// Per-shard in-flight flag (child cores nonempty after the last
     /// transfer, from `RoundStats`).
     live: Vec<bool>,
-    /// Per-node last-receiving round stamp, for the probe's distinct
-    /// receiver count. Allocated only when a probe is attached.
-    dirty_stamp: Vec<u64>,
-    /// The stamp of the current round (round + 1, so the zeroed vector
-    /// never matches).
-    round_stamp: u64,
     /// The phase's ordinal and opening counters.
     mark: PhaseMark,
 }
@@ -785,48 +780,17 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         self.sim.kill_child(shard);
     }
 
-    /// One round: step every node in ID order (timed per shard — node
-    /// ranges are contiguous and ascending, so ID order visits shards
-    /// in order), then run the wire tail.  Mirrors the sequential
-    /// engine's `run_step`; panics from misbehaving node programs fire
-    /// here, before any frame is written, leaving the protocol clean.
-    fn run_step(&mut self, mut g: impl FnMut(usize, &[Delivery<M>], &mut Outbox<'_, M>)) {
-        let mut sends = std::mem::take(&mut self.sends);
-        let shards = self.sim.layout.shards();
-        let mut step_ns = probe_vec::<u64, P>(shards);
-        let round_start = now_if(P::ENABLED);
-        // Every node reads its inbox below, so the whole run is consumed.
-        self.scratch
-            .distribute(&mut self.arrivals, 0, self.sim.graph.n());
-        for w in 0..shards {
-            let t0 = now_if(P::ENABLED);
-            for i in self.sim.layout.node_ranges[w].clone() {
-                let mut out = Outbox::new(self.sim.graph, NodeId::from(i), &mut sends);
-                g(i, self.scratch.inbox(i), &mut out);
-            }
-            if P::ENABLED {
-                step_ns[w] = ns_between(t0, now_if(true));
-            }
-        }
-        self.finish_round(&mut sends, step_ns, round_start);
-        self.sends = sends;
-    }
-
     /// The wire tail of one round: encode the sends straight into each
     /// shard's `Sends` frame, ship it and a `Barrier` to every child
     /// (all writes before any read — children read until their barrier,
     /// so the two directions never deadlock), then collect each shard's
     /// `Deliveries` and `RoundStats` in ascending shard order onto the
-    /// arrival run and close the round's accounting.
-    fn finish_round(
-        &mut self,
-        sends: &mut Vec<SendRecord<M>>,
-        step_ns: Vec<u64>,
-        round_start: Option<Instant>,
-    ) {
-        let shards = self.sim.layout.shards();
-        let per_edge = self.sim.metrics.per_edge;
-        let epoch = self.sim.metrics.rounds as u32;
+    /// receivers' inboxes and close the round.
+    fn exchange(&mut self, round_start: Option<Instant>) {
+        let sim = &mut *self.sim;
+        let shards = sim.layout.shards();
+        let per_edge = sim.metrics.per_edge;
+        let epoch = sim.metrics.rounds as u32;
 
         // Encode and ship the round shard by shard, so a child starts
         // its transfer while the parent encodes the next shard. Nodes
@@ -834,15 +798,14 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         // shard's CSR range, so each shard's sends are one contiguous
         // stretch of `sends`. Every child gets a Sends frame (even
         // empty: it advances the child's epoch) and its barrier.
-        let mut bits_total = 0u64;
-        let mut records = sends.drain(..).peekable();
+        let mut records = self.sends.drain(..).peekable();
         for w in 0..shards {
-            let sim = &mut *self.sim;
             let edges = sim.layout.edge_ranges[w].clone();
             let frame = &mut sim.frames[w];
             frame.begin();
+            let mut bits = 0u64;
             while let Some(rec) = records.next_if(|r| r.edge < edges.end) {
-                bits_total += rec.bits;
+                bits += rec.bits;
                 if per_edge {
                     sim.metrics.edge_bits[rec.edge] += rec.bits;
                 }
@@ -852,96 +815,58 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
                     encode_payload(rec.msg, slab, out);
                 });
             }
+            self.tallies[w].bits = bits;
             sim.send_frame(w, FrameKind::Sends, epoch);
             sim.frames[w].begin();
             sim.send_frame(w, FrameKind::Barrier, epoch);
         }
         assert!(records.next().is_none(), "a send escaped every shard");
-        self.sim.metrics.bits += bits_total;
 
         // Collect in ascending shard order (= ascending sender order
         // across shards), so each inbox gets the reference order.
-        debug_assert!(self.arrivals.is_empty(), "the step consumed every inbox");
-        let mut queued_total = 0u64;
-        let mut active_total = 0u64;
-        let mut transfer_ns = probe_vec::<u64, P>(shards);
-        let mut arena_cells = probe_vec::<u64, P>(shards);
-        let mut shard_splice = probe_vec::<u64, P>(shards);
-        let mut msgs_total = 0u64;
         for w in 0..shards {
             // Parse before mutating: both reply frames are received and
             // validated (every cell parsed and bounds-checked in place)
             // before any parent-side state is touched, so a fault never
             // leaves a half-applied round behind.
-            let (deliveries, st) = self
-                .sim
+            let (deliveries, st) = sim
                 .try_collect_round(w, epoch)
                 .unwrap_or_else(|e| raise(w, e));
-            let splice_count = u64::from(deliveries.count);
-            let edge_start = self.sim.layout.edge_ranges[w].start;
-            self.arrivals.reserve(deliveries.count as usize);
+            let edge_start = sim.layout.edge_ranges[w].start;
             for cell in deliveries.cells() {
                 let cell = cell.unwrap_or_else(|e| raise(w, e));
                 let edge = edge_start + cell.edge as usize;
                 let msg =
                     decode_payload(cell.payload, &mut self.slab).unwrap_or_else(|e| raise(w, e));
                 if per_edge {
-                    self.sim.metrics.edge_messages[edge] += 1;
+                    sim.metrics.edge_messages[edge] += 1;
                 }
-                let to = self.sim.graph.edge_target(edge);
-                self.arrivals.push((to, NodeId(cell.from), msg));
+                let to = sim.graph.edge_target(edge);
+                let receiver = sim.layout.shard_of[to.index()] as usize;
+                self.inboxes[receiver].push((to, NodeId(cell.from), msg));
             }
-            self.sim.metrics.messages += splice_count;
-            msgs_total += splice_count;
-            let [queued, peak, active_after, queued_after, child_transfer_ns] = st;
-            self.sim.metrics.peak_queue_depth = self.sim.metrics.peak_queue_depth.max(peak);
-            queued_total += queued;
-            active_total += active_after;
+            let [cells, peak_depth, active_edges, queued_after, transfer_ns] = st;
             self.live[w] = queued_after > 0;
-            if P::ENABLED {
-                transfer_ns[w] = child_transfer_ns;
-                arena_cells[w] = queued;
-                shard_splice[w] = splice_count;
-            }
-        }
-        // The per-shard queue footprints (backlog plus the round's
-        // sends) sum to the sequential engine's global value; bytes
-        // scale by the parent-side typed cell size.
-        self.sim.metrics.arena_cells_peak = self.sim.metrics.arena_cells_peak.max(queued_total);
-        self.sim.metrics.arena_bytes_peak = self
-            .sim
-            .metrics
-            .arena_bytes_peak
-            .max(queued_total * self.cell_size);
-        self.sim.metrics.rounds += 1;
-        if P::ENABLED {
-            let round = self.sim.metrics.rounds - 1;
-            self.round_stamp += 1;
-            let dirty_nodes =
-                stamp_receivers(&self.arrivals, &mut self.dirty_stamp, self.round_stamp);
-            self.sim.probe.on_round_end(RoundObs {
-                round,
-                active_edges: active_total,
-                dirty_nodes,
-                messages: msgs_total,
-                bits: bits_total,
-                shard_splice,
-            });
-            // Barrier attribution: round wall (on the parent) minus the
-            // shard's attributed busy time, saturating like the pooled
-            // engine's (wire latency all lands in the barrier span).
-            let wall = ns_between(round_start, now_if(true));
-            let barrier_ns = (0..shards)
-                .map(|w| wall.saturating_sub(step_ns[w] + transfer_ns[w]))
-                .collect();
-            self.sim.probe.on_round_spans(RoundSpans {
-                round,
-                step_ns,
+            let tally = &mut self.tallies[w];
+            *tally = ShardTally {
+                messages: u64::from(deliveries.count),
+                peak_depth,
+                cells,
+                active_edges,
                 transfer_ns,
-                barrier_ns,
-                arena_cells,
-            });
+                ..*tally
+            };
         }
+        // Every wire cost lands in the barrier span.
+        let wall = ns_between(round_start, now_if(P::ENABLED));
+        close_round(
+            &mut sim.metrics,
+            &mut sim.probe,
+            &self.tallies,
+            &self.inboxes,
+            &mut sim.stamps,
+            Some(wall),
+        );
     }
 }
 
@@ -950,18 +875,30 @@ impl<M: Message, P: Probe> RoundPhase<M> for ProcessPhase<'_, '_, M, P> {
         self.sim.graph
     }
 
+    /// Steps every shard's nodes in ID order on the parent, then runs
+    /// the wire tail. Panics from misbehaving node programs fire here,
+    /// before any frame is written, leaving the protocol clean.
     fn step<S, F>(&mut self, state: &mut [S], f: F)
     where
         S: Send,
         F: Fn(&mut S, NodeId, &[Delivery<M>], &mut Outbox<'_, M>) + Sync,
     {
-        let n = self.sim.graph.n();
-        assert_eq!(state.len(), n, "state slice must have one entry per node");
-        self.run_step(|i, inbox, out| f(&mut state[i], NodeId::from(i), inbox, out));
+        let sim = &*self.sim;
+        assert_eq!(
+            state.len(),
+            sim.graph.n(),
+            "state slice must have one entry per node"
+        );
+        let round_start = now_if(P::ENABLED);
+        let shards = self.inboxes.iter_mut().zip(&mut self.tallies);
+        for ((inboxes, tally), chunk) in shards.zip(sim.layout.split_mut(state)) {
+            let (_, step_ns) = inboxes.step(sim.graph, chunk, &mut self.sends, &f, P::ENABLED);
+            tally.step_ns = step_ns;
+        }
+        self.exchange(round_start);
     }
 
-    /// Every nonempty inbox in ID order, consuming the arrival run it
-    /// reads.
+    /// Every nonempty inbox in ID order, consuming what it reads.
     fn read_inboxes<S, F>(&mut self, state: &mut [S], f: F)
     where
         S: Send,
@@ -969,15 +906,9 @@ impl<M: Message, P: Probe> RoundPhase<M> for ProcessPhase<'_, '_, M, P> {
     {
         let n = self.sim.graph.n();
         assert_eq!(state.len(), n, "state slice must have one entry per node");
-        if self.arrivals.is_empty() {
-            return;
-        }
-        self.scratch.distribute(&mut self.arrivals, 0, n);
-        for (i, s) in state.iter_mut().enumerate() {
-            let inbox = self.scratch.inbox(i);
-            if !inbox.is_empty() {
-                f(s, NodeId::from(i), inbox);
-            }
+        let chunks = self.sim.layout.split_mut(state);
+        for (inboxes, chunk) in self.inboxes.iter_mut().zip(chunks) {
+            inboxes.read(chunk, &f);
         }
     }
 
@@ -986,7 +917,7 @@ impl<M: Message, P: Probe> RoundPhase<M> for ProcessPhase<'_, '_, M, P> {
     }
 
     fn idle(&self) -> bool {
-        !RoundPhase::in_flight(self) && self.arrivals.is_empty()
+        !self.in_flight() && self.inboxes.iter().all(Inboxes::is_empty)
     }
 }
 

@@ -1,35 +1,18 @@
-//! Shard layout and routing code shared by the two parallel backends of
-//! this crate, [`crate::PooledSimulator`] and [`crate::ProcessSimulator`].
+//! The shard layout both parallel backends of this crate share,
+//! [`crate::PooledSimulator`] and [`crate::ProcessSimulator`].
 //!
-//! Both engines rely on the same invariants:
-//!
-//! * Shards are contiguous node ranges ([`ShardLayout`]), so each shard
-//!   also owns the contiguous range of directed edge indices of its
-//!   nodes' out-edges (CSR alignment) — queues and per-edge counters are
-//!   sliced, never shared.
-//! * The sender side of a round touches only sender-shard-owned data and
-//!   emits deliveries bucketed by receiver shard ([`Routed`]), in the
-//!   message core's round order: each receiver's messages by ascending
-//!   sender, FIFO per edge (not in global edge order).
-//! * The receiver side concatenates those buckets in sender-shard order,
-//!   which is ascending sender order across shards, onto one contiguous
-//!   arrival run per receiver. The pooled engine splices whole buffers
-//!   (a swap or one `Vec::append` per shard pair); the process engine
-//!   decodes its children's `Deliveries` frames onto one run over the
-//!   whole graph.
-//! * The per-node grouping is deferred to the next read, where the same
-//!   stable counting sort (`DistScratch`) turns a run into inbox slices.
-//!   Stability keeps each receiver's order, so every inbox gets the
-//!   delivery order of the sequential reference engine.
-//!
-//! Keeping this in one module is what keeps the two backends from
-//! drifting apart: they differ in *where* a shard's message core lives
-//! (a pool worker vs. a forked child), never in what is delivered, in
-//! which order, or at what accounted cost.
+//! Shards are contiguous node ranges ([`ShardLayout`]), so each shard
+//! also owns the contiguous range of directed edge indices of its
+//! nodes' out-edges (CSR alignment) — queues and per-edge counters are
+//! sliced, never shared. What a shard does in a round — grouping its
+//! arrivals, stepping its nodes, running their sends through its message
+//! core — is defined once for every engine in
+//! [`powersparse_congest::shard`]. The backends differ only in *where* a
+//! shard's message core lives (a pool worker vs. a forked child), never
+//! in what is delivered, in which order, or at what accounted cost.
 
-use powersparse_congest::engine::Delivery;
 use powersparse_graphs::partition::shard_ranges;
-use powersparse_graphs::{Graph, NodeId};
+use powersparse_graphs::Graph;
 use std::ops::Range;
 
 /// The contiguous, CSR-aligned shard partition of a graph: which nodes,
@@ -78,98 +61,17 @@ impl ShardLayout {
     pub fn shards(&self) -> usize {
         self.node_ranges.len()
     }
-}
 
-/// A delivery routed between shards: `(receiver, sender, payload)`.
-pub type Routed<M> = (NodeId, NodeId, M);
-
-/// Counting-sort workspace that turns an arrival run into per-node
-/// inbox slices; all three vectors keep their capacity across rounds.
-/// The pooled engine keeps one per shard, the process engine one over
-/// the whole graph.
-#[derive(Debug)]
-pub(crate) struct DistScratch<M> {
-    /// Inbox start offset per local node (`len = local nodes + 1` after
-    /// a distribution).
-    starts: Vec<usize>,
-    /// Write cursors of the counting sort (reset from `starts`).
-    cursors: Vec<usize>,
-    /// The flat inbox buffer: node `l`'s inbox is
-    /// `buf[starts[l]..starts[l + 1]]`.
-    buf: Vec<Delivery<M>>,
-}
-
-impl<M> Default for DistScratch<M> {
-    fn default() -> Self {
-        Self {
-            starts: Vec::new(),
-            cursors: Vec::new(),
-            buf: Vec::new(),
-        }
+    /// Splits `state` (one entry per node) into the shards' node ranges,
+    /// in shard order.
+    pub fn split_mut<'a, S>(&'a self, state: &'a mut [S]) -> impl Iterator<Item = &'a mut [S]> {
+        let mut rest = state;
+        self.node_ranges.iter().map(move |nodes| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(nodes.len());
+            rest = tail;
+            chunk
+        })
     }
-}
-
-impl<M> DistScratch<M> {
-    /// Groups an arrival run for nodes `lo..lo + n_local` (consumed)
-    /// into per-node inbox slices with a stable counting sort: one
-    /// counting pass, one placement pass, no per-node allocation.
-    /// Stability keeps each receiver's order from the run — ascending
-    /// sender, FIFO per edge, the sequential reference delivery order.
-    pub(crate) fn distribute(&mut self, arrivals: &mut Vec<Routed<M>>, lo: usize, n_local: usize) {
-        let total = arrivals.len();
-        self.starts.clear();
-        self.starts.resize(n_local + 1, 0);
-        for (to, _, _) in arrivals.iter() {
-            self.starts[to.index() - lo + 1] += 1;
-        }
-        for l in 0..n_local {
-            self.starts[l + 1] += self.starts[l];
-        }
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.starts[..n_local]);
-        self.buf.clear();
-        self.buf.reserve(total);
-        let spare = self.buf.spare_capacity_mut();
-        for (to, from, msg) in arrivals.drain(..) {
-            let l = to.index() - lo;
-            let slot = self.cursors[l];
-            self.cursors[l] += 1;
-            spare[slot].write((from, msg));
-        }
-        // SAFETY: the per-node counts sum to `total` and each cursor
-        // walks its own disjoint `starts[l]..starts[l + 1]` subrange, so
-        // every slot in `0..total` was initialized exactly once above.
-        unsafe { self.buf.set_len(total) };
-    }
-
-    /// Drops the last distribution's inboxes, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.starts.clear();
-        self.cursors.clear();
-        self.buf.clear();
-    }
-
-    /// Local node `l`'s inbox slice (valid after [`Self::distribute`]).
-    #[inline]
-    pub(crate) fn inbox(&self, l: usize) -> &[Delivery<M>] {
-        &self.buf[self.starts[l]..self.starts[l + 1]]
-    }
-}
-
-/// The probe's distinct-receiver count for one arrival run: stamps each
-/// receiver's slot in `stamps` (one per node) with `stamp` and counts
-/// the slots that did not carry it yet. A fresh stamp per round counts
-/// distinct receivers without clearing an n-sized set every round.
-pub(crate) fn stamp_receivers<M>(run: &[Routed<M>], stamps: &mut [u64], stamp: u64) -> u64 {
-    let mut fresh = 0u64;
-    for (to, _, _) in run {
-        let slot = &mut stamps[to.index()];
-        if *slot != stamp {
-            *slot = stamp;
-            fresh += 1;
-        }
-    }
-    fresh
 }
 
 #[cfg(test)]

@@ -18,10 +18,12 @@
 //! one: a single measurement varies per machine, so `wall_stats` gates
 //! only when both sides carry repeat-run statistics (≥ 2 samples) and
 //! their 95% confidence intervals are disjoint with the new mean above
-//! the old — evidence of a real slowdown, not noise. Arena footprint
-//! gauges (`arena_cells_peak`/`arena_bytes_peak`) are reported but not
-//! gated here: old manifests default them to zero, and the conformance
-//! suite already pins them engine-invariant.
+//! the old — evidence of a real slowdown, not noise. The arena
+//! footprint in cells (`arena_cells_peak`) gates like the counters,
+//! since every engine computes it in the same round close and the
+//! engine-vs-engine walls cannot catch a change there; the footprint in
+//! bytes (`arena_bytes_peak`) does not gate, because it scales by the
+//! compiler's size of an arena cell.
 //!
 //! [`DiffOptions::ignore_engine`] turns the diff into a **cross-engine
 //! conformance gate**: runs are matched modulo the engine backend and
@@ -38,12 +40,13 @@ use std::fmt;
 /// The cost counters compared per run, as `(label, accessor)` pairs.
 /// `validation.passed` is handled separately (a flip to failed is a
 /// regression).
-const COUNTERS: [(&str, fn(&RunRecord) -> u64); 6] = [
+const COUNTERS: [(&str, fn(&RunRecord) -> u64); 7] = [
     ("rounds", |r| r.rounds),
     ("charged_rounds", |r| r.charged_rounds),
     ("messages", |r| r.messages),
     ("bits", |r| r.bits),
     ("peak_queue_depth", |r| r.peak_queue_depth),
+    ("arena_cells_peak", |r| r.arena_cells_peak),
     ("output_size", |r| r.output_size),
 ];
 
@@ -422,6 +425,20 @@ mod tests {
         assert_eq!(report.improvements.len(), 1);
         assert_eq!(report.improvements[0].field, "messages");
         assert_eq!(report.unchanged, 0);
+        // The arena footprint in cells gates like the counters; the
+        // byte footprint, which scales by the cell size, does not.
+        let mut grown = record("a", 10, 100, 1000);
+        grown.arena_cells_peak += 1;
+        grown.arena_bytes_peak += 32;
+        let report = diff_manifests(&old, &manifest(vec![grown]));
+        assert!(!report.clean());
+        assert_eq!(report.regressions.len(), 1);
+        assert_eq!(report.regressions[0].field, "arena_cells_peak");
+        let mut shrunk = record("a", 10, 100, 1000);
+        shrunk.arena_cells_peak -= 1;
+        let report = diff_manifests(&old, &manifest(vec![shrunk]));
+        assert!(report.clean());
+        assert_eq!(report.improvements[0].field, "arena_cells_peak");
     }
 
     #[test]
