@@ -171,7 +171,10 @@
 //! # Writing engine-generic node programs
 //!
 //! Algorithms hold their mutable per-node data in a state slice (one entry
-//! per node) and drive a typed phase with [`RoundPhase::step`]:
+//! per node) and drive a typed phase with [`RoundPhase::step`]. A step
+//! sees its node's neighbors through the [`Outbox`]; a callback that needs
+//! the graph otherwise (a read has no outbox) captures
+//! [`RoundEngine::network`], taken before the phase opens:
 //!
 //! ```
 //! use powersparse_congest::engine::{RoundEngine, RoundPhase};
@@ -197,6 +200,7 @@
 //! ```
 
 use powersparse_graphs::{Graph, NodeId};
+use std::ops::Deref;
 
 /// A CONGEST message payload: cloneable and shareable across worker
 /// threads. Blanket-implemented; never implement manually.
@@ -459,8 +463,18 @@ pub trait RoundEngine {
     where
         Self: 's;
 
+    /// A shared handle on the communication network; see
+    /// [`RoundEngine::network`].
+    type Network: Deref<Target = Graph> + Copy + Send + Sync;
+
     /// The communication network.
     fn graph(&self) -> &Graph;
+
+    /// The communication network as a handle that borrows the graph, not
+    /// the engine, so the callbacks of an open phase can capture it. A
+    /// read callback gets no [`Outbox`], the step's view of a node's
+    /// neighbors.
+    fn network(&self) -> Self::Network;
 
     /// Per-edge-per-round bit budget.
     fn bandwidth(&self) -> usize;

@@ -198,12 +198,12 @@ mod tests {
     use powersparse_graphs::{generators, power, Graph};
 
     /// Builds depth-`s` trees + knowledge with the Lemma 4.1 machinery.
-    fn build(sim: &mut Simulator<'_>, q: &[bool], s: usize) -> (Vec<Vec<u32>>, QTrees) {
-        let (mut sets, mut trees) = init_knowledge_and_trees(sim, q);
+    fn build(sim: &mut Simulator<'_>, q: &[bool], s: usize) -> QTrees {
+        let mut trees = init_knowledge_and_trees(sim, q);
         for _ in 1..s {
-            sets = extend_trees(sim, &sets, &mut trees);
+            extend_trees(sim, &mut trees);
         }
-        (sets, trees)
+        trees
     }
 
     /// A broadcast in which every node `v` with `origin(v)` sends it as
@@ -233,7 +233,7 @@ mod tests {
         let q: Vec<bool> = (0..30).map(|i| i % 9 == 0).collect();
         let s = 3;
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let (_sets, trees) = build(&mut sim, &q, s);
+        let trees = build(&mut sim, &q, s);
         let got = broadcast(&mut sim, &trees, 16, |v| {
             q[v.index()].then_some(1000 + u64::from(v.0))
         });
@@ -260,12 +260,10 @@ mod tests {
         let s = 3;
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         // Knowledge: N^{s-1}(v, Q) for every v, then neighbor's sets.
-        let (mut sets, mut trees) = init_knowledge_and_trees(&mut sim, &q);
-        for _ in 1..(s - 1) {
-            sets = extend_trees(&mut sim, &sets, &mut trees);
-        }
+        let mut trees = build(&mut sim, &q, s - 1);
+        let sets = trees.knowledge();
         // Trees must have depth s.
-        let _deeper = extend_trees(&mut sim, &sets, &mut trees);
+        extend_trees(&mut sim, &mut trees);
         let neighbor_sets = exchange_with_neighbors(&mut sim, &sets);
         // Every root x sends "x*1000 + y" to each y in N^s(x, Q).
         let mut msgs: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
@@ -304,7 +302,7 @@ mod tests {
             let (g, q, v, w) = generators::figure1(hatd, 3);
             let config = SimConfig::for_graph(&g).with_per_edge_accounting();
             let mut sim = Simulator::new(&g, config);
-            let (_sets, trees) = build(&mut sim, &q, 3);
+            let trees = build(&mut sim, &q, 3);
             let before = sim.messages_across(v, w) + sim.messages_across(w, v);
             let _ = broadcast(&mut sim, &trees, 8, |x| {
                 q[x.index()].then_some(u64::from(x.0))
@@ -328,12 +326,11 @@ mod tests {
             let (g, q, v, w) = generators::figure1(hatd, 3);
             let config = SimConfig::for_graph(&g).with_per_edge_accounting();
             let mut sim = Simulator::new(&g, config);
-            let (sets, trees) = build(&mut sim, &q, 3);
+            let trees = build(&mut sim, &q, 3);
             // Knowledge of N^{s-1}: rebuild depth-2 sets, share them.
             let mut sim2 = Simulator::new(&g, SimConfig::for_graph(&g));
-            let (s1, _t1) = build(&mut sim2, &q, 2);
+            let s1 = build(&mut sim2, &q, 2).knowledge();
             let neighbor_sets = exchange_with_neighbors(&mut sim, &s1);
-            let _ = sets;
             let mut msgs: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
             for x in g.nodes().filter(|x| q[x.index()]) {
                 let targets: Vec<(u32, u64)> = power::q_neighborhood(&g, x, 3, &q)
@@ -366,7 +363,7 @@ mod tests {
         let g = generators::path(5);
         let q: Vec<bool> = vec![true, false, false, false, true];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let (_sets, trees) = build(&mut sim, &q, 2);
+        let trees = build(&mut sim, &q, 2);
         let before = sim.metrics().clone();
         let got = broadcast::<u64>(&mut sim, &trees, 8, |_| None);
         assert!(got.iter().all(Vec::is_empty));
@@ -381,7 +378,7 @@ mod tests {
         let g: Graph = generators::path(5);
         let q = vec![true, false, false, false, true];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let (_sets, trees) = build(&mut sim, &q, 4);
+        let trees = build(&mut sim, &q, 4);
         let got = broadcast(&mut sim, &trees, 8, |v| (v == NodeId(0)).then_some(7u64));
         // Node 4 (∈ Q) and middle nodes all hear root 0.
         for i in 1..5 {
@@ -395,7 +392,7 @@ mod tests {
         let g: Graph = generators::path(5);
         let q = vec![true, false, false, false, true];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let (_sets, trees) = build(&mut sim, &q, 2);
+        let trees = build(&mut sim, &q, 2);
         let _ = broadcast(&mut sim, &trees, 8, |v| (v == NodeId(1)).then_some(7u64));
     }
 }

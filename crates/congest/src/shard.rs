@@ -77,6 +77,13 @@ impl<M> Inboxes<M> {
         self.run.push(delivery);
     }
 
+    /// Makes room for `additional` more deliveries in the arrival run,
+    /// exactly: a run reserved from the count of its deliveries carries
+    /// no doubling slack.
+    pub fn reserve(&mut self, additional: usize) {
+        self.run.reserve_exact(additional);
+    }
+
     /// Moves every delivery of `cell` onto the end of the arrival run,
     /// leaving `cell` empty: swapped in whole when the run is empty,
     /// appended (a memcpy-style move) otherwise.

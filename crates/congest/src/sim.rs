@@ -162,8 +162,13 @@ impl<'g, P: Probe> RoundEngine for Simulator<'g, P> {
         = Phase<'s, 'g, M, P>
     where
         Self: 's;
+    type Network = &'g Graph;
 
     fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    fn network(&self) -> &'g Graph {
         self.graph
     }
 

@@ -3,7 +3,7 @@
 //! distributedly" in the sense of Section 2 of the paper: each node knows
 //! its ancestor and descendants per tree plus the root's ID).
 
-use powersparse_graphs::{Graph, NodeId};
+use powersparse_graphs::NodeId;
 
 /// A spanning BFS tree rooted at `root`, known distributedly.
 #[derive(Debug, Clone)]
@@ -72,13 +72,15 @@ struct Link {
 
 /// Depth-`s` BFS trees rooted at every node of a set `Q`, represented by
 /// per-node links as the paper requires for invariant **I3** (each node
-/// knows, for each tree it belongs to, the root's ID, its ancestor and its
-/// descendants).
+/// knows `N^s(v, Q)` and, for each tree it belongs to, the root's ID, its
+/// ancestor and its descendants).
 ///
 /// # Layout
 ///
-/// Each node holds two flat lists, both sorted by root ID:
+/// Each node keeps its own share, three flat lists sorted by root ID:
 ///
+/// * its *knowledge*: `N^s(v, Q)`, the roots of the trees it belongs to
+///   other than its own ([`QTrees::known`]);
 /// * its *links*: one `(root, parent, level)` entry per tree it belongs
 ///   to (a root's entry for its own tree has level 0 and no parent);
 /// * its *descendants*: one `(root, pos)` entry per child it has in any
@@ -93,29 +95,136 @@ struct Link {
 /// ([`crate::engine::Outbox::send_at`]), so a tree send costs no search.
 /// Lookups binary-search a node's list; the accessors below are the only
 /// view of the layout.
+///
+/// The trees grow one level at a time inside the node programs of
+/// [`crate::primitives::extend_trees`]: each node's share is the state
+/// of its own node steps and inbox reads, so every node writes only its
+/// own lists.
 #[derive(Debug, Clone, Default)]
 pub struct QTrees {
     depth: usize,
-    links: Vec<Vec<Link>>,
-    descendants: Vec<Vec<(u32, u32)>>,
+    nodes: Vec<NodeTrees>,
+}
+
+/// One node's share of the [`QTrees`], grown by the node itself: it
+/// hears the roots its neighbors know ([`NodeTrees::hear`]), joins their
+/// trees one level deeper ([`NodeTrees::join`]) and adopts the neighbors
+/// that joined a tree under it ([`NodeTrees::adopt`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeTrees {
+    /// `N^s(v, Q)`, ascending.
+    known: Vec<u32>,
+    /// One link per tree the node belongs to, by ascending root.
+    links: Vec<Link>,
+    /// `(root, child position)` per child in any tree, ascending.
+    descendants: Vec<(u32, u32)>,
+    /// `(root, sender position)` per root heard since the last join.
+    heard: Vec<(u32, u32)>,
+}
+
+impl NodeTrees {
+    /// Makes the node `v` the root of its own tree, at level 0.
+    pub(crate) fn plant(&mut self, v: NodeId) {
+        let at = self.links.partition_point(|l| l.root < v.0);
+        self.links.insert(
+            at,
+            Link {
+                root: v.0,
+                parent: v,
+                level: 0,
+            },
+        );
+    }
+
+    /// Whether `x ∈ N^s(v, Q)`.
+    pub(crate) fn knows(&self, x: u32) -> bool {
+        self.known.binary_search(&x).is_ok()
+    }
+
+    /// The node's knowledge, ascending.
+    pub(crate) fn known(&self) -> &[u32] {
+        &self.known
+    }
+
+    /// Records that the neighbor at CSR position `pos` reaches the tree
+    /// rooted at `root`, for the next [`NodeTrees::join`].
+    pub(crate) fn hear(&mut self, root: u32, pos: u32) {
+        self.heard.push((root, pos));
+    }
+
+    /// Joins every tree heard since the last join at `level`, under the
+    /// sender of smallest CSR position (the smallest ID, as neighbor
+    /// lists ascend), and adds the roots to the node's knowledge. Both
+    /// lists grow in place. Returns the joins as `(root, parent
+    /// position)` pairs, by ascending root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node joins a tree it already belongs to.
+    pub(crate) fn join(&mut self, neighbors: &[NodeId], level: u32) -> Vec<(u32, u32)> {
+        let mut joins = std::mem::take(&mut self.heard);
+        // Sorted, each root's smallest sender comes first.
+        joins.sort_unstable();
+        joins.dedup_by_key(|&mut (root, _)| root);
+        merge_in(&mut self.known, joins.iter().map(|&(root, _)| root), |&x| x);
+        let links = joins.iter().map(|&(root, pos)| Link {
+            root,
+            parent: neighbors[pos as usize],
+            level,
+        });
+        merge_in(&mut self.links, links, |l| l.root);
+        assert!(
+            self.links.windows(2).all(|p| p[0].root < p[1].root),
+            "a node joined a tree it already belongs to"
+        );
+        joins
+    }
+
+    /// Records children, each as `(root, CSR position)`, in any order.
+    pub(crate) fn adopt(&mut self, children: impl IntoIterator<Item = (u32, u32)>) {
+        self.descendants.extend(children);
+        self.descendants.sort_unstable();
+    }
+}
+
+/// Merges the ascending `add` into the ascending `list` in place, in one
+/// pass from the back (a stable sort of the two runs costs several times
+/// more on lists this short); on equal keys the old element stays first.
+fn merge_in<T: Copy, K: Ord>(
+    list: &mut Vec<T>,
+    add: impl DoubleEndedIterator<Item = T> + Clone,
+    key: impl Fn(&T) -> K,
+) {
+    let old = list.len();
+    list.extend(add.clone());
+    let (mut i, mut k) = (old, list.len());
+    for item in add.rev() {
+        while i > 0 && key(&list[i - 1]) > key(&item) {
+            list[k - 1] = list[i - 1];
+            i -= 1;
+            k -= 1;
+        }
+        list[k - 1] = item;
+        k -= 1;
+    }
 }
 
 impl QTrees {
-    /// Depth-0 trees: each root is alone in its tree.
-    pub fn new_roots(n: usize, roots: &[NodeId]) -> Self {
-        let mut links = vec![Vec::new(); n];
-        for &r in roots {
-            links[r.index()].push(Link {
-                root: r.0,
-                parent: r,
-                level: 0,
-            });
-        }
+    /// Depth-0 structure over `n` nodes in which no node roots a tree
+    /// yet ([`NodeTrees::plant`]).
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             depth: 0,
-            links,
-            descendants: vec![Vec::new(); n],
+            nodes: vec![NodeTrees::default(); n],
         }
+    }
+
+    /// Opens level `depth + 1` of every tree and returns it with every
+    /// node's share (entry `i` is node `i`'s), for the node programs
+    /// that grow it.
+    pub(crate) fn open_level(&mut self) -> (u32, &mut [NodeTrees]) {
+        self.depth += 1;
+        (self.depth as u32, &mut self.nodes)
     }
 
     /// Current tree depth.
@@ -125,7 +234,7 @@ impl QTrees {
 
     /// `v`'s link in the tree rooted at `root`, if `v` belongs to it.
     fn link(&self, v: NodeId, root: u32) -> Option<&Link> {
-        let links = &self.links[v.index()];
+        let links = &self.nodes[v.index()].links;
         links
             .binary_search_by_key(&root, |l| l.root)
             .ok()
@@ -139,15 +248,26 @@ impl QTrees {
 
     /// IDs of the tree roots.
     pub fn roots(&self) -> Vec<NodeId> {
-        (0..self.links.len())
+        (0..self.nodes.len())
             .map(NodeId::from)
             .filter(|&v| self.is_root(v))
             .collect()
     }
 
+    /// `N^s(v, Q)` at depth `s`: the roots of the trees `v` belongs to
+    /// other than its own, ascending.
+    pub fn known(&self, v: NodeId) -> &[u32] {
+        &self.nodes[v.index()].known
+    }
+
+    /// Every node's [`QTrees::known`] list, by node.
+    pub fn knowledge(&self) -> Vec<Vec<u32>> {
+        self.nodes.iter().map(|t| t.known.clone()).collect()
+    }
+
     /// Trees that `v` belongs to, by ascending root ID.
     pub fn trees_of(&self, v: NodeId) -> Vec<u32> {
-        self.links[v.index()].iter().map(|l| l.root).collect()
+        self.nodes[v.index()].links.iter().map(|l| l.root).collect()
     }
 
     /// `v`'s ancestor in the tree rooted at `root`; `None` when `v` is
@@ -169,65 +289,21 @@ impl QTrees {
         v: NodeId,
         root: u32,
     ) -> impl ExactSizeIterator<Item = usize> + '_ {
-        let list = &self.descendants[v.index()];
+        let list = &self.nodes[v.index()].descendants;
         let lo = list.partition_point(|&(r, _)| r < root);
         let len = list[lo..].partition_point(|&(r, _)| r == root);
         list[lo..lo + len].iter().map(|&(_, pos)| pos as usize)
     }
 
-    /// Grows every tree by one level (Lemma 4.1's second claim).
-    /// `joins[v]` lists the trees `v` joins at the new level as
-    /// `(root, parent)` pairs in ascending root order; `confirmations[w]`
-    /// lists the `(root, child)` confirmations `w` received, in any order
-    /// (they may arrive over several rounds). Each child is recorded by
-    /// its CSR position in `w`'s neighbor list in `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node joins a tree it already belongs to, or if a
-    /// confirming child is not a neighbor in `g`.
-    pub(crate) fn grow(
-        &mut self,
-        g: &Graph,
-        joins: &[Vec<(u32, NodeId)>],
-        confirmations: Vec<Vec<(u32, NodeId)>>,
-    ) {
-        self.depth += 1;
-        let level = self.depth as u32;
-        for (links, joined) in self.links.iter_mut().zip(joins) {
-            links.extend(joined.iter().map(|&(root, parent)| Link {
-                root,
-                parent,
-                level,
-            }));
-            // Two sorted runs: the stable sort merges them in one pass.
-            links.sort_by_key(|l| l.root);
-            assert!(
-                links.windows(2).all(|p| p[0].root < p[1].root),
-                "a node joined a tree it already belongs to"
-            );
-        }
-        for (w, (list, got)) in self.descendants.iter_mut().zip(confirmations).enumerate() {
-            let neighbors = g.neighbors(NodeId::from(w));
-            list.extend(got.into_iter().map(|(root, child)| {
-                let pos = neighbors
-                    .binary_search(&child)
-                    .unwrap_or_else(|_| panic!("{child} is not a neighbor of v{w}"));
-                (root, pos as u32)
-            }));
-            list.sort_unstable();
-        }
-    }
-
-    /// Drops every tree whose root is not in `keep` (mask over node IDs).
-    /// Used when a sparsification iteration discards `Q_{s-1} \ Q_s`
-    /// ("the trees of nodes in `Q_{s-1} \ Q_s` are not used anymore").
+    /// Drops every tree whose root is not in `keep` (mask over node IDs),
+    /// from the knowledge as well. Used when a sparsification iteration
+    /// discards `Q_{s-1} \ Q_s` ("the trees of nodes in `Q_{s-1} \ Q_s`
+    /// are not used anymore").
     pub fn retain_roots(&mut self, keep: &[bool]) {
-        for links in &mut self.links {
-            links.retain(|l| keep[l.root as usize]);
-        }
-        for list in &mut self.descendants {
-            list.retain(|&(root, _)| keep[root as usize]);
+        for t in &mut self.nodes {
+            t.known.retain(|&x| keep[x as usize]);
+            t.links.retain(|l| keep[l.root as usize]);
+            t.descendants.retain(|&(root, _)| keep[root as usize]);
         }
     }
 }
@@ -256,23 +332,38 @@ mod tests {
         GlobalTree::from_parents(NodeId(0), vec![None, Some(NodeId(0))], vec![0, 2]);
     }
 
-    /// Grows `t` by one level in which every `(root, child, parent)`
-    /// edge joins `child` to the tree of `root` under `parent`, on the
-    /// complete graph over `t`'s nodes.
+    /// Grows `t` by one level over the complete graph on its nodes: every
+    /// `(root, child, parent)` edge makes `child` hear `root` from
+    /// `parent`; then every node joins what it heard and every parent
+    /// adopts the children that joined under it.
     fn grow(t: &mut QTrees, edges: &[(u32, u32, u32)]) {
-        let n = t.links.len();
-        let mut joins = vec![Vec::new(); n];
-        let mut confirmations = vec![Vec::new(); n];
+        let g = generators::complete(t.nodes.len());
+        let (level, nodes) = t.open_level();
+        let pos = |v: u32, w: u32| g.neighbors(NodeId(v)).binary_search(&NodeId(w)).unwrap() as u32;
         for &(root, child, parent) in edges {
-            joins[child as usize].push((root, NodeId(parent)));
-            confirmations[parent as usize].push((root, NodeId(child)));
+            nodes[child as usize].hear(root, pos(child, parent));
         }
-        t.grow(&generators::complete(n), &joins, confirmations);
+        for v in g.nodes() {
+            let joins = nodes[v.index()].join(g.neighbors(v), level);
+            for (root, parent) in joins {
+                let parent = g.neighbors(v)[parent as usize];
+                nodes[parent.index()].adopt([(root, pos(parent.0, v.0))]);
+            }
+        }
+    }
+
+    /// Depth-0 trees rooted at `roots` over `n` nodes.
+    fn planted(n: usize, roots: &[u32]) -> QTrees {
+        let mut t = QTrees::new(n);
+        for &r in roots {
+            t.nodes[r as usize].plant(NodeId(r));
+        }
+        t
     }
 
     /// `v`'s children in the tree rooted at `root`, by node ID.
     fn children(t: &QTrees, v: u32, root: u32) -> Vec<u32> {
-        let g = generators::complete(t.links.len());
+        let g = generators::complete(t.nodes.len());
         let neighbors = g.neighbors(NodeId(v));
         t.child_positions(NodeId(v), root)
             .map(|pos| neighbors[pos].0)
@@ -281,12 +372,14 @@ mod tests {
 
     #[test]
     fn qtrees_roots_and_attach() {
-        let mut t = QTrees::new_roots(5, &[NodeId(0), NodeId(4)]);
+        let mut t = planted(5, &[0, 4]);
         assert_eq!(t.roots(), vec![NodeId(0), NodeId(4)]);
         grow(&mut t, &[(0, 1, 0), (4, 3, 4)]);
         grow(&mut t, &[(0, 2, 1)]);
         assert_eq!(t.depth(), 2);
         assert_eq!(t.trees_of(NodeId(1)), vec![0]);
+        assert_eq!(t.known(NodeId(1)), [0]);
+        assert_eq!(t.known(NodeId(0)), [] as [u32; 0]);
         assert_eq!(children(&t, 0, 0), vec![1]);
         assert_eq!(children(&t, 1, 0), vec![2]);
         assert_eq!(t.level(NodeId(2), 0), Some(2));
@@ -298,7 +391,7 @@ mod tests {
 
     #[test]
     fn children_ascend_whatever_the_confirmation_order() {
-        let mut t = QTrees::new_roots(6, &[NodeId(2), NodeId(5)]);
+        let mut t = planted(6, &[2, 5]);
         grow(
             &mut t,
             &[(5, 4, 5), (2, 3, 2), (2, 0, 2), (5, 1, 5), (2, 1, 2)],
@@ -310,14 +403,27 @@ mod tests {
     }
 
     #[test]
+    fn a_join_takes_the_smallest_sender() {
+        let mut t = planted(5, &[0]);
+        grow(&mut t, &[(0, 1, 0), (0, 2, 0), (0, 3, 0)]);
+        // Node 4 hears root 0 from 3, then 1, then 2.
+        grow(&mut t, &[(0, 4, 3), (0, 4, 1), (0, 4, 2)]);
+        assert_eq!(t.parent(NodeId(4), 0), Some(NodeId(1)));
+        assert_eq!(children(&t, 1, 0), vec![4]);
+        assert_eq!(children(&t, 3, 0), vec![]);
+        assert_eq!(t.known(NodeId(4)), [0]);
+    }
+
+    #[test]
     fn retain_roots_drops_trees() {
-        let mut t = QTrees::new_roots(4, &[NodeId(0), NodeId(3)]);
+        let mut t = planted(4, &[0, 3]);
         grow(&mut t, &[(0, 1, 0), (3, 1, 3)]);
         let mut keep = vec![false; 4];
         keep[3] = true;
         t.retain_roots(&keep);
         assert_eq!(t.roots(), vec![NodeId(3)]);
         assert_eq!(t.trees_of(NodeId(1)), vec![3]);
+        assert_eq!(t.known(NodeId(1)), [3]);
         assert_eq!(t.child_positions(NodeId(0), 0).len(), 0);
         assert_eq!(t.child_positions(NodeId(3), 3).len(), 1);
     }
@@ -325,16 +431,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "already belongs to")]
     fn joining_a_tree_twice_panics() {
-        let mut t = QTrees::new_roots(2, &[NodeId(0)]);
+        let mut t = planted(2, &[0]);
         grow(&mut t, &[(0, 1, 0)]);
         grow(&mut t, &[(0, 1, 0)]);
     }
 
     #[test]
     fn node_in_multiple_trees() {
-        let mut t = QTrees::new_roots(3, &[NodeId(0), NodeId(2)]);
+        let mut t = planted(3, &[0, 2]);
         grow(&mut t, &[(0, 1, 0), (2, 1, 2)]);
         assert_eq!(t.trees_of(NodeId(1)), vec![0, 2]);
+        assert_eq!(t.knowledge(), vec![vec![], vec![0, 2], vec![]]);
         assert_eq!(t.parent(NodeId(1), 0), Some(NodeId(0)));
         assert_eq!(t.parent(NodeId(1), 2), Some(NodeId(2)));
     }

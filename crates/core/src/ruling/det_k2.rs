@@ -101,7 +101,9 @@ pub fn mis_on_sparse_power<E: RoundEngine>(sim: &mut E, sparse: &SparsifyOutcome
     let mut nodes: Vec<GreedyNode> = (0..n)
         .map(|i| {
             if sparse.q[i] {
-                let smaller = sparse.knowledge[i]
+                let smaller = sparse
+                    .trees
+                    .known(NodeId::from(i))
                     .iter()
                     .take_while(|&&x| (x as usize) < i);
                 GreedyNode {

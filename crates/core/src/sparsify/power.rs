@@ -9,6 +9,7 @@ use powersparse_congest::primitives::{
     sum_and_broadcast,
 };
 use powersparse_congest::trees::{GlobalTree, QTrees};
+use powersparse_graphs::NodeId;
 use powersparse_kwise::derand::{seed_search, DerandError};
 use powersparse_kwise::family::KWiseFamily;
 use powersparse_kwise::seed::Seed;
@@ -49,16 +50,16 @@ impl std::error::Error for SparsifyError {}
 /// of depth `k+1`), which downstream algorithms (Lemma 4.6 simulation,
 /// Theorem 1.1) consume directly.
 ///
-/// The I3 state is flat: `knowledge[v]` is one ID list per node, sorted
-/// ascending without duplicates, and `trees` keeps per-node lists sorted
-/// by root ID whose child runs ascend by node ID (see [`QTrees`]).
+/// The I3 state is flat and lives in `trees`: per node, the knowledge
+/// [`QTrees::known`] is one ID list sorted ascending without duplicates,
+/// and the tree lists are sorted by root ID with child runs ascending by
+/// node ID (see [`QTrees`]).
 #[derive(Debug, Clone)]
 pub struct SparsifyOutcome {
     /// Membership mask of `Q_k`.
     pub q: Vec<bool>,
-    /// `N^{k+1}(v, Q_k)` for every node as a sorted ID list (I3).
-    pub knowledge: Vec<Vec<u32>>,
-    /// Depth-`(k+1)` BFS trees rooted at `Q_k` (I3).
+    /// Depth-`(k+1)` BFS trees rooted at `Q_k`, with every node's
+    /// knowledge of `N^{k+1}(v, Q_k)` (I3).
     pub trees: QTrees,
     /// Per-iteration statistics.
     pub iterations: Vec<IterationStats>,
@@ -138,7 +139,7 @@ pub fn sparsify_power<E: RoundEngine>(
 
     // I3 for s = 0 → 1: knowledge of N^1(v, Q_0) and depth-1 trees.
     let mut q: Vec<bool> = q0.to_vec();
-    let (mut knowledge, mut trees) = init_knowledge_and_trees(sim, &q);
+    let mut trees = init_knowledge_and_trees(sim, &q);
     let mut iterations = Vec::new();
     // Global BFS tree for the seed scans' convergecasts, elected before
     // the first stage that samples (r depends only on Δ_A, n and the
@@ -161,22 +162,20 @@ pub fn sparsify_power<E: RoundEngine>(
             s,
             delta_a,
             &mut q,
-            &mut knowledge,
             &trees,
             global.as_ref(),
             params,
             strategy,
         )?;
         iterations.push(stats);
-        // Maintain I3 for the next iteration: drop trees of discarded
-        // roots, then extend knowledge and trees by one level
+        // Maintain I3 for the next iteration: drop the trees and the
+        // knowledge of discarded roots, then extend both by one level
         // (Lemma 4.1).
         trees.retain_roots(&q);
-        knowledge = extend_trees(sim, &knowledge, &mut trees);
+        extend_trees(sim, &mut trees);
     }
     Ok(SparsifyOutcome {
         q,
-        knowledge,
         trees,
         iterations,
     })
@@ -185,17 +184,18 @@ pub fn sparsify_power<E: RoundEngine>(
 /// One iteration of `DetSparsification`, simulated on `G^s`
 /// (Lemma 5.5 / Lemma 5.7).
 ///
-/// On entry: `q` is the membership mask of `Q_{s-1} = H_1`;
-/// `knowledge[v] = N^s(v, Q_{s-1})`; `trees` have depth `s` rooted at
-/// `Q_{s-1}`. On exit `q` is the mask of `Q_s` and `knowledge[v]` is
-/// `N^s(v, Q_s)`.
+/// On entry: `q` is the membership mask of `Q_{s-1} = H_1`; `trees`
+/// have depth `s`, are rooted at `Q_{s-1}` and hold every node's
+/// knowledge `N^s(v, Q_{s-1})`. On exit `q` is the mask of `Q_s`; the
+/// observers' views agree with it, so the knowledge `N^s(v, Q_s)` is
+/// `N^s(v, Q_{s-1})` restricted to `Q_s` ([`QTrees::retain_roots`]).
+/// An iteration without stages changes nothing and returns at once.
 #[allow(clippy::too_many_arguments)]
 fn sparsify_iteration<E: RoundEngine>(
     sim: &mut E,
     s: usize,
     delta_a: usize,
     q: &mut [bool],
-    knowledge: &mut [Vec<u32>],
     trees: &QTrees,
     global: Option<&GlobalTree>,
     params: &TheoryParams,
@@ -203,19 +203,32 @@ fn sparsify_iteration<E: RoundEngine>(
 ) -> Result<IterationStats, SparsifyError> {
     let n = sim.graph().n();
     let r = params.num_stages(delta_a, n);
+    let stats = |q: &[bool], seed_attempts| IterationStats {
+        s,
+        stages: r,
+        q_size: q.iter().filter(|&&b| b).count(),
+        seed_attempts,
+    };
+    if r == 0 {
+        return Ok(stats(q, 0));
+    }
     let degree_bound = params.degree_bound(n);
     let family = KWiseFamily::for_graph(n, params.kwise_factor);
 
-    let mut nodes: Vec<Observer> = knowledge
+    let mut nodes: Vec<Observer> = q
         .iter()
-        .zip(q.iter())
-        .map(|(set, &member)| Observer {
+        .enumerate()
+        .map(|(i, &member)| Observer {
             own: if member {
                 MemberStatus::Active
             } else {
                 MemberStatus::Gone
             },
-            members: set.iter().map(|&x| (x, MemberStatus::Active)).collect(),
+            members: trees
+                .known(NodeId::from(i))
+                .iter()
+                .map(|&x| (x, MemberStatus::Active))
+                .collect(),
         })
         .collect();
 
@@ -319,21 +332,12 @@ fn sparsify_iteration<E: RoundEngine>(
     for i in 0..n {
         q[i] = matches!(nodes[i].own, MemberStatus::Sampled | MemberStatus::Active);
     }
-    // Knowledge of N^s(v, Q_s): members sampled or still active.
-    for i in 0..n {
-        knowledge[i] = nodes[i]
-            .members
-            .iter()
-            .filter(|(_, st)| matches!(st, MemberStatus::Sampled | MemberStatus::Active))
-            .map(|&(x, _)| x)
-            .collect();
-    }
-    Ok(IterationStats {
-        s,
-        stages: r,
-        q_size: q.iter().filter(|&&b| b).count(),
-        seed_attempts: total_attempts,
-    })
+    // Every observer saw each member's own final status, so the members
+    // it saw sampled or still active are exactly those in Q_s.
+    debug_assert!(nodes.iter().all(|o| o.members.iter().all(|&(x, st)| {
+        matches!(st, MemberStatus::Sampled | MemberStatus::Active) == q[x as usize]
+    })));
+    Ok(stats(q, total_attempts))
 }
 
 /// Φ_v + Ψ_v for a single node (0, 1 or 2). Each node can evaluate its
@@ -369,7 +373,7 @@ fn node_bad_events(
 mod tests {
     use super::*;
     use powersparse_congest::sim::{SimConfig, Simulator};
-    use powersparse_graphs::{bfs, generators, power, NodeId};
+    use powersparse_graphs::{bfs, generators, power};
 
     fn check_outcome(
         g: &powersparse_graphs::Graph,
@@ -408,7 +412,7 @@ mod tests {
                 .map(|w| w.0)
                 .collect();
             expect.sort_unstable();
-            assert_eq!(out.knowledge[v.index()], expect, "knowledge at {v}");
+            assert_eq!(out.trees.known(v), expect, "knowledge at {v}");
         }
     }
 
@@ -532,9 +536,9 @@ mod tests {
         let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
         assert_eq!(out.iterations[0].stages, 0);
         let mut fresh = Simulator::new(&g, SimConfig::for_graph(&g));
-        let (sets, mut trees) = init_knowledge_and_trees(&mut fresh, &q0);
-        let knowledge = extend_trees(&mut fresh, &sets, &mut trees);
-        assert_eq!(out.knowledge, knowledge);
+        let mut trees = init_knowledge_and_trees(&mut fresh, &q0);
+        extend_trees(&mut fresh, &mut trees);
+        assert_eq!(out.trees.knowledge(), trees.knowledge());
         let (got, want) = (sim.metrics(), fresh.metrics());
         assert_eq!(
             (got.rounds, got.messages, got.bits),

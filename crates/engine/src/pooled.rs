@@ -123,8 +123,13 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
         = PooledPhase<'s, 'g, M, P>
     where
         Self: 's;
+    type Network = &'g Graph;
 
     fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    fn network(&self) -> &'g Graph {
         self.graph
     }
 

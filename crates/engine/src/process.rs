@@ -660,18 +660,23 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
     /// (`Deliveries` + `RoundStats`) without touching any engine state,
     /// so a failure anywhere in the pair leaves the round unapplied:
     /// every cell is parsed and bounds-checked in place, and the reply
-    /// comes back ready to apply.
+    /// comes back ready to apply. The same pass adds each delivery to
+    /// its receiving shard's entry of `arrivals`.
     fn try_collect_round(
         &mut self,
         w: usize,
         epoch: u32,
+        arrivals: &mut [usize],
     ) -> Result<(Received, [u64; 5]), WireError> {
         let deliveries = self.try_expect_frame(w, FrameKind::Deliveries, epoch)?;
-        let edges = self.layout.edge_ranges[w].len() as u64;
+        let edges = self.layout.edge_ranges[w].clone();
         for cell in deliveries.cells() {
-            if cell?.edge >= edges {
+            let edge = cell?.edge;
+            if edge >= edges.len() as u64 {
                 return Err(WireError::Payload);
             }
+            let to = self.graph.edge_target(edges.start + edge as usize);
+            arrivals[self.layout.shard_of[to.index()] as usize] += 1;
         }
         let stats = self.try_expect_frame(w, FrameKind::RoundStats, epoch)?;
         let mut p = stats.payload();
@@ -688,8 +693,13 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
         = ProcessPhase<'s, 'g, M, P>
     where
         Self: 's;
+    type Network = &'g Graph;
 
     fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    fn network(&self) -> &'g Graph {
         self.graph
     }
 
@@ -733,6 +743,7 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
                 .iter()
                 .map(|nodes| Inboxes::new(nodes.clone()))
                 .collect(),
+            arrivals: vec![0; shards],
             sends: Vec::new(),
             tallies: vec![ShardTally::default(); shards],
             live: vec![false; shards],
@@ -754,6 +765,9 @@ pub struct ProcessPhase<'s, 'g, M, P: Probe = NoProbe> {
     /// ascending shard order, and each receiver's messages come in
     /// ascending sender order, FIFO per edge.
     inboxes: Vec<Inboxes<M>>,
+    /// Per receiving shard: the deliveries in the reply being collected,
+    /// reserved on its inboxes before they are pushed.
+    arrivals: Vec<usize>,
     /// Reused send-record scratch (drained every round).
     sends: Vec<SendRecord<M>>,
     /// Per-shard round tallies: the parent's step time and sent bits,
@@ -829,9 +843,13 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
             // validated (every cell parsed and bounds-checked in place)
             // before any parent-side state is touched, so a fault never
             // leaves a half-applied round behind.
+            self.arrivals.fill(0);
             let (deliveries, st) = sim
-                .try_collect_round(w, epoch)
+                .try_collect_round(w, epoch, &mut self.arrivals)
                 .unwrap_or_else(|e| raise(w, e));
+            for (inboxes, &count) in self.inboxes.iter_mut().zip(&self.arrivals) {
+                inboxes.reserve(count);
+            }
             let edge_start = sim.layout.edge_ranges[w].start;
             for cell in deliveries.cells() {
                 let cell = cell.unwrap_or_else(|e| raise(w, e));

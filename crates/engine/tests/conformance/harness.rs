@@ -229,10 +229,10 @@ impl Algorithm {
                 let q0 = vec![true; g.n()];
                 let out = sparsify_power(eng, k, &q0, &params, strategy).expect("sparsify");
                 assert!(
-                    check::satisfies_sparsifier_i3(g, k, &out.q, &out.knowledge),
+                    check::satisfies_sparsifier_i3(g, k, &out.q, &out.trees.knowledge()),
                     "sparsifier I3 violated"
                 );
-                format!("{:?}", (out.q, out.knowledge))
+                format!("{:?}", (&out.q, out.trees.knowledge()))
             }
         }
     }
@@ -326,7 +326,8 @@ pub fn assert_case_conformance<F: EngineFactory>(factory: &F, case: &Case, shard
 
 /// The curated deterministic matrix: every algorithm of the
 /// reproduction on at least one random and (where meaningful) one
-/// structured topology, with `k ∈ {1, 2}` both represented.
+/// structured topology, with `k ∈ {1, 2}` both represented and `k = 3`
+/// on Theorem 1.1's derandomized path.
 pub fn full_matrix() -> Vec<Case> {
     use Algorithm::*;
     vec![
@@ -395,6 +396,14 @@ pub fn full_matrix() -> Vec<Case> {
             generators::connected_gnp(60, 5.0 / 60.0, 29),
             29,
             DetRulingK2 { k: 1 },
+        ),
+        // Two tree extensions (Lemma 4.1) on the derandomized path, so
+        // their per-node merges run on every backend and shard count.
+        Case::new(
+            "detk2/gnp-k3",
+            generators::connected_gnp(64, 5.0 / 64.0, 43),
+            43,
+            DetRulingK2 { k: 3 },
         ),
         Case::new("nd/torus-k2", generators::torus(8, 8), 1, PowerNd { k: 2 }),
         Case::new(

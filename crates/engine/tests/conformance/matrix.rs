@@ -130,7 +130,7 @@ fn settle_consumes_deliveries_identically_on_every_backend() {
     /// Per node: `(stage, sender, payload)` of every delivery read.
     type Log = Vec<Vec<(u8, u32, u32)>>;
     fn run<E: RoundEngine>(eng: &mut E) -> (Log, Vec<bool>, Metrics) {
-        let g = eng.graph().clone();
+        let g = eng.network();
         let mut log: Log = vec![Vec::new(); g.n()];
         let mut idle = Vec::new();
         let mut phase = eng.phase::<u32>();

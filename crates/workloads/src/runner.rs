@@ -358,7 +358,7 @@ fn validate(g: &Graph, sc: &Scenario, output: &AlgOutput) -> (Validation, u64) {
         }
         AlgOutput::Sparsifier(out) => {
             let members = generators::members(&out.q);
-            let i3 = check::satisfies_sparsifier_i3(g, k, &out.q, &out.knowledge);
+            let i3 = check::satisfies_sparsifier_i3(g, k, &out.q, &out.trees.knowledge());
             let dom_bound = k * k + k;
             let dominating = check::is_beta_dominating(g, &members, dom_bound);
             // The degree bound holds deterministically for the seed scan

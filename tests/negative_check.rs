@@ -119,20 +119,15 @@ fn i3_violating_sparsifier_rejected() {
         SamplingStrategy::Randomized { seed: 3 },
     )
     .expect("sparsify");
-    assert!(check::satisfies_sparsifier_i3(
-        &g,
-        k,
-        &out.q,
-        &out.knowledge
-    ));
+    let knowledge = out.trees.knowledge();
+    assert!(check::satisfies_sparsifier_i3(&g, k, &out.q, &knowledge));
 
     // Drop one element from a nonempty knowledge list.
-    let donor = out
-        .knowledge
+    let donor = knowledge
         .iter()
         .position(|s| !s.is_empty())
         .expect("some node knows a Q-neighbor");
-    let mut dropped = out.knowledge.clone();
+    let mut dropped = knowledge.clone();
     let x = dropped[donor].remove(0);
     assert!(
         !check::satisfies_sparsifier_i3(&g, k, &out.q, &dropped),
@@ -140,7 +135,7 @@ fn i3_violating_sparsifier_rejected() {
     );
 
     // Invent an element that is not a Q-member within k+1 hops.
-    let mut invented = out.knowledge.clone();
+    let mut invented = knowledge.clone();
     invented[donor].push(donor as u32); // own ID is never in N^{k+1}(v, Q)
     invented[donor].sort_unstable();
     assert!(
@@ -149,7 +144,7 @@ fn i3_violating_sparsifier_rejected() {
     );
 
     // Repeat an element: the right members, but not a set.
-    let mut repeated = out.knowledge.clone();
+    let mut repeated = knowledge.clone();
     repeated[donor].insert(0, x);
     assert!(
         !check::satisfies_sparsifier_i3(&g, k, &out.q, &repeated),
@@ -157,12 +152,11 @@ fn i3_violating_sparsifier_rejected() {
     );
 
     // Swap two entries: the right members, out of order.
-    let pair = out
-        .knowledge
+    let pair = knowledge
         .iter()
         .position(|s| s.len() >= 2)
         .expect("some node knows two Q-neighbors");
-    let mut swapped = out.knowledge.clone();
+    let mut swapped = knowledge.clone();
     swapped[pair].swap(0, 1);
     assert!(
         !check::satisfies_sparsifier_i3(&g, k, &out.q, &swapped),
@@ -174,7 +168,7 @@ fn i3_violating_sparsifier_rejected() {
     let mut stale_q = out.q.clone();
     stale_q[x as usize] = !stale_q[x as usize];
     assert!(
-        !check::satisfies_sparsifier_i3(&g, k, &stale_q, &out.knowledge),
+        !check::satisfies_sparsifier_i3(&g, k, &stale_q, &knowledge),
         "stale knowledge after Q flip not caught"
     );
 }

@@ -53,7 +53,7 @@ proptest! {
             let mut expect: Vec<u32> =
                 power::q_neighborhood(&g, v, k + 1, &out.q).into_iter().map(|w| w.0).collect();
             expect.sort_unstable();
-            prop_assert_eq!(&out.knowledge[v.index()], &expect);
+            prop_assert_eq!(out.trees.known(v), &expect[..]);
         }
     }
 
