@@ -52,8 +52,8 @@
 //! Claim 5.6), k-hop floods — flag-merging, and the `min`-merging
 //! [`primitives::khop_min`] behind knock-out beeps and Luby's ranks —
 //! pipelined ID-set exchange (Lemma 4.1), multicast over distributed BFS
-//! trees — the *Broadcast* and *Q-message* operations of Lemma 4.2 — and
-//! the ID-tagged k-hop beep layer of Lemma 8.2.
+//! trees — the *Broadcast* operation of Lemma 4.2 — and the ID-tagged
+//! k-hop beep layer of Lemma 8.2.
 //!
 //! # Example
 //!

@@ -2,9 +2,8 @@
 //! `Q`-neighborhood from the distance-`s` one, and extending the BFS trees
 //! rooted at `Q` by one level.
 //!
-//! ID sets are sorted `u32` lists without duplicates, one per node. The
-//! knowledge and the trees of invariant I3 live in one [`QTrees`], whose
-//! per-node share is the state of the node programs below: every node
+//! The knowledge and the trees of invariant I3 live in one [`QTrees`],
+//! whose per-node record is the state of the node programs below: every node
 //! does its own part of the lemma inside its own node steps and inbox
 //! reads, so a parallel engine runs it on its workers, and the caller
 //! makes no pass over the nodes. Each function's docs say which work
@@ -14,63 +13,6 @@ use crate::engine::{Delivery, RoundEngine, RoundPhase};
 use crate::trees::QTrees;
 use powersparse_graphs::NodeId;
 use std::sync::Arc;
-
-/// The settle budget of a phase that sends at most `ids` IDs down an
-/// edge (in one ID set, or one confirmation per new ID): every edge
-/// carries at least one bit per round.
-fn budget(ids: usize, id_bits: usize) -> u64 {
-    8 * (ids as u64 + 2) * id_bits as u64
-}
-
-/// Each node sends its ID set to every neighbor (pipelined by the engine:
-/// a set of `t` IDs is one `t·id_bits`-bit message). Returns, per node
-/// `v`, one list per CSR neighbor position: entry `i` is the set
-/// `g.neighbors(v)[i]` sent (empty if that set was empty).
-///
-/// This is the communication core of Lemma 4.1; with
-/// `|set| ≤ Δ̂` the measured cost is `O(Δ̂ · id_bits / bandwidth)` rounds.
-pub fn exchange_with_neighbors<E: RoundEngine>(
-    sim: &mut E,
-    sets: &[Vec<u32>],
-) -> Vec<Vec<Vec<u32>>> {
-    let g = sim.network();
-    assert_eq!(sets.len(), g.n());
-    debug_assert!(
-        sets.iter().all(|s| s.windows(2).all(|p| p[0] < p[1])),
-        "ID sets must be sorted and free of duplicates"
-    );
-    let id_bits = g.id_bits();
-    let mut heard: Vec<Vec<Delivery<Arc<[u32]>>>> = vec![Vec::new(); sets.len()];
-    let mut phase = sim.phase::<Arc<[u32]>>();
-    phase.step_stateless(|v, _in, out| {
-        let s = &sets[v.index()];
-        if !s.is_empty() {
-            out.broadcast(v, Arc::from(&s[..]), s.len() * id_bits);
-        }
-    });
-    let max_set = sets.iter().map(Vec::len).max().unwrap_or(0);
-    phase.settle(budget(max_set, id_bits), &mut heard, |mine, _v, inbox| {
-        mine.extend_from_slice(inbox);
-    });
-    drop(phase);
-    heard
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut heard)| {
-            // Sets of different sizes finish crossing in different rounds.
-            heard.sort_unstable_by_key(|&(w, _)| w);
-            let mut heard = heard.into_iter().peekable();
-            g.neighbors(NodeId::from(i))
-                .iter()
-                .map(|&w| {
-                    heard
-                        .next_if(|&(u, _)| u == w)
-                        .map_or_else(Vec::new, |(_, ids)| ids.to_vec())
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// The CSR position of each delivery's sender in `neighbors` (the
 /// receiver's ascending neighbor list), paired with its payload. A
@@ -103,11 +45,11 @@ pub fn init_knowledge_and_trees<E: RoundEngine>(sim: &mut E, q: &[bool]) -> QTre
     assert_eq!(q.len(), g.n());
     let id_bits = g.id_bits();
     let mut trees = QTrees::new(g.n());
-    let (level, nodes) = trees.open_level();
+    let nodes = trees.open_level();
     let mut phase = sim.phase::<u32>();
     phase.step(nodes, |node, v, _in, out| {
         if q[v.index()] {
-            node.plant(v);
+            node.plant();
             node.adopt((0..g.degree(v) as u32).map(|pos| (v.0, pos)));
             out.broadcast(v, v.0, id_bits);
         }
@@ -117,7 +59,7 @@ pub fn init_knowledge_and_trees<E: RoundEngine>(sim: &mut E, q: &[bool]) -> QTre
         for (pos, &x) in by_position(neighbors, inbox) {
             node.hear(x, pos);
         }
-        node.join(neighbors, level);
+        node.join(v, neighbors);
     });
     trees
 }
@@ -137,16 +79,18 @@ pub fn init_knowledge_and_trees<E: RoundEngine>(sim: &mut E, q: &[bool]) -> QTre
 /// * the set exchange's first step sends `N^s(v, Q)` as one shared
 ///   `Arc<[u32]>` per node, and its reads keep each unknown ID with its
 ///   sender's CSR position;
-/// * the confirmation phase's first step merges the new IDs into the
-///   node's knowledge and links, and sends each confirmation with
-///   [`crate::engine::Outbox::send_at`];
+/// * the confirmation phase's first step joins: it merges each new
+///   `(root, ancestor)` pair into the node's knowledge and ancestors, and
+///   sends each confirmation with [`crate::engine::Outbox::send_at`];
 /// * its reads record each confirming child by its CSR position.
 pub fn extend_trees<E: RoundEngine>(sim: &mut E, trees: &mut QTrees) {
     let g = sim.network();
     let id_bits = g.id_bits();
-    // No node knows n IDs, so none sends n down an edge.
-    let budget = budget(g.n(), id_bits);
-    let (level, nodes) = trees.open_level();
+    // No node knows n IDs, so none sends n down an edge (in one ID set,
+    // or one confirmation per new ID), and every edge carries at least
+    // one bit per round.
+    let budget = 8 * (g.n() as u64 + 2) * id_bits as u64;
+    let nodes = trees.open_level();
 
     let mut phase = sim.phase::<Arc<[u32]>>();
     phase.step(nodes, |node, v, _in, out| {
@@ -170,7 +114,7 @@ pub fn extend_trees<E: RoundEngine>(sim: &mut E, trees: &mut QTrees) {
     // confirmation, pipelined by the engine.
     let mut phase = sim.phase::<u32>();
     phase.step(nodes, |node, v, _in, out| {
-        for (x, pos) in node.join(out.neighbors(v), level) {
+        for (x, pos) in node.join(v, out.neighbors(v)) {
             out.send_at(v, pos as usize, x, id_bits);
         }
     });
@@ -239,18 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_lists_follow_csr_positions() {
-        let g = generators::path(4);
-        let sets = vec![vec![7], vec![], vec![1, 5], vec![2]];
-        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let got = exchange_with_neighbors(&mut sim, &sets);
-        // Node 1's neighbors are 0 and 2; node 2's are 1 and 3.
-        assert_eq!(got[1], vec![vec![7], vec![1, 5]]);
-        assert_eq!(got[2], vec![vec![], vec![2]]);
-        assert_eq!(got[3], vec![vec![1, 5]]);
-    }
-
-    #[test]
     fn init_matches_ground_truth() {
         let g = generators::grid(4, 4);
         let q: Vec<bool> = (0..16).map(|i| i % 4 == 1).collect();
@@ -258,7 +190,7 @@ mod tests {
         let trees = init_knowledge_and_trees(&mut sim, &q);
         assert_eq!(trees.knowledge(), sets_at(&g, 1, &q));
         assert_eq!(trees.depth(), 1);
-        // Every Q-neighbor pair is a tree link.
+        // Every Q-neighbor pair is a tree edge.
         for v in g.nodes() {
             for &x in trees.known(v) {
                 if g.has_edge(v, NodeId(x)) {
@@ -277,13 +209,13 @@ mod tests {
         // Extend once: depth-2 trees.
         extend_trees(&mut sim, &mut trees);
         assert_eq!(trees.depth(), 2);
-        // Node 2 is in tree 0 at level 2 with parent 1.
+        // Node 2 is in tree 0 at level 2, under 1 and 0.
         assert_eq!(trees.parent(NodeId(2), 0), Some(NodeId(1)));
-        assert_eq!(trees.level(NodeId(2), 0), Some(2));
+        assert_eq!(trees.parent(NodeId(1), 0), Some(NodeId(0)));
         // Node 3 is in tree 5 at level 2.
         assert_eq!(trees.parent(NodeId(3), 5), Some(NodeId(4)));
         // Node 2 not yet in tree 5 (distance 3).
-        assert_eq!(trees.level(NodeId(2), 5), None);
+        assert_eq!(trees.parent(NodeId(2), 5), None);
     }
 
     #[test]
@@ -299,52 +231,66 @@ mod tests {
         for &root in &q_nodes {
             let d = bfs::distances(&g, root);
             for v in g.nodes() {
-                if let Some(lvl) = trees.level(v, root.0) {
-                    assert_eq!(Some(lvl), d[v.index()], "root {root} node {v}");
+                if v != root && trees.parent(v, root.0).is_none() {
+                    continue;
                 }
+                // A node's level is the length of its ancestor chain.
+                let (mut at, mut lvl) = (v, 0u32);
+                while at != root {
+                    at = trees.parent(at, root.0).expect("chain reaches the root");
+                    lvl += 1;
+                    assert!(lvl as usize <= trees.depth(), "root {root} node {v}");
+                }
+                assert_eq!(Some(lvl), d[v.index()], "root {root} node {v}");
             }
         }
     }
 
-    /// The I3 invariants: every node knows `N^depth(v, Q)`, parent and
-    /// child links agree, levels are BFS distances, every node belongs to
-    /// exactly the trees of its distance-`depth` `Q`-neighbors (plus its
-    /// own if it is in `Q`), and every child list ascends by node ID.
+    /// The I3 invariants, checked the way a broadcast walks the trees:
+    /// every node knows `N^depth(v, Q)`, exactly the members of `Q` root
+    /// a tree, and the walk down each tree from its root along
+    /// [`QTrees::child_positions`] reaches every node within `depth`
+    /// exactly once, at its BFS distance, from the node it names as its
+    /// parent, through ascending child runs, and nothing below `depth`.
     fn assert_qtree_invariants(g: &Graph, q: &[bool], trees: &QTrees) {
         let depth = trees.depth();
-        let roots = generators::members(q);
-        let dist: Vec<Vec<Option<u32>>> = roots.iter().map(|&x| bfs::distances(g, x)).collect();
         for v in g.nodes() {
-            let mut expect = q_ids(g, v, depth, q);
+            let expect = q_ids(g, v, depth, q);
             assert_eq!(trees.known(v), expect, "knowledge of {v} at depth {depth}");
-            if q[v.index()] {
-                expect.push(v.0);
-                expect.sort_unstable();
-            }
-            assert_eq!(trees.trees_of(v), expect, "trees of {v} at depth {depth}");
-            for (x, d) in roots.iter().zip(&dist) {
-                if let Some(lvl) = trees.level(v, x.0) {
-                    assert_eq!(Some(lvl), d[v.index()], "level of {v} in T_{x}");
-                }
-                if let Some(w) = trees.parent(v, x.0) {
+            assert_eq!(trees.is_root(v), q[v.index()], "is_root({v})");
+        }
+        for x in generators::members(q) {
+            let mut reached = vec![None; g.n()];
+            reached[x.index()] = Some(0);
+            let mut level = vec![x];
+            for d in 1..=depth as u32 + 1 {
+                let mut next = Vec::new();
+                for &w in &level {
+                    let kids: Vec<NodeId> = trees
+                        .child_positions(w, x.0)
+                        .map(|pos| g.neighbors(w)[pos])
+                        .collect();
                     assert!(
-                        trees
-                            .child_positions(w, x.0)
-                            .any(|pos| g.neighbors(w)[pos] == v),
-                        "{v} has parent {w} in T_{x} but is not its child"
+                        kids.windows(2).all(|p| p[0] < p[1]),
+                        "children of {w} in T_{x} not ascending: {kids:?}"
                     );
+                    for c in kids {
+                        assert!(
+                            d as usize <= depth,
+                            "{c} hangs below depth {depth} in T_{x}"
+                        );
+                        assert_eq!(reached[c.index()], None, "{c} reached twice in T_{x}");
+                        reached[c.index()] = Some(d);
+                        assert_eq!(trees.parent(c, x.0), Some(w), "parent of {c} in T_{x}");
+                        next.push(c);
+                    }
                 }
-                let kids: Vec<NodeId> = trees
-                    .child_positions(v, x.0)
-                    .map(|pos| g.neighbors(v)[pos])
-                    .collect();
-                assert!(
-                    kids.windows(2).all(|p| p[0] < p[1]),
-                    "children of {v} in T_{x} not ascending: {kids:?}"
-                );
-                for c in kids {
-                    assert_eq!(trees.parent(c, x.0), Some(v), "child {c} of {v} in T_{x}");
-                }
+                level = next;
+            }
+            let dist = bfs::distances(g, x);
+            for v in g.nodes() {
+                let within = dist[v.index()].filter(|&d| d as usize <= depth);
+                assert_eq!(reached[v.index()], within, "level of {v} in T_{x}");
             }
         }
     }

@@ -60,29 +60,21 @@ impl GlobalTree {
     }
 }
 
-/// One tree a node belongs to, as that node knows it: the root's ID, the
-/// node's ancestor in the tree (the node itself when it is the root) and
-/// its distance from the root.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Link {
-    root: u32,
-    parent: NodeId,
-    level: u32,
-}
-
 /// Depth-`s` BFS trees rooted at every node of a set `Q`, represented by
-/// per-node links as the paper requires for invariant **I3** (each node
+/// per-node records as the paper requires for invariant **I3** (each node
 /// knows `N^s(v, Q)` and, for each tree it belongs to, the root's ID, its
 /// ancestor and its descendants).
 ///
 /// # Layout
 ///
-/// Each node keeps its own share, three flat lists sorted by root ID:
+/// Each node keeps its own record:
 ///
-/// * its *knowledge*: `N^s(v, Q)`, the roots of the trees it belongs to
-///   other than its own ([`QTrees::known`]);
-/// * its *links*: one `(root, parent, level)` entry per tree it belongs
-///   to (a root's entry for its own tree has level 0 and no parent);
+/// * its *knowledge*: `N^s(v, Q)`, ascending, the roots of the trees it
+///   belongs to other than its own ([`QTrees::known`]);
+/// * its *ancestors*: its ancestor in each of those trees, in a list
+///   aligned with the knowledge ([`QTrees::parent`]);
+/// * a flag that says whether it roots a tree of its own
+///   ([`QTrees::is_root`]);
 /// * its *descendants*: one `(root, pos)` entry per child it has in any
 ///   tree, where the child is `neighbors(v)[pos]` (its CSR position in
 ///   the node's neighbor list), sorted by `(root, pos)`. Neighbor lists
@@ -97,16 +89,16 @@ struct Link {
 /// view of the layout.
 ///
 /// The trees grow one level at a time inside the node programs of
-/// [`crate::primitives::extend_trees`]: each node's share is the state
+/// [`crate::primitives::extend_trees`]: each node's record is the state
 /// of its own node steps and inbox reads, so every node writes only its
-/// own lists.
+/// own record.
 #[derive(Debug, Clone, Default)]
 pub struct QTrees {
     depth: usize,
     nodes: Vec<NodeTrees>,
 }
 
-/// One node's share of the [`QTrees`], grown by the node itself: it
+/// One node's record in the [`QTrees`], grown by the node itself: it
 /// hears the roots its neighbors know ([`NodeTrees::hear`]), joins their
 /// trees one level deeper ([`NodeTrees::join`]) and adopts the neighbors
 /// that joined a tree under it ([`NodeTrees::adopt`]).
@@ -114,8 +106,11 @@ pub struct QTrees {
 pub(crate) struct NodeTrees {
     /// `N^s(v, Q)`, ascending.
     known: Vec<u32>,
-    /// One link per tree the node belongs to, by ascending root.
-    links: Vec<Link>,
+    /// `ancestors[i]` is the node's ancestor in the tree rooted at
+    /// `known[i]`.
+    ancestors: Vec<NodeId>,
+    /// Whether the node roots a tree.
+    rooted: bool,
     /// `(root, child position)` per child in any tree, ascending.
     descendants: Vec<(u32, u32)>,
     /// `(root, sender position)` per root heard since the last join.
@@ -123,17 +118,9 @@ pub(crate) struct NodeTrees {
 }
 
 impl NodeTrees {
-    /// Makes the node `v` the root of its own tree, at level 0.
-    pub(crate) fn plant(&mut self, v: NodeId) {
-        let at = self.links.partition_point(|l| l.root < v.0);
-        self.links.insert(
-            at,
-            Link {
-                root: v.0,
-                parent: v,
-                level: 0,
-            },
-        );
+    /// Makes the node the root of its own tree.
+    pub(crate) fn plant(&mut self) {
+        self.rooted = true;
     }
 
     /// Whether `x ∈ N^s(v, Q)`.
@@ -152,31 +139,41 @@ impl NodeTrees {
         self.heard.push((root, pos));
     }
 
-    /// Joins every tree heard since the last join at `level`, under the
-    /// sender of smallest CSR position (the smallest ID, as neighbor
-    /// lists ascend), and adds the roots to the node's knowledge. Both
-    /// lists grow in place. Returns the joins as `(root, parent
-    /// position)` pairs, by ascending root.
+    /// Joins every tree the node `v` heard since its last join, under
+    /// the sender of smallest CSR position (the smallest ID, as neighbor
+    /// lists ascend): each `(root, ancestor)` pair is merged into the
+    /// knowledge and the ancestors in one pass from the back, in place (a
+    /// sort of the two runs costs several times more on lists this
+    /// short). Returns the joins as `(root, parent position)` pairs, by
+    /// ascending root.
     ///
     /// # Panics
     ///
-    /// Panics if the node joins a tree it already belongs to.
-    pub(crate) fn join(&mut self, neighbors: &[NodeId], level: u32) -> Vec<(u32, u32)> {
+    /// Panics if the node joins a tree it already belongs to, its own
+    /// included.
+    pub(crate) fn join(&mut self, v: NodeId, neighbors: &[NodeId]) -> Vec<(u32, u32)> {
         let mut joins = std::mem::take(&mut self.heard);
         // Sorted, each root's smallest sender comes first.
         joins.sort_unstable();
         joins.dedup_by_key(|&mut (root, _)| root);
-        merge_in(&mut self.known, joins.iter().map(|&(root, _)| root), |&x| x);
-        let links = joins.iter().map(|&(root, pos)| Link {
-            root,
-            parent: neighbors[pos as usize],
-            level,
-        });
-        merge_in(&mut self.links, links, |l| l.root);
-        assert!(
-            self.links.windows(2).all(|p| p[0].root < p[1].root),
-            "a node joined a tree it already belongs to"
-        );
+        let (mut i, mut k) = (self.known.len(), self.known.len() + joins.len());
+        self.known.resize(k, 0);
+        self.ancestors.resize(k, v);
+        for &(root, pos) in joins.iter().rev() {
+            while i > 0 && self.known[i - 1] > root {
+                i -= 1;
+                k -= 1;
+                self.known[k] = self.known[i];
+                self.ancestors[k] = self.ancestors[i];
+            }
+            assert!(
+                (i == 0 || self.known[i - 1] < root) && !(self.rooted && root == v.0),
+                "a node joined a tree it already belongs to"
+            );
+            k -= 1;
+            self.known[k] = root;
+            self.ancestors[k] = neighbors[pos as usize];
+        }
         joins
     }
 
@@ -184,28 +181,6 @@ impl NodeTrees {
     pub(crate) fn adopt(&mut self, children: impl IntoIterator<Item = (u32, u32)>) {
         self.descendants.extend(children);
         self.descendants.sort_unstable();
-    }
-}
-
-/// Merges the ascending `add` into the ascending `list` in place, in one
-/// pass from the back (a stable sort of the two runs costs several times
-/// more on lists this short); on equal keys the old element stays first.
-fn merge_in<T: Copy, K: Ord>(
-    list: &mut Vec<T>,
-    add: impl DoubleEndedIterator<Item = T> + Clone,
-    key: impl Fn(&T) -> K,
-) {
-    let old = list.len();
-    list.extend(add.clone());
-    let (mut i, mut k) = (old, list.len());
-    for item in add.rev() {
-        while i > 0 && key(&list[i - 1]) > key(&item) {
-            list[k - 1] = list[i - 1];
-            i -= 1;
-            k -= 1;
-        }
-        list[k - 1] = item;
-        k -= 1;
     }
 }
 
@@ -219,12 +194,12 @@ impl QTrees {
         }
     }
 
-    /// Opens level `depth + 1` of every tree and returns it with every
-    /// node's share (entry `i` is node `i`'s), for the node programs
-    /// that grow it.
-    pub(crate) fn open_level(&mut self) -> (u32, &mut [NodeTrees]) {
+    /// Opens level `depth + 1` of every tree and returns every node's
+    /// record (entry `i` is node `i`'s), for the node programs that grow
+    /// it.
+    pub(crate) fn open_level(&mut self) -> &mut [NodeTrees] {
         self.depth += 1;
-        (self.depth as u32, &mut self.nodes)
+        &mut self.nodes
     }
 
     /// Current tree depth.
@@ -232,26 +207,9 @@ impl QTrees {
         self.depth
     }
 
-    /// `v`'s link in the tree rooted at `root`, if `v` belongs to it.
-    fn link(&self, v: NodeId, root: u32) -> Option<&Link> {
-        let links = &self.nodes[v.index()].links;
-        links
-            .binary_search_by_key(&root, |l| l.root)
-            .ok()
-            .map(|i| &links[i])
-    }
-
     /// Whether `v` roots a tree.
     pub fn is_root(&self, v: NodeId) -> bool {
-        self.link(v, v.0).is_some()
-    }
-
-    /// IDs of the tree roots.
-    pub fn roots(&self) -> Vec<NodeId> {
-        (0..self.nodes.len())
-            .map(NodeId::from)
-            .filter(|&v| self.is_root(v))
-            .collect()
+        self.nodes[v.index()].rooted
     }
 
     /// `N^s(v, Q)` at depth `s`: the roots of the trees `v` belongs to
@@ -265,20 +223,11 @@ impl QTrees {
         self.nodes.iter().map(|t| t.known.clone()).collect()
     }
 
-    /// Trees that `v` belongs to, by ascending root ID.
-    pub fn trees_of(&self, v: NodeId) -> Vec<u32> {
-        self.nodes[v.index()].links.iter().map(|l| l.root).collect()
-    }
-
     /// `v`'s ancestor in the tree rooted at `root`; `None` when `v` is
     /// that root or not in the tree.
     pub fn parent(&self, v: NodeId, root: u32) -> Option<NodeId> {
-        self.link(v, root).filter(|l| l.level > 0).map(|l| l.parent)
-    }
-
-    /// `dist(root, v)` if `v` is in the tree rooted at `root`.
-    pub fn level(&self, v: NodeId, root: u32) -> Option<u32> {
-        self.link(v, root).map(|l| l.level)
+        let t = &self.nodes[v.index()];
+        t.known.binary_search(&root).ok().map(|i| t.ancestors[i])
     }
 
     /// `v`'s descendants in the tree rooted at `root`, as CSR positions
@@ -296,13 +245,15 @@ impl QTrees {
     }
 
     /// Drops every tree whose root is not in `keep` (mask over node IDs),
-    /// from the knowledge as well. Used when a sparsification iteration
-    /// discards `Q_{s-1} \ Q_s` ("the trees of nodes in `Q_{s-1} \ Q_s`
-    /// are not used anymore").
+    /// from the knowledge and the ancestors as well. Used when a
+    /// sparsification iteration discards `Q_{s-1} \ Q_s` ("the trees of
+    /// nodes in `Q_{s-1} \ Q_s` are not used anymore").
     pub fn retain_roots(&mut self, keep: &[bool]) {
-        for t in &mut self.nodes {
+        for (v, t) in self.nodes.iter_mut().enumerate() {
+            t.rooted &= keep[v];
+            let mut kept = t.known.iter().map(|&x| keep[x as usize]);
+            t.ancestors.retain(|_| kept.next() == Some(true));
             t.known.retain(|&x| keep[x as usize]);
-            t.links.retain(|l| keep[l.root as usize]);
             t.descendants.retain(|&(root, _)| keep[root as usize]);
         }
     }
@@ -338,13 +289,13 @@ mod tests {
     /// adopts the children that joined under it.
     fn grow(t: &mut QTrees, edges: &[(u32, u32, u32)]) {
         let g = generators::complete(t.nodes.len());
-        let (level, nodes) = t.open_level();
+        let nodes = t.open_level();
         let pos = |v: u32, w: u32| g.neighbors(NodeId(v)).binary_search(&NodeId(w)).unwrap() as u32;
         for &(root, child, parent) in edges {
             nodes[child as usize].hear(root, pos(child, parent));
         }
         for v in g.nodes() {
-            let joins = nodes[v.index()].join(g.neighbors(v), level);
+            let joins = nodes[v.index()].join(v, g.neighbors(v));
             for (root, parent) in joins {
                 let parent = g.neighbors(v)[parent as usize];
                 nodes[parent.index()].adopt([(root, pos(parent.0, v.0))]);
@@ -356,9 +307,16 @@ mod tests {
     fn planted(n: usize, roots: &[u32]) -> QTrees {
         let mut t = QTrees::new(n);
         for &r in roots {
-            t.nodes[r as usize].plant(NodeId(r));
+            t.nodes[r as usize].plant();
         }
         t
+    }
+
+    /// The nodes that root a tree.
+    fn roots(t: &QTrees) -> Vec<u32> {
+        (0..t.nodes.len() as u32)
+            .filter(|&v| t.is_root(NodeId(v)))
+            .collect()
     }
 
     /// `v`'s children in the tree rooted at `root`, by node ID.
@@ -373,20 +331,19 @@ mod tests {
     #[test]
     fn qtrees_roots_and_attach() {
         let mut t = planted(5, &[0, 4]);
-        assert_eq!(t.roots(), vec![NodeId(0), NodeId(4)]);
+        assert_eq!(roots(&t), vec![0, 4]);
         grow(&mut t, &[(0, 1, 0), (4, 3, 4)]);
         grow(&mut t, &[(0, 2, 1)]);
         assert_eq!(t.depth(), 2);
-        assert_eq!(t.trees_of(NodeId(1)), vec![0]);
         assert_eq!(t.known(NodeId(1)), [0]);
+        assert_eq!(t.known(NodeId(2)), [0]);
         assert_eq!(t.known(NodeId(0)), [] as [u32; 0]);
         assert_eq!(children(&t, 0, 0), vec![1]);
         assert_eq!(children(&t, 1, 0), vec![2]);
-        assert_eq!(t.level(NodeId(2), 0), Some(2));
         assert_eq!(t.parent(NodeId(2), 0), Some(NodeId(1)));
+        assert_eq!(t.parent(NodeId(1), 0), Some(NodeId(0)));
         assert_eq!(t.parent(NodeId(0), 0), None);
-        assert_eq!(t.level(NodeId(0), 0), Some(0));
-        assert_eq!(t.level(NodeId(2), 4), None);
+        assert_eq!(t.parent(NodeId(2), 4), None);
     }
 
     #[test]
@@ -399,7 +356,7 @@ mod tests {
         assert_eq!(children(&t, 2, 2), vec![0, 1, 3]);
         assert_eq!(children(&t, 5, 5), vec![1, 4]);
         assert_eq!(children(&t, 2, 5), vec![]);
-        assert_eq!(t.trees_of(NodeId(1)), vec![2, 5]);
+        assert_eq!(t.known(NodeId(1)), [2, 5]);
     }
 
     #[test]
@@ -421,9 +378,10 @@ mod tests {
         let mut keep = vec![false; 4];
         keep[3] = true;
         t.retain_roots(&keep);
-        assert_eq!(t.roots(), vec![NodeId(3)]);
-        assert_eq!(t.trees_of(NodeId(1)), vec![3]);
+        assert_eq!(roots(&t), vec![3]);
         assert_eq!(t.known(NodeId(1)), [3]);
+        assert_eq!(t.parent(NodeId(1), 3), Some(NodeId(3)));
+        assert_eq!(t.parent(NodeId(1), 0), None);
         assert_eq!(t.child_positions(NodeId(0), 0).len(), 0);
         assert_eq!(t.child_positions(NodeId(3), 3).len(), 1);
     }
@@ -437,10 +395,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "already belongs to")]
+    fn a_root_joining_its_own_tree_panics() {
+        let mut t = planted(2, &[0]);
+        grow(&mut t, &[(0, 0, 1)]);
+    }
+
+    #[test]
     fn node_in_multiple_trees() {
         let mut t = planted(3, &[0, 2]);
         grow(&mut t, &[(0, 1, 0), (2, 1, 2)]);
-        assert_eq!(t.trees_of(NodeId(1)), vec![0, 2]);
         assert_eq!(t.knowledge(), vec![vec![], vec![0, 2], vec![]]);
         assert_eq!(t.parent(NodeId(1), 0), Some(NodeId(0)));
         assert_eq!(t.parent(NodeId(1), 2), Some(NodeId(2)));

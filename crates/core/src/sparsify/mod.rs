@@ -4,7 +4,6 @@
 //!   `DetSparsification` (Algorithm 2), iteration `s` simulated on `G^s`,
 //!   maintaining invariants I1 (bounded distance-`s` `Q`-degree), I2
 //!   (domination `s² + s`) and I3 (knowledge + BFS trees of depth `s+1`).
-//! * [`sparsify_graph`] — Lemma 5.1: the single-graph case (`k = 1`).
 //! * [`sparsify_power_nd`] — Lemma 5.8: the diameter-free version that
 //!   runs the sparsifier inside the clusters of a `(2k+1)`-separated
 //!   network decomposition.
@@ -20,7 +19,7 @@ mod nd;
 mod power;
 
 pub use nd::{sparsify_power_nd, NdSparsifyError, NdSparsifyOutcome};
-pub use power::{sparsify_graph, sparsify_power, SparsifyError, SparsifyOutcome};
+pub use power::{sparsify_power, SparsifyError, SparsifyOutcome};
 
 /// How each stage's sampled set `M_i` is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

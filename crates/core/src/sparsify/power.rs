@@ -86,23 +86,6 @@ struct Observer {
     members: Vec<(u32, MemberStatus)>,
 }
 
-/// Lemma 5.1 (`DetSparsification` on `G`): finds `Q ⊆ A` with
-/// `d(v, Q) ≤ degree_bound` and `dist(v, Q) ≤ 2 + dist(v, A)`.
-///
-/// Equivalent to [`sparsify_power`] with `k = 1`.
-///
-/// # Errors
-///
-/// See [`SparsifyError`].
-pub fn sparsify_graph<E: RoundEngine>(
-    sim: &mut E,
-    q0: &[bool],
-    params: &TheoryParams,
-    strategy: SamplingStrategy,
-) -> Result<SparsifyOutcome, SparsifyError> {
-    sparsify_power(sim, 1, q0, params, strategy)
-}
-
 /// Algorithm 3 / Lemma 3.1: iterated sparsification on `G^1, …, G^k`.
 ///
 /// Returns `Q = Q_k ⊆ Q_0` with, for every `v ∈ V`:
@@ -110,6 +93,9 @@ pub fn sparsify_graph<E: RoundEngine>(
 /// * `dist(v, Q) ≤ k² + k + dist(v, Q_0)` (domination),
 ///
 /// plus the I3 state (knowledge sets and depth-`(k+1)` BFS trees).
+///
+/// With `k = 1` this is Lemma 5.1 (`DetSparsification` on `G`): `Q ⊆ Q_0`
+/// with `d(v, Q) ≤ degree_bound(n)` and `dist(v, Q) ≤ 2 + dist(v, Q_0)`.
 ///
 /// With `k = 0` the input set is returned unchanged (with depth-1
 /// knowledge), which is what Theorem 1.1 needs for `k = 1`.
@@ -422,8 +408,9 @@ mod tests {
         let params = TheoryParams::scaled();
         let q0 = vec![true; 128];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = sparsify_graph(
+        let out = sparsify_power(
             &mut sim,
+            1,
             &q0,
             &params,
             SamplingStrategy::Randomized { seed: 3 },
@@ -443,11 +430,12 @@ mod tests {
         let params = TheoryParams::scaled();
         let q0 = vec![true; 96];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
+        let out = sparsify_power(&mut sim, 1, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
         check_outcome(&g, 1, &q0, &out, &params);
         // Deterministic: same run → same result.
         let mut sim2 = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out2 = sparsify_graph(&mut sim2, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
+        let out2 =
+            sparsify_power(&mut sim2, 1, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
         assert_eq!(out.q, out2.q);
     }
 
@@ -487,7 +475,7 @@ mod tests {
         let params = TheoryParams::scaled();
         let q0: Vec<bool> = (0..80).map(|i| i % 2 == 0).collect();
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
+        let out = sparsify_power(&mut sim, 1, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
         check_outcome(&g, 1, &q0, &out, &params);
     }
 
@@ -509,7 +497,7 @@ mod tests {
         let params = TheoryParams::paper(); // huge constants → r = 0
         let q0 = vec![true; 64];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
+        let out = sparsify_power(&mut sim, 1, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
         assert_eq!(out.q, q0);
         assert_eq!(out.iterations[0].stages, 0);
     }
@@ -533,7 +521,7 @@ mod tests {
         let params = TheoryParams::scaled();
         let q0 = vec![true; 64];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
+        let out = sparsify_power(&mut sim, 1, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
         assert_eq!(out.iterations[0].stages, 0);
         let mut fresh = Simulator::new(&g, SimConfig::for_graph(&g));
         let mut trees = init_knowledge_and_trees(&mut fresh, &q0);
@@ -553,7 +541,7 @@ mod tests {
         let params = TheoryParams::scaled();
         let q0 = vec![true; 64];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = sparsify_graph(&mut sim, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
+        let out = sparsify_power(&mut sim, 1, &q0, &params, SamplingStrategy::SeedSearch).unwrap();
         assert_eq!(out.iterations[0].stages, 0);
         assert_eq!(out.q, q0);
         check_outcome(&g, 1, &q0, &out, &params);
@@ -568,8 +556,9 @@ mod tests {
         let params = TheoryParams::scaled();
         assert!(params.num_stages(g.max_degree(), g.n()) >= 1);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let _ = sparsify_graph(
+        let _ = sparsify_power(
             &mut sim,
+            1,
             &vec![true; g.n()],
             &params,
             SamplingStrategy::SeedSearch,
@@ -586,8 +575,9 @@ mod tests {
         let params = TheoryParams::paper();
         let q0 = vec![true; n];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = sparsify_graph(
+        let out = sparsify_power(
             &mut sim,
+            1,
             &q0,
             &params,
             SamplingStrategy::Randomized { seed: 4 },

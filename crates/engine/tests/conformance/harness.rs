@@ -232,7 +232,7 @@ impl Algorithm {
                     check::satisfies_sparsifier_i3(g, k, &out.q, &out.trees.knowledge()),
                     "sparsifier I3 violated"
                 );
-                format!("{:?}", (&out.q, out.trees.knowledge()))
+                format!("{:?}", (&out.q, &out.trees))
             }
         }
     }
