@@ -29,11 +29,15 @@
 //! Delivery order is part of the engine contract (each inbox ordered by
 //! ascending sender, FIFO within an edge). Callers pass a round's sends
 //! in recording order, which is sender order, and a sender's out-edges
-//! are one CSR-contiguous range. Before a send on edge `e` is handled,
-//! the backlog of every loaded edge `≤ e` moves, in ascending edge order,
-//! so a receiver sees each sender's messages after those of every
-//! smaller sender. The graph has no parallel edges, so that is ascending
-//! edge order as one receiver sees it. Deliveries to *different*
+//! are one CSR-contiguous range. A record may cover several consecutive
+//! edges (a broadcast covers all of its sender's): the core expands it
+//! in place into one send per edge, in ascending edge order, cloning
+//! the payload for every edge but the last, so it handles exactly the
+//! per-edge sends the record stands for. Before a send on edge `e` is
+//! handled, the backlog of every loaded edge `≤ e` moves, in ascending
+//! edge order, so a receiver sees each sender's messages after those of
+//! every smaller sender. The graph has no parallel edges, so that is
+//! ascending edge order as one receiver sees it. Deliveries to *different*
 //! receivers interleave in round order, not in global edge order.
 //!
 //! The bandwidth semantics — move up to `bw` bits per edge per round,
@@ -193,10 +197,11 @@ impl<M> MsgCore<M> {
     }
 
     /// One round: takes the round's `sends` (local edge indices, in
-    /// recording order — sender order on every engine) and moves up to
-    /// `bw` bits on every edge that holds or receives bits.
-    /// `deliver(local_edge, sender, payload)` fires for each message
-    /// whose last bit crosses, FIFO within an edge:
+    /// recording order — sender order on every engine), expands each
+    /// record into one send per covered edge, in ascending edge order,
+    /// and moves up to `bw` bits on every edge that holds or receives
+    /// bits. `deliver(local_edge, sender, payload)` fires for each
+    /// message whose last bit crosses, FIFO within an edge:
     ///
     /// * before a send on edge `e`, every loaded edge `≤ e` whose backlog
     ///   has not moved yet moves it, in ascending edge order;
@@ -206,14 +211,18 @@ impl<M> MsgCore<M> {
     ///   of the round moves the edge's remaining bits;
     /// * after the last send, the rest of the backlog moves.
     ///
-    /// A silent round is a round with no sends. Returns the round's
-    /// [`RoundLoad`].
+    /// A record's payload is cloned for each covered edge but the last,
+    /// which takes it. A silent round is a round with no sends. Returns
+    /// the round's [`RoundLoad`].
     pub fn round(
         &mut self,
         bw: u64,
         sends: impl IntoIterator<Item = SendRecord<M>>,
         mut deliver: impl FnMut(usize, NodeId, M),
-    ) -> RoundLoad {
+    ) -> RoundLoad
+    where
+        M: Clone,
+    {
         self.tallies.clear();
         if !self.active.is_sorted() {
             self.active.sort_unstable();
@@ -225,13 +234,7 @@ impl<M> MsgCore<M> {
         };
         // `next` walks the backlog; survivors compact down to `keep`.
         let (mut next, mut keep) = (0, 0);
-        for SendRecord {
-            edge,
-            bits,
-            from,
-            msg,
-        } in sends
-        {
+        let mut send = |edge: usize, bits: u64, from: NodeId, msg: M| {
             while next < backlog && self.active[next] as usize <= edge {
                 self.move_backlog(next, &mut keep, bw, &mut load, &mut deliver);
                 next += 1;
@@ -261,6 +264,10 @@ impl<M> MsgCore<M> {
                 tally.used = bw;
                 self.push_cell(edge, bits - left, from, msg);
             }
+        };
+        for record in sends {
+            let (bits, from) = (record.bits, record.from);
+            record.expand(|edge, msg| send(edge, bits, from, msg));
         }
         while next < backlog {
             self.move_backlog(next, &mut keep, bw, &mut load, &mut deliver);
@@ -372,14 +379,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
+    use std::ops::Range;
 
-    fn send(edge: usize, bits: u64, from: u32, msg: u32) -> SendRecord<u32> {
+    /// One record of `msg` over the consecutive edges `edges`.
+    fn fan(edges: Range<usize>, bits: u64, from: u32, msg: u32) -> SendRecord<u32> {
         SendRecord {
-            edge,
+            edge: edges.start as u32,
+            fanout: edges.len() as u32,
             bits,
             from: NodeId(from),
             msg,
         }
+    }
+
+    fn send(edge: usize, bits: u64, from: u32, msg: u32) -> SendRecord<u32> {
+        fan(edge..edge + 1, bits, from, msg)
     }
 
     /// Runs one round and returns its deliveries as `(edge, sender,
@@ -561,6 +575,38 @@ mod tests {
     }
 
     #[test]
+    fn send_records_never_grow() {
+        // Every send and broadcast of a round writes one record; the
+        // fan-out fits beside a `u32` edge, in what a `usize` edge took.
+        use std::mem::size_of;
+        assert_eq!(size_of::<SendRecord<u8>>(), 24);
+        assert_eq!(size_of::<SendRecord<u32>>(), 24);
+        assert_eq!(size_of::<SendRecord<(u32, u32)>>(), 32);
+        assert_eq!(size_of::<SendRecord<u64>>(), 32);
+    }
+
+    #[test]
+    fn a_record_moves_each_backlog_before_its_edge() {
+        let mut core = MsgCore::new(6);
+        // Round 1: long messages leave a backlog on edges 2 and 5.
+        run(&mut core, 4, vec![send(2, 6, 1, 20), send(5, 6, 2, 50)]);
+        // Round 2: one record over edges 1..4. Edge 2's backlog moves
+        // before the record's send on edge 2, which queues behind it;
+        // edge 5's moves after the record.
+        let (now, load) = run(&mut core, 4, vec![fan(1..4, 3, 0, 7)]);
+        assert_eq!(now, vec![(1, 0, 7), (2, 1, 20), (3, 0, 7), (5, 2, 50)]);
+        assert_eq!(
+            load,
+            RoundLoad {
+                peak_depth: 2,
+                cells: 5
+            }
+        );
+        assert_eq!(run(&mut core, 4, Vec::new()).0, vec![(2, 0, 7)]);
+        assert!(core.is_empty());
+    }
+
+    #[test]
     fn clear_drops_queued_messages_and_keeps_capacity() {
         let mut core = MsgCore::new(4);
         run(&mut core, 4, vec![send(1, 40, 0, 1), send(3, 40, 1, 2)]);
@@ -592,7 +638,9 @@ mod tests {
             sends: &[SendRecord<u32>],
         ) -> (Vec<(usize, u32, u32)>, RoundLoad) {
             for s in sends {
-                self.queues[s.edge].push_back((s.bits, s.from.0, s.msg));
+                for e in s.edges() {
+                    self.queues[e].push_back((s.bits, s.from.0, s.msg));
+                }
             }
             let load = RoundLoad {
                 peak_depth: self.queues.iter().map(|q| q.len() as u64).max().unwrap(),
@@ -669,18 +717,35 @@ mod tests {
                         if range.is_empty() {
                             continue;
                         }
-                        // Several sends per sender, in any edge order
-                        // within its range: short ones that fit, some
-                        // that overflow the budget mid-round, and
+                        // Several records per sender, in any edge order
+                        // within its range: single sends, runs of its
+                        // own consecutive edges and broadcasts over all
+                        // of them. Their bits are short ones that fit,
+                        // some that overflow the budget mid-round, and
                         // fragmented ones longer than bw.
+                        let bits = |rng: &mut StdRng| match rng.gen_range(0..6u32) {
+                            0 => rng.gen_range(bw + 1..3 * bw),
+                            1 => bw,
+                            _ => rng.gen_range(1..bw / 2 + 1),
+                        };
+                        let mut records = Vec::new();
+                        // The last position, then a broadcast: the
+                        // sender's edge order is not monotone.
+                        if rng.gen_range(0..4u32) == 0 {
+                            records.push((range.end - 1..range.end, bits(&mut rng)));
+                            records.push((range.clone(), bits(&mut rng)));
+                        }
                         for _ in 0..rng.gen_range(0..4u32) {
-                            let edge = rng.gen_range(range.clone());
-                            let bits = match rng.gen_range(0..6u32) {
-                                0 => rng.gen_range(bw + 1..3 * bw),
-                                1 => bw,
-                                _ => rng.gen_range(1..bw / 2 + 1),
+                            let first = rng.gen_range(range.clone());
+                            let edges = match rng.gen_range(0..4u32) {
+                                0 => range.clone(),
+                                1 => first..rng.gen_range(first + 1..range.end + 1),
+                                _ => first..first + 1,
                             };
-                            sends.push(send(edge, bits, s as u32, msg));
+                            records.push((edges, bits(&mut rng)));
+                        }
+                        for (edges, bits) in records {
+                            sends.push(fan(edges, bits, s as u32, msg));
                             msg += 1;
                         }
                     }

@@ -168,9 +168,7 @@ impl<M> Inboxes<M> {
     fn inbox(&self, l: usize) -> &[Delivery<M>] {
         &self.buf[self.starts[l]..self.starts[l + 1]]
     }
-}
 
-impl<M: Clone> Inboxes<M> {
     /// Groups the run and steps every node of the range against its
     /// inbox, in node order: `f` gets the node's entry of `state` (one
     /// per node of the range) and an [`Outbox`] appending to `sends`.
@@ -285,11 +283,17 @@ impl<M: Clone> Shard<M> {
         let lo = edges.start;
         let (mut bits, mut messages) = (0u64, 0u64);
         let local = sends.drain(..).map(|mut s| {
-            debug_assert!(edges.contains(&s.edge), "send escaped its shard");
-            s.edge -= lo;
-            bits += s.bits;
+            let covered = s.edges();
+            debug_assert!(
+                edges.start <= covered.start && covered.end <= edges.end,
+                "send escaped its shard"
+            );
+            s.edge -= lo as u32;
+            bits += s.bits * u64::from(s.fanout);
             if per_edge {
-                edge_bits[s.edge] += s.bits;
+                for b in &mut edge_bits[covered.start - lo..covered.end - lo] {
+                    *b += s.bits;
+                }
             }
             s
         });

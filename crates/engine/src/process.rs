@@ -18,14 +18,16 @@
 //! * the **parent** steps every node (node programs capture non-`Send`
 //!   borrows and per-phase state slices, which cannot cross a process
 //!   boundary), encodes the round's sends straight into each shard's
-//!   `Sends` frame in one monotone pass, and plays the stage-2
-//!   splicer: children are read in ascending shard order, which —
-//!   shards being CSR-aligned contiguous edge ranges ([`ShardLayout`])
-//!   — is ascending sender order across shards.  Delivered cells are
-//!   decoded onto the receiving shard's [`Inboxes`], the inbox type
-//!   every engine steps and reads through, so each inbox gets the
-//!   sequential reference order, and the round closes in the same
-//!   [`close_round`] as the in-process engines';
+//!   `Sends` frame in one monotone pass (a broadcast's one record
+//!   becomes one cell per edge, so the wire carries per-edge sends
+//!   only), and plays the stage-2 splicer: children are read in
+//!   ascending shard order, which — shards being CSR-aligned
+//!   contiguous edge ranges ([`ShardLayout`]) — is ascending sender
+//!   order across shards.  Delivered cells are decoded onto the
+//!   receiving shard's [`Inboxes`], the inbox type every engine steps
+//!   and reads through, so each inbox gets the sequential reference
+//!   order, and the round closes in the same [`close_round`] as the
+//!   in-process engines';
 //! * each **child** owns its shard's message core over the shard's
 //!   local edge range and, when the round's `Barrier` arrives, runs the
 //!   bandwidth/fragmentation semantics ([`MsgCore::round`]) over the
@@ -123,6 +125,7 @@ fn raise(shard: usize, error: WireError) -> ! {
 /// one lives inline in the arena cell and only a long one is boxed.
 /// [`INLINE_PAYLOAD`] is chosen so the whole value is as large as the
 /// `Vec<u8>` it replaces.
+#[derive(Clone)]
 enum CellBytes {
     Inline {
         len: u8,
@@ -229,12 +232,13 @@ fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
                 let mut bad = None;
                 let sends = cells.map_while(|cell| {
                     let send = cell.and_then(|c| {
-                        let edge = usize::try_from(c.edge)
+                        let edge = u32::try_from(c.edge)
                             .ok()
-                            .filter(|&e| e < edges)
+                            .filter(|&e| (e as usize) < edges)
                             .ok_or(WireError::Payload)?;
                         Ok(SendRecord {
                             edge,
+                            fanout: 1,
                             bits: c.bits,
                             from: NodeId(c.from),
                             msg: CellBytes::new(c.payload),
@@ -818,15 +822,20 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
             let frame = &mut sim.frames[w];
             frame.begin();
             let mut bits = 0u64;
-            while let Some(rec) = records.next_if(|r| r.edge < edges.end) {
-                bits += rec.bits;
-                if per_edge {
-                    sim.metrics.edge_bits[rec.edge] += rec.bits;
-                }
-                let local = (rec.edge - edges.start) as u64;
+            while let Some(rec) = records.next_if(|r| (r.edge as usize) < edges.end) {
+                // One cell per covered edge: the frame holds exactly the
+                // per-edge sends the record stands for.
+                let (each, from) = (rec.bits, rec.from.0);
+                bits += each * u64::from(rec.fanout);
                 let slab = &mut self.slab;
-                frame.push_cell_with(local, rec.bits, rec.from.0, |out| {
-                    encode_payload(rec.msg, slab, out);
+                rec.expand(|edge, msg| {
+                    if per_edge {
+                        sim.metrics.edge_bits[edge] += each;
+                    }
+                    let local = (edge - edges.start) as u64;
+                    frame.push_cell_with(local, each, from, |out| {
+                        encode_payload(msg, slab, out);
+                    });
                 });
             }
             self.tallies[w].bits = bits;

@@ -7,10 +7,10 @@ use crate::harness::{
     PooledFactory, ProcessFactory,
 };
 use powersparse::mis::luby_mis;
-use powersparse_congest::engine::{Metrics, RoundEngine, RoundPhase};
+use powersparse_congest::engine::{Message, Metrics, RoundEngine, RoundPhase};
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{PooledSimulator, ProcessSimulator};
-use powersparse_graphs::{check, generators, NodeId};
+use powersparse_graphs::{check, generators, Graph, NodeId};
 
 #[test]
 fn pooled_passes_the_full_matrix() {
@@ -219,4 +219,98 @@ fn large_graph_luby_conformance() {
     let mut eng = PooledFactory.build(&case.graph, config, 8);
     let mis = luby_mis(&mut eng, 1, 5);
     assert!(check::is_mis(&case.graph, &generators::members(&mis)));
+}
+
+/// A broadcast is its per-neighbor sends: one program run once with
+/// `broadcast` and once with a `send_at` loop over the sender's CSR
+/// positions gives every node the same inbox log and the same
+/// `Metrics` — per-edge traffic, peak queue depth and the arena gauges
+/// included — on the sequential engine and on every parallel backend.
+/// Messages of 4 to 25 bits over 12-bit edges fragment and queue, one
+/// node has no neighbors, and a single send on a node's last position
+/// precedes some broadcasts. Both an inline wire payload and one parked
+/// in the process backend's slab are checked.
+#[test]
+fn broadcast_equals_its_per_neighbor_sends_on_every_engine() {
+    /// Per node: `(round, sender, payload)` of every delivery read; the
+    /// settle's rounds read as `u32::MAX`.
+    type Log<M> = Vec<Vec<(u32, u32, M)>>;
+
+    fn run<E: RoundEngine, M: Message + PartialEq>(
+        eng: &mut E,
+        broadcast: bool,
+        payload: fn(u32, u32) -> M,
+    ) -> (Log<M>, Metrics) {
+        let g = eng.network();
+        let mut log: Log<M> = vec![Vec::new(); g.n()];
+        let mut phase = eng.phase::<M>();
+        for r in 0..6u32 {
+            phase.step(&mut log, |mine, v, inbox, out| {
+                mine.extend(inbox.iter().map(|(f, m)| (r, f.0, m.clone())));
+                if (v.0 + r) % 3 == 0 {
+                    return;
+                }
+                let degree = out.neighbors(v).len();
+                let msg = payload(v.0, r);
+                if v.0 % 4 == 1 && degree > 0 {
+                    out.send_at(v, degree - 1, msg.clone(), 6);
+                }
+                let bits = 4 + 7 * ((v.0 + r) % 4) as usize;
+                if broadcast {
+                    out.broadcast(v, msg, bits);
+                } else {
+                    for pos in 0..degree {
+                        out.send_at(v, pos, msg.clone(), bits);
+                    }
+                }
+            });
+        }
+        phase.settle(1_000, &mut log, |mine, _, inbox| {
+            mine.extend(inbox.iter().map(|(f, m)| (u32::MAX, f.0, m.clone())));
+        });
+        drop(phase);
+        (log, RoundEngine::metrics(eng).clone())
+    }
+
+    fn check<M: Message + PartialEq + std::fmt::Debug>(g: &Graph, payload: fn(u32, u32) -> M) {
+        let config = SimConfig::with_bandwidth(12).with_per_edge_accounting();
+        let want = run(&mut Simulator::new(g, config), true, payload);
+        assert!(want.1.peak_queue_depth >= 2, "no edge queued: {:?}", want.1);
+        assert!(want.1.rounds > 6, "no message fragmented");
+        let both = |label: String, per_neighbor, broadcast| {
+            assert_eq!(per_neighbor, want, "{label}: send_at loop diverged");
+            assert_eq!(broadcast, want, "{label}: broadcast diverged");
+        };
+        both(
+            "sequential".into(),
+            run(&mut Simulator::new(g, config), false, payload),
+            want.clone(),
+        );
+        for shards in [1usize, 2, 4, 8] {
+            let eng = || PooledSimulator::with_shards(g, config, shards);
+            both(
+                format!("pooled{shards}"),
+                run(&mut eng(), false, payload),
+                run(&mut eng(), true, payload),
+            );
+        }
+        for shards in [1usize, 2, 4] {
+            let eng = || ProcessSimulator::with_shards(g, config, shards);
+            both(
+                format!("process{shards}"),
+                run(&mut eng(), false, payload),
+                run(&mut eng(), true, payload),
+            );
+        }
+    }
+
+    // `connected_gnp(40, …)` with nodes 17 and up renumbered one higher,
+    // so node 17 is isolated.
+    let base = generators::connected_gnp(40, 0.15, 3);
+    let lift = |v: NodeId| v.index() + usize::from(v.index() >= 17);
+    let edges: Vec<_> = base.edges().map(|(u, v)| (lift(u), lift(v))).collect();
+    let g = Graph::from_edges(41, &edges);
+    assert_eq!(g.degree(NodeId(17)), 0);
+    check(&g, |v, r| (v, r));
+    check(&g, |v, r| format!("{v}/{r}"));
 }

@@ -11,8 +11,9 @@
 //!
 //! * sending to a node that is not a `G`-neighbor (a non-edge),
 //! * sending to a CSR position at or beyond the sender's degree,
-//! * sending on behalf of another node (sender spoofing),
-//! * sending a zero-bit message,
+//! * sending on behalf of another node (sender spoofing), by a single
+//!   send or a broadcast,
+//! * sending a zero-bit message, by a single send or a broadcast,
 //! * handing `step`/`settle` a state slice of the wrong length,
 //! * settling a message that cannot cross within the `settle` budget.
 //!
@@ -40,6 +41,10 @@ enum Misbehavior {
     SpoofedSender,
     /// Node 0 sends a message of zero bits.
     ZeroBits,
+    /// Node 0 broadcasts pretending to be node 1.
+    SpoofedBroadcast,
+    /// Node 0 broadcasts a message of zero bits.
+    ZeroBitBroadcast,
     /// The state slice has one entry too many.
     WrongStateLen,
 }
@@ -59,6 +64,8 @@ fn misbehavior_message<E: RoundEngine>(eng: &mut E, mis: Misbehavior) -> String 
                 Misbehavior::PositionOutOfRange => out.send_at(v, 1, 1, 4),
                 Misbehavior::SpoofedSender => out.send(NodeId(1), NodeId(2), 1, 4),
                 Misbehavior::ZeroBits => out.send(v, NodeId(1), 1, 0),
+                Misbehavior::SpoofedBroadcast => out.broadcast(NodeId(1), 1, 4),
+                Misbehavior::ZeroBitBroadcast => out.broadcast(v, 1, 0),
                 Misbehavior::WrongStateLen => {}
             }
         });
@@ -126,6 +133,19 @@ fn spoofed_sender_rejected_identically() {
 #[test]
 fn zero_bit_message_rejected_identically() {
     assert_identical_rejection(Misbehavior::ZeroBits, "positive size");
+}
+
+#[test]
+fn spoofed_broadcast_rejected_identically() {
+    assert_identical_rejection(Misbehavior::SpoofedBroadcast, "attempted to send as");
+}
+
+#[test]
+fn zero_bit_broadcast_rejected_identically() {
+    assert_identical_rejection(
+        Misbehavior::ZeroBitBroadcast,
+        "messages must have positive size",
+    );
 }
 
 #[test]
