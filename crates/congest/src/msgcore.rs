@@ -152,11 +152,6 @@ impl<M> MsgCore<M> {
         }
     }
 
-    /// Number of directed edges this core covers.
-    pub fn edges(&self) -> usize {
-        self.cursors.len()
-    }
-
     /// Whether no message is queued on any edge — the engines'
     /// `in_flight` check, O(1).
     pub fn is_empty(&self) -> bool {

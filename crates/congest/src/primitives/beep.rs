@@ -65,30 +65,19 @@ impl Relay {
 /// paper uses 2 (correct); 1 reproduces the naive broken variant for the
 /// ablation experiment.
 ///
-/// With `relay = Some(mask)`, only masked nodes forward tuples, so beeps
-/// propagate within the induced subgraph `G[mask]` — distances are
-/// measured in `G[mask]`, not `G`. That runs the beep on `(G[mask])^k`,
-/// which differs from `G^k[mask]` whenever a shortest path leaves the
-/// mask; the shattering pipeline's two-phase post-shattering therefore
-/// runs full relays (see `powersparse::mis::shatter`).
-///
 /// # Panics
 ///
 /// Panics unless `fanout` is 1 or 2 (the paper's rule and the ablation's
-/// naive variant), or if `beepers` or `relay` is not one entry per node.
-pub fn khop_beep_masked<E: RoundEngine>(
+/// naive variant), or if `beepers` is not one entry per node.
+pub fn khop_beep<E: RoundEngine>(
     sim: &mut E,
     beepers: &[bool],
     k: usize,
     fanout: usize,
-    relay: Option<&[bool]>,
 ) -> Vec<bool> {
     let n = sim.graph().n();
     assert_eq!(beepers.len(), n);
     assert!(fanout == 1 || fanout == 2, "fanout must be 1 or 2");
-    if let Some(mask) = relay {
-        assert_eq!(mask.len(), n);
-    }
     let id_bits = sim.graph().id_bits();
     let k_bits = (usize::BITS - k.leading_zeros()) as usize + 1;
     let msg_bits = id_bits + k_bits;
@@ -108,13 +97,7 @@ pub fn khop_beep_masked<E: RoundEngine>(
             }
             s.1.offer(fanout, id, left);
         }
-        let tuples = s.1.take();
-        // Non-relay nodes forward nothing; beepers are expected to be
-        // inside the mask.
-        if relay.is_some_and(|m| !m[v.index()]) {
-            return;
-        }
-        for (id, left) in tuples {
+        for (id, left) in s.1.take() {
             out.broadcast(v, (id, left - 1), msg_bits);
         }
     });
@@ -274,7 +257,7 @@ mod tests {
     fn fanout_beyond_two_is_rejected() {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        khop_beep_masked(&mut sim, &[true, false, false], 2, 3, None);
+        khop_beep(&mut sim, &[true, false, false], 2, 3);
     }
 
     fn ground_truth(g: &powersparse_graphs::Graph, beepers: &[bool], k: usize) -> Vec<bool> {
@@ -289,7 +272,7 @@ mod tests {
         let beepers: Vec<bool> = (0..25).map(|i| i == 0 || i == 24).collect();
         for k in 1..=3 {
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let heard = khop_beep_masked(&mut sim, &beepers, k, 2, None);
+            let heard = khop_beep(&mut sim, &beepers, k, 2);
             assert_eq!(heard, ground_truth(&g, &beepers, k), "k = {k}");
         }
     }
@@ -301,7 +284,7 @@ mod tests {
         let g = generators::cycle(5);
         let beepers = vec![true, false, false, false, false];
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard = khop_beep_masked(&mut sim, &beepers, 4, 2, None);
+        let heard = khop_beep(&mut sim, &beepers, 4, 2);
         assert!(!heard[0], "lone beeper heard its own echo");
         for i in 1..5 {
             assert!(heard[i]);
@@ -314,7 +297,7 @@ mod tests {
         for k in [2usize, 3] {
             let beepers: Vec<bool> = (0..40).map(|i| i % 19 == 0).collect();
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let heard = khop_beep_masked(&mut sim, &beepers, k, 2, None);
+            let heard = khop_beep(&mut sim, &beepers, k, 2);
             assert_eq!(heard, ground_truth(&g, &beepers, k), "k = {k}");
         }
     }
@@ -334,11 +317,11 @@ mod tests {
         assert!(truth[0] && truth[2]);
 
         let mut sim2 = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard2 = khop_beep_masked(&mut sim2, &beepers, k, 2, None);
+        let heard2 = khop_beep(&mut sim2, &beepers, k, 2);
         assert_eq!(heard2, truth, "fanout 2 must be correct");
 
         let mut sim1 = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard1 = khop_beep_masked(&mut sim1, &beepers, k, 1, None);
+        let heard1 = khop_beep(&mut sim1, &beepers, k, 1);
         assert!(
             !heard1[0],
             "node 0 should have missed node 2's beep under fanout 1"
@@ -393,7 +376,7 @@ mod tests {
     fn no_beepers_nothing_heard() {
         let g = generators::path(6);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard = khop_beep_masked(&mut sim, &[false; 6], 3, 2, None);
+        let heard = khop_beep(&mut sim, &[false; 6], 3, 2);
         assert!(heard.iter().all(|&h| !h));
     }
 
@@ -403,7 +386,7 @@ mod tests {
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
         let beepers: Vec<bool> = (0..20).map(|i| i == 0).collect();
         let before = sim.metrics().rounds;
-        let _ = khop_beep_masked(&mut sim, &beepers, 5, 2, None);
+        let _ = khop_beep(&mut sim, &beepers, 5, 2);
         let spent = sim.metrics().rounds - before;
         assert!(spent <= 5 + 3, "beep of k=5 took {spent} rounds");
     }

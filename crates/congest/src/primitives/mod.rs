@@ -10,7 +10,7 @@ pub mod multicast;
 pub mod spanning;
 
 pub use aggregate::{broadcast_from_root, converge_sum, sum_and_broadcast};
-pub use beep::{khop_beep_masked, khop_beep_multi};
+pub use beep::{khop_beep, khop_beep_multi};
 pub use flood::{flood_flags, grow_balls, khop_min};
 pub use idexchange::{extend_trees, init_knowledge_and_trees};
 pub use multicast::q_broadcast;

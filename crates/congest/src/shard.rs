@@ -25,13 +25,38 @@
 //!
 //! [`close_round`] ends every engine's round: it merges the shards'
 //! [`ShardTally`]s into [`Metrics`] and emits the round's
-//! [`RoundObs`] and [`RoundSpans`].
+//! [`RoundObs`] and [`RoundSpans`]; [`Parked`] keeps every engine's
+//! phase buffers from one phase to the next.
 
 use crate::engine::{Delivery, Metrics, Outbox, SendRecord};
 use crate::msgcore::MsgCore;
 use crate::probe::{now_if, ns_between, Probe, RoundObs, RoundSpans};
 use powersparse_graphs::{Graph, NodeId};
+use std::any::Any;
 use std::ops::Range;
+
+/// An engine's last closed phase's buffers, cleared (messages dropped,
+/// capacity kept) and type-erased. The next phase of the same message
+/// type opens with them instead of building O(m) cursors and regrowing
+/// every buffer; a phase of another type builds fresh ones.
+#[derive(Debug, Default)]
+pub struct Parked(Option<Box<dyn Any + Send>>);
+
+impl Parked {
+    /// The parked buffers if they are a `B`, else `fresh()`, called
+    /// after buffers of another type are freed.
+    pub fn take_or<B: Any + Send>(&mut self, fresh: impl FnOnce() -> B) -> B {
+        if let Some(Ok(bufs)) = self.0.take().map(|b| b.downcast::<B>()) {
+            return *bufs;
+        }
+        fresh()
+    }
+
+    /// Parks a closing phase's buffers, which the caller has cleared.
+    pub fn park<B: Any + Send>(&mut self, bufs: B) {
+        self.0 = Some(Box::new(bufs));
+    }
+}
 
 /// A delivery on its way to an inbox: `(receiver, sender, payload)`.
 pub type Routed<M> = (NodeId, NodeId, M);
@@ -96,7 +121,7 @@ impl<M> Inboxes<M> {
     }
 
     /// Drops every unread delivery, keeping capacity.
-    fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.run.clear();
         self.starts.clear();
         self.cursors.clear();
@@ -316,6 +341,13 @@ impl<M: Clone> Shard<M> {
     }
 }
 
+impl<M: Clone> Default for Shard<M> {
+    /// A shard of no nodes and no edges, which allocates nothing.
+    fn default() -> Self {
+        Self::new(0..0, 0..0)
+    }
+}
+
 /// Closes one executed round of any engine. Merges the shards' tallies
 /// into `metrics` — bits, messages, `peak_queue_depth`, the arena
 /// gauges (the shards' footprints summed, so every engine measures the
@@ -384,6 +416,19 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A parked value of the asked type comes back; one of another type
+    /// is freed before the fresh one is built.
+    #[test]
+    fn take_or_reuses_a_match_and_frees_a_mismatch_first() {
+        let mut parked = Parked::default();
+        parked.park(vec![0u32; 8]);
+        assert_eq!(parked.take_or(Vec::<u32>::new).len(), 8);
+        assert!(parked.take_or(Vec::<u32>::new).is_empty(), "taken once");
+        let token = std::sync::Arc::new(());
+        parked.park(std::sync::Arc::clone(&token));
+        assert_eq!(parked.take_or(|| std::sync::Arc::strong_count(&token)), 1);
+    }
 
     /// The grouping against per-node `Vec` pushes, over seeded random
     /// arrival runs for node ranges that do not start at 0 (a shard's):

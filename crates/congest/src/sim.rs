@@ -5,7 +5,7 @@ pub use crate::engine::{Metrics, MetricsConfig, Outbox};
 
 use crate::engine::{Delivery, Message, RoundEngine, RoundPhase};
 use crate::probe::{probe_vec, NoProbe, PhaseMark, Probe};
-use crate::shard::{close_round, Shard};
+use crate::shard::{close_round, Parked, Shard};
 use powersparse_graphs::{Graph, NodeId};
 
 /// Configuration of a round engine (shared by all backends). No
@@ -72,6 +72,8 @@ pub struct Simulator<'g, P: Probe = NoProbe> {
     /// The probe's distinct-receiver stamps, one per node (empty under
     /// [`NoProbe`]).
     stamps: Vec<u64>,
+    /// The last closed phase's whole-graph [`Shard`].
+    parked: Parked,
 }
 
 impl<'g> Simulator<'g> {
@@ -91,6 +93,7 @@ impl<'g, P: Probe> Simulator<'g, P> {
             probe,
             phases_opened: 0,
             stamps: probe_vec::<u64, P>(graph.n()),
+            parked: Parked::default(),
         }
     }
 
@@ -148,9 +151,10 @@ impl<'g, P: Probe> Simulator<'g, P> {
     }
 
     /// Opens a communication phase with message type `M`.
-    pub fn phase<M: Clone>(&mut self) -> Phase<'_, 'g, M, P> {
+    pub fn phase<M: Message>(&mut self) -> Phase<'_, 'g, M, P> {
+        let (n, m) = (self.graph.n(), self.graph.m());
         Phase {
-            shard: Shard::new(0..self.graph.n(), 0..2 * self.graph.m()),
+            shard: self.parked.take_or(|| Shard::new(0..n, 0..2 * m)),
             mark: PhaseMark::open(&mut self.phases_opened, &self.metrics),
             sim: self,
         }
@@ -200,14 +204,15 @@ impl<'g, P: Probe> RoundEngine for Simulator<'g, P> {
 /// One typed communication phase: a sequence of synchronous rounds
 /// exchanging messages of type `M`, run as one [`Shard`] over the whole
 /// graph, stepped inline. A round's deliveries land on the shard's own
-/// arrival run, as a one-shard pooled round's do after its splice.
+/// arrival run, as a one-shard pooled round's do after its splice. The
+/// shard outlives the phase ([`Parked`]).
 ///
 /// Messages sent in round `r` begin transferring in round `r`; a message
 /// of `b` bits is delivered at the start of round `r + ⌈(queue + b) /
 /// bandwidth⌉` — i.e. fragmentation and pipelining are handled by the
 /// engine.
 #[derive(Debug)]
-pub struct Phase<'s, 'g, M, P: Probe = NoProbe> {
+pub struct Phase<'s, 'g, M: Message, P: Probe = NoProbe> {
     sim: &'s mut Simulator<'g, P>,
     /// The whole graph's core, inboxes and send buffer.
     shard: Shard<M>,
@@ -215,9 +220,12 @@ pub struct Phase<'s, 'g, M, P: Probe = NoProbe> {
     mark: PhaseMark,
 }
 
-impl<M, P: Probe> Drop for Phase<'_, '_, M, P> {
+impl<M: Message, P: Probe> Drop for Phase<'_, '_, M, P> {
     fn drop(&mut self) {
         self.mark.close(&self.sim.metrics, &mut self.sim.probe);
+        let mut shard = std::mem::take(&mut self.shard);
+        shard.clear();
+        self.sim.parked.park(shard);
     }
 }
 
@@ -605,6 +613,24 @@ mod tests {
         assert_eq!(probe.spans[3].structure(), (0, 0, 0));
         // The span-carrying probe still sees the identical counter trace.
         assert_eq!(probe.cores()[0], (0, 0, 1, 1, 8));
+    }
+
+    #[test]
+    fn a_phase_of_the_last_closed_type_reuses_its_shard() {
+        let g = generators::path(3);
+        let mut sim = Simulator::new(&g, SimConfig::with_bandwidth(8));
+        let mut p = sim.phase::<u8>();
+        p.step_stateless(|v, _in, out| out.broadcast(v, 1, 8));
+        assert!(!p.idle());
+        drop(p);
+        // The same type takes the cleared shard: capacity, no deliveries.
+        let p = sim.phase::<u8>();
+        assert!(p.shard.sends.capacity() > 0);
+        assert!(p.idle());
+        drop(p);
+        // A new type opens a fresh one.
+        let p = sim.phase::<u16>();
+        assert_eq!(p.shard.sends.capacity(), 0);
     }
 
     #[test]

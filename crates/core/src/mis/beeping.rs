@@ -9,7 +9,7 @@
 //! On `G^k` each beep costs `O(k)` rounds.
 
 use powersparse_congest::engine::RoundEngine;
-use powersparse_congest::primitives::beep::khop_beep_masked;
+use powersparse_congest::primitives::beep::khop_beep;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,12 +25,9 @@ pub struct BeepingOutcome {
 }
 
 /// Runs `steps` steps of BeepingMIS on `G^k[participants]`, starting from
-/// the given undecided set. `relay` restricts which nodes forward beeps
-/// (`None`: everyone relays, so distances are measured in `G`;
-/// `Some(mask)`: only masked nodes relay, which runs the algorithm on
-/// `(G[mask])^k`, independently on each connected component of
-/// `G[mask]`). The two-phase post-shattering of Section 7.2.1 runs full
-/// relays: `G^k[B]` adjacency goes through paths that leave `B`.
+/// the given undecided set. Every node relays beeps, so distances are
+/// measured in `G`: the two-phase post-shattering of Section 7.2.1 needs
+/// that, since `G^k[B]` adjacency goes through paths that leave `B`.
 ///
 /// Decided-but-relaying nodes are exactly the paper's "observers"
 /// (Corollary 8.5).
@@ -40,7 +37,6 @@ pub fn beeping_mis_run<E: RoundEngine>(
     undecided0: &[bool],
     steps: usize,
     seed: u64,
-    relay: Option<&[bool]>,
 ) -> BeepingOutcome {
     let n = sim.graph().n();
     assert_eq!(undecided0.len(), n);
@@ -55,7 +51,7 @@ pub fn beeping_mis_run<E: RoundEngine>(
         }
         // Exchange 1: marked nodes beep.
         let marked: Vec<bool> = (0..n).map(|i| undecided[i] && rng.gen_bool(p[i])).collect();
-        let heard1 = khop_beep_masked(sim, &marked, k, 2, relay);
+        let heard1 = khop_beep(sim, &marked, k, 2);
         for i in 0..n {
             if undecided[i] {
                 if heard1[i] {
@@ -67,7 +63,7 @@ pub fn beeping_mis_run<E: RoundEngine>(
         }
         // Exchange 2: lonely marked nodes join and beep.
         let joined: Vec<bool> = (0..n).map(|i| marked[i] && !heard1[i]).collect();
-        let heard2 = khop_beep_masked(sim, &joined, k, 2, relay);
+        let heard2 = khop_beep(sim, &joined, k, 2);
         for i in 0..n {
             if joined[i] {
                 in_mis[i] = true;
@@ -94,7 +90,7 @@ pub fn beeping_mis_run<E: RoundEngine>(
 pub fn beeping_mis<E: RoundEngine>(sim: &mut E, k: usize, seed: u64) -> Vec<bool> {
     let n = sim.graph().n();
     let max_steps = 64 * (sim.graph().id_bits() + 1);
-    let out = beeping_mis_run(sim, k, &vec![true; n], max_steps, seed, None);
+    let out = beeping_mis_run(sim, k, &vec![true; n], max_steps, seed);
     assert!(
         !out.undecided.iter().any(|&u| u),
         "BeepingMIS did not terminate within {max_steps} steps"
@@ -106,7 +102,7 @@ pub fn beeping_mis<E: RoundEngine>(sim: &mut E, k: usize, seed: u64) -> Vec<bool
 mod tests {
     use super::*;
     use powersparse_congest::sim::{SimConfig, Simulator};
-    use powersparse_graphs::{check, generators, subgraph};
+    use powersparse_graphs::{check, generators};
 
     #[test]
     fn beeping_mis_on_g() {
@@ -139,7 +135,7 @@ mod tests {
         // dominated).
         let g = generators::connected_gnp(120, 0.15, 4);
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = beeping_mis_run(&mut sim, 1, &[true; 120], 6, 5, None);
+        let out = beeping_mis_run(&mut sim, 1, &[true; 120], 6, 5);
         let mis = generators::members(&out.in_mis);
         assert!(check::is_alpha_independent(&g, &mis, 2));
         // Undecided nodes have no MIS neighbor.
@@ -152,26 +148,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn masked_relay_confines_to_components() {
-        // Two halves joined by a single relay node NOT in the mask: beeps
-        // must not cross, so each half solves independently.
-        let g = generators::path(9);
-        let mask: Vec<bool> = (0..9).map(|i| i != 4).collect();
-        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let out = beeping_mis_run(&mut sim, 2, &mask.clone(), 200, 2, Some(&mask));
-        // Every masked node decided; the induced components each hold an
-        // MIS of their G²[component].
-        for comp in subgraph::k_connected_components(&g, &generators::members(&mask), 1) {
-            let members: Vec<_> = comp
-                .iter()
-                .copied()
-                .filter(|v| out.in_mis[v.index()])
-                .collect();
-            assert!(check::is_mis_of_power_restricted(&g, &members, &comp, 2));
-        }
-        assert!(!out.undecided.iter().any(|&u| u));
     }
 }

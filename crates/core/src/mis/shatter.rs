@@ -125,7 +125,7 @@ pub fn mis_power<E: RoundEngine>(
     let steps = params.shatter_steps(delta_k);
 
     // --- Phase 1: pre-shattering on G^k. ---
-    let pre = super::beeping_mis_run(sim, k, &vec![true; n], steps, seed, None);
+    let pre = super::beeping_mis_run(sim, k, &vec![true; n], steps, seed);
     let mut in_mis = pre.in_mis;
     let mut undecided = pre.undecided;
     report.undecided_after_pre = undecided.iter().filter(|&&u| u).count();
@@ -147,7 +147,7 @@ pub fn mis_power<E: RoundEngine>(
     // let two B-nodes at G-distance ≤ k both join. For k = 1 this
     // coincides with the paper's run on G[C].
     if post == PostShattering::TwoPhase {
-        let second = super::beeping_mis_run(sim, k, &undecided, steps, seed ^ 0x5eed, None);
+        let second = super::beeping_mis_run(sim, k, &undecided, steps, seed ^ 0x5eed);
         for i in 0..n {
             if second.in_mis[i] {
                 in_mis[i] = true;
@@ -309,8 +309,7 @@ fn finish_cluster(
         let mut done = false;
         for attempt in 0..exec_budget {
             let mut subsim = Simulator::new(&sub, SimConfig::for_graph(&sub));
-            let out =
-                super::beeping_mis_run(&mut subsim, k, &cand, steps, seed ^ attempt << 8, None);
+            let out = super::beeping_mis_run(&mut subsim, k, &cand, steps, seed ^ attempt << 8);
             let ok = !out.undecided.iter().any(|&u| u);
             if ok {
                 // Verification convergecast along the cluster tree:

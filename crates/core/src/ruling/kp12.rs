@@ -2,7 +2,6 @@
 //! [BKP14]) on power graphs, and the `(k+1, kβ)`-ruling set it yields
 //! when iterated (**Corollary 1.3** of the paper, Section 8.3).
 
-use crate::params::TheoryParams;
 use powersparse_congest::engine::RoundEngine;
 use powersparse_congest::primitives::flood_flags;
 use powersparse_graphs::NodeId;
@@ -72,7 +71,6 @@ pub fn beta_ruling_set<E: RoundEngine>(
     sim: &mut E,
     k: usize,
     beta: usize,
-    _params: &TheoryParams,
     seed: u64,
 ) -> Vec<NodeId> {
     assert!(beta >= 2, "beta-ruling sets need beta >= 2");
@@ -100,6 +98,7 @@ pub fn beta_ruling_set<E: RoundEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::TheoryParams;
     use powersparse_congest::sim::{SimConfig, Simulator};
     use powersparse_graphs::{check, generators, power};
 
@@ -138,7 +137,7 @@ mod tests {
         let g = generators::connected_gnp(100, 0.1, 23);
         for (k, beta) in [(1usize, 2usize), (1, 3), (2, 2)] {
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let rs = beta_ruling_set(&mut sim, k, beta, &TheoryParams::scaled(), 5);
+            let rs = beta_ruling_set(&mut sim, k, beta, 5);
             assert!(
                 check::is_ruling_set(&g, &rs, k + 1, k * beta),
                 "(k+1,kβ) violated for k={k} β={beta}"
@@ -151,7 +150,7 @@ mod tests {
         let g = generators::grid(7, 7);
         let run = |seed| {
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            beta_ruling_set(&mut sim, 2, 3, &TheoryParams::scaled(), seed)
+            beta_ruling_set(&mut sim, 2, 3, seed)
         };
         assert_eq!(run(9), run(9));
     }
@@ -163,7 +162,7 @@ mod tests {
         let g = generators::connected_gnp(80, 0.12, 2);
         for beta in [2usize, 4] {
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let rs = beta_ruling_set(&mut sim, 1, beta, &TheoryParams::scaled(), 3);
+            let rs = beta_ruling_set(&mut sim, 1, beta, 3);
             assert!(check::is_ruling_set(&g, &rs, 2, beta));
         }
     }

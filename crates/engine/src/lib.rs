@@ -37,7 +37,9 @@
 //! [`Simulator`](powersparse_congest::Simulator), and the delivery-order
 //! rule of the engine contract (`powersparse_congest::engine` module
 //! docs) holds bit-for-bit: results do not depend on the shard count.
-//! The shard layout both backends share lives in [`routing`].
+//! The shard layout both backends share lives in [`routing`]; like
+//! every engine, both park a closed phase's buffers for the next phase
+//! ([`Parked`](powersparse_congest::shard::Parked)).
 //!
 //! # Threading: the persistent pool
 //!
@@ -52,9 +54,10 @@
 //! # Crossing the process boundary
 //!
 //! [`ProcessSimulator`] takes the same shard layout out-of-process:
-//! each shard's message core runs in a forked child and every
-//! cross-shard byte rides the length-prefixed, checksummed frame codec
-//! in [`wire`] over one Unix socket pair per child. The parent steps nodes (CONGEST computation is free;
+//! each shard's message core runs in a forked child, built once at
+//! fork, and every cross-shard byte rides the length-prefixed,
+//! checksummed frame codec in [`wire`] over one Unix socket pair per
+//! child. The parent steps nodes (CONGEST computation is free;
 //! only bandwidth is charged) and plays the stage-2 splicer by reading
 //! children in ascending shard order — ascending sender order across
 //! shards, which the per-node counting sort turns into the reference

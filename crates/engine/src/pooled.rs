@@ -24,7 +24,8 @@
 //! when the engine is built, and parked on an epoch barrier
 //! (`pool::WorkerPool`), so a round costs two barrier waits and no
 //! thread spawns. A phase's per-shard buffers outlive it, and the next
-//! phase of the same message type reuses them.
+//! phase of the same message type reuses them ([`Parked`], as on every
+//! engine).
 //!
 //! Outputs and [`Metrics`] (totals, `peak_queue_depth`, per-edge
 //! traffic) are identical to the other backends at every shard count —
@@ -36,10 +37,9 @@ use powersparse_congest::engine::{Delivery, Message, Metrics, Outbox, RoundEngin
 use powersparse_congest::probe::{
     charge_rounds, now_if, ns_between, probe_vec, NoProbe, PhaseMark, Probe,
 };
-use powersparse_congest::shard::{close_round, Routed, Shard, ShardTally};
+use powersparse_congest::shard::{close_round, Parked, Routed, Shard, ShardTally};
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
-use std::any::Any;
 use std::ops::Range;
 
 /// The persistent worker-pool round engine.
@@ -57,9 +57,8 @@ pub struct PooledSimulator<'g, P: Probe = NoProbe> {
     /// The probe's distinct-receiver stamps, one per node (empty under
     /// [`NoProbe`]).
     stamps: Vec<u64>,
-    /// The last closed phase's cleared [`PhaseBufs`], type-erased; the
-    /// next phase takes them back if its message type matches.
-    spare: Option<Box<dyn Any + Send>>,
+    /// The last closed phase's [`PhaseBufs`].
+    parked: Parked,
 }
 
 impl<'g> PooledSimulator<'g> {
@@ -97,7 +96,7 @@ impl<'g, P: Probe> PooledSimulator<'g, P> {
             probe,
             phases_opened: 0,
             stamps: probe_vec::<u64, P>(graph.n()),
-            spare: None,
+            parked: Parked::default(),
         }
     }
 
@@ -156,12 +155,8 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
     fn phase<M: Message>(&mut self) -> PooledPhase<'_, 'g, M, P> {
         let shards = self.layout.shards();
         let mark = PhaseMark::open(&mut self.phases_opened, &self.metrics);
-        let bufs = match self.spare.take().map(|b| b.downcast::<PhaseBufs<M>>()) {
-            Some(Ok(bufs)) => *bufs,
-            _ => PhaseBufs::new(&self.layout),
-        };
         PooledPhase {
-            bufs,
+            bufs: self.parked.take_or(|| PhaseBufs::new(&self.layout)),
             tallies: vec![ShardTally::default(); shards],
             row_ranges: (0..shards).map(|w| w * shards..(w + 1) * shards).collect(),
             splice_ns: probe_vec::<u64, P>(shards),
@@ -172,10 +167,8 @@ impl<'g, P: Probe> RoundEngine for PooledSimulator<'g, P> {
 }
 
 /// The per-shard buffers of one phase. They outlive it: dropping a phase
-/// clears them (queued messages and unread deliveries are dropped,
-/// capacity is kept) and parks them on the engine, and the next phase of
-/// the same message type opens with them in O(shards) instead of
-/// building O(m) cursors and regrowing every buffer from empty.
+/// clears them and parks them on the engine ([`Parked`]), and the next
+/// phase of the same message type opens with them in O(shards).
 ///
 /// What a worker touches per message — its shard (core, inboxes, send
 /// buffer) and its delivery cells — sits on cache lines of its own
@@ -256,7 +249,7 @@ impl<M: Message, P: Probe> Drop for PooledPhase<'_, '_, M, P> {
         self.mark.close(&self.sim.metrics, &mut self.sim.probe);
         let mut bufs = std::mem::take(&mut self.bufs);
         bufs.clear();
-        self.sim.spare = Some(Box::new(bufs));
+        self.sim.parked.park(bufs);
     }
 }
 
@@ -475,47 +468,6 @@ mod tests {
         }
     }
 
-    /// Abandons a `u32` phase with a fragment still crossing and
-    /// deliveries unread, then runs a `u32` and a `u64` phase. Returns
-    /// what every node heard in the two later phases, which must start
-    /// idle and see nothing of the abandoned one.
-    fn reopen_after_abandon<E: RoundEngine>(eng: &mut E) -> Vec<Vec<(u32, u64)>> {
-        let n = eng.graph().n();
-        let mut unit = vec![(); n];
-        let mut p = eng.phase::<u32>();
-        p.step(&mut unit, |_, v, _in, out| {
-            out.broadcast(v, v.0, 4);
-            if v == NodeId(0) {
-                let to = out.neighbors(v)[0];
-                out.send(v, to, 99, 40);
-            }
-        });
-        assert!(p.in_flight(), "the 40-bit fragment is still crossing");
-        assert!(!p.idle(), "the 4-bit broadcasts are delivered but unread");
-        drop(p);
-        let mut heard: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-        let mut p = eng.phase::<u32>();
-        assert!(p.idle(), "a reopened u32 phase starts idle");
-        p.step(&mut heard, |_, v, inbox, out| {
-            assert!(inbox.is_empty(), "stale delivery in a reopened phase");
-            out.broadcast(v, v.0 + 1000, 13);
-        });
-        p.settle(64, &mut heard, |h, _, inbox| {
-            h.extend(inbox.iter().map(|&(f, m)| (f.0, u64::from(m))));
-        });
-        drop(p);
-        let mut p = eng.phase::<u64>();
-        assert!(p.idle(), "a u64 phase after u32 ones starts idle");
-        p.step(&mut heard, |_, v, inbox, out| {
-            assert!(inbox.is_empty(), "stale delivery in a new phase");
-            out.broadcast(v, u64::from(v.0) << 40, 22);
-        });
-        p.settle(64, &mut heard, |h, _, inbox| {
-            h.extend(inbox.iter().map(|&(f, m)| (f.0, m)));
-        });
-        heard
-    }
-
     #[test]
     fn phases_reuse_the_same_pool() {
         // Phases on one engine: the workers spawned at construction
@@ -552,17 +504,6 @@ mod tests {
         drop(p);
         let p = par.phase::<u16>();
         assert!(p.bufs.shards.iter().all(|s| s.sends.capacity() == 0));
-        drop(p);
-        // An abandoned phase leaves nothing behind for the next ones.
-        let want = reopen_after_abandon(&mut seq);
-        let got = reopen_after_abandon(&mut par);
-        assert!(want.iter().all(|h| !h.is_empty()));
-        assert_eq!(got, want, "inboxes diverged after an abandoned phase");
-        assert_eq!(seq.metrics(), RoundEngine::metrics(&par));
-        for (u, v) in g.edges() {
-            assert_eq!(seq.messages_across(u, v), par.messages_across(u, v));
-            assert_eq!(seq.bits_across(v, u), par.bits_across(v, u));
-        }
     }
 
     #[test]

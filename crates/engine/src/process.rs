@@ -29,9 +29,9 @@
 //!   order, and the round closes in the same [`close_round`] as the
 //!   in-process engines';
 //! * each **child** owns its shard's message core over the shard's
-//!   local edge range and, when the round's `Barrier` arrives, runs the
-//!   bandwidth/fragmentation semantics ([`MsgCore::round`]) over the
-//!   cells of the round's one `Sends` frame, on opaque payload bytes
+//!   local edge range and, as soon as the round's one `Sends` frame
+//!   arrives, runs the bandwidth/fragmentation semantics
+//!   ([`MsgCore::round`]) over its cells, on opaque payload bytes
 //!   (stored inline in an arena cell, unless unusually long, when a
 //!   message does not complete in its round).  The round is
 //!   payload-agnostic, so every counter the child reports (peak depth,
@@ -44,12 +44,14 @@
 //! place ([`FrameView`], [`CellReader`]), so each payload byte is
 //! copied once per hop.
 //!
-//! Children are forked once, at engine construction, and serve every
-//! phase until the engine drops (a `PhaseStart` frame rebuilds the
-//! core).  Payloads cross the wire by value when the message type has
-//! an inline codec, and park in a parent-side
-//! [`PayloadSlab`] otherwise — the wire then
-//! carries only a slot id, round-tripped through the child untouched.
+//! Children are forked once, at engine construction, with their edge
+//! count and the bandwidth; each builds its core once and serves every
+//! phase until the engine drops (a `PhaseStart` frame clears the core).
+//! The parent parks its phase buffers as every engine does ([`Parked`]).
+//! Payloads cross the wire by value when the message type has an inline
+//! codec, and park in a parent-side [`PayloadSlab`] otherwise — the wire
+//! then carries only a slot id, round-tripped through the child
+//! untouched.
 //!
 //! # Failure semantics
 //!
@@ -79,7 +81,7 @@ use powersparse_congest::msgcore::MsgCore;
 use powersparse_congest::probe::{
     charge_rounds, now_if, ns_between, probe_vec, NoProbe, PhaseMark, Probe,
 };
-use powersparse_congest::shard::{close_round, Inboxes, ShardTally};
+use powersparse_congest::shard::{close_round, Inboxes, Parked, ShardTally};
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
 use std::os::unix::io::AsRawFd;
@@ -162,21 +164,22 @@ impl CellBytes {
 
 /// The child's whole life: a payload-opaque core servant.  It needs no
 /// graph, no message type and no metrics — just its local edge count
-/// and the bandwidth, delivered by `PhaseStart`.  A round's one `Sends`
-/// frame is held until its `Barrier`, then its cells run through the
-/// core's round as they are read; a second `Sends` before the `Barrier`
-/// is a protocol error.  Every reply is built in place in one reused
-/// [`FrameBuf`]; a protocol error ends the child.
-fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
+/// and the bandwidth `bw`, fixed at fork.  It builds its core once; a
+/// `PhaseStart` clears it, keeping capacity, and a round's one `Sends`
+/// frame runs through the core's round as its cells are read.  Every
+/// reply is built in place in one reused [`FrameBuf`]; a protocol error
+/// ends the child.
+fn child_serve(
+    shard: u16,
+    edges: usize,
+    bw: u64,
+    t: &mut StreamTransport,
+) -> Result<(), WireError> {
     let mut out = FrameBuf::new();
     out.begin();
     out.put_varint(PROTOCOL_VERSION);
     t.send(out.seal(FrameKind::Hello, shard, 0))?;
-    let mut core: Option<MsgCore<CellBytes>> = None;
-    let mut bw: u64 = 0;
-    let mut epoch: u32 = 0;
-    // The held `Sends` frame: its bytes, cell count and payload length.
-    let mut held: Option<(Vec<u8>, u32, usize)> = None;
+    let mut core = MsgCore::<CellBytes>::new(edges);
     loop {
         let bytes = t.recv()?;
         let frame = FrameView::parse(&bytes)?;
@@ -187,50 +190,15 @@ fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
             });
         }
         match frame.kind {
-            FrameKind::PhaseStart => {
-                let mut p = frame.payload;
-                let edges = get_varint(&mut p)? as usize;
-                bw = get_varint(&mut p)?;
-                core = Some(MsgCore::new(edges));
-                held = None;
-                epoch = frame.epoch;
-            }
+            FrameKind::PhaseStart => core.clear(),
             FrameKind::Sends => {
-                if core.is_none() {
-                    return Err(WireError::Payload);
-                }
-                if held.is_some() {
-                    return Err(WireError::UnexpectedKind {
-                        want: FrameKind::Barrier,
-                        got: FrameKind::Sends,
-                    });
-                }
-                epoch = frame.epoch;
-                let (count, len) = (frame.count, frame.payload.len());
-                held = Some((bytes, count, len));
-            }
-            FrameKind::Barrier => {
-                if frame.epoch != epoch {
-                    return Err(WireError::EpochMismatch {
-                        want: epoch,
-                        got: frame.epoch,
-                    });
-                }
-                let core = core.as_mut().ok_or(WireError::Payload)?;
                 // The round writes each delivered cell straight into the
                 // reply frame, so its time covers that encoding.
                 let t0 = Instant::now();
-                let cells = match &held {
-                    Some((bytes, count, len)) => {
-                        CellReader::new(&bytes[HEADER_LEN..HEADER_LEN + len], *count as usize)
-                    }
-                    None => CellReader::new(&[], 0),
-                };
                 // Edges outside the shard's range are a protocol error;
                 // the first bad cell ends the sends and the child.
-                let edges = core.edges();
                 let mut bad = None;
-                let sends = cells.map_while(|cell| {
+                let sends = frame.cells().map_while(|cell| {
                     let send = cell.and_then(|c| {
                         let edge = u32::try_from(c.edge)
                             .ok()
@@ -253,7 +221,6 @@ fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
                 if let Some(e) = bad {
                     return Err(e);
                 }
-                held = None;
                 let transfer_ns = t0.elapsed().as_nanos() as u64;
                 t.send(out.seal(FrameKind::Deliveries, shard, frame.epoch))?;
                 out.begin();
@@ -261,13 +228,13 @@ fn child_serve(shard: u16, t: &mut StreamTransport) -> Result<(), WireError> {
                 out.put_varint(load.peak_depth);
                 out.put_varint(core.active_edges() as u64);
                 out.put_varint(core.queued() as u64);
-                out.put_varint(transfer_ns);
+                out.put_u64(transfer_ns);
                 t.send(out.seal(FrameKind::RoundStats, shard, frame.epoch))?;
             }
             FrameKind::Shutdown => return Ok(()),
             other => {
                 return Err(WireError::UnexpectedKind {
-                    want: FrameKind::Barrier,
+                    want: FrameKind::Sends,
                     got: other,
                 })
             }
@@ -328,10 +295,11 @@ fn install_child_panic_hook() {
 /// Post-fork entry point.  Runs in the child and never returns: serves
 /// until shutdown or failure, reports protocol errors on the wire, and
 /// exits without unwinding.
-fn child_main(shard: u16, stream: UnixStream) -> ! {
+fn child_main(shard: u16, edges: usize, bw: u64, stream: UnixStream) -> ! {
     child_enter(stream.as_raw_fd());
     let mut t = StreamTransport::new(stream);
-    let code = match std::panic::catch_unwind(AssertUnwindSafe(|| child_serve(shard, &mut t))) {
+    let serve = || child_serve(shard, edges, bw, &mut t);
+    let code = match std::panic::catch_unwind(AssertUnwindSafe(serve)) {
         Ok(Ok(())) => 0,
         Ok(Err(e)) => {
             let mut f = Frame::control(FrameKind::Error, shard, 0);
@@ -423,18 +391,25 @@ pub struct ProcessSimulator<'g, P: Probe = NoProbe> {
     /// Per-shard outbound frame buffer, reused by every frame the
     /// parent builds for that shard, across rounds and phases.
     frames: Vec<FrameBuf>,
+    /// The last closed phase's slab, inboxes and send records.
+    parked: Parked,
 }
 
-/// Forks shard `w`'s child and returns its pid and the parent-side
+/// Forks shard `w`'s child, whose core spans `edges` local edges at `bw`
+/// bits per edge per round, and returns its pid and the parent-side
 /// transport, with reads bounded by the default barrier timeout.
-fn spawn_shard_child(w: usize) -> Result<(i32, Box<dyn Transport>), WireError> {
+fn spawn_shard_child(
+    w: usize,
+    edges: usize,
+    bw: u64,
+) -> Result<(i32, Box<dyn Transport>), WireError> {
     install_child_panic_hook();
     let (parent_end, child_end) = UnixStream::pair().map_err(crate::wire::io_err)?;
     let pid = unsafe { sys::fork() };
     assert!(pid >= 0, "process engine: fork failed");
     if pid == 0 {
         drop(parent_end);
-        child_main(w as u16, child_end);
+        child_main(w as u16, edges, bw, child_end);
     }
     drop(child_end);
     let mut transport = StreamTransport::new(parent_end);
@@ -519,9 +494,12 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
             phases_opened: 0,
             stamps: probe_vec::<u64, P>(graph.n()),
             frames: (0..shards).map(|_| FrameBuf::new()).collect(),
+            parked: Parked::default(),
         };
+        let bw = config.bandwidth as u64;
         for w in 0..shards {
-            let (pid, transport) = spawn_shard_child(w).unwrap_or_else(|e| raise(w, e));
+            let edges = sim.layout.edge_ranges[w].len();
+            let (pid, transport) = spawn_shard_child(w, edges, bw).unwrap_or_else(|e| raise(w, e));
             // Push before the handshake so the drop glue reaps the
             // child even if its `Hello` fails.
             sim.children.0.push(ChildHandle {
@@ -685,9 +663,10 @@ impl<'g, P: Probe> ProcessSimulator<'g, P> {
         let stats = self.try_expect_frame(w, FrameKind::RoundStats, epoch)?;
         let mut p = stats.payload();
         let mut st = [0u64; 5];
-        for s in &mut st {
+        for s in &mut st[..4] {
             *s = get_varint(&mut p)?;
         }
+        st[4] = u64::from_le_bytes(p.try_into().map_err(|_| WireError::Payload)?);
         Ok((deliveries, st))
     }
 }
@@ -731,24 +710,20 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
         let shards = self.layout.shards();
         let mark = PhaseMark::open(&mut self.phases_opened, &self.metrics);
         let epoch = self.metrics.rounds as u32;
-        let bw = self.config.bandwidth as u64;
         for w in 0..shards {
-            let frame = &mut self.frames[w];
-            frame.begin();
-            frame.put_varint(self.layout.edge_ranges[w].len() as u64);
-            frame.put_varint(bw);
+            self.frames[w].begin();
             self.send_frame(w, FrameKind::PhaseStart, epoch);
         }
+        let nodes = self.layout.node_ranges.iter();
+        let (slab, inboxes, sends) = self.parked.take_or(|| {
+            let inboxes = nodes.map(|n| Inboxes::new(n.clone())).collect();
+            (PayloadSlab::new(), inboxes, Vec::new())
+        });
         ProcessPhase {
-            slab: PayloadSlab::new(),
-            inboxes: self
-                .layout
-                .node_ranges
-                .iter()
-                .map(|nodes| Inboxes::new(nodes.clone()))
-                .collect(),
+            slab,
+            inboxes,
             arrivals: vec![0; shards],
-            sends: Vec::new(),
+            sends,
             tallies: vec![ShardTally::default(); shards],
             live: vec![false; shards],
             mark,
@@ -760,8 +735,9 @@ impl<'g, P: Probe> RoundEngine for ProcessSimulator<'g, P> {
 /// One typed communication phase on the process engine. The parent
 /// steps and reads each shard's nodes through the shard's [`Inboxes`],
 /// as the in-process engines do; the message-core tail is one wire
-/// round-trip per shard per round.
-pub struct ProcessPhase<'s, 'g, M, P: Probe = NoProbe> {
+/// round-trip per shard per round. The slab, the inboxes and the send
+/// records outlive the phase ([`Parked`]).
+pub struct ProcessPhase<'s, 'g, M: Message, P: Probe = NoProbe> {
     sim: &'s mut ProcessSimulator<'g, P>,
     /// Parking lot for payloads without an inline wire codec.
     slab: PayloadSlab<M>,
@@ -784,9 +760,16 @@ pub struct ProcessPhase<'s, 'g, M, P: Probe = NoProbe> {
     mark: PhaseMark,
 }
 
-impl<M, P: Probe> Drop for ProcessPhase<'_, '_, M, P> {
+impl<M: Message, P: Probe> Drop for ProcessPhase<'_, '_, M, P> {
     fn drop(&mut self) {
         self.mark.close(&self.sim.metrics, &mut self.sim.probe);
+        self.slab.clear();
+        self.inboxes.iter_mut().for_each(Inboxes::clear);
+        self.sends.clear();
+        let slab = std::mem::take(&mut self.slab);
+        let inboxes = std::mem::take(&mut self.inboxes);
+        let sends = std::mem::take(&mut self.sends);
+        self.sim.parked.park((slab, inboxes, sends));
     }
 }
 
@@ -799,9 +782,9 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
     }
 
     /// The wire tail of one round: encode the sends straight into each
-    /// shard's `Sends` frame, ship it and a `Barrier` to every child
-    /// (all writes before any read — children read until their barrier,
-    /// so the two directions never deadlock), then collect each shard's
+    /// shard's `Sends` frame and ship it (all writes before any read — a
+    /// child reads its whole frame before it writes, so the two
+    /// directions never deadlock), then collect each shard's
     /// `Deliveries` and `RoundStats` in ascending shard order onto the
     /// receivers' inboxes and close the round.
     fn exchange(&mut self, round_start: Option<Instant>) {
@@ -814,8 +797,8 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
         // its transfer while the parent encodes the next shard. Nodes
         // are stepped in ID order and a node's out-edges all lie in its
         // shard's CSR range, so each shard's sends are one contiguous
-        // stretch of `sends`. Every child gets a Sends frame (even
-        // empty: it advances the child's epoch) and its barrier.
+        // stretch of `sends`. Every child gets a Sends frame, even an
+        // empty one: the frame is the child's round.
         let mut records = self.sends.drain(..).peekable();
         for w in 0..shards {
             let edges = sim.layout.edge_ranges[w].clone();
@@ -840,8 +823,6 @@ impl<M: Message, P: Probe> ProcessPhase<'_, '_, M, P> {
             }
             self.tallies[w].bits = bits;
             sim.send_frame(w, FrameKind::Sends, epoch);
-            sim.frames[w].begin();
-            sim.send_frame(w, FrameKind::Barrier, epoch);
         }
         assert!(records.next().is_none(), "a send escaped every shard");
 
@@ -1135,18 +1116,20 @@ mod tests {
         );
         assert_eq!(
             EngineError { shard: 1, error }.to_string(),
-            "process engine: shard 1: protocol version skew (want 3, got 99)"
+            "process engine: shard 1: protocol version skew (want 4, got 99)"
         );
     }
 
-    /// Serves a shard child on a thread over a socket pair: the parent's
-    /// end, past the child's `Hello`, and the child's result.
+    /// Serves a shard child over four local edges at 8 bits per round on
+    /// a thread over a socket pair: the parent's end, past the child's
+    /// `Hello`, and the child's result.
     fn serve_child() -> (
         StreamTransport,
         std::thread::JoinHandle<Result<(), WireError>>,
     ) {
         let (parent, child) = UnixStream::pair().expect("socketpair");
-        let server = std::thread::spawn(move || child_serve(0, &mut StreamTransport::new(child)));
+        let server =
+            std::thread::spawn(move || child_serve(0, 4, 8, &mut StreamTransport::new(child)));
         let mut t = StreamTransport::new(parent);
         consume_hello(&mut t).expect("hello");
         (t, server)
@@ -1159,19 +1142,32 @@ mod tests {
         f.seal(kind, 0, epoch).to_vec()
     }
 
-    /// A phase over four local edges at 8 bits per round.
-    fn start_phase(t: &mut StreamTransport) {
-        let start = frame(FrameKind::PhaseStart, 0, |f| {
-            f.put_varint(4);
-            f.put_varint(8);
-        });
-        t.send(&start).unwrap();
+    /// Delivered `(edge, sender, payload)` cells and the four gauges.
+    type Reply = (Vec<(u64, u32, Vec<u8>)>, Vec<u64>);
+
+    /// Receives a child's round reply, `Deliveries` then `RoundStats`,
+    /// whose payload must be four varints and then exactly 8 bytes of
+    /// transfer time.
+    fn recv_round(t: &mut StreamTransport) -> Reply {
+        let bytes = t.recv().unwrap();
+        let deliveries = FrameView::parse(&bytes).unwrap();
+        assert_eq!(deliveries.kind, FrameKind::Deliveries);
+        let cells = deliveries
+            .cells()
+            .map(|c| c.map(|c| (c.edge, c.from, c.payload.to_vec())).unwrap())
+            .collect();
+        let bytes = t.recv().unwrap();
+        let stats = FrameView::parse(&bytes).unwrap();
+        assert_eq!(stats.kind, FrameKind::RoundStats);
+        let mut p = stats.payload;
+        let gauges = (0..4).map(|_| get_varint(&mut p).unwrap()).collect();
+        assert_eq!(p.len(), 8, "the transfer time is 8 fixed bytes");
+        (cells, gauges)
     }
 
     #[test]
-    fn child_runs_one_sends_frame_per_barrier() {
+    fn child_runs_a_round_per_sends_frame() {
         let (mut t, server) = serve_child();
-        start_phase(&mut t);
         // A send that fits is delivered in its round; a 12-bit one takes
         // the arena.
         let sends = frame(FrameKind::Sends, 0, |f| {
@@ -1179,33 +1175,33 @@ mod tests {
             f.push_cell(3, 12, 5, &[2]);
         });
         t.send(&sends).unwrap();
-        t.send(&frame(FrameKind::Barrier, 0, |_| {})).unwrap();
-        let bytes = t.recv().unwrap();
-        let deliveries = FrameView::parse(&bytes).unwrap();
-        assert_eq!(deliveries.kind, FrameKind::Deliveries);
-        let cells: Vec<(u64, u32, Vec<u8>)> = deliveries
-            .cells()
-            .map(|c| c.map(|c| (c.edge, c.from, c.payload.to_vec())).unwrap())
-            .collect();
-        assert_eq!(cells, vec![(2, 5, vec![1])]);
-        let bytes = t.recv().unwrap();
-        let stats = FrameView::parse(&bytes).unwrap();
-        assert_eq!(stats.kind, FrameKind::RoundStats);
-        let mut p = stats.payload;
-        let counts: Vec<u64> = (0..4).map(|_| get_varint(&mut p).unwrap()).collect();
         // Footprint 2 (the direct send counts), peak depth 1, one loaded
         // edge holding one message.
-        assert_eq!(counts, vec![2, 1, 1, 1]);
-        // A second `Sends` before the round's `Barrier` fails closed.
-        for _ in 0..2 {
-            t.send(&frame(FrameKind::Sends, 1, |f| f.push_cell(0, 4, 5, &[3])))
-                .unwrap();
-        }
+        assert_eq!(
+            recv_round(&mut t),
+            (vec![(2, 5, vec![1])], vec![2, 1, 1, 1])
+        );
+        // The next `Sends` frame, empty, is the next round: the queued
+        // message's last 4 bits cross.
+        t.send(&frame(FrameKind::Sends, 1, |_| {})).unwrap();
+        assert_eq!(
+            recv_round(&mut t),
+            (vec![(3, 5, vec![2])], vec![1, 1, 0, 0])
+        );
+        // A `PhaseStart` drops what the core queues.
+        t.send(&frame(FrameKind::Sends, 2, |f| f.push_cell(0, 12, 5, &[3])))
+            .unwrap();
+        assert_eq!(recv_round(&mut t), (vec![], vec![1, 1, 1, 1]));
+        t.send(&frame(FrameKind::PhaseStart, 3, |_| {})).unwrap();
+        t.send(&frame(FrameKind::Sends, 3, |_| {})).unwrap();
+        assert_eq!(recv_round(&mut t), (vec![], vec![0, 0, 0, 0]));
+        // A frame only a child sends fails closed.
+        t.send(&frame(FrameKind::Deliveries, 4, |_| {})).unwrap();
         assert_eq!(
             server.join().unwrap(),
             Err(WireError::UnexpectedKind {
-                want: FrameKind::Barrier,
-                got: FrameKind::Sends
+                want: FrameKind::Sends,
+                got: FrameKind::Deliveries
             })
         );
     }
@@ -1213,10 +1209,8 @@ mod tests {
     #[test]
     fn child_rejects_an_out_of_range_edge() {
         let (mut t, server) = serve_child();
-        start_phase(&mut t);
         t.send(&frame(FrameKind::Sends, 0, |f| f.push_cell(4, 8, 5, &[1])))
             .unwrap();
-        t.send(&frame(FrameKind::Barrier, 0, |_| {})).unwrap();
         assert_eq!(server.join().unwrap(), Err(WireError::Payload));
     }
 
@@ -1250,5 +1244,12 @@ mod tests {
             assert_eq!(seq.messages_across(u, v), pr.messages_across(u, v));
             assert_eq!(seq.bits_across(v, u), pr.bits_across(v, u));
         }
+        // A phase of the last closed phase's type takes its buffers; a
+        // new type opens fresh ones.
+        let p = pr.phase::<u8>();
+        assert!(p.sends.capacity() > 0);
+        drop(p);
+        let p = pr.phase::<u16>();
+        assert_eq!(p.sends.capacity(), 0);
     }
 }

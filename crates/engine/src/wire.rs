@@ -2,8 +2,9 @@
 //!
 //! The [`ProcessSimulator`](crate::ProcessSimulator) forks one child
 //! process per shard and speaks this protocol over a Unix-domain socket
-//! pair.  Everything that crosses the process boundary — splice runs,
-//! round barriers, per-round counters, shutdown — is one [`Frame`]:
+//! pair.  Everything that crosses the process boundary — a round's
+//! sends and deliveries, per-round counters, shutdown — is one
+//! [`Frame`]:
 //!
 //! ```text
 //!  offset  size  field
@@ -80,10 +81,11 @@ pub const MAX_PAYLOAD: usize = 256 << 20;
 /// quarter-GiB allocation up front; memory tracks bytes actually
 /// received.
 pub const RECV_CHUNK: usize = 64 << 10;
-/// Version negotiated in the `Hello` frame payload.  Version 3 retired
-/// kind byte 9, version 2's shard-supervision snapshot frame, so a
-/// frame of kind 9 is [`WireError::UnknownKind`].
-pub const PROTOCOL_VERSION: u64 = 3;
+/// Version negotiated in the `Hello` frame payload.  Version 4 retired
+/// kind byte 4, the round barrier, and fixed `RoundStats`' transfer time
+/// at 8 bytes; version 3 retired kind byte 9, a shard snapshot.  A frame
+/// of kind 4 or 9 is [`WireError::UnknownKind`].
+pub const PROTOCOL_VERSION: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected, polynomial 0xEDB88320)
@@ -325,22 +327,21 @@ pub enum FrameKind {
     /// Child → parent, once after fork: payload = varint
     /// [`PROTOCOL_VERSION`].
     Hello = 1,
-    /// Parent → child, at `phase::<M>()`: payload = varint local edge
-    /// count + varint bandwidth; the child rebuilds its core.
+    /// Parent → child, at `phase::<M>()`, no payload: the child drops
+    /// everything its core queues, keeping capacity.
     PhaseStart = 2,
     /// Parent → child, once per executed round (even when empty):
-    /// `count` cells of enqueue traffic for the child's edge slice.
+    /// `count` cells of enqueue traffic for the child's edge slice; the
+    /// child runs its transfer and replies.
     Sends = 3,
-    /// Parent → child: end of the round's sends; the child runs its
-    /// transfer and replies.
-    Barrier = 4,
     /// Child → parent: `count` delivered cells in ascending local-edge
     /// order.
     Deliveries = 5,
-    /// Child → parent: five per-round gauges as varints — messages
+    /// Child → parent: four per-round gauges as varints — messages
     /// queued at transfer start, peak single-edge queue depth, active
-    /// edges after the transfer, messages still queued after it, and
-    /// the child's transfer time in nanoseconds.
+    /// edges after the transfer, messages still queued after it — then
+    /// the child's transfer time in nanoseconds as 8 little-endian
+    /// bytes, so the frame's length does not follow the clock.
     RoundStats = 6,
     /// Parent → child: exit cleanly.
     Shutdown = 7,
@@ -355,7 +356,6 @@ impl FrameKind {
             1 => FrameKind::Hello,
             2 => FrameKind::PhaseStart,
             3 => FrameKind::Sends,
-            4 => FrameKind::Barrier,
             5 => FrameKind::Deliveries,
             6 => FrameKind::RoundStats,
             7 => FrameKind::Shutdown,
@@ -376,7 +376,7 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// A payload-free frame (barriers, shutdown).
+    /// A payload-free frame (phase starts, shutdown).
     pub fn control(kind: FrameKind, shard: u16, epoch: u32) -> Self {
         Frame {
             kind,
@@ -520,6 +520,11 @@ impl FrameBuf {
     /// Appends one varint to the payload (not counted as a cell).
     pub fn put_varint(&mut self, v: u64) {
         put_varint(&mut self.bytes, v);
+    }
+
+    /// Appends `v` as 8 little-endian bytes, a width no value moves.
+    pub(crate) fn put_u64(&mut self, v: u64) {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends one cell carrying `payload`.
@@ -1031,6 +1036,12 @@ impl<M> PayloadSlab<M> {
         Self::default()
     }
 
+    /// Empties the slab, keeping capacity; it then numbers slots anew.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
     fn put(&mut self, msg: M) -> u32 {
         match self.free.pop() {
             Some(slot) => {
@@ -1320,7 +1331,7 @@ mod tests {
             }
         }
         let frames: Vec<Vec<u8>> = (0..3u32)
-            .map(|i| Frame::control(FrameKind::Barrier, 0, i).encode())
+            .map(|i| Frame::control(FrameKind::PhaseStart, 0, i).encode())
             .collect();
         // Reorder frames 1 and 2.
         let feed = Feed(frames.clone().into_iter().collect());

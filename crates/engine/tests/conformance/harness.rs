@@ -189,7 +189,7 @@ impl Algorithm {
                 format!("{:?}", (out.ruling_set, out.ball_of, out.domination_bound))
             }
             Algorithm::BetaRuling { k, beta } => {
-                let rs = beta_ruling_set(eng, k, beta, &params, seed);
+                let rs = beta_ruling_set(eng, k, beta, seed);
                 assert!(
                     check::is_ruling_set(g, &rs, k + 1, k * beta),
                     "invalid beta ruling set"

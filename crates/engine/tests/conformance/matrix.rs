@@ -314,3 +314,67 @@ fn broadcast_equals_its_per_neighbor_sends_on_every_engine() {
     check(&g, |v, r| (v, r));
     check(&g, |v, r| format!("{v}/{r}"));
 }
+
+/// Abandons a `u32` phase with a fragment still crossing and
+/// deliveries unread, then runs a `u32` phase, which takes the
+/// abandoned phase's buffers, and a `u64` phase, which opens fresh
+/// ones. Returns what every node heard in the two later phases, which
+/// must start idle and see nothing of the abandoned one, and the
+/// engine's metrics.
+fn reopen_after_abandon<E: RoundEngine>(eng: &mut E) -> (Vec<Vec<(u32, u64)>>, Metrics) {
+    let n = eng.graph().n();
+    let mut unit = vec![(); n];
+    let mut p = eng.phase::<u32>();
+    p.step(&mut unit, |_, v, _in, out| {
+        out.broadcast(v, v.0, 4);
+        if v == NodeId(0) {
+            let to = out.neighbors(v)[0];
+            out.send(v, to, 99, 40);
+        }
+    });
+    assert!(p.in_flight(), "the 40-bit fragment is still crossing");
+    assert!(!p.idle(), "the 4-bit broadcasts are delivered but unread");
+    drop(p);
+    let mut heard: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+    let mut p = eng.phase::<u32>();
+    assert!(p.idle(), "a reopened u32 phase starts idle");
+    p.step(&mut heard, |_, v, inbox, out| {
+        assert!(inbox.is_empty(), "stale delivery in a reopened phase");
+        out.broadcast(v, v.0 + 1000, 13);
+    });
+    p.settle(64, &mut heard, |h, _, inbox| {
+        h.extend(inbox.iter().map(|&(f, m)| (f.0, u64::from(m))));
+    });
+    drop(p);
+    let mut p = eng.phase::<u64>();
+    assert!(p.idle(), "a u64 phase after u32 ones starts idle");
+    p.step(&mut heard, |_, v, inbox, out| {
+        assert!(inbox.is_empty(), "stale delivery in a new phase");
+        out.broadcast(v, u64::from(v.0) << 40, 22);
+    });
+    p.settle(64, &mut heard, |h, _, inbox| {
+        h.extend(inbox.iter().map(|&(f, m)| (f.0, m)));
+    });
+    drop(p);
+    (heard, RoundEngine::metrics(eng).clone())
+}
+
+/// An abandoned phase leaves nothing behind on any engine: the phase
+/// that reuses its buffers and the next fresh one hear the same inbox
+/// logs, with the same `Metrics` (per-edge traffic included), as on the
+/// sequential engine.
+#[test]
+fn reopened_phases_start_clean_on_every_engine() {
+    let g = generators::grid(6, 8);
+    let config = SimConfig::with_bandwidth(9).with_per_edge_accounting();
+    let want = reopen_after_abandon(&mut Simulator::new(&g, config));
+    assert!(want.0.iter().all(|h| !h.is_empty()));
+    for shards in [1usize, 2, 4, 8] {
+        let got = reopen_after_abandon(&mut PooledSimulator::with_shards(&g, config, shards));
+        assert_eq!(got, want, "pooled diverged at {shards} shards");
+    }
+    for shards in [1usize, 2, 4] {
+        let got = reopen_after_abandon(&mut ProcessSimulator::with_shards(&g, config, shards));
+        assert_eq!(got, want, "process diverged at {shards} shards");
+    }
+}

@@ -40,7 +40,6 @@ fn arb_kind() -> impl Strategy<Value = FrameKind> {
         Just(FrameKind::Hello),
         Just(FrameKind::PhaseStart),
         Just(FrameKind::Sends),
-        Just(FrameKind::Barrier),
         Just(FrameKind::Deliveries),
         Just(FrameKind::RoundStats),
         Just(FrameKind::Shutdown),
@@ -286,7 +285,7 @@ fn max_payload_cell_round_trips() {
 /// field alone.
 #[test]
 fn oversize_length_field_is_rejected() {
-    let mut bytes = Frame::control(FrameKind::Barrier, 0, 0).encode();
+    let mut bytes = Frame::control(FrameKind::PhaseStart, 0, 0).encode();
     bytes[13..17].copy_from_slice(&((wire::MAX_PAYLOAD as u32) + 1).to_le_bytes());
     assert_eq!(
         Frame::decode(&bytes),
@@ -300,13 +299,13 @@ fn oversize_length_field_is_rejected() {
 
 #[test]
 fn golden_control_frame_bytes() {
-    // Barrier, shard 3, epoch 0x01020304, no payload.
-    let bytes = Frame::control(FrameKind::Barrier, 3, 0x0102_0304).encode();
+    // PhaseStart, shard 3, epoch 0x01020304, no payload.
+    let bytes = Frame::control(FrameKind::PhaseStart, 3, 0x0102_0304).encode();
     assert_eq!(bytes.len(), HEADER_LEN);
     let crc = crc32_parts(&[&bytes[2..17]]).to_le_bytes();
     let want: Vec<u8> = [
         b'P', b'S', // magic
-        4,    // kind = Barrier
+        2,    // kind = PhaseStart
         3, 0, // shard (LE u16)
         0x04, 0x03, 0x02, 0x01, // epoch (LE u32)
         0, 0, 0, 0, // count
@@ -317,7 +316,7 @@ fn golden_control_frame_bytes() {
     .collect();
     assert_eq!(bytes, want);
     // And the checksum itself is pinned, not just self-consistent.
-    assert_eq!(&bytes[17..21], &[0x5F, 0xDA, 0xA4, 0xA8]);
+    assert_eq!(&bytes[17..21], &[0xAD, 0x0E, 0x5E, 0x8A]);
 }
 
 #[test]
@@ -364,24 +363,26 @@ fn golden_layout_constants() {
     // The constants the layout is built from are part of the format.
     assert_eq!(MAGIC, *b"PS");
     assert_eq!(HEADER_LEN, 21);
-    assert_eq!(PROTOCOL_VERSION, 3);
+    assert_eq!(PROTOCOL_VERSION, 4);
     // Frame-kind discriminants are wire values; reordering the enum is
     // a format change.
     assert_eq!(FrameKind::Hello as u8, 1);
     assert_eq!(FrameKind::PhaseStart as u8, 2);
     assert_eq!(FrameKind::Sends as u8, 3);
-    assert_eq!(FrameKind::Barrier as u8, 4);
     assert_eq!(FrameKind::Deliveries as u8, 5);
     assert_eq!(FrameKind::RoundStats as u8, 6);
     assert_eq!(FrameKind::Shutdown as u8, 7);
     assert_eq!(FrameKind::Error as u8, 8);
-    // Kind 9 was protocol 2's shard-supervision snapshot frame; from
-    // protocol 3 on, a frame carrying it authenticates but is unknown.
-    let mut retired = Frame::control(FrameKind::Barrier, 2, 7).encode();
-    retired[2] = 9;
-    let crc = crc32_parts(&[&retired[2..17]]);
-    retired[17..21].copy_from_slice(&crc.to_le_bytes());
-    assert_eq!(Frame::decode(&retired), Err(WireError::UnknownKind(9)));
+    // Kind 4 was protocol 3's round barrier and kind 9 protocol 2's
+    // shard-supervision snapshot frame; a frame carrying either
+    // authenticates but is unknown.
+    for kind in [4, 9] {
+        let mut retired = Frame::control(FrameKind::PhaseStart, 2, 7).encode();
+        retired[2] = kind;
+        let crc = crc32_parts(&[&retired[2..17]]);
+        retired[17..21].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(Frame::decode(&retired), Err(WireError::UnknownKind(kind)));
+    }
     // CRC-32/IEEE check value: the checksum algorithm is pinned too.
     assert_eq!(crc32_parts(&[b"123456789"]), 0xCBF4_3926);
 }

@@ -277,7 +277,7 @@ fn run_generic<E: RoundEngine>(eng: &mut E, sc: &Scenario) -> Result<AlgOutput, 
             Ok(AlgOutput::Sparsifier(Box::new(out)))
         }
         AlgorithmSpec::BetaRulingSet { beta } => {
-            let set = beta_ruling_set(eng, sc.k, beta, &suite_params(), sc.seed);
+            let set = beta_ruling_set(eng, sc.k, beta, sc.seed);
             Ok(AlgOutput::RulingSet {
                 set,
                 alpha: sc.k + 1,

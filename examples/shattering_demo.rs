@@ -21,7 +21,7 @@ fn main() {
 
     // --- Pre-shattering only. ---
     let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-    let pre = beeping_mis_run(&mut sim, 1, &vec![true; n], steps, 5, None);
+    let pre = beeping_mis_run(&mut sim, 1, &vec![true; n], steps, 5);
     let undecided: Vec<_> = generators::members(&pre.undecided);
     println!(
         "pre-shattering ({steps} BeepingMIS steps, {} rounds): {} nodes undecided",

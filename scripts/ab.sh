@@ -7,15 +7,18 @@
 #   sh scripts/ab.sh REV WORKLOAD SECONDS PAIRS [PERFBENCH ARGS...]
 #
 # Further arguments go to both perfbench runs, e.g. `--seed 1234` to
-# check a gain on a seed other than the default 42.
+# check a gain on a seed other than the default 42, or `--trace 1` for
+# traced pairs, which carry the per-layer metrics instead of the
+# end-to-end ones.
 # Run it from the repository root. REV is exported with `git archive`
 # into target/ab/<commit> (kept, so a second comparison against the same
 # commit rebuilds nothing) and both sides are built offline. Each run
-# prints its end-to-end metrics and the CPU steal that /proc/stat
-# counted during it; a summary then gives, per end-to-end metric of
-# BENCHMARK.json, each side's median and quartiles and the pairs the
-# working tree won, in the direction BENCHMARK.json declares. The script
-# exits nonzero if a run fails or does not end with `"correct": true`.
+# prints the metrics it carries and the CPU steal that /proc/stat
+# counted during it; a summary then gives, per metric of BENCHMARK.json's
+# `end_to_end` and `per_layer` lists that every run carries, each side's
+# median and quartiles and the pairs the working tree won, in the
+# direction BENCHMARK.json declares. The script exits nonzero if a run
+# fails or does not end with `"correct": true`.
 set -eu
 
 if [ $# -lt 4 ]; then
@@ -53,13 +56,16 @@ steal() {
         /proc/stat 2>/dev/null || echo 0
 }
 
-# Reads BENCHMARK.json's end-to-end metrics, then the run log, one line
-# per run: `pair side steal-ticks json`. With `last` set it prints the
-# log's last run; otherwise the per-metric summary, where a pair counts
-# as a win only if the working tree did strictly better.
+# Reads BENCHMARK.json's end-to-end and per-layer metrics, then the run
+# log, one line per run: `pair side steal-ticks json`. With `last` set
+# it prints the log's last run; otherwise the summary of every metric
+# that all runs carry, where a pair counts as a win only if the working
+# tree did strictly better.
 report='
-function value(json, name,    s) {
-    if (!match(json, "\"" name "\": *[{]\"value\": *[-+0-9.eE]+"))
+function value(json, name,    s, re) {
+    re = name
+    gsub(/[.]/, "[.]", re)
+    if (!match(json, "\"" re "\": *[{]\"value\": *[-+0-9.eE]+"))
         return ""
     s = substr(json, RSTART, RLENGTH)
     sub(/.*: */, "", s)
@@ -73,7 +79,8 @@ function num(x) {
 function show(i,    k, line) {
     line = sprintf("pair %2d %-4s steal %6.2f s", pair[i], side[i], ticks[i] / tick)
     for (k = 1; k <= m; k++)
-        line = line sprintf("  %s %s", names[k], num(val[i, k]))
+        if (val[i, k] != "")
+            line = line sprintf("  %s %s", names[k], num(val[i, k]))
     print line
 }
 function spread(a, n) {
@@ -95,7 +102,7 @@ function quantile(a, n, p,    h, lo) {
     return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 }
 FNR == NR {
-    if ($0 ~ /"end_to_end"/)
+    if ($0 ~ /"(end_to_end|per_layer)"/)
         inside = 1
     else if (inside && $0 ~ /^[ \t]*\]/)
         inside = 0
@@ -115,7 +122,8 @@ FNR == NR {
     side[n] = $2
     ticks[n] = $3
     for (k = 1; k <= m; k++)
-        val[n, k] = value($0, names[k])
+        if ((val[n, k] = value($0, names[k])) != "")
+            carried[k]++
     of[$2, $1] = n
     if ($1 > pairs)
         pairs = $1
@@ -126,8 +134,10 @@ END {
         exit
     }
     printf "\nrev = %s, tree = the working tree; %d pairs\n", rev, pairs
-    printf "%-12s %-36s %-36s %8s %6s\n", "metric", "rev median (q1-q3)", "tree median (q1-q3)", "change", "wins"
+    printf "%-28s %-36s %-36s %8s %6s\n", "metric", "rev median (q1-q3)", "tree median (q1-q3)", "change", "wins"
     for (k = 1; k <= m; k++) {
+        if (carried[k] < n)
+            continue
         wins = 0
         for (p = 1; p <= pairs; p++) {
             a[p] = val[of["rev", p], k]
@@ -139,7 +149,7 @@ END {
         sort(b, pairs)
         ma = quantile(a, pairs, 0.5)
         mb = quantile(b, pairs, 0.5)
-        printf "%-12s %-36s %-36s %+7.1f%% %3d/%d\n", names[k], spread(a, pairs), \
+        printf "%-28s %-36s %-36s %+7.1f%% %3d/%d\n", names[k], spread(a, pairs), \
             spread(b, pairs), ma == 0 ? 0 : 100 * (mb - ma) / ma, wins, pairs
     }
 }

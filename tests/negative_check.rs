@@ -49,7 +49,7 @@ fn ruling_set_covering_violation_on_gk_rejected() {
     let k = 2;
     let beta = 3;
     let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-    let rs = beta_ruling_set(&mut sim, k, beta, &TheoryParams::scaled(), 5);
+    let rs = beta_ruling_set(&mut sim, k, beta, 5);
     assert!(check::is_ruling_set(&g, &rs, k + 1, k * beta));
     assert!(rs.len() > 1, "test premise: several rulers");
 

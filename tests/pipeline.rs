@@ -67,11 +67,10 @@ fn theorem_1_4_both_approaches_agree_on_validity() {
 
 #[test]
 fn corollary_1_3_on_all_instances() {
-    let params = TheoryParams::scaled();
     for (name, g) in instances() {
         for (k, beta) in [(1usize, 3usize), (2, 2)] {
             let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-            let rs = beta_ruling_set(&mut sim, k, beta, &params, 4);
+            let rs = beta_ruling_set(&mut sim, k, beta, 4);
             assert!(
                 check::is_ruling_set(&g, &rs, k + 1, k * beta),
                 "{name}, k={k}, beta={beta}"

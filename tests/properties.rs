@@ -5,7 +5,7 @@ use powersparse::mis::{luby_mis, mis_power, PostShattering};
 use powersparse::params::TheoryParams;
 use powersparse::ruling::ruling_set_with_balls;
 use powersparse::sparsify::{sparsify_power, SamplingStrategy};
-use powersparse_congest::primitives::khop_beep_masked;
+use powersparse_congest::primitives::khop_beep;
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_graphs::{check, generators, power, subgraph};
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ proptest! {
         let g = generators::connected_gnp(n, 3.0 / n as f64, seed);
         let beepers: Vec<bool> = (0..n).map(|i| (i as u64 * 7 + seed).is_multiple_of(5)).collect();
         let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
-        let heard = khop_beep_masked(&mut sim, &beepers, k, 2, None);
+        let heard = khop_beep(&mut sim, &beepers, k, 2);
         for v in g.nodes() {
             let truth = power::q_degree(&g, v, k, &beepers) > 0;
             prop_assert_eq!(heard[v.index()], truth, "node {}", v);
